@@ -76,6 +76,7 @@ from .reduction import (
 from .schema import (
     ALWAYS_KEEP_DEFAULT,
     DimensionSpec,
+    FrameEncoder,
     FrameVector,
     MODULE_CHANNELS,
     MODULE_KINDS,
@@ -102,6 +103,7 @@ from .synth import (
     ToyModule,
     apply_mutant,
     generate_recording,
+    grid_fps,
     load_mutants,
     load_script,
     make_module,

@@ -460,6 +460,8 @@ def _write_regression_artifacts(
 def _cmd_run_regression(args: argparse.Namespace) -> None:
     if bool(args.script) == bool(args.infile):
         raise UsageError("pass exactly one of --script or --in")
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     seed = _seed_or_env(args.seed)
     if args.script:
         rec = generate_recording(_load_script_arg(args.script), seed)

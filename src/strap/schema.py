@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .recording import AlignedRecording, Frame, MessageKind
 
@@ -225,12 +225,144 @@ def default_registry() -> SchemaRegistry:
     return SchemaRegistry(tuple(dims), ALWAYS_KEEP_DEFAULT)
 
 
-def _enforce_child_zeroing(values: list[int], registry: SchemaRegistry) -> None:
-    # An absent object has no properties, whatever the payload claimed.
-    index = {d.name: i for i, d in enumerate(registry.dimensions)}
-    for d in registry.dimensions:
-        if d.parent is not None and values[index[d.parent]] == 0:
-            values[index[d.name]] = 0
+Contribution = Callable[[Mapping[str, Any], list, set], None]
+
+
+class FrameEncoder:
+    """Encodes frames against one registry, optionally filtered to one module.
+
+    The name-to-slot index, the slots the filter drops and the (parent, child)
+    slot pairs are built once, so encoding many frames does not rebuild them
+    per frame. encode_frame, apply_filter and encode_recording all go through
+    this class; it is the only encoding rule.
+
+    Each dimension-bearing MessageKind has its own contribution method. The
+    dimension names the kinds write are disjoint, so their first-wins
+    ``claimed`` rules never interact and the merged vector does not depend
+    on which kind goes first.
+    """
+
+    _CONTRIBUTIONS = {
+        MessageKind.TRAFFIC_LIGHT: "_traffic_light",
+        MessageKind.OBSTACLE: "_obstacle",
+        MessageKind.PREDICTION: "_prediction",
+        MessageKind.PLANNING: "_planning",
+    }
+
+    def __init__(self, registry: SchemaRegistry, flt: ModuleFilter | None = None) -> None:
+        dims = registry.dimensions
+        self.size = len(dims)
+        self._dims = {d.name: (i, d) for i, d in enumerate(dims)}
+        self._dropped = tuple(
+            i for i, d in enumerate(dims) if flt is not None and d.name not in flt.retained_dimensions
+        )
+        self._pairs = tuple(
+            (self._dims[d.parent][0], i) for i, d in enumerate(dims) if d.parent is not None
+        )
+
+    def channel_order(self, frame: Frame) -> tuple[tuple[str, Contribution], ...]:
+        """The frame's dimension-bearing channels in encoding order.
+
+        Kinds go in MessageKind order and channels of one kind by name; when
+        two channels of one kind report the same object, the first wins.
+        """
+        return tuple(
+            (name, getattr(self, self._CONTRIBUTIONS[kind]))
+            for kind in MessageKind
+            if kind in self._CONTRIBUTIONS
+            for name in sorted(frame.messages)
+            if frame.messages[name].kind is kind
+        )
+
+    def encode(
+        self, frame: Frame, order: Sequence[tuple[str, Contribution]] | None = None
+    ) -> FrameVector:
+        """Encode and filter one frame.
+
+        ``order`` is channel_order of a frame with the same channels and
+        kinds, so a caller encoding many such frames computes it once.
+        """
+        if order is None:
+            order = self.channel_order(frame)
+        values = [0] * self.size
+        claimed: set[str] = set()
+        messages = frame.messages
+        for name, contribute in order:
+            contribute(messages[name].payload, values, claimed)
+        return FrameVector(self._finish(values), frame.t_ns)
+
+    def filter(self, vector: FrameVector) -> FrameVector:
+        if len(vector.values) != self.size:
+            raise SchemaError(
+                f"vector length {len(vector.values)} does not match registry size {self.size}"
+            )
+        return FrameVector(self._finish(list(vector.values)), vector.t_ns)
+
+    def _finish(self, values: list[int]) -> tuple[int, ...]:
+        # Zero the dimensions outside the filter, then the properties of
+        # absent or filtered-out parents: an absent object has no properties,
+        # whatever the payload claimed. Parents are presence dimensions and
+        # never have parents of their own, so one sweep over the pairs is
+        # enough.
+        for i in self._dropped:
+            values[i] = 0
+        for parent, child in self._pairs:
+            if not values[parent]:
+                values[child] = 0
+        return tuple(values)
+
+    def _put(self, values: list, name: str, value: str) -> None:
+        hit = self._dims.get(name)
+        if hit is not None:
+            values[hit[0]] = hit[1].code(value)
+
+    def _traffic_light(self, payload: Mapping[str, Any], values: list, claimed: set) -> None:
+        lights = payload.get("lights") or []
+        if lights and "traffic_light" not in claimed:
+            claimed.add("traffic_light")
+            self._put(values, "traffic_light", "traffic_light")
+            first = lights[0]
+            for prop in ("color", "shape", "orientation"):
+                if first.get(prop) is not None:
+                    self._put(values, f"traffic_light.{prop}", first[prop])
+
+    def _obstacle(self, payload: Mapping[str, Any], values: list, claimed: set) -> None:
+        for obj in payload.get("obstacles") or []:
+            dim = _actor_dim(obj.get("actor"))
+            if dim not in claimed:
+                claimed.add(dim)
+                self._put(values, dim, dim)
+                if obj.get("subtype") is not None:
+                    self._put(values, f"{dim}.subtype", obj["subtype"])
+            if obj.get("on_crosswalk"):
+                self._put(values, "crosswalk", "crosswalk")
+            if obj.get("at_intersection"):
+                self._put(values, "intersection", "intersection")
+        for name in payload.get("objects") or []:
+            dim = _STATIC_DIMS.get(name)
+            if dim is None:
+                raise SchemaError(f'dimension "objects": unknown value "{name}"')
+            self._put(values, dim, dim)
+
+    def _prediction(self, payload: Mapping[str, Any], values: list, claimed: set) -> None:
+        for track in payload.get("tracks") or []:
+            target = f"{_actor_dim(track.get('actor'))}.action"
+            if target not in claimed and track.get("action") is not None:
+                claimed.add(target)
+                self._put(values, target, track["action"])
+
+    def _planning(self, payload: Mapping[str, Any], values: list, claimed: set) -> None:
+        for field, dim in (("ego_action", "ego.action"), ("stop_cause", "ego.stop_cause")):
+            if payload.get(field) is not None and dim not in claimed:
+                claimed.add(dim)
+                self._put(values, dim, payload[field])
+
+
+def _actor_dim(actor: Any) -> str:
+    dim = _ACTOR_DIMS.get(actor)
+    if dim is None:
+        raise SchemaError(f'dimension "actor": unknown value "{actor}"')
+    return dim
 
 
 def encode_frame(frame: Frame, registry: SchemaRegistry) -> FrameVector:
@@ -238,98 +370,30 @@ def encode_frame(frame: Frame, registry: SchemaRegistry) -> FrameVector:
 
     When a payload reports several objects of the same presence dimension,
     the dimension records presence once and takes its property values from
-    the first such object in payload order.
+    the first such object in payload order. Localization and image-reference
+    channels carry no schema dimensions.
     """
-    index = {d.name: i for i, d in enumerate(registry.dimensions)}
-    dims = {d.name: d for d in registry.dimensions}
-    values = [0] * len(registry.dimensions)
-
-    def put(name: str, value: str) -> None:
-        if name in index:
-            values[index[name]] = dims[name].code(value)
-
-    def put_presence(name: str) -> None:
-        if name in index:
-            values[index[name]] = dims[name].code(name)
-
-    claimed: set[str] = set()
-    for kind in MessageKind:
-        for msg in frame.by_kind(kind):
-            payload = msg.payload
-            if kind is MessageKind.TRAFFIC_LIGHT:
-                lights = payload.get("lights") or []
-                if lights and "traffic_light" not in claimed:
-                    claimed.add("traffic_light")
-                    put_presence("traffic_light")
-                    first = lights[0]
-                    for prop in ("color", "shape", "orientation"):
-                        if first.get(prop) is not None:
-                            put(f"traffic_light.{prop}", first[prop])
-            elif kind is MessageKind.OBSTACLE:
-                for obj in payload.get("obstacles") or []:
-                    actor = obj.get("actor")
-                    dim = _ACTOR_DIMS.get(actor)
-                    if dim is None:
-                        raise SchemaError(f'dimension "actor": unknown value "{actor}"')
-                    if dim not in claimed:
-                        claimed.add(dim)
-                        put_presence(dim)
-                        if obj.get("subtype") is not None:
-                            put(f"{dim}.subtype", obj["subtype"])
-                    if obj.get("on_crosswalk"):
-                        put_presence("crosswalk")
-                    if obj.get("at_intersection"):
-                        put_presence("intersection")
-                for name in payload.get("objects") or []:
-                    dim = _STATIC_DIMS.get(name)
-                    if dim is None:
-                        raise SchemaError(f'dimension "objects": unknown value "{name}"')
-                    put_presence(dim)
-            elif kind is MessageKind.PREDICTION:
-                for track in payload.get("tracks") or []:
-                    actor = track.get("actor")
-                    dim = _ACTOR_DIMS.get(actor)
-                    if dim is None:
-                        raise SchemaError(f'dimension "actor": unknown value "{actor}"')
-                    target = f"{dim}.action"
-                    if target not in claimed and track.get("action") is not None:
-                        claimed.add(target)
-                        put(target, track["action"])
-            elif kind is MessageKind.PLANNING:
-                if payload.get("ego_action") is not None and "ego.action" not in claimed:
-                    claimed.add("ego.action")
-                    put("ego.action", payload["ego_action"])
-                if payload.get("stop_cause") is not None and "ego.stop_cause" not in claimed:
-                    claimed.add("ego.stop_cause")
-                    put("ego.stop_cause", payload["stop_cause"])
-            # localization and image_ref carry no schema dimensions
-
-    _enforce_child_zeroing(values, registry)
-    return FrameVector(tuple(values), frame.t_ns)
+    return FrameEncoder(registry).encode(frame)
 
 
 def apply_filter(vector: FrameVector, flt: ModuleFilter, registry: SchemaRegistry) -> FrameVector:
     """Zero out dimensions outside the filter; vector length is unchanged."""
-    if len(vector.values) != len(registry.dimensions):
-        raise SchemaError(
-            f"vector length {len(vector.values)} does not match registry size {len(registry.dimensions)}"
-        )
-    values = [
-        v if d.name in flt.retained_dimensions else 0
-        for v, d in zip(vector.values, registry.dimensions)
-    ]
-    _enforce_child_zeroing(values, registry)
-    return FrameVector(tuple(values), vector.t_ns)
+    return FrameEncoder(registry, flt).filter(vector)
 
 
 def encode_recording(
     ar: AlignedRecording, registry: SchemaRegistry, flt: ModuleFilter | None = None
 ) -> list[FrameVector]:
-    """Vectorize every frame, optionally filtered down to one module's view."""
-    vectors = [encode_frame(f, registry) for f in ar.frames]
-    if flt is not None:
-        vectors = [apply_filter(v, flt, registry) for v in vectors]
-    return vectors
+    """Vectorize every frame, optionally filtered down to one module's view.
+
+    Every aligned frame covers the same channels, so the encoding order is
+    taken from the first frame.
+    """
+    if not ar.frames:
+        return []
+    encoder = FrameEncoder(registry, flt)
+    order = encoder.channel_order(ar.frames[0])
+    return [encoder.encode(f, order) for f in ar.frames]
 
 
 def registry_to_json(registry: SchemaRegistry) -> dict[str, Any]:

@@ -54,7 +54,11 @@ from .recording import (
     align_recording,
 )
 from .reduction import ReductionConfig, Segment, reduce_recording
-from .schema import (
+# encode_frame and apply_filter are not called here since replay encodes
+# through FrameEncoder; they stay importable from this module for callers
+# that look them up here.
+from .schema import (  # noqa: F401
+    FrameEncoder,
     FrameVector,
     ModuleFilter,
     MODULE_KINDS,
@@ -807,14 +811,43 @@ def _replayed_vectors(
     ar: AlignedRecording,
     result: ReplayResult,
     lo: int,
-    registry: SchemaRegistry,
-    flt: ModuleFilter,
+    vectors: Sequence[FrameVector],
+    encoder: FrameEncoder,
 ) -> list[FrameVector]:
-    vectors = []
-    for offset, msg in enumerate(result.comparable):
-        frame = _swap_channel(ar.frames[lo + result.warmup_frames + offset], msg)
-        vectors.append(apply_filter(encode_frame(frame, registry), flt, registry))
-    return vectors
+    """Vectors of a replay's comparable frames, frame lo being its first.
+
+    A frame whose replayed message equals the recorded one on that channel
+    is unchanged, so its recorded vector is reused; only the other frames
+    are encoded, with the replayed message swapped in.
+    """
+    out = []
+    order = None
+    for i, msg in enumerate(result.comparable, lo + result.warmup_frames):
+        frame = ar.frames[i]
+        if frame.messages.get(msg.channel) == msg:
+            out.append(vectors[i])
+            continue
+        swapped = _swap_channel(frame, msg)
+        if order is None:
+            # Every replayed message sits on the same channel with the same
+            # kind, so all swapped frames share one encoding order.
+            order = encoder.channel_order(swapped)
+        out.append(encoder.encode(swapped, order))
+    return out
+
+
+def grid_fps(ar: AlignedRecording) -> int:
+    """Frame rate of the aligned grid, from its first and last timestamps."""
+    n = len(ar.frames)
+    if n < 2:
+        # A one-frame replay computes only its cold start and never reads
+        # the rate.
+        return 1
+    span = ar.frames[-1].t_ns - ar.frames[0].t_ns
+    fps = round(NS_PER_SEC * (n - 1) / span)
+    if fps < 1:
+        raise SynthError(f"frame grid of {n} frames over {span} ns is below 1 fps")
+    return fps
 
 
 def run_regression(
@@ -828,7 +861,6 @@ def run_regression(
     seed: int = 0,
     repetitions: int = 100,
     rarity_mode: str = "indicator",
-    fps: int = 15,
     jobs: int = 1,
 ) -> MetricsReport:
     """Reduce a recording, replay mutants, and score prioritization plans.
@@ -836,14 +868,19 @@ def run_regression(
     Only the named module is replayed. Mutants targeting other modules
     cannot change this module's outputs (every toy module is a pure function
     of its inputs and its own parameters), so they are recorded as clean
-    verdicts without replay.
+    verdicts without replay. Replays run at the frame rate of the aligned
+    grid.
     """
     if module_kind not in MODULE_KINDS:
         raise SynthError(f"unknown module kind {module_kind!r}")
+    if jobs < 1:
+        raise SynthError(f"jobs must be at least 1, got {jobs}")
     registry = registry or default_registry()
     ar = align_recording(recording)
+    fps = grid_fps(ar)
     flt = ModuleFilter.for_module(module_kind, registry)
     vectors = encode_recording(ar, registry, flt)
+    encoder = FrameEncoder(registry, flt)
     segments, _ = reduce_recording(ar, vectors, cfg)
     module = make_module(module_kind)
     n_frames = len(ar.frames)
@@ -856,7 +893,7 @@ def run_regression(
         whole = Segment(WHOLE_RECORDING_SEGMENT_ID, 0, n_frames - 1, vectors[0], 0)
         full_replay = replay_segment(mutated, ar.frames, 0, fps)
         full_verdict = compare_outputs(
-            vectors, _replayed_vectors(ar, full_replay, 0, registry, flt), whole
+            vectors, _replayed_vectors(ar, full_replay, 0, vectors, encoder), whole
         )
         seg_verdicts = {}
         for s in segments:
@@ -866,7 +903,7 @@ def run_regression(
                 s.start_idx - s.warmup_start_idx,
                 fps,
             )
-            replayed = _replayed_vectors(ar, result, s.warmup_start_idx, registry, flt)
+            replayed = _replayed_vectors(ar, result, s.warmup_start_idx, vectors, encoder)
             seg_verdicts[s.id] = compare_outputs(
                 vectors[s.start_idx : s.end_idx + 1], replayed, s
             )

@@ -186,6 +186,14 @@ class TestRegressionCommand:
         assert main(["run-regression", "--out", out]) == 1
         assert main(["run-regression", "--script", str(work["script"]), "--in", str(work["rec"]), "--out", out]) == 1
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_rejected(self, work, tmp_path, capsys, jobs):
+        out = tmp_path / "r.json"
+        rc = main(["run-regression", "--in", str(work["rec"]), "--jobs", jobs, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: --jobs must be at least 1, got {jobs}"]
+        assert not out.exists()
+
     def test_artifacts_need_specific_module(self, work, tmp_path):
         rc = main(
             ["run-regression", "--in", str(work["rec"]), "--module", "all",

@@ -15,16 +15,27 @@ from strap.benchmarks import (
     rare_fault_mutants,
     rare_fault_script,
 )
-from strap.recording import Frame, Message, MessageKind, align_recording, dump_recording_jsonl
+from strap.recording import (
+    AlignedRecording,
+    Frame,
+    Message,
+    MessageKind,
+    align_recording,
+    dump_recording_jsonl,
+)
+from strap.reduction import ReductionConfig, reduce_recording
+from strap.schema import MODULE_KINDS, ModuleFilter, encode_recording
 from strap.synth import (
     CHANNEL_OFFSETS_NS,
     MUTATION_OPERATORS,
+    NS_PER_SEC,
     Mutant,
     ScenarioScript,
     SceneEvent,
     SynthError,
     apply_mutant,
     generate_recording,
+    grid_fps,
     make_module,
     mutable_targets,
     mutants_from_json,
@@ -406,11 +417,66 @@ class TestRegression:
         assert serial.apfd == parallel.apfd
         assert serial.details["mutants"] == parallel.details["mutants"]
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, small_recording, jobs):
+        with pytest.raises(SynthError, match=f"jobs must be at least 1, got {jobs}"):
+            run_regression(small_recording, "planning", [], jobs=jobs)
+
     def test_unknown_module_or_strategy(self, small_recording):
         with pytest.raises(SynthError, match="unknown module kind"):
             run_regression(small_recording, "radar", [])
         with pytest.raises(SynthError, match="unknown strategy"):
             run_regression(small_recording, "planning", [], strategies=("BFS",))
+
+
+@pytest.fixture(scope="module")
+def ten_fps_recording():
+    """The benchmark scenes at 10 fps, glitch-free so clean replays match exactly."""
+    base = benchmark_script()
+    return generate_recording(ScenarioScript(base.duration_frames, 10, 0.0, base.events), 0)
+
+
+class TestFrameRate:
+    def test_grid_fps_comes_from_timestamps(self, ten_fps_recording):
+        assert grid_fps(align_recording(ten_fps_recording)) == 10
+        assert grid_fps(align_recording(generate_recording(script(30, fps=15), 0))) == 15
+        image = MessageKind.IMAGE_REF
+        lone = AlignedRecording((Frame(0, {"image": Message("image", 0, image, {})}),), ("image",))
+        assert grid_fps(lone) == 1
+        sparse = AlignedRecording(
+            tuple(Frame(t, {"image": Message("image", t, image, {})}) for t in (0, 3 * NS_PER_SEC)),
+            ("image",),
+        )
+        with pytest.raises(SynthError, match="below 1 fps"):
+            grid_fps(sparse)
+
+    def test_ten_fps_predictor_call_counts(self, ten_fps_recording, registry):
+        ar = align_recording(ten_fps_recording)
+        predictor = make_module("prediction")
+        # Emitting on two of every three frames, the predictor classifies
+        # each tick's obstacles: 2000 calls at the true rate, 2250 at 15 fps.
+        assert replay_segment(predictor, ar.frames, 0, 10).call_counts["predict_action"] == 2000
+        assert replay_segment(predictor, ar.frames, 0, 15).call_counts["predict_action"] == 2250
+        mutant = Mutant("m", "prediction", "stop_max_speed", "change_constant", 0.5)
+        report = run_regression(ten_fps_recording, "prediction", [mutant], repetitions=2)
+        flt = ModuleFilter.for_module("prediction", registry)
+        segments, _ = reduce_recording(ar, encode_recording(ar, registry, flt), ReductionConfig())
+        assert report.details["call_counts"] == [
+            replay_segment(predictor, ar.frames[s.start_idx : s.end_idx + 1], 0, 10)
+            .call_counts.get("predict_action", 0)
+            for s in segments
+        ]
+
+    def test_ten_fps_clean_replay_has_no_faults(self, ten_fps_recording):
+        for kind in MODULE_KINDS:
+            module = make_module(kind)
+            # Setting a parameter to its own default leaves the module unmutated.
+            name, value = next(iter(module.params.items()))
+            mutant = Mutant("clean", kind, name, "change_constant", value)
+            d = run_regression(ten_fps_recording, kind, [mutant], repetitions=2).details
+            assert d["detected_full"] == [] and d["detected_reduced"] == [], kind
+            rows = d["mutants"]["clean"]["segments"].values()
+            assert all(row["mismatched_frames"] == 0 for row in rows), kind
 
 
 class TestBuiltins:
