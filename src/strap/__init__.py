@@ -57,6 +57,7 @@ from .recording import (
     Recording,
     RecordingLoadError,
     align_recording,
+    aligned_jsonl,
     dump_recording_jsonl,
     load_recording,
     slice_recording,
@@ -96,6 +97,7 @@ from .synth import (
     CHANNEL_OFFSETS_NS,
     MUTATION_OPERATORS,
     Mutant,
+    PreparedRecording,
     ReplayResult,
     ScenarioScript,
     SceneEvent,
@@ -110,8 +112,10 @@ from .synth import (
     mutable_targets,
     mutants_from_json,
     mutants_to_json,
+    prepare_recording,
     replay_segment,
     run_benchmark,
+    run_prepared,
     run_regression,
     script_from_json,
     script_to_json,

@@ -9,8 +9,10 @@ internal error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
+import random
 import sys
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -41,6 +43,7 @@ from .recording import (
     AlignedRecording,
     Recording,
     align_recording,
+    aligned_jsonl,
     dump_recording_jsonl,
     load_recording,
 )
@@ -61,16 +64,22 @@ from .schema import (
     load_registry,
     registry_to_json,
 )
-from .synth import (
+# run_regression is not called here since the single-module path runs on a
+# PreparedRecording; it stays importable from this module for callers that
+# look it up here.
+from .synth import (  # noqa: F401
     MUTATION_OPERATORS,
     Mutant,
+    PreparedRecording,
     generate_recording,
     load_mutants,
     load_script,
     make_module,
     mutable_targets,
     mutants_to_json,
+    prepare_recording,
     run_benchmark,
+    run_prepared,
     run_regression,
     script_from_json,
 )
@@ -188,7 +197,7 @@ def _aligned_vectors(
 def _cmd_align(args: argparse.Namespace) -> None:
     rec = load_recording(_require_file(args.infile))
     ar = align_recording(rec)
-    atomic_write_text(args.out, dump_recording_jsonl(ar.to_recording()))
+    atomic_write_text(args.out, aligned_jsonl(ar))
     _say(f"aligned {len(ar)} frames across {len(ar.channel_names)} channels -> {args.out}")
 
 
@@ -378,8 +387,6 @@ def _cmd_synth_generate(args: argparse.Namespace) -> None:
 
 
 def _random_mutants(module: str, count: int, seed: int) -> list[Mutant]:
-    import random
-
     if module not in MODULE_KINDS:
         raise UsageError(f"unknown module {module!r}")
     rng = random.Random(seed)
@@ -416,44 +423,29 @@ def _cmd_synth_mutate(args: argparse.Namespace) -> None:
 
 def _write_regression_artifacts(
     outdir: Path,
-    rec: Recording,
-    module: str,
-    registry: SchemaRegistry,
-    cfg: ReductionConfig,
+    prepared: PreparedRecording,
     report: MetricsReport,
-    strategies: Sequence[str],
-    *,
-    seed: int,
-    repetitions: int,
-    rarity_mode: str,
+    plans: Mapping[str, Sequence[PrioritizedPlan]],
 ) -> None:
-    """Recompute and save the pipeline intermediates for one module run.
+    """Save one module run's intermediates, taken from the run itself.
 
-    Uses the same library calls as the standalone subcommands, so the files
-    match what align/vectorize/reduce/prioritize would produce.
+    These are its aligned frames, vectors, segments, call counts, verdicts
+    and the first plan of each strategy. Nothing is recomputed, and the
+    files are byte-identical to what align/vectorize/reduce/prioritize
+    write for the same inputs.
     """
+    module = prepared.module
     outdir.mkdir(parents=True, exist_ok=True)
-    ar = align_recording(rec)
-    atomic_write_text(outdir / "aligned.jsonl", dump_recording_jsonl(ar.to_recording()))
-    flt = None if module == "all" else ModuleFilter.for_module(module, registry)
-    vectors = encode_recording(ar, registry, flt)
+    atomic_write_text(outdir / "aligned.jsonl", aligned_jsonl(prepared.aligned))
+    vectors = prepared.vectors
     atomic_write_json(outdir / "vectors.json", _vectors_doc(module, vectors))
-    segments, _ = reduce_vectors(vectors, cfg)
     times = [v.t_ns for v in vectors]
-    atomic_write_json(outdir / "segments.json", segments_to_manifest(segments, cfg, times, module))
-    call_counts = report.details.get("call_counts")
-    if call_counts is not None:
-        atomic_write_json(outdir / "call_counts.json", list(call_counts))
-    plans = _build_plans(
-        strategies,
-        segments,
-        vectors,
-        seed=seed,
-        repetitions=repetitions,
-        rarity_mode=rarity_mode,
-        call_counts=call_counts,
+    atomic_write_json(
+        outdir / "segments.json",
+        segments_to_manifest(prepared.segments, prepared.cfg, times, module),
     )
-    _write_plan_files(plans, str(outdir))
+    atomic_write_json(outdir / "call_counts.json", list(report.details["call_counts"]))
+    _write_plan_files({name: runs[0] for name, runs in plans.items()}, str(outdir))
     atomic_write_json(outdir / "verdicts.json", _verdicts_doc(module, report.details))
 
 
@@ -472,7 +464,6 @@ def _cmd_run_regression(args: argparse.Namespace) -> None:
     cfg = _reduction_config(args)
     registry = _load_registry_arg(args.schema)
     kwargs = dict(
-        registry=registry,
         seed=seed,
         repetitions=args.repetitions,
         rarity_mode=args.rarity_mode,
@@ -481,26 +472,16 @@ def _cmd_run_regression(args: argparse.Namespace) -> None:
     if args.module == "all":
         if args.artifacts_dir:
             raise UsageError("--artifacts-dir needs a specific --module, not 'all'")
-        report = run_benchmark(rec, mutants, strategies, cfg, **kwargs)
+        report = run_benchmark(rec, mutants, strategies, cfg, registry=registry, **kwargs)
     else:
         own = [m for m in mutants if m.module == args.module]
         skipped = len(mutants) - len(own)
         if skipped:
             _say(f"note: {skipped} mutant(s) target other modules and replay clean")
-        report = run_regression(rec, args.module, mutants, strategies, cfg, **kwargs)
+        prepared = prepare_recording(align_recording(rec), args.module, cfg, registry)
+        report, plans = run_prepared(prepared, mutants, strategies, **kwargs)
         if args.artifacts_dir:
-            _write_regression_artifacts(
-                Path(args.artifacts_dir),
-                rec,
-                args.module,
-                registry,
-                cfg,
-                report,
-                strategies,
-                seed=seed,
-                repetitions=args.repetitions,
-                rarity_mode=args.rarity_mode,
-            )
+            _write_regression_artifacts(Path(args.artifacts_dir), prepared, report, plans)
     atomic_write_json(args.out, report_to_json(report))
     atomic_write_text(Path(args.out).with_suffix(".csv"), report_to_csv(report))
     _say(
@@ -594,6 +575,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # A command builds only acyclic JSON values and frozen dataclasses, which
+    # reference counting frees, so cyclic collections would find almost no
+    # garbage while rescanning the whole recording over and over.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def _run(argv: Sequence[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -14,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 TimestampNs = int
 
@@ -226,21 +226,33 @@ def load_recording(path: str | Path) -> Recording:
     return Recording(channels)
 
 
+def _message_json(m: Message) -> str:
+    return json.dumps(
+        {"channel": m.channel, "t_ns": m.t_ns, "kind": m.kind.value, "payload": m.payload},
+        sort_keys=True,
+    )
+
+
 def dump_recording_jsonl(rec: Recording) -> str:
     """Serialize a recording as JSONL, globally sorted by (t_ns, channel)."""
     rows = []
     for name in sorted(rec.channels):
         for m in rec.channels[name].messages:
             rows.append((m.t_ns, name, m))
-    lines = []
-    for _, _, m in sorted(rows, key=lambda r: (r[0], r[1])):
-        lines.append(
-            json.dumps(
-                {"channel": m.channel, "t_ns": m.t_ns, "kind": m.kind.value, "payload": m.payload},
-                sort_keys=True,
-            )
-        )
+    lines = [_message_json(m) for _, _, m in sorted(rows, key=lambda r: (r[0], r[1]))]
     return "\n".join(lines) + "\n"
+
+
+def aligned_jsonl(ar: AlignedRecording) -> Iterator[str]:
+    """The JSONL of ``dump_recording_jsonl(ar.to_recording())``, one chunk per frame.
+
+    Frame times strictly increase and every frame holds one message per
+    channel, so frame order then channel-name order is already the dump's
+    (t_ns, channel) order: nothing is sorted and the text is never whole.
+    """
+    names = sorted(ar.channel_names)
+    for frame in ar.frames:
+        yield "".join(_message_json(frame.messages[name]) + "\n" for name in names)
 
 
 def align_recording(rec: Recording) -> AlignedRecording:

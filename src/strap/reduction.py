@@ -128,6 +128,17 @@ def dedup(segments: Sequence[Segment]) -> list[Segment]:
     return kept
 
 
+def _reduce(vectors: Sequence[FrameVector], cfg: ReductionConfig) -> tuple[list[Segment], int]:
+    """Surviving segments with warm-up indices, and the segment count before dedup."""
+    segments = segment(smooth(vectors, cfg.window_w))
+    before_dedup = len(segments)
+    segments = [
+        replace(s, warmup_start_idx=max(0, s.start_idx - cfg.warmup_frames))
+        for s in dedup(clip(segments, cfg.clip_n))
+    ]
+    return segments, before_dedup
+
+
 def reduce_vectors(
     vectors: Sequence[FrameVector], cfg: ReductionConfig
 ) -> tuple[list[Segment], list[FrameVector]]:
@@ -136,23 +147,23 @@ def reduce_vectors(
     Returns the surviving segments (warm-up indices attached) and their
     vectors in the same order.
     """
-    smoothed = smooth(vectors, cfg.window_w)
-    segments = dedup(clip(segment(smoothed), cfg.clip_n))
-    segments = [
-        replace(s, warmup_start_idx=max(0, s.start_idx - cfg.warmup_frames)) for s in segments
-    ]
+    segments, _ = _reduce(vectors, cfg)
     return segments, [s.vector for s in segments]
 
 
 def reduce_recording(
     ar: AlignedRecording, vectors: Sequence[FrameVector], cfg: ReductionConfig
-) -> tuple[list[Segment], list[FrameVector]]:
-    """Reduce an aligned recording given its per-frame vectors."""
+) -> tuple[list[Segment], int]:
+    """Reduce an aligned recording given its per-frame vectors.
+
+    Returns the surviving segments (warm-up indices attached) and the number
+    of segments the same smoothing and segmentation pass found before dedup.
+    """
     if len(vectors) != len(ar.frames):
         raise ValueError(
             f"{len(vectors)} vectors for {len(ar.frames)} frames; one vector per frame required"
         )
-    return reduce_vectors(vectors, cfg)
+    return _reduce(vectors, cfg)
 
 
 def segments_to_manifest(

@@ -35,6 +35,7 @@ from .evaluation import (
     evaluate_plan,
     fault_coverage,
     reduction_pct,
+    report_to_json,
 )
 from .prioritization import (
     PrioritizedPlan,
@@ -53,7 +54,7 @@ from .recording import (
     Recording,
     align_recording,
 )
-from .reduction import ReductionConfig, Segment, reduce_recording
+from .reduction import ReductionConfig, Segment, reduce_recording, segment, smooth
 # encode_frame and apply_filter are not called here since replay encodes
 # through FrameEncoder; they stay importable from this module for callers
 # that look them up here.
@@ -850,38 +851,64 @@ def grid_fps(ar: AlignedRecording) -> int:
     return fps
 
 
-def run_regression(
-    recording: Recording,
+@dataclass(frozen=True)
+class PreparedRecording:
+    """One module's view of a recording, aligned, encoded and reduced once.
+
+    Everything downstream (replay, verdicts, plans, report totals and the
+    CLI's artifacts) reads these values instead of recomputing them.
+    """
+
+    aligned: AlignedRecording
+    fps: int
+    module: str
+    registry: SchemaRegistry
+    cfg: ReductionConfig
+    vectors: Sequence[FrameVector]
+    segments: Sequence[Segment]
+    segments_before_dedup: int
+
+
+def prepare_recording(
+    ar: AlignedRecording,
     module_kind: str,
+    cfg: ReductionConfig = ReductionConfig(),
+    registry: SchemaRegistry | None = None,
+) -> PreparedRecording:
+    """Encode an aligned recording under one module's filter and reduce it."""
+    if module_kind not in MODULE_KINDS:
+        raise SynthError(f"unknown module kind {module_kind!r}")
+    registry = registry or default_registry()
+    vectors = encode_recording(ar, registry, ModuleFilter.for_module(module_kind, registry))
+    segments, before_dedup = reduce_recording(ar, vectors, cfg)
+    return PreparedRecording(
+        ar, grid_fps(ar), module_kind, registry, cfg, vectors, segments, before_dedup
+    )
+
+
+def run_prepared(
+    prepared: PreparedRecording,
     mutants: Sequence[Mutant],
     strategies: Sequence[str] = ("RSC", "SC", "CH", "RD", "CC"),
-    cfg: ReductionConfig = ReductionConfig(),
     *,
-    registry: SchemaRegistry | None = None,
     seed: int = 0,
     repetitions: int = 100,
     rarity_mode: str = "indicator",
     jobs: int = 1,
-) -> MetricsReport:
-    """Reduce a recording, replay mutants, and score prioritization plans.
+) -> tuple[MetricsReport, dict[str, list[PrioritizedPlan]]]:
+    """Replay mutants over a prepared recording and score prioritization plans.
 
-    Only the named module is replayed. Mutants targeting other modules
-    cannot change this module's outputs (every toy module is a pure function
-    of its inputs and its own parameters), so they are recorded as clean
-    verdicts without replay. Replays run at the frame rate of the aligned
-    grid.
+    Returns the report and every plan it scored, keyed by strategy. Only the
+    prepared module is replayed. Mutants targeting other modules cannot
+    change this module's outputs (every toy module is a pure function of its
+    inputs and its own parameters), so they are recorded as clean verdicts
+    without replay. Replays run at the frame rate of the aligned grid.
     """
-    if module_kind not in MODULE_KINDS:
-        raise SynthError(f"unknown module kind {module_kind!r}")
     if jobs < 1:
         raise SynthError(f"jobs must be at least 1, got {jobs}")
-    registry = registry or default_registry()
-    ar = align_recording(recording)
-    fps = grid_fps(ar)
-    flt = ModuleFilter.for_module(module_kind, registry)
-    vectors = encode_recording(ar, registry, flt)
-    encoder = FrameEncoder(registry, flt)
-    segments, _ = reduce_recording(ar, vectors, cfg)
+    ar, fps, module_kind, cfg = prepared.aligned, prepared.fps, prepared.module, prepared.cfg
+    vectors, segments, registry = prepared.vectors, prepared.segments, prepared.registry
+    encoder = FrameEncoder(registry, ModuleFilter.for_module(module_kind, registry))
     module = make_module(module_kind)
     n_frames = len(ar.frames)
 
@@ -910,6 +937,8 @@ def run_regression(
         return {"mutant": mutant, "full": full_verdict, "segments": seg_verdicts}
 
     if jobs > 1 and len(own) > 1:
+        # Imported here because concurrent.futures pulls in logging, about
+        # 0.9 MiB of resident memory that only parallel replays need.
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -985,7 +1014,7 @@ def run_regression(
         original_frames=n_frames,
         reduced_frames=reduced,
         reduced_frames_with_warmup=reduced_wu,
-        segments_before_dedup=len(segment_ids_before_dedup(vectors, cfg)),
+        segments_before_dedup=prepared.segments_before_dedup,
         segments_after_dedup=len(segments),
     )
     details = {
@@ -1023,7 +1052,7 @@ def run_regression(
     }
     # Warm-up frames can overlap across segments, so this figure may
     # legitimately go negative for pathological configs; report it raw.
-    return MetricsReport(
+    report = MetricsReport(
         reduction_pct=reduction_pct(n_frames, reduced),
         reduction_pct_with_warmup=float(1 - Fraction(reduced_wu, n_frames)),
         fault_coverage=fault_coverage(detected_reduced, detected_full),
@@ -1032,12 +1061,42 @@ def run_regression(
         totals=totals,
         details=details,
     )
+    return report, plans
+
+
+def run_regression(
+    recording: Recording,
+    module_kind: str,
+    mutants: Sequence[Mutant],
+    strategies: Sequence[str] = ("RSC", "SC", "CH", "RD", "CC"),
+    cfg: ReductionConfig = ReductionConfig(),
+    *,
+    registry: SchemaRegistry | None = None,
+    seed: int = 0,
+    repetitions: int = 100,
+    rarity_mode: str = "indicator",
+    jobs: int = 1,
+) -> MetricsReport:
+    """Align, encode and reduce a recording, then run its regression (run_prepared)."""
+    prepared = prepare_recording(align_recording(recording), module_kind, cfg, registry)
+    report, _ = run_prepared(
+        prepared,
+        mutants,
+        strategies,
+        seed=seed,
+        repetitions=repetitions,
+        rarity_mode=rarity_mode,
+        jobs=jobs,
+    )
+    return report
 
 
 def segment_ids_before_dedup(vectors: Sequence[FrameVector], cfg: ReductionConfig) -> list[int]:
-    """Chronological segment ids prior to deduplication."""
-    from .reduction import segment, smooth
+    """Chronological segment ids prior to deduplication.
 
+    The pipeline does not call this: reduce_recording counts the segments
+    before dedup in its own smoothing and segmentation pass.
+    """
     return [s.id for s in segment(smooth(vectors, cfg.window_w))]
 
 
@@ -1046,18 +1105,25 @@ def run_benchmark(
     mutants: Sequence[Mutant],
     strategies: Sequence[str] = ("RSC", "SC", "CH", "RD", "CC"),
     cfg: ReductionConfig = ReductionConfig(),
+    *,
+    registry: SchemaRegistry | None = None,
     **kwargs: Any,
 ) -> MetricsReport:
     """Run one regression per module kind and aggregate the results.
 
-    Each module runs with its own dimension filter and its own mutants.
-    Coverage aggregates over all mutants; APFD and Top-K are averaged over
-    the module runs where they are defined; frame totals are summed.
+    The recording is aligned once. Each module encodes its own filtered view
+    of that alignment and replays its own mutants; a view is dropped before
+    the next one is built. Coverage aggregates over all mutants; APFD and
+    Top-K are averaged over the module runs where they are defined; frame
+    totals are summed.
     """
+    ar = align_recording(recording)
     sub: dict[str, MetricsReport] = {}
     for kind in MODULE_KINDS:
         own = [m for m in mutants if m.module == kind]
-        sub[kind] = run_regression(recording, kind, own, strategies, cfg, **kwargs)
+        sub[kind], _ = run_prepared(
+            prepare_recording(ar, kind, cfg, registry), own, strategies, **kwargs
+        )
 
     reduced_detected: set[str] = set()
     full_detected: set[str] = set()
@@ -1093,12 +1159,6 @@ def run_benchmark(
             "detected_full": sorted(full_detected),
             "detected_reduced": sorted(reduced_detected),
             "undetected": sorted({m.id for m in mutants} - full_detected - reduced_detected),
-            "modules": {kind: report_details_json(r) for kind, r in sub.items()},
+            "modules": {kind: report_to_json(r) for kind, r in sub.items()},
         },
     )
-
-
-def report_details_json(report: MetricsReport) -> dict[str, Any]:
-    from .evaluation import report_to_json
-
-    return report_to_json(report)

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import gc
 import json
 from pathlib import Path
 
 import pytest
 
 from strap.cli import main
+from strap.recording import align_recording
+from strap.reduction import reduce_recording, reduce_vectors
+from strap.schema import encode_recording
 from strap.synth import Mutant, ScenarioScript, SceneEvent, mutants_to_json, script_to_json
 
 RED_LIGHT = {"lights": [{"color": "red", "shape": "round", "orientation": "vertical"}]}
@@ -75,6 +79,38 @@ class TestParsing:
         rc = main(["align", "--in", str(work["rec"]), "--out", str(tmp_path / "o.jsonl")])
         assert rc == 2
         assert "internal error" in capsys.readouterr().err
+
+
+class TestCollectorState:
+    """main pauses the cyclic collector for the command, then restores the caller's setting."""
+
+    @pytest.fixture(params=[True, False], ids=["caller-enabled", "caller-disabled"])
+    def caller_gc(self, request):
+        was_enabled = gc.isenabled()
+        gc.enable() if request.param else gc.disable()
+        yield request.param
+        gc.enable() if was_enabled else gc.disable()
+
+    @pytest.mark.parametrize("code", [0, 1, 2])
+    def test_exit_code_restores_collector(self, caller_gc, code, work, tmp_path, monkeypatch):
+        during = []
+
+        def spy(rec):
+            during.append(gc.isenabled())
+            if code == 2:
+                raise RuntimeError("boom")
+            return align_recording(rec)
+
+        monkeypatch.setattr("strap.cli.align_recording", spy)
+        infile = tmp_path / "missing.jsonl" if code == 1 else work["rec"]
+        assert main(["align", "--in", str(infile), "--out", str(tmp_path / "o.jsonl")]) == code
+        assert gc.isenabled() is caller_gc
+        assert during == ([] if code == 1 else [False])
+
+    def test_help_exit_restores_collector(self, caller_gc):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert gc.isenabled() is caller_gc
 
 
 class TestSynthCommands:
@@ -245,6 +281,25 @@ class TestRegressionCommand:
         assert scored["top_k"]["RSC"] == report["top_k"]["RSC"]
         assert scored["detected_full"] == ["loud"]
         assert eval_out.with_suffix(".csv").exists()
+
+    def test_artifacts_reuse_the_run(self, work, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(owner, name, fn):
+            monkeypatch.setattr(f"{owner}.{name}", lambda *a: calls.append(name) or fn(*a))
+
+        for owner in ("strap.cli", "strap.synth"):
+            counted(owner, "align_recording", align_recording)
+            counted(owner, "encode_recording", encode_recording)
+        counted("strap.cli", "reduce_vectors", reduce_vectors)
+        counted("strap.synth", "reduce_recording", reduce_recording)
+        rc = main(
+            ["run-regression", "--in", str(work["rec"]), "--module", "planning",
+             "--mutants", str(work["mutants"]), "--repetitions", "2",
+             "--artifacts-dir", str(tmp_path / "art"), "--out", str(tmp_path / "r.json")]
+        )
+        assert rc == 0
+        assert sorted(calls) == ["align_recording", "encode_recording", "reduce_recording"]
 
     def test_module_all_runs_every_module(self, work, tmp_path):
         out = tmp_path / "bench.json"

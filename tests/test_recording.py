@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from strap.recording import (
@@ -14,6 +16,7 @@ from strap.recording import (
     Recording,
     RecordingLoadError,
     align_recording,
+    aligned_jsonl,
     dump_recording_jsonl,
     load_recording,
     slice_recording,
@@ -163,6 +166,27 @@ class TestLoadDump:
             r = load_recording(p)
         assert len(r.channels["a"].messages) == 1
         assert r.channels["a"].messages[0].payload == {"n": 1}
+
+
+class TestAlignedJsonl:
+    """The streamed aligned dump against the sort-everything dump it replaces."""
+
+    @pytest.mark.parametrize(
+        "fixture", ["benchmark_recording", "noisy_recording", "rare_recording"]
+    )
+    def test_equals_sorted_dump_on_builtins(self, fixture, request):
+        ar = align_recording(request.getfixturevalue(fixture))
+        chunks = list(aligned_jsonl(ar))
+        assert len(chunks) == len(ar.frames)
+        assert "".join(chunks) == dump_recording_jsonl(ar.to_recording())
+
+    def test_equals_sorted_dump_for_unsorted_channel_names(self):
+        r = rec(chan("z", [0, 10, 20]), chan("a", [0, 5, 15, 20]), chan("m", [3, 10]))
+        ar = align_recording(r)
+        shuffled = AlignedRecording(ar.frames, ("z", "m", "a"))
+        expected = dump_recording_jsonl(ar.to_recording())
+        assert "".join(aligned_jsonl(shuffled)) == expected
+        assert [json.loads(l)["channel"] for l in expected.splitlines()[:3]] == ["a", "m", "z"]
 
 
 class TestAlignment:

@@ -148,6 +148,13 @@ class TestReduce:
         assert segs[1].length == 45
         assert segs[1].length_with_warmup == 55
 
+    def test_reduce_recording_counts_segments_before_dedup(self, benchmark_aligned, registry):
+        cfg = ReductionConfig()
+        vectors = encode_recording(benchmark_aligned, registry)
+        segs, before_dedup = reduce_recording(benchmark_aligned, vectors, cfg)
+        assert segs == reduce_vectors(vectors, cfg)[0]
+        assert before_dedup == len(segment(smooth(vectors, cfg.window_w))) > len(segs)
+
     def test_reduce_recording_checks_vector_count(self, benchmark_aligned, registry):
         with pytest.raises(ValueError, match="one vector per frame"):
             reduce_recording(benchmark_aligned, [], ReductionConfig())

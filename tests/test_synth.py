@@ -40,10 +40,14 @@ from strap.synth import (
     mutable_targets,
     mutants_from_json,
     mutants_to_json,
+    prepare_recording,
     replay_segment,
+    run_benchmark,
+    run_prepared,
     run_regression,
     script_from_json,
     script_to_json,
+    segment_ids_before_dedup,
 )
 
 RED_LIGHT = {"lights": [{"color": "red", "shape": "round", "orientation": "vertical"}]}
@@ -427,6 +431,39 @@ class TestRegression:
             run_regression(small_recording, "radar", [])
         with pytest.raises(SynthError, match="unknown strategy"):
             run_regression(small_recording, "planning", [], strategies=("BFS",))
+
+
+class TestPreparedRecording:
+    @pytest.mark.parametrize("kind", MODULE_KINDS)
+    def test_one_reduce_pass_counts_segments_before_dedup(self, benchmark_aligned, registry, kind):
+        cfg = ReductionConfig()
+        prepared = prepare_recording(benchmark_aligned, kind, cfg, registry)
+        assert prepared.fps == 15
+        assert prepared.vectors == encode_recording(
+            benchmark_aligned, registry, ModuleFilter.for_module(kind, registry)
+        )
+        assert prepared.segments_before_dedup == len(
+            segment_ids_before_dedup(prepared.vectors, cfg)
+        )
+
+    def test_run_regression_is_run_prepared_on_one_alignment(self, small_recording):
+        mutants = [Mutant("loud", "planning", "red_light_stop", "flip_condition")]
+        prepared = prepare_recording(align_recording(small_recording), "planning")
+        report, plans = run_prepared(prepared, mutants, repetitions=4)
+        assert report == run_regression(small_recording, "planning", mutants, repetitions=4)
+        assert {name: len(runs) for name, runs in plans.items()} == {
+            "RSC": 1, "SC": 1, "CH": 1, "RD": 4, "CC": 1,
+        }
+        assert list(plans["CH"][0].order) == report.details["strategies"]["CH"]["order"]
+
+    def test_run_benchmark_aligns_once(self, small_recording, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            "strap.synth.align_recording", lambda rec: calls.append(rec) or align_recording(rec)
+        )
+        report = run_benchmark(small_recording, [], strategies=("CH",), repetitions=1)
+        assert len(calls) == 1
+        assert set(report.details["modules"]) == set(MODULE_KINDS)
 
 
 @pytest.fixture(scope="module")
