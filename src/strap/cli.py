@@ -12,7 +12,6 @@ import argparse
 import gc
 import json
 import os
-import random
 import sys
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -21,15 +20,19 @@ from .benchmarks import BUILTIN_MUTANTS, BUILTIN_SCRIPTS
 from .evaluation import (
     FaultVerdict,
     MetricsReport,
-    evaluate_plan,
     fault_coverage,
     report_to_csv,
     report_to_json,
+    score_plans,
+    scores_to_csv,
 )
 from .fileio import atomic_write_json, atomic_write_text, read_json
-from .prioritization import (
-    STRATEGIES,
+# The prioritize_* functions and run_regression are not called here; they stay
+# importable from this module for callers that look them up here.
+from .prioritization import (  # noqa: F401
     PrioritizedPlan,
+    build_plans,
+    parse_strategies,
     plan_from_json,
     plan_to_csv,
     plan_to_json,
@@ -49,7 +52,6 @@ from .recording import (
 )
 from .reduction import (
     ReductionConfig,
-    Segment,
     reduce_vectors,
     segments_from_manifest,
     segments_to_manifest,
@@ -64,20 +66,15 @@ from .schema import (
     load_registry,
     registry_to_json,
 )
-# run_regression is not called here since the single-module path runs on a
-# PreparedRecording; it stays importable from this module for callers that
-# look it up here.
 from .synth import (  # noqa: F401
-    MUTATION_OPERATORS,
     Mutant,
     PreparedRecording,
     generate_recording,
     load_mutants,
     load_script,
-    make_module,
-    mutable_targets,
     mutants_to_json,
     prepare_recording,
+    random_mutants,
     run_benchmark,
     run_prepared,
     run_regression,
@@ -115,14 +112,10 @@ def _load_registry_arg(path: str | None) -> SchemaRegistry:
 
 
 def _parse_strategies(raw: str) -> list[str]:
-    names = [s.strip().upper() for s in raw.split(",") if s.strip()]
-    if not names:
-        raise UsageError("no strategies given")
-    for name in names:
-        if name not in STRATEGIES:
-            raise UsageError(f"unknown strategy {name!r}; choose from {', '.join(STRATEGIES)}")
-    seen = set()
-    return [n for n in names if not (n in seen or seen.add(n))]
+    try:
+        return parse_strategies(s for s in raw.split(",") if s.strip())
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _reduction_config(args: argparse.Namespace) -> ReductionConfig:
@@ -247,41 +240,13 @@ def _cmd_reduce(args: argparse.Namespace) -> None:
     )
 
 
-def _build_plans(
-    strategies: Sequence[str],
-    segments: Sequence[Segment],
-    vectors: Sequence[FrameVector] | None,
-    *,
-    seed: int,
-    repetitions: int,
-    rarity_mode: str,
-    call_counts: Sequence[int] | None,
-) -> dict[str, PrioritizedPlan]:
-    plans: dict[str, PrioritizedPlan] = {}
-    for name in strategies:
-        if name == "RSC":
-            if vectors is None:
-                raise UsageError("RSC needs --vectors for rarity weights")
-            plans[name] = prioritize_rsc(segments, vectors, rarity_mode=rarity_mode)
-        elif name == "SC":
-            plans[name] = prioritize_sc(segments)
-        elif name == "CH":
-            plans[name] = prioritize_ch(segments)
-        elif name == "RD":
-            plans[name] = prioritize_rd(segments, seed, repetitions)[0]
-        elif name == "CC":
-            if call_counts is None:
-                raise UsageError("CC needs --call-counts (one integer per segment)")
-            plans[name] = prioritize_cc(segments, call_counts)
-    return plans
-
-
-def _write_plan_files(plans: Mapping[str, PrioritizedPlan], out: str) -> None:
+def _write_plan_files(plans: Mapping[str, Sequence[PrioritizedPlan]], out: str) -> None:
+    """Write the first plan of each strategy as JSON and CSV."""
     out_path = Path(out)
     single_file = out_path.suffix == ".json"
     if single_file and len(plans) != 1:
         raise UsageError(f"--out {out} is a file but {len(plans)} strategies were requested")
-    for name, plan in plans.items():
+    for name, (plan, *_) in plans.items():
         base = out_path if single_file else out_path / f"plan_{name}.json"
         atomic_write_json(base, plan_to_json(plan))
         atomic_write_text(base.with_suffix(".csv"), plan_to_csv(plan))
@@ -297,12 +262,17 @@ def _cmd_prioritize(args: argparse.Namespace) -> None:
     call_counts = None
     if args.call_counts:
         call_counts = [int(c) for c in read_json(_require_file(args.call_counts))]
-    plans = _build_plans(
+    if "RSC" in strategies and vectors is None:
+        raise UsageError("RSC needs --vectors for rarity weights")
+    if "CC" in strategies and call_counts is None:
+        raise UsageError("CC needs --call-counts (one integer per segment)")
+    # Only the first RD shuffle is written, and it does not depend on the count.
+    plans = build_plans(
         strategies,
         segments,
         vectors,
         seed=_seed_or_env(args.seed),
-        repetitions=args.repetitions,
+        repetitions=1,
         rarity_mode=args.rarity_mode,
         call_counts=call_counts,
     )
@@ -346,13 +316,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
         known = {s.id for s in segments}
         for sid in known - set(fault_sets):
             fault_sets[sid] = set()
-    apfd_by: dict[str, float | None] = {}
-    topk_by: dict[str, float | None] = {}
+    plans: dict[str, list[PrioritizedPlan]] = {}
     for path in args.plans:
         plan = plan_from_json(read_json(_require_file(path)))
-        a, k = evaluate_plan(plan, fault_sets)
-        apfd_by[plan.strategy] = a
-        topk_by[plan.strategy] = k
+        plans.setdefault(plan.strategy, []).append(plan)
+    apfd_by, topk_by = score_plans(plans, fault_sets)
     report = {
         "fault_coverage": fault_coverage(reduced_detected, full_detected),
         "apfd": apfd_by,
@@ -364,11 +332,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
         ),
     }
     atomic_write_json(args.out, report)
-    lines = ["strategy,top_k,apfd"]
-    for name in sorted(apfd_by):
-        k, a = topk_by[name], apfd_by[name]
-        lines.append(f"{name},{'' if k is None else k},{'' if a is None else repr(a)}")
-    atomic_write_text(Path(args.out).with_suffix(".csv"), "\n".join(lines) + "\n")
+    atomic_write_text(Path(args.out).with_suffix(".csv"), scores_to_csv(apfd_by, topk_by))
     _say(f"evaluated {len(args.plans)} plan(s) -> {args.out}")
 
 
@@ -386,35 +350,11 @@ def _cmd_synth_generate(args: argparse.Namespace) -> None:
     )
 
 
-def _random_mutants(module: str, count: int, seed: int) -> list[Mutant]:
-    if module not in MODULE_KINDS:
-        raise UsageError(f"unknown module {module!r}")
-    rng = random.Random(seed)
-    targets = mutable_targets(module)
-    defaults = make_module(module).params
-    out = []
-    for i in range(count):
-        op = rng.choice(MUTATION_OPERATORS)
-        if op == "flip_condition":
-            target, delta = rng.choice(targets["conditions"]), 0.0
-        else:
-            target = rng.choice(targets["params"])
-            base = defaults[target]
-            if op == "change_constant":
-                delta = round(base * rng.uniform(0.0, 2.0), 3)
-            elif op == "change_variable":
-                delta = round(base * rng.uniform(-0.5, 0.5), 3)
-            else:
-                delta = rng.choice((0.2, 0.5, 2.0, 5.0))
-        out.append(Mutant(f"{module[:2]}{i}", module, target, op, delta))
-    return out
-
-
 def _cmd_synth_mutate(args: argparse.Namespace) -> None:
     if args.builtin:
         mutants = _load_mutants_arg(f"builtin:{args.builtin}")
     elif args.module:
-        mutants = _random_mutants(args.module, args.count, _seed_or_env(args.seed))
+        mutants = random_mutants(args.module, args.count, _seed_or_env(args.seed))
     else:
         raise UsageError("pass --builtin NAME or --module KIND")
     atomic_write_json(args.out, mutants_to_json(mutants))
@@ -445,15 +385,13 @@ def _write_regression_artifacts(
         segments_to_manifest(prepared.segments, prepared.cfg, times, module),
     )
     atomic_write_json(outdir / "call_counts.json", list(report.details["call_counts"]))
-    _write_plan_files({name: runs[0] for name, runs in plans.items()}, str(outdir))
+    _write_plan_files(plans, str(outdir))
     atomic_write_json(outdir / "verdicts.json", _verdicts_doc(module, report.details))
 
 
 def _cmd_run_regression(args: argparse.Namespace) -> None:
     if bool(args.script) == bool(args.infile):
         raise UsageError("pass exactly one of --script or --in")
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     seed = _seed_or_env(args.seed)
     if args.script:
         rec = generate_recording(_load_script_arg(args.script), seed)
@@ -463,12 +401,7 @@ def _cmd_run_regression(args: argparse.Namespace) -> None:
     strategies = _parse_strategies(args.strategies)
     cfg = _reduction_config(args)
     registry = _load_registry_arg(args.schema)
-    kwargs = dict(
-        seed=seed,
-        repetitions=args.repetitions,
-        rarity_mode=args.rarity_mode,
-        jobs=args.jobs,
-    )
+    kwargs = dict(seed=seed, repetitions=args.repetitions, rarity_mode=args.rarity_mode)
     if args.module == "all":
         if args.artifacts_dir:
             raise UsageError("--artifacts-dir needs a specific --module, not 'all'")
@@ -499,7 +432,6 @@ def _add_reduction_flags(p: argparse.ArgumentParser) -> None:
 def _add_rank_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--strategies", default="RSC,SC,CH,RD,CC", help="comma-separated strategy list")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (default: $STRAP_SEED or 0)")
-    p.add_argument("--repetitions", type=int, default=100, help="RD shuffle count")
     p.add_argument("--rarity-mode", choices=("indicator", "literal"), default="indicator")
 
 
@@ -566,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--module", choices=MODULE_CHOICES, default="all")
     _add_reduction_flags(p)
     _add_rank_flags(p)
-    p.add_argument("--jobs", type=int, default=1, help="parallel mutant replays")
+    p.add_argument("--repetitions", type=int, default=100, help="RD shuffle count")
     p.add_argument("--artifacts-dir", default=None, help="also save pipeline intermediates")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_run_regression)

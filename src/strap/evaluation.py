@@ -140,6 +140,26 @@ def evaluate_plan(
     return apfd(len(plan.order), positions, len(first_seen)), positions[0]
 
 
+def mean_defined(values: Iterable[float | None]) -> float | None:
+    """Mean of the values that are not None, summed in order; None if there are none."""
+    defined = [v for v in values if v is not None]
+    return sum(defined) / len(defined) if defined else None
+
+
+def score_plans(
+    plans_by_strategy: Mapping[str, Sequence[PrioritizedPlan]],
+    fault_sets: Mapping[int, frozenset[str] | set[str]],
+) -> tuple[dict[str, float | None], dict[str, float | None]]:
+    """Mean APFD and Top-K of each strategy's plans; None where no plan detects a fault."""
+    apfd_by: dict[str, float | None] = {}
+    topk_by: dict[str, float | None] = {}
+    for name, plans in plans_by_strategy.items():
+        scores = [evaluate_plan(p, fault_sets) for p in plans]
+        apfd_by[name] = mean_defined(a for a, _ in scores)
+        topk_by[name] = mean_defined(k for _, k in scores)
+    return apfd_by, topk_by
+
+
 @dataclass(frozen=True)
 class SuiteTotals:
     """Frame and segment counts before and after reduction."""
@@ -183,15 +203,22 @@ def report_to_json(report: MetricsReport) -> dict[str, Any]:
     }
 
 
-def report_to_csv(report: MetricsReport) -> str:
+def scores_to_csv(
+    apfd_by: Mapping[str, float | None], topk_by: Mapping[str, float | None]
+) -> str:
     """Per-strategy summary table: strategy, top_k, apfd."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["strategy", "top_k", "apfd"])
-    for strategy in sorted(report.apfd):
-        a = report.apfd[strategy]
-        k = report.top_k.get(strategy)
+    for strategy in sorted(apfd_by):
+        a = apfd_by[strategy]
+        k = topk_by.get(strategy)
         writer.writerow(
             [strategy, "" if k is None else k, "" if a is None else repr(a)]
         )
     return buf.getvalue()
+
+
+def report_to_csv(report: MetricsReport) -> str:
+    """The report's per-strategy summary table (scores_to_csv)."""
+    return scores_to_csv(report.apfd, report.top_k)

@@ -18,7 +18,7 @@ import io
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .reduction import Segment
 from .schema import FrameVector
@@ -170,6 +170,48 @@ def prioritize_cc(segments: Sequence[Segment], call_counts: Sequence[int]) -> Pr
         )
     scores = {s.id: Fraction(c) for s, c in zip(segments, call_counts)}
     return _ranked_plan("CC", segments, scores)
+
+
+def parse_strategies(names: Iterable[str]) -> list[str]:
+    """Upper-cased strategy names in first-seen order; ValueError on none or an unknown one."""
+    out: list[str] = []
+    for raw in names:
+        name = raw.strip().upper()
+        if name not in STRATEGIES:
+            raise ValueError(f"unknown strategy {name!r}; choose from {', '.join(STRATEGIES)}")
+        if name not in out:
+            out.append(name)
+    if not out:
+        raise ValueError("no strategies given")
+    return out
+
+
+def build_plans(
+    strategies: Sequence[str],
+    segments: Sequence[Segment],
+    vectors: Sequence[FrameVector] | None,
+    *,
+    seed: int,
+    repetitions: int,
+    rarity_mode: str,
+    call_counts: Sequence[int] | None,
+) -> dict[str, list[PrioritizedPlan]]:
+    """Plans of each named strategy: RD one per repetition, the others one each."""
+    plans: dict[str, list[PrioritizedPlan]] = {}
+    for name in strategies:
+        if name == "RSC":
+            plans[name] = [prioritize_rsc(segments, vectors, rarity_mode=rarity_mode)]
+        elif name == "SC":
+            plans[name] = [prioritize_sc(segments)]
+        elif name == "CH":
+            plans[name] = [prioritize_ch(segments)]
+        elif name == "RD":
+            plans[name] = prioritize_rd(segments, seed, repetitions)
+        elif name == "CC":
+            plans[name] = [prioritize_cc(segments, call_counts)]
+        else:
+            raise ValueError(f"unknown strategy {name!r}")
+    return plans
 
 
 def plan_to_json(plan: PrioritizedPlan) -> dict[str, Any]:

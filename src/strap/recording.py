@@ -183,24 +183,24 @@ def load_recording(path: str | Path) -> Recording:
     is emitted for out-of-order channels. Exact duplicate timestamps within a
     channel keep the first message in file order and warn.
     """
-    text = Path(path).read_text(encoding="utf-8")
     per_channel: dict[str, list[Message]] = {}
     kinds: dict[str, tuple[MessageKind, int]] = {}
-    lineno = 0
-    for raw in text.splitlines():
-        lineno += 1
-        if not raw.strip():
-            continue
-        msg = _parse_line(raw, lineno)
-        seen = kinds.get(msg.channel)
-        if seen is None:
-            kinds[msg.channel] = (msg.kind, lineno)
-        elif seen[0] is not msg.kind:
-            raise RecordingLoadError(
-                f"line {lineno}: channel {msg.channel!r} is {seen[0].value!r} "
-                f"(declared at line {seen[1]}) but carries {msg.kind.value!r}"
-            )
-        per_channel.setdefault(msg.channel, []).append(msg)
+    # Lines end only at \n, \r or \r\n: the file is read line by line, never
+    # whole, and a raw U+2028 inside a JSON string stays in its line.
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            if not raw.strip():
+                continue
+            msg = _parse_line(raw, lineno)
+            seen = kinds.get(msg.channel)
+            if seen is None:
+                kinds[msg.channel] = (msg.kind, lineno)
+            elif seen[0] is not msg.kind:
+                raise RecordingLoadError(
+                    f"line {lineno}: channel {msg.channel!r} is {seen[0].value!r} "
+                    f"(declared at line {seen[1]}) but carries {msg.kind.value!r}"
+                )
+            per_channel.setdefault(msg.channel, []).append(msg)
     if not per_channel:
         raise RecordingLoadError("empty recording")
 

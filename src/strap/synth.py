@@ -26,7 +26,10 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from .evaluation import (
+# evaluate_plan, the prioritize_* functions, encode_frame and apply_filter are
+# not called here; they stay importable from this module for callers that look
+# them up here.
+from .evaluation import (  # noqa: F401
     FaultVerdict,
     MetricsReport,
     SuiteTotals,
@@ -34,11 +37,15 @@ from .evaluation import (
     compare_outputs,
     evaluate_plan,
     fault_coverage,
+    mean_defined,
     reduction_pct,
     report_to_json,
+    score_plans,
 )
-from .prioritization import (
+from .prioritization import (  # noqa: F401
     PrioritizedPlan,
+    build_plans,
+    parse_strategies,
     prioritize_cc,
     prioritize_ch,
     prioritize_rd,
@@ -55,9 +62,6 @@ from .recording import (
     align_recording,
 )
 from .reduction import ReductionConfig, Segment, reduce_recording, segment, smooth
-# encode_frame and apply_filter are not called here since replay encodes
-# through FrameEncoder; they stay importable from this module for callers
-# that look them up here.
 from .schema import (  # noqa: F401
     FrameEncoder,
     FrameVector,
@@ -595,6 +599,29 @@ def mutable_targets(kind: str) -> dict[str, list[str]]:
     return {"params": sorted(cls.DEFAULT_PARAMS), "conditions": sorted(cls.CONDITIONS)}
 
 
+def random_mutants(kind: str, count: int, seed: int) -> list[Mutant]:
+    """Seeded random valid mutants of one module, ids ``<kind[:2]><i>``."""
+    rng = random.Random(seed)
+    targets = mutable_targets(kind)
+    defaults = make_module(kind).params
+    out = []
+    for i in range(count):
+        op = rng.choice(MUTATION_OPERATORS)
+        if op == "flip_condition":
+            target, delta = rng.choice(targets["conditions"]), 0.0
+        else:
+            target = rng.choice(targets["params"])
+            base = defaults[target]
+            if op == "change_constant":
+                delta = round(base * rng.uniform(0.0, 2.0), 3)
+            elif op == "change_variable":
+                delta = round(base * rng.uniform(-0.5, 0.5), 3)
+            else:
+                delta = rng.choice((0.2, 0.5, 2.0, 5.0))
+        out.append(Mutant(f"{kind[:2]}{i}", kind, target, op, delta))
+    return out
+
+
 def _frame_t_ns(index: int, fps: int) -> int:
     return index * NS_PER_SEC // fps
 
@@ -886,6 +913,13 @@ def prepare_recording(
     )
 
 
+def _strategy_names(strategies: Sequence[str]) -> list[str]:
+    try:
+        return parse_strategies(strategies)
+    except ValueError as exc:
+        raise SynthError(str(exc)) from exc
+
+
 def run_prepared(
     prepared: PreparedRecording,
     mutants: Sequence[Mutant],
@@ -894,7 +928,6 @@ def run_prepared(
     seed: int = 0,
     repetitions: int = 100,
     rarity_mode: str = "indicator",
-    jobs: int = 1,
 ) -> tuple[MetricsReport, dict[str, list[PrioritizedPlan]]]:
     """Replay mutants over a prepared recording and score prioritization plans.
 
@@ -903,9 +936,9 @@ def run_prepared(
     change this module's outputs (every toy module is a pure function of its
     inputs and its own parameters), so they are recorded as clean verdicts
     without replay. Replays run at the frame rate of the aligned grid.
+    Strategy names are checked before any replay.
     """
-    if jobs < 1:
-        raise SynthError(f"jobs must be at least 1, got {jobs}")
+    strategies = _strategy_names(strategies)
     ar, fps, module_kind, cfg = prepared.aligned, prepared.fps, prepared.module, prepared.cfg
     vectors, segments, registry = prepared.vectors, prepared.segments, prepared.registry
     encoder = FrameEncoder(registry, ModuleFilter.for_module(module_kind, registry))
@@ -915,15 +948,13 @@ def run_prepared(
     own = [m for m in mutants if m.module == module_kind]
     foreign = [m for m in mutants if m.module != module_kind]
 
-    def evaluate_mutant(mutant: Mutant) -> dict[str, Any]:
+    # The whole recording replays as one more segment, with no warm-up.
+    whole = Segment(WHOLE_RECORDING_SEGMENT_ID, 0, n_frames - 1, vectors[0], 0)
+    results: dict[str, dict[str, Any]] = {}
+    for mutant in own:
         mutated = apply_mutant(module, mutant)
-        whole = Segment(WHOLE_RECORDING_SEGMENT_ID, 0, n_frames - 1, vectors[0], 0)
-        full_replay = replay_segment(mutated, ar.frames, 0, fps)
-        full_verdict = compare_outputs(
-            vectors, _replayed_vectors(ar, full_replay, 0, vectors, encoder), whole
-        )
-        seg_verdicts = {}
-        for s in segments:
+        verdicts = {}
+        for s in (whole, *segments):
             result = replay_segment(
                 mutated,
                 ar.frames[s.warmup_start_idx : s.end_idx + 1],
@@ -931,23 +962,11 @@ def run_prepared(
                 fps,
             )
             replayed = _replayed_vectors(ar, result, s.warmup_start_idx, vectors, encoder)
-            seg_verdicts[s.id] = compare_outputs(
-                vectors[s.start_idx : s.end_idx + 1], replayed, s
-            )
-        return {"mutant": mutant, "full": full_verdict, "segments": seg_verdicts}
-
-    if jobs > 1 and len(own) > 1:
-        # Imported here because concurrent.futures pulls in logging, about
-        # 0.9 MiB of resident memory that only parallel replays need.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            evaluated = list(pool.map(evaluate_mutant, own))
-    else:
-        evaluated = [evaluate_mutant(m) for m in own]
+            verdicts[s.id] = compare_outputs(vectors[s.start_idx : s.end_idx + 1], replayed, s)
+        full = verdicts.pop(WHOLE_RECORDING_SEGMENT_ID)
+        results[mutant.id] = {"mutant": mutant, "full": full, "segments": verdicts}
 
     clean = {s.id: FaultVerdict(s.id, 0, s.length) for s in segments}
-    results = {e["mutant"].id: e for e in evaluated}
     for m in foreign:
         results[m.id] = {
             "mutant": m,
@@ -956,15 +975,13 @@ def run_prepared(
         }
 
     detected_full = {mid for mid, e in results.items() if e["full"].is_fault}
-    detected_reduced = {
-        mid for mid, e in results.items() if any(v.is_fault for v in e["segments"].values())
-    }
     fault_sets = {
         s.id: frozenset(
             mid for mid, e in results.items() if e["segments"][s.id].is_fault
         )
         for s in segments
     }
+    detected_reduced = set().union(*fault_sets.values())
 
     # Call counts for CC: unmutated replay of each segment body, counting
     # calls of the functions the mutant set touches.
@@ -975,31 +992,18 @@ def run_prepared(
         counts = replay_segment(module, ar.frames[s.start_idx : s.end_idx + 1], 0, fps).call_counts
         call_counts.append(sum(counts.get(f, 0) for f in functions))
 
-    plans: dict[str, list[PrioritizedPlan]] = {}
-    for strategy in strategies:
-        name = strategy.upper()
-        if name == "RSC":
-            plans[name] = [prioritize_rsc(segments, vectors, rarity_mode=rarity_mode)]
-        elif name == "SC":
-            plans[name] = [prioritize_sc(segments)]
-        elif name == "CH":
-            plans[name] = [prioritize_ch(segments)]
-        elif name == "RD":
-            plans[name] = prioritize_rd(segments, seed, repetitions)
-        elif name == "CC":
-            plans[name] = [prioritize_cc(segments, call_counts)]
-        else:
-            raise SynthError(f"unknown strategy {strategy!r}")
-
-    apfd_by: dict[str, float | None] = {}
-    topk_by: dict[str, float | None] = {}
+    plans = build_plans(
+        strategies,
+        segments,
+        vectors,
+        seed=seed,
+        repetitions=repetitions,
+        rarity_mode=rarity_mode,
+        call_counts=call_counts,
+    )
+    apfd_by, topk_by = score_plans(plans, fault_sets)
     strategy_details: dict[str, Any] = {}
     for name, plan_list in plans.items():
-        scores = [evaluate_plan(p, fault_sets) for p in plan_list]
-        apfds = [a for a, _ in scores if a is not None]
-        topks = [k for _, k in scores if k is not None]
-        apfd_by[name] = (sum(apfds) / len(apfds)) if apfds else None
-        topk_by[name] = (sum(topks) / len(topks)) if topks else None
         detail: dict[str, Any] = {"plans": len(plan_list)}
         if len(plan_list) == 1:
             detail["order"] = list(plan_list[0].order)
@@ -1075,7 +1079,6 @@ def run_regression(
     seed: int = 0,
     repetitions: int = 100,
     rarity_mode: str = "indicator",
-    jobs: int = 1,
 ) -> MetricsReport:
     """Align, encode and reduce a recording, then run its regression (run_prepared)."""
     prepared = prepare_recording(align_recording(recording), module_kind, cfg, registry)
@@ -1086,7 +1089,6 @@ def run_regression(
         seed=seed,
         repetitions=repetitions,
         rarity_mode=rarity_mode,
-        jobs=jobs,
     )
     return report
 
@@ -1117,6 +1119,7 @@ def run_benchmark(
     Top-K are averaged over the module runs where they are defined; frame
     totals are summed.
     """
+    strategies = _strategy_names(strategies)
     ar = align_recording(recording)
     sub: dict[str, MetricsReport] = {}
     for kind in MODULE_KINDS:
@@ -1131,14 +1134,8 @@ def run_benchmark(
         reduced_detected.update(report.details["detected_reduced"])
         full_detected.update(report.details["detected_full"])
 
-    strategies_upper = [s.upper() for s in strategies]
-    apfd_by: dict[str, float | None] = {}
-    topk_by: dict[str, float | None] = {}
-    for name in strategies_upper:
-        apfds = [r.apfd[name] for r in sub.values() if r.apfd.get(name) is not None]
-        topks = [r.top_k[name] for r in sub.values() if r.top_k.get(name) is not None]
-        apfd_by[name] = sum(apfds) / len(apfds) if apfds else None
-        topk_by[name] = sum(topks) / len(topks) if topks else None
+    apfd_by = {name: mean_defined(r.apfd[name] for r in sub.values()) for name in strategies}
+    topk_by = {name: mean_defined(r.top_k[name] for r in sub.values()) for name in strategies}
 
     totals = SuiteTotals(
         original_frames=sum(r.totals.original_frames for r in sub.values()),

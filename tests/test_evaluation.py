@@ -14,9 +14,12 @@ from strap.evaluation import (
     compare_outputs,
     evaluate_plan,
     fault_coverage,
+    mean_defined,
     reduction_pct,
     report_to_csv,
     report_to_json,
+    score_plans,
+    scores_to_csv,
     top_k,
 )
 from strap.prioritization import PrioritizedPlan
@@ -137,6 +140,27 @@ class TestMetrics:
         with pytest.raises(ValueError, match="missing from the plan"):
             evaluate_plan(plan, {0: set(), 5: set(), 9: set()})
 
+    def test_mean_defined_skips_none_and_sums_in_order(self):
+        assert mean_defined([None, None]) is None
+        assert mean_defined([]) is None
+        assert mean_defined([3, None, 1]) == 2.0
+        # Summed left to right: 0.1 + 0.2 + 0.3 rounds differently from 0.3 + 0.2 + 0.1.
+        assert mean_defined([0.1, 0.2, None, 0.3]) == (0.1 + 0.2 + 0.3) / 3
+
+    def test_score_plans_means_over_each_strategys_plans(self):
+        fault_sets = {0: frozenset({"f"}), 1: frozenset(), 2: frozenset()}
+        plans = {
+            # Positions 1 and 3 of 3: APFD 5/6 and 1/6, Top-K 1 and 3.
+            "RD": [PrioritizedPlan("RD", o, (0.0,) * 3) for o in ((0, 1, 2), (1, 2, 0))],
+            "CH": [PrioritizedPlan("CH", (0, 1, 2), (0.0,) * 3)],
+        }
+        apfd_by, topk_by = score_plans(plans, fault_sets)
+        assert apfd_by == {"RD": (5 / 6 + 1 / 6) / 2, "CH": 5 / 6}
+        assert topk_by == {"RD": 2.0, "CH": 1.0}
+        assert isinstance(topk_by["CH"], float)
+        none_fire = {0: frozenset(), 1: frozenset(), 2: frozenset()}
+        assert score_plans(plans, none_fire) == ({"RD": None, "CH": None}, {"RD": None, "CH": None})
+
 
 class TestReportIO:
     def make_report(self):
@@ -162,3 +186,6 @@ class TestReportIO:
         assert lines[0] == "strategy,top_k,apfd"
         assert lines[1] == "RD,,"
         assert lines[2] == "RSC,1,0.9"
+        assert report_to_csv(self.make_report()) == scores_to_csv(
+            {"RSC": 0.9, "RD": None}, {"RSC": 1, "RD": None}
+        )

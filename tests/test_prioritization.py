@@ -9,6 +9,8 @@ import pytest
 
 from strap.prioritization import (
     PrioritizedPlan,
+    build_plans,
+    parse_strategies,
     plan_from_json,
     plan_to_csv,
     plan_to_json,
@@ -122,6 +124,43 @@ class TestStrategies:
     def test_cc_validates_length(self):
         with pytest.raises(ValueError, match="one count per segment"):
             prioritize_cc([seg(0, (1,))], [1, 2])
+
+
+class TestDispatch:
+    def test_parse_strategies_upper_cases_and_drops_repeats(self):
+        assert parse_strategies([" rd", "RSC", "Rd", "cc "]) == ["RD", "RSC", "CC"]
+        with pytest.raises(ValueError, match="no strategies given"):
+            parse_strategies([])
+        with pytest.raises(ValueError, match="unknown strategy 'BFS'; choose from RSC, SC"):
+            parse_strategies(["CH", "bfs"])
+
+    def test_build_plans_one_list_per_strategy(self):
+        segments = [seg(0, (1, 0, 5)), seg(1, (1, 2, 0)), seg(2, (1, 0, 0))]
+        plans = build_plans(
+            ["CC", "RD", "RSC", "SC", "CH"],
+            segments,
+            FIXTURE,
+            seed=4,
+            repetitions=3,
+            rarity_mode="indicator",
+            call_counts=[1, 7, 2],
+        )
+        assert list(plans) == ["CC", "RD", "RSC", "SC", "CH"]
+        assert plans["RD"] == prioritize_rd(segments, 4, 3)
+        assert plans["RSC"] == [prioritize_rsc(segments, FIXTURE)]
+        assert plans["SC"] == [prioritize_sc(segments)]
+        assert plans["CH"] == [prioritize_ch(segments)]
+        assert plans["CC"] == [prioritize_cc(segments, [1, 7, 2])]
+
+    def test_build_plans_needs_only_what_a_strategy_reads(self):
+        plans = build_plans(
+            ["CH"], [seg(0, (1,))], None, seed=0, repetitions=1, rarity_mode="indicator", call_counts=None
+        )
+        assert plans == {"CH": [PrioritizedPlan("CH", (0,), (0.0,))]}
+        with pytest.raises(ValueError, match="unknown strategy 'rd'"):
+            build_plans(
+                ["rd"], [seg(0, (1,))], None, seed=0, repetitions=1, rarity_mode="indicator", call_counts=None
+            )
 
 
 class TestNormalizationInvariance:

@@ -131,6 +131,24 @@ class TestLoadDump:
         with pytest.raises(RecordingLoadError, match=err):
             load_recording(p)
 
+    def test_raw_line_separators_stay_inside_their_string(self, tmp_path):
+        # JSON allows U+2028, U+2029 and U+0085 raw inside a string; only \n,
+        # \r and \r\n end a line.
+        note = "a\u2028b\u2029c\x85d"
+        line = json.dumps(
+            {"channel": "a", "t_ns": 0, "kind": "planning", "payload": {"note": note}},
+            ensure_ascii=False,
+        )
+        p = tmp_path / "sep.jsonl"
+        p.write_text(line, encoding="utf-8")
+        assert load_recording(p).channels["a"].messages[0].payload == {"note": note}
+        p.write_text(
+            line + '\r\n\n{"channel": "a", "t_ns": 1, "kind": "obstacle", "payload": {}}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(RecordingLoadError, match=r"line 3.*declared at line 1"):
+            load_recording(p)
+
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "empty.jsonl"
         p.write_text("\n\n")

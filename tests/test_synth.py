@@ -41,6 +41,7 @@ from strap.synth import (
     mutants_from_json,
     mutants_to_json,
     prepare_recording,
+    random_mutants,
     replay_segment,
     run_benchmark,
     run_prepared,
@@ -154,6 +155,21 @@ class TestApplyMutant:
         assert t["conditions"] == ["lead_blocked", "red_light_stop", "stop_sign_stop", "yield_crossing"]
         with pytest.raises(SynthError, match="unknown module kind"):
             mutable_targets("radar")
+
+    def test_random_mutants_are_pinned_per_seed(self):
+        # Pinned draws: a change to the draw order or the rounding alters
+        # every seeded mutant set that synth-mutate writes.
+        assert random_mutants("planning", 4, 11) == [
+            Mutant("pl0", "planning", "yield_crossing", "flip_condition", 0.0),
+            Mutant("pl1", "planning", "red_light_stop", "flip_condition", 0.0),
+            Mutant("pl2", "planning", "sign_stop_range_m", "change_constant", 37.793),
+            Mutant("pl3", "planning", "passing_mode", "change_constant", 0.893),
+        ]
+        for kind in MODULE_KINDS:
+            for m in random_mutants(kind, 6, 5):
+                apply_mutant(make_module(kind), m)
+        with pytest.raises(SynthError, match="unknown module kind"):
+            random_mutants("radar", 1, 0)
 
 
 class TestPlannerRules:
@@ -411,26 +427,30 @@ class TestRegression:
         assert a.apfd == b.apfd and a.top_k == b.top_k
         assert a.details["strategies"]["RD"]["plans"] == 7
 
-    def test_jobs_parallel_matches_serial(self, small_recording):
-        mutants = [
-            Mutant("m1", "planning", "red_light_stop", "flip_condition"),
-            Mutant("m2", "planning", "sign_stop_range_m", "change_constant", 1.0),
-        ]
-        serial = run_regression(small_recording, "planning", mutants, repetitions=3, jobs=1)
-        parallel = run_regression(small_recording, "planning", mutants, repetitions=3, jobs=4)
-        assert serial.apfd == parallel.apfd
-        assert serial.details["mutants"] == parallel.details["mutants"]
-
-    @pytest.mark.parametrize("jobs", [0, -1])
-    def test_jobs_below_one_rejected(self, small_recording, jobs):
-        with pytest.raises(SynthError, match=f"jobs must be at least 1, got {jobs}"):
-            run_regression(small_recording, "planning", [], jobs=jobs)
-
     def test_unknown_module_or_strategy(self, small_recording):
         with pytest.raises(SynthError, match="unknown module kind"):
             run_regression(small_recording, "radar", [])
         with pytest.raises(SynthError, match="unknown strategy"):
             run_regression(small_recording, "planning", [], strategies=("BFS",))
+
+    @pytest.mark.parametrize("entry", ["run_regression", "run_benchmark"])
+    def test_unknown_strategy_rejected_before_any_replay(self, small_recording, monkeypatch, entry):
+        calls = []
+        real = replay_segment
+        monkeypatch.setattr("strap.synth.replay_segment", lambda *a: calls.append(a) or real(*a))
+        mutants = [Mutant("loud", "planning", "red_light_stop", "flip_condition")]
+        with pytest.raises(SynthError, match="unknown strategy 'BFS'"):
+            if entry == "run_regression":
+                run_regression(small_recording, "planning", mutants, strategies=("RSC", "BFS"))
+            else:
+                run_benchmark(small_recording, mutants, strategies=("ch", "bfs"))
+        assert calls == []
+
+    def test_strategy_names_are_normalized(self, small_recording):
+        prepared = prepare_recording(align_recording(small_recording), "planning")
+        report, plans = run_prepared(prepared, [], strategies=("ch", "RD", "Ch"), repetitions=2)
+        assert list(plans) == ["CH", "RD"]
+        assert list(report.apfd) == ["CH", "RD"]
 
 
 class TestPreparedRecording:
