@@ -188,8 +188,7 @@ def _aligned_vectors(
 
 
 def _cmd_align(args: argparse.Namespace) -> None:
-    rec = load_recording(_require_file(args.infile))
-    ar = align_recording(rec)
+    ar = align_recording(load_recording(_require_file(args.infile)))
     atomic_write_text(args.out, aligned_jsonl(ar))
     _say(f"aligned {len(ar)} frames across {len(ar.channel_names)} channels -> {args.out}")
 
@@ -411,7 +410,11 @@ def _cmd_run_regression(args: argparse.Namespace) -> None:
         skipped = len(mutants) - len(own)
         if skipped:
             _say(f"note: {skipped} mutant(s) target other modules and replay clean")
-        prepared = prepare_recording(align_recording(rec), args.module, cfg, registry)
+        ar = align_recording(rec)
+        # Only the aligned frames are read from here on; the loaded messages
+        # would stay alive through encode, replay and the artifact writes.
+        del rec
+        prepared = prepare_recording(ar, args.module, cfg, registry)
         report, plans = run_prepared(prepared, mutants, strategies, **kwargs)
         if args.artifacts_dir:
             _write_regression_artifacts(Path(args.artifacts_dir), prepared, report, plans)

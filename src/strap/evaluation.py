@@ -141,9 +141,18 @@ def evaluate_plan(
 
 
 def mean_defined(values: Iterable[float | None]) -> float | None:
-    """Mean of the values that are not None, summed in order; None if there are none."""
-    defined = [v for v in values if v is not None]
-    return sum(defined) / len(defined) if defined else None
+    """Mean of the values that are not None, summed in order; None if there are none.
+
+    The values are added one by one, left to right: from Python 3.12
+    ``sum()`` compensates float rounding, so a report's last digits would
+    depend on the interpreter.
+    """
+    total, n = 0, 0
+    for v in values:
+        if v is not None:
+            total += v
+            n += 1
+    return total / n if n else None
 
 
 def score_plans(

@@ -151,9 +151,33 @@ class AlignedRecording:
         return Recording(channels)
 
 
+# One decoder and one kind table for every line: ``json.loads`` would wrap
+# each of a long recording's lines in Python-level checks.
+_scan_once = json.JSONDecoder().scan_once
+_KINDS = {k.value: k for k in MessageKind}
+
+
+def _decode_row(line: str) -> Any:
+    """``json.loads(line)``, scanned in C.
+
+    The scan sees the line without JSON whitespace (not ``str.strip()``,
+    which also drops characters ``json.loads`` rejects) and counts only if it
+    ends where the text ends. Anything else goes to ``json.loads``, so every
+    error (a BOM, extra data) keeps its message.
+    """
+    text = line.strip(" \t\n\r")
+    try:
+        row, end = _scan_once(text, 0)
+    except (StopIteration, json.JSONDecodeError):
+        end = -1
+    if end != len(text):
+        row = json.loads(line)
+    return row
+
+
 def _parse_line(line: str, lineno: int) -> Message:
     try:
-        row = json.loads(line)
+        row = _decode_row(line)
     except json.JSONDecodeError as exc:
         raise RecordingLoadError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
     if not isinstance(row, dict):
@@ -161,9 +185,12 @@ def _parse_line(line: str, lineno: int) -> Message:
     for key in ("channel", "t_ns", "kind", "payload"):
         if key not in row:
             raise RecordingLoadError(f"line {lineno}: missing field {key!r}")
+    channel = row["channel"]
+    if not isinstance(channel, str):
+        raise RecordingLoadError(f"line {lineno}: channel must be a string")
     try:
-        kind = MessageKind(row["kind"])
-    except ValueError:
+        kind = _KINDS[row["kind"]]
+    except (KeyError, TypeError):
         raise RecordingLoadError(f"line {lineno}: unknown message kind {row['kind']!r}") from None
     t_ns = row["t_ns"]
     if not isinstance(t_ns, int) or isinstance(t_ns, bool):
@@ -173,7 +200,7 @@ def _parse_line(line: str, lineno: int) -> Message:
     payload = row["payload"]
     if not isinstance(payload, dict):
         raise RecordingLoadError(f"line {lineno}: payload must be a JSON object")
-    return Message(str(row["channel"]), t_ns, kind, payload)
+    return Message(channel, t_ns, kind, payload)
 
 
 def load_recording(path: str | Path) -> Recording:
@@ -226,11 +253,26 @@ def load_recording(path: str | Path) -> Recording:
     return Recording(channels)
 
 
-def _message_json(m: Message) -> str:
-    return json.dumps(
-        {"channel": m.channel, "t_ns": m.t_ns, "kind": m.kind.value, "payload": m.payload},
-        sort_keys=True,
-    )
+# One key-sorted encoder for every line, in place of a new encoder per
+# ``json.dumps(..., sort_keys=True)`` call. A message's line is
+# ``{"channel": C, "kind": K, "payload": P, "t_ns": T}``: a head fixed by
+# (channel, kind), the payload's text and a tail fixed by the timestamp.
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
+def _head(heads: dict[tuple[str, MessageKind], str], m: Message) -> str:
+    key = (m.channel, m.kind)
+    head = heads.get(key)
+    if head is None:
+        head = heads[key] = (
+            f'{{"channel": {_encode(m.channel)}, "kind": {_encode(m.kind.value)}, "payload": '
+        )
+    return head
+
+
+def _tail(t_ns: TimestampNs) -> str:
+    # An int's JSON text is its repr; other numbers go through the encoder.
+    return f', "t_ns": {t_ns!r}}}\n' if type(t_ns) is int else f', "t_ns": {_encode(t_ns)}}}\n'
 
 
 def dump_recording_jsonl(rec: Recording) -> str:
@@ -239,8 +281,9 @@ def dump_recording_jsonl(rec: Recording) -> str:
     for name in sorted(rec.channels):
         for m in rec.channels[name].messages:
             rows.append((m.t_ns, name, m))
-    lines = [_message_json(m) for _, _, m in sorted(rows, key=lambda r: (r[0], r[1]))]
-    return "\n".join(lines) + "\n"
+    rows.sort(key=lambda r: (r[0], r[1]))
+    heads: dict[tuple[str, MessageKind], str] = {}
+    return "".join(_head(heads, m) + _encode(m.payload) + _tail(m.t_ns) for _, _, m in rows)
 
 
 def aligned_jsonl(ar: AlignedRecording) -> Iterator[str]:
@@ -249,10 +292,26 @@ def aligned_jsonl(ar: AlignedRecording) -> Iterator[str]:
     Frame times strictly increase and every frame holds one message per
     channel, so frame order then channel-name order is already the dump's
     (t_ns, channel) order: nothing is sorted and the text is never whole.
+    Alignment fills a channel's gaps with its previous message, so a payload
+    that ``is`` the channel's previous one reuses that payload's text.
     """
     names = sorted(ar.channel_names)
+    heads: dict[tuple[str, MessageKind], str] = {}
+    held: dict[str, tuple[Mapping[str, Any], str]] = {}
     for frame in ar.frames:
-        yield "".join(_message_json(frame.messages[name]) + "\n" for name in names)
+        t = frame.t_ns
+        tail = _tail(t)
+        parts = []
+        for name in names:
+            m = frame.messages[name]
+            last = held.get(name)
+            if last is not None and last[0] is m.payload:
+                text = last[1]
+            else:
+                text = _encode(m.payload)
+                held[name] = (m.payload, text)
+            parts.append(_head(heads, m) + text + (tail if m.t_ns is t else _tail(m.t_ns)))
+        yield "".join(parts)
 
 
 def align_recording(rec: Recording) -> AlignedRecording:

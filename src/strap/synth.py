@@ -1145,8 +1145,8 @@ def run_benchmark(
         segments_after_dedup=sum(r.totals.segments_after_dedup for r in sub.values()),
     )
     return MetricsReport(
-        reduction_pct=sum(r.reduction_pct for r in sub.values()) / len(sub),
-        reduction_pct_with_warmup=sum(r.reduction_pct_with_warmup for r in sub.values()) / len(sub),
+        reduction_pct=mean_defined(r.reduction_pct for r in sub.values()),
+        reduction_pct_with_warmup=mean_defined(r.reduction_pct_with_warmup for r in sub.values()),
         fault_coverage=fault_coverage(reduced_detected, full_detected),
         apfd=apfd_by,
         top_k=topk_by,

@@ -146,6 +146,9 @@ class TestMetrics:
         assert mean_defined([3, None, 1]) == 2.0
         # Summed left to right: 0.1 + 0.2 + 0.3 rounds differently from 0.3 + 0.2 + 0.1.
         assert mean_defined([0.1, 0.2, None, 0.3]) == (0.1 + 0.2 + 0.3) / 3
+        # Not compensated as sum() is from Python 3.12: ten 0.1s add up to
+        # 0.9999999999999999 one by one, not to 1.0.
+        assert mean_defined([0.1] * 10) == 0.9999999999999999 / 10
 
     def test_score_plans_means_over_each_strategys_plans(self):
         fault_sets = {0: frozenset({"f"}), 1: frozenset(), 2: frozenset()}

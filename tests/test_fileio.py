@@ -2,13 +2,29 @@
 
 from __future__ import annotations
 
+import enum
 import json
 import os
+import random
 import stat
 
 import pytest
 
+from strap import fileio
 from strap.fileio import atomic_write_json, atomic_write_text
+from strap.recording import MessageKind
+
+
+class IntFlag(enum.IntEnum):
+    A = 3
+
+
+class Half(float):
+    pass
+
+
+class Items(list):
+    pass
 
 
 def _mode(path) -> int:
@@ -56,3 +72,128 @@ def test_streamed_json_equals_dumps(tmp_path):
     path = tmp_path / "doc.json"
     atomic_write_json(path, doc)
     assert path.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+
+
+def _dumps(doc) -> bytes:
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+
+
+_FLOATS = [0.0, -0.0, 0.1, 1e300, -2.5e-300, float("nan"), float("inf"), float("-inf")]
+_STRINGS = ["", "a", "café", " 中", 'q"\\\n\t', "\x00"]
+
+
+def _scalar(rng):
+    return rng.choice(
+        [None, True, False, rng.randint(-(2**70), 2**70), rng.choice(_FLOATS), rng.choice(_STRINGS)]
+    )
+
+
+def _doc(rng, depth=0):
+    """A random document: every JSON shape plus tuples and non-str keys."""
+    roll = rng.random() if depth < 4 else 0.0
+    if roll < 0.3:
+        return _scalar(rng)
+    if roll < 0.45:
+        # Long scalar lists span several encoder slices.
+        return [_scalar(rng) for _ in range(rng.choice([0, 1, 3, 1023, 1024, 1025, 2500]))]
+    if roll < 0.65:
+        items = [_doc(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+        return tuple(items) if rng.random() < 0.25 else items
+    n = rng.randint(0, 4)
+    keys = rng.choice(
+        [
+            [rng.choice(_STRINGS) + str(i) for i in range(n)],
+            list(range(n)),
+            [True, False][:n],
+            [None][:n],
+            [0.5 * i for i in range(n)],
+        ]
+    )
+    return {k: _doc(rng, depth + 1) for k in keys}
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_json_equals_dumps_on_random_documents(tmp_path, seed):
+    rng = random.Random(seed)
+    doc = {"root": [_doc(rng) for _ in range(3)], "top": _doc(rng)}
+    path = tmp_path / "doc.json"
+    atomic_write_json(path, doc)
+    assert path.read_bytes() == _dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        0,
+        "s",
+        None,
+        [],
+        {},
+        (),
+        [[[]], {}, [{}], ()],
+        {"a": {"b": {"c": []}}},
+        (1, [2, (3, {"k": (4,)})]),
+        {1: [1, 2], 2: {"x": (3,)}},
+        {"k": {None: [0.5]}},
+        {"v": list(range(5000))},
+        [float("nan"), float("inf"), float("-inf")],
+        [MessageKind.PLANNING, IntFlag.A, 1.5],
+        {"e": MessageKind.OBSTACLE, "f": Half(0.5), "l": Items([1, 2])},
+    ],
+    ids=repr,
+)
+def test_json_equals_dumps_on_edge_documents(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    atomic_write_json(path, doc)
+    assert path.read_bytes() == _dumps(doc)
+
+
+def _error(write):
+    with pytest.raises(Exception) as info:
+        write()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: {"a": [1, object()]},
+        lambda: {"a": {1: 1, "b": 2}},
+        lambda: {"s": {1, 2}},
+        lambda: _cyclic_list(),
+        lambda: _cyclic_dict(),
+    ],
+)
+def test_json_errors_equal_dumps(tmp_path, make):
+    path = tmp_path / "doc.json"
+    assert _error(lambda: atomic_write_json(path, make())) == _error(
+        lambda: json.dumps(make(), indent=2, sort_keys=True)
+    )
+    assert os.listdir(tmp_path) == []
+
+
+def _cyclic_list():
+    a = [1, []]
+    a[1].append(a)
+    return {"a": a}
+
+
+def _cyclic_dict():
+    d = {"x": [1]}
+    d["y"] = {"z": (d,)}
+    return d
+
+
+def test_long_scalar_list_is_written_in_bounded_chunks(tmp_path, monkeypatch):
+    chunks = []
+
+    def capture(path, text):
+        chunks.extend(text)
+
+    monkeypatch.setattr(fileio, "atomic_write_text", capture)
+    doc = {"t_ns": list(range(10**9, 10**9 + 50_000)), "rows": [[7] * 21] * 3}
+    atomic_write_json(tmp_path / "doc.json", doc)
+    assert "".join(chunks).encode() == _dumps(doc)
+    # A chunk holds at most one slice: 1024 lines of ",\n", four spaces and
+    # ten digits, plus the list's opening bracket.
+    assert max(map(len, chunks)) <= 1024 * 16 + 1

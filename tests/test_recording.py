@@ -15,6 +15,7 @@ from strap.recording import (
     MessageKind,
     Recording,
     RecordingLoadError,
+    _parse_line,
     align_recording,
     aligned_jsonl,
     dump_recording_jsonl,
@@ -123,6 +124,14 @@ class TestLoadDump:
                 '{"channel": "a", "t_ns": 0, "kind": "localization", "payload": 7}',
                 "payload must be a JSON object",
             ),
+            (
+                '{"channel": 5, "t_ns": 0, "kind": "localization", "payload": {}}',
+                "line 1: channel must be a string",
+            ),
+            (
+                '{"channel": null, "t_ns": 0, "kind": "localization", "payload": {}}',
+                "line 1: channel must be a string",
+            ),
         ],
     )
     def test_line_errors_carry_line_numbers(self, tmp_path, line, err):
@@ -184,6 +193,169 @@ class TestLoadDump:
             r = load_recording(p)
         assert len(r.channels["a"].messages) == 1
         assert r.channels["a"].messages[0].payload == {"n": 1}
+
+
+def _reference_parse(line, lineno):
+    """The line parser the C scan replaces: ``json.loads`` and ``MessageKind(...)``."""
+    try:
+        row = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise RecordingLoadError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+    if not isinstance(row, dict):
+        raise RecordingLoadError(f"line {lineno}: expected a JSON object")
+    for key in ("channel", "t_ns", "kind", "payload"):
+        if key not in row:
+            raise RecordingLoadError(f"line {lineno}: missing field {key!r}")
+    if not isinstance(row["channel"], str):
+        raise RecordingLoadError(f"line {lineno}: channel must be a string")
+    try:
+        kind = MessageKind(row["kind"])
+    except ValueError:
+        raise RecordingLoadError(f"line {lineno}: unknown message kind {row['kind']!r}") from None
+    t_ns = row["t_ns"]
+    if not isinstance(t_ns, int) or isinstance(t_ns, bool):
+        raise RecordingLoadError(f"line {lineno}: t_ns must be an integer")
+    if t_ns < 0:
+        raise RecordingLoadError(f"line {lineno}: negative timestamp {t_ns}")
+    if not isinstance(row["payload"], dict):
+        raise RecordingLoadError(f"line {lineno}: payload must be a JSON object")
+    return Message(row["channel"], t_ns, kind, row["payload"])
+
+
+def _outcome(parse, line):
+    try:
+        m = parse(line, 7)
+    except Exception as exc:  # the error's type and text are the outcome
+        return type(exc).__name__, str(exc)
+    # json.dumps keeps NaN payloads comparable.
+    return m.channel, m.t_ns, m.kind, json.dumps(m.payload, sort_keys=True)
+
+
+_VALID = '{"channel": "loc", "t_ns": 5, "kind": "localization", "payload": {"x": 1.5, "s": "\\u00e9\u00e9"}}'
+
+
+class TestParseLineDifferential:
+    """``_parse_line`` against the ``json.loads`` parser it replaces."""
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            _VALID,
+            _VALID + "\n",
+            " \t\r" + _VALID + " \r\n",
+            "\x0c" + _VALID,
+            "\u00a0" + _VALID,
+            "\u2028" + _VALID,
+            _VALID + "\x0c",
+            _VALID + "\u00a0",
+            "\ufeff" + _VALID,
+            _VALID + " x",
+            _VALID + _VALID,
+            _VALID + " " + _VALID,
+            "",
+            " \t",
+            "{",
+            "1",
+            "[]",
+            "null",
+            '"text"',
+            '{"channel": "a", "t_ns": 0, "kind": "planning", "payload": {"v": NaN, "w": -Infinity, "z": Infinity}}',
+            '{"channel": "a", "t_ns": 0, "kind": ["planning"], "payload": {}}',
+            '{"channel": "a", "t_ns": 0, "kind": {"k": 1}, "payload": {}}',
+            '{"channel": "a", "t_ns": 0, "kind": 3, "payload": {}}',
+            '{"channel": "a", "t_ns": 0, "kind": "PLANNING", "payload": {}}',
+            '{"channel": "a", "t_ns": 0, "kind": null, "payload": {}}',
+            '{"channel": 5, "t_ns": 0, "kind": "planning", "payload": {}}',
+            '{"channel": ["a"], "t_ns": 0, "kind": "planning", "payload": {}}',
+            '{"channel": "a", "t_ns": true, "kind": "planning", "payload": {}}',
+            '{"channel": "a", "t_ns": -1, "kind": "planning", "payload": {}}',
+            '{"channel": "a", "t_ns": 0, "kind": "planning", "payload": []}',
+            '{"channel": "a", "t_ns": 0, "kind": "planning"}',
+            '{"channel": "a", "t_ns": 0, "kind": "planning", "payload": {}, "kind": "obstacle"}',
+            '{"channel": "a", "t_ns": 0, "kind": "planning", "payload": {"s": "a\tb"}}',
+            '{"channel": "a", "t_ns": 0, "kind": "planning", "payload": {"s": "\u2028"}}',
+            '{"channel": "a", "t_ns": ' + "9" * 5000 + ', "kind": "planning", "payload": {}}',
+        ],
+    )
+    def test_same_message_or_error(self, line):
+        assert _outcome(_parse_line, line) == _outcome(_reference_parse, line)
+
+    def test_every_line_of_a_builtin(self, benchmark_recording):
+        text = dump_recording_jsonl(benchmark_recording)
+        for lineno, line in enumerate(text.splitlines(), 1):
+            assert _parse_line(line, lineno) == _reference_parse(line, lineno)
+
+
+def _reference_jsonl(messages):
+    """One ``json.dumps(..., sort_keys=True)`` per message: the writer the line heads replace."""
+    return "".join(
+        json.dumps(
+            {"channel": m.channel, "t_ns": m.t_ns, "kind": m.kind.value, "payload": m.payload},
+            sort_keys=True,
+        )
+        + "\n"
+        for m in messages
+    )
+
+
+def _hand_built():
+    """Shared payload objects, non-ASCII and U+2028 text, floats, equal
+    payloads with other texts, and a channel whose kind changes between frames."""
+    shared = {"note": "caf\u00e9 \u2028 \u4e2d", "v": [0.1, -0.0, 1e300, float("nan")]}
+    other = {"x": 2.5, "y": float("-inf")}
+    frames = []
+    for i, t in enumerate([0, 10, 20, 30, 40]):
+        kind = MessageKind.PLANNING if i < 2 else MessageKind.OBSTACLE
+        frames.append(
+            Frame(
+                t,
+                {
+                    "flip": Message("flip", t, kind, shared),
+                    "a": Message("a", t, MessageKind.LOCALIZATION, shared if i % 2 else other),
+                    "\u00fcber": Message("\u00fcber", t, MessageKind.IMAGE_REF, {"ref": f"f{i}"}),
+                    # Equal to the previous frame's payload, but not the same text.
+                    "n": Message("n", t, MessageKind.PREDICTION, {"n": [1, 1.0, True, 1, 1][i]}),
+                },
+            )
+        )
+    # Equal to the frame's time but not the same object: the tail is re-encoded.
+    frames.append(Frame(50, {name: m.retimed(50.0) for name, m in frames[-1].messages.items()}))
+    return AlignedRecording(tuple(frames), ("flip", "a", "\u00fcber", "n"))
+
+
+class TestJsonlDifferential:
+    """The line-head writers against one ``json.dumps`` per message."""
+
+    @pytest.mark.parametrize(
+        "fixture", ["benchmark_recording", "noisy_recording", "rare_recording"]
+    )
+    def test_builtins(self, fixture, request):
+        r = request.getfixturevalue(fixture)
+        rows = sorted(
+            (m for ch in r.channels.values() for m in ch.messages),
+            key=lambda m: (m.t_ns, m.channel),
+        )
+        assert dump_recording_jsonl(r) == _reference_jsonl(rows)
+        ar = align_recording(r)
+        in_frames = [f.messages[n] for f in ar.frames for n in sorted(ar.channel_names)]
+        assert "".join(aligned_jsonl(ar)) == _reference_jsonl(in_frames)
+
+    def test_hand_built_recording(self):
+        ar = _hand_built()
+        in_frames = [f.messages[n] for f in ar.frames for n in sorted(ar.channel_names)]
+        expected = _reference_jsonl(in_frames)
+        assert "".join(aligned_jsonl(ar)) == expected
+        assert '"kind": "planning"' in expected and '"kind": "obstacle"' in expected
+        assert '"t_ns": 50.0}' in expected
+
+    def test_hand_built_unaligned_recording(self):
+        shared = {"s": "\u2028\u00e9", "f": 0.30000000000000004}
+        r = rec(
+            Channel("b", MessageKind.PLANNING, tuple(Message("b", t, MessageKind.PLANNING, shared) for t in (0, 5))),
+            Channel("a", MessageKind.OBSTACLE, (Message("a", 5, MessageKind.OBSTACLE, shared),)),
+        )
+        rows = [r.channels["b"].messages[0], r.channels["a"].messages[0], r.channels["b"].messages[1]]
+        assert dump_recording_jsonl(r) == _reference_jsonl(rows)
 
 
 class TestAlignedJsonl:
