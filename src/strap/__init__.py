@@ -29,7 +29,6 @@ from .evaluation import (
     reduction_pct,
     report_to_csv,
     report_to_json,
-    top_k,
 )
 from .prioritization import (
     PrioritizedPlan,
@@ -44,7 +43,6 @@ from .prioritization import (
     plan_to_csv,
     plan_to_json,
     prioritize_sc,
-    rarity_score,
     rarity_weights,
 )
 from .recording import (
@@ -60,7 +58,6 @@ from .recording import (
     aligned_jsonl,
     dump_recording_jsonl,
     load_recording,
-    slice_recording,
 )
 from .reduction import (
     ReductionConfig,
@@ -91,7 +88,6 @@ from .schema import (
     load_registry,
     registry_from_json,
     registry_to_json,
-    save_registry,
 )
 from .synth import (
     CHANNEL_OFFSETS_NS,

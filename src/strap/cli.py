@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -43,7 +42,6 @@ from .prioritization import (  # noqa: F401
     prioritize_sc,
 )
 from .recording import (
-    AlignedRecording,
     Recording,
     align_recording,
     aligned_jsonl,
@@ -67,7 +65,6 @@ from .schema import (
     registry_to_json,
 )
 from .synth import (  # noqa: F401
-    Mutant,
     PreparedRecording,
     generate_recording,
     load_mutants,
@@ -97,16 +94,6 @@ def _say(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _seed_or_env(seed: int | None) -> int:
-    if seed is not None:
-        return seed
-    raw = os.environ.get("STRAP_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"STRAP_SEED must be an integer, got {raw!r}") from None
-
-
 def _load_registry_arg(path: str | None) -> SchemaRegistry:
     return load_registry(path) if path else default_registry()
 
@@ -132,28 +119,24 @@ def _require_file(path: str) -> Path:
     return p
 
 
-def _load_script_arg(source: str):
-    if source.startswith("builtin:"):
-        name = source[len("builtin:") :]
-        try:
-            return BUILTIN_SCRIPTS[name]()
-        except KeyError:
-            raise UsageError(
-                f"unknown builtin script {name!r}; choose from {', '.join(sorted(BUILTIN_SCRIPTS))}"
-            ) from None
-    return load_script(_require_file(source))
+# The built-ins and the file loader behind each builtin:NAME-or-file argument.
+_SOURCES = {
+    "script": (BUILTIN_SCRIPTS, load_script),
+    "mutant set": (BUILTIN_MUTANTS, load_mutants),
+}
 
 
-def _load_mutants_arg(source: str) -> list[Mutant]:
-    if source.startswith("builtin:"):
-        name = source[len("builtin:") :]
-        try:
-            return BUILTIN_MUTANTS[name]()
-        except KeyError:
-            raise UsageError(
-                f"unknown builtin mutant set {name!r}; choose from {', '.join(sorted(BUILTIN_MUTANTS))}"
-            ) from None
-    return load_mutants(_require_file(source))
+def _builtin_or_file(source: str, what: str) -> Any:
+    """``builtin:NAME`` from the built-in ``what``s, or else the file at ``source``."""
+    builtins, load = _SOURCES[what]
+    if not source.startswith("builtin:"):
+        return load(_require_file(source))
+    name = source[len("builtin:") :]
+    if name not in builtins:
+        raise UsageError(
+            f"unknown builtin {what} {name!r}; choose from {', '.join(sorted(builtins))}"
+        )
+    return builtins[name]()
 
 
 def _vectors_doc(module: str, vectors: Sequence[FrameVector]) -> dict[str, Any]:
@@ -179,12 +162,9 @@ def _vectors_from_doc(doc: Mapping[str, Any]) -> tuple[str, list[FrameVector]]:
         raise UsageError(f"invalid vectors document: {exc}") from exc
 
 
-def _aligned_vectors(
-    rec: Recording, registry: SchemaRegistry, module: str
-) -> tuple[AlignedRecording, list[FrameVector]]:
-    ar = align_recording(rec)
-    flt = None if module == "all" else ModuleFilter.for_module(module, registry)
-    return ar, encode_recording(ar, registry, flt)
+def _module_vectors(rec: Recording, registry: SchemaRegistry, module: str) -> list[FrameVector]:
+    flt = ModuleFilter.for_module(module, registry)
+    return encode_recording(align_recording(rec), registry, flt)
 
 
 def _cmd_align(args: argparse.Namespace) -> None:
@@ -196,7 +176,7 @@ def _cmd_align(args: argparse.Namespace) -> None:
 def _cmd_vectorize(args: argparse.Namespace) -> None:
     rec = load_recording(_require_file(args.infile))
     registry = _load_registry_arg(args.schema)
-    _, vectors = _aligned_vectors(rec, registry, args.module)
+    vectors = _module_vectors(rec, registry, args.module)
     atomic_write_json(args.out, _vectors_doc(args.module, vectors))
     _say(f"encoded {len(vectors)} frames under the {args.module!r} view -> {args.out}")
 
@@ -227,7 +207,7 @@ def _cmd_reduce(args: argparse.Namespace) -> None:
         module = args.module or "all"
         rec = load_recording(path)
         registry = _load_registry_arg(args.schema)
-        _, vectors = _aligned_vectors(rec, registry, module)
+        vectors = _module_vectors(rec, registry, module)
     segments, _ = reduce_vectors(vectors, cfg)
     times = [v.t_ns for v in vectors]
     atomic_write_json(args.out, segments_to_manifest(segments, cfg, times, module))
@@ -270,7 +250,7 @@ def _cmd_prioritize(args: argparse.Namespace) -> None:
         strategies,
         segments,
         vectors,
-        seed=_seed_or_env(args.seed),
+        seed=args.seed,
         repetitions=1,
         rarity_mode=args.rarity_mode,
         call_counts=call_counts,
@@ -336,24 +316,23 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
 
 
 def _cmd_synth_generate(args: argparse.Namespace) -> None:
-    script = _load_script_arg(args.script)
-    seed = _seed_or_env(args.seed)
-    rec = generate_recording(script, seed)
+    script = _builtin_or_file(args.script, "script")
+    rec = generate_recording(script, args.seed)
     atomic_write_text(args.out, dump_recording_jsonl(rec))
     if args.schema_out:
         atomic_write_json(args.schema_out, registry_to_json(default_registry()))
         _say(f"schema -> {args.schema_out}")
     _say(
         f"generated {script.duration_frames} frames, {rec.message_count()} messages "
-        f"(seed {seed}) -> {args.out}"
+        f"(seed {args.seed}) -> {args.out}"
     )
 
 
 def _cmd_synth_mutate(args: argparse.Namespace) -> None:
     if args.builtin:
-        mutants = _load_mutants_arg(f"builtin:{args.builtin}")
+        mutants = _builtin_or_file(f"builtin:{args.builtin}", "mutant set")
     elif args.module:
-        mutants = random_mutants(args.module, args.count, _seed_or_env(args.seed))
+        mutants = random_mutants(args.module, args.count, args.seed)
     else:
         raise UsageError("pass --builtin NAME or --module KIND")
     atomic_write_json(args.out, mutants_to_json(mutants))
@@ -391,16 +370,15 @@ def _write_regression_artifacts(
 def _cmd_run_regression(args: argparse.Namespace) -> None:
     if bool(args.script) == bool(args.infile):
         raise UsageError("pass exactly one of --script or --in")
-    seed = _seed_or_env(args.seed)
     if args.script:
-        rec = generate_recording(_load_script_arg(args.script), seed)
+        rec = generate_recording(_builtin_or_file(args.script, "script"), args.seed)
     else:
         rec = load_recording(_require_file(args.infile))
-    mutants = _load_mutants_arg(args.mutants) if args.mutants else []
+    mutants = _builtin_or_file(args.mutants, "mutant set") if args.mutants else []
     strategies = _parse_strategies(args.strategies)
     cfg = _reduction_config(args)
     registry = _load_registry_arg(args.schema)
-    kwargs = dict(seed=seed, repetitions=args.repetitions, rarity_mode=args.rarity_mode)
+    kwargs = dict(seed=args.seed, repetitions=args.repetitions, rarity_mode=args.rarity_mode)
     if args.module == "all":
         if args.artifacts_dir:
             raise UsageError("--artifacts-dir needs a specific --module, not 'all'")
@@ -434,7 +412,7 @@ def _add_reduction_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_rank_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--strategies", default="RSC,SC,CH,RD,CC", help="comma-separated strategy list")
-    p.add_argument("--seed", type=int, default=None, help="RNG seed (default: $STRAP_SEED or 0)")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.add_argument("--rarity-mode", choices=("indicator", "literal"), default="indicator")
 
 
@@ -480,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth-generate", help="generate a recording from a scenario script")
     p.add_argument("--script", required=True, help="script JSON path or builtin:NAME")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--schema-out", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_synth_generate)
@@ -489,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--builtin", default=None, help=f"one of: {', '.join(sorted(BUILTIN_MUTANTS))}")
     p.add_argument("--module", choices=MODULE_KINDS, default=None)
     p.add_argument("--count", type=int, default=5)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_synth_mutate)
 

@@ -107,15 +107,6 @@ def apfd(n: int, fault_first_indices: Sequence[int], m: int) -> float:
     return float(value)
 
 
-def top_k(verdicts_in_plan_order: Sequence[Any]) -> int | None:
-    """1-based position of the first fault signal; None when nothing fires."""
-    for i, v in enumerate(verdicts_in_plan_order, start=1):
-        fires = v.is_fault if isinstance(v, FaultVerdict) else bool(v)
-        if fires:
-            return i
-    return None
-
-
 def evaluate_plan(
     plan: PrioritizedPlan, fault_sets: Mapping[int, frozenset[str] | set[str]]
 ) -> tuple[float | None, int | None]:

@@ -92,11 +92,6 @@ def _score_exact(values: Sequence[int], w: RarityWeights, mode: str) -> Fraction
     return total
 
 
-def rarity_score(sv: FrameVector, w: RarityWeights, mode: str = "indicator") -> float:
-    """Rarity-weighted coverage of one segment vector."""
-    return float(_score_exact(sv.values, w, mode))
-
-
 def _ranked_plan(
     strategy: str, segments: Sequence[Segment], exact_scores: Mapping[int, Fraction]
 ) -> PrioritizedPlan:

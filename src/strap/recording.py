@@ -11,10 +11,10 @@ from __future__ import annotations
 import json
 import warnings
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
 TimestampNs = int
 
@@ -95,11 +95,6 @@ class Recording:
     def message_count(self) -> int:
         return sum(len(ch.messages) for ch in self.channels.values())
 
-    @property
-    def epoch(self) -> TimestampNs:
-        """Timestamp of the earliest message across all channels."""
-        return min(ch.messages[0].t_ns for ch in self.channels.values() if ch.messages)
-
 
 @dataclass(frozen=True)
 class Frame:
@@ -124,20 +119,34 @@ class Frame:
 
 @dataclass(frozen=True)
 class AlignedRecording:
-    """Frames on the reference channel's timestamp grid."""
+    """Frames on the reference channel's timestamp grid.
+
+    Every frame covers the same channels, and each channel keeps one message
+    kind, as in a Channel: encoders take the encoding order from one frame.
+    """
 
     frames: tuple[Frame, ...]
     channel_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
         expected = set(self.channel_names)
+        kinds: list[tuple[str, MessageKind]] | None = None
         prev = -1
         for f in self.frames:
             if f.t_ns <= prev:
                 raise ValueError(f"frame timestamps not strictly increasing at t={f.t_ns}")
             prev = f.t_ns
-            if set(f.messages) != expected:
+            messages = f.messages
+            if messages.keys() != expected:
                 raise ValueError(f"frame at t={f.t_ns} does not cover all channels")
+            if kinds is None:
+                kinds = [(name, m.kind) for name, m in messages.items()]
+            for name, kind in kinds:
+                if messages[name].kind is not kind:
+                    raise ValueError(
+                        f"channel {name!r} is {kind.value!r} in the first frame "
+                        f"but carries {messages[name].kind.value!r} at t={f.t_ns}"
+                    )
 
     def __len__(self) -> int:
         return len(self.frames)
@@ -180,6 +189,9 @@ def _parse_line(line: str, lineno: int) -> Message:
         row = _decode_row(line)
     except json.JSONDecodeError as exc:
         raise RecordingLoadError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+    except ValueError as exc:
+        # An integer literal longer than sys.get_int_max_str_digits().
+        raise RecordingLoadError(f"line {lineno}: invalid JSON ({exc})") from exc
     if not isinstance(row, dict):
         raise RecordingLoadError(f"line {lineno}: expected a JSON object")
     for key in ("channel", "t_ns", "kind", "payload"):
@@ -216,7 +228,9 @@ def load_recording(path: str | Path) -> Recording:
     # whole, and a raw U+2028 inside a JSON string stays in its line.
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
-            if not raw.strip():
+            # Only JSON whitespace makes a blank line; json.loads rejects
+            # the rest of what str.strip() drops, and so does _parse_line.
+            if not raw.strip(" \t\n\r"):
                 continue
             msg = _parse_line(raw, lineno)
             seen = kinds.get(msg.channel)
@@ -255,16 +269,16 @@ def load_recording(path: str | Path) -> Recording:
 
 # One key-sorted encoder for every line, in place of a new encoder per
 # ``json.dumps(..., sort_keys=True)`` call. A message's line is
-# ``{"channel": C, "kind": K, "payload": P, "t_ns": T}``: a head fixed by
-# (channel, kind), the payload's text and a tail fixed by the timestamp.
+# ``{"channel": C, "kind": K, "payload": P, "t_ns": T}``: a head fixed by the
+# channel (a Channel and an AlignedRecording each hold one kind per channel),
+# the payload's text and a tail fixed by the timestamp.
 _encode = json.JSONEncoder(sort_keys=True).encode
 
 
-def _head(heads: dict[tuple[str, MessageKind], str], m: Message) -> str:
-    key = (m.channel, m.kind)
-    head = heads.get(key)
+def _head(heads: dict[str, str], m: Message) -> str:
+    head = heads.get(m.channel)
     if head is None:
-        head = heads[key] = (
+        head = heads[m.channel] = (
             f'{{"channel": {_encode(m.channel)}, "kind": {_encode(m.kind.value)}, "payload": '
         )
     return head
@@ -282,7 +296,7 @@ def dump_recording_jsonl(rec: Recording) -> str:
         for m in rec.channels[name].messages:
             rows.append((m.t_ns, name, m))
     rows.sort(key=lambda r: (r[0], r[1]))
-    heads: dict[tuple[str, MessageKind], str] = {}
+    heads: dict[str, str] = {}
     return "".join(_head(heads, m) + _encode(m.payload) + _tail(m.t_ns) for _, _, m in rows)
 
 
@@ -292,25 +306,17 @@ def aligned_jsonl(ar: AlignedRecording) -> Iterator[str]:
     Frame times strictly increase and every frame holds one message per
     channel, so frame order then channel-name order is already the dump's
     (t_ns, channel) order: nothing is sorted and the text is never whole.
-    Alignment fills a channel's gaps with its previous message, so a payload
-    that ``is`` the channel's previous one reuses that payload's text.
     """
     names = sorted(ar.channel_names)
-    heads: dict[tuple[str, MessageKind], str] = {}
-    held: dict[str, tuple[Mapping[str, Any], str]] = {}
+    heads: dict[str, str] = {}
     for frame in ar.frames:
         t = frame.t_ns
         tail = _tail(t)
         parts = []
         for name in names:
             m = frame.messages[name]
-            last = held.get(name)
-            if last is not None and last[0] is m.payload:
-                text = last[1]
-            else:
-                text = _encode(m.payload)
-                held[name] = (m.payload, text)
-            parts.append(_head(heads, m) + text + (tail if m.t_ns is t else _tail(m.t_ns)))
+            end = tail if m.t_ns is t else _tail(m.t_ns)
+            parts.append(_head(heads, m) + _encode(m.payload) + end)
         yield "".join(parts)
 
 
@@ -367,11 +373,3 @@ def align_recording(rec: Recording) -> AlignedRecording:
         raise AlignmentError("no alignable frames")
     return AlignedRecording(tuple(frames), tuple(sorted(rec.channels)))
 
-
-def slice_recording(ar: AlignedRecording, start_idx: int, end_idx: int) -> AlignedRecording:
-    """Contiguous frame window [start_idx, end_idx], both ends inclusive."""
-    if not (0 <= start_idx <= end_idx < len(ar.frames)):
-        raise ValueError(
-            f"slice [{start_idx}, {end_idx}] out of range for {len(ar.frames)} frames"
-        )
-    return AlignedRecording(ar.frames[start_idx : end_idx + 1], ar.channel_names)

@@ -128,8 +128,14 @@ def dedup(segments: Sequence[Segment]) -> list[Segment]:
     return kept
 
 
-def _reduce(vectors: Sequence[FrameVector], cfg: ReductionConfig) -> tuple[list[Segment], int]:
-    """Surviving segments with warm-up indices, and the segment count before dedup."""
+def reduce_vectors(
+    vectors: Sequence[FrameVector], cfg: ReductionConfig
+) -> tuple[list[Segment], int]:
+    """Smooth, segment, clip, and dedup a vector stream.
+
+    Returns the surviving segments (warm-up indices attached) and the number
+    of segments the smoothing and segmentation pass found before dedup.
+    """
     segments = segment(smooth(vectors, cfg.window_w))
     before_dedup = len(segments)
     segments = [
@@ -139,31 +145,15 @@ def _reduce(vectors: Sequence[FrameVector], cfg: ReductionConfig) -> tuple[list[
     return segments, before_dedup
 
 
-def reduce_vectors(
-    vectors: Sequence[FrameVector], cfg: ReductionConfig
-) -> tuple[list[Segment], list[FrameVector]]:
-    """Smooth, segment, clip, and dedup a vector stream.
-
-    Returns the surviving segments (warm-up indices attached) and their
-    vectors in the same order.
-    """
-    segments, _ = _reduce(vectors, cfg)
-    return segments, [s.vector for s in segments]
-
-
 def reduce_recording(
     ar: AlignedRecording, vectors: Sequence[FrameVector], cfg: ReductionConfig
 ) -> tuple[list[Segment], int]:
-    """Reduce an aligned recording given its per-frame vectors.
-
-    Returns the surviving segments (warm-up indices attached) and the number
-    of segments the same smoothing and segmentation pass found before dedup.
-    """
+    """reduce_vectors, after checking there is one vector per aligned frame."""
     if len(vectors) != len(ar.frames):
         raise ValueError(
             f"{len(vectors)} vectors for {len(ar.frames)} frames; one vector per frame required"
         )
-    return _reduce(vectors, cfg)
+    return reduce_vectors(vectors, cfg)
 
 
 def segments_to_manifest(

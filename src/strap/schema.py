@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .recording import AlignedRecording, Frame, MessageKind
 
@@ -133,9 +133,6 @@ class SchemaRegistry:
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(d.name for d in self.dimensions)
-
-    def children(self, name: str) -> tuple[DimensionSpec, ...]:
-        return tuple(d for d in self.dimensions if d.parent == name)
 
 
 @dataclass(frozen=True)
@@ -386,8 +383,8 @@ def encode_recording(
 ) -> list[FrameVector]:
     """Vectorize every frame, optionally filtered down to one module's view.
 
-    Every aligned frame covers the same channels, so the encoding order is
-    taken from the first frame.
+    Every aligned frame covers the same channels with the same kinds, so the
+    encoding order is taken from the first frame.
     """
     if not ar.frames:
         return []
@@ -428,10 +425,6 @@ def registry_from_json(data: Mapping[str, Any]) -> SchemaRegistry:
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"invalid schema document: {exc}") from exc
     return SchemaRegistry(dims, keep)
-
-
-def save_registry(registry: SchemaRegistry, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(registry_to_json(registry), indent=2, sort_keys=True) + "\n")
 
 
 def load_registry(path: str | Path) -> SchemaRegistry:

@@ -789,7 +789,7 @@ class ReplayResult:
 
 
 def replay_segment(
-    module: ToyModule, frames: Sequence[Frame], warmup_frames: int = 0, fps: int = 15
+    module: ToyModule, frames: Sequence[Frame], warmup_frames: int = 0, *, fps: int
 ) -> ReplayResult:
     """Replay one module over aligned frames, one output per frame.
 
@@ -798,7 +798,8 @@ def replay_segment(
     comparison starts. The module recomputes only on its native emission
     ticks (derived from frame timestamps) and repeats its held output in
     between; the first frame always computes, which is the cold start the
-    warm-up absorbs.
+    warm-up absorbs. fps is the frame rate of the grid (grid_fps), which maps
+    frame timestamps onto emission ticks.
     """
     if not frames:
         raise SynthError("replay needs at least one frame")
@@ -959,7 +960,7 @@ def run_prepared(
                 mutated,
                 ar.frames[s.warmup_start_idx : s.end_idx + 1],
                 s.start_idx - s.warmup_start_idx,
-                fps,
+                fps=fps,
             )
             replayed = _replayed_vectors(ar, result, s.warmup_start_idx, vectors, encoder)
             verdicts[s.id] = compare_outputs(vectors[s.start_idx : s.end_idx + 1], replayed, s)
@@ -989,7 +990,7 @@ def run_prepared(
     functions.discard(None)
     call_counts = []
     for s in segments:
-        counts = replay_segment(module, ar.frames[s.start_idx : s.end_idx + 1], 0, fps).call_counts
+        counts = replay_segment(module, ar.frames[s.start_idx : s.end_idx + 1], fps=fps).call_counts
         call_counts.append(sum(counts.get(f, 0) for f in functions))
 
     plans = build_plans(

@@ -72,6 +72,17 @@ class TestParsing:
         bad.write_text("not json")
         assert main(["prioritize", "--segments", str(bad), "--strategies", "CH", "--out", str(tmp_path / "p.json")]) == 1
 
+    def test_unknown_builtin_names_the_choices(self, tmp_path, capsys):
+        out = str(tmp_path / "o")
+        assert main(["synth-generate", "--script", "builtin:nope", "--out", out]) == 1
+        assert main(["synth-mutate", "--builtin", "nope", "--out", out]) == 1
+        assert main(["run-regression", "--script", "builtin:benchmark", "--mutants", "builtin:nope", "--out", out]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: unknown builtin script 'nope'; choose from benchmark, noisy-prediction, rare-fault",
+            "error: unknown builtin mutant set 'nope'; choose from benchmark, rare-fault",
+            "error: unknown builtin mutant set 'nope'; choose from benchmark, rare-fault",
+        ]
+
     def test_internal_error_maps_to_two(self, work, tmp_path, monkeypatch, capsys):
         def boom(rec):
             raise RuntimeError("boom")
@@ -121,17 +132,18 @@ class TestSynthCommands:
             assert main(["synth-generate", "--script", str(work["script"]), "--seed", "3", "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes() == work["rec"].read_bytes()
 
-    def test_generate_honors_env_seed(self, work, tmp_path, monkeypatch):
+    def test_omitted_seed_is_zero(self, work, tmp_path, monkeypatch):
         glitchy = tmp_path / "glitchy.json"
         doc = json.loads(work["script"].read_text())
         doc["glitch_rate"] = 0.2
         glitchy.write_text(json.dumps(doc))
-        explicit = tmp_path / "explicit.jsonl"
-        via_env = tmp_path / "env.jsonl"
-        assert main(["synth-generate", "--script", str(glitchy), "--seed", "7", "--out", str(explicit)]) == 0
+        # The environment plays no part in a run.
         monkeypatch.setenv("STRAP_SEED", "7")
-        assert main(["synth-generate", "--script", str(glitchy), "--out", str(via_env)]) == 0
-        assert explicit.read_bytes() == via_env.read_bytes()
+        for cmd in (["synth-generate", "--script", str(glitchy)], ["synth-mutate", "--module", "planning"]):
+            explicit, omitted = tmp_path / "explicit", tmp_path / "omitted"
+            assert main([*cmd, "--seed", "0", "--out", str(explicit)]) == 0
+            assert main([*cmd, "--out", str(omitted)]) == 0
+            assert explicit.read_bytes() == omitted.read_bytes()
 
     def test_generate_writes_schema(self, work, tmp_path):
         schema = tmp_path / "schema.json"

@@ -20,7 +20,6 @@ from strap.evaluation import (
     report_to_json,
     score_plans,
     scores_to_csv,
-    top_k,
 )
 from strap.prioritization import PrioritizedPlan
 from strap.reduction import Segment
@@ -103,10 +102,12 @@ class TestMetrics:
         with pytest.raises(ValueError, match="outside"):
             apfd(5, [6], 1)
 
-    def test_top_k(self):
-        assert top_k([False, False, True, True]) == 3
-        assert top_k([FaultVerdict(0, 0, 10), FaultVerdict(1, 5, 10)]) == 2
-        assert top_k([False, False]) is None
+    def test_top_k_is_first_detecting_position(self):
+        plan = PrioritizedPlan("CH", (0, 1, 2, 3), (0.0,) * 4)
+        fault_sets = {0: frozenset(), 1: frozenset(), 2: frozenset({"f"}), 3: frozenset({"g"})}
+        assert evaluate_plan(plan, fault_sets)[1] == 3
+        quiet = {sid: frozenset() for sid in plan.order}
+        assert evaluate_plan(plan, quiet) == (None, None)
 
     def test_evaluate_plan_hand_traced(self):
         plan = PrioritizedPlan("CH", (1, 0, 2), (0.0, 0.0, 0.0))

@@ -19,7 +19,6 @@ from strap.prioritization import (
     prioritize_rd,
     prioritize_rsc,
     prioritize_sc,
-    rarity_score,
     rarity_weights,
 )
 from strap.reduction import Segment
@@ -64,11 +63,11 @@ class TestWeights:
 
     def test_scores_hand_traced(self):
         w = rarity_weights(FIXTURE)
-        sv = FrameVector((1, 2, 0), 0)
-        assert rarity_score(sv, w) == pytest.approx(3 / 5)
-        assert rarity_score(sv, w, mode="literal") == pytest.approx(1.0)
+        segments = [seg(0, (1, 2, 0))]
+        assert prioritize_rsc(segments, weights=w).scores == pytest.approx((3 / 5,))
+        assert prioritize_rsc(segments, weights=w, rarity_mode="literal").scores == pytest.approx((1.0,))
         with pytest.raises(ValueError, match="unknown rarity mode"):
-            rarity_score(sv, w, mode="harmonic")
+            prioritize_rsc(segments, weights=w, rarity_mode="harmonic")
 
 
 class TestStrategies:

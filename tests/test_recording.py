@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -20,7 +21,6 @@ from strap.recording import (
     aligned_jsonl,
     dump_recording_jsonl,
     load_recording,
-    slice_recording,
 )
 
 
@@ -59,10 +59,6 @@ class TestModel:
     def test_recording_key_must_match_channel_name(self):
         with pytest.raises(ValueError, match="does not match"):
             Recording({"b": chan("a", [0])})
-
-    def test_epoch_is_earliest_message(self):
-        r = rec(chan("a", [30, 40]), chan("b", [10, 50]))
-        assert r.epoch == 10
 
     def test_frame_rejects_foreign_timestamps(self):
         with pytest.raises(ValueError, match="holds channel"):
@@ -106,6 +102,8 @@ class TestLoadDump:
         "line,err",
         [
             ("{not json", "line 1: invalid JSON"),
+            # Not JSON whitespace, so not a blank line.
+            ("\x0c", "line 1: invalid JSON"),
             ('["x"]', "line 1: expected a JSON object"),
             ('{"channel": "a", "t_ns": 0, "kind": "localization"}', "missing field 'payload'"),
             (
@@ -158,6 +156,18 @@ class TestLoadDump:
         with pytest.raises(RecordingLoadError, match=r"line 3.*declared at line 1"):
             load_recording(p)
 
+    def test_oversized_integer_is_invalid_json(self, tmp_path):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter converts integer literals of any length")
+        p = tmp_path / "big.jsonl"
+        p.write_text(
+            '{"channel": "a", "t_ns": 0, "kind": "planning", "payload": {}}\n'
+            '{"channel": "a", "t_ns": ' + "9" * (limit + 1) + ', "kind": "planning", "payload": {}}\n'
+        )
+        with pytest.raises(RecordingLoadError, match=r"^line 2: invalid JSON \(Exceeds the limit"):
+            load_recording(p)
+
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "empty.jsonl"
         p.write_text("\n\n")
@@ -201,6 +211,8 @@ def _reference_parse(line, lineno):
         row = json.loads(line)
     except json.JSONDecodeError as exc:
         raise RecordingLoadError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+    except ValueError as exc:
+        raise RecordingLoadError(f"line {lineno}: invalid JSON ({exc})") from exc
     if not isinstance(row, dict):
         raise RecordingLoadError(f"line {lineno}: expected a JSON object")
     for key in ("channel", "t_ns", "kind", "payload"):
@@ -299,18 +311,17 @@ def _reference_jsonl(messages):
 
 
 def _hand_built():
-    """Shared payload objects, non-ASCII and U+2028 text, floats, equal
-    payloads with other texts, and a channel whose kind changes between frames."""
+    """Shared payload objects, non-ASCII and U+2028 text, floats, and equal
+    payloads with other texts."""
     shared = {"note": "caf\u00e9 \u2028 \u4e2d", "v": [0.1, -0.0, 1e300, float("nan")]}
     other = {"x": 2.5, "y": float("-inf")}
     frames = []
     for i, t in enumerate([0, 10, 20, 30, 40]):
-        kind = MessageKind.PLANNING if i < 2 else MessageKind.OBSTACLE
         frames.append(
             Frame(
                 t,
                 {
-                    "flip": Message("flip", t, kind, shared),
+                    "plan": Message("plan", t, MessageKind.PLANNING, shared),
                     "a": Message("a", t, MessageKind.LOCALIZATION, shared if i % 2 else other),
                     "\u00fcber": Message("\u00fcber", t, MessageKind.IMAGE_REF, {"ref": f"f{i}"}),
                     # Equal to the previous frame's payload, but not the same text.
@@ -320,7 +331,7 @@ def _hand_built():
         )
     # Equal to the frame's time but not the same object: the tail is re-encoded.
     frames.append(Frame(50, {name: m.retimed(50.0) for name, m in frames[-1].messages.items()}))
-    return AlignedRecording(tuple(frames), ("flip", "a", "\u00fcber", "n"))
+    return AlignedRecording(tuple(frames), ("plan", "a", "\u00fcber", "n"))
 
 
 class TestJsonlDifferential:
@@ -345,7 +356,7 @@ class TestJsonlDifferential:
         in_frames = [f.messages[n] for f in ar.frames for n in sorted(ar.channel_names)]
         expected = _reference_jsonl(in_frames)
         assert "".join(aligned_jsonl(ar)) == expected
-        assert '"kind": "planning"' in expected and '"kind": "obstacle"' in expected
+        assert '"channel": "plan", "kind": "planning"' in expected
         assert '"t_ns": 50.0}' in expected
 
     def test_hand_built_unaligned_recording(self):
@@ -435,19 +446,15 @@ class TestAlignment:
         with pytest.raises(ValueError, match="does not cover"):
             AlignedRecording((f0, f1), ("a", "b"))
 
+    def test_aligned_recording_keeps_one_kind_per_channel(self):
+        f0 = Frame(0, {"a": msg("a", 0, MessageKind.OBSTACLE), "b": msg("b", 0)})
+        f1 = Frame(10, {"a": msg("a", 10, MessageKind.PLANNING), "b": msg("b", 10)})
+        with pytest.raises(ValueError, match=r"channel 'a' is 'obstacle' in the first frame but carries 'planning' at t=10"):
+            AlignedRecording((f0, f1), ("a", "b"))
+
     def test_aligned_recording_requires_increasing_times(self):
         f0 = Frame(10, {"a": msg("a", 10)})
         f1 = Frame(10, {"a": msg("a", 10)})
         with pytest.raises(ValueError, match="strictly increasing"):
             AlignedRecording((f0, f1), ("a",))
 
-
-class TestSlice:
-    def test_slice_bounds(self):
-        ar = align_recording(rec(chan("cam", [0, 100, 200, 300])))
-        sub = slice_recording(ar, 1, 2)
-        assert [f.t_ns for f in sub.frames] == [100, 200]
-        with pytest.raises(ValueError, match="out of range"):
-            slice_recording(ar, 2, 9)
-        with pytest.raises(ValueError, match="out of range"):
-            slice_recording(ar, -1, 2)

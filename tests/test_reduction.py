@@ -139,12 +139,14 @@ class TestConfig:
 class TestReduce:
     def test_composition_hand_traced(self):
         cfg = ReductionConfig(window_w=1, clip_n=45, warmup_frames=10)
-        segs, vecs = reduce_vectors(stream([A] * 20 + [B] * 50 + [A] * 5), cfg)
+        segs, before_dedup = reduce_vectors(stream([A] * 20 + [B] * 50 + [A] * 5), cfg)
         assert [(s.id, s.start_idx, s.end_idx, s.warmup_start_idx) for s in segs] == [
             (0, 0, 19, 0),
             (1, 20, 64, 10),
         ]
-        assert values(vecs) == [A, B]
+        assert values([s.vector for s in segs]) == [A, B]
+        # The trailing A run is segment 2 until dedup drops it.
+        assert before_dedup == 3
         assert segs[1].length == 45
         assert segs[1].length_with_warmup == 55
 
@@ -152,7 +154,7 @@ class TestReduce:
         cfg = ReductionConfig()
         vectors = encode_recording(benchmark_aligned, registry)
         segs, before_dedup = reduce_recording(benchmark_aligned, vectors, cfg)
-        assert segs == reduce_vectors(vectors, cfg)[0]
+        assert (segs, before_dedup) == reduce_vectors(vectors, cfg)
         assert before_dedup == len(segment(smooth(vectors, cfg.window_w))) > len(segs)
 
     def test_reduce_recording_checks_vector_count(self, benchmark_aligned, registry):

@@ -142,7 +142,7 @@ def replayed(request):
     for kind in MODULE_KINDS:
         module = make_module(kind)
         for mutated in [module, *(apply_mutant(module, m) for m in mutants if m.module == kind)]:
-            result = replay_segment(mutated, ar.frames, 0, fps)
+            result = replay_segment(mutated, ar.frames, fps=fps)
             replays.append((ModuleFilter.for_module(kind, registry), result))
     distinct = [[] for _ in ar.frames]
     for _, result in replays:
@@ -226,7 +226,7 @@ def test_replayed_vectors_offset_by_warmup(registry):
     mutant = next(m for m in BUILTIN_MUTANTS["benchmark"]() if m.module == "planning")
     mutated = apply_mutant(make_module("planning"), mutant)
     for lo, hi, warmup in ((0, 60, 15), (285, 330, 15), (1000, 1044, 0), (2390, 2399, 5)):
-        result = replay_segment(mutated, ar.frames[lo : hi + 1], warmup, grid_fps(ar))
+        result = replay_segment(mutated, ar.frames[lo : hi + 1], warmup, fps=grid_fps(ar))
         got = _replayed_vectors(ar, result, lo, vectors, FrameEncoder(registry, flt))
         frames = ar.frames[lo + warmup : hi + 1]
         assert [v.t_ns for v in got] == [f.t_ns for f in frames]

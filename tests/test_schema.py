@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from strap.fileio import atomic_write_json
 from strap.recording import Frame, Message, MessageKind
 from strap.schema import (
     MODULE_KINDS,
@@ -17,7 +18,6 @@ from strap.schema import (
     load_registry,
     registry_from_json,
     registry_to_json,
-    save_registry,
 )
 
 
@@ -68,7 +68,7 @@ class TestRegistry:
 
     def test_json_round_trip(self, registry, tmp_path):
         p = tmp_path / "schema.json"
-        save_registry(registry, p)
+        atomic_write_json(p, registry_to_json(registry))
         again = load_registry(p)
         assert registry_to_json(again) == registry_to_json(registry)
 

@@ -311,7 +311,7 @@ class TestReplay:
 
     def test_warmup_arithmetic(self):
         ar = self.make_aligned(60, [SceneEvent(0, RED_LIGHT)])
-        result = replay_segment(make_module("planning"), ar.frames, warmup_frames=15)
+        result = replay_segment(make_module("planning"), ar.frames, warmup_frames=15, fps=grid_fps(ar))
         assert len(result.messages) == 60
         assert len(result.comparable) == 45
         assert result.comparable[0] is result.messages[15]
@@ -324,7 +324,7 @@ class TestReplay:
                 SceneEvent(1, {"obstacles": [{"actor": "pedestrian", "action": "cross"}]}),
             ],
         )
-        result = replay_segment(make_module("prediction"), ar.frames)
+        result = replay_segment(make_module("prediction"), ar.frames, fps=grid_fps(ar))
         # Frame 1 is not a native prediction tick, so frame 0's tracks hold.
         assert result.messages[0].payload["tracks"] == [{"actor": "vehicle", "action": "stop"}]
         assert result.messages[1].payload == result.messages[0].payload
@@ -333,34 +333,36 @@ class TestReplay:
     def test_clean_replay_matches_recording(self):
         ar = self.make_aligned(45, [SceneEvent(0, {**RED_LIGHT, **CAR_STOPPED})])
         for kind in ("traffic_light", "obstacle", "prediction", "planning"):
-            result = replay_segment(make_module(kind), ar.frames)
+            result = replay_segment(make_module(kind), ar.frames, fps=grid_fps(ar))
             for out, frame in zip(result.messages, ar.frames):
                 assert out.payload == frame.messages[kind].payload, kind
 
     def test_call_counts(self):
         ar = self.make_aligned(10, [SceneEvent(0, RED_LIGHT)])
-        result = replay_segment(make_module("traffic_light"), ar.frames)
+        result = replay_segment(make_module("traffic_light"), ar.frames, fps=grid_fps(ar))
         assert result.call_counts["classify_color"] == 10
         assert result.call_counts["classify_shape"] == 10
-        planner = replay_segment(make_module("planning"), ar.frames)
+        planner = replay_segment(make_module("planning"), ar.frames, fps=grid_fps(ar))
         assert planner.call_counts["plan_step"] == 10
 
     def test_module_state_is_not_shared_between_replays(self):
         ar = self.make_aligned(10, [SceneEvent(0, RED_LIGHT)])
         module = make_module("traffic_light")
-        replay_segment(module, ar.frames)
+        replay_segment(module, ar.frames, fps=grid_fps(ar))
         assert sum(module.call_log.values()) == 0
 
     def test_errors(self):
         ar = self.make_aligned(10)
         module = make_module("planning")
+        with pytest.raises(TypeError, match="fps"):
+            replay_segment(module, ar.frames)
         with pytest.raises(SynthError, match="at least one frame"):
-            replay_segment(module, [])
+            replay_segment(module, [], fps=grid_fps(ar))
         with pytest.raises(SynthError, match="warmup_frames 10 outside"):
-            replay_segment(module, ar.frames, warmup_frames=10)
+            replay_segment(module, ar.frames, warmup_frames=10, fps=grid_fps(ar))
         lone = Frame(0, {"image": Message("image", 0, MessageKind.IMAGE_REF, {})})
         with pytest.raises(SynthError, match="needs channel kind"):
-            replay_segment(module, [lone])
+            replay_segment(module, [lone], fps=grid_fps(ar))
         doubled = Frame(
             0,
             {
@@ -372,7 +374,7 @@ class TestReplay:
             },
         )
         with pytest.raises(SynthError, match="2 channels of kind 'planning'"):
-            replay_segment(module, [doubled])
+            replay_segment(module, [doubled], fps=grid_fps(ar))
 
 
 @pytest.fixture(scope="module")
@@ -512,14 +514,14 @@ class TestFrameRate:
         predictor = make_module("prediction")
         # Emitting on two of every three frames, the predictor classifies
         # each tick's obstacles: 2000 calls at the true rate, 2250 at 15 fps.
-        assert replay_segment(predictor, ar.frames, 0, 10).call_counts["predict_action"] == 2000
-        assert replay_segment(predictor, ar.frames, 0, 15).call_counts["predict_action"] == 2250
+        assert replay_segment(predictor, ar.frames, fps=10).call_counts["predict_action"] == 2000
+        assert replay_segment(predictor, ar.frames, fps=15).call_counts["predict_action"] == 2250
         mutant = Mutant("m", "prediction", "stop_max_speed", "change_constant", 0.5)
         report = run_regression(ten_fps_recording, "prediction", [mutant], repetitions=2)
         flt = ModuleFilter.for_module("prediction", registry)
         segments, _ = reduce_recording(ar, encode_recording(ar, registry, flt), ReductionConfig())
         assert report.details["call_counts"] == [
-            replay_segment(predictor, ar.frames[s.start_idx : s.end_idx + 1], 0, 10)
+            replay_segment(predictor, ar.frames[s.start_idx : s.end_idx + 1], fps=grid_fps(ar))
             .call_counts.get("predict_action", 0)
             for s in segments
         ]
