@@ -153,6 +153,8 @@ def _vectors_from_doc(doc: Mapping[str, Any]) -> tuple[str, list[FrameVector]]:
         rows = doc["vectors"]
         if len(times) != len(rows):
             raise UsageError(f"{len(times)} timestamps for {len(rows)} vectors")
+        if not rows:
+            raise UsageError("invalid vectors document: no frames")
         return doc.get("module", "all"), [
             FrameVector(tuple(int(x) for x in row), int(t)) for t, row in zip(times, rows)
         ]

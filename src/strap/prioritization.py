@@ -83,8 +83,6 @@ def rarity_weights(frame_vectors: Sequence[FrameVector], normalize: bool = True)
 def _score_exact(values: Sequence[int], w: RarityWeights, mode: str) -> Fraction:
     if len(values) != len(w.weights):
         raise ValueError(f"vector length {len(values)} does not match {len(w.weights)} weights")
-    if mode not in RARITY_MODES:
-        raise ValueError(f"unknown rarity mode {mode!r}")
     total = Fraction(0)
     for x, wt in zip(values, w.weights):
         if x != 0:
@@ -115,6 +113,8 @@ def prioritize_rsc(
     Weights are computed from the full recording's frame vectors unless a
     precomputed RarityWeights is supplied.
     """
+    if rarity_mode not in RARITY_MODES:
+        raise ValueError(f"unknown rarity mode {rarity_mode!r}")
     if weights is None:
         if frame_vectors is None:
             raise ValueError("prioritize_rsc needs frame_vectors or precomputed weights")

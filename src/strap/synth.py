@@ -14,6 +14,12 @@ parameters, replaying an unmutated module over its own glitch-free recording
 reproduces the recorded channel exactly. Modules replay at their native
 rate: the predictor only recomputes on its emission ticks and repeats its
 held output in between, which is why replays include a warm-up prefix.
+
+The regression runner relies on that purity: it replays each mutant once
+over the whole recording and derives every segment's verdict from that one
+replay. A segment replay differs from the whole replay only where its cold
+start (the first frame always computes) falls on a frame that is not an
+emission tick; that run of frames is corrected separately.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -258,6 +265,11 @@ class ToyModule:
     invert exactly one named comparison. call_log counts classifier calls
     per replay; replays always work on a fresh copy so counters are never
     shared.
+
+    compute must be pure: its output depends only on the one frame's inputs,
+    self.params and self.flipped, never on earlier calls (call_log is the
+    only state it may touch). run_prepared derives segment verdicts from one
+    whole-recording replay on that assumption.
     """
 
     kind: str = ""
@@ -914,6 +926,61 @@ def prepare_recording(
     )
 
 
+def _whole_replay(
+    prepared: PreparedRecording, mutated: ToyModule, encoder: FrameEncoder
+) -> tuple[FaultVerdict, list[int], str]:
+    """Replay a mutated module once over the whole prepared recording.
+
+    Returns the whole-recording verdict, the running mismatch count (frame i
+    mismatches when prefix[i + 1] - prefix[i] is 1) and the output channel.
+    The replay and its vectors die on return, so only one mutant's replay is
+    alive at a time.
+    """
+    ar, vectors = prepared.aligned, prepared.vectors
+    result = replay_segment(mutated, ar.frames, 0, fps=prepared.fps)
+    replayed = _replayed_vectors(ar, result, 0, vectors, encoder)
+    whole = Segment(WHOLE_RECORDING_SEGMENT_ID, 0, len(ar.frames) - 1, vectors[0], 0)
+    verdict = compare_outputs(vectors, replayed, whole)
+    prefix = list(accumulate((a.values != b.values for a, b in zip(vectors, replayed)), initial=0))
+    return verdict, prefix, result.messages[0].channel
+
+
+def _segment_mismatches(
+    prepared: PreparedRecording,
+    mutated: ToyModule,
+    encoder: FrameEncoder,
+    s: Segment,
+    prefix: Sequence[int],
+    channel: str,
+) -> int:
+    """Mismatched comparable frames of segment s, as its own replay would count them.
+
+    The segment replay starts at warmup_start_idx and computes there
+    whatever the tick. From the next emission tick on it computes on the
+    same frames as the whole replay and, compute being pure, agrees with it.
+    Only the frames before that tick hold the cold-start output, where the
+    whole replay holds the previous tick's; those that are comparable swap
+    the whole replay's mismatch for the cold-start one.
+    """
+    count = prefix[s.end_idx + 1] - prefix[s.start_idx]
+    ar, vectors, fps = prepared.aligned, prepared.vectors, prepared.fps
+    lo, frames = s.warmup_start_idx, ar.frames
+    if lo == 0 or mutated.emits_at(_frame_index(frames[lo].t_ns, fps)):
+        return count
+    tick = lo + 1
+    while tick <= s.end_idx and not mutated.emits_at(_frame_index(frames[tick].t_ns, fps)):
+        tick += 1
+    first = max(lo, s.start_idx)
+    if tick <= first:
+        # The cold-start run ends inside the warm-up.
+        return count
+    cold = mutated.fresh().compute({m.kind: m.payload for m in frames[lo].messages.values()})
+    held = tuple(Message(channel, f.t_ns, mutated.publish_kind, cold) for f in frames[first:tick])
+    replayed = _replayed_vectors(ar, ReplayResult(held, 0, {}), first, vectors, encoder)
+    cold_mismatches = sum(a.values != b.values for a, b in zip(vectors[first:tick], replayed))
+    return count - (prefix[tick] - prefix[first]) + cold_mismatches
+
+
 def _strategy_names(strategies: Sequence[str]) -> list[str]:
     try:
         return parse_strategies(strategies)
@@ -936,8 +1003,10 @@ def run_prepared(
     prepared module is replayed. Mutants targeting other modules cannot
     change this module's outputs (every toy module is a pure function of its
     inputs and its own parameters), so they are recorded as clean verdicts
-    without replay. Replays run at the frame rate of the aligned grid.
-    Strategy names are checked before any replay.
+    without replay. Each own mutant replays once over the whole recording,
+    and each segment's verdict is the one a replay of that segment with its
+    warm-up would give (_segment_mismatches). Replays run at the frame rate
+    of the aligned grid. Strategy names are checked before any replay.
     """
     strategies = _strategy_names(strategies)
     ar, fps, module_kind, cfg = prepared.aligned, prepared.fps, prepared.module, prepared.cfg
@@ -949,22 +1018,17 @@ def run_prepared(
     own = [m for m in mutants if m.module == module_kind]
     foreign = [m for m in mutants if m.module != module_kind]
 
-    # The whole recording replays as one more segment, with no warm-up.
-    whole = Segment(WHOLE_RECORDING_SEGMENT_ID, 0, n_frames - 1, vectors[0], 0)
+    # One whole-recording replay per mutant; every segment verdict derives from it.
     results: dict[str, dict[str, Any]] = {}
     for mutant in own:
         mutated = apply_mutant(module, mutant)
-        verdicts = {}
-        for s in (whole, *segments):
-            result = replay_segment(
-                mutated,
-                ar.frames[s.warmup_start_idx : s.end_idx + 1],
-                s.start_idx - s.warmup_start_idx,
-                fps=fps,
+        full, prefix, channel = _whole_replay(prepared, mutated, encoder)
+        verdicts = {
+            s.id: FaultVerdict(
+                s.id, _segment_mismatches(prepared, mutated, encoder, s, prefix, channel), s.length
             )
-            replayed = _replayed_vectors(ar, result, s.warmup_start_idx, vectors, encoder)
-            verdicts[s.id] = compare_outputs(vectors[s.start_idx : s.end_idx + 1], replayed, s)
-        full = verdicts.pop(WHOLE_RECORDING_SEGMENT_ID)
+            for s in segments
+        }
         results[mutant.id] = {"mutant": mutant, "full": full, "segments": verdicts}
 
     clean = {s.id: FaultVerdict(s.id, 0, s.length) for s in segments}

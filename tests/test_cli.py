@@ -200,6 +200,14 @@ class TestPipelineCommands:
         assert main(["reduce", "--in", str(vec), "--module", "obstacle", "--out", str(tmp_path / "x.json")]) == 0
         assert "keeping it" in capsys.readouterr().err
 
+    def test_reduce_rejects_empty_vectors_document(self, tmp_path, capsys):
+        vec = tmp_path / "empty.json"
+        vec.write_text(json.dumps({"module": "all", "t_ns": [], "vectors": []}))
+        out = tmp_path / "segments.json"
+        assert main(["reduce", "--in", str(vec), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: invalid vectors document: no frames\n"
+        assert not out.exists()
+
     def test_prioritize_directory_and_file_modes(self, work, tmp_path):
         vec = tmp_path / "vectors.json"
         seg = tmp_path / "segments.json"

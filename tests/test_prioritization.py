@@ -68,6 +68,9 @@ class TestWeights:
         assert prioritize_rsc(segments, weights=w, rarity_mode="literal").scores == pytest.approx((1.0,))
         with pytest.raises(ValueError, match="unknown rarity mode"):
             prioritize_rsc(segments, weights=w, rarity_mode="harmonic")
+        # The mode is checked before scoring, so no segments is no escape.
+        with pytest.raises(ValueError, match="unknown rarity mode"):
+            prioritize_rsc([], weights=w, rarity_mode="harmonic")
 
 
 class TestStrategies:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -15,6 +16,7 @@ from strap.benchmarks import (
     rare_fault_mutants,
     rare_fault_script,
 )
+from strap.evaluation import compare_outputs
 from strap.recording import (
     AlignedRecording,
     Frame,
@@ -24,7 +26,7 @@ from strap.recording import (
     dump_recording_jsonl,
 )
 from strap.reduction import ReductionConfig, reduce_recording
-from strap.schema import MODULE_KINDS, ModuleFilter, encode_recording
+from strap.schema import MODULE_KINDS, FrameEncoder, ModuleFilter, encode_recording
 from strap.synth import (
     CHANNEL_OFFSETS_NS,
     MUTATION_OPERATORS,
@@ -33,6 +35,10 @@ from strap.synth import (
     ScenarioScript,
     SceneEvent,
     SynthError,
+    _frame_index,
+    _replayed_vectors,
+    _segment_mismatches,
+    _whole_replay,
     apply_mutant,
     generate_recording,
     grid_fps,
@@ -453,6 +459,78 @@ class TestRegression:
         report, plans = run_prepared(prepared, [], strategies=("ch", "RD", "Ch"), repetitions=2)
         assert list(plans) == ["CH", "RD"]
         assert list(report.apfd) == ["CH", "RD"]
+
+
+DERIVED_CONFIGS = {
+    "default": ReductionConfig(),
+    "no-warmup": ReductionConfig(warmup_frames=0),
+    "clip-1": ReductionConfig(clip_n=1),
+    "no-warmup-clip-1": ReductionConfig(warmup_frames=0, clip_n=1),
+}
+
+
+def segment_replay_mismatches(prepared, mutated, s, encoder):
+    """Reference: replay segment s alone, with its warm-up, and compare."""
+    ar, vectors = prepared.aligned, prepared.vectors
+    result = replay_segment(
+        mutated,
+        ar.frames[s.warmup_start_idx : s.end_idx + 1],
+        s.start_idx - s.warmup_start_idx,
+        fps=prepared.fps,
+    )
+    replayed = _replayed_vectors(ar, result, s.warmup_start_idx, vectors, encoder)
+    return compare_outputs(vectors[s.start_idx : s.end_idx + 1], replayed, s).mismatched_frames
+
+
+@pytest.fixture(scope="module", params=["benchmark_recording", "noisy_recording", "rare_recording"])
+def builtin_aligned(request):
+    return align_recording(request.getfixturevalue(request.param))
+
+
+class TestDerivedVerdicts:
+    """Segment verdicts derived from one whole replay equal per-segment replays."""
+
+    @pytest.mark.parametrize("cfg_name", sorted(DERIVED_CONFIGS))
+    def test_matches_per_segment_replays(self, builtin_aligned, registry, cfg_name):
+        builtin = [m for make in BUILTIN_MUTANTS.values() for m in make()]
+        for kind in MODULE_KINDS:
+            prepared = prepare_recording(builtin_aligned, kind, DERIVED_CONFIGS[cfg_name], registry)
+            # Random ids ("pl1") can repeat built-in ones; the report keys by id.
+            randoms = [dataclasses.replace(m, id=f"r-{m.id}") for m in random_mutants(kind, 8, seed=5)]
+            mutants = [m for m in builtin if m.module == kind] + randoms
+            report, _ = run_prepared(prepared, mutants, ("CH",), repetitions=1)
+            encoder = FrameEncoder(registry, ModuleFilter.for_module(kind, registry))
+            module = make_module(kind)
+            for m in mutants:
+                mutated = apply_mutant(module, m)
+                rows = report.details["mutants"][m.id]["segments"]
+                assert len(rows) == len(prepared.segments)
+                for s in prepared.segments:
+                    expected = segment_replay_mismatches(prepared, mutated, s, encoder)
+                    assert rows[str(s.id)]["mismatched_frames"] == expected, (kind, m.id, s.id)
+
+    def test_cold_start_correction_is_live(self, registry):
+        # A pedestrian appears on frame 10, which is not a prediction tick:
+        # the recording and the whole replay still hold frame 9's tracks
+        # there. With no warm-up, the one-frame segment starting on frame 10
+        # compares its own cold-start output, which sees the pedestrian.
+        events = [
+            SceneEvent(0, CAR_STOPPED),
+            SceneEvent(10, {"obstacles": [{"actor": "pedestrian", "action": "cross"}]}),
+        ]
+        ar = align_recording(generate_recording(script(30, events=events), 0))
+        cfg = ReductionConfig(warmup_frames=0)
+        prepared = prepare_recording(ar, "prediction", cfg, registry)
+        (s,) = [s for s in prepared.segments if s.start_idx == 10]
+        module = make_module("prediction")
+        assert not module.emits_at(_frame_index(ar.frames[10].t_ns, prepared.fps))
+        encoder = FrameEncoder(registry, ModuleFilter.for_module("prediction", registry))
+        mutant = Mutant("slow", "prediction", "stop_max_speed", "change_constant", 0.0)
+        for mutated in (module, apply_mutant(module, mutant)):
+            _, prefix, channel = _whole_replay(prepared, mutated, encoder)
+            got = _segment_mismatches(prepared, mutated, encoder, s, prefix, channel)
+            assert got == segment_replay_mismatches(prepared, mutated, s, encoder)
+            assert got != prefix[s.end_idx + 1] - prefix[s.start_idx]
 
 
 class TestPreparedRecording:
