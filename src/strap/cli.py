@@ -164,6 +164,15 @@ def _vectors_from_doc(doc: Mapping[str, Any]) -> tuple[str, list[FrameVector]]:
         raise UsageError(f"invalid vectors document: {exc}") from exc
 
 
+def _call_counts_from_doc(doc: Any) -> list[int]:
+    if not isinstance(doc, list):
+        raise UsageError("invalid call counts document: expected a JSON list")
+    try:
+        return [int(c) for c in doc]
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"invalid call counts document: {exc}") from exc
+
+
 def _module_vectors(rec: Recording, registry: SchemaRegistry, module: str) -> list[FrameVector]:
     flt = ModuleFilter.for_module(module, registry)
     return encode_recording(align_recording(rec), registry, flt)
@@ -242,7 +251,7 @@ def _cmd_prioritize(args: argparse.Namespace) -> None:
         _, vectors = _vectors_from_doc(read_json(_require_file(args.vectors)))
     call_counts = None
     if args.call_counts:
-        call_counts = [int(c) for c in read_json(_require_file(args.call_counts))]
+        call_counts = _call_counts_from_doc(read_json(_require_file(args.call_counts)))
     if "RSC" in strategies and vectors is None:
         raise UsageError("RSC needs --vectors for rarity weights")
     if "CC" in strategies and call_counts is None:
@@ -390,11 +399,7 @@ def _cmd_run_regression(args: argparse.Namespace) -> None:
         skipped = len(mutants) - len(own)
         if skipped:
             _say(f"note: {skipped} mutant(s) target other modules and replay clean")
-        ar = align_recording(rec)
-        # Only the aligned frames are read from here on; the loaded messages
-        # would stay alive through encode, replay and the artifact writes.
-        del rec
-        prepared = prepare_recording(ar, args.module, cfg, registry)
+        prepared = prepare_recording(align_recording(rec), args.module, cfg, registry)
         report, plans = run_prepared(prepared, mutants, strategies, **kwargs)
         if args.artifacts_dir:
             _write_regression_artifacts(Path(args.artifacts_dir), prepared, report, plans)

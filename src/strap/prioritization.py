@@ -33,7 +33,6 @@ class RarityWeights:
     """Per-dimension weights derived from non-zero frame counts."""
 
     weights: tuple[Fraction, ...]
-    normalized: bool
 
 
 @dataclass(frozen=True)
@@ -77,7 +76,7 @@ def rarity_weights(frame_vectors: Sequence[FrameVector], normalize: bool = True)
         total = sum(raw)
         if total:
             raw = [w / total for w in raw]
-    return RarityWeights(tuple(raw), normalized=normalize)
+    return RarityWeights(tuple(raw))
 
 
 def _score_exact(values: Sequence[int], w: RarityWeights, mode: str) -> Fraction:

@@ -51,10 +51,6 @@ class Message:
         if self.t_ns < 0:
             raise ValueError(f"negative timestamp {self.t_ns} on channel {self.channel!r}")
 
-    def retimed(self, t_ns: TimestampNs) -> "Message":
-        """Copy of this message stamped with a new timestamp."""
-        return Message(self.channel, t_ns, self.kind, self.payload)
-
 
 @dataclass(frozen=True)
 class Channel:
@@ -98,23 +94,14 @@ class Recording:
 
 @dataclass(frozen=True)
 class Frame:
-    """One aligned time slice: exactly one message per channel, all at t_ns."""
+    """One aligned time slice: each channel's recorded message for grid time t_ns.
+
+    Messages keep their recorded timestamps; t_ns is the frame's only grid
+    time, and replay ticks, vectors and the aligned JSONL read it.
+    """
 
     t_ns: TimestampNs
     messages: Mapping[str, Message]
-
-    def __post_init__(self) -> None:
-        for name, m in self.messages.items():
-            if m.t_ns != self.t_ns:
-                raise ValueError(
-                    f"frame at t={self.t_ns} holds channel {name!r} message at t={m.t_ns}"
-                )
-
-    def by_kind(self, kind: MessageKind) -> tuple[Message, ...]:
-        """Messages of the given kind, ordered by channel name."""
-        return tuple(
-            self.messages[name] for name in sorted(self.messages) if self.messages[name].kind is kind
-        )
 
 
 @dataclass(frozen=True)
@@ -123,6 +110,8 @@ class AlignedRecording:
 
     Every frame covers the same channels, and each channel keeps one message
     kind, as in a Channel: encoders take the encoding order from one frame.
+    Frames select recorded messages without copying them, so one message may
+    fill several consecutive frames.
     """
 
     frames: tuple[Frame, ...]
@@ -152,11 +141,14 @@ class AlignedRecording:
         return len(self.frames)
 
     def to_recording(self) -> Recording:
-        """Reinterpret the aligned frames as a plain recording."""
+        """A plain recording of the frames, each message stamped with its frame's time."""
         channels = {}
         for name in self.channel_names:
-            msgs = tuple(f.messages[name] for f in self.frames)
-            channels[name] = Channel(name, msgs[0].kind, msgs)
+            msgs = []
+            for f in self.frames:
+                m = f.messages[name]
+                msgs.append(Message(m.channel, f.t_ns, m.kind, m.payload))
+            channels[name] = Channel(name, msgs[0].kind, tuple(msgs))
         return Recording(channels)
 
 
@@ -303,20 +295,19 @@ def dump_recording_jsonl(rec: Recording) -> str:
 def aligned_jsonl(ar: AlignedRecording) -> Iterator[str]:
     """The JSONL of ``dump_recording_jsonl(ar.to_recording())``, one chunk per frame.
 
-    Frame times strictly increase and every frame holds one message per
-    channel, so frame order then channel-name order is already the dump's
-    (t_ns, channel) order: nothing is sorted and the text is never whole.
+    Every line is stamped with its frame's time. Frame times strictly
+    increase and every frame holds one message per channel, so frame order
+    then channel-name order is already the dump's (t_ns, channel) order:
+    nothing is sorted and the text is never whole.
     """
     names = sorted(ar.channel_names)
     heads: dict[str, str] = {}
     for frame in ar.frames:
-        t = frame.t_ns
-        tail = _tail(t)
+        tail = _tail(frame.t_ns)
         parts = []
         for name in names:
             m = frame.messages[name]
-            end = tail if m.t_ns is t else _tail(m.t_ns)
-            parts.append(_head(heads, m) + _encode(m.payload) + end)
+            parts.append(_head(heads, m) + _encode(m.payload) + tail)
         yield "".join(parts)
 
 
@@ -326,11 +317,12 @@ def align_recording(rec: Recording) -> AlignedRecording:
     The reference channel is the one with the most messages (ties broken by
     lexicographically smallest name). For each reference timestamp t_i, a
     target channel contributes the last of its messages with timestamp in
-    [t_i, t_{i+1}), retimed to t_i. Reference timestamps where a target has
-    no such message receive a copy of the target's most recent earlier
-    message. Leading reference timestamps for which some channel has no
-    message at or before the next reference tick are dropped; messages after
-    the final reference timestamp are never aligned.
+    [t_i, t_{i+1}). Reference timestamps where a target has no such message
+    receive the target's most recent earlier message. Frames hold the
+    recorded Message objects themselves, not copies. Leading reference
+    timestamps for which some channel has no message at or before the next
+    reference tick are dropped; messages after the final reference timestamp
+    are never aligned.
     """
     for name, ch in rec.channels.items():
         if not ch.messages:
@@ -367,8 +359,7 @@ def align_recording(rec: Recording) -> AlignedRecording:
 
     frames = []
     for i in range(start, n):
-        t = ref_times[i]
-        frames.append(Frame(t, {name: slotted[name][i].retimed(t) for name in slotted}))
+        frames.append(Frame(ref_times[i], {name: slotted[name][i] for name in slotted}))
     if not frames:
         raise AlignmentError("no alignable frames")
     return AlignedRecording(tuple(frames), tuple(sorted(rec.channels)))

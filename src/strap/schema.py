@@ -124,16 +124,6 @@ class SchemaRegistry:
     def __len__(self) -> int:
         return len(self.dimensions)
 
-    def index(self, name: str) -> int:
-        for i, d in enumerate(self.dimensions):
-            if d.name == name:
-                return i
-        raise SchemaError(f"unknown dimension {name!r}")
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(d.name for d in self.dimensions)
-
 
 @dataclass(frozen=True)
 class FrameVector:

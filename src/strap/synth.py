@@ -190,6 +190,8 @@ def script_to_json(script: ScenarioScript) -> dict[str, Any]:
 
 
 def script_from_json(doc: Mapping[str, Any]) -> ScenarioScript:
+    if not isinstance(doc, Mapping):
+        raise SynthError("invalid scenario script: expected a JSON object")
     try:
         events = tuple(
             SceneEvent(
@@ -238,6 +240,8 @@ def mutants_to_json(mutants: Sequence[Mutant]) -> list[dict[str, Any]]:
 
 
 def mutants_from_json(doc: Sequence[Mapping[str, Any]]) -> list[Mutant]:
+    if not isinstance(doc, (list, tuple)):
+        raise SynthError("invalid mutants document: expected a JSON list")
     try:
         return [
             Mutant(
@@ -857,15 +861,17 @@ def _replayed_vectors(
 ) -> list[FrameVector]:
     """Vectors of a replay's comparable frames, frame lo being its first.
 
-    A frame whose replayed message equals the recorded one on that channel
-    is unchanged, so its recorded vector is reused; only the other frames
-    are encoded, with the replayed message swapped in.
+    A frame whose replayed payload equals the recorded payload on that
+    channel (of the same kind) is unchanged, so its recorded vector is
+    reused; only the other frames are encoded, with the replayed message
+    swapped in.
     """
     out = []
     order = None
     for i, msg in enumerate(result.comparable, lo + result.warmup_frames):
         frame = ar.frames[i]
-        if frame.messages.get(msg.channel) == msg:
+        recorded = frame.messages.get(msg.channel)
+        if recorded is not None and recorded.kind is msg.kind and recorded.payload == msg.payload:
             out.append(vectors[i])
             continue
         swapped = _swap_channel(frame, msg)
@@ -878,16 +884,31 @@ def _replayed_vectors(
 
 
 def grid_fps(ar: AlignedRecording) -> int:
-    """Frame rate of the aligned grid, from its first and last timestamps."""
-    n = len(ar.frames)
+    """Frame rate of the aligned grid, from its first and last timestamps.
+
+    Replay maps each frame to the emission tick _frame_index(t_ns, fps), so
+    the grid must put consecutive frames on consecutive ticks; SynthError
+    names the first frame that does not.
+    """
+    frames = ar.frames
+    n = len(frames)
     if n < 2:
         # A one-frame replay computes only its cold start and never reads
         # the rate.
         return 1
-    span = ar.frames[-1].t_ns - ar.frames[0].t_ns
+    span = frames[-1].t_ns - frames[0].t_ns
     fps = round(NS_PER_SEC * (n - 1) / span)
     if fps < 1:
         raise SynthError(f"frame grid of {n} frames over {span} ns is below 1 fps")
+    prev = _frame_index(frames[0].t_ns, fps)
+    for i in range(1, n):
+        tick = _frame_index(frames[i].t_ns, fps)
+        if tick != prev + 1:
+            raise SynthError(
+                f"irregular frame grid: frame {i} (t={frames[i].t_ns} ns) falls on tick "
+                f"{tick} at {fps} fps, after tick {prev}"
+            )
+        prev = tick
     return fps
 
 
@@ -981,7 +1002,17 @@ def _segment_mismatches(
     return count - (prefix[tick] - prefix[first]) + cold_mismatches
 
 
-def _strategy_names(strategies: Sequence[str]) -> list[str]:
+def _check_run_inputs(strategies: Sequence[str], mutants: Sequence[Mutant]) -> list[str]:
+    """Parsed strategy names; SynthError on an unknown name or a repeated mutant id.
+
+    Results are keyed by mutant id, so a repeated id would silently replace
+    the first mutant's verdicts.
+    """
+    seen: set[str] = set()
+    for m in mutants:
+        if m.id in seen:
+            raise SynthError(f"duplicate mutant id {m.id!r}")
+        seen.add(m.id)
     try:
         return parse_strategies(strategies)
     except ValueError as exc:
@@ -1006,9 +1037,10 @@ def run_prepared(
     without replay. Each own mutant replays once over the whole recording,
     and each segment's verdict is the one a replay of that segment with its
     warm-up would give (_segment_mismatches). Replays run at the frame rate
-    of the aligned grid. Strategy names are checked before any replay.
+    of the aligned grid. Strategy names and mutant ids are checked before
+    any replay.
     """
-    strategies = _strategy_names(strategies)
+    strategies = _check_run_inputs(strategies, mutants)
     ar, fps, module_kind, cfg = prepared.aligned, prepared.fps, prepared.module, prepared.cfg
     vectors, segments, registry = prepared.vectors, prepared.segments, prepared.registry
     encoder = FrameEncoder(registry, ModuleFilter.for_module(module_kind, registry))
@@ -1184,7 +1216,7 @@ def run_benchmark(
     Top-K are averaged over the module runs where they are defined; frame
     totals are summed.
     """
-    strategies = _strategy_names(strategies)
+    strategies = _check_run_inputs(strategies, mutants)
     ar = align_recording(recording)
     sub: dict[str, MetricsReport] = {}
     for kind in MODULE_KINDS:

@@ -352,3 +352,95 @@ class TestRegressionCommand:
         assert rc == 0
         report = json.loads(out.read_text())
         assert set(report["details"]["modules"]) == {"traffic_light", "obstacle", "prediction", "planning"}
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(work):
+    """One valid file for every flag that reads a document, built by the CLI itself."""
+    root = work["root"] / "valid"
+    art = root / "art"
+    schema = root / "schema.json"
+    assert main(["synth-generate", "--script", str(work["script"]), "--schema-out", str(schema),
+                 "--out", str(root / "unused.jsonl")]) == 0
+    assert main(["run-regression", "--in", str(work["rec"]), "--module", "planning",
+                 "--mutants", str(work["mutants"]), "--strategies", "CH", "--repetitions", "2",
+                 "--artifacts-dir", str(art), "--out", str(root / "r.json")]) == 0
+    return {
+        "rec": work["rec"], "script": work["script"], "mutants": work["mutants"], "schema": schema,
+        "vectors": art / "vectors.json", "segments": art / "segments.json",
+        "call_counts": art / "call_counts.json", "verdicts": art / "verdicts.json",
+        "plan": art / "plan_CH.json",
+    }
+
+
+# Each file-reading flag: (argv with {} for the file under test, the kind of
+# file it takes). Every other input in the argv is valid; outputs go to the
+# working directory.
+READ_FLAGS = {
+    "align --in": ("align --in {} --out out.jsonl", "rec"),
+    "vectorize --in": ("vectorize --in {} --out out.json", "rec"),
+    "vectorize --schema": ("vectorize --in rec --schema {} --out out.json", "schema"),
+    "reduce --in": ("reduce --in {} --out out.json", "vectors"),
+    "reduce --schema": ("reduce --in rec --schema {} --out out.json", "schema"),
+    "prioritize --segments": ("prioritize --segments {} --strategies CH --out out.json", "segments"),
+    "prioritize --vectors": ("prioritize --segments segments --vectors {} --strategies RSC --out out.json", "vectors"),
+    "prioritize --call-counts": ("prioritize --segments segments --call-counts {} --strategies CC --out out.json", "call_counts"),
+    "evaluate --verdicts": ("evaluate --verdicts {} --plans plan --out out.json", "verdicts"),
+    "evaluate --segments": ("evaluate --verdicts verdicts --segments {} --plans plan --out out.json", "segments"),
+    "evaluate --plans": ("evaluate --verdicts verdicts --plans {} --out out.json", "plan"),
+    "synth-generate --script": ("synth-generate --script {} --out out.jsonl", "script"),
+    "run-regression --script": ("run-regression --script {} --module planning --strategies CH --out out.json", "script"),
+    "run-regression --in": ("run-regression --in {} --module planning --strategies CH --out out.json", "rec"),
+    "run-regression --mutants": ("run-regression --in rec --mutants {} --module planning --strategies CH --out out.json", "mutants"),
+    "run-regression --schema": ("run-regression --in rec --schema {} --module planning --strategies CH --out out.json", "schema"),
+}
+MISTYPED = {"5": "5", "null": "null", "string": '"x"', "empty-list": "[]", "empty-object": "{}",
+            "int-list": "[1, 2]", "list-of-object": "[{}]", "truncated": None}
+# The only documents above that a format accepts: an empty mutant list.
+ACCEPTED = {("run-regression --mutants", "empty-list")}
+
+
+class TestMistypedInputs:
+    """A document of the wrong shape is an input error: exit 1, one error line."""
+
+    @pytest.mark.parametrize("doc", MISTYPED)
+    @pytest.mark.parametrize("flag", READ_FLAGS)
+    def test_exit_one_with_one_error_line(self, flag, doc, valid_inputs, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        template, kind = READ_FLAGS[flag]
+        bad = tmp_path / "bad.json"
+        text = MISTYPED[doc]
+        if text is None:
+            # The valid file cut short, its last line left incomplete.
+            valid = valid_inputs[kind].read_text()
+            text = valid[: len(valid) // 2].rstrip()[:-1]
+        bad.write_text(text)
+        argv = [str(bad) if a == "{}" else str(valid_inputs.get(a, a)) for a in template.split()]
+        capsys.readouterr()
+        rc = main(argv)
+        err = capsys.readouterr().err
+        if (flag, doc) in ACCEPTED:
+            assert rc == 0, err
+            return
+        assert rc == 1, err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and errors[0].startswith("error: "), err
+
+    def test_repeated_mutant_id(self, work, tmp_path, capsys):
+        mutants = tmp_path / "mutants.json"
+        doc = json.loads(work["mutants"].read_text())
+        mutants.write_text(json.dumps([*doc, {**doc[1], "id": doc[0]["id"]}]))
+        rc = main(["run-regression", "--in", str(work["rec"]), "--mutants", str(mutants),
+                   "--out", str(tmp_path / "r.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: duplicate mutant id 'loud'\n"
+
+    def test_irregular_grid(self, tmp_path, capsys):
+        rec = tmp_path / "rec.jsonl"
+        rec.write_text("".join(
+            json.dumps({"channel": "image", "t_ns": t, "kind": "image_ref", "payload": {}}) + "\n"
+            for t in (0, 100, 200, 500)
+        ))
+        rc = main(["run-regression", "--in", str(rec), "--module", "planning", "--out", str(tmp_path / "r.json")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: irregular frame grid: frame 2 (t=200 ns)")

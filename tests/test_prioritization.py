@@ -40,7 +40,6 @@ class TestWeights:
     def test_raw_weights_are_inverse_frequencies(self):
         w = rarity_weights(FIXTURE, normalize=False)
         assert w.weights == (Fraction(1), Fraction(2), Fraction(2))
-        assert not w.normalized
 
     def test_normalized_weights_sum_to_one(self):
         w = rarity_weights(FIXTURE)

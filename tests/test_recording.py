@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import sys
+from bisect import bisect_left, bisect_right
 
 import pytest
 
@@ -59,21 +60,6 @@ class TestModel:
     def test_recording_key_must_match_channel_name(self):
         with pytest.raises(ValueError, match="does not match"):
             Recording({"b": chan("a", [0])})
-
-    def test_frame_rejects_foreign_timestamps(self):
-        with pytest.raises(ValueError, match="holds channel"):
-            Frame(5, {"a": msg("a", 7)})
-
-    def test_by_kind_sorted_by_channel_name(self):
-        f = Frame(
-            0,
-            {
-                "b": msg("b", 0, MessageKind.PLANNING),
-                "a": msg("a", 0, MessageKind.PLANNING),
-                "c": msg("c", 0),
-            },
-        )
-        assert [m.channel for m in f.by_kind(MessageKind.PLANNING)] == ["a", "b"]
 
 
 class TestLoadDump:
@@ -298,16 +284,21 @@ class TestParseLineDifferential:
             assert _parse_line(line, lineno) == _reference_parse(line, lineno)
 
 
-def _reference_jsonl(messages):
-    """One ``json.dumps(..., sort_keys=True)`` per message: the writer the line heads replace."""
+def _reference_jsonl(rows):
+    """One ``json.dumps(..., sort_keys=True)`` per (t_ns, message): the writer the line heads replace."""
     return "".join(
         json.dumps(
-            {"channel": m.channel, "t_ns": m.t_ns, "kind": m.kind.value, "payload": m.payload},
+            {"channel": m.channel, "t_ns": t, "kind": m.kind.value, "payload": m.payload},
             sort_keys=True,
         )
         + "\n"
-        for m in messages
+        for t, m in rows
     )
+
+
+def _aligned_rows(ar):
+    """Each frame's messages in channel-name order, stamped with the frame time."""
+    return [(f.t_ns, f.messages[n]) for f in ar.frames for n in sorted(ar.channel_names)]
 
 
 def _hand_built():
@@ -329,8 +320,9 @@ def _hand_built():
                 },
             )
         )
-    # Equal to the frame's time but not the same object: the tail is re-encoded.
-    frames.append(Frame(50, {name: m.retimed(50.0) for name, m in frames[-1].messages.items()}))
+    # The previous frame's messages again, under a float frame time: each
+    # line takes the frame's time, encoded as JSON, not its message's.
+    frames.append(Frame(50.0, frames[-1].messages))
     return AlignedRecording(tuple(frames), ("plan", "a", "\u00fcber", "n"))
 
 
@@ -343,18 +335,16 @@ class TestJsonlDifferential:
     def test_builtins(self, fixture, request):
         r = request.getfixturevalue(fixture)
         rows = sorted(
-            (m for ch in r.channels.values() for m in ch.messages),
-            key=lambda m: (m.t_ns, m.channel),
+            ((m.t_ns, m) for ch in r.channels.values() for m in ch.messages),
+            key=lambda row: (row[0], row[1].channel),
         )
         assert dump_recording_jsonl(r) == _reference_jsonl(rows)
         ar = align_recording(r)
-        in_frames = [f.messages[n] for f in ar.frames for n in sorted(ar.channel_names)]
-        assert "".join(aligned_jsonl(ar)) == _reference_jsonl(in_frames)
+        assert "".join(aligned_jsonl(ar)) == _reference_jsonl(_aligned_rows(ar))
 
     def test_hand_built_recording(self):
         ar = _hand_built()
-        in_frames = [f.messages[n] for f in ar.frames for n in sorted(ar.channel_names)]
-        expected = _reference_jsonl(in_frames)
+        expected = _reference_jsonl(_aligned_rows(ar))
         assert "".join(aligned_jsonl(ar)) == expected
         assert '"channel": "plan", "kind": "planning"' in expected
         assert '"t_ns": 50.0}' in expected
@@ -366,7 +356,7 @@ class TestJsonlDifferential:
             Channel("a", MessageKind.OBSTACLE, (Message("a", 5, MessageKind.OBSTACLE, shared),)),
         )
         rows = [r.channels["b"].messages[0], r.channels["a"].messages[0], r.channels["b"].messages[1]]
-        assert dump_recording_jsonl(r) == _reference_jsonl(rows)
+        assert dump_recording_jsonl(r) == _reference_jsonl((m.t_ns, m) for m in rows)
 
 
 class TestAlignedJsonl:
@@ -403,11 +393,27 @@ class TestAlignment:
     def test_bucket_keeps_last_and_gaps_fill_forward(self):
         # Hand-walked: det slots for grid [0,100,200,300] are
         # [m50, m140, fill(m140), fill(m140)]; m410 is past the grid.
-        ar = align_recording(
-            rec(chan("cam", [0, 100, 200, 300]), chan("det", [50, 140, 410]))
-        )
+        r = rec(chan("cam", [0, 100, 200, 300]), chan("det", [50, 140, 410]))
+        ar = align_recording(r)
         assert [f.messages["det"].payload["n"] for f in ar.frames] == [50, 140, 140, 140]
-        assert all(f.messages["det"].t_ns == f.t_ns for f in ar.frames)
+        # Frames point at the recorded messages, forward-filled slots included.
+        m50, m140, _ = r.channels["det"].messages
+        assert [id(f.messages["det"]) for f in ar.frames] == [id(m50), id(m140), id(m140), id(m140)]
+
+    @pytest.mark.parametrize(
+        "fixture", ["benchmark_recording", "noisy_recording", "rare_recording"]
+    )
+    def test_frames_hold_the_recorded_messages(self, fixture, request):
+        # Bucket rule restated per frame: the last message before the next
+        # grid time (at or before the final grid time for the last frame).
+        r = request.getfixturevalue(fixture)
+        ar = align_recording(r)
+        grid = [f.t_ns for f in ar.frames]
+        for name, ch in r.channels.items():
+            times = [m.t_ns for m in ch.messages]
+            for i, f in enumerate(ar.frames):
+                j = bisect_left(times, grid[i + 1]) if i + 1 < len(grid) else bisect_right(times, grid[i])
+                assert f.messages[name] is ch.messages[j - 1]
 
     def test_two_in_bucket_keeps_last(self):
         # Tie on message count, so "cam" wins the reference role by name.

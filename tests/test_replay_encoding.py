@@ -1,9 +1,9 @@
 """Replay encoding: FrameEncoder and recorded-vector reuse against a reference.
 
 The reference below is the plain per-frame encoder: it rebuilds its lookup
-tables on every call, walks the frame kind by kind through Frame.by_kind,
-zeroes orphan properties, then filters and zeroes again. Everything replay
-produces must match it exactly.
+tables on every call, walks the frame kind by kind (channels of one kind in
+name order), zeroes orphan properties, then filters and zeroes again.
+Everything replay produces must match it exactly.
 """
 
 from __future__ import annotations
@@ -77,7 +77,10 @@ def reference_encode(frame, registry, flt=None):
 
     claimed = set()
     for kind in MessageKind:
-        for msg in frame.by_kind(kind):
+        for name in sorted(frame.messages):
+            msg = frame.messages[name]
+            if msg.kind is not kind:
+                continue
             p = msg.payload
             if kind is MessageKind.TRAFFIC_LIGHT:
                 lights = p.get("lights") or []
@@ -122,6 +125,11 @@ def swap(frame, msg):
     return Frame(frame.t_ns, {**frame.messages, msg.channel: msg})
 
 
+def unchanged(frame, msg):
+    """The replay left the frame as recorded: same payload on the output channel."""
+    return frame.messages[msg.channel].payload == msg.payload
+
+
 def filters(registry):
     return [None, *(ModuleFilter.for_module(m, registry) for m in MODULE_CHANNELS)]
 
@@ -154,14 +162,14 @@ def replayed(request):
 
 def test_replays_mix_changed_and_unchanged_outputs(replayed):
     ar, replays, _ = replayed
-    unchanged = changed = 0
+    same = changed = 0
     for _, result in replays:
         for frame, msg in zip(ar.frames, result.messages):
-            if frame.messages[msg.channel] == msg:
-                unchanged += 1
+            if unchanged(frame, msg):
+                same += 1
             else:
                 changed += 1
-    assert unchanged and changed
+    assert same and changed
 
 
 def test_encoder_matches_reference_on_swapped_frames(replayed, registry):
@@ -210,7 +218,7 @@ def test_replayed_vectors_reuse_only_unchanged_frames(replayed, registry):
         got = _replayed_vectors(ar, result, 0, vectors, FrameEncoder(registry, flt))
         assert len(got) == len(ar.frames)
         for i, (frame, msg, vec) in enumerate(zip(ar.frames, result.messages, got)):
-            if frame.messages[msg.channel] == msg:
+            if unchanged(frame, msg):
                 assert vec is vectors[i]
             else:
                 assert vec.values == reference_encode(swap(frame, msg), registry, flt)

@@ -21,6 +21,14 @@ from strap.schema import (
 )
 
 
+def dim_names(registry):
+    return [d.name for d in registry.dimensions]
+
+
+def dim_index(registry, name):
+    return dim_names(registry).index(name)
+
+
 def frame(t=0, **by_kind):
     msgs = {}
     for kind_name, payload in by_kind.items():
@@ -50,7 +58,7 @@ class TestRegistry:
         assert by_name["ego.stop_cause"].parent is None
 
     def test_unknown_value_message(self, registry):
-        dim = registry.dimensions[registry.index("traffic_light.color")]
+        dim = registry.dimensions[dim_index(registry, "traffic_light.color")]
         with pytest.raises(SchemaError, match='dimension "traffic_light.color": unknown value "purple"'):
             dim.code("purple")
 
@@ -104,7 +112,7 @@ class TestEncode:
             "ego.action": 46,
             "ego.stop_cause": 50,
         }
-        for name, code in zip(registry.names, v.values):
+        for name, code in zip(dim_names(registry), v.values):
             assert code == expected.get(name, 0), name
 
     def test_empty_frame_is_all_zero(self, registry):
@@ -115,8 +123,8 @@ class TestEncode:
         # A predicted track with no matching detection claims nothing.
         f = frame(prediction={"tracks": [{"actor": "pedestrian", "action": "cross"}]})
         v = encode_frame(f, registry)
-        assert v.values[registry.index("pedestrian")] == 0
-        assert v.values[registry.index("pedestrian.action")] == 0
+        assert v.values[dim_index(registry, "pedestrian")] == 0
+        assert v.values[dim_index(registry, "pedestrian.action")] == 0
 
     def test_first_object_of_a_kind_wins(self, registry):
         f = frame(
@@ -128,14 +136,14 @@ class TestEncode:
             }
         )
         v = encode_frame(f, registry)
-        assert v.values[registry.index("vehicle.subtype")] == 2
+        assert v.values[dim_index(registry, "vehicle.subtype")] == 2
 
     def test_first_light_provides_properties(self, registry):
         f = frame(traffic_light={"lights": [{"color": "green"}, {"color": "red"}]})
         v = encode_frame(f, registry)
-        assert v.values[registry.index("traffic_light")] == 32
-        assert v.values[registry.index("traffic_light.color")] == 34
-        assert v.values[registry.index("traffic_light.shape")] == 0
+        assert v.values[dim_index(registry, "traffic_light")] == 32
+        assert v.values[dim_index(registry, "traffic_light.color")] == 34
+        assert v.values[dim_index(registry, "traffic_light.shape")] == 0
 
     def test_unknown_actor_value_raises(self, registry):
         f = frame(obstacle={"obstacles": [{"actor": "dragon"}]})
@@ -145,7 +153,7 @@ class TestEncode:
     def test_crosswalk_inferred_from_obstacle_flag(self, registry):
         f = frame(obstacle={"obstacles": [{"actor": "pedestrian", "on_crosswalk": True}]})
         v = encode_frame(f, registry)
-        assert v.values[registry.index("crosswalk")] == 42
+        assert v.values[dim_index(registry, "crosswalk")] == 42
 
 
 class TestFilter:
@@ -167,7 +175,7 @@ class TestFilter:
         assert "vehicle.action" not in ob.retained_dimensions
         assert "ego.action" not in ob.retained_dimensions
         assert ModuleFilter.for_module("all", registry).retained_dimensions == frozenset(
-            registry.names
+            dim_names(registry)
         )
 
     def test_unknown_module_rejected(self, registry):
@@ -182,18 +190,18 @@ class TestFilter:
         v = encode_frame(f, registry)
         out = apply_filter(v, ModuleFilter.for_module("traffic_light", registry), registry)
         assert len(out.values) == len(v.values)
-        assert out.values[registry.index("traffic_light.color")] == 33
-        assert out.values[registry.index("ego.action")] == 0
+        assert out.values[dim_index(registry, "traffic_light.color")] == 33
+        assert out.values[dim_index(registry, "ego.action")] == 0
 
     def test_filter_re_zeroes_orphaned_children(self, registry):
         f = frame(
             obstacle={"obstacles": [{"actor": "vehicle", "subtype": "van"}]},
         )
         v = encode_frame(f, registry)
-        assert v.values[registry.index("vehicle.subtype")] == 5
+        assert v.values[dim_index(registry, "vehicle.subtype")] == 5
         flt = ModuleFilter("custom", frozenset({"vehicle.subtype"}))
         out = apply_filter(v, flt, registry)
-        assert out.values[registry.index("vehicle.subtype")] == 0
+        assert out.values[dim_index(registry, "vehicle.subtype")] == 0
 
     def test_length_mismatch_rejected(self, registry):
         from strap.schema import FrameVector

@@ -454,6 +454,24 @@ class TestRegression:
                 run_benchmark(small_recording, mutants, strategies=("ch", "bfs"))
         assert calls == []
 
+    @pytest.mark.parametrize("entry", ["run_prepared", "run_benchmark"])
+    def test_duplicate_mutant_id_rejected_before_any_replay(self, small_recording, monkeypatch, entry):
+        calls = []
+        real = replay_segment
+        monkeypatch.setattr("strap.synth.replay_segment", lambda *a, **k: calls.append(a) or real(*a, **k))
+        # Alone, the first "x" is detected; a second "x" would replace its verdicts.
+        mutants = [
+            Mutant("x", "planning", "red_light_stop", "flip_condition"),
+            Mutant("y", "traffic_light", "green_min_hue", "change_constant", 0.0),
+            Mutant("x", "planning", "passing_mode", "change_variable", 0.0),
+        ]
+        with pytest.raises(SynthError, match="duplicate mutant id 'x'"):
+            if entry == "run_prepared":
+                run_prepared(prepare_recording(align_recording(small_recording), "planning"), mutants)
+            else:
+                run_benchmark(small_recording, mutants)
+        assert calls == []
+
     def test_strategy_names_are_normalized(self, small_recording):
         prepared = prepare_recording(align_recording(small_recording), "planning")
         report, plans = run_prepared(prepared, [], strategies=("ch", "RD", "Ch"), repetitions=2)
@@ -586,6 +604,16 @@ class TestFrameRate:
         )
         with pytest.raises(SynthError, match="below 1 fps"):
             grid_fps(sparse)
+
+    def test_irregular_grid_rejected(self):
+        # 6,000,000 fps averaged over the span puts frames 1 and 2 on tick 1.
+        image = MessageKind.IMAGE_REF
+        irregular = AlignedRecording(
+            tuple(Frame(t, {"image": Message("image", t, image, {})}) for t in (0, 100, 200, 500)),
+            ("image",),
+        )
+        with pytest.raises(SynthError, match=r"frame 2 \(t=200 ns\) falls on tick 1 at 6000000 fps, after tick 1"):
+            grid_fps(irregular)
 
     def test_ten_fps_predictor_call_counts(self, ten_fps_recording, registry):
         ar = align_recording(ten_fps_recording)
