@@ -29,6 +29,7 @@ from .fileio import atomic_write_json, atomic_write_text, read_json
 # The prioritize_* functions and run_regression are not called here; they stay
 # importable from this module for callers that look them up here.
 from .prioritization import (  # noqa: F401
+    STRATEGIES,
     PrioritizedPlan,
     build_plans,
     parse_strategies,
@@ -412,13 +413,15 @@ def _cmd_run_regression(args: argparse.Namespace) -> None:
 
 
 def _add_reduction_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--window", type=int, default=5, help="smoothing window (odd)")
-    p.add_argument("--clip", type=int, default=45, help="max frames kept per segment")
-    p.add_argument("--warmup", type=int, default=15, help="warm-up frames replayed before each segment")
+    cfg = ReductionConfig()
+    p.add_argument("--window", type=int, default=cfg.window_w, help="smoothing window (odd)")
+    p.add_argument("--clip", type=int, default=cfg.clip_n, help="max frames kept per segment")
+    p.add_argument("--warmup", type=int, default=cfg.warmup_frames,
+                   help="warm-up frames replayed before each segment")
 
 
 def _add_rank_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--strategies", default="RSC,SC,CH,RD,CC", help="comma-separated strategy list")
+    p.add_argument("--strategies", default=",".join(STRATEGIES), help="comma-separated strategy list")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.add_argument("--rarity-mode", choices=("indicator", "literal"), default="indicator")
 
@@ -513,10 +516,7 @@ def _run(argv: Sequence[str] | None) -> int:
         args = parser.parse_args(argv)
         args.fn(args)
         return 0
-    except UsageError as exc:
-        _say(f"error: {exc}")
-        return 1
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         _say(f"error: {exc}")
         return 1
     except Exception as exc:  # pragma: no cover - defensive

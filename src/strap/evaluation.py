@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -192,13 +192,7 @@ def report_to_json(report: MetricsReport) -> dict[str, Any]:
         "fault_coverage": report.fault_coverage,
         "apfd": dict(report.apfd),
         "top_k": dict(report.top_k),
-        "totals": {
-            "original_frames": report.totals.original_frames,
-            "reduced_frames": report.totals.reduced_frames,
-            "reduced_frames_with_warmup": report.totals.reduced_frames_with_warmup,
-            "segments_before_dedup": report.totals.segments_before_dedup,
-            "segments_after_dedup": report.totals.segments_after_dedup,
-        },
+        "totals": asdict(report.totals),
         "details": dict(report.details),
     }
 

@@ -11,7 +11,7 @@ surviving ids still order segments by time.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Mapping, Sequence
 
 from .recording import AlignedRecording
@@ -163,11 +163,7 @@ def segments_to_manifest(
     module: str | None = None,
 ) -> dict[str, Any]:
     """Build the segments.json document."""
-    config: dict[str, Any] = {
-        "window_w": cfg.window_w,
-        "clip_n": cfg.clip_n,
-        "warmup_frames": cfg.warmup_frames,
-    }
+    config: dict[str, Any] = asdict(cfg)
     if module is not None:
         config["module"] = module
     return {
@@ -190,11 +186,7 @@ def segments_to_manifest(
 def segments_from_manifest(doc: Mapping[str, Any]) -> tuple[list[Segment], ReductionConfig]:
     """Parse a segments.json document back into segments and their config."""
     try:
-        cfg = ReductionConfig(
-            window_w=doc["config"]["window_w"],
-            clip_n=doc["config"]["clip_n"],
-            warmup_frames=doc["config"]["warmup_frames"],
-        )
+        cfg = ReductionConfig(**{f.name: doc["config"][f.name] for f in fields(ReductionConfig)})
         segments = [
             Segment(
                 id=row["id"],

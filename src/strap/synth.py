@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
@@ -50,6 +50,7 @@ from .evaluation import (  # noqa: F401
     score_plans,
 )
 from .prioritization import (  # noqa: F401
+    STRATEGIES,
     PrioritizedPlan,
     build_plans,
     parse_strategies,
@@ -274,16 +275,32 @@ class ToyModule:
     self.params and self.flipped, never on earlier calls (call_log is the
     only state it may touch). run_prepared derives segment verdicts from one
     whole-recording replay on that assumption.
+
+    FUNCTIONS maps each call_log key to the parameters and conditions that
+    classifier reads. Every subclass derives PARAM_FUNCTIONS (each name to
+    its classifier, for call-count prioritization) and CONDITIONS (the names
+    that are not parameters) from it, and fails at class definition when a
+    parameter is read by no classifier or a name by two.
     """
 
     kind: str = ""
     publish_kind: MessageKind = MessageKind.PLANNING
     input_kinds: frozenset[MessageKind] = frozenset()
     DEFAULT_PARAMS: Mapping[str, float] = {}
+    FUNCTIONS: Mapping[str, tuple[str, ...]] = {}
     CONDITIONS: frozenset[str] = frozenset()
-    # Maps each parameter and condition to the classifier that uses it, for
-    # call-count prioritization.
     PARAM_FUNCTIONS: Mapping[str, str] = {}
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        owners = [(name, fn) for fn, names in cls.FUNCTIONS.items() for name in names]
+        cls.PARAM_FUNCTIONS = dict(owners)
+        if len(cls.PARAM_FUNCTIONS) != len(owners):
+            raise TypeError(f"{cls.__name__}: a name is listed under two classifiers")
+        unclaimed = set(cls.DEFAULT_PARAMS) - set(cls.PARAM_FUNCTIONS)
+        if unclaimed:
+            raise TypeError(f"{cls.__name__}: no classifier reads {sorted(unclaimed)}")
+        cls.CONDITIONS = frozenset(cls.PARAM_FUNCTIONS) - set(cls.DEFAULT_PARAMS)
 
     def __init__(self, params: Mapping[str, float] | None = None, flipped: Iterable[str] = ()):
         self.params: dict[str, float] = dict(self.DEFAULT_PARAMS)
@@ -321,18 +338,13 @@ class TrafficLightDetector(ToyModule):
         "round_min_circularity": 0.7,
         "vertical_min_tilt": 45.0,
     }
-    CONDITIONS = frozenset({"lit_check", "green_check", "yellow_check", "round_check", "vertical_check"})
-    PARAM_FUNCTIONS = {
-        "lit_min_brightness": "classify_color",
-        "green_min_hue": "classify_color",
-        "yellow_min_hue": "classify_color",
-        "lit_check": "classify_color",
-        "green_check": "classify_color",
-        "yellow_check": "classify_color",
-        "round_min_circularity": "classify_shape",
-        "round_check": "classify_shape",
-        "vertical_min_tilt": "classify_orientation",
-        "vertical_check": "classify_orientation",
+    FUNCTIONS = {
+        "classify_color": (
+            "lit_min_brightness", "green_min_hue", "yellow_min_hue",
+            "lit_check", "green_check", "yellow_check",
+        ),
+        "classify_shape": ("round_min_circularity", "round_check"),
+        "classify_orientation": ("vertical_min_tilt", "vertical_check"),
     }
 
     def _classify_color(self, light: Mapping[str, float]) -> str:
@@ -388,7 +400,8 @@ _MOTION_PARAMS = {
     "overtake_min_speed": 11.0,
     "cross_max_speed": 3.0,
 }
-_MOTION_CONDITIONS = frozenset({"stop_check", "lateral_check", "overtake_check", "cross_check"})
+# What _classify_action reads.
+_MOTION_NAMES = (*_MOTION_PARAMS, "stop_check", "lateral_check", "overtake_check", "cross_check")
 
 
 class ObstacleDetector(ToyModule):
@@ -409,40 +422,16 @@ class ObstacleDetector(ToyModule):
         "static_min_confidence": 0.5,
         **_MOTION_PARAMS,
     }
-    CONDITIONS = frozenset(
-        {
-            "vehicle_check",
-            "cyclist_check",
-            "tricycle_check",
-            "motor_check",
-            "pedestrian_check",
-            "bus_check",
-            "truck_check",
-            "van_check",
-            "static_check",
-        }
-    ) | _MOTION_CONDITIONS
-    PARAM_FUNCTIONS = {
-        "vehicle_min_wheels": "classify_actor",
-        "cyclist_min_wheels": "classify_actor",
-        "tricycle_min_wheels": "classify_actor",
-        "motor_min_power": "classify_actor",
-        "pedestrian_min_height": "classify_actor",
-        "bus_min_length": "classify_actor",
-        "truck_min_length": "classify_actor",
-        "van_min_height": "classify_actor",
-        "vehicle_check": "classify_actor",
-        "cyclist_check": "classify_actor",
-        "tricycle_check": "classify_actor",
-        "motor_check": "classify_actor",
-        "pedestrian_check": "classify_actor",
-        "bus_check": "classify_actor",
-        "truck_check": "classify_actor",
-        "van_check": "classify_actor",
-        "static_min_confidence": "filter_static",
-        "static_check": "filter_static",
-        **{name: "classify_motion" for name in _MOTION_PARAMS},
-        **{name: "classify_motion" for name in _MOTION_CONDITIONS},
+    FUNCTIONS = {
+        "classify_actor": (
+            "vehicle_min_wheels", "cyclist_min_wheels", "tricycle_min_wheels",
+            "motor_min_power", "pedestrian_min_height", "bus_min_length",
+            "truck_min_length", "van_min_height",
+            "vehicle_check", "cyclist_check", "tricycle_check", "motor_check",
+            "pedestrian_check", "bus_check", "truck_check", "van_check",
+        ),
+        "filter_static": ("static_min_confidence", "static_check"),
+        "classify_motion": _MOTION_NAMES,
     }
 
     def _classify_actor(self, body: Mapping[str, float]) -> tuple[str, str | None]:
@@ -503,11 +492,7 @@ class TrajectoryPredictor(ToyModule):
     publish_kind = MessageKind.PREDICTION
     input_kinds = frozenset({MessageKind.OBSTACLE})
     DEFAULT_PARAMS = dict(_MOTION_PARAMS)
-    CONDITIONS = _MOTION_CONDITIONS
-    PARAM_FUNCTIONS = {
-        **{name: "predict_action" for name in _MOTION_PARAMS},
-        **{name: "predict_action" for name in _MOTION_CONDITIONS},
-    }
+    FUNCTIONS = {"predict_action": _MOTION_NAMES}
 
     def emits_at(self, frame_index: int) -> bool:
         return frame_index % 3 != 1
@@ -536,14 +521,11 @@ class MotionPlanner(ToyModule):
         {MessageKind.TRAFFIC_LIGHT, MessageKind.OBSTACLE, MessageKind.PREDICTION}
     )
     DEFAULT_PARAMS = {"sign_stop_range_m": 30.0, "passing_mode": 1.0}
-    CONDITIONS = frozenset({"red_light_stop", "stop_sign_stop", "yield_crossing", "lead_blocked"})
-    PARAM_FUNCTIONS = {
-        "sign_stop_range_m": "plan_step",
-        "passing_mode": "plan_step",
-        "red_light_stop": "plan_step",
-        "stop_sign_stop": "plan_step",
-        "yield_crossing": "plan_step",
-        "lead_blocked": "plan_step",
+    FUNCTIONS = {
+        "plan_step": (
+            "sign_stop_range_m", "passing_mode",
+            "red_light_stop", "stop_sign_stop", "yield_crossing", "lead_blocked",
+        ),
     }
 
     def compute(self, inputs: Mapping[MessageKind, Mapping[str, Any]]) -> dict[str, Any]:
@@ -609,10 +591,8 @@ def apply_mutant(module: ToyModule, mutant: Mutant) -> ToyModule:
 
 def mutable_targets(kind: str) -> dict[str, list[str]]:
     """Parameter and condition names a mutant may target for one module."""
-    cls = _MODULE_CLASSES.get(kind)
-    if cls is None:
-        raise SynthError(f"unknown module kind {kind!r}")
-    return {"params": sorted(cls.DEFAULT_PARAMS), "conditions": sorted(cls.CONDITIONS)}
+    module = make_module(kind)
+    return {"params": sorted(module.params), "conditions": sorted(module.CONDITIONS)}
 
 
 def random_mutants(kind: str, count: int, seed: int) -> list[Mutant]:
@@ -741,12 +721,14 @@ def generate_recording(script: ScenarioScript, seed: int) -> Recording:
     traffic light, obstacle and planning every frame, prediction every 1.5
     frames rounded. Glitches replace a module's output for one emission with
     probability glitch_rate per channel per frame; downstream modules consume
-    the glitched message, exactly as subscribers would.
+    the glitched message, exactly as subscribers would. Between its emissions
+    a module's last output stays its subscribers' input; frame 0 is every
+    module's emission tick.
     """
     rng = random.Random(seed)
     events = sorted(script.events, key=lambda e: e.frame)
     modules = {kind: make_module(kind) for kind in MODULE_KINDS}
-    held_prediction: dict[str, Any] = {"tracks": []}
+    held: dict[str, Mapping[str, Any]] = {}
     messages: dict[str, list[Message]] = {name: [] for name in CHANNEL_OFFSETS_NS}
     state: dict[str, Any] = {}
     next_event = 0
@@ -772,16 +754,13 @@ def generate_recording(script: ScenarioScript, seed: int) -> Recording:
         inputs: dict[MessageKind, Mapping[str, Any]] = {MessageKind.IMAGE_REF: image.payload}
         for kind in MODULE_KINDS:
             module = modules[kind]
-            if not module.emits_at(i):
-                inputs[module.publish_kind] = held_prediction if kind == "prediction" else {}
-                continue
-            payload = module.compute(inputs)
-            if script.glitch_rate and rng.random() < script.glitch_rate:
-                payload = _glitch_payload(module.publish_kind, payload)
-            if kind == "prediction":
-                held_prediction = payload
-            inputs[module.publish_kind] = payload
-            emit(kind, payload)
+            if module.emits_at(i):
+                payload = module.compute(inputs)
+                if script.glitch_rate and rng.random() < script.glitch_rate:
+                    payload = _glitch_payload(module.publish_kind, payload)
+                held[kind] = payload
+                emit(kind, payload)
+            inputs[module.publish_kind] = held[kind]
 
     channels = {
         name: Channel(name, CHANNEL_KINDS[name], tuple(msgs))
@@ -949,13 +928,12 @@ def prepare_recording(
 
 def _whole_replay(
     prepared: PreparedRecording, mutated: ToyModule, encoder: FrameEncoder
-) -> tuple[FaultVerdict, list[int], str]:
+) -> tuple[FaultVerdict, list[int]]:
     """Replay a mutated module once over the whole prepared recording.
 
-    Returns the whole-recording verdict, the running mismatch count (frame i
-    mismatches when prefix[i + 1] - prefix[i] is 1) and the output channel.
-    The replay and its vectors die on return, so only one mutant's replay is
-    alive at a time.
+    Returns the whole-recording verdict and the running mismatch count (frame
+    i mismatches when prefix[i + 1] - prefix[i] is 1). The replay and its
+    vectors die on return, so only one mutant's replay is alive at a time.
     """
     ar, vectors = prepared.aligned, prepared.vectors
     result = replay_segment(mutated, ar.frames, 0, fps=prepared.fps)
@@ -963,7 +941,7 @@ def _whole_replay(
     whole = Segment(WHOLE_RECORDING_SEGMENT_ID, 0, len(ar.frames) - 1, vectors[0], 0)
     verdict = compare_outputs(vectors, replayed, whole)
     prefix = list(accumulate((a.values != b.values for a, b in zip(vectors, replayed)), initial=0))
-    return verdict, prefix, result.messages[0].channel
+    return verdict, prefix
 
 
 def _segment_mismatches(
@@ -972,7 +950,6 @@ def _segment_mismatches(
     encoder: FrameEncoder,
     s: Segment,
     prefix: Sequence[int],
-    channel: str,
 ) -> int:
     """Mismatched comparable frames of segment s, as its own replay would count them.
 
@@ -981,7 +958,8 @@ def _segment_mismatches(
     same frames as the whole replay and, compute being pure, agrees with it.
     Only the frames before that tick hold the cold-start output, where the
     whole replay holds the previous tick's; those that are comparable swap
-    the whole replay's mismatch for the cold-start one.
+    the whole replay's mismatch for the mismatch of the segment replay cut
+    off before that tick.
     """
     count = prefix[s.end_idx + 1] - prefix[s.start_idx]
     ar, vectors, fps = prepared.aligned, prepared.vectors, prepared.fps
@@ -995,9 +973,8 @@ def _segment_mismatches(
     if tick <= first:
         # The cold-start run ends inside the warm-up.
         return count
-    cold = mutated.fresh().compute({m.kind: m.payload for m in frames[lo].messages.values()})
-    held = tuple(Message(channel, f.t_ns, mutated.publish_kind, cold) for f in frames[first:tick])
-    replayed = _replayed_vectors(ar, ReplayResult(held, 0, {}), first, vectors, encoder)
+    cold = replay_segment(mutated, frames[lo:tick], first - lo, fps=fps)
+    replayed = _replayed_vectors(ar, cold, lo, vectors, encoder)
     cold_mismatches = sum(a.values != b.values for a, b in zip(vectors[first:tick], replayed))
     return count - (prefix[tick] - prefix[first]) + cold_mismatches
 
@@ -1022,7 +999,7 @@ def _check_run_inputs(strategies: Sequence[str], mutants: Sequence[Mutant]) -> l
 def run_prepared(
     prepared: PreparedRecording,
     mutants: Sequence[Mutant],
-    strategies: Sequence[str] = ("RSC", "SC", "CH", "RD", "CC"),
+    strategies: Sequence[str] = STRATEGIES,
     *,
     seed: int = 0,
     repetitions: int = 100,
@@ -1054,11 +1031,9 @@ def run_prepared(
     results: dict[str, dict[str, Any]] = {}
     for mutant in own:
         mutated = apply_mutant(module, mutant)
-        full, prefix, channel = _whole_replay(prepared, mutated, encoder)
+        full, prefix = _whole_replay(prepared, mutated, encoder)
         verdicts = {
-            s.id: FaultVerdict(
-                s.id, _segment_mismatches(prepared, mutated, encoder, s, prefix, channel), s.length
-            )
+            s.id: FaultVerdict(s.id, _segment_mismatches(prepared, mutated, encoder, s, prefix), s.length)
             for s in segments
         }
         results[mutant.id] = {"mutant": mutant, "full": full, "segments": verdicts}
@@ -1082,8 +1057,7 @@ def run_prepared(
 
     # Call counts for CC: unmutated replay of each segment body, counting
     # calls of the functions the mutant set touches.
-    functions = {module.PARAM_FUNCTIONS.get(m.target) for m in own}
-    functions.discard(None)
+    functions = {module.PARAM_FUNCTIONS[m.target] for m in own}
     call_counts = []
     for s in segments:
         counts = replay_segment(module, ar.frames[s.start_idx : s.end_idx + 1], fps=fps).call_counts
@@ -1120,14 +1094,7 @@ def run_prepared(
     )
     details = {
         "module": module_kind,
-        "config": {
-            "window_w": cfg.window_w,
-            "clip_n": cfg.clip_n,
-            "warmup_frames": cfg.warmup_frames,
-            "seed": seed,
-            "repetitions": repetitions,
-            "rarity_mode": rarity_mode,
-        },
+        "config": {**asdict(cfg), "seed": seed, "repetitions": repetitions, "rarity_mode": rarity_mode},
         "mutants": {
             mid: {
                 "module": e["mutant"].module,
@@ -1169,24 +1136,15 @@ def run_regression(
     recording: Recording,
     module_kind: str,
     mutants: Sequence[Mutant],
-    strategies: Sequence[str] = ("RSC", "SC", "CH", "RD", "CC"),
+    strategies: Sequence[str] = STRATEGIES,
     cfg: ReductionConfig = ReductionConfig(),
     *,
     registry: SchemaRegistry | None = None,
-    seed: int = 0,
-    repetitions: int = 100,
-    rarity_mode: str = "indicator",
+    **kwargs: Any,
 ) -> MetricsReport:
     """Align, encode and reduce a recording, then run its regression (run_prepared)."""
     prepared = prepare_recording(align_recording(recording), module_kind, cfg, registry)
-    report, _ = run_prepared(
-        prepared,
-        mutants,
-        strategies,
-        seed=seed,
-        repetitions=repetitions,
-        rarity_mode=rarity_mode,
-    )
+    report, _ = run_prepared(prepared, mutants, strategies, **kwargs)
     return report
 
 
@@ -1202,7 +1160,7 @@ def segment_ids_before_dedup(vectors: Sequence[FrameVector], cfg: ReductionConfi
 def run_benchmark(
     recording: Recording,
     mutants: Sequence[Mutant],
-    strategies: Sequence[str] = ("RSC", "SC", "CH", "RD", "CC"),
+    strategies: Sequence[str] = STRATEGIES,
     cfg: ReductionConfig = ReductionConfig(),
     *,
     registry: SchemaRegistry | None = None,
@@ -1234,13 +1192,7 @@ def run_benchmark(
     apfd_by = {name: mean_defined(r.apfd[name] for r in sub.values()) for name in strategies}
     topk_by = {name: mean_defined(r.top_k[name] for r in sub.values()) for name in strategies}
 
-    totals = SuiteTotals(
-        original_frames=sum(r.totals.original_frames for r in sub.values()),
-        reduced_frames=sum(r.totals.reduced_frames for r in sub.values()),
-        reduced_frames_with_warmup=sum(r.totals.reduced_frames_with_warmup for r in sub.values()),
-        segments_before_dedup=sum(r.totals.segments_before_dedup for r in sub.values()),
-        segments_after_dedup=sum(r.totals.segments_after_dedup for r in sub.values()),
-    )
+    totals = SuiteTotals(*map(sum, zip(*(astuple(r.totals) for r in sub.values()))))
     return MetricsReport(
         reduction_pct=mean_defined(r.reduction_pct for r in sub.values()),
         reduction_pct_with_warmup=mean_defined(r.reduction_pct_with_warmup for r in sub.values()),

@@ -545,8 +545,8 @@ class TestDerivedVerdicts:
         encoder = FrameEncoder(registry, ModuleFilter.for_module("prediction", registry))
         mutant = Mutant("slow", "prediction", "stop_max_speed", "change_constant", 0.0)
         for mutated in (module, apply_mutant(module, mutant)):
-            _, prefix, channel = _whole_replay(prepared, mutated, encoder)
-            got = _segment_mismatches(prepared, mutated, encoder, s, prefix, channel)
+            _, prefix = _whole_replay(prepared, mutated, encoder)
+            got = _segment_mismatches(prepared, mutated, encoder, s, prefix)
             assert got == segment_replay_mismatches(prepared, mutated, s, encoder)
             assert got != prefix[s.end_idx + 1] - prefix[s.start_idx]
 
