@@ -149,6 +149,18 @@ class SynthError(ValueError):
     """Invalid script, mutant, or replay input."""
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# The scene state an event may set or unset.
+SCENE_KEYS = ("lights", "obstacles", "objects")
+
+
 @dataclass(frozen=True)
 class SceneEvent:
     """State delta applied from a given frame onward."""
@@ -168,15 +180,39 @@ class ScenarioScript:
     events: tuple[SceneEvent, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.duration_frames < 1:
-            raise SynthError(f"duration_frames must be positive, got {self.duration_frames}")
-        if self.fps < 1:
-            raise SynthError(f"fps must be positive, got {self.fps}")
-        if not (0.0 <= self.glitch_rate < 1.0):
-            raise SynthError(f"glitch_rate must be in [0, 1), got {self.glitch_rate}")
+        if not _is_int(self.duration_frames) or self.duration_frames < 1:
+            raise SynthError(
+                f"duration_frames must be a positive integer, got {self.duration_frames!r}"
+            )
+        if not _is_int(self.fps) or self.fps < 1:
+            raise SynthError(f"fps must be a positive integer, got {self.fps!r}")
+        if not _is_number(self.glitch_rate) or not (0.0 <= self.glitch_rate < 1.0):
+            raise SynthError(f"glitch_rate must be a number in [0, 1), got {self.glitch_rate!r}")
         for e in self.events:
-            if not (0 <= e.frame < self.duration_frames):
-                raise SynthError(f"event frame {e.frame} outside [0, {self.duration_frames})")
+            _check_event(e, self.duration_frames)
+
+
+def _check_event(e: SceneEvent, duration_frames: int) -> None:
+    """SynthError unless e sets and unsets only scene keys, with well-typed canonical values."""
+    if not _is_int(e.frame):
+        raise SynthError(f"event frame must be an integer, got {e.frame!r}")
+    if not (0 <= e.frame < duration_frames):
+        raise SynthError(f"event frame {e.frame} outside [0, {duration_frames})")
+    where = f"event at frame {e.frame}"
+    if not isinstance(e.set, Mapping):
+        raise SynthError(f"{where}: set must be an object, got {e.set!r}")
+    for key in (*e.set, *e.unset):
+        if key not in SCENE_KEYS:
+            raise SynthError(f"{where}: unknown scene key {key!r}; expected one of {', '.join(SCENE_KEYS)}")
+    for key, item_type, what in (
+        ("lights", Mapping, "objects"),
+        ("obstacles", Mapping, "objects"),
+        ("objects", str, "strings"),
+    ):
+        items = e.set.get(key, [])
+        if not isinstance(items, (list, tuple)) or not all(isinstance(x, item_type) for x in items):
+            raise SynthError(f"{where}: {key} must be a list of {what}, got {items!r}")
+    _scene_truth(e.set)
 
 
 def script_to_json(script: ScenarioScript) -> dict[str, Any]:
@@ -190,26 +226,27 @@ def script_to_json(script: ScenarioScript) -> dict[str, Any]:
     }
 
 
-def script_from_json(doc: Mapping[str, Any]) -> ScenarioScript:
+def script_from_json(doc: Any) -> ScenarioScript:
     if not isinstance(doc, Mapping):
         raise SynthError("invalid scenario script: expected a JSON object")
-    try:
-        events = tuple(
-            SceneEvent(
-                frame=e["frame"],
-                set=e.get("set") or {},
-                unset=tuple(e.get("unset") or ()),
-            )
-            for e in doc.get("events") or ()
+    rows = doc.get("events", [])
+    if not isinstance(rows, list) or not all(
+        isinstance(e, Mapping) and isinstance(e.get("unset", []), list) for e in rows
+    ):
+        raise SynthError(
+            "invalid scenario script: events must be a list of objects, each unset a list"
         )
+    try:
         return ScenarioScript(
             duration_frames=doc["duration_frames"],
             fps=doc.get("fps", 15),
             glitch_rate=doc.get("glitch_rate", 0.0),
-            events=events,
+            events=tuple(
+                SceneEvent(e["frame"], e.get("set", {}), tuple(e.get("unset", []))) for e in rows
+            ),
         )
-    except (KeyError, TypeError) as exc:
-        raise SynthError(f"invalid scenario script: {exc}") from exc
+    except KeyError as exc:
+        raise SynthError(f"invalid scenario script: missing {exc}") from exc
 
 
 def load_script(path: str | Path) -> ScenarioScript:
@@ -227,6 +264,10 @@ class Mutant:
     delta: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("id", "module", "target", "operator"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise SynthError(f"mutant {self.id!r}: {name} must be a string, got {value!r}")
         if self.module not in MODULE_KINDS:
             raise SynthError(f"mutant {self.id!r}: unknown module {self.module!r}")
         if self.operator not in MUTATION_OPERATORS:
@@ -240,22 +281,22 @@ def mutants_to_json(mutants: Sequence[Mutant]) -> list[dict[str, Any]]:
     ]
 
 
-def mutants_from_json(doc: Sequence[Mapping[str, Any]]) -> list[Mutant]:
+def _mutant_from_json(row: Any) -> Mutant:
+    if not isinstance(row, Mapping):
+        raise SynthError("invalid mutants document: each mutant must be a JSON object")
+    delta = row.get("delta", 0.0)
+    if not _is_number(delta):
+        raise SynthError(f"mutant {row.get('id')!r}: delta must be a number, got {delta!r}")
+    return Mutant(row["id"], row["module"], row["target"], row["operator"], float(delta))
+
+
+def mutants_from_json(doc: Any) -> list[Mutant]:
     if not isinstance(doc, (list, tuple)):
         raise SynthError("invalid mutants document: expected a JSON list")
     try:
-        return [
-            Mutant(
-                id=row["id"],
-                module=row["module"],
-                target=row["target"],
-                operator=row["operator"],
-                delta=float(row.get("delta", 0.0)),
-            )
-            for row in doc
-        ]
-    except (KeyError, TypeError) as exc:
-        raise SynthError(f"invalid mutants document: {exc}") from exc
+        return [_mutant_from_json(row) for row in doc]
+    except KeyError as exc:
+        raise SynthError(f"invalid mutants document: missing {exc}") from exc
 
 
 def load_mutants(path: str | Path) -> list[Mutant]:
@@ -626,31 +667,37 @@ def _frame_index(t_ns: int, fps: int) -> int:
     return round(t_ns * fps / NS_PER_SEC)
 
 
-def _light_features(light: Mapping[str, str]) -> dict[str, float]:
+def _canonical(what: str, value: Any, table: Mapping[Any, Any]) -> Any:
+    """table[value]; SynthError naming the script field unless value is a key of table."""
+    if not isinstance(value, str) or value not in table:
+        raise SynthError(f"script {what} {value!r} is not canonical")
+    return table[value]
+
+
+def _light_features(light: Mapping[str, Any]) -> dict[str, float]:
     color = light.get("color", "red")
-    if color not in LIGHT_HUE:
-        raise SynthError(f"script light color {color!r} is not canonical")
-    shape = light.get("shape", "round")
-    orientation = light.get("orientation", "vertical")
     return {
-        "hue_deg": LIGHT_HUE[color],
+        "hue_deg": _canonical("light color", color, LIGHT_HUE),
         "brightness": 0.0 if color == "black" else 1.0,
-        "circularity": LIGHT_CIRCULARITY[shape],
-        "tilt_deg": LIGHT_TILT[orientation],
+        "circularity": _canonical("light shape", light.get("shape", "round"), LIGHT_CIRCULARITY),
+        "tilt_deg": _canonical("light orientation", light.get("orientation", "vertical"), LIGHT_TILT),
     }
 
 
 def _actor_features(obstacle: Mapping[str, Any]) -> dict[str, Any]:
-    actor = obstacle.get("actor")
-    subtype = obstacle.get("subtype") or _DEFAULT_SUBTYPE.get(actor)
-    key = (actor, subtype)
-    if key not in ACTOR_BODY:
+    actor, subtype = obstacle.get("actor"), obstacle.get("subtype")
+    if subtype is None and isinstance(actor, str):
+        subtype = _DEFAULT_SUBTYPE.get(actor)
+    if not all(v is None or isinstance(v, str) for v in (actor, subtype)) or (
+        (actor, subtype) not in ACTOR_BODY
+    ):
         raise SynthError(f"script actor {actor!r}/{subtype!r} is not canonical")
-    action = obstacle.get("action", "cruise")
-    if action not in ACTION_MOTION:
-        raise SynthError(f"script action {action!r} is not canonical")
-    wheels, height, length, motor = ACTOR_BODY[key]
-    speed, lateral = ACTION_MOTION[action]
+    wheels, height, length, motor = ACTOR_BODY[actor, subtype]
+    speed, lateral = _canonical("action", obstacle.get("action", "cruise"), ACTION_MOTION)
+    flags = {name: obstacle.get(name, False) for name in ("on_crosswalk", "at_intersection")}
+    for name, flag in flags.items():
+        if not isinstance(flag, bool):
+            raise SynthError(f"script actor {name} must be true or false, got {flag!r}")
     return {
         "wheels": wheels,
         "height_m": height,
@@ -658,8 +705,7 @@ def _actor_features(obstacle: Mapping[str, Any]) -> dict[str, Any]:
         "motor_power": motor,
         "speed_mps": speed,
         "lateral_mps": lateral,
-        "on_crosswalk": bool(obstacle.get("on_crosswalk", False)),
-        "at_intersection": bool(obstacle.get("at_intersection", False)),
+        **flags,
     }
 
 
@@ -733,6 +779,8 @@ def generate_recording(script: ScenarioScript, seed: int) -> Recording:
     state: dict[str, Any] = {}
     next_event = 0
 
+    # The scene changes only at events, so frames in between share one truth.
+    truth = _scene_truth(state)
     for i in range(script.duration_frames):
         while next_event < len(events) and events[next_event].frame == i:
             ev = events[next_event]
@@ -740,8 +788,8 @@ def generate_recording(script: ScenarioScript, seed: int) -> Recording:
                 state.pop(key, None)
             state.update(ev.set)
             next_event += 1
+            truth = _scene_truth(state)
         t = _frame_t_ns(i, script.fps)
-        truth = _scene_truth(state)
 
         def emit(name: str, payload: Mapping[str, Any]) -> Message:
             msg = Message(name, t + CHANNEL_OFFSETS_NS[name], CHANNEL_KINDS[name], payload)

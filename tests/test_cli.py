@@ -444,3 +444,115 @@ class TestMistypedInputs:
         rc = main(["run-regression", "--in", str(rec), "--module", "planning", "--out", str(tmp_path / "r.json")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: irregular frame grid: frame 2 (t=200 ns)")
+
+
+# A valid script and mutant document that use every field the formats know.
+NESTED_SCRIPT = {
+    "duration_frames": 12,
+    "fps": 15,
+    "glitch_rate": 0.0,
+    "events": [
+        {
+            "frame": 0,
+            "set": {
+                "lights": [{"color": "red", "shape": "round", "orientation": "vertical"}],
+                "obstacles": [{"actor": "vehicle", "subtype": "car", "action": "stop",
+                               "on_crosswalk": False, "at_intersection": False}],
+                "objects": ["stop_sign"],
+            },
+            "unset": [],
+        },
+        {"frame": 6, "set": {}, "unset": ["objects"]},
+    ],
+}
+NESTED_MUTANTS = [
+    {"id": "m1", "module": "planning", "target": "passing_mode", "operator": "change_constant",
+     "delta": 0.0},
+]
+FIELD_VALUES = {"5": 5, "null": None, "string": "x", "empty-list": [], "empty-object": {}}
+
+
+def _field_paths(node, prefix=()):
+    """Path of every value nested in node, the root excluded."""
+    children = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in children:
+        yield (*prefix, key)
+        if isinstance(child, (dict, list)):
+            yield from _field_paths(child, (*prefix, key))
+
+
+def _replaced(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+# (document, path, value name) cases that stay valid: the value is one the
+# field accepts, such as an empty scene delta or a light left at its defaults.
+VALID_REPLACEMENTS = {
+    ("script", "fps", "5"),
+    ("script", "events", "empty-list"),
+    ("script", "events/0/frame", "5"),
+    ("script", "events/0/set", "empty-object"),
+    ("script", "events/0/set/lights", "empty-list"),
+    ("script", "events/0/set/lights/0", "empty-object"),
+    ("script", "events/0/set/obstacles", "empty-list"),
+    ("script", "events/0/set/obstacles/0/subtype", "null"),
+    ("script", "events/0/set/objects", "empty-list"),
+    ("script", "events/0/set/objects/0", "string"),
+    ("script", "events/0/unset", "empty-list"),
+    ("script", "events/1/frame", "5"),
+    ("script", "events/1/set", "empty-object"),
+    ("script", "events/1/unset", "empty-list"),
+    ("mutants", "0/id", "string"),
+    ("mutants", "0/delta", "5"),
+}
+NESTED_CASES = [
+    (name, "/".join(map(str, path)), value)
+    for name, doc in (("script", NESTED_SCRIPT), ("mutants", NESTED_MUTANTS))
+    for path in _field_paths(doc)
+    for value in FIELD_VALUES
+]
+
+
+class TestMistypedFields:
+    """Every field of a script or mutant document, replaced by a value of another type."""
+
+    def test_every_field_is_covered(self):
+        # 27 script fields and 6 mutant fields, 5 values each.
+        assert len(NESTED_CASES) == (27 + 6) * len(FIELD_VALUES)
+        assert VALID_REPLACEMENTS <= set(NESTED_CASES)
+
+    @pytest.mark.parametrize("name,path,value", NESTED_CASES)
+    def test_exit_one_with_one_error_line(self, name, path, value, work, tmp_path, capsys):
+        base = NESTED_SCRIPT if name == "script" else NESTED_MUTANTS
+        keys = [int(k) if k.isdigit() else k for k in path.split("/")]
+        doc = tmp_path / f"{name}.json"
+        doc.write_text(json.dumps(_replaced(base, keys, FIELD_VALUES[value])))
+        out = str(tmp_path / "out.json")
+        if name == "script":
+            argv = ["synth-generate", "--script", str(doc), "--out", out]
+        else:
+            argv = ["run-regression", "--in", str(work["rec"]), "--mutants", str(doc),
+                    "--module", "planning", "--strategies", "CH", "--repetitions", "1", "--out", out]
+        capsys.readouterr()
+        rc = main(argv)
+        err = capsys.readouterr().err
+        if (name, path, value) in VALID_REPLACEMENTS:
+            assert rc == 0, err
+            return
+        assert rc == 1, err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and errors[0].startswith("error: "), err
+
+    def test_base_documents_are_valid(self, work, tmp_path):
+        script, mutants = tmp_path / "script.json", tmp_path / "mutants.json"
+        script.write_text(json.dumps(NESTED_SCRIPT))
+        mutants.write_text(json.dumps(NESTED_MUTANTS))
+        assert main(["synth-generate", "--script", str(script), "--out", str(tmp_path / "r.jsonl")]) == 0
+        assert main(["run-regression", "--in", str(work["rec"]), "--mutants", str(mutants),
+                     "--module", "planning", "--out", str(tmp_path / "r.json")]) == 0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -35,6 +36,7 @@ from strap.synth import (
     ScenarioScript,
     SceneEvent,
     SynthError,
+    ToyModule,
     _frame_index,
     _replayed_vectors,
     _segment_mismatches,
@@ -84,6 +86,48 @@ class TestScript:
                 {"duration_frames": 10, "events": (SceneEvent(10),)},
                 "event frame 10 outside",
             ),
+            ({"duration_frames": 2.5}, "duration_frames must be a positive integer, got 2.5"),
+            ({"duration_frames": 10, "fps": True}, "fps must be a positive integer, got True"),
+            ({"duration_frames": 10, "glitch_rate": "0"}, "glitch_rate must be a number"),
+            (
+                {"duration_frames": 10, "events": (SceneEvent("0"),)},
+                "event frame must be an integer, got '0'",
+            ),
+            (
+                {"duration_frames": 10, "events": (SceneEvent(0, {"lightz": []}),)},
+                "event at frame 0: unknown scene key 'lightz'",
+            ),
+            (
+                {"duration_frames": 10, "events": (SceneEvent(0, {}, ("lightz",)),)},
+                "event at frame 0: unknown scene key 'lightz'",
+            ),
+            (
+                {"duration_frames": 10, "events": (SceneEvent(0, {"lights": {}}),)},
+                "event at frame 0: lights must be a list of objects",
+            ),
+            (
+                {"duration_frames": 10, "events": (SceneEvent(0, {"objects": [5]}),)},
+                "event at frame 0: objects must be a list of strings",
+            ),
+            (
+                {"duration_frames": 10, "events": (SceneEvent(0, {"lights": [{"shape": "hex"}]}),)},
+                "script light shape 'hex' is not canonical",
+            ),
+            (
+                {"duration_frames": 10, "events": (SceneEvent(0, {"lights": [{"orientation": 7}]}),)},
+                "script light orientation 7 is not canonical",
+            ),
+            (
+                {"duration_frames": 10, "events": (SceneEvent(0, {"obstacles": [{"actor": []}]}),)},
+                r"script actor \[\]/None is not canonical",
+            ),
+            (
+                {
+                    "duration_frames": 10,
+                    "events": (SceneEvent(0, {"obstacles": [{"actor": "pedestrian", "on_crosswalk": 1}]}),),
+                },
+                "script actor on_crosswalk must be true or false, got 1",
+            ),
         ],
     )
     def test_validation(self, kwargs, err):
@@ -96,8 +140,10 @@ class TestScript:
         assert again == s
 
     def test_bad_document(self):
-        with pytest.raises(SynthError, match="invalid scenario script"):
+        with pytest.raises(SynthError, match="invalid scenario script: missing 'duration_frames'"):
             script_from_json({"fps": 15})
+        with pytest.raises(SynthError, match="each unset a list"):
+            script_from_json({"duration_frames": 10, "events": [{"frame": 0, "unset": "lights"}]})
 
 
 class TestMutantModel:
@@ -106,6 +152,17 @@ class TestMutantModel:
             Mutant("m", "radar", "x", "change_constant", 1.0)
         with pytest.raises(SynthError, match="unknown operator"):
             Mutant("m", "planning", "x", "sql_injection", 1.0)
+        with pytest.raises(SynthError, match="mutant 5: id must be a string, got 5"):
+            Mutant(5, "planning", "x", "flip_condition")
+        with pytest.raises(SynthError, match="target must be a string, got None"):
+            Mutant("m", "planning", None, "flip_condition")
+
+    @pytest.mark.parametrize("delta", ["1.5", True, None, [1.0]])
+    def test_delta_must_be_a_json_number(self, delta):
+        row = {"id": "m", "module": "planning", "target": "passing_mode", "operator": "change_constant"}
+        assert mutants_from_json([{**row, "delta": 2}])[0].delta == 2.0
+        with pytest.raises(SynthError, match=re.escape(f"mutant 'm': delta must be a number, got {delta!r}")):
+            mutants_from_json([{**row, "delta": delta}])
 
     def test_json_round_trip(self):
         ms = [
@@ -120,6 +177,103 @@ class TestMutantModel:
             "change_constant",
             "change_variable",
             "flip_condition",
+        }
+
+
+# Each module's parameter and condition -> classifier table, as it stood when
+# every module spelled it out by hand.
+PINNED_PARAM_FUNCTIONS = {
+    "traffic_light": {
+        "lit_min_brightness": "classify_color", "green_min_hue": "classify_color",
+        "yellow_min_hue": "classify_color", "lit_check": "classify_color",
+        "green_check": "classify_color", "yellow_check": "classify_color",
+        "round_min_circularity": "classify_shape", "round_check": "classify_shape",
+        "vertical_min_tilt": "classify_orientation", "vertical_check": "classify_orientation",
+    },
+    "obstacle": {
+        "vehicle_min_wheels": "classify_actor", "cyclist_min_wheels": "classify_actor",
+        "tricycle_min_wheels": "classify_actor", "motor_min_power": "classify_actor",
+        "pedestrian_min_height": "classify_actor", "bus_min_length": "classify_actor",
+        "truck_min_length": "classify_actor", "van_min_height": "classify_actor",
+        "vehicle_check": "classify_actor", "cyclist_check": "classify_actor",
+        "tricycle_check": "classify_actor", "motor_check": "classify_actor",
+        "pedestrian_check": "classify_actor", "bus_check": "classify_actor",
+        "truck_check": "classify_actor", "van_check": "classify_actor",
+        "static_min_confidence": "filter_static", "static_check": "filter_static",
+        "stop_max_speed": "classify_motion", "lateral_min": "classify_motion",
+        "overtake_min_speed": "classify_motion", "cross_max_speed": "classify_motion",
+        "stop_check": "classify_motion", "lateral_check": "classify_motion",
+        "overtake_check": "classify_motion", "cross_check": "classify_motion",
+    },
+    "prediction": {
+        "stop_max_speed": "predict_action", "lateral_min": "predict_action",
+        "overtake_min_speed": "predict_action", "cross_max_speed": "predict_action",
+        "stop_check": "predict_action", "lateral_check": "predict_action",
+        "overtake_check": "predict_action", "cross_check": "predict_action",
+    },
+    "planning": {
+        "sign_stop_range_m": "plan_step", "passing_mode": "plan_step",
+        "red_light_stop": "plan_step", "stop_sign_stop": "plan_step",
+        "yield_crossing": "plan_step", "lead_blocked": "plan_step",
+    },
+}
+PINNED_CONDITIONS = {
+    "traffic_light": {"lit_check", "green_check", "yellow_check", "round_check", "vertical_check"},
+    "obstacle": {
+        "vehicle_check", "cyclist_check", "tricycle_check", "motor_check", "pedestrian_check",
+        "bus_check", "truck_check", "van_check", "static_check",
+        "stop_check", "lateral_check", "overtake_check", "cross_check",
+    },
+    "prediction": {"stop_check", "lateral_check", "overtake_check", "cross_check"},
+    "planning": {"red_light_stop", "stop_sign_stop", "yield_crossing", "lead_blocked"},
+}
+
+
+class TestClassifierTables:
+    """PARAM_FUNCTIONS and CONDITIONS derive from each module's FUNCTIONS table."""
+
+    @pytest.mark.parametrize("kind", MODULE_KINDS)
+    def test_derived_tables_are_pinned(self, kind):
+        module = make_module(kind)
+        assert module.PARAM_FUNCTIONS == PINNED_PARAM_FUNCTIONS[kind]
+        assert module.CONDITIONS == PINNED_CONDITIONS[kind]
+        assert mutable_targets(kind) == {
+            "params": sorted(set(PINNED_PARAM_FUNCTIONS[kind]) - PINNED_CONDITIONS[kind]),
+            "conditions": sorted(PINNED_CONDITIONS[kind]),
+        }
+
+    def test_pinned_tables_cover_fifty_names(self):
+        assert sum(len(t) for t in PINNED_PARAM_FUNCTIONS.values()) == 50
+
+    def test_classifiers_are_the_call_log_keys(self, benchmark_recording):
+        frames = align_recording(benchmark_recording).frames
+        for kind in MODULE_KINDS:
+            module = make_module(kind)
+            counts = replay_segment(module, frames, fps=15).call_counts
+            assert set(counts) == set(module.FUNCTIONS), kind
+
+    def test_unread_parameter_fails_at_class_definition(self):
+        with pytest.raises(TypeError, match=r"no classifier reads \['spare_gain'\]"):
+
+            class Unread(ToyModule):
+                DEFAULT_PARAMS = {"gain": 1.0, "spare_gain": 2.0}
+                FUNCTIONS = {"classify": ("gain", "gain_check")}
+
+    def test_name_under_two_classifiers_fails_at_class_definition(self):
+        with pytest.raises(TypeError, match="listed under two classifiers"):
+
+            class Twice(ToyModule):
+                DEFAULT_PARAMS = {"gain": 1.0}
+                FUNCTIONS = {"classify": ("gain",), "filter": ("gain",)}
+
+    def test_conditions_are_the_names_that_are_not_parameters(self):
+        class Derived(ToyModule):
+            DEFAULT_PARAMS = {"gain": 1.0}
+            FUNCTIONS = {"classify": ("gain", "gain_check"), "filter": ("keep_check",)}
+
+        assert Derived.CONDITIONS == {"gain_check", "keep_check"}
+        assert Derived.PARAM_FUNCTIONS == {
+            "gain": "classify", "gain_check": "classify", "keep_check": "filter",
         }
 
 
