@@ -158,7 +158,7 @@ def _is_number(value: Any) -> bool:
 
 
 # The scene state an event may set or unset.
-SCENE_KEYS = ("lights", "obstacles", "objects")
+_SCENE_KEYS = ("lights", "obstacles", "objects")
 
 
 @dataclass(frozen=True)
@@ -202,8 +202,10 @@ def _check_event(e: SceneEvent, duration_frames: int) -> None:
     if not isinstance(e.set, Mapping):
         raise SynthError(f"{where}: set must be an object, got {e.set!r}")
     for key in (*e.set, *e.unset):
-        if key not in SCENE_KEYS:
-            raise SynthError(f"{where}: unknown scene key {key!r}; expected one of {', '.join(SCENE_KEYS)}")
+        if key not in _SCENE_KEYS:
+            raise SynthError(
+                f"{where}: unknown scene key {key!r}; expected one of {', '.join(_SCENE_KEYS)}"
+            )
     for key, item_type, what in (
         ("lights", Mapping, "objects"),
         ("obstacles", Mapping, "objects"),
@@ -212,7 +214,7 @@ def _check_event(e: SceneEvent, duration_frames: int) -> None:
         items = e.set.get(key, [])
         if not isinstance(items, (list, tuple)) or not all(isinstance(x, item_type) for x in items):
             raise SynthError(f"{where}: {key} must be a list of {what}, got {items!r}")
-    _scene_truth(e.set)
+    _scene_truth(e.set)  # raises on a name outside the canonical tables
 
 
 def script_to_json(script: ScenarioScript) -> dict[str, Any]:

@@ -17,14 +17,15 @@ import pytest
 from strap.cli import main
 
 GOLDEN = Path(__file__).with_name("golden")
-# Seed-0 run-regression --module all reports: golden file stem -> (script,
-# mutant set, extra flags). --warmup 0 is the one configuration in which a
-# segment replay's cold start can fall on a frame that is not an emission tick.
+# Seed-0 run-regression --module all reports, golden files <case>_all.json
+# and .csv: case -> (script, mutant set, extra flags). --warmup 0 is the one
+# configuration in which a segment replay's cold start can fall on a frame
+# that is not an emission tick.
 REPORTS = {
-    "benchmark_all": ("benchmark", "benchmark", ()),
-    "rare-fault_all": ("rare-fault", "rare-fault", ()),
-    "noisy-prediction_all": ("noisy-prediction", "benchmark", ()),
-    "benchmark_all_warmup0": ("benchmark", "benchmark", ("--warmup", "0")),
+    "benchmark": ("benchmark", "benchmark", ()),
+    "rare-fault": ("rare-fault", "rare-fault", ()),
+    "noisy-prediction": ("noisy-prediction", "benchmark", ()),
+    "benchmark-warmup0": ("benchmark", "benchmark", ("--warmup", "0")),
 }
 ARTIFACT_DIGESTS = "planning_artifacts.sha256"
 
@@ -35,9 +36,9 @@ def _run(argv: list[str]) -> None:
         raise RuntimeError(f"strap {' '.join(argv)} exited {code}")
 
 
-def _report(stem: str, out: Path) -> dict[str, bytes]:
-    script, mutants, flags = REPORTS[stem]
-    report = out / f"{stem}.json"
+def _report(case: str, out: Path) -> dict[str, bytes]:
+    script, mutants, flags = REPORTS[case]
+    report = out / f"{case}_all.json"
     _run([
         "run-regression", "--script", f"builtin:{script}", "--mutants", f"builtin:{mutants}",
         "--module", "all", "--seed", "0", *flags, "--out", str(report),
@@ -60,9 +61,9 @@ def _artifact_digests(out: Path) -> bytes:
     return "".join(lines).encode()
 
 
-@pytest.mark.parametrize("stem", REPORTS)
-def test_module_all_report_is_byte_identical(stem, tmp_path):
-    for name, data in _report(stem, tmp_path).items():
+@pytest.mark.parametrize("case", REPORTS)
+def test_module_all_report_is_byte_identical(case, tmp_path):
+    for name, data in _report(case, tmp_path).items():
         assert data == (GOLDEN / name).read_bytes(), f"{name} differs from the golden file"
 
 
@@ -73,8 +74,8 @@ def test_planning_artifacts_are_byte_identical(tmp_path):
 def _write_golden() -> None:
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for stem in REPORTS:
-            for name, data in _report(stem, Path(tmp)).items():
+        for case in REPORTS:
+            for name, data in _report(case, Path(tmp)).items():
                 (GOLDEN / name).write_bytes(data)
         (GOLDEN / ARTIFACT_DIGESTS).write_bytes(_artifact_digests(Path(tmp)))
 
