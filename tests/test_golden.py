@@ -28,6 +28,15 @@ REPORTS = {
     "benchmark-warmup0": ("benchmark", "benchmark", ("--warmup", "0")),
 }
 ARTIFACT_DIGESTS = "planning_artifacts.sha256"
+# The seed-0 --module planning run with --artifacts-dir: its report, which
+# also lists the 15 mutants of other modules, and `strap evaluate` over the
+# run's own verdicts, segments and five plans.
+PLANNING_FILES = (
+    "planning_report.json",
+    "planning_report.csv",
+    "planning_evaluate.json",
+    "planning_evaluate.csv",
+)
 
 
 def _run(argv: list[str]) -> None:
@@ -46,19 +55,37 @@ def _report(case: str, out: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in (report, report.with_suffix(".csv"))}
 
 
-def _artifact_digests(out: Path) -> bytes:
-    """sha256 of every --artifacts-dir file of a planning run, sorted by name."""
+def _planning(out: Path) -> dict[str, bytes]:
+    """Golden file name -> bytes of the planning run and the evaluate run over its artifacts.
+
+    The digests file holds the sha256 of every --artifacts-dir file, sorted
+    by name.
+    """
     artifacts = out / "artifacts"
     _run([
         "run-regression", "--script", "builtin:benchmark", "--mutants", "builtin:benchmark",
         "--module", "planning", "--seed", "0", "--artifacts-dir", str(artifacts),
-        "--out", str(out / "planning.json"),
+        "--out", str(out / "planning_report.json"),
     ])
     lines = [
         f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.name}\n"
         for p in sorted(artifacts.iterdir())
     ]
-    return "".join(lines).encode()
+    _run([
+        "evaluate", "--verdicts", str(artifacts / "verdicts.json"),
+        "--segments", str(artifacts / "segments.json"),
+        "--plans", *(str(p) for p in sorted(artifacts.glob("plan_*.json"))),
+        "--out", str(out / "planning_evaluate.json"),
+    ])
+    return {
+        ARTIFACT_DIGESTS: "".join(lines).encode(),
+        **{name: (out / name).read_bytes() for name in PLANNING_FILES},
+    }
+
+
+@pytest.fixture(scope="module")
+def planning(tmp_path_factory):
+    return _planning(tmp_path_factory.mktemp("planning"))
 
 
 @pytest.mark.parametrize("case", REPORTS)
@@ -67,8 +94,13 @@ def test_module_all_report_is_byte_identical(case, tmp_path):
         assert data == (GOLDEN / name).read_bytes(), f"{name} differs from the golden file"
 
 
-def test_planning_artifacts_are_byte_identical(tmp_path):
-    assert _artifact_digests(tmp_path) == (GOLDEN / ARTIFACT_DIGESTS).read_bytes()
+def test_planning_artifacts_are_byte_identical(planning):
+    assert planning[ARTIFACT_DIGESTS] == (GOLDEN / ARTIFACT_DIGESTS).read_bytes()
+
+
+@pytest.mark.parametrize("name", PLANNING_FILES)
+def test_planning_output_is_byte_identical(name, planning):
+    assert planning[name] == (GOLDEN / name).read_bytes(), f"{name} differs from the golden file"
 
 
 def _write_golden() -> None:
@@ -77,7 +109,8 @@ def _write_golden() -> None:
         for case in REPORTS:
             for name, data in _report(case, Path(tmp)).items():
                 (GOLDEN / name).write_bytes(data)
-        (GOLDEN / ARTIFACT_DIGESTS).write_bytes(_artifact_digests(Path(tmp)))
+        for name, data in _planning(Path(tmp)).items():
+            (GOLDEN / name).write_bytes(data)
 
 
 if __name__ == "__main__":
