@@ -19,16 +19,12 @@ from .benchmarks import (
 from .evaluation import (
     FAULT_MISMATCH_RATIO,
     FaultVerdict,
-    MetricsReport,
-    SuiteTotals,
     WHOLE_RECORDING_SEGMENT_ID,
     apfd,
     compare_outputs,
     evaluate_plan,
     fault_coverage,
     reduction_pct,
-    report_to_csv,
-    report_to_json,
 )
 from .prioritization import (
     PrioritizedPlan,

@@ -16,15 +16,7 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from .benchmarks import BUILTIN_MUTANTS, BUILTIN_SCRIPTS
-from .evaluation import (
-    FaultVerdict,
-    MetricsReport,
-    fault_coverage,
-    report_to_csv,
-    report_to_json,
-    score_plans,
-    scores_to_csv,
-)
+from .evaluation import FaultVerdict, detections, score_plans, scores_to_csv
 from .fileio import atomic_write_json, atomic_write_text, read_json
 # The prioritize_* functions and run_regression are not called here; they stay
 # importable from this module for callers that look them up here.
@@ -280,48 +272,40 @@ def _verdicts_doc(module: str, details: Mapping[str, Any]) -> dict[str, Any]:
     return {"module": module, "full": full, "segments": segments}
 
 
-def _fault_sets_from_verdicts(doc: Mapping[str, Any]) -> tuple[dict[int, set[str]], set[str], set[str]]:
+def _verdicts_from_doc(
+    doc: Mapping[str, Any],
+) -> tuple[dict[str, bool], dict[str, dict[int, bool]]]:
+    """Each mutant's full-replay detection and per-segment fault flags (_verdicts_doc).
+
+    A segment's flag is recomputed from its mismatch tally, not read from its is_fault.
+    """
     try:
-        seg_tables: Mapping[str, Mapping[str, Any]] = doc["segments"]
-        fault_sets: dict[int, set[str]] = {}
-        reduced_detected: set[str] = set()
-        for mid, table in seg_tables.items():
-            for sid_raw, cell in table.items():
+        flags: dict[str, dict[int, bool]] = {}
+        for mid, cells in doc["segments"].items():
+            flags[mid] = {}
+            for sid_raw, cell in cells.items():
                 sid = int(sid_raw)
                 verdict = FaultVerdict(sid, cell["mismatched_frames"], cell["total_frames"])
-                fault_sets.setdefault(sid, set())
-                if verdict.is_fault:
-                    fault_sets[sid].add(mid)
-                    reduced_detected.add(mid)
-        full_detected = {mid for mid, cell in doc["full"].items() if cell["detected"]}
-        return fault_sets, reduced_detected, full_detected
+                flags[mid][sid] = verdict.is_fault
+        full = {mid: cell["detected"] for mid, cell in doc["full"].items()}
+        return full, flags
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"invalid verdicts document: {exc}") from exc
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> None:
-    doc = read_json(_require_file(args.verdicts))
-    fault_sets, reduced_detected, full_detected = _fault_sets_from_verdicts(doc)
+    full, flags = _verdicts_from_doc(read_json(_require_file(args.verdicts)))
+    segment_ids: list[int] = []
     if args.segments:
         segments, _ = segments_from_manifest(read_json(_require_file(args.segments)))
-        known = {s.id for s in segments}
-        for sid in known - set(fault_sets):
-            fault_sets[sid] = set()
+        segment_ids = [s.id for s in segments]
     plans: dict[str, list[PrioritizedPlan]] = {}
     for path in args.plans:
         plan = plan_from_json(read_json(_require_file(path)))
         plans.setdefault(plan.strategy, []).append(plan)
+    fault_sets, coverage, detected = detections(full, flags, segment_ids)
     apfd_by, topk_by = score_plans(plans, fault_sets)
-    report = {
-        "fault_coverage": fault_coverage(reduced_detected, full_detected),
-        "apfd": apfd_by,
-        "top_k": topk_by,
-        "detected_full": sorted(full_detected),
-        "detected_reduced": sorted(reduced_detected),
-        "undetected": sorted(
-            set(doc.get("full", {})) - full_detected - reduced_detected
-        ),
-    }
+    report = {"fault_coverage": coverage, "apfd": apfd_by, "top_k": topk_by, **detected}
     atomic_write_json(args.out, report)
     atomic_write_text(Path(args.out).with_suffix(".csv"), scores_to_csv(apfd_by, topk_by))
     _say(f"evaluated {len(args.plans)} plan(s) -> {args.out}")
@@ -354,7 +338,7 @@ def _cmd_synth_mutate(args: argparse.Namespace) -> None:
 def _write_regression_artifacts(
     outdir: Path,
     prepared: PreparedRecording,
-    report: MetricsReport,
+    report: Mapping[str, Any],
     plans: Mapping[str, Sequence[PrioritizedPlan]],
 ) -> None:
     """Save one module run's intermediates, taken from the run itself.
@@ -374,9 +358,9 @@ def _write_regression_artifacts(
         outdir / "segments.json",
         segments_to_manifest(prepared.segments, prepared.cfg, times, module),
     )
-    atomic_write_json(outdir / "call_counts.json", list(report.details["call_counts"]))
+    atomic_write_json(outdir / "call_counts.json", report["details"]["call_counts"])
     _write_plan_files(plans, str(outdir))
-    atomic_write_json(outdir / "verdicts.json", _verdicts_doc(module, report.details))
+    atomic_write_json(outdir / "verdicts.json", _verdicts_doc(module, report["details"]))
 
 
 def _cmd_run_regression(args: argparse.Namespace) -> None:
@@ -404,10 +388,12 @@ def _cmd_run_regression(args: argparse.Namespace) -> None:
         report, plans = run_prepared(prepared, mutants, strategies, **kwargs)
         if args.artifacts_dir:
             _write_regression_artifacts(Path(args.artifacts_dir), prepared, report, plans)
-    atomic_write_json(args.out, report_to_json(report))
-    atomic_write_text(Path(args.out).with_suffix(".csv"), report_to_csv(report))
+    atomic_write_json(args.out, report)
+    atomic_write_text(
+        Path(args.out).with_suffix(".csv"), scores_to_csv(report["apfd"], report["top_k"])
+    )
     _say(
-        f"reduction {report.reduction_pct:.3f}, coverage {report.fault_coverage:.3f} "
+        f"reduction {report['reduction_pct']:.3f}, coverage {report['fault_coverage']:.3f} "
         f"-> {args.out}"
     )
 

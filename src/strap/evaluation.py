@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -160,40 +160,32 @@ def score_plans(
     return apfd_by, topk_by
 
 
-@dataclass(frozen=True)
-class SuiteTotals:
-    """Frame and segment counts before and after reduction."""
+def detections(
+    full: Mapping[str, bool],
+    flags: Mapping[str, Mapping[int, bool]],
+    segment_ids: Iterable[int] = (),
+) -> tuple[dict[int, set[str]], float, dict[str, list[str]]]:
+    """Which mutants the full and the reduced suite detect.
 
-    original_frames: int
-    reduced_frames: int
-    reduced_frames_with_warmup: int
-    segments_before_dedup: int
-    segments_after_dedup: int
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    """Full evaluation summary for one regression run."""
-
-    reduction_pct: float
-    reduction_pct_with_warmup: float
-    fault_coverage: float
-    apfd: Mapping[str, float | None]
-    # Top-K may be a mean over shuffles, hence float.
-    top_k: Mapping[str, float | None]
-    totals: SuiteTotals
-    details: Mapping[str, Any] = field(default_factory=dict)
-
-
-def report_to_json(report: MetricsReport) -> dict[str, Any]:
-    return {
-        "reduction_pct": report.reduction_pct,
-        "reduction_pct_with_warmup": report.reduction_pct_with_warmup,
-        "fault_coverage": report.fault_coverage,
-        "apfd": dict(report.apfd),
-        "top_k": dict(report.top_k),
-        "totals": asdict(report.totals),
-        "details": dict(report.details),
+    full maps every mutant id to whether its whole-recording replay flags a
+    fault, and flags maps mutant ids to whether each segment's verdict is a
+    fault. Returns the detected-fault set of every segment (segment_ids,
+    which may name segments no verdict covers, and every segment in flags),
+    the reduced suite's fault coverage, and the sorted detected_full,
+    detected_reduced and undetected mutant ids.
+    """
+    fault_sets: dict[int, set[str]] = {sid: set() for sid in segment_ids}
+    for mid, by_segment in flags.items():
+        for sid, is_fault in by_segment.items():
+            hits = fault_sets.setdefault(sid, set())
+            if is_fault:
+                hits.add(mid)
+    detected_full = {mid for mid, hit in full.items() if hit}
+    detected_reduced = set().union(*fault_sets.values())
+    return fault_sets, fault_coverage(detected_reduced, detected_full), {
+        "detected_full": sorted(detected_full),
+        "detected_reduced": sorted(detected_reduced),
+        "undetected": sorted(set(full) - detected_full - detected_reduced),
     }
 
 
@@ -212,7 +204,3 @@ def scores_to_csv(
         )
     return buf.getvalue()
 
-
-def report_to_csv(report: MetricsReport) -> str:
-    """The report's per-strategy summary table (scores_to_csv)."""
-    return scores_to_csv(report.apfd, report.top_k)

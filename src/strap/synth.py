@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
@@ -38,15 +38,12 @@ from typing import Any, Iterable, Mapping, Sequence
 # them up here.
 from .evaluation import (  # noqa: F401
     FaultVerdict,
-    MetricsReport,
-    SuiteTotals,
     WHOLE_RECORDING_SEGMENT_ID,
     compare_outputs,
+    detections,
     evaluate_plan,
-    fault_coverage,
     mean_defined,
     reduction_pct,
-    report_to_json,
     score_plans,
 )
 from .prioritization import (  # noqa: F401
@@ -1054,7 +1051,7 @@ def run_prepared(
     seed: int = 0,
     repetitions: int = 100,
     rarity_mode: str = "indicator",
-) -> tuple[MetricsReport, dict[str, list[PrioritizedPlan]]]:
+) -> tuple[dict[str, Any], dict[str, list[PrioritizedPlan]]]:
     """Replay mutants over a prepared recording and score prioritization plans.
 
     Returns the report and every plan it scored, keyed by strategy. Only the
@@ -1073,37 +1070,29 @@ def run_prepared(
     encoder = FrameEncoder(registry, ModuleFilter.for_module(module_kind, registry))
     module = make_module(module_kind)
     n_frames = len(ar.frames)
-
     own = [m for m in mutants if m.module == module_kind]
-    foreign = [m for m in mutants if m.module != module_kind]
 
-    # One whole-recording replay per mutant; every segment verdict derives from it.
-    results: dict[str, dict[str, Any]] = {}
+    # One whole-recording replay per own mutant; every segment verdict derives
+    # from it. Other modules' mutants get clean verdicts.
+    full: dict[str, bool] = {}
+    tables: dict[str, dict[int, FaultVerdict]] = {}
     for mutant in own:
         mutated = apply_mutant(module, mutant)
-        full, prefix = _whole_replay(prepared, mutated, encoder)
-        verdicts = {
+        whole, prefix = _whole_replay(prepared, mutated, encoder)
+        full[mutant.id] = whole.is_fault
+        tables[mutant.id] = {
             s.id: FaultVerdict(s.id, _segment_mismatches(prepared, mutated, encoder, s, prefix), s.length)
             for s in segments
         }
-        results[mutant.id] = {"mutant": mutant, "full": full, "segments": verdicts}
-
     clean = {s.id: FaultVerdict(s.id, 0, s.length) for s in segments}
-    for m in foreign:
-        results[m.id] = {
-            "mutant": m,
-            "full": FaultVerdict(WHOLE_RECORDING_SEGMENT_ID, 0, n_frames),
-            "segments": dict(clean),
-        }
-
-    detected_full = {mid for mid, e in results.items() if e["full"].is_fault}
-    fault_sets = {
-        s.id: frozenset(
-            mid for mid, e in results.items() if e["segments"][s.id].is_fault
-        )
-        for s in segments
-    }
-    detected_reduced = set().union(*fault_sets.values())
+    for m in mutants:
+        if m.module != module_kind:
+            full[m.id], tables[m.id] = False, clean
+    fault_sets, coverage, detected = detections(
+        full,
+        {mid: {sid: v.is_fault for sid, v in table.items()} for mid, table in tables.items()},
+        [s.id for s in segments],
+    )
 
     # Call counts for CC: unmutated replay of each segment body, counting
     # calls of the functions the mutant set touches.
@@ -1135,50 +1124,46 @@ def run_prepared(
 
     reduced = sum(s.length for s in segments)
     reduced_wu = sum(s.length_with_warmup for s in segments)
-    totals = SuiteTotals(
-        original_frames=n_frames,
-        reduced_frames=reduced,
-        reduced_frames_with_warmup=reduced_wu,
-        segments_before_dedup=prepared.segments_before_dedup,
-        segments_after_dedup=len(segments),
-    )
-    details = {
-        "module": module_kind,
-        "config": {**asdict(cfg), "seed": seed, "repetitions": repetitions, "rarity_mode": rarity_mode},
-        "mutants": {
-            mid: {
-                "module": e["mutant"].module,
-                "detected_full": e["full"].is_fault,
-                "detected_reduced": any(v.is_fault for v in e["segments"].values()),
-                "segments": {
-                    str(sid): {
-                        "mismatched_frames": v.mismatched_frames,
-                        "total_frames": v.total_frames,
-                        "is_fault": v.is_fault,
-                    }
-                    for sid, v in sorted(e["segments"].items())
-                },
-            }
-            for mid, e in sorted(results.items())
+    report = {
+        "reduction_pct": reduction_pct(n_frames, reduced),
+        # Warm-up frames can overlap across segments, so this figure may
+        # legitimately go negative for pathological configs; report it raw.
+        "reduction_pct_with_warmup": float(1 - Fraction(reduced_wu, n_frames)),
+        "fault_coverage": coverage,
+        "apfd": apfd_by,
+        "top_k": topk_by,
+        "totals": {
+            "original_frames": n_frames,
+            "reduced_frames": reduced,
+            "reduced_frames_with_warmup": reduced_wu,
+            "segments_before_dedup": prepared.segments_before_dedup,
+            "segments_after_dedup": len(segments),
         },
-        "detected_full": sorted(detected_full),
-        "detected_reduced": sorted(detected_reduced),
-        "undetected": sorted(set(results) - detected_full - detected_reduced),
-        "strategies": strategy_details,
-        "call_counts": call_counts,
-        "segment_ids": [s.id for s in segments],
+        "details": {
+            "module": module_kind,
+            "config": {**asdict(cfg), "seed": seed, "repetitions": repetitions, "rarity_mode": rarity_mode},
+            "mutants": {
+                m.id: {
+                    "module": m.module,
+                    "detected_full": full[m.id],
+                    "detected_reduced": any(v.is_fault for v in tables[m.id].values()),
+                    "segments": {
+                        str(sid): {
+                            "mismatched_frames": v.mismatched_frames,
+                            "total_frames": v.total_frames,
+                            "is_fault": v.is_fault,
+                        }
+                        for sid, v in sorted(tables[m.id].items())
+                    },
+                }
+                for m in sorted(mutants, key=lambda m: m.id)
+            },
+            **detected,
+            "strategies": strategy_details,
+            "call_counts": call_counts,
+            "segment_ids": [s.id for s in segments],
+        },
     }
-    # Warm-up frames can overlap across segments, so this figure may
-    # legitimately go negative for pathological configs; report it raw.
-    report = MetricsReport(
-        reduction_pct=reduction_pct(n_frames, reduced),
-        reduction_pct_with_warmup=float(1 - Fraction(reduced_wu, n_frames)),
-        fault_coverage=fault_coverage(detected_reduced, detected_full),
-        apfd=apfd_by,
-        top_k=topk_by,
-        totals=totals,
-        details=details,
-    )
     return report, plans
 
 
@@ -1191,7 +1176,7 @@ def run_regression(
     *,
     registry: SchemaRegistry | None = None,
     **kwargs: Any,
-) -> MetricsReport:
+) -> dict[str, Any]:
     """Align, encode and reduce a recording, then run its regression (run_prepared)."""
     prepared = prepare_recording(align_recording(recording), module_kind, cfg, registry)
     report, _ = run_prepared(prepared, mutants, strategies, **kwargs)
@@ -1215,8 +1200,8 @@ def run_benchmark(
     *,
     registry: SchemaRegistry | None = None,
     **kwargs: Any,
-) -> MetricsReport:
-    """Run one regression per module kind and aggregate the results.
+) -> dict[str, Any]:
+    """Run one regression per module kind and aggregate the report documents.
 
     The recording is aligned once. Each module encodes its own filtered view
     of that alignment and replays its own mutants; a view is dropped before
@@ -1226,35 +1211,30 @@ def run_benchmark(
     """
     strategies = _check_run_inputs(strategies, mutants)
     ar = align_recording(recording)
-    sub: dict[str, MetricsReport] = {}
+    sub: dict[str, dict[str, Any]] = {}
     for kind in MODULE_KINDS:
         own = [m for m in mutants if m.module == kind]
         sub[kind], _ = run_prepared(
             prepare_recording(ar, kind, cfg, registry), own, strategies, **kwargs
         )
 
-    reduced_detected: set[str] = set()
-    full_detected: set[str] = set()
-    for report in sub.values():
-        reduced_detected.update(report.details["detected_reduced"])
-        full_detected.update(report.details["detected_full"])
-
-    apfd_by = {name: mean_defined(r.apfd[name] for r in sub.values()) for name in strategies}
-    topk_by = {name: mean_defined(r.top_k[name] for r in sub.values()) for name in strategies}
-
-    totals = SuiteTotals(*map(sum, zip(*(astuple(r.totals) for r in sub.values()))))
-    return MetricsReport(
-        reduction_pct=mean_defined(r.reduction_pct for r in sub.values()),
-        reduction_pct_with_warmup=mean_defined(r.reduction_pct_with_warmup for r in sub.values()),
-        fault_coverage=fault_coverage(reduced_detected, full_detected),
-        apfd=apfd_by,
-        top_k=topk_by,
-        totals=totals,
-        details={
-            "aggregate": "per-module mean",
-            "detected_full": sorted(full_detected),
-            "detected_reduced": sorted(reduced_detected),
-            "undetected": sorted({m.id for m in mutants} - full_detected - reduced_detected),
-            "modules": {kind: report_to_json(r) for kind, r in sub.items()},
+    reports = list(sub.values())
+    entries = {mid: e for r in reports for mid, e in r["details"]["mutants"].items()}
+    # The sub-reports' is_fault flags were computed by this run, so they are
+    # read as they are.
+    _, coverage, detected = detections(
+        {mid: e["detected_full"] for mid, e in entries.items()},
+        {
+            mid: {int(sid): cell["is_fault"] for sid, cell in e["segments"].items()}
+            for mid, e in entries.items()
         },
     )
+    return {
+        "reduction_pct": mean_defined(r["reduction_pct"] for r in reports),
+        "reduction_pct_with_warmup": mean_defined(r["reduction_pct_with_warmup"] for r in reports),
+        "fault_coverage": coverage,
+        "apfd": {name: mean_defined(r["apfd"][name] for r in reports) for name in strategies},
+        "top_k": {name: mean_defined(r["top_k"][name] for r in reports) for name in strategies},
+        "totals": {key: sum(r["totals"][key] for r in reports) for key in reports[0]["totals"]},
+        "details": {"aggregate": "per-module mean", **detected, "modules": sub},
+    }

@@ -135,11 +135,11 @@ def test_fault_coverage_floor(benchmark_recording):
     start = time.perf_counter()
     report = run_benchmark(benchmark_recording, benchmark_mutants(), seed=0, repetitions=100)
     elapsed = time.perf_counter() - start
-    detected = len(report.details["detected_full"])
-    ok = report.fault_coverage >= 0.95 and elapsed < 120.0
+    detected = len(report["details"]["detected_full"])
+    ok = report["fault_coverage"] >= 0.95 and elapsed < 120.0
     check(
         5,
-        f"reduced suite covers {report.fault_coverage:.3f} of the {detected} full-replay "
+        f"reduced suite covers {report['fault_coverage']:.3f} of the {detected} full-replay "
         f"detections across 20 mutants in {elapsed:.1f}s (>= 0.95, < 2min)",
         ok,
     )
@@ -190,8 +190,8 @@ def test_rarity_prioritization_beats_baselines(rare_recording):
     report = run_regression(
         rare_recording, "traffic_light", rare_fault_mutants(), seed=0, repetitions=100
     )
-    rsc, rd, ch = report.apfd["RSC"], report.apfd["RD"], report.apfd["CH"]
-    rsc_k, ch_k = report.top_k["RSC"], report.top_k["CH"]
+    rsc, rd, ch = report["apfd"]["RSC"], report["apfd"]["RD"], report["apfd"]["CH"]
+    rsc_k, ch_k = report["top_k"]["RSC"], report["top_k"]["CH"]
     ok = rsc > rd and rsc > ch and rsc_k <= ch_k
     check(
         9,
@@ -245,7 +245,7 @@ def test_closed_loop_zero_faults(benchmark_clean_recording, noisy_recording, rar
         for kind, param in noop.items():
             mutant = Mutant(f"noop-{kind}", kind, param, "change_variable", 0.0)
             report = run_regression(rec, kind, [mutant], strategies=("CH",), repetitions=1)
-            d = report.details
+            d = report["details"]
             assert d["detected_full"] == [], (rec_name, kind)
             assert d["detected_reduced"] == [], (rec_name, kind)
             rows = d["mutants"][mutant.id]["segments"].values()

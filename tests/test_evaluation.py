@@ -8,16 +8,13 @@ from strap.evaluation import (
     FAULT_MISMATCH_RATIO,
     WHOLE_RECORDING_SEGMENT_ID,
     FaultVerdict,
-    MetricsReport,
-    SuiteTotals,
     apfd,
     compare_outputs,
+    detections,
     evaluate_plan,
     fault_coverage,
     mean_defined,
     reduction_pct,
-    report_to_csv,
-    report_to_json,
     score_plans,
     scores_to_csv,
 )
@@ -166,30 +163,33 @@ class TestMetrics:
         assert score_plans(plans, none_fire) == ({"RD": None, "CH": None}, {"RD": None, "CH": None})
 
 
-class TestReportIO:
-    def make_report(self):
-        return MetricsReport(
-            reduction_pct=0.8,
-            reduction_pct_with_warmup=0.7,
-            fault_coverage=1.0,
-            apfd={"RSC": 0.9, "RD": None},
-            top_k={"RSC": 1, "RD": None},
-            totals=SuiteTotals(100, 20, 30, 12, 9),
-            details={"module": "planning"},
+class TestDetections:
+    def test_fault_sets_coverage_and_lists(self):
+        flags = {
+            "both": {0: True, 1: False},
+            "reduced-only": {0: False, 1: True},
+            "full-only": {0: False, 1: False},
+            "none": {0: False, 1: False},
+        }
+        full = {"both": True, "reduced-only": False, "full-only": True, "none": False}
+        fault_sets, coverage, lists = detections(full, flags, [2, 0])
+        assert fault_sets == {0: {"both"}, 1: {"reduced-only"}, 2: set()}
+        assert coverage == 0.5
+        assert lists == {
+            "detected_full": ["both", "full-only"],
+            "detected_reduced": ["both", "reduced-only"],
+            "undetected": ["none"],
+        }
+
+    def test_no_mutants(self):
+        assert detections({}, {}, [3]) == (
+            {3: set()}, 1.0, {"detected_full": [], "detected_reduced": [], "undetected": []}
         )
 
-    def test_json_shape(self):
-        doc = report_to_json(self.make_report())
-        assert doc["fault_coverage"] == 1.0
-        assert doc["apfd"] == {"RSC": 0.9, "RD": None}
-        assert doc["totals"]["segments_after_dedup"] == 9
-        assert doc["details"]["module"] == "planning"
 
+class TestReportIO:
     def test_csv_shape(self):
-        lines = report_to_csv(self.make_report()).splitlines()
+        lines = scores_to_csv({"RSC": 0.9, "RD": None}, {"RSC": 1, "RD": None}).splitlines()
         assert lines[0] == "strategy,top_k,apfd"
         assert lines[1] == "RD,,"
         assert lines[2] == "RSC,1,0.9"
-        assert report_to_csv(self.make_report()) == scores_to_csv(
-            {"RSC": 0.9, "RD": None}, {"RSC": 1, "RD": None}
-        )

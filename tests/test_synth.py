@@ -554,7 +554,7 @@ class TestRegression:
             Mutant("other", "planning", "red_light_stop", "flip_condition"),
         ]
         report = run_regression(small_recording, "traffic_light", mutants, repetitions=5)
-        d = report.details
+        d = report["details"]
         assert d["mutants"]["own"]["detected_full"] is True
         assert d["mutants"]["other"]["detected_full"] is False
         assert d["mutants"]["other"]["detected_reduced"] is False
@@ -569,13 +569,13 @@ class TestRegression:
             Mutant("quiet", "planning", "passing_mode", "change_variable", 0.0),
         ]
         report = run_regression(small_recording, "planning", mutants, repetitions=5)
-        d = report.details
+        d = report["details"]
         assert d["detected_full"] == ["loud"]
         assert "quiet" in d["undetected"]
-        assert report.fault_coverage == 1.0
+        assert report["fault_coverage"] == 1.0
         assert d["segment_ids"] == sorted(d["segment_ids"])
         assert len(d["call_counts"]) == len(d["segment_ids"])
-        assert report.totals.reduced_frames <= report.totals.original_frames
+        assert report["totals"]["reduced_frames"] <= report["totals"]["original_frames"]
 
     def test_strategies_subset_and_seeded_rd(self, small_recording):
         mutants = [Mutant("loud", "planning", "red_light_stop", "flip_condition")]
@@ -585,9 +585,9 @@ class TestRegression:
         b = run_regression(
             small_recording, "planning", mutants, strategies=("RSC", "RD"), seed=9, repetitions=7
         )
-        assert set(a.apfd) == {"RSC", "RD"}
-        assert a.apfd == b.apfd and a.top_k == b.top_k
-        assert a.details["strategies"]["RD"]["plans"] == 7
+        assert set(a["apfd"]) == {"RSC", "RD"}
+        assert a["apfd"] == b["apfd"] and a["top_k"] == b["top_k"]
+        assert a["details"]["strategies"]["RD"]["plans"] == 7
 
     def test_unknown_module_or_strategy(self, small_recording):
         with pytest.raises(SynthError, match="unknown module kind"):
@@ -630,7 +630,7 @@ class TestRegression:
         prepared = prepare_recording(align_recording(small_recording), "planning")
         report, plans = run_prepared(prepared, [], strategies=("ch", "RD", "Ch"), repetitions=2)
         assert list(plans) == ["CH", "RD"]
-        assert list(report.apfd) == ["CH", "RD"]
+        assert list(report["apfd"]) == ["CH", "RD"]
 
 
 DERIVED_CONFIGS = {
@@ -675,7 +675,7 @@ class TestDerivedVerdicts:
             module = make_module(kind)
             for m in mutants:
                 mutated = apply_mutant(module, m)
-                rows = report.details["mutants"][m.id]["segments"]
+                rows = report["details"]["mutants"][m.id]["segments"]
                 assert len(rows) == len(prepared.segments)
                 for s in prepared.segments:
                     expected = segment_replay_mismatches(prepared, mutated, s, encoder)
@@ -726,7 +726,7 @@ class TestPreparedRecording:
         assert {name: len(runs) for name, runs in plans.items()} == {
             "RSC": 1, "SC": 1, "CH": 1, "RD": 4, "CC": 1,
         }
-        assert list(plans["CH"][0].order) == report.details["strategies"]["CH"]["order"]
+        assert list(plans["CH"][0].order) == report["details"]["strategies"]["CH"]["order"]
 
     def test_run_benchmark_aligns_once(self, small_recording, monkeypatch):
         calls = []
@@ -735,7 +735,7 @@ class TestPreparedRecording:
         )
         report = run_benchmark(small_recording, [], strategies=("CH",), repetitions=1)
         assert len(calls) == 1
-        assert set(report.details["modules"]) == set(MODULE_KINDS)
+        assert set(report["details"]["modules"]) == set(MODULE_KINDS)
 
 
 @pytest.fixture(scope="module")
@@ -780,7 +780,7 @@ class TestFrameRate:
         report = run_regression(ten_fps_recording, "prediction", [mutant], repetitions=2)
         flt = ModuleFilter.for_module("prediction", registry)
         segments, _ = reduce_recording(ar, encode_recording(ar, registry, flt), ReductionConfig())
-        assert report.details["call_counts"] == [
+        assert report["details"]["call_counts"] == [
             replay_segment(predictor, ar.frames[s.start_idx : s.end_idx + 1], fps=grid_fps(ar))
             .call_counts.get("predict_action", 0)
             for s in segments
@@ -792,7 +792,7 @@ class TestFrameRate:
             # Setting a parameter to its own default leaves the module unmutated.
             name, value = next(iter(module.params.items()))
             mutant = Mutant("clean", kind, name, "change_constant", value)
-            d = run_regression(ten_fps_recording, kind, [mutant], repetitions=2).details
+            d = run_regression(ten_fps_recording, kind, [mutant], repetitions=2)["details"]
             assert d["detected_full"] == [] and d["detected_reduced"] == [], kind
             rows = d["mutants"]["clean"]["segments"].values()
             assert all(row["mismatched_frames"] == 0 for row in rows), kind
