@@ -21,6 +21,7 @@ from .fileio import atomic_write_json, atomic_write_text, read_json
 # The prioritize_* functions and run_regression are not called here; they stay
 # importable from this module for callers that look them up here.
 from .prioritization import (  # noqa: F401
+    RARITY_MODES,
     STRATEGIES,
     PrioritizedPlan,
     build_plans,
@@ -72,6 +73,9 @@ from .synth import (  # noqa: F401
 )
 
 MODULE_CHOICES = (*MODULE_KINDS, "all")
+# The flags' defaults are the library's: run_prepared's seed, RD repetitions
+# and rarity mode.
+RUN_DEFAULTS = run_prepared.__kwdefaults__
 
 
 class UsageError(ValueError):
@@ -408,8 +412,8 @@ def _add_reduction_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_rank_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--strategies", default=",".join(STRATEGIES), help="comma-separated strategy list")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p.add_argument("--rarity-mode", choices=("indicator", "literal"), default="indicator")
+    p.add_argument("--seed", type=int, default=RUN_DEFAULTS["seed"], help="RNG seed")
+    p.add_argument("--rarity-mode", choices=RARITY_MODES, default=RUN_DEFAULTS["rarity_mode"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -475,7 +479,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--module", choices=MODULE_CHOICES, default="all")
     _add_reduction_flags(p)
     _add_rank_flags(p)
-    p.add_argument("--repetitions", type=int, default=100, help="RD shuffle count")
+    p.add_argument(
+        "--repetitions", type=int, default=RUN_DEFAULTS["repetitions"], help="RD shuffle count"
+    )
     p.add_argument("--artifacts-dir", default=None, help="also save pipeline intermediates")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_run_regression)

@@ -8,12 +8,19 @@ from pathlib import Path
 
 import pytest
 
-from strap.cli import main
-from strap.prioritization import PrioritizedPlan, plan_to_json
+from strap.cli import build_parser, main
+from strap.prioritization import RARITY_MODES, PrioritizedPlan, plan_to_json
 from strap.recording import align_recording
 from strap.reduction import reduce_recording, reduce_vectors
 from strap.schema import encode_recording
-from strap.synth import Mutant, ScenarioScript, SceneEvent, mutants_to_json, script_to_json
+from strap.synth import (
+    Mutant,
+    ScenarioScript,
+    SceneEvent,
+    mutants_to_json,
+    run_prepared,
+    script_to_json,
+)
 
 RED_LIGHT = {"lights": [{"color": "red", "shape": "round", "orientation": "vertical"}]}
 CAR_STOPPED = {"obstacles": [{"actor": "vehicle", "subtype": "car", "action": "stop"}]}
@@ -82,6 +89,15 @@ class TestParsing:
             "error: unknown builtin mutant set 'nope'; choose from benchmark, rare-fault",
             "error: unknown builtin mutant set 'nope'; choose from benchmark, rare-fault",
         ]
+
+    def test_run_defaults_are_the_library_defaults(self):
+        args = build_parser().parse_args(["run-regression", "--out", "r.json"])
+        parsed = {"seed": args.seed, "repetitions": args.repetitions, "rarity_mode": args.rarity_mode}
+        assert parsed == {"seed": 0, "repetitions": 100, "rarity_mode": "indicator"}
+        assert parsed == run_prepared.__kwdefaults__
+        for mode in RARITY_MODES:
+            assert build_parser().parse_args(["prioritize", "--segments", "s", "--rarity-mode", mode,
+                                              "--out", "p.json"]).rarity_mode == mode
 
     def test_internal_error_maps_to_two(self, work, tmp_path, monkeypatch, capsys):
         def boom(rec):
