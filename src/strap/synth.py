@@ -154,8 +154,11 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-# The scene state an event may set or unset.
+# The scene state an event may set or unset, and the fields of its light and
+# obstacle objects.
 _SCENE_KEYS = ("lights", "obstacles", "objects")
+_LIGHT_KEYS = ("color", "shape", "orientation")
+_OBSTACLE_KEYS = ("actor", "subtype", "action", "on_crosswalk", "at_intersection")
 
 
 @dataclass(frozen=True)
@@ -673,7 +676,17 @@ def _canonical(what: str, value: Any, table: Mapping[Any, Any]) -> Any:
     return table[value]
 
 
+def _check_keys(what: str, obj: Mapping[str, Any], keys: Sequence[str]) -> None:
+    """SynthError naming the first key of obj that is not in keys."""
+    for key in obj:
+        if key not in keys:
+            raise SynthError(
+                f"script {what} has unknown key {key!r}; expected one of {', '.join(keys)}"
+            )
+
+
 def _light_features(light: Mapping[str, Any]) -> dict[str, float]:
+    _check_keys("light", light, _LIGHT_KEYS)
     color = light.get("color", "red")
     return {
         "hue_deg": _canonical("light color", color, LIGHT_HUE),
@@ -684,6 +697,7 @@ def _light_features(light: Mapping[str, Any]) -> dict[str, float]:
 
 
 def _actor_features(obstacle: Mapping[str, Any]) -> dict[str, Any]:
+    _check_keys("obstacle", obstacle, _OBSTACLE_KEYS)
     actor, subtype = obstacle.get("actor"), obstacle.get("subtype")
     if subtype is None and isinstance(actor, str):
         subtype = _DEFAULT_SUBTYPE.get(actor)

@@ -128,6 +128,15 @@ class TestScript:
                 },
                 "script actor on_crosswalk must be true or false, got 1",
             ),
+            (
+                {"duration_frames": 10, "events": (SceneEvent(0, {"lights": [{"colour": "green"}]}),)},
+                "script light has unknown key 'colour'; expected one of color, shape, orientation",
+            ),
+            (
+                {"duration_frames": 10, "events": (SceneEvent(0, {"obstacles": [{"speed": 3}]}),)},
+                "script obstacle has unknown key 'speed'; expected one of actor, subtype, action, "
+                "on_crosswalk, at_intersection",
+            ),
         ],
     )
     def test_validation(self, kwargs, err):
