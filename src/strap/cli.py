@@ -17,7 +17,7 @@ from typing import Any, Mapping, Sequence
 
 from .benchmarks import BUILTIN_MUTANTS, BUILTIN_SCRIPTS
 from .evaluation import FaultVerdict, detections, score_plans, scores_to_csv
-from .fileio import atomic_write_json, atomic_write_text, read_json
+from .fileio import atomic_write_json, atomic_write_text, json_int, read_json
 # The prioritize_* functions and run_regression are not called here; they stay
 # importable from this module for callers that look them up here.
 from .prioritization import (  # noqa: F401
@@ -153,7 +153,8 @@ def _vectors_from_doc(doc: Mapping[str, Any]) -> tuple[str, list[FrameVector]]:
         if not rows:
             raise UsageError("invalid vectors document: no frames")
         return doc.get("module", "all"), [
-            FrameVector(tuple(int(x) for x in row), int(t)) for t, row in zip(times, rows)
+            FrameVector(tuple(json_int(x, "vector value") for x in row), json_int(t, "t_ns"))
+            for t, row in zip(times, rows)
         ]
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, UsageError):
@@ -165,7 +166,7 @@ def _call_counts_from_doc(doc: Any) -> list[int]:
     if not isinstance(doc, list):
         raise UsageError("invalid call counts document: expected a JSON list")
     try:
-        return [int(c) for c in doc]
+        return [json_int(c, "call count") for c in doc]
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid call counts document: {exc}") from exc
 

@@ -1,4 +1,4 @@
-"""Atomic file-writing helpers for CLI artifacts."""
+"""Atomic file-writing helpers for CLI artifacts, and JSON reading."""
 
 from __future__ import annotations
 
@@ -121,3 +121,10 @@ def _indented(o: Any, depth: int, markers: set[int]) -> Iterator[str]:
 
 def read_json(path: str | Path) -> Any:
     return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def json_int(value: Any, what: str) -> int:
+    """value if it is a JSON integer; TypeError naming what for a bool, float, string or other."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value

@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Mapping, Sequence
 
+from .fileio import json_int
 from .recording import AlignedRecording
 from .schema import FrameVector
 
@@ -183,20 +184,25 @@ def segments_to_manifest(
     }
 
 
+# The integer fields of a segments.json row besides its vector.
+_MANIFEST_INTS = ("id", "start_idx", "end_idx", "warmup_start_idx", "start_t_ns", "end_t_ns")
+
+
 def segments_from_manifest(doc: Mapping[str, Any]) -> tuple[list[Segment], ReductionConfig]:
-    """Parse a segments.json document back into segments and their config."""
+    """Parse a segments.json document back into segments and their config.
+
+    Every id, index, time, config value and vector entry must be a JSON integer.
+    """
     try:
-        cfg = ReductionConfig(**{f.name: doc["config"][f.name] for f in fields(ReductionConfig)})
-        segments = [
-            Segment(
-                id=row["id"],
-                start_idx=row["start_idx"],
-                end_idx=row["end_idx"],
-                vector=FrameVector(tuple(row["vector"]), row["start_t_ns"]),
-                warmup_start_idx=row["warmup_start_idx"],
-            )
-            for row in doc["segments"]
-        ]
+        config = doc["config"]
+        cfg = ReductionConfig(
+            **{f.name: json_int(config[f.name], f"config {f.name}") for f in fields(ReductionConfig)}
+        )
+        segments = []
+        for row in doc["segments"]:
+            sid, start, end, warmup, start_t, _ = (json_int(row[k], k) for k in _MANIFEST_INTS)
+            vector = tuple(json_int(x, "vector entry") for x in row["vector"])
+            segments.append(Segment(sid, start, end, FrameVector(vector, start_t), warmup))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"invalid segments manifest: {exc}") from exc
     return segments, cfg

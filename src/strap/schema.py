@@ -84,7 +84,7 @@ class DimensionSpec:
         if self.kind not in (PRESENCE, PROPERTY):
             raise SchemaError(f"dimension {self.name!r}: unknown kind {self.kind!r}")
         values = list(self.codes.values())
-        if any(not isinstance(c, int) or c <= 0 for c in values):
+        if any(not isinstance(c, int) or isinstance(c, bool) or c <= 0 for c in values):
             raise SchemaError(f"dimension {self.name!r}: codes must be positive integers")
         if len(set(values)) != len(values):
             raise SchemaError(f"dimension {self.name!r}: duplicate codes")
@@ -406,7 +406,7 @@ def registry_from_json(data: Mapping[str, Any]) -> SchemaRegistry:
                 name=d["name"],
                 kind=d["kind"],
                 source_channel=MessageKind(d["source_channel"]),
-                codes={k: int(v) for k, v in d["codes"].items()},
+                codes=dict(d["codes"].items()),
                 parent=d.get("parent"),
             )
             for d in data["dimensions"]

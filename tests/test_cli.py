@@ -12,7 +12,7 @@ from strap.cli import build_parser, main
 from strap.prioritization import RARITY_MODES, PrioritizedPlan, plan_to_json
 from strap.recording import align_recording
 from strap.reduction import reduce_recording, reduce_vectors
-from strap.schema import encode_recording
+from strap.schema import default_registry, encode_recording, registry_to_json
 from strap.synth import (
     Mutant,
     ScenarioScript,
@@ -535,6 +535,36 @@ NESTED_CASES = [
 ]
 
 
+# The integer fields of the stage documents (the first list entry standing
+# for all of them), and the command that reads each document. Every one of
+# them must hold a JSON integer.
+STAGE_COMMANDS = {
+    "segments": "prioritize --segments {} --strategies CH --out out.json",
+    "vectors": "reduce --in {} --out out.json",
+    "call_counts": "prioritize --segments segments --call-counts {} --strategies CC --out out.json",
+    "schema": "vectorize --in rec --schema {} --out out.json",
+}
+_FIRST_CODES = registry_to_json(default_registry())["dimensions"][0]["codes"]
+STAGE_INT_FIELDS = {
+    "segments": [
+        *(f"config/{k}" for k in ("window_w", "clip_n", "warmup_frames")),
+        *(f"segments/0/{k}" for k in
+          ("id", "start_idx", "end_idx", "warmup_start_idx", "start_t_ns", "end_t_ns", "vector/0")),
+    ],
+    "vectors": ["t_ns/0", "vectors/0/0"],
+    "call_counts": ["0"],
+    "schema": [f"dimensions/0/codes/{code}" for code in _FIRST_CODES],
+}
+NOT_INTS = {"null": None, "string": "x", "numeric-string": "5", "float": 1.5, "whole-float": 1.0,
+            "bool": True, "empty-list": [], "empty-object": {}}
+STAGE_CASES = [
+    (name, path, value)
+    for name, paths in STAGE_INT_FIELDS.items()
+    for path in paths
+    for value in NOT_INTS
+]
+
+
 class TestMistypedFields:
     """Every field of a script or mutant document, replaced by a value of another type."""
 
@@ -564,6 +594,29 @@ class TestMistypedFields:
         assert rc == 1, err
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1 and errors[0].startswith("error: "), err
+
+    @pytest.mark.parametrize("name,path,value", STAGE_CASES)
+    def test_stage_integers(self, name, path, value, valid_inputs, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        keys = [int(k) if k.isdigit() else k for k in path.split("/")]
+        doc = tmp_path / f"{name}.json"
+        base = json.loads(valid_inputs[name].read_text())
+        doc.write_text(json.dumps(_replaced(base, keys, NOT_INTS[value])))
+        argv = [str(doc) if a == "{}" else str(valid_inputs.get(a, a))
+                for a in STAGE_COMMANDS[name].split()]
+        capsys.readouterr()
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and errors[0].startswith("error: "), err
+
+    def test_stage_documents_are_valid(self, valid_inputs, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for name, template in STAGE_COMMANDS.items():
+            argv = [str(valid_inputs[name]) if a == "{}" else str(valid_inputs.get(a, a))
+                    for a in template.split()]
+            assert main(argv) == 0, name
 
     def test_base_documents_are_valid(self, work, tmp_path):
         script, mutants = tmp_path / "script.json", tmp_path / "mutants.json"
