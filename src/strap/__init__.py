@@ -48,6 +48,7 @@ from .recording import (
     Frame,
     Message,
     MessageKind,
+    PayloadError,
     Recording,
     RecordingLoadError,
     align_recording,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
-from .recording import AlignedRecording, Frame, MessageKind
+from .recording import AlignedRecording, Frame, MessageKind, check_payloads
 
 PRESENCE = "presence"
 PROPERTY = "property"
@@ -274,8 +274,12 @@ class FrameEncoder:
         values = [0] * self.size
         claimed: set[str] = set()
         messages = frame.messages
-        for name, contribute in order:
-            contribute(messages[name].payload, values, claimed)
+        try:
+            for name, contribute in order:
+                contribute(messages[name].payload, values, claimed)
+        except (TypeError, AttributeError, KeyError):
+            check_payloads(frame)
+            raise
         return FrameVector(self._finish(values), frame.t_ns)
 
     def filter(self, vector: FrameVector) -> FrameVector:

@@ -65,6 +65,7 @@ from .recording import (
     MessageKind,
     Recording,
     align_recording,
+    check_payloads,
 )
 from .reduction import ReductionConfig, Segment, reduce_recording, segment, smooth
 from .schema import (  # noqa: F401
@@ -880,11 +881,15 @@ def replay_segment(
     fresh = module.fresh()
     held: dict[str, Any] | None = None
     outputs = []
-    for k, frame in enumerate(frames):
-        if held is None or fresh.emits_at(_frame_index(frame.t_ns, fps)):
-            inputs = {m.kind: m.payload for m in frame.messages.values()}
-            held = fresh.compute(inputs)
-        outputs.append(Message(out_channel, frame.t_ns, module.publish_kind, held))
+    try:
+        for frame in frames:
+            if held is None or fresh.emits_at(_frame_index(frame.t_ns, fps)):
+                inputs = {m.kind: m.payload for m in frame.messages.values()}
+                held = fresh.compute(inputs)
+            outputs.append(Message(out_channel, frame.t_ns, module.publish_kind, held))
+    except (TypeError, AttributeError, KeyError):
+        check_payloads(frame)
+        raise
     return ReplayResult(tuple(outputs), warmup_frames, dict(fresh.call_log))
 
 

@@ -15,11 +15,13 @@ from strap.recording import (
     Frame,
     Message,
     MessageKind,
+    PayloadError,
     Recording,
     RecordingLoadError,
     _parse_line,
     align_recording,
     aligned_jsonl,
+    check_payloads,
     dump_recording_jsonl,
     load_recording,
 )
@@ -464,3 +466,42 @@ class TestAlignment:
         with pytest.raises(ValueError, match="strictly increasing"):
             AlignedRecording((f0, f1), ("a",))
 
+
+
+class TestPayloadFormats:
+    @pytest.mark.parametrize(
+        "name", ["benchmark_recording", "noisy_recording", "rare_recording"]
+    )
+    def test_builtin_recordings_conform(self, name, request):
+        # A replay or encoding failure on these frames is a strap bug, never an input error.
+        for frame in align_recording(request.getfixturevalue(name)).frames:
+            check_payloads(frame)
+
+    @pytest.mark.parametrize(
+        "kind,payload,err",
+        [
+            (MessageKind.PLANNING, [], "payload must be an object, got []"),
+            (MessageKind.PLANNING, {"ego_action": 5}, "ego_action must be a string, got 5"),
+            (MessageKind.LOCALIZATION, {"x": True}, "x must be a number, got True"),
+            (MessageKind.OBSTACLE, {"obstacles": [{"actor": "vehicle"}]},
+             "obstacles[0].speed_mps is missing"),
+            (MessageKind.OBSTACLE,
+             {"obstacles": [{"actor": "vehicle", "speed_mps": 1, "lateral_mps": 0.5,
+                             "on_crosswalk": "yes"}]},
+             "obstacles[0].on_crosswalk must be true or false, got 'yes'"),
+            (MessageKind.PREDICTION, {"tracks": {"actor": "vehicle"}}, "tracks must be a list, got {'actor': 'vehicle'}"),
+        ],
+    )
+    def test_first_departure_is_named(self, kind, payload, err):
+        frame = Frame(7, {"ch": Message("ch", 7, kind, payload)})
+        with pytest.raises(PayloadError) as exc:
+            check_payloads(frame)
+        assert str(exc.value) == f"{kind.value} payload on channel 'ch' at t_ns 7: {err}"
+
+    def test_absent_and_null_optional_fields_conform(self):
+        frame = Frame(0, {
+            "tl": Message("tl", 0, MessageKind.TRAFFIC_LIGHT, {"lights": None}),
+            "pl": Message("pl", 0, MessageKind.PLANNING, {"ego_action": "stop", "stop_cause": None}),
+            "pr": Message("pr", 0, MessageKind.PREDICTION, {}),
+        })
+        check_payloads(frame)
