@@ -75,7 +75,7 @@ from .synth import (  # noqa: F401
 MODULE_CHOICES = (*MODULE_KINDS, "all")
 # The flags' defaults are the library's: run_prepared's seed, RD repetitions
 # and rarity mode.
-RUN_DEFAULTS = run_prepared.__kwdefaults__
+_RUN_DEFAULTS = run_prepared.__kwdefaults__
 
 
 class UsageError(ValueError):
@@ -156,9 +156,7 @@ def _vectors_from_doc(doc: Mapping[str, Any]) -> tuple[str, list[FrameVector]]:
             FrameVector(tuple(json_int(x, "vector value") for x in row), json_int(t, "t_ns"))
             for t, row in zip(times, rows)
         ]
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, UsageError):
-            raise
+    except (KeyError, TypeError) as exc:
         raise UsageError(f"invalid vectors document: {exc}") from exc
 
 
@@ -167,7 +165,7 @@ def _call_counts_from_doc(doc: Any) -> list[int]:
         raise UsageError("invalid call counts document: expected a JSON list")
     try:
         return [json_int(c, "call count") for c in doc]
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:
         raise UsageError(f"invalid call counts document: {exc}") from exc
 
 
@@ -413,8 +411,8 @@ def _add_reduction_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_rank_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--strategies", default=",".join(STRATEGIES), help="comma-separated strategy list")
-    p.add_argument("--seed", type=int, default=RUN_DEFAULTS["seed"], help="RNG seed")
-    p.add_argument("--rarity-mode", choices=RARITY_MODES, default=RUN_DEFAULTS["rarity_mode"])
+    p.add_argument("--seed", type=int, default=_RUN_DEFAULTS["seed"], help="RNG seed")
+    p.add_argument("--rarity-mode", choices=RARITY_MODES, default=_RUN_DEFAULTS["rarity_mode"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -481,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_reduction_flags(p)
     _add_rank_flags(p)
     p.add_argument(
-        "--repetitions", type=int, default=RUN_DEFAULTS["repetitions"], help="RD shuffle count"
+        "--repetitions", type=int, default=_RUN_DEFAULTS["repetitions"], help="RD shuffle count"
     )
     p.add_argument("--artifacts-dir", default=None, help="also save pipeline intermediates")
     p.add_argument("--out", required=True)

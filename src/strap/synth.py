@@ -162,6 +162,13 @@ _LIGHT_KEYS = ("color", "shape", "orientation")
 _OBSTACLE_KEYS = ("actor", "subtype", "action", "on_crosswalk", "at_intersection")
 
 
+def _check_keys(what: str, keys: Iterable[str], allowed: Sequence[str]) -> None:
+    """SynthError "<what> '<key>'; expected one of ..." for the first key not allowed."""
+    for key in keys:
+        if key not in allowed:
+            raise SynthError(f"{what} {key!r}; expected one of {', '.join(allowed)}")
+
+
 @dataclass(frozen=True)
 class SceneEvent:
     """State delta applied from a given frame onward."""
@@ -202,11 +209,7 @@ def _check_event(e: SceneEvent, duration_frames: int) -> None:
     where = f"event at frame {e.frame}"
     if not isinstance(e.set, Mapping):
         raise SynthError(f"{where}: set must be an object, got {e.set!r}")
-    for key in (*e.set, *e.unset):
-        if key not in _SCENE_KEYS:
-            raise SynthError(
-                f"{where}: unknown scene key {key!r}; expected one of {', '.join(_SCENE_KEYS)}"
-            )
+    _check_keys(f"{where}: unknown scene key", (*e.set, *e.unset), _SCENE_KEYS)
     for key, item_type, what in (
         ("lights", Mapping, "objects"),
         ("obstacles", Mapping, "objects"),
@@ -677,17 +680,8 @@ def _canonical(what: str, value: Any, table: Mapping[Any, Any]) -> Any:
     return table[value]
 
 
-def _check_keys(what: str, obj: Mapping[str, Any], keys: Sequence[str]) -> None:
-    """SynthError naming the first key of obj that is not in keys."""
-    for key in obj:
-        if key not in keys:
-            raise SynthError(
-                f"script {what} has unknown key {key!r}; expected one of {', '.join(keys)}"
-            )
-
-
 def _light_features(light: Mapping[str, Any]) -> dict[str, float]:
-    _check_keys("light", light, _LIGHT_KEYS)
+    _check_keys("script light has unknown key", light, _LIGHT_KEYS)
     color = light.get("color", "red")
     return {
         "hue_deg": _canonical("light color", color, LIGHT_HUE),
@@ -698,7 +692,7 @@ def _light_features(light: Mapping[str, Any]) -> dict[str, float]:
 
 
 def _actor_features(obstacle: Mapping[str, Any]) -> dict[str, Any]:
-    _check_keys("obstacle", obstacle, _OBSTACLE_KEYS)
+    _check_keys("script obstacle has unknown key", obstacle, _OBSTACLE_KEYS)
     actor, subtype = obstacle.get("actor"), obstacle.get("subtype")
     if subtype is None and isinstance(actor, str):
         subtype = _DEFAULT_SUBTYPE.get(actor)
