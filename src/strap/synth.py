@@ -1101,11 +1101,8 @@ def run_prepared(
     for m in mutants:
         if m.module != module_kind:
             full[m.id], tables[m.id] = False, clean
-    fault_sets, coverage, detected = detections(
-        full,
-        {mid: {sid: v.is_fault for sid, v in table.items()} for mid, table in tables.items()},
-        [s.id for s in segments],
-    )
+    flags = {mid: {sid: v.is_fault for sid, v in table.items()} for mid, table in tables.items()}
+    fault_sets, coverage, detected = detections(full, flags, [s.id for s in segments])
 
     # Call counts for CC: unmutated replay of each segment body, counting
     # calls of the functions the mutant set touches.
@@ -1159,7 +1156,7 @@ def run_prepared(
                 m.id: {
                     "module": m.module,
                     "detected_full": full[m.id],
-                    "detected_reduced": any(v.is_fault for v in tables[m.id].values()),
+                    "detected_reduced": any(flags[m.id].values()),
                     "segments": {
                         str(sid): {
                             "mismatched_frames": v.mismatched_frames,
