@@ -463,19 +463,18 @@ class TestMistypedInputs:
 
 
 # A recording whose first payload of one kind is retyped: case -> (kind,
-# payload edit, what the error must name, the commands that read that kind).
+# payload edit, the field the error must name, the commands that read it).
 PAYLOAD_CASES = {
     "lights-not-a-list": ("traffic_light", lambda p: p.update(lights=5),
-                          "traffic_light payload", "lights must be a list", ("vectorize", "all")),
+                          "lights must be a list", ("vectorize", "all")),
     "light-not-an-object": ("traffic_light", lambda p: p.update(lights=[5]),
-                            "traffic_light payload", "lights[0] must be an object", ("vectorize", "all")),
+                            "lights[0] must be an object", ("vectorize", "all")),
     "object-not-a-string": ("obstacle", lambda p: p.update(objects=[[1]]),
-                            "obstacle payload", "objects[0] must be a string", ("vectorize", "all")),
+                            "objects[0] must be a string", ("vectorize", "all")),
     "scene-not-an-object": ("image_ref", lambda p: p.update(scene=5),
-                            "image_ref payload", "scene must be an object", ("traffic_light",)),
+                            "scene must be an object", ("traffic_light",)),
     "light-without-brightness": ("image_ref", lambda p: p["scene"]["lights"][0].pop("brightness"),
-                                 "image_ref payload", "scene.lights[0].brightness is missing",
-                                 ("traffic_light",)),
+                                 "scene.lights[0].brightness is missing", ("traffic_light",)),
 }
 
 
@@ -484,7 +483,7 @@ class TestMistypedPayloads:
 
     @pytest.mark.parametrize("case", PAYLOAD_CASES)
     def test_exit_one_naming_the_field(self, case, work, tmp_path, capsys):
-        kind, edit, names_kind, names_field, commands = PAYLOAD_CASES[case]
+        kind, edit, names_field, commands = PAYLOAD_CASES[case]
         rows = [json.loads(line) for line in work["rec"].read_text().splitlines()]
         # The first payload of the kind; for a scene, the first with a light.
         row = next(
@@ -506,7 +505,7 @@ class TestMistypedPayloads:
             err = capsys.readouterr().err
             errors = [line for line in err.splitlines() if "error:" in line]
             assert rc == 1 and len(errors) == 1, (command, err)
-            assert errors[0].startswith(f"error: {names_kind} on channel ") and names_field in errors[0]
+            assert errors[0].startswith(f"error: {kind} payload on channel ") and names_field in errors[0]
 
 
 # A valid script and mutant document that use every field the formats know.
