@@ -17,7 +17,7 @@ from typing import Any, Mapping, Sequence
 
 from .benchmarks import BUILTIN_MUTANTS, BUILTIN_SCRIPTS
 from .evaluation import FaultVerdict, detections, score_plans, scores_to_csv
-from .fileio import atomic_write_json, atomic_write_text, json_int, read_json
+from .fileio import atomic_write_json, atomic_write_text, check, read_json
 # The prioritize_* functions and run_regression are not called here; they stay
 # importable from this module for callers that look them up here.
 from .prioritization import (  # noqa: F401
@@ -144,29 +144,18 @@ def _vectors_doc(module: str, vectors: Sequence[FrameVector]) -> dict[str, Any]:
     }
 
 
-def _vectors_from_doc(doc: Mapping[str, Any]) -> tuple[str, list[FrameVector]]:
-    try:
-        times = doc["t_ns"]
-        rows = doc["vectors"]
-        if len(times) != len(rows):
-            raise UsageError(f"{len(times)} timestamps for {len(rows)} vectors")
-        if not rows:
-            raise UsageError("invalid vectors document: no frames")
-        return doc.get("module", "all"), [
-            FrameVector(tuple(json_int(x, "vector value") for x in row), json_int(t, "t_ns"))
-            for t, row in zip(times, rows)
-        ]
-    except (KeyError, TypeError) as exc:
-        raise UsageError(f"invalid vectors document: {exc}") from exc
+VECTORS_FORMAT = {"module?": str, "t_ns!": [int], "vectors!": [[int]]}
+CALL_COUNTS_FORMAT = [int]
 
 
-def _call_counts_from_doc(doc: Any) -> list[int]:
-    if not isinstance(doc, list):
-        raise UsageError("invalid call counts document: expected a JSON list")
-    try:
-        return [json_int(c, "call count") for c in doc]
-    except TypeError as exc:
-        raise UsageError(f"invalid call counts document: {exc}") from exc
+def _vectors_from_doc(doc: Any) -> tuple[str, list[FrameVector]]:
+    check(doc, VECTORS_FORMAT, "invalid vectors document", UsageError)
+    times, rows = doc["t_ns"], doc["vectors"]
+    if len(times) != len(rows):
+        raise UsageError(f"{len(times)} timestamps for {len(rows)} vectors")
+    if not rows:
+        raise UsageError("invalid vectors document: no frames")
+    return doc.get("module", "all"), [FrameVector(tuple(row), t) for t, row in zip(times, rows)]
 
 
 def _module_vectors(rec: Recording, registry: SchemaRegistry, module: str) -> list[FrameVector]:
@@ -247,7 +236,8 @@ def _cmd_prioritize(args: argparse.Namespace) -> None:
         _, vectors = _vectors_from_doc(read_json(_require_file(args.vectors)))
     call_counts = None
     if args.call_counts:
-        call_counts = _call_counts_from_doc(read_json(_require_file(args.call_counts)))
+        call_counts = read_json(_require_file(args.call_counts))
+        check(call_counts, CALL_COUNTS_FORMAT, "invalid call counts document", UsageError)
     if "RSC" in strategies and vectors is None:
         raise UsageError("RSC needs --vectors for rarity weights")
     if "CC" in strategies and call_counts is None:
@@ -275,25 +265,31 @@ def _verdicts_doc(module: str, details: Mapping[str, Any]) -> dict[str, Any]:
     return {"module": module, "full": full, "segments": segments}
 
 
-def _verdicts_from_doc(
-    doc: Mapping[str, Any],
-) -> tuple[dict[str, bool], dict[str, dict[int, bool]]]:
+# The verdicts document as _verdicts_doc writes it; module and each cell's
+# is_fault are not read.
+VERDICTS_FORMAT = {
+    "full!": {str: {"detected!": bool}},
+    "segments!": {str: {str: {"mismatched_frames!": int, "total_frames!": int}}},
+}
+
+
+def _verdicts_from_doc(doc: Any) -> tuple[dict[str, bool], dict[str, dict[int, bool]]]:
     """Each mutant's full-replay detection and per-segment fault flags (_verdicts_doc).
 
     A segment's flag is recomputed from its mismatch tally, not read from its is_fault.
     """
+    check(doc, VERDICTS_FORMAT, "invalid verdicts document", UsageError)
+    flags: dict[str, dict[int, bool]] = {}
     try:
-        flags: dict[str, dict[int, bool]] = {}
         for mid, cells in doc["segments"].items():
             flags[mid] = {}
             for sid_raw, cell in cells.items():
                 sid = int(sid_raw)
                 verdict = FaultVerdict(sid, cell["mismatched_frames"], cell["total_frames"])
                 flags[mid][sid] = verdict.is_fault
-        full = {mid: cell["detected"] for mid, cell in doc["full"].items()}
-        return full, flags
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError(f"invalid verdicts document: {exc}") from exc
+    return {mid: cell["detected"] for mid, cell in doc["full"].items()}, flags
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> None:

@@ -1,4 +1,4 @@
-"""Atomic file-writing helpers for CLI artifacts, and JSON reading."""
+"""Atomic file-writing helpers for CLI artifacts, JSON reading and document formats."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import itertools
 import json
 import os
 import tempfile
+from collections.abc import Mapping
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
@@ -123,8 +124,86 @@ def read_json(path: str | Path) -> Any:
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
-def json_int(value: Any, what: str) -> int:
-    """value if it is a JSON integer; TypeError naming what for a bool, float, string or other."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{what} must be an integer, got {value!r}")
-    return value
+# A format declares what a JSON document holds. int is a JSON integer (never
+# a bool), float any JSON number, and str and bool stand for themselves. A
+# tuple of strings is one of those strings, and a one-item list [F] a list of
+# Fs. {str: F} is an object mapping any keys to Fs. Any other dict is an
+# object with the keys it lists: a key ending in "!" must be present and not
+# null, one ending in "?" may be absent or null, and any other may be absent
+# but not null. Keys a format does not list are ignored, except by a Closed
+# format, which rejects them.
+class Closed(dict):
+    """An object format that rejects the keys it does not list."""
+
+
+def is_json_int(value: Any) -> bool:
+    """Whether value is a JSON integer: an int, but not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# Each scalar format's name in messages and its test.
+_SCALAR_FORMATS: dict[type, tuple[str, Callable[[Any], bool]]] = {
+    int: ("an integer", is_json_int),
+    float: ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+}
+
+
+def check(value: Any, fmt: Any, what: str, error: type[Exception] = ValueError) -> None:
+    """Raise error("<what>: <where value first departs from fmt>") unless value matches fmt."""
+    if err := _departure(value, fmt, ""):
+        raise error(f"{what}: {err}")
+
+
+def _departure(value: Any, fmt: Any, path: str) -> str | None:
+    if isinstance(fmt, type):
+        name, test = _SCALAR_FORMATS[fmt]
+        return None if test(value) else _must(path, name, value)
+    if isinstance(fmt, dict):
+        if not isinstance(value, Mapping):
+            return _must(path, "an object", value)
+        if str in fmt:
+            for key, item in value.items():
+                if err := _departure(item, fmt[str], f"{path}.{key}" if path else key):
+                    return err
+            return None
+        if isinstance(fmt, Closed):
+            names = [key.rstrip("!?") for key in fmt]
+            for key in value:
+                if key not in names:
+                    return (f"{path or 'top level'} has unknown key {key!r}; "
+                            f"expected one of {', '.join(names)}")
+        for key, sub in fmt.items():
+            mark = key[-1]
+            name = key[:-1] if mark in "!?" else key
+            where = f"{path}.{name}" if path else name
+            if name not in value:
+                if mark == "!":
+                    return f"{where} is missing"
+            elif value[name] is not None or mark != "?":
+                if err := _departure(value[name], sub, where):
+                    return err
+        return None
+    if isinstance(fmt, list):
+        if not isinstance(value, (list, tuple)):
+            return _must(path, "a list", value)
+        sub = fmt[0]
+        # A list of scalars is tested whole first; paths are built only to
+        # name a departure.
+        if isinstance(sub, type) and all(map(_SCALAR_FORMATS[sub][1], value)):
+            return None
+        for i, item in enumerate(value):
+            if err := _departure(item, sub, f"{path}[{i}]"):
+                return err
+        return None
+    if isinstance(value, str) and value in fmt:  # a tuple of strings
+        return None
+    return _must(path, f"one of {', '.join(fmt)}", value)
+
+
+def _must(path: str, name: str, value: Any) -> str:
+    shown = repr(value)
+    if len(shown) > 80:
+        shown = shown[:77] + "..."
+    return f"{path} must be {name}, got {shown}" if path else f"expected {name}, got {shown}"

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Mapping, Sequence
 
+from .fileio import check
 from .reduction import Segment
 from .schema import FrameVector
 
@@ -217,16 +218,17 @@ def plan_to_json(plan: PrioritizedPlan) -> dict[str, Any]:
     }
 
 
-def plan_from_json(doc: Mapping[str, Any]) -> PrioritizedPlan:
-    try:
-        return PrioritizedPlan(
-            strategy=doc["strategy"],
-            order=tuple(doc["order"]),
-            scores=tuple(float(s) for s in doc["scores"]),
-            rng_seed=doc.get("seed"),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"invalid plan document: {exc}") from exc
+PLAN_FORMAT = {"strategy!": str, "order!": [int], "scores!": [float], "seed?": int}
+
+
+def plan_from_json(doc: Any) -> PrioritizedPlan:
+    check(doc, PLAN_FORMAT, "invalid plan document")
+    return PrioritizedPlan(
+        strategy=doc["strategy"],
+        order=tuple(doc["order"]),
+        scores=tuple(float(s) for s in doc["scores"]),
+        rng_seed=doc.get("seed"),
+    )
 
 
 def plan_to_csv(plan: PrioritizedPlan) -> str:

@@ -16,6 +16,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
+from .fileio import check, is_json_int
+
 TimestampNs = int
 
 
@@ -108,64 +110,34 @@ class Frame:
     messages: Mapping[str, Message]
 
 
-# What each kind's payload holds, as the encoder and the toy modules read it:
-# an object maps its keys to their formats, a one-item list is a list of
-# that format, and float stands for any JSON number. A key ending in "!" is
-# required; any other key may be absent or null.
+# What each kind's payload holds, as the encoder and the toy modules read it,
+# in fileio.check's format language.
 PAYLOAD_FORMATS: Mapping[MessageKind, Mapping[str, Any]] = {
-    MessageKind.TRAFFIC_LIGHT: {"lights": [{"color": str, "shape": str, "orientation": str}]},
+    MessageKind.TRAFFIC_LIGHT: {"lights?": [{"color?": str, "shape?": str, "orientation?": str}]},
     MessageKind.OBSTACLE: {
-        "obstacles": [{
-            "actor!": str, "subtype": str, "action": str, "on_crosswalk": bool,
-            "at_intersection": bool, "speed_mps!": float, "lateral_mps!": float,
+        "obstacles?": [{
+            "actor!": str, "subtype?": str, "action?": str, "on_crosswalk?": bool,
+            "at_intersection?": bool, "speed_mps!": float, "lateral_mps!": float,
         }],
-        "objects": [str],
+        "objects?": [str],
     },
-    MessageKind.PREDICTION: {"tracks": [{"actor": str, "action": str}]},
-    MessageKind.PLANNING: {"ego_action": str, "stop_cause": str},
-    MessageKind.LOCALIZATION: {"x": float, "y": float, "heading": float},
+    MessageKind.PREDICTION: {"tracks?": [{"actor?": str, "action?": str}]},
+    MessageKind.PLANNING: {"ego_action?": str, "stop_cause?": str},
+    MessageKind.LOCALIZATION: {"x?": float, "y?": float, "heading?": float},
     MessageKind.IMAGE_REF: {
-        "ref": str,
-        "scene": {
-            "lights": [{"hue_deg!": float, "brightness!": float, "circularity!": float,
-                        "tilt_deg!": float}],
-            "actors": [{
+        "ref?": str,
+        "scene?": {
+            "lights?": [{"hue_deg!": float, "brightness!": float, "circularity!": float,
+                         "tilt_deg!": float}],
+            "actors?": [{
                 "wheels!": float, "height_m!": float, "length_m!": float, "motor_power!": float,
-                "speed_mps!": float, "lateral_mps!": float, "on_crosswalk": bool,
-                "at_intersection": bool,
+                "speed_mps!": float, "lateral_mps!": float, "on_crosswalk?": bool,
+                "at_intersection?": bool,
             }],
-            "statics": [{"name!": str, "confidence!": float}],
+            "statics?": [{"name!": str, "confidence!": float}],
         },
     },
 }
-_FORMAT_NAMES = {str: "a string", float: "a number", bool: "true or false"}
-
-
-def _format_error(value: Any, fmt: Any, path: str) -> str | None:
-    """Where value first departs from fmt (see PAYLOAD_FORMATS), or None."""
-    if isinstance(fmt, dict):
-        if not isinstance(value, dict):
-            return f"{path or 'payload'} must be an object, got {value!r}"
-        for key, sub in fmt.items():
-            name = key.rstrip("!")
-            where = f"{path}.{name}" if path else name
-            if value.get(name) is None:
-                if key.endswith("!"):
-                    return f"{where} is missing"
-            elif err := _format_error(value[name], sub, where):
-                return err
-        return None
-    if isinstance(fmt, list):
-        if not isinstance(value, list):
-            return f"{path} must be a list, got {value!r}"
-        for i, item in enumerate(value):
-            if err := _format_error(item, fmt[0], f"{path}[{i}]"):
-                return err
-        return None
-    types = (int, float) if fmt is float else fmt
-    if isinstance(value, types) and (fmt is bool or not isinstance(value, bool)):
-        return None
-    return f"{path} must be {_FORMAT_NAMES[fmt]}, got {value!r}"
 
 
 def check_payloads(frame: Frame) -> None:
@@ -175,11 +147,8 @@ def check_payloads(frame: Frame) -> None:
     per-field checks never run on their hot paths.
     """
     for msg in frame.messages.values():
-        err = _format_error(msg.payload, PAYLOAD_FORMATS[msg.kind], "")
-        if err:
-            raise PayloadError(
-                f"{msg.kind.value} payload on channel {msg.channel!r} at t_ns {msg.t_ns}: {err}"
-            )
+        where = f"{msg.kind.value} payload on channel {msg.channel!r} at t_ns {msg.t_ns}"
+        check(msg.payload, PAYLOAD_FORMATS[msg.kind], where, PayloadError)
 
 
 @dataclass(frozen=True)
@@ -275,7 +244,7 @@ def _parse_line(line: str, lineno: int) -> Message:
     except (KeyError, TypeError):
         raise RecordingLoadError(f"line {lineno}: unknown message kind {row['kind']!r}") from None
     t_ns = row["t_ns"]
-    if not isinstance(t_ns, int) or isinstance(t_ns, bool):
+    if not is_json_int(t_ns):
         raise RecordingLoadError(f"line {lineno}: t_ns must be an integer")
     if t_ns < 0:
         raise RecordingLoadError(f"line {lineno}: negative timestamp {t_ns}")

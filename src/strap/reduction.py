@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
-from .fileio import json_int
+from .fileio import check
 from .recording import AlignedRecording
 from .schema import FrameVector
 
@@ -184,25 +184,26 @@ def segments_to_manifest(
     }
 
 
-# The integer fields of a segments.json row besides its vector.
-_MANIFEST_INTS = ("id", "start_idx", "end_idx", "warmup_start_idx", "start_t_ns", "end_t_ns")
+# segments.json as segments_to_manifest writes it; config's module is not read.
+MANIFEST_FORMAT = {
+    "config!": {f"{f.name}!": int for f in fields(ReductionConfig)},
+    "segments!": [{
+        "id!": int, "start_idx!": int, "end_idx!": int, "warmup_start_idx!": int,
+        "start_t_ns!": int, "end_t_ns!": int, "vector!": [int],
+    }],
+}
 
 
-def segments_from_manifest(doc: Mapping[str, Any]) -> tuple[list[Segment], ReductionConfig]:
-    """Parse a segments.json document back into segments and their config.
-
-    Every id, index, time, config value and vector entry must be a JSON integer.
-    """
-    try:
-        config = doc["config"]
-        cfg = ReductionConfig(
-            **{f.name: json_int(config[f.name], f"config {f.name}") for f in fields(ReductionConfig)}
+def segments_from_manifest(doc: Any) -> tuple[list[Segment], ReductionConfig]:
+    """Parse a segments.json document back into segments and their config."""
+    check(doc, MANIFEST_FORMAT, "invalid segments manifest")
+    config = doc["config"]
+    cfg = ReductionConfig(**{f.name: config[f.name] for f in fields(ReductionConfig)})
+    segments = [
+        Segment(
+            row["id"], row["start_idx"], row["end_idx"],
+            FrameVector(tuple(row["vector"]), row["start_t_ns"]), row["warmup_start_idx"],
         )
-        segments = []
-        for row in doc["segments"]:
-            sid, start, end, warmup, start_t, _ = (json_int(row[k], k) for k in _MANIFEST_INTS)
-            vector = tuple(json_int(x, "vector entry") for x in row["vector"])
-            segments.append(Segment(sid, start, end, FrameVector(vector, start_t), warmup))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"invalid segments manifest: {exc}") from exc
+        for row in doc["segments"]
+    ]
     return segments, cfg

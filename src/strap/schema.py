@@ -11,11 +11,11 @@ the whole vector, which makes raw vectors readable on their own.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
+from .fileio import check, is_json_int, read_json
 from .recording import AlignedRecording, Frame, MessageKind, check_payloads
 
 PRESENCE = "presence"
@@ -84,7 +84,7 @@ class DimensionSpec:
         if self.kind not in (PRESENCE, PROPERTY):
             raise SchemaError(f"dimension {self.name!r}: unknown kind {self.kind!r}")
         values = list(self.codes.values())
-        if any(not isinstance(c, int) or isinstance(c, bool) or c <= 0 for c in values):
+        if any(not is_json_int(c) or c <= 0 for c in values):
             raise SchemaError(f"dimension {self.name!r}: codes must be positive integers")
         if len(set(values)) != len(values):
             raise SchemaError(f"dimension {self.name!r}: duplicate codes")
@@ -403,23 +403,26 @@ def registry_to_json(registry: SchemaRegistry) -> dict[str, Any]:
     }
 
 
-def registry_from_json(data: Mapping[str, Any]) -> SchemaRegistry:
+SCHEMA_FORMAT = {
+    "dimensions!": [{
+        "name!": str, "kind!": str, "source_channel!": str, "codes!": {str: int}, "parent?": str,
+    }],
+    "always_keep?": [str],
+}
+
+
+def registry_from_json(data: Any) -> SchemaRegistry:
+    check(data, SCHEMA_FORMAT, "invalid schema document", SchemaError)
     try:
         dims = tuple(
-            DimensionSpec(
-                name=d["name"],
-                kind=d["kind"],
-                source_channel=MessageKind(d["source_channel"]),
-                codes=dict(d["codes"].items()),
-                parent=d.get("parent"),
-            )
+            DimensionSpec(d["name"], d["kind"], MessageKind(d["source_channel"]), d["codes"],
+                          d.get("parent"))
             for d in data["dimensions"]
         )
-        keep = frozenset(data.get("always_keep") or ())
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise SchemaError(f"invalid schema document: {exc}") from exc
-    return SchemaRegistry(dims, keep)
+    return SchemaRegistry(dims, frozenset(data.get("always_keep") or ()))
 
 
 def load_registry(path: str | Path) -> SchemaRegistry:
-    return registry_from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+    return registry_from_json(read_json(path))

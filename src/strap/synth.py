@@ -24,7 +24,6 @@ emission tick; that run of frames is corrected separately.
 
 from __future__ import annotations
 
-import json
 import random
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -46,6 +45,7 @@ from .evaluation import (  # noqa: F401
     reduction_pct,
     score_plans,
 )
+from .fileio import Closed, check, read_json
 from .prioritization import (  # noqa: F401
     STRATEGIES,
     PrioritizedPlan,
@@ -147,26 +147,22 @@ class SynthError(ValueError):
     """Invalid script, mutant, or replay input."""
 
 
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 # The scene state an event may set or unset, and the fields of its light and
-# obstacle objects.
-_SCENE_KEYS = ("lights", "obstacles", "objects")
-_LIGHT_KEYS = ("color", "shape", "orientation")
-_OBSTACLE_KEYS = ("actor", "subtype", "action", "on_crosswalk", "at_intersection")
-
-
-def _check_keys(what: str, keys: Iterable[str], allowed: Sequence[str]) -> None:
-    """SynthError "<what> '<key>'; expected one of ..." for the first key not allowed."""
-    for key in keys:
-        if key not in allowed:
-            raise SynthError(f"{what} {key!r}; expected one of {', '.join(allowed)}")
+# obstacle objects; unknown keys are errors, not defaults.
+_SCENE_FORMAT = Closed({
+    "lights": [Closed({"color": str, "shape": str, "orientation": str})],
+    "obstacles": [Closed({
+        "actor!": str, "subtype?": str, "action": str, "on_crosswalk": bool, "at_intersection": bool,
+    })],
+    "objects": [str],
+})
+SCRIPT_FORMAT = {
+    "duration_frames!": int,
+    "fps": int,
+    "glitch_rate": float,
+    "events": [{"frame!": int, "set": _SCENE_FORMAT, "unset": [tuple(_SCENE_FORMAT)]}],
+}
+MUTANT_FORMAT = {"id!": str, "module!": str, "target!": str, "operator!": str, "delta": float}
 
 
 @dataclass(frozen=True)
@@ -188,37 +184,22 @@ class ScenarioScript:
     events: tuple[SceneEvent, ...] = ()
 
     def __post_init__(self) -> None:
-        if not _is_int(self.duration_frames) or self.duration_frames < 1:
+        # The fields as given (asdict would copy them): the document this
+        # script would be, checked by the table its parser uses.
+        doc = {**vars(self), "events": [vars(e) for e in self.events]}
+        check(doc, SCRIPT_FORMAT, "invalid scenario script", SynthError)
+        if self.duration_frames < 1:
             raise SynthError(
                 f"duration_frames must be a positive integer, got {self.duration_frames!r}"
             )
-        if not _is_int(self.fps) or self.fps < 1:
+        if self.fps < 1:
             raise SynthError(f"fps must be a positive integer, got {self.fps!r}")
-        if not _is_number(self.glitch_rate) or not (0.0 <= self.glitch_rate < 1.0):
+        if not (0.0 <= self.glitch_rate < 1.0):
             raise SynthError(f"glitch_rate must be a number in [0, 1), got {self.glitch_rate!r}")
         for e in self.events:
-            _check_event(e, self.duration_frames)
-
-
-def _check_event(e: SceneEvent, duration_frames: int) -> None:
-    """SynthError unless e sets and unsets only scene keys, with well-typed canonical values."""
-    if not _is_int(e.frame):
-        raise SynthError(f"event frame must be an integer, got {e.frame!r}")
-    if not (0 <= e.frame < duration_frames):
-        raise SynthError(f"event frame {e.frame} outside [0, {duration_frames})")
-    where = f"event at frame {e.frame}"
-    if not isinstance(e.set, Mapping):
-        raise SynthError(f"{where}: set must be an object, got {e.set!r}")
-    _check_keys(f"{where}: unknown scene key", (*e.set, *e.unset), _SCENE_KEYS)
-    for key, item_type, what in (
-        ("lights", Mapping, "objects"),
-        ("obstacles", Mapping, "objects"),
-        ("objects", str, "strings"),
-    ):
-        items = e.set.get(key, [])
-        if not isinstance(items, (list, tuple)) or not all(isinstance(x, item_type) for x in items):
-            raise SynthError(f"{where}: {key} must be a list of {what}, got {items!r}")
-    _scene_truth(e.set)  # raises on a name outside the canonical tables
+            if not (0 <= e.frame < self.duration_frames):
+                raise SynthError(f"event frame {e.frame} outside [0, {self.duration_frames})")
+            _scene_truth(e.set)  # raises on a name outside the canonical tables
 
 
 def script_to_json(script: ScenarioScript) -> dict[str, Any]:
@@ -233,30 +214,20 @@ def script_to_json(script: ScenarioScript) -> dict[str, Any]:
 
 
 def script_from_json(doc: Any) -> ScenarioScript:
-    if not isinstance(doc, Mapping):
-        raise SynthError("invalid scenario script: expected a JSON object")
-    rows = doc.get("events", [])
-    if not isinstance(rows, list) or not all(
-        isinstance(e, Mapping) and isinstance(e.get("unset", []), list) for e in rows
-    ):
-        raise SynthError(
-            "invalid scenario script: events must be a list of objects, each unset a list"
-        )
-    try:
-        return ScenarioScript(
-            duration_frames=doc["duration_frames"],
-            fps=doc.get("fps", 15),
-            glitch_rate=doc.get("glitch_rate", 0.0),
-            events=tuple(
-                SceneEvent(e["frame"], e.get("set", {}), tuple(e.get("unset", []))) for e in rows
-            ),
-        )
-    except KeyError as exc:
-        raise SynthError(f"invalid scenario script: missing {exc}") from exc
+    check(doc, SCRIPT_FORMAT, "invalid scenario script", SynthError)
+    return ScenarioScript(
+        duration_frames=doc["duration_frames"],
+        fps=doc.get("fps", 15),
+        glitch_rate=doc.get("glitch_rate", 0.0),
+        events=tuple(
+            SceneEvent(e["frame"], e.get("set", {}), tuple(e.get("unset", [])))
+            for e in doc.get("events", [])
+        ),
+    )
 
 
 def load_script(path: str | Path) -> ScenarioScript:
-    return script_from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+    return script_from_json(read_json(path))
 
 
 @dataclass(frozen=True)
@@ -270,10 +241,7 @@ class Mutant:
     delta: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("id", "module", "target", "operator"):
-            value = getattr(self, name)
-            if not isinstance(value, str):
-                raise SynthError(f"mutant {self.id!r}: {name} must be a string, got {value!r}")
+        check(vars(self), MUTANT_FORMAT, f"mutant {self.id!r}", SynthError)
         if self.module not in MODULE_KINDS:
             raise SynthError(f"mutant {self.id!r}: unknown module {self.module!r}")
         if self.operator not in MUTATION_OPERATORS:
@@ -287,26 +255,16 @@ def mutants_to_json(mutants: Sequence[Mutant]) -> list[dict[str, Any]]:
     ]
 
 
-def _mutant_from_json(row: Any) -> Mutant:
-    if not isinstance(row, Mapping):
-        raise SynthError("invalid mutants document: each mutant must be a JSON object")
-    delta = row.get("delta", 0.0)
-    if not _is_number(delta):
-        raise SynthError(f"mutant {row.get('id')!r}: delta must be a number, got {delta!r}")
-    return Mutant(row["id"], row["module"], row["target"], row["operator"], float(delta))
-
-
 def mutants_from_json(doc: Any) -> list[Mutant]:
-    if not isinstance(doc, (list, tuple)):
-        raise SynthError("invalid mutants document: expected a JSON list")
-    try:
-        return [_mutant_from_json(row) for row in doc]
-    except KeyError as exc:
-        raise SynthError(f"invalid mutants document: missing {exc}") from exc
+    check(doc, [MUTANT_FORMAT], "invalid mutants document", SynthError)
+    return [
+        Mutant(row["id"], row["module"], row["target"], row["operator"], float(row.get("delta", 0.0)))
+        for row in doc
+    ]
 
 
 def load_mutants(path: str | Path) -> list[Mutant]:
-    return mutants_from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+    return mutants_from_json(read_json(path))
 
 
 class ToyModule:
@@ -675,13 +633,12 @@ def _frame_index(t_ns: int, fps: int) -> int:
 
 def _canonical(what: str, value: Any, table: Mapping[Any, Any]) -> Any:
     """table[value]; SynthError naming the script field unless value is a key of table."""
-    if not isinstance(value, str) or value not in table:
+    if value not in table:
         raise SynthError(f"script {what} {value!r} is not canonical")
     return table[value]
 
 
 def _light_features(light: Mapping[str, Any]) -> dict[str, float]:
-    _check_keys("script light has unknown key", light, _LIGHT_KEYS)
     color = light.get("color", "red")
     return {
         "hue_deg": _canonical("light color", color, LIGHT_HUE),
@@ -692,20 +649,13 @@ def _light_features(light: Mapping[str, Any]) -> dict[str, float]:
 
 
 def _actor_features(obstacle: Mapping[str, Any]) -> dict[str, Any]:
-    _check_keys("script obstacle has unknown key", obstacle, _OBSTACLE_KEYS)
-    actor, subtype = obstacle.get("actor"), obstacle.get("subtype")
-    if subtype is None and isinstance(actor, str):
+    actor, subtype = obstacle["actor"], obstacle.get("subtype")
+    if subtype is None:
         subtype = _DEFAULT_SUBTYPE.get(actor)
-    if not all(v is None or isinstance(v, str) for v in (actor, subtype)) or (
-        (actor, subtype) not in ACTOR_BODY
-    ):
+    if (actor, subtype) not in ACTOR_BODY:
         raise SynthError(f"script actor {actor!r}/{subtype!r} is not canonical")
     wheels, height, length, motor = ACTOR_BODY[actor, subtype]
     speed, lateral = _canonical("action", obstacle.get("action", "cruise"), ACTION_MOTION)
-    flags = {name: obstacle.get(name, False) for name in ("on_crosswalk", "at_intersection")}
-    for name, flag in flags.items():
-        if not isinstance(flag, bool):
-            raise SynthError(f"script actor {name} must be true or false, got {flag!r}")
     return {
         "wheels": wheels,
         "height_m": height,
@@ -713,7 +663,7 @@ def _actor_features(obstacle: Mapping[str, Any]) -> dict[str, Any]:
         "motor_power": motor,
         "speed_mps": speed,
         "lateral_mps": lateral,
-        **flags,
+        **{name: obstacle.get(name, False) for name in ("on_crosswalk", "at_intersection")},
     }
 
 

@@ -544,12 +544,13 @@ def _field_paths(node, prefix=()):
 
 
 def _replaced(doc, path, value):
+    """doc with the value at path (list indices and object keys) replaced."""
     doc = json.loads(json.dumps(doc))
     *parents, last = path
     node = doc
     for key in parents:
-        node = node[key]
-    node[last] = value
+        node = node[int(key) if isinstance(node, list) else str(key)]
+    node[int(last) if isinstance(node, list) else str(last)] = value
     return doc
 
 
@@ -589,6 +590,8 @@ STAGE_COMMANDS = {
     "vectors": "reduce --in {} --out out.json",
     "call_counts": "prioritize --segments segments --call-counts {} --strategies CC --out out.json",
     "schema": "vectorize --in rec --schema {} --out out.json",
+    "plan": "evaluate --verdicts verdicts --plans {} --out out.json",
+    "verdicts": "evaluate --verdicts {} --plans plan --out out.json",
 }
 _FIRST_CODES = registry_to_json(default_registry())["dimensions"][0]["codes"]
 STAGE_INT_FIELDS = {
@@ -600,6 +603,9 @@ STAGE_INT_FIELDS = {
     "vectors": ["t_ns/0", "vectors/0/0"],
     "call_counts": ["0"],
     "schema": [f"dimensions/0/codes/{code}" for code in _FIRST_CODES],
+    "plan": ["order/0"],
+    "verdicts": [f"segments/{mid}/0/{k}" for mid in ("loud", "quiet")
+                 for k in ("mismatched_frames", "total_frames")],
 }
 NOT_INTS = {"null": None, "string": "x", "numeric-string": "5", "float": 1.5, "whole-float": 1.0,
             "bool": True, "empty-list": [], "empty-object": {}}
@@ -609,6 +615,61 @@ STAGE_CASES = [
     for path in paths
     for value in NOT_INTS
 ]
+# The plan's and verdicts' fields of other types, and values they must reject.
+NOT_OF_TYPE = {
+    "number": {"null": None, "string": "x", "numeric-string": "1.5", "bool": True,
+               "empty-list": [], "empty-object": {}},
+    "boolean": {"null": None, "string": "no", "int": 0, "float": 1.0, "empty-list": [],
+                "empty-object": {}},
+    "string": {"null": None, "int": 5, "bool": True, "empty-list": [], "empty-object": {}},
+    # A plan's seed may be null (every strategy but RD writes null).
+    "integer or null": {k: v for k, v in NOT_INTS.items() if k != "null"},
+}
+STAGE_TYPED_FIELDS = {
+    ("plan", "scores/0"): "number",
+    ("plan", "strategy"): "string",
+    ("plan", "seed"): "integer or null",
+    ("verdicts", "full/loud/detected"): "boolean",
+    ("verdicts", "full/quiet/detected"): "boolean",
+}
+STAGE_TYPED_CASES = [
+    (name, path, value)
+    for (name, path), kind in STAGE_TYPED_FIELDS.items()
+    for value in NOT_OF_TYPE[kind]
+]
+# Retyped fields the format checks newly reject: each case once exited 0 or
+# exited 2 with an internal error. (document, path, value, the error's text).
+FORMAT_GAPS = {
+    "verdicts-segments-list": ("verdicts", "segments", [], "segments must be an object, got []"),
+    "verdicts-table-list": ("verdicts", "segments/loud", [], "segments.loud must be an object, got []"),
+    "schema-codes-list": ("schema", "dimensions/0/codes", [],
+                          "dimensions[0].codes must be an object, got []"),
+    "plan-order-float": ("plan", "order/0", 0.0, "order[0] must be an integer, got 0.0"),
+    "verdicts-detected-string": ("verdicts", "full/quiet/detected", "no",
+                                 "full.quiet.detected must be true or false, got 'no'"),
+    "verdicts-mismatch-float": ("verdicts", "segments/loud/0/mismatched_frames", 1.5,
+                                "segments.loud.0.mismatched_frames must be an integer, got 1.5"),
+    "verdicts-mismatch-bool": ("verdicts", "segments/loud/0/mismatched_frames", True,
+                               "segments.loud.0.mismatched_frames must be an integer, got True"),
+    "plan-score-string": ("plan", "scores/0", "1.5", "scores[0] must be a number, got '1.5'"),
+    "plan-seed-string": ("plan", "seed", "x", "seed must be an integer, got 'x'"),
+    "vectors-module-int": ("vectors", "module", 5, "module must be a string, got 5"),
+    "schema-always-keep-string": ("schema", "always_keep", "crosswalk",
+                                  "always_keep must be a list, got 'crosswalk'"),
+}
+
+
+def _run_retyped(name, path, value, valid_inputs, tmp_path, capsys):
+    """Exit code and stderr of the stage command reading the valid document of
+    kind name with the value at path (slash-separated) replaced."""
+    doc = tmp_path / f"{name}.json"
+    base = json.loads(valid_inputs[name].read_text())
+    doc.write_text(json.dumps(_replaced(base, path.split("/"), value)))
+    argv = [str(doc) if a == "{}" else str(valid_inputs.get(a, a))
+            for a in STAGE_COMMANDS[name].split()]
+    capsys.readouterr()
+    rc = main(argv)
+    return rc, capsys.readouterr().err
 
 
 class TestMistypedFields:
@@ -644,18 +705,31 @@ class TestMistypedFields:
     @pytest.mark.parametrize("name,path,value", STAGE_CASES)
     def test_stage_integers(self, name, path, value, valid_inputs, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        keys = [int(k) if k.isdigit() else k for k in path.split("/")]
-        doc = tmp_path / f"{name}.json"
-        base = json.loads(valid_inputs[name].read_text())
-        doc.write_text(json.dumps(_replaced(base, keys, NOT_INTS[value])))
-        argv = [str(doc) if a == "{}" else str(valid_inputs.get(a, a))
-                for a in STAGE_COMMANDS[name].split()]
-        capsys.readouterr()
-        rc = main(argv)
-        err = capsys.readouterr().err
+        rc, err = _run_retyped(name, path, NOT_INTS[value], valid_inputs, tmp_path, capsys)
         assert rc == 1, err
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1 and errors[0].startswith("error: "), err
+
+    @pytest.mark.parametrize("name,path,value", STAGE_TYPED_CASES)
+    def test_stage_typed_fields(self, name, path, value, valid_inputs, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        bad = NOT_OF_TYPE[STAGE_TYPED_FIELDS[name, path]][value]
+        rc, err = _run_retyped(name, path, bad, valid_inputs, tmp_path, capsys)
+        assert rc == 1, err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and errors[0].startswith("error: "), err
+
+    @pytest.mark.parametrize("case", FORMAT_GAPS)
+    def test_format_gap_names_the_field(self, case, valid_inputs, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        name, path, value, message = FORMAT_GAPS[case]
+        rc, err = _run_retyped(name, path, value, valid_inputs, tmp_path, capsys)
+        assert rc == 1, err
+        assert err == f"error: invalid {name} document: {message}\n"
+
+    def test_quiet_is_undetected(self, valid_inputs):
+        # So the "no" of verdicts-detected-string would have counted as detected.
+        assert json.loads(valid_inputs["verdicts"].read_text())["full"]["quiet"] == {"detected": False}
 
     def test_stage_documents_are_valid(self, valid_inputs, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

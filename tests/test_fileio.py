@@ -1,4 +1,7 @@
-"""Atomic writes: file mode under the umask, streamed chunks and JSON, no torn files."""
+"""Atomic writes: file mode under the umask, streamed chunks and JSON, no torn files.
+
+Also the document format checker.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +14,7 @@ import stat
 import pytest
 
 from strap import fileio
-from strap.fileio import atomic_write_json, atomic_write_text
+from strap.fileio import Closed, atomic_write_json, atomic_write_text, check
 from strap.recording import MessageKind
 
 
@@ -197,3 +200,46 @@ def test_long_scalar_list_is_written_in_bounded_chunks(tmp_path, monkeypatch):
     # A chunk holds at most one slice: 1024 lines of ",\n", four spaces and
     # ten digits, plus the list's opening bracket.
     assert max(map(len, chunks)) <= 1024 * 16 + 1
+
+
+# One format using every construct of the format language.
+FORMAT = {
+    "n!": int,
+    "x": float,
+    "tag?": str,
+    "ok": bool,
+    "kind": ("a", "b"),
+    "items": [int],
+    "table": {str: {"v!": int}},
+    "scene": Closed({"k": str}),
+}
+VALID = {"n": 1, "x": 2, "tag": None, "ok": False, "kind": "b", "items": (1, 2),
+         "table": {"p": {"v": 3}}, "scene": {}, "other": [None]}
+
+
+@pytest.mark.parametrize(
+    "doc,err",
+    [
+        ([], "expected an object, got []"),
+        ({}, "n is missing"),
+        ({**VALID, "n": None}, "n must be an integer, got None"),
+        ({**VALID, "n": True}, "n must be an integer, got True"),
+        ({**VALID, "n": 1.0}, "n must be an integer, got 1.0"),
+        ({**VALID, "x": "1"}, "x must be a number, got '1'"),
+        ({**VALID, "x": None}, "x must be a number, got None"),
+        ({**VALID, "tag": 5}, "tag must be a string, got 5"),
+        ({**VALID, "ok": 0}, "ok must be true or false, got 0"),
+        ({**VALID, "kind": "c"}, "kind must be one of a, b, got 'c'"),
+        ({**VALID, "items": [1, 2.5, "x"]}, "items[1] must be an integer, got 2.5"),
+        ({**VALID, "table": {"p": {}}}, "table.p.v is missing"),
+        ({**VALID, "table": {"p": None}}, "table.p must be an object, got None"),
+        ({**VALID, "scene": {"k": "s", "q": 1}}, "scene has unknown key 'q'; expected one of k"),
+        ({**VALID, "items": "x" * 100}, "items must be a list, got '" + "x" * 76 + "..."),
+    ],
+)
+def test_check_names_the_first_departure(doc, err):
+    check(VALID, FORMAT, "doc")
+    check({"n": 0}, FORMAT, "doc")
+    with pytest.raises(KeyError) as exc:
+        check(doc, FORMAT, "invalid doc", KeyError)
+    assert exc.value.args == (f"invalid doc: {err}",)

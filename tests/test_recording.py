@@ -480,7 +480,7 @@ class TestPayloadFormats:
     @pytest.mark.parametrize(
         "kind,payload,err",
         [
-            (MessageKind.PLANNING, [], "payload must be an object, got []"),
+            (MessageKind.PLANNING, [], "expected an object, got []"),
             (MessageKind.PLANNING, {"ego_action": 5}, "ego_action must be a string, got 5"),
             (MessageKind.LOCALIZATION, {"x": True}, "x must be a number, got True"),
             (MessageKind.OBSTACLE, {"obstacles": [{"actor": "vehicle"}]},

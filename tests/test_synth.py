@@ -86,28 +86,29 @@ class TestScript:
                 {"duration_frames": 10, "events": (SceneEvent(10),)},
                 "event frame 10 outside",
             ),
-            ({"duration_frames": 2.5}, "duration_frames must be a positive integer, got 2.5"),
-            ({"duration_frames": 10, "fps": True}, "fps must be a positive integer, got True"),
+            ({"duration_frames": 2.5}, "invalid scenario script: duration_frames must be an integer, got 2.5"),
+            ({"duration_frames": 10, "fps": True}, "invalid scenario script: fps must be an integer, got True"),
             ({"duration_frames": 10, "glitch_rate": "0"}, "glitch_rate must be a number"),
             (
                 {"duration_frames": 10, "events": (SceneEvent("0"),)},
-                "event frame must be an integer, got '0'",
+                "invalid scenario script: events[0].frame must be an integer, got '0'",
             ),
             (
                 {"duration_frames": 10, "events": (SceneEvent(0, {"lightz": []}),)},
-                "event at frame 0: unknown scene key 'lightz'",
+                "invalid scenario script: events[0].set has unknown key 'lightz'; "
+                "expected one of lights, obstacles, objects",
             ),
             (
                 {"duration_frames": 10, "events": (SceneEvent(0, {}, ("lightz",)),)},
-                "event at frame 0: unknown scene key 'lightz'",
+                "invalid scenario script: events[0].unset[0] must be one of lights, obstacles, objects, got 'lightz'",
             ),
             (
                 {"duration_frames": 10, "events": (SceneEvent(0, {"lights": {}}),)},
-                "event at frame 0: lights must be a list of objects",
+                "invalid scenario script: events[0].set.lights must be a list, got {}",
             ),
             (
                 {"duration_frames": 10, "events": (SceneEvent(0, {"objects": [5]}),)},
-                "event at frame 0: objects must be a list of strings",
+                "invalid scenario script: events[0].set.objects[0] must be a string, got 5",
             ),
             (
                 {"duration_frames": 10, "events": (SceneEvent(0, {"lights": [{"shape": "hex"}]}),)},
@@ -115,32 +116,38 @@ class TestScript:
             ),
             (
                 {"duration_frames": 10, "events": (SceneEvent(0, {"lights": [{"orientation": 7}]}),)},
-                "script light orientation 7 is not canonical",
+                "invalid scenario script: events[0].set.lights[0].orientation must be a string, got 7",
             ),
             (
                 {"duration_frames": 10, "events": (SceneEvent(0, {"obstacles": [{"actor": []}]}),)},
-                r"script actor \[\]/None is not canonical",
+                "invalid scenario script: events[0].set.obstacles[0].actor must be a string, got []",
+            ),
+            (
+                {"duration_frames": 10, "events": (SceneEvent(0, {"obstacles": [{"actor": "dragon"}]}),)},
+                "script actor 'dragon'/None is not canonical",
             ),
             (
                 {
                     "duration_frames": 10,
                     "events": (SceneEvent(0, {"obstacles": [{"actor": "pedestrian", "on_crosswalk": 1}]}),),
                 },
-                "script actor on_crosswalk must be true or false, got 1",
+                "invalid scenario script: events[0].set.obstacles[0].on_crosswalk must be true or false, got 1",
             ),
             (
                 {"duration_frames": 10, "events": (SceneEvent(0, {"lights": [{"colour": "green"}]}),)},
-                "script light has unknown key 'colour'; expected one of color, shape, orientation",
+                "invalid scenario script: events[0].set.lights[0] has unknown key 'colour'; "
+                "expected one of color, shape, orientation",
             ),
             (
                 {"duration_frames": 10, "events": (SceneEvent(0, {"obstacles": [{"speed": 3}]}),)},
-                "script obstacle has unknown key 'speed'; expected one of actor, subtype, action, "
+                "invalid scenario script: events[0].set.obstacles[0] has unknown key 'speed'; "
+                "expected one of actor, subtype, action, "
                 "on_crosswalk, at_intersection",
             ),
         ],
     )
     def test_validation(self, kwargs, err):
-        with pytest.raises(SynthError, match=err):
+        with pytest.raises(SynthError, match=re.escape(err)):
             ScenarioScript(**kwargs)
 
     def test_json_round_trip(self):
@@ -149,9 +156,9 @@ class TestScript:
         assert again == s
 
     def test_bad_document(self):
-        with pytest.raises(SynthError, match="invalid scenario script: missing 'duration_frames'"):
+        with pytest.raises(SynthError, match="invalid scenario script: duration_frames is missing"):
             script_from_json({"fps": 15})
-        with pytest.raises(SynthError, match="each unset a list"):
+        with pytest.raises(SynthError, match=re.escape("events[0].unset must be a list, got 'lights'")):
             script_from_json({"duration_frames": 10, "events": [{"frame": 0, "unset": "lights"}]})
 
 
@@ -165,12 +172,14 @@ class TestMutantModel:
             Mutant(5, "planning", "x", "flip_condition")
         with pytest.raises(SynthError, match="target must be a string, got None"):
             Mutant("m", "planning", None, "flip_condition")
+        with pytest.raises(SynthError, match="mutant 'm': delta must be a number, got '1.5'"):
+            Mutant("m", "planning", "x", "change_constant", "1.5")
 
     @pytest.mark.parametrize("delta", ["1.5", True, None, [1.0]])
     def test_delta_must_be_a_json_number(self, delta):
         row = {"id": "m", "module": "planning", "target": "passing_mode", "operator": "change_constant"}
         assert mutants_from_json([{**row, "delta": 2}])[0].delta == 2.0
-        with pytest.raises(SynthError, match=re.escape(f"mutant 'm': delta must be a number, got {delta!r}")):
+        with pytest.raises(SynthError, match=re.escape(f"invalid mutants document: [0].delta must be a number, got {delta!r}")):
             mutants_from_json([{**row, "delta": delta}])
 
     def test_json_round_trip(self):
