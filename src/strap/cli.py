@@ -155,7 +155,15 @@ def _vectors_from_doc(doc: Any) -> tuple[str, list[FrameVector]]:
         raise UsageError(f"{len(times)} timestamps for {len(rows)} vectors")
     if not rows:
         raise UsageError("invalid vectors document: no frames")
-    return doc.get("module", "all"), [FrameVector(tuple(row), t) for t, row in zip(times, rows)]
+    module = doc.get("module")
+    if module is None:
+        module = "all"
+    if module not in MODULE_CHOICES:
+        raise UsageError(
+            f"invalid vectors document: module must be one of {', '.join(MODULE_CHOICES)}, "
+            f"got {module!r}"
+        )
+    return module, [FrameVector(tuple(row), t) for t, row in zip(times, rows)]
 
 
 def _module_vectors(rec: Recording, registry: SchemaRegistry, module: str) -> list[FrameVector]:
@@ -280,15 +288,25 @@ def _verdicts_from_doc(doc: Any) -> tuple[dict[str, bool], dict[str, dict[int, b
     """
     check(doc, VERDICTS_FORMAT, "invalid verdicts document", UsageError)
     flags: dict[str, dict[int, bool]] = {}
-    try:
-        for mid, cells in doc["segments"].items():
-            flags[mid] = {}
-            for sid_raw, cell in cells.items():
-                sid = int(sid_raw)
+    for mid, cells in doc["segments"].items():
+        flags[mid] = {}
+        for key, cell in cells.items():
+            # Only the canonical decimal spelling names a segment: int() alone
+            # would also read "1_0", " 10" and "+10".
+            try:
+                sid = int(key)
+            except ValueError:
+                sid = None
+            if sid is None or str(sid) != key:
+                raise UsageError(
+                    f"invalid verdicts document: segments.{mid} has segment id {key!r}, "
+                    "not a decimal integer"
+                )
+            try:
                 verdict = FaultVerdict(sid, cell["mismatched_frames"], cell["total_frames"])
-                flags[mid][sid] = verdict.is_fault
-    except ValueError as exc:
-        raise UsageError(f"invalid verdicts document: {exc}") from exc
+            except ValueError as exc:
+                raise UsageError(f"invalid verdicts document: {exc}") from exc
+            flags[mid][sid] = verdict.is_fault
     return {mid: cell["detected"] for mid, cell in doc["full"].items()}, flags
 
 

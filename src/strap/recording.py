@@ -46,7 +46,14 @@ class PayloadError(ValueError):
 
 @dataclass(frozen=True)
 class Message:
-    """One channel message. Payloads are treated as immutable by convention."""
+    """One channel message.
+
+    Payloads are immutable by convention, and the convention is load-bearing:
+    load_recording gives equal payloads one shared object (an image's scene
+    likewise), replay hands one output object to every frame it holds on, and
+    the encoding and replay memos key on payload identity. Mutating a payload
+    in place changes every message that shares it; build a new dict instead.
+    """
 
     channel: str
     t_ns: TimestampNs
@@ -254,24 +261,101 @@ def _parse_line(line: str, lineno: int) -> Message:
     return Message(channel, t_ns, kind, payload)
 
 
+# A canonical line is _line_head(channel, kind) + payload text + _tail(t_ns).
+_PAYLOAD_KEY = ', "payload": '
+_T_NS_KEY = ', "t_ns": '
+
+
+def _shared_line(
+    line: str,
+    heads: Mapping[str, tuple[str, MessageKind]],
+    payloads: dict[str, dict[str, Any]],
+    scenes: dict[str, Any],
+) -> Message | None:
+    """The message of a canonical line whose head was seen before, or None.
+
+    A payload is looked up by its text in ``payloads``, or scanned and added
+    there, so equal texts share one object; an image payload, whose ref
+    differs on every frame, shares only its scene (_share_scene). A hit
+    needs no check: every entry's text scans as exactly one JSON object, and
+    identical text parses to an identical value. ``heads`` holds only heads
+    that _line_head built from a parsed channel and kind. So the line is the
+    object ``{"channel", "kind", "payload", "t_ns"}`` with no other or
+    repeated key, and the message equals _parse_line's. Any other line gives
+    None and is parsed in full, so no error message changes.
+    """
+    # No JSON string holds an unescaped quote, so the first ', "payload": '
+    # of a canonical line ends its head.
+    start = line.find(_PAYLOAD_KEY) + len(_PAYLOAD_KEY)
+    end = line.rfind(_T_NS_KEY)
+    known = heads.get(line[:start])
+    if known is None or end < start or line[-1:] != "}":
+        return None
+    channel, kind = known
+    text = line[start:end]
+    try:
+        t_ns, stop = _scan_once(line, end + len(_T_NS_KEY))
+        payload = None if kind is MessageKind.IMAGE_REF else payloads.get(text)
+        if payload is None:
+            payload, size = _scan_once(text, 0)
+            if size != len(text) or type(payload) is not dict:
+                return None
+    except (StopIteration, ValueError, RecursionError):
+        return None
+    if stop != len(line) - 1 or type(t_ns) is not int or t_ns < 0:
+        return None
+    if kind is MessageKind.IMAGE_REF:
+        _share_scene(text, payload, scenes)
+    else:
+        payload = payloads.setdefault(text, payload)
+    return Message(channel, t_ns, kind, payload)
+
+
+def _share_scene(text: str, payload: dict[str, Any], scenes: dict[str, Any]) -> None:
+    """Give the payload the shared scene of its scene text.
+
+    Only a payload laid out as ``{"ref": R, "scene": S}`` is touched; the
+    value of the last "scene" key is then a function of S's text alone.
+    A text that starts so holds both keys.
+    """
+    head = '{"ref": ' + _encode(payload.get("ref")) + ', "scene": '
+    if text.startswith(head):
+        payload["scene"] = scenes.setdefault(text[len(head) : -1], payload["scene"])
+
+
 def load_recording(path: str | Path) -> Recording:
     """Parse a JSONL recording file.
 
     Messages are grouped per channel and stably sorted by timestamp; a warning
     is emitted for out-of-order channels. Exact duplicate timestamps within a
     channel keep the first message in file order and warn.
+
+    Equal payload texts on canonical lines (the layout dump_recording_jsonl
+    writes) load as one shared payload object, parsed once, and equal image
+    scenes as one shared scene; see Message on why payloads are never
+    mutated. The sharing tables live only for the call.
     """
     per_channel: dict[str, list[Message]] = {}
     kinds: dict[str, tuple[MessageKind, int]] = {}
+    heads: dict[str, tuple[str, MessageKind]] = {}
+    payloads: dict[str, dict[str, Any]] = {}
+    scenes: dict[str, Any] = {}
     # Lines end only at \n, \r or \r\n: the file is read line by line, never
     # whole, and a raw U+2028 inside a JSON string stays in its line.
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
-            # Only JSON whitespace makes a blank line; json.loads rejects
-            # the rest of what str.strip() drops, and so does _parse_line.
-            if not raw.strip(" \t\n\r"):
-                continue
-            msg = _parse_line(raw, lineno)
+            line = raw[:-1] if raw[-1:] == "\n" else raw
+            msg = _shared_line(line, heads, payloads, scenes)
+            if msg is None:
+                # Only JSON whitespace makes a blank line; json.loads rejects
+                # the rest of what str.strip() drops, and so does _parse_line.
+                if not raw.strip(" \t\n\r"):
+                    continue
+                msg = _parse_line(raw, lineno)
+                head = _line_head(msg.channel, msg.kind)
+                if line.startswith(head):
+                    heads[head] = (msg.channel, msg.kind)
+                    msg = _shared_line(line, heads, payloads, scenes) or msg
             seen = kinds.get(msg.channel)
             if seen is None:
                 kinds[msg.channel] = (msg.kind, lineno)
@@ -314,12 +398,14 @@ def load_recording(path: str | Path) -> Recording:
 _encode = json.JSONEncoder(sort_keys=True).encode
 
 
+def _line_head(channel: str, kind: MessageKind) -> str:
+    return f'{{"channel": {_encode(channel)}, "kind": {_encode(kind.value)}{_PAYLOAD_KEY}'
+
+
 def _head(heads: dict[str, str], m: Message) -> str:
     head = heads.get(m.channel)
     if head is None:
-        head = heads[m.channel] = (
-            f'{{"channel": {_encode(m.channel)}, "kind": {_encode(m.kind.value)}, "payload": '
-        )
+        head = heads[m.channel] = _line_head(m.channel, m.kind)
     return head
 
 
@@ -345,16 +431,22 @@ def aligned_jsonl(ar: AlignedRecording) -> Iterator[str]:
     Every line is stamped with its frame's time. Frame times strictly
     increase and every frame holds one message per channel, so frame order
     then channel-name order is already the dump's (t_ns, channel) order:
-    nothing is sorted and the text is never whole.
+    nothing is sorted and the text is never whole. Each distinct payload
+    object is encoded once; the memo holds the payload, so its id stays its
+    own while the memo lives.
     """
     names = sorted(ar.channel_names)
     heads: dict[str, str] = {}
+    texts: dict[int, tuple[Mapping[str, Any], str]] = {}
     for frame in ar.frames:
         tail = _tail(frame.t_ns)
         parts = []
         for name in names:
             m = frame.messages[name]
-            parts.append(_head(heads, m) + _encode(m.payload) + tail)
+            hit = texts.get(id(m.payload))
+            if hit is None:
+                hit = texts[id(m.payload)] = (m.payload, _encode(m.payload))
+            parts.append(_head(heads, m) + hit[1] + tail)
         yield "".join(parts)
 
 

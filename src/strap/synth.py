@@ -214,15 +214,31 @@ def script_to_json(script: ScenarioScript) -> dict[str, Any]:
 
 
 def script_from_json(doc: Any) -> ScenarioScript:
-    check(doc, SCRIPT_FORMAT, "invalid scenario script", SynthError)
+    """The script a document describes, checked once: by ScenarioScript.
+
+    The script takes the document's values as they are (only an unset list
+    becomes a tuple), so its check against SCRIPT_FORMAT names the field a
+    check of the document would. A document without the shape the script
+    is built from is checked here instead, and fails that check.
+    """
+    events = doc.get("events", []) if isinstance(doc, dict) else None
+    if not (
+        isinstance(events, list)
+        and "duration_frames" in doc
+        and all(isinstance(e, dict) and "frame" in e for e in events)
+    ):
+        check(doc, SCRIPT_FORMAT, "invalid scenario script", SynthError)
+    scene_events = []
+    for e in events:
+        unset = e.get("unset", ())
+        if isinstance(unset, list):
+            unset = tuple(unset)
+        scene_events.append(SceneEvent(e["frame"], e.get("set", {}), unset))
     return ScenarioScript(
         duration_frames=doc["duration_frames"],
         fps=doc.get("fps", 15),
         glitch_rate=doc.get("glitch_rate", 0.0),
-        events=tuple(
-            SceneEvent(e["frame"], e.get("set", {}), tuple(e.get("unset", [])))
-            for e in doc.get("events", [])
-        ),
+        events=tuple(scene_events),
     )
 
 
@@ -286,11 +302,15 @@ class ToyModule:
     its classifier, for call-count prioritization) and CONDITIONS (the names
     that are not parameters) from it, and fails at class definition when a
     parameter is read by no classifier or a name by two.
+
+    reads maps each input kind compute needs to what it reads of that
+    kind's payload: one field, or the whole payload (None). replay_segment
+    memoizes compute by the identities of those objects.
     """
 
     kind: str = ""
     publish_kind: MessageKind = MessageKind.PLANNING
-    input_kinds: frozenset[MessageKind] = frozenset()
+    reads: Mapping[MessageKind, str | None] = {}
     DEFAULT_PARAMS: Mapping[str, float] = {}
     FUNCTIONS: Mapping[str, tuple[str, ...]] = {}
     CONDITIONS: frozenset[str] = frozenset()
@@ -335,7 +355,7 @@ class TrafficLightDetector(ToyModule):
 
     kind = "traffic_light"
     publish_kind = MessageKind.TRAFFIC_LIGHT
-    input_kinds = frozenset({MessageKind.IMAGE_REF})
+    reads = {MessageKind.IMAGE_REF: "scene"}
     DEFAULT_PARAMS = {
         "lit_min_brightness": 0.5,
         "green_min_hue": 100.0,
@@ -414,7 +434,7 @@ class ObstacleDetector(ToyModule):
 
     kind = "obstacle"
     publish_kind = MessageKind.OBSTACLE
-    input_kinds = frozenset({MessageKind.IMAGE_REF})
+    reads = {MessageKind.IMAGE_REF: "scene"}
     DEFAULT_PARAMS = {
         "vehicle_min_wheels": 3.5,
         "cyclist_min_wheels": 1.5,
@@ -495,7 +515,7 @@ class TrajectoryPredictor(ToyModule):
 
     kind = "prediction"
     publish_kind = MessageKind.PREDICTION
-    input_kinds = frozenset({MessageKind.OBSTACLE})
+    reads = {MessageKind.OBSTACLE: None}
     DEFAULT_PARAMS = dict(_MOTION_PARAMS)
     FUNCTIONS = {"predict_action": _MOTION_NAMES}
 
@@ -522,9 +542,9 @@ class MotionPlanner(ToyModule):
 
     kind = "planning"
     publish_kind = MessageKind.PLANNING
-    input_kinds = frozenset(
-        {MessageKind.TRAFFIC_LIGHT, MessageKind.OBSTACLE, MessageKind.PREDICTION}
-    )
+    reads = {
+        MessageKind.TRAFFIC_LIGHT: None, MessageKind.OBSTACLE: None, MessageKind.PREDICTION: None,
+    }
     DEFAULT_PARAMS = {"sign_stop_range_m": 30.0, "passing_mode": 1.0}
     FUNCTIONS = {
         "plan_step": (
@@ -801,13 +821,19 @@ def replay_segment(
     between; the first frame always computes, which is the cold start the
     warm-up absorbs. fps is the frame rate of the grid (grid_fps), which maps
     frame timestamps onto emission ticks.
+
+    compute is pure, so it runs once per distinct set of the objects the
+    module reads (ToyModule.reads), keyed by their identities. A repeat
+    returns the same output object and adds the first call's call_log
+    counts again, so call_counts are exact. The memo holds the objects it
+    is keyed by and lives only for the call.
     """
     if not frames:
         raise SynthError("replay needs at least one frame")
     if not (0 <= warmup_frames < len(frames)):
         raise SynthError(f"warmup_frames {warmup_frames} outside [0, {len(frames)})")
     kinds_present = {m.kind for m in frames[0].messages.values()}
-    missing = module.input_kinds - kinds_present
+    missing = module.reads.keys() - kinds_present
     if missing:
         raise SynthError(
             f"module {module.kind!r} needs channel kind(s) "
@@ -823,18 +849,34 @@ def replay_segment(
     out_channel = out_channels[0] if out_channels else module.kind
 
     fresh = module.fresh()
+    reads = tuple(module.reads.items())
+    # Per key: the output, that call's call_log counts, and the objects read.
+    memo: dict[tuple[int, ...], tuple[dict[str, Any], Counter[str], tuple[Any, ...]]] = {}
+    ticks: Counter[tuple[int, ...]] = Counter()
     held: dict[str, Any] | None = None
     outputs = []
     try:
         for frame in frames:
             if held is None or fresh.emits_at(_frame_index(frame.t_ns, fps)):
                 inputs = {m.kind: m.payload for m in frame.messages.values()}
-                held = fresh.compute(inputs)
+                read = tuple([inputs[k] if f is None else inputs[k].get(f) for k, f in reads])
+                key = tuple(map(id, read))
+                hit = memo.get(key)
+                if hit is None:
+                    fresh.call_log = Counter()
+                    hit = memo[key] = (fresh.compute(inputs), fresh.call_log, read)
+                ticks[key] += 1
+                held = hit[0]
             outputs.append(Message(out_channel, frame.t_ns, module.publish_kind, held))
     except (TypeError, AttributeError, KeyError):
         check_payloads(frame)
         raise
-    return ReplayResult(tuple(outputs), warmup_frames, dict(fresh.call_log))
+    # Keys in first-compute order, so names keep the order of their first call.
+    calls: Counter[str] = Counter()
+    for key, n in ticks.items():
+        for name, count in memo[key][1].items():
+            calls[name] += count * n
+    return ReplayResult(tuple(outputs), warmup_frames, dict(calls))
 
 
 def _swap_channel(frame: Frame, message: Message) -> Frame:
@@ -1030,7 +1072,7 @@ def run_prepared(
     strategies = _check_run_inputs(strategies, mutants)
     ar, fps, module_kind, cfg = prepared.aligned, prepared.fps, prepared.module, prepared.cfg
     vectors, segments, registry = prepared.vectors, prepared.segments, prepared.registry
-    encoder = FrameEncoder(registry, ModuleFilter.for_module(module_kind, registry))
+    flt = ModuleFilter.for_module(module_kind, registry)
     module = make_module(module_kind)
     n_frames = len(ar.frames)
     own = [m for m in mutants if m.module == module_kind]
@@ -1041,6 +1083,9 @@ def run_prepared(
     tables: dict[str, dict[int, FaultVerdict]] = {}
     for mutant in own:
         mutated = apply_mutant(module, mutant)
+        # The encoder's memo holds this mutant's replayed payloads, which no
+        # other mutant's replay shares, so it goes with them.
+        encoder = FrameEncoder(registry, flt)
         whole, prefix = _whole_replay(prepared, mutated, encoder)
         full[mutant.id] = whole.is_fault
         tables[mutant.id] = {

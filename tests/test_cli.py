@@ -654,6 +654,9 @@ FORMAT_GAPS = {
     "plan-score-string": ("plan", "scores/0", "1.5", "scores[0] must be a number, got '1.5'"),
     "plan-seed-string": ("plan", "seed", "x", "seed must be an integer, got 'x'"),
     "vectors-module-int": ("vectors", "module", 5, "module must be a string, got 5"),
+    "vectors-module-unknown": ("vectors", "module", "bogus",
+                               "module must be one of traffic_light, obstacle, prediction, "
+                               "planning, all, got 'bogus'"),
     "schema-always-keep-string": ("schema", "always_keep", "crosswalk",
                                   "always_keep must be a list, got 'crosswalk'"),
 }
@@ -726,6 +729,25 @@ class TestMistypedFields:
         rc, err = _run_retyped(name, path, value, valid_inputs, tmp_path, capsys)
         assert rc == 1, err
         assert err == f"error: invalid {name} document: {message}\n"
+
+    @pytest.mark.parametrize("key", ["1_0", " 1", "+1", "01", "1.0", "-0", "x"])
+    def test_verdicts_segment_id_is_canonical_decimal(self, key, valid_inputs, tmp_path, monkeypatch,
+                                                      capsys):
+        # int() alone reads "1_0" as 10 and " 1" or "+1" as 1.
+        monkeypatch.chdir(tmp_path)
+        doc = json.loads(valid_inputs["verdicts"].read_text())
+        table = doc["segments"]["loud"]
+        table[key] = table.pop("1")
+        verdicts = tmp_path / "verdicts.json"
+        verdicts.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["evaluate", "--verdicts", str(verdicts), "--plans", str(valid_inputs["plan"]),
+                   "--out", "out.json"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: invalid verdicts document: segments.loud has segment id {key!r}, "
+            "not a decimal integer\n"
+        )
 
     def test_quiet_is_undetected(self, valid_inputs):
         # So the "no" of verdicts-detected-string would have counted as detected.

@@ -94,6 +94,19 @@ def test_module_all_report_is_byte_identical(case, tmp_path):
         assert data == (GOLDEN / name).read_bytes(), f"{name} differs from the golden file"
 
 
+def test_module_all_report_from_a_loaded_recording(tmp_path):
+    """The benchmark case again, its recording written to JSONL and read back with --in."""
+    recording = tmp_path / "benchmark.jsonl"
+    _run(["synth-generate", "--script", "builtin:benchmark", "--seed", "0", "--out", str(recording)])
+    report = tmp_path / "benchmark_all.json"
+    _run([
+        "run-regression", "--in", str(recording), "--mutants", "builtin:benchmark",
+        "--module", "all", "--seed", "0", "--out", str(report),
+    ])
+    for path in (report, report.with_suffix(".csv")):
+        assert path.read_bytes() == (GOLDEN / path.name).read_bytes(), f"{path.name} differs"
+
+
 def test_planning_artifacts_are_byte_identical(planning):
     assert planning[ARTIFACT_DIGESTS] == (GOLDEN / ARTIFACT_DIGESTS).read_bytes()
 

@@ -18,6 +18,7 @@ from strap.benchmarks import (
     rare_fault_script,
 )
 from strap.evaluation import compare_outputs
+from strap.fileio import check
 from strap.recording import (
     AlignedRecording,
     Frame,
@@ -32,6 +33,7 @@ from strap.synth import (
     CHANNEL_OFFSETS_NS,
     MUTATION_OPERATORS,
     NS_PER_SEC,
+    SCRIPT_FORMAT,
     Mutant,
     ScenarioScript,
     SceneEvent,
@@ -154,6 +156,25 @@ class TestScript:
         s = script(50, glitch=0.25, events=[SceneEvent(3, RED_LIGHT, ("obstacles",))])
         again = script_from_json(script_to_json(s))
         assert again == s
+
+    @pytest.mark.parametrize("doc", [
+        script_to_json(noisy_prediction_script()),
+        {"duration_frames": 10, "events": [{"frame": 0, "set": {"lights": 5}}]},
+        {"duration_frames": 10, "events": {}},
+    ], ids=["valid", "mistyped-set", "events-object"])
+    def test_document_is_checked_once(self, doc, monkeypatch):
+        checked = []
+
+        def counting(value, fmt, *args):
+            checked.append(fmt)
+            return check(value, fmt, *args)
+
+        monkeypatch.setattr("strap.synth.check", counting)
+        try:
+            script_from_json(doc)
+        except SynthError:
+            pass
+        assert checked.count(SCRIPT_FORMAT) == 1
 
     def test_bad_document(self):
         with pytest.raises(SynthError, match="invalid scenario script: duration_frames is missing"):
