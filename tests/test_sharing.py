@@ -180,7 +180,7 @@ def test_replay_memo_matches_unshared(loaded, registry):
     for kind in MODULE_KINDS:
         flt = ModuleFilter.for_module(kind, registry)
         vectors = encode_recording(shared, registry, flt)
-        # One encoder across every replay, as run_prepared keeps it.
+        # One encoder across the module's replays; run_prepared keeps one per mutant.
         encoder = FrameEncoder(registry, flt)
         module = make_module(kind)
         for mutated in [module, *(apply_mutant(module, m) for m in mutants if m.module == kind)]:
