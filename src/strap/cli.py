@@ -137,10 +137,15 @@ def _builtin_or_file(source: str, what: str) -> Any:
 
 
 def _vectors_doc(module: str, vectors: Sequence[FrameVector]) -> dict[str, Any]:
+    # Equal rows are one list, which atomic_write_json encodes once.
+    rows: dict[tuple[int, ...], list[int]] = {}
+    for v in vectors:
+        if v.values not in rows:
+            rows[v.values] = list(v.values)
     return {
         "module": module,
         "t_ns": [v.t_ns for v in vectors],
-        "vectors": [list(v.values) for v in vectors],
+        "vectors": [rows[v.values] for v in vectors],
     }
 
 

@@ -50,9 +50,11 @@ def atomic_write_json(path: str | Path, doc: Any) -> None:
     """Write ``doc`` as indented, key-sorted JSON, streamed chunk by chunk.
 
     The bytes equal ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``;
-    the document is never held as one string.
+    the document is never held as one string. A list of scalars that
+    appears many times as one object (repeated rows) is encoded once per
+    depth.
     """
-    atomic_write_text(path, itertools.chain(_indented(doc, 0, set()), ("\n",)))
+    atomic_write_text(path, itertools.chain(_indented(doc, 0, set(), {}), ("\n",)))
 
 
 _SCALARS = frozenset({str, int, float, bool, type(None)})
@@ -72,16 +74,25 @@ def _layout(depth: int) -> tuple[str, str, Callable[[Any], str]]:
     return inner, "\n" + "  " * (depth - 1), encode
 
 
-def _indented(o: Any, depth: int, markers: set[int]) -> Iterator[str]:
+def _indented(
+    o: Any, depth: int, markers: set[int], texts: dict[tuple[int, int], tuple[list, str]]
+) -> Iterator[str]:
     """The ``indent=2, sort_keys=True`` text of ``o``, nested ``depth`` levels deep.
 
     Lists and ``str``-keyed dicts are walked here, and a list of plain
     scalars is encoded in C a slice at a time. Anything else (tuples, other
     keys, subclasses, unknown types) goes to ``json``'s own encoder.
+
+    ``texts`` keeps the text of each scalar list of at most _SLICE items by
+    its id and depth (its indentation depends on the depth) and holds the
+    list, so its id stays its own while the memo lives.
     """
     kind = type(o)
     if kind in _SCALARS:
         yield _encode(o)
+        return
+    if kind is list and (hit := texts.get((id(o), depth))) is not None:
+        yield hit[1]
         return
     if kind is list or kind is dict:
         opening, closing = ("[", "]") if kind is list else ("{", "}")
@@ -90,6 +101,11 @@ def _indented(o: Any, depth: int, markers: set[int]) -> Iterator[str]:
             return
         inner, outer, encode_items = _layout(depth + 1)
         if kind is list and set(map(type, o)) <= _SCALARS:
+            if len(o) <= _SLICE:
+                text = opening + inner + encode_items(o)[1:-1] + outer + closing
+                texts[id(o), depth] = (o, text)
+                yield text
+                return
             sep = opening + inner
             for i in range(0, len(o), _SLICE):
                 yield sep + encode_items(o[i : i + _SLICE])[1:-1]
@@ -104,12 +120,12 @@ def _indented(o: Any, depth: int, markers: set[int]) -> Iterator[str]:
             if kind is list:
                 for item in o:
                     yield sep
-                    yield from _indented(item, depth + 1, markers)
+                    yield from _indented(item, depth + 1, markers, texts)
                     sep = "," + inner
             else:
                 for key in sorted(o):
                     yield sep + _encode(key) + ": "
-                    yield from _indented(o[key], depth + 1, markers)
+                    yield from _indented(o[key], depth + 1, markers, texts)
                     sep = "," + inner
             markers.discard(id(o))
             yield outer + closing

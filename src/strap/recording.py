@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import json
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from operator import gt
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from .fileio import check, is_json_int
 
@@ -276,7 +276,7 @@ def _shared_line(
 
     A payload is looked up by its text in ``payloads``, or scanned and added
     there, so equal texts share one object; an image payload, whose ref
-    differs on every frame, shares only its scene (_share_scene). A hit
+    differs on every frame, shares only its scene (_image_payload). A hit
     needs no check: every entry's text scans as exactly one JSON object, and
     identical text parses to an identical value. ``heads`` holds only heads
     that _line_head built from a parsed channel and kind. So the line is the
@@ -295,32 +295,49 @@ def _shared_line(
     text = line[start:end]
     try:
         t_ns, stop = _scan_once(line, end + len(_T_NS_KEY))
-        payload = None if kind is MessageKind.IMAGE_REF else payloads.get(text)
+        if kind is MessageKind.IMAGE_REF:
+            payload = _image_payload(text, scenes)
+        else:
+            payload = payloads.get(text)
         if payload is None:
             payload, size = _scan_once(text, 0)
             if size != len(text) or type(payload) is not dict:
                 return None
+            if kind is not MessageKind.IMAGE_REF:
+                payloads[text] = payload
     except (StopIteration, ValueError, RecursionError):
         return None
     if stop != len(line) - 1 or type(t_ns) is not int or t_ns < 0:
         return None
-    if kind is MessageKind.IMAGE_REF:
-        _share_scene(text, payload, scenes)
-    else:
-        payload = payloads.setdefault(text, payload)
     return Message(channel, t_ns, kind, payload)
 
 
-def _share_scene(text: str, payload: dict[str, Any], scenes: dict[str, Any]) -> None:
-    """Give the payload the shared scene of its scene text.
+_REF_HEAD = '{"ref": '
+_SCENE_KEY = ', "scene": '
 
-    Only a payload laid out as ``{"ref": R, "scene": S}`` is touched; the
-    value of the last "scene" key is then a function of S's text alone.
-    A text that starts so holds both keys.
+
+def _image_payload(text: str, scenes: dict[str, Any]) -> dict[str, Any] | None:
+    """The payload of an image text laid out ``{"ref": R, "scene": S}``, or None.
+
+    R is scanned alone, and S is looked up by its text in ``scenes`` before
+    any parse, or scanned and added there, so equal scene texts share one
+    scene. Every entry's text scans as exactly one JSON value, so the text
+    is exactly that two-key object. Any other layout gives None and is
+    scanned whole, its scene unshared.
     """
-    head = '{"ref": ' + _encode(payload.get("ref")) + ', "scene": '
-    if text.startswith(head):
-        payload["scene"] = scenes.setdefault(text[len(head) : -1], payload["scene"])
+    if not text.startswith(_REF_HEAD) or text[-1:] != "}":
+        return None
+    ref, stop = _scan_once(text, len(_REF_HEAD))
+    if not text.startswith(_SCENE_KEY, stop):
+        return None
+    scene_text = text[stop + len(_SCENE_KEY) : -1]
+    scene = scenes.get(scene_text)
+    if scene is None:
+        scene, size = _scan_once(scene_text, 0)
+        if size != len(scene_text):
+            return None
+        scenes[scene_text] = scene
+    return {"ref": ref, "scene": scene}
 
 
 def load_recording(path: str | Path) -> Recording:
@@ -332,8 +349,8 @@ def load_recording(path: str | Path) -> Recording:
 
     Equal payload texts on canonical lines (the layout dump_recording_jsonl
     writes) load as one shared payload object, parsed once, and equal image
-    scenes as one shared scene; see Message on why payloads are never
-    mutated. The sharing tables live only for the call.
+    scene texts as one shared scene, parsed once; see Message on why
+    payloads are never mutated. The sharing tables live only for the call.
     """
     per_channel: dict[str, list[Message]] = {}
     kinds: dict[str, tuple[MessageKind, int]] = {}
@@ -370,8 +387,10 @@ def load_recording(path: str | Path) -> Recording:
 
     channels = {}
     for name, msgs in per_channel.items():
-        ordered = sorted(msgs, key=lambda m: m.t_ns)
-        if [m.t_ns for m in ordered] != [m.t_ns for m in msgs]:
+        ordered = msgs
+        times = [m.t_ns for m in msgs]
+        if any(map(gt, times, times[1:])):
+            ordered = sorted(msgs, key=lambda m: m.t_ns)
             warnings.warn(f"channel {name!r}: out-of-order timestamps were re-sorted", stacklevel=2)
         deduped: list[Message] = []
         dropped = 0
@@ -414,15 +433,47 @@ def _tail(t_ns: TimestampNs) -> str:
     return f', "t_ns": {t_ns!r}}}\n' if type(t_ns) is int else f', "t_ns": {_encode(t_ns)}}}\n'
 
 
+_IMAGE_KEYS = frozenset({"ref", "scene"})
+
+
+def _payload_texts() -> Callable[[Any], str]:
+    """A function giving a payload's JSON text, encoded once per distinct object.
+
+    The text of a dict whose keys are exactly "ref" and "scene" (an image
+    payload) is put together from its ref's text and its scene's text, so a
+    scene shared by many images is encoded once. Such a text is not kept:
+    every frame has its own image, and putting it together costs little.
+    The memo holds each object it keys on, so an id stays its own while
+    the function lives.
+    """
+    texts: dict[int, tuple[Any, str]] = {}
+
+    def text(o: Any) -> str:
+        hit = texts.get(id(o))
+        if hit is not None:
+            return hit[1]
+        if type(o) is dict and o.keys() == _IMAGE_KEYS:
+            return f'{_REF_HEAD}{_encode(o["ref"])}{_SCENE_KEY}{text(o["scene"])}}}'
+        encoded = _encode(o)
+        texts[id(o)] = (o, encoded)
+        return encoded
+
+    return text
+
+
 def dump_recording_jsonl(rec: Recording) -> str:
-    """Serialize a recording as JSONL, globally sorted by (t_ns, channel)."""
+    """Serialize a recording as JSONL, globally sorted by (t_ns, channel).
+
+    Each distinct payload object is encoded once (_payload_texts).
+    """
     rows = []
     for name in sorted(rec.channels):
         for m in rec.channels[name].messages:
             rows.append((m.t_ns, name, m))
     rows.sort(key=lambda r: (r[0], r[1]))
     heads: dict[str, str] = {}
-    return "".join(_head(heads, m) + _encode(m.payload) + _tail(m.t_ns) for _, _, m in rows)
+    text = _payload_texts()
+    return "".join(_head(heads, m) + text(m.payload) + _tail(m.t_ns) for _, _, m in rows)
 
 
 def aligned_jsonl(ar: AlignedRecording) -> Iterator[str]:
@@ -431,22 +482,18 @@ def aligned_jsonl(ar: AlignedRecording) -> Iterator[str]:
     Every line is stamped with its frame's time. Frame times strictly
     increase and every frame holds one message per channel, so frame order
     then channel-name order is already the dump's (t_ns, channel) order:
-    nothing is sorted and the text is never whole. Each distinct payload
-    object is encoded once; the memo holds the payload, so its id stays its
-    own while the memo lives.
+    nothing is sorted and the text is never whole. Payload texts come from
+    the dump's own rule (_payload_texts), once per distinct object.
     """
     names = sorted(ar.channel_names)
     heads: dict[str, str] = {}
-    texts: dict[int, tuple[Mapping[str, Any], str]] = {}
+    text = _payload_texts()
     for frame in ar.frames:
         tail = _tail(frame.t_ns)
         parts = []
         for name in names:
             m = frame.messages[name]
-            hit = texts.get(id(m.payload))
-            if hit is None:
-                hit = texts[id(m.payload)] = (m.payload, _encode(m.payload))
-            parts.append(_head(heads, m) + hit[1] + tail)
+            parts.append(_head(heads, m) + text(m.payload) + tail)
         yield "".join(parts)
 
 
@@ -470,18 +517,27 @@ def align_recording(rec: Recording) -> AlignedRecording:
     ref_times = sorted({m.t_ns for m in ref.messages})
     n = len(ref_times)
 
+    # Slot i covers [ref_times[i], next_times[i]); the last slot ends just
+    # after the last grid time.
+    next_times = [*ref_times[1:], ref_times[-1] + 1]
     slotted: dict[str, list[Message | None]] = {}
     start = 0
     for name in sorted(rec.channels):
         slots: list[Message | None] = [None] * n
         prior: Message | None = None
+        # Messages come in time order, so the slot (the last grid time at or
+        # before the message) only moves forward.
+        i = 0
         for m in rec.channels[name].messages:
-            if m.t_ns < ref_times[0]:
+            t = m.t_ns
+            if t < ref_times[0]:
                 prior = m
                 continue
-            if m.t_ns > ref_times[-1]:
-                continue
-            slots[bisect_right(ref_times, m.t_ns) - 1] = m
+            if t > ref_times[-1]:
+                break
+            while next_times[i] <= t:
+                i += 1
+            slots[i] = m
         held = prior
         first = None
         for i in range(n):

@@ -69,6 +69,9 @@ def smooth(vectors: Sequence[FrameVector], w: int) -> list[FrameVector]:
     exactly min(w, N) elements. The most frequent vector in the window wins;
     if the top count is tied, the original center vector is kept. Frame
     timestamps are preserved.
+
+    A window inside one run of equal vectors keeps its center vector
+    without a vote, so only windows that span runs are counted.
     """
     if w < 1 or w % 2 == 0:
         raise ValueError(f"window width must be odd and positive, got {w}")
@@ -77,9 +80,16 @@ def smooth(vectors: Sequence[FrameVector], w: int) -> list[FrameVector]:
         return list(vectors)
     width = min(w, n)
     half = w // 2
+    # run_end[i]: the index of the last frame of the run holding frame i.
+    run_end = [n - 1] * n
+    for i in range(n - 2, -1, -1):
+        run_end[i] = i if vectors[i].values != vectors[i + 1].values else run_end[i + 1]
     out = []
     for i in range(n):
         lo = min(max(i - half, 0), n - width)
+        if run_end[lo] >= lo + width - 1:
+            out.append(vectors[i])
+            continue
         counts = Counter(v.values for v in vectors[lo : lo + width])
         top = counts.most_common()
         if len(top) > 1 and top[0][1] == top[1][1]:

@@ -305,7 +305,8 @@ class ToyModule:
 
     reads maps each input kind compute needs to what it reads of that
     kind's payload: one field, or the whole payload (None). replay_segment
-    memoizes compute by the identities of those objects.
+    and generate_recording memoize compute by the identities of those
+    objects (_ComputeMemo).
     """
 
     kind: str = ""
@@ -738,6 +739,43 @@ def _glitch_payload(kind: MessageKind, payload: Mapping[str, Any]) -> dict[str, 
     raise SynthError(f"channel kind {kind.value!r} does not glitch")
 
 
+class _ComputeMemo:
+    """A module's compute, run once per distinct set of the objects it reads.
+
+    compute is pure, so a call whose ToyModule.reads objects are the ones
+    of an earlier call returns that call's output object. Each miss runs
+    with a fresh call_log, kept with the output; call_counts adds every
+    call's counts, so it equals what unmemoized calls would log. The memo
+    holds the objects it is keyed by, so their ids stay their own while it
+    lives.
+    """
+
+    def __init__(self, module: ToyModule) -> None:
+        self.module = module
+        self.reads = tuple(module.reads.items())
+        # Per key: the output, that call's call_log counts, and the objects read.
+        self.memo: dict[tuple[int, ...], tuple[dict[str, Any], Counter[str], tuple[Any, ...]]] = {}
+        self.ticks: Counter[tuple[int, ...]] = Counter()
+
+    def compute(self, inputs: Mapping[MessageKind, Mapping[str, Any]]) -> dict[str, Any]:
+        read = tuple([inputs[k] if f is None else inputs[k].get(f) for k, f in self.reads])
+        key = tuple(map(id, read))
+        hit = self.memo.get(key)
+        if hit is None:
+            self.module.call_log = Counter()
+            hit = self.memo[key] = (self.module.compute(inputs), self.module.call_log, read)
+        self.ticks[key] += 1
+        return hit[0]
+
+    def call_counts(self) -> dict[str, int]:
+        # Keys in first-compute order, so names keep the order of their first call.
+        calls: Counter[str] = Counter()
+        for key, n in self.ticks.items():
+            for name, count in self.memo[key][1].items():
+                calls[name] += count * n
+        return dict(calls)
+
+
 def generate_recording(script: ScenarioScript, seed: int) -> Recording:
     """Run the unmutated toy pipeline over the scripted scenes.
 
@@ -748,10 +786,14 @@ def generate_recording(script: ScenarioScript, seed: int) -> Recording:
     the glitched message, exactly as subscribers would. Between its emissions
     a module's last output stays its subscribers' input; frame 0 is every
     module's emission tick.
+
+    Each module computes once per distinct input (_ComputeMemo), so frames
+    with equal inputs share one output object; a glitch is a new object.
     """
     rng = random.Random(seed)
     events = sorted(script.events, key=lambda e: e.frame)
     modules = {kind: make_module(kind) for kind in MODULE_KINDS}
+    memos = {kind: _ComputeMemo(module) for kind, module in modules.items()}
     held: dict[str, Mapping[str, Any]] = {}
     messages: dict[str, list[Message]] = {name: [] for name in CHANNEL_OFFSETS_NS}
     state: dict[str, Any] = {}
@@ -781,7 +823,7 @@ def generate_recording(script: ScenarioScript, seed: int) -> Recording:
         for kind in MODULE_KINDS:
             module = modules[kind]
             if module.emits_at(i):
-                payload = module.compute(inputs)
+                payload = memos[kind].compute(inputs)
                 if script.glitch_rate and rng.random() < script.glitch_rate:
                     payload = _glitch_payload(module.publish_kind, payload)
                 held[kind] = payload
@@ -823,10 +865,8 @@ def replay_segment(
     frame timestamps onto emission ticks.
 
     compute is pure, so it runs once per distinct set of the objects the
-    module reads (ToyModule.reads), keyed by their identities. A repeat
-    returns the same output object and adds the first call's call_log
-    counts again, so call_counts are exact. The memo holds the objects it
-    is keyed by and lives only for the call.
+    module reads (_ComputeMemo): a repeat returns the same output object,
+    and call_counts are exact. The memo lives only for the call.
     """
     if not frames:
         raise SynthError("replay needs at least one frame")
@@ -849,34 +889,18 @@ def replay_segment(
     out_channel = out_channels[0] if out_channels else module.kind
 
     fresh = module.fresh()
-    reads = tuple(module.reads.items())
-    # Per key: the output, that call's call_log counts, and the objects read.
-    memo: dict[tuple[int, ...], tuple[dict[str, Any], Counter[str], tuple[Any, ...]]] = {}
-    ticks: Counter[tuple[int, ...]] = Counter()
+    memo = _ComputeMemo(fresh)
     held: dict[str, Any] | None = None
     outputs = []
     try:
         for frame in frames:
             if held is None or fresh.emits_at(_frame_index(frame.t_ns, fps)):
-                inputs = {m.kind: m.payload for m in frame.messages.values()}
-                read = tuple([inputs[k] if f is None else inputs[k].get(f) for k, f in reads])
-                key = tuple(map(id, read))
-                hit = memo.get(key)
-                if hit is None:
-                    fresh.call_log = Counter()
-                    hit = memo[key] = (fresh.compute(inputs), fresh.call_log, read)
-                ticks[key] += 1
-                held = hit[0]
+                held = memo.compute({m.kind: m.payload for m in frame.messages.values()})
             outputs.append(Message(out_channel, frame.t_ns, module.publish_kind, held))
     except (TypeError, AttributeError, KeyError):
         check_payloads(frame)
         raise
-    # Keys in first-compute order, so names keep the order of their first call.
-    calls: Counter[str] = Counter()
-    for key, n in ticks.items():
-        for name, count in memo[key][1].items():
-            calls[name] += count * n
-    return ReplayResult(tuple(outputs), warmup_frames, dict(calls))
+    return ReplayResult(tuple(outputs), warmup_frames, memo.call_counts())
 
 
 def _swap_channel(frame: Frame, message: Message) -> Frame:

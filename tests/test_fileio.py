@@ -151,6 +151,43 @@ def test_json_equals_dumps_on_edge_documents(tmp_path, doc):
     assert path.read_bytes() == _dumps(doc)
 
 
+def _shared_lists(rng, pool, depth=0):
+    """A document whose lists of scalars are objects of pool, each at several depths."""
+    roll = rng.random() if depth < 4 else 0.0
+    if roll < 0.4:
+        return rng.choice(pool)
+    if roll < 0.7:
+        return [_shared_lists(rng, pool, depth + 1) for _ in range(rng.randint(1, 4))]
+    return {f"k{i}": _shared_lists(rng, pool, depth + 1) for i in range(rng.randint(1, 3))}
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_json_equals_dumps_with_shared_lists(tmp_path, seed):
+    rng = random.Random(seed)
+    # Short rows are encoded once per depth; one longer than a slice is not.
+    sizes = [1, 3, fileio._SLICE, fileio._SLICE + 1]
+    pool = [[_scalar(rng) for _ in range(rng.choice(sizes))] for _ in range(3)]
+    doc = {"rows": [pool[0]] * 5, "deep": {"a": [pool[0], [pool[0]]]}, "doc": _shared_lists(rng, pool)}
+    path = tmp_path / "doc.json"
+    atomic_write_json(path, doc)
+    assert path.read_bytes() == _dumps(doc)
+
+
+def test_repeated_rows_are_encoded_once_per_depth(tmp_path, monkeypatch):
+    encoded, original = [], fileio._layout
+
+    def layout(depth):
+        inner, outer, encode = original(depth)
+        return inner, outer, lambda items: encoded.append(items) or encode(items)
+
+    monkeypatch.setattr(fileio, "_layout", layout)
+    row = [1, 2, 3]
+    doc = {"vectors": [row] * 100, "nested": [[row]] * 10, "other": [list(row)]}
+    atomic_write_json(tmp_path / "doc.json", doc)
+    assert (tmp_path / "doc.json").read_bytes() == _dumps(doc)
+    assert encoded == [row] * 3
+
+
 def _error(write):
     with pytest.raises(Exception) as info:
         write()

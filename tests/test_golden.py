@@ -55,15 +55,16 @@ def _report(case: str, out: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in (report, report.with_suffix(".csv"))}
 
 
-def _planning(out: Path) -> dict[str, bytes]:
+def _planning(out: Path, source: tuple[str, ...] = ("--script", "builtin:benchmark")) -> dict[str, bytes]:
     """Golden file name -> bytes of the planning run and the evaluate run over its artifacts.
 
     The digests file holds the sha256 of every --artifacts-dir file, sorted
-    by name.
+    by name. ``source`` names the recording: the benchmark script, or a
+    file of it (--in).
     """
     artifacts = out / "artifacts"
     _run([
-        "run-regression", "--script", "builtin:benchmark", "--mutants", "builtin:benchmark",
+        "run-regression", *source, "--mutants", "builtin:benchmark",
         "--module", "planning", "--seed", "0", "--artifacts-dir", str(artifacts),
         "--out", str(out / "planning_report.json"),
     ])
@@ -114,6 +115,15 @@ def test_planning_artifacts_are_byte_identical(planning):
 @pytest.mark.parametrize("name", PLANNING_FILES)
 def test_planning_output_is_byte_identical(name, planning):
     assert planning[name] == (GOLDEN / name).read_bytes(), f"{name} differs from the golden file"
+
+
+def test_planning_artifacts_from_a_loaded_recording(tmp_path):
+    """The planning run again, its recording written to JSONL and read back with --in."""
+    recording = tmp_path / "benchmark.jsonl"
+    _run(["synth-generate", "--script", "builtin:benchmark", "--seed", "0", "--out", str(recording)])
+    files = _planning(tmp_path, ("--in", str(recording)))
+    for name in (ARTIFACT_DIGESTS, "planning_report.json", "planning_report.csv"):
+        assert files[name] == (GOLDEN / name).read_bytes(), f"{name} differs from the golden file"
 
 
 def _write_golden() -> None:

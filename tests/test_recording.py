@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import sys
 from bisect import bisect_left, bisect_right
+from collections import OrderedDict
 
 import pytest
 
@@ -350,6 +351,33 @@ class TestJsonlDifferential:
         assert "".join(aligned_jsonl(ar)) == expected
         assert '"channel": "plan", "kind": "planning"' in expected
         assert '"t_ns": 50.0}' in expected
+
+    def test_image_payloads(self):
+        """Image payloads, whose texts are put together from a ref and a shared scene."""
+        scene = {"lights": [{"hue_deg": 10.0, "tilt_deg": 0.0}], "actors": []}
+        unordered = dict(reversed(list({"b": 1, "a": [0.5, None]}.items())))
+        payloads = [
+            {"ref": "f0", "scene": scene},
+            {"scene": scene, "ref": "f1"},  # the same keys in the other order
+            {"ref": "f2", "scene": scene, "extra": 0},
+            {"ref": "f3"},
+            {"scene": scene},
+            {"ref": 4, "scene": scene},
+            {"ref": -1.5e300, "scene": scene},
+            {"ref": None, "scene": None},
+            {"ref": unordered, "scene": unordered},
+            {"ref": 'café "\\  \n', "scene": scene},
+            {"ref": '", "scene": {}', "scene": [scene, scene]},
+            {"ref": "nested", "scene": {"ref": "inner", "scene": scene}},
+            OrderedDict([("scene", scene), ("ref", "ordered")]),
+        ]
+        twice = {"ref": "twice", "scene": scene}
+        payloads += [twice, twice]
+        messages = [Message("img", t, MessageKind.IMAGE_REF, p) for t, p in enumerate(payloads)]
+        r = rec(Channel("img", MessageKind.IMAGE_REF, tuple(messages)))
+        assert dump_recording_jsonl(r) == _reference_jsonl((m.t_ns, m) for m in messages)
+        ar = align_recording(r)
+        assert "".join(aligned_jsonl(ar)) == _reference_jsonl(_aligned_rows(ar))
 
     def test_hand_built_unaligned_recording(self):
         shared = {"s": "\u2028\u00e9", "f": 0.30000000000000004}

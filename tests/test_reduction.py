@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -74,6 +76,46 @@ class TestSmooth:
 
     def test_empty_stream(self):
         assert smooth([], 3) == []
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_a_vote_in_every_window(self, seed):
+        """The run fast path against the vote it skips inside runs."""
+        rng = random.Random(seed)
+        for w in (1, 3, 5, 7):
+            for n in (1, 2, 3, 4, 6, rng.randint(8, 300)):
+                vectors = stream(_runs_and_glitches(rng, n))
+                assert smooth(vectors, w) == _voted(vectors, w)
+
+
+def _runs_and_glitches(rng, n):
+    """n codes: long runs, one-frame glitches and alternations that tie a vote.
+
+    Equal codes are built afresh, so equal vectors are not one object.
+    """
+    codes = []
+    while len(codes) < n:
+        roll = rng.random()
+        if roll < 0.5:
+            codes += [(rng.randint(1, 3),)] * rng.randint(1, 20)
+        elif roll < 0.8:
+            codes.append((rng.randint(1, 3),))
+        else:
+            codes += [A, B] * rng.randint(1, 4)
+    return codes[:n]
+
+
+def _voted(vectors, w):
+    """smooth with a Counter vote in every window, runs or not."""
+    n = len(vectors)
+    if w == 1:
+        return list(vectors)
+    width, half, out = min(w, n), w // 2, []
+    for i in range(n):
+        lo = min(max(i - half, 0), n - width)
+        top = Counter(v.values for v in vectors[lo : lo + width]).most_common()
+        tie = len(top) > 1 and top[0][1] == top[1][1]
+        out.append(FrameVector(vectors[i].values if tie else top[0][0], vectors[i].t_ns))
+    return out
 
 
 class TestSegment:

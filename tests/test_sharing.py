@@ -19,6 +19,8 @@ from strap.recording import (
     AlignedRecording,
     Frame,
     MessageKind,
+    RecordingLoadError,
+    _parse_line,
     align_recording,
     dump_recording_jsonl,
     load_recording,
@@ -65,6 +67,7 @@ def _line(channel, kind, payload, t_ns):
 
 
 SCENE = '{"lights": [1]}'
+REF = 'x", "scene": {"lights": [2]}'
 # (line, ending) pairs; timestamps increase per channel, so loading keeps file order.
 LINES = [
     (_line("tl", "traffic_light", '{"lights": []}', 0), "\n"),
@@ -107,6 +110,22 @@ LINES = [
     (_line("img", "image_ref", '{"ref": "f10", "scene": {"lights": [1.0]}}', 10), "\n"),
     (_line("img", "image_ref", '{"ref": "f11", "scene": {"lights": [true]}}', 11), "\n"),
     (_line("img", "image_ref", f'{{"ref": "f12", "scene": {SCENE}}}', 12), "\n"),
+    # A known scene after a ref that does not scan alone: a space before it.
+    (_line("img", "image_ref", f'{{"ref":  "f13", "scene": {SCENE}}}', 13), "\n"),
+    # Numeric, null and object refs.
+    (_line("img", "image_ref", f'{{"ref": -1.5e3, "scene": {SCENE}}}', 14), "\n"),
+    (_line("img", "image_ref", f'{{"ref": null, "scene": {SCENE}}}', 15), "\n"),
+    (_line("img", "image_ref", f'{{"ref": {{"b": 1, "a": 2}}, "scene": {SCENE}}}', 16), "\n"),
+    # ', "scene": ' inside the ref string.
+    (_line("img", "image_ref", f'{{"ref": {json.dumps(REF)}, "scene": {SCENE}}}', 17), "\n"),
+    # A known scene text followed by more data: another key, then the scene again.
+    (_line("img", "image_ref", f'{{"ref": "f18", "scene": {SCENE}, "scene": {{}}}}', 18), "\n"),
+    (_line("img", "image_ref", f'{{"ref": "f19", "scene": {{}}, "ref": "f19"}}', 19), "\n"),
+    (_line("img", "image_ref", f'{{"ref": "f20", "scene": {{}}, "ref": "f19"}}', 20), "\n"),
+    (_line("img", "image_ref", f'{{"ref": "f21", "scene": {SCENE}, "ref": "g21"}}', 21), "\n"),
+    # A known scene text under another key of the same length.
+    (_line("img", "image_ref", '{"ref": "f22", "scene": {"q": 1, "scene": 2}}', 22), "\n"),
+    (_line("img", "image_ref", '{"ref": "f23", "scenf": {"q": 1, "scene": 2}}', 23), "\n"),
     ("", "\n"),
     (" \t", "\r\n"),
     # The last line has no newline.
@@ -132,10 +151,59 @@ def test_loader_shares_canonical_payloads_and_scenes(shapes):
     num = channels["num"].messages
     assert num[0].payload is num[3].payload and num[1].payload is num[4].payload
     assert num[0].payload is not num[1].payload is not num[2].payload
-    images = {m.payload["ref"]: m.payload for m in channels["img"].messages}
+    images = {str(m.payload.get("ref")): m.payload for m in channels["img"].messages}
     assert images["f0"]["scene"] is images["f1"]["scene"] is images["f12"]["scene"]
+    assert images["-1500.0"]["scene"] is images[REF]["scene"] is images["f0"]["scene"]
     assert images["f10"]["scene"] is not images["f0"]["scene"]
     assert images["f0"] is not images["f12"]
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        '{"ref": "f\\q", "scene": %s}' % SCENE,  # an invalid escape in the ref
+        '{"ref": "f, "scene": %s}' % SCENE,  # an unterminated ref
+        '{"ref": "f", "scene": %s %s}' % (SCENE, SCENE),  # a known scene, then more data
+        '{"ref": "f", "scene": %s, }' % SCENE,
+        '{"ref": "f", "scene": }',
+        '{"ref": "f", "scene": %s' % SCENE[:-1],
+        '{"ref": ',
+    ],
+)
+def test_loader_errors_on_image_lines_equal_parse_line(payload, tmp_path):
+    """A bad image line after a canonical one fails as _parse_line fails on it alone."""
+    good = _line("img", "image_ref", f'{{"ref": "f0", "scene": {SCENE}}}', 0)
+    bad = _line("img", "image_ref", payload, 1)
+    path = tmp_path / "bad.jsonl"
+    path.write_text(f"{good}\n{bad}\n")
+    with pytest.raises(RecordingLoadError) as loaded:
+        load_recording(path)
+    with pytest.raises(RecordingLoadError) as parsed:
+        _parse_line(bad + "\n", 2)
+    assert str(loaded.value) == str(parsed.value)
+
+
+def test_loader_sorts_an_out_of_order_channel_and_warns(tmp_path):
+    times = {"tl": [0, 1, 2, 3], "pl": [0, 2, 1, 3], "img": [0, 1, 2, 3]}
+    lines = [
+        _line(name, kind, payload, t)
+        for name, kind, payload in [
+            ("tl", "traffic_light", '{"lights": []}'),
+            ("pl", "planning", '{"ego_action": "stop"}'),
+            ("img", "image_ref", f'{{"ref": "f", "scene": {SCENE}}}'),
+        ]
+        for t in times[name]
+    ]
+    path = tmp_path / "ooo.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.warns(UserWarning, match="out-of-order") as caught:
+        rec = load_recording(path)
+    assert [str(w.message) for w in caught] == [
+        "channel 'pl': out-of-order timestamps were re-sorted"
+    ]
+    assert [m.t_ns for m in rec.channels["pl"].messages] == [0, 1, 2, 3]
+    parsed = _parsed(path)
+    assert _messages(rec) == {name: sorted(rows, key=lambda r: r[0]) for name, rows in parsed.items()}
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCRIPTS))
