@@ -20,6 +20,14 @@ over the whole recording and derives every segment's verdict from that one
 replay. A segment replay differs from the whole replay only where its cold
 start (the first frame always computes) falls on a frame that is not an
 emission tick; that run of frames is corrected separately.
+
+A recording repeats the same few scenes for minutes, so the whole replay
+does not walk every frame. The frames are grouped into classes by the
+objects the module reads at the frame it takes its output from and the
+payloads the vector reads (_frame_classes); one table serves all of a
+module's mutants, and each mutant computes, compares and encodes once per
+class. The built-in benchmark's 2400 frames, loaded from JSONL, hold 40
+to 46 classes per module.
 """
 
 from __future__ import annotations
@@ -28,9 +36,9 @@ import random
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 # evaluate_plan, the prioritize_* functions, encode_frame and apply_filter are
 # not called here; they stay importable from this module for callers that look
@@ -306,7 +314,9 @@ class ToyModule:
     reads maps each input kind compute needs to what it reads of that
     kind's payload: one field, or the whole payload (None). replay_segment
     and generate_recording memoize compute by the identities of those
-    objects (_ComputeMemo).
+    objects (_ComputeMemo), and the whole replay's class table keys on them.
+    reads, publish_kind and emits_at belong to the class: a mutant changes
+    params or flips, never these, so one class table serves every mutant.
     """
 
     kind: str = ""
@@ -757,8 +767,12 @@ class _ComputeMemo:
         self.memo: dict[tuple[int, ...], tuple[dict[str, Any], Counter[str], tuple[Any, ...]]] = {}
         self.ticks: Counter[tuple[int, ...]] = Counter()
 
+    def read(self, inputs: Mapping[MessageKind, Mapping[str, Any]]) -> tuple[Any, ...]:
+        """The objects of inputs that compute reads: its memo key, by identity."""
+        return tuple([inputs[k] if f is None else inputs[k].get(f) for k, f in self.reads])
+
     def compute(self, inputs: Mapping[MessageKind, Mapping[str, Any]]) -> dict[str, Any]:
-        read = tuple([inputs[k] if f is None else inputs[k].get(f) for k, f in self.reads])
+        read = self.read(inputs)
         key = tuple(map(id, read))
         hit = self.memo.get(key)
         if hit is None:
@@ -872,35 +886,61 @@ def replay_segment(
         raise SynthError("replay needs at least one frame")
     if not (0 <= warmup_frames < len(frames)):
         raise SynthError(f"warmup_frames {warmup_frames} outside [0, {len(frames)})")
-    kinds_present = {m.kind for m in frames[0].messages.values()}
+    out_channel = _output_channel(module, frames[0])
+    fresh = module.fresh()
+    memo = _ComputeMemo(fresh)
+    outputs = []
+    for frame, computes in zip(frames, _computes(fresh, frames, fps)):
+        if computes:
+            held = _on_inputs(frame, memo.compute)
+        outputs.append(Message(out_channel, frame.t_ns, module.publish_kind, held))
+    return ReplayResult(tuple(outputs), warmup_frames, memo.call_counts())
+
+
+def _output_channel(module: ToyModule, frame: Frame) -> str:
+    """The channel a replay of module over frames like this one publishes on.
+
+    SynthError when the frame lacks a kind the module reads or carries more
+    than one channel of the kind it publishes. Without such a channel the
+    replay publishes on one named after the module.
+    """
+    kinds_present = {m.kind for m in frame.messages.values()}
     missing = module.reads.keys() - kinds_present
     if missing:
         raise SynthError(
             f"module {module.kind!r} needs channel kind(s) "
             f"{sorted(k.value for k in missing)} absent from the frames"
         )
-    out_channels = [
-        name for name, m in frames[0].messages.items() if m.kind is module.publish_kind
-    ]
+    out_channels = [name for name, m in frame.messages.items() if m.kind is module.publish_kind]
     if len(out_channels) > 1:
         raise SynthError(
             f"frames carry {len(out_channels)} channels of kind {module.publish_kind.value!r}"
         )
-    out_channel = out_channels[0] if out_channels else module.kind
+    return out_channels[0] if out_channels else module.kind
 
-    fresh = module.fresh()
-    memo = _ComputeMemo(fresh)
-    held: dict[str, Any] | None = None
-    outputs = []
+
+def _computes(module: ToyModule, frames: Sequence[Frame], fps: int) -> Iterator[bool]:
+    """Whether a replay of module over frames computes on each of them.
+
+    The first frame always computes (the cold start); after it the module
+    computes on its emission ticks and holds its last output in between.
+    """
+    yield True
+    for frame in islice(frames, 1, None):
+        yield module.emits_at(_frame_index(frame.t_ns, fps))
+
+
+def _on_inputs(frame: Frame, read: Callable[[dict[MessageKind, Mapping[str, Any]]], Any]) -> Any:
+    """read of the frame's inputs, one payload per kind (the last channel of a kind wins).
+
+    When read fails on a payload of the wrong shape, PayloadError names its
+    first bad field.
+    """
     try:
-        for frame in frames:
-            if held is None or fresh.emits_at(_frame_index(frame.t_ns, fps)):
-                held = memo.compute({m.kind: m.payload for m in frame.messages.values()})
-            outputs.append(Message(out_channel, frame.t_ns, module.publish_kind, held))
+        return read({m.kind: m.payload for m in frame.messages.values()})
     except (TypeError, AttributeError, KeyError):
         check_payloads(frame)
         raise
-    return ReplayResult(tuple(outputs), warmup_frames, memo.call_counts())
 
 
 def _swap_channel(frame: Frame, message: Message) -> Frame:
@@ -914,7 +954,18 @@ def _replayed_vectors(
     vectors: Sequence[FrameVector],
     encoder: FrameEncoder,
 ) -> list[FrameVector]:
-    """Vectors of a replay's comparable frames, frame lo being its first.
+    """Vectors of a replay's comparable frames, frame lo being its first."""
+    replayed = enumerate(result.comparable, lo + result.warmup_frames)
+    return _swapped_vectors(ar, replayed, vectors, encoder)
+
+
+def _swapped_vectors(
+    ar: AlignedRecording,
+    replayed: Iterable[tuple[int, Message]],
+    vectors: Sequence[FrameVector],
+    encoder: FrameEncoder,
+) -> list[FrameVector]:
+    """The vector of aligned frame i with message msg swapped in, per (i, msg) pair.
 
     A frame whose replayed payload equals the recorded payload on that
     channel (of the same kind) is unchanged, so its recorded vector is
@@ -923,7 +974,7 @@ def _replayed_vectors(
     """
     out = []
     order = None
-    for i, msg in enumerate(result.comparable, lo + result.warmup_frames):
+    for i, msg in replayed:
         frame = ar.frames[i]
         recorded = frame.messages.get(msg.channel)
         if recorded is not None and recorded.kind is msg.kind and recorded.payload == msg.payload:
@@ -1002,19 +1053,88 @@ def prepare_recording(
     )
 
 
+@dataclass(frozen=True)
+class _FrameClasses:
+    """The frames of a prepared recording grouped by what a replay of one module makes of them.
+
+    A replay takes frame i's output from its source frame: frame 0, or the
+    last emission tick at or before i. Frame i's class is the objects the
+    module reads at its source frame (ToyModule.reads, by identity) together
+    with the payloads the encoder reads at i, which include the recorded
+    output channel. Image and localization payloads are left out: they
+    differ on every frame and the vector never reads them. compute being
+    pure, every frame of a class gets the same output, is compared with the
+    same recorded payload and encodes to the same values.
+
+    The table depends on the module only through reads, publish_kind and
+    emits_at, which belong to the module class and never to a mutant's
+    params or flips, so one table serves every mutant of the module.
+    """
+
+    channel: str  # the replay's output channel
+    sources: tuple[int, ...]  # per class, its source frame
+    firsts: tuple[int, ...]  # per class, its first frame
+    of_frame: tuple[int, ...]  # per frame, its class
+
+
+def _frame_classes(
+    prepared: PreparedRecording, module: ToyModule, encoder: FrameEncoder
+) -> _FrameClasses:
+    """The class table of a prepared recording for module and its mutants.
+
+    encoder gives the channels the vector reads (FrameEncoder.channel_order).
+    SynthError when the frames cannot feed the module (_output_channel).
+    """
+    frames = prepared.aligned.frames
+    channel = _output_channel(module, frames[0])
+    names = [name for name, _ in encoder.channel_order(frames[0])]
+    read = _ComputeMemo(module).read
+    index: dict[tuple[int, ...], int] = {}
+    sources: list[int] = []
+    firsts: list[int] = []
+    of_frame = []
+    for i, (frame, computes) in enumerate(zip(frames, _computes(module, frames, prepared.fps))):
+        if computes:
+            source, reads = i, tuple(map(id, _on_inputs(frame, read)))
+        messages = frame.messages
+        key = (*reads, *[id(messages[name].payload) for name in names])
+        c = index.get(key)
+        if c is None:
+            c = index[key] = len(firsts)
+            sources.append(source)
+            firsts.append(i)
+        of_frame.append(c)
+    return _FrameClasses(channel, tuple(sources), tuple(firsts), tuple(of_frame))
+
+
 def _whole_replay(
-    prepared: PreparedRecording, mutated: ToyModule, encoder: FrameEncoder
+    prepared: PreparedRecording, mutated: ToyModule, encoder: FrameEncoder, classes: _FrameClasses
 ) -> tuple[FaultVerdict, list[int]]:
-    """Replay a mutated module once over the whole prepared recording.
+    """Replay a mutated module once over the whole prepared recording, once per class.
+
+    Each class of the table computes on its source frame's inputs, compares
+    with its recorded payload and reuses its recorded vector or encodes its
+    swapped frame, all once; the per-frame replayed vectors are the class
+    vectors. The outputs go through the same _ComputeMemo, hold rule and
+    swap as replay_segment's, so they equal that replay's over all frames.
 
     Returns the whole-recording verdict and the running mismatch count (frame
     i mismatches when prefix[i + 1] - prefix[i] is 1). The replay and its
     vectors die on return, so only one mutant's replay is alive at a time.
     """
     ar, vectors = prepared.aligned, prepared.vectors
-    result = replay_segment(mutated, ar.frames, 0, fps=prepared.fps)
-    replayed = _replayed_vectors(ar, result, 0, vectors, encoder)
-    whole = Segment(WHOLE_RECORDING_SEGMENT_ID, 0, len(ar.frames) - 1, vectors[0], 0)
+    frames, kind = ar.frames, mutated.publish_kind
+    memo = _ComputeMemo(mutated.fresh())
+    # Every class computes before any encodes, so a payload the module cannot
+    # read fails before an output the schema cannot encode, as in a replay.
+    outputs = [_on_inputs(frames[source], memo.compute) for source in classes.sources]
+    messages = (
+        (i, Message(classes.channel, frames[i].t_ns, kind, out))
+        for i, out in zip(classes.firsts, outputs)
+    )
+    by_class = _swapped_vectors(ar, messages, vectors, encoder)
+    replayed = [by_class[c] for c in classes.of_frame]
+    whole = Segment(WHOLE_RECORDING_SEGMENT_ID, 0, len(frames) - 1, vectors[0], 0)
     verdict = compare_outputs(vectors, replayed, whole)
     prefix = list(accumulate((a.values != b.values for a, b in zip(vectors, replayed)), initial=0))
     return verdict, prefix
@@ -1088,10 +1208,12 @@ def run_prepared(
     change this module's outputs (every toy module is a pure function of its
     inputs and its own parameters), so they are recorded as clean verdicts
     without replay. Each own mutant replays once over the whole recording,
-    and each segment's verdict is the one a replay of that segment with its
-    warm-up would give (_segment_mismatches). Replays run at the frame rate
-    of the aligned grid. Strategy names and mutant ids are checked before
-    any replay.
+    once per frame class (_whole_replay), and each segment's verdict is the
+    one a replay of that segment with its warm-up would give
+    (_segment_mismatches). The class table is built for the first own
+    mutant and shared by the rest; a run without own mutants never builds
+    it. Replays run at the frame rate of the aligned grid. Strategy names
+    and mutant ids are checked before any replay.
     """
     strategies = _check_run_inputs(strategies, mutants)
     ar, fps, module_kind, cfg = prepared.aligned, prepared.fps, prepared.module, prepared.cfg
@@ -1105,12 +1227,18 @@ def run_prepared(
     # from it. Other modules' mutants get clean verdicts.
     full: dict[str, bool] = {}
     tables: dict[str, dict[int, FaultVerdict]] = {}
+    classes: _FrameClasses | None = None
     for mutant in own:
         mutated = apply_mutant(module, mutant)
         # The encoder's memo holds this mutant's replayed payloads, which no
         # other mutant's replay shares, so it goes with them.
         encoder = FrameEncoder(registry, flt)
-        whole, prefix = _whole_replay(prepared, mutated, encoder)
+        if classes is None:
+            # One table for all own mutants. It is built after the first
+            # mutant applies, so an invalid mutant fails before the frames
+            # are checked.
+            classes = _frame_classes(prepared, module, encoder)
+        whole, prefix = _whole_replay(prepared, mutated, encoder, classes)
         full[mutant.id] = whole.is_fault
         tables[mutant.id] = {
             s.id: FaultVerdict(s.id, _segment_mismatches(prepared, mutated, encoder, s, prefix), s.length)

@@ -478,34 +478,86 @@ PAYLOAD_CASES = {
 }
 
 
+# Mutants of the modules whose own replays read the retyped inputs; the
+# work fixture's mutants are all planning ones.
+OWN_MUTANTS = [
+    Mutant("tl", "traffic_light", "lit_check", "flip_condition"),
+    Mutant("pr", "prediction", "stop_max_speed", "change_constant", 0.0),
+]
+
+
+def _recording_rows(work):
+    return [json.loads(line) for line in work["rec"].read_text().splitlines()]
+
+
+def _write_rows(path, rows):
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    return path
+
+
+def _one_error(argv, capsys):
+    """The single error line main(argv) prints; the run must exit 1."""
+    capsys.readouterr()
+    rc = main(argv)
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert rc == 1 and len(errors) == 1, (argv, err)
+    return errors[0]
+
+
+def _regression_argv(rec, mutants, module, out):
+    return ["run-regression", "--in", str(rec), "--mutants", str(mutants), "--module", module,
+            "--strategies", "CH", "--repetitions", "1", "--out", str(out)]
+
+
 class TestMistypedPayloads:
     """A recorded payload of the wrong shape is an input error naming its kind and field."""
 
-    @pytest.mark.parametrize("case", PAYLOAD_CASES)
-    def test_exit_one_naming_the_field(self, case, work, tmp_path, capsys):
-        kind, edit, names_field, commands = PAYLOAD_CASES[case]
-        rows = [json.loads(line) for line in work["rec"].read_text().splitlines()]
+    def retyped(self, case, work, tmp_path):
+        kind, edit, *_ = PAYLOAD_CASES[case]
+        rows = _recording_rows(work)
         # The first payload of the kind; for a scene, the first with a light.
         row = next(
             r for r in rows
             if r["kind"] == kind and (kind != "image_ref" or r["payload"]["scene"]["lights"])
         )
         edit(row["payload"])
-        rec = tmp_path / "rec.jsonl"
-        rec.write_text("".join(json.dumps(r) + "\n" for r in rows))
-        out = str(tmp_path / "out.json")
+        return _write_rows(tmp_path / "rec.jsonl", rows)
+
+    @pytest.mark.parametrize("case", PAYLOAD_CASES)
+    def test_exit_one_naming_the_field(self, case, work, tmp_path, capsys):
+        kind, _, names_field, commands = PAYLOAD_CASES[case]
+        rec = self.retyped(case, work, tmp_path)
+        out = tmp_path / "out.json"
         for command in commands:
             if command == "vectorize":
-                argv = ["vectorize", "--in", str(rec), "--out", out]
+                argv = ["vectorize", "--in", str(rec), "--out", str(out)]
             else:
-                argv = ["run-regression", "--in", str(rec), "--mutants", str(work["mutants"]),
-                        "--module", command, "--strategies", "CH", "--repetitions", "1", "--out", out]
-            capsys.readouterr()
-            rc = main(argv)
-            err = capsys.readouterr().err
-            errors = [line for line in err.splitlines() if "error:" in line]
-            assert rc == 1 and len(errors) == 1, (command, err)
-            assert errors[0].startswith(f"error: {kind} payload on channel ") and names_field in errors[0]
+                argv = _regression_argv(rec, work["mutants"], command, out)
+            error = _one_error(argv, capsys)
+            assert error.startswith(f"error: {kind} payload on channel ") and names_field in error
+
+    @pytest.mark.parametrize("case", ["scene-not-an-object", "light-without-brightness"])
+    def test_own_mutant_whole_replay_names_the_field(self, case, work, tmp_path, capsys):
+        # The module's own mutant replays the whole recording before any
+        # call-count replay, so that replay meets the bad scene first.
+        kind, _, names_field, _ = PAYLOAD_CASES[case]
+        rec = self.retyped(case, work, tmp_path)
+        mutants = tmp_path / "mutants.json"
+        mutants.write_text(json.dumps(mutants_to_json(OWN_MUTANTS)))
+        error = _one_error(_regression_argv(rec, mutants, "traffic_light", tmp_path / "o.json"), capsys)
+        assert error.startswith(f"error: {kind} payload on channel ") and names_field in error
+
+    def test_own_mutant_replay_without_a_read_kind(self, work, tmp_path, capsys):
+        rec = _write_rows(
+            tmp_path / "rec.jsonl", [r for r in _recording_rows(work) if r["kind"] != "obstacle"]
+        )
+        mutants = tmp_path / "mutants.json"
+        mutants.write_text(json.dumps(mutants_to_json(OWN_MUTANTS)))
+        error = _one_error(_regression_argv(rec, mutants, "prediction", tmp_path / "o.json"), capsys)
+        assert error == (
+            "error: module 'prediction' needs channel kind(s) ['obstacle'] absent from the frames"
+        )
 
 
 # A valid script and mutant document that use every field the formats know.

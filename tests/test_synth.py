@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import re
+from itertools import accumulate
 
 import pytest
 
@@ -17,7 +19,7 @@ from strap.benchmarks import (
     rare_fault_mutants,
     rare_fault_script,
 )
-from strap.evaluation import compare_outputs
+from strap.evaluation import WHOLE_RECORDING_SEGMENT_ID, compare_outputs
 from strap.fileio import check
 from strap.recording import (
     AlignedRecording,
@@ -27,7 +29,7 @@ from strap.recording import (
     align_recording,
     dump_recording_jsonl,
 )
-from strap.reduction import ReductionConfig, reduce_recording
+from strap.reduction import ReductionConfig, Segment, reduce_recording
 from strap.schema import MODULE_KINDS, FrameEncoder, ModuleFilter, encode_recording
 from strap.synth import (
     CHANNEL_OFFSETS_NS,
@@ -39,7 +41,10 @@ from strap.synth import (
     SceneEvent,
     SynthError,
     ToyModule,
+    _ComputeMemo,
+    _frame_classes,
     _frame_index,
+    _on_inputs,
     _replayed_vectors,
     _segment_mismatches,
     _whole_replay,
@@ -693,27 +698,64 @@ def segment_replay_mismatches(prepared, mutated, s, encoder):
     return compare_outputs(vectors[s.start_idx : s.end_idx + 1], replayed, s).mismatched_frames
 
 
+def kind_mutants(kind):
+    """The built-in mutants of one module and eight random ones."""
+    builtin = [m for make in BUILTIN_MUTANTS.values() for m in make() if m.module == kind]
+    # Random ids ("pl1") can repeat built-in ones; the report keys by id.
+    randoms = [dataclasses.replace(m, id=f"r-{m.id}") for m in random_mutants(kind, 8, seed=5)]
+    return builtin + randoms
+
+
+def whole_replay_reference(prepared, mutated, encoder):
+    """Reference: replay every frame, re-encode the changed ones, compare the whole recording."""
+    ar, vectors = prepared.aligned, prepared.vectors
+    result = replay_segment(mutated, ar.frames, 0, fps=prepared.fps)
+    replayed = _replayed_vectors(ar, result, 0, vectors, encoder)
+    whole = Segment(WHOLE_RECORDING_SEGMENT_ID, 0, len(ar.frames) - 1, vectors[0], 0)
+    prefix = list(accumulate((a.values != b.values for a, b in zip(vectors, replayed)), initial=0))
+    return compare_outputs(vectors, replayed, whole), prefix
+
+
 @pytest.fixture(scope="module", params=["benchmark_recording", "noisy_recording", "rare_recording"])
 def builtin_aligned(request):
     return align_recording(request.getfixturevalue(request.param))
 
 
+@pytest.fixture(scope="module")
+def references(builtin_aligned):
+    """Reference whole replays of one built-in recording, by module and mutant id.
+
+    The whole replay reads no reduction setting, so one reference serves
+    every config.
+    """
+    return {}
+
+
 class TestDerivedVerdicts:
-    """Segment verdicts derived from one whole replay equal per-segment replays."""
+    """The whole replay equals a replay of every frame; segment verdicts derived
+    from it equal per-segment replays."""
 
     @pytest.mark.parametrize("cfg_name", sorted(DERIVED_CONFIGS))
-    def test_matches_per_segment_replays(self, builtin_aligned, registry, cfg_name):
-        builtin = [m for make in BUILTIN_MUTANTS.values() for m in make()]
+    def test_matches_per_segment_replays(self, builtin_aligned, registry, cfg_name, references):
         for kind in MODULE_KINDS:
             prepared = prepare_recording(builtin_aligned, kind, DERIVED_CONFIGS[cfg_name], registry)
-            # Random ids ("pl1") can repeat built-in ones; the report keys by id.
-            randoms = [dataclasses.replace(m, id=f"r-{m.id}") for m in random_mutants(kind, 8, seed=5)]
-            mutants = [m for m in builtin if m.module == kind] + randoms
+            mutants = kind_mutants(kind)
             report, _ = run_prepared(prepared, mutants, ("CH",), repetitions=1)
-            encoder = FrameEncoder(registry, ModuleFilter.for_module(kind, registry))
+            flt = ModuleFilter.for_module(kind, registry)
+            encoder = FrameEncoder(registry, flt)
             module = make_module(kind)
+            classes = _frame_classes(prepared, module, FrameEncoder(registry, flt))
             for m in mutants:
                 mutated = apply_mutant(module, m)
+                # The whole replay, per class, against every frame replayed.
+                verdict, prefix = _whole_replay(prepared, mutated, FrameEncoder(registry, flt), classes)
+                key = (kind, m.id)
+                if key not in references:
+                    references[key] = whole_replay_reference(
+                        prepared, mutated, FrameEncoder(registry, flt)
+                    )
+                assert (verdict, prefix) == references[key], (kind, m.id)
+                assert report["details"]["mutants"][m.id]["detected_full"] is verdict.is_fault
                 rows = report["details"]["mutants"][m.id]["segments"]
                 assert len(rows) == len(prepared.segments)
                 for s in prepared.segments:
@@ -737,11 +779,157 @@ class TestDerivedVerdicts:
         assert not module.emits_at(_frame_index(ar.frames[10].t_ns, prepared.fps))
         encoder = FrameEncoder(registry, ModuleFilter.for_module("prediction", registry))
         mutant = Mutant("slow", "prediction", "stop_max_speed", "change_constant", 0.0)
+        classes = _frame_classes(prepared, module, encoder)
         for mutated in (module, apply_mutant(module, mutant)):
-            _, prefix = _whole_replay(prepared, mutated, encoder)
+            _, prefix = _whole_replay(prepared, mutated, encoder, classes)
             got = _segment_mismatches(prepared, mutated, encoder, s, prefix)
             assert got == segment_replay_mismatches(prepared, mutated, s, encoder)
             assert got != prefix[s.end_idx + 1] - prefix[s.start_idx]
+
+
+def _mutants_of(kind):
+    """The unmutated module, then each of kind_mutants applied."""
+    module = make_module(kind)
+    return [module, *(apply_mutant(module, m) for m in kind_mutants(kind))]
+
+
+def _rebuilt(base, messages, n=None):
+    """An aligned recording on base's grid whose frame i holds messages(i, frame)."""
+    frames = tuple(Frame(f.t_ns, messages(i, f)) for i, f in enumerate(base.frames[:n]))
+    return AlignedRecording(frames, tuple(sorted(frames[0].messages)))
+
+
+def _second_read_channel(base, kind, first):
+    """Each frame plus a second channel of every kind the module reads but does not publish.
+
+    The added channel carries the mirrored frame's payload, so the two
+    channels differ. It goes before the recorded ones in frame order when
+    first is set, after them otherwise: inputs take the last channel of a
+    kind, and the encoder claims objects from the first one by name.
+    """
+    module = make_module(kind)
+    kinds = module.reads.keys() - {module.publish_kind}
+
+    def messages(i, frame):
+        mirror = base.frames[len(base.frames) - 1 - i].messages
+        extra = {
+            f"zz_{name}": Message(f"zz_{name}", m.t_ns, m.kind, m.payload)
+            for name, m in mirror.items() if m.kind in kinds
+        }
+        return {**extra, **frame.messages} if first else {**frame.messages, **extra}
+
+    return _rebuilt(base, messages)
+
+
+def _without_output(base, kind):
+    publish = make_module(kind).publish_kind
+    return _rebuilt(
+        base, lambda i, f: {name: m for name, m in f.messages.items() if m.kind is not publish}
+    )
+
+
+def _unread_shuffled(base, kind):
+    """Each channel the module neither reads nor publishes carries another frame's payload.
+
+    Those channels then change on frames where the module's inputs do not,
+    and each on frames of its own (a stride per channel).
+    """
+    module = make_module(kind)
+    mine = {*module.reads, module.publish_kind}
+    n = len(base.frames)
+    return _rebuilt(base, lambda i, f: {
+        name: m if m.kind in mine else base.frames[(2 * j + 7) * i % n].messages[name]
+        for j, (name, m) in enumerate(f.messages.items())
+    })
+
+
+def _distinct_payloads(base, kind):
+    # Each payload equal in value to the recorded one and shared by no other frame.
+    return _rebuilt(base, lambda i, f: {
+        name: Message(name, m.t_ns, m.kind, copy.deepcopy(m.payload))
+        for name, m in f.messages.items()
+    })
+
+
+HAND_MADE = {
+    "second-read-channel-first": lambda base, kind: _second_read_channel(base, kind, True),
+    "second-read-channel-last": lambda base, kind: _second_read_channel(base, kind, False),
+    "output-channel-absent": _without_output,
+    "equal-but-distinct-payloads": _distinct_payloads,
+    "unread-channels-shuffled": _unread_shuffled,
+    "one-frame": lambda base, kind: _rebuilt(base, lambda i, f: f.messages, 1),
+}
+
+
+@pytest.fixture(scope="module")
+def varied_aligned():
+    """45 glitchy frames whose scene changes on and off the predictor's ticks."""
+    events = [
+        SceneEvent(0, {**RED_LIGHT, **CAR_STOPPED}),
+        SceneEvent(10, {"obstacles": [{"actor": "pedestrian", "action": "cross"}]}),
+        SceneEvent(20, {"lights": [{"color": "green"}], "objects": ["stop_sign"]}),
+        SceneEvent(31, {}, unset=("obstacles",)),
+    ]
+    return align_recording(generate_recording(script(45, glitch=0.2, events=events), 1))
+
+
+class TestClassReplay:
+    """The per-class whole replay equals a replay of every frame, and the
+    class table shared by a module's mutants reads nothing a mutant changes."""
+
+    @pytest.mark.parametrize("kind", MODULE_KINDS)
+    @pytest.mark.parametrize("case", sorted(HAND_MADE))
+    def test_matches_every_frame_replayed(self, varied_aligned, registry, kind, case):
+        prepared = prepare_recording(HAND_MADE[case](varied_aligned, kind), kind, registry=registry)
+        flt = ModuleFilter.for_module(kind, registry)
+        classes = _frame_classes(prepared, make_module(kind), FrameEncoder(registry, flt))
+        for mutated in _mutants_of(kind):
+            got = _whole_replay(prepared, mutated, FrameEncoder(registry, flt), classes)
+            assert got == whole_replay_reference(prepared, mutated, FrameEncoder(registry, flt))
+
+    @pytest.mark.parametrize("kind", MODULE_KINDS)
+    def test_mutants_keep_reads_publish_kind_and_ticks(self, kind):
+        module = make_module(kind)
+        targets = mutable_targets(kind)
+        mutants = [Mutant(c, kind, c, "flip_condition") for c in targets["conditions"]]
+        for p in targets["params"]:
+            for op, delta in (("change_constant", 0.0), ("change_variable", 1.5), ("replace_arith", 5.0)):
+                mutants.append(Mutant(f"{p}-{op}", kind, p, op, delta))
+        mutated = [apply_mutant(module, m) for m in mutants] + _mutants_of(kind)
+        ticks = [module.emits_at(t) for t in range(300)]
+        for m in mutated:
+            assert m.reads == module.reads and m.publish_kind is module.publish_kind
+            assert [m.emits_at(t) for t in range(300)] == ticks
+
+    @pytest.mark.parametrize("kind", MODULE_KINDS)
+    def test_computes_once_per_read_key_and_encodes_once_per_class(
+        self, benchmark_aligned, registry, kind, monkeypatch
+    ):
+        prepared = prepare_recording(benchmark_aligned, kind, registry=registry)
+        module = make_module(kind)
+        flt = ModuleFilter.for_module(kind, registry)
+        computes = []
+        compute = type(module).compute
+        monkeypatch.setattr(
+            type(module), "compute", lambda self, inputs: computes.append(1) or compute(self, inputs)
+        )
+        classes = _frame_classes(prepared, module, FrameEncoder(registry, flt))
+        assert computes == []
+        # The generated benchmark holds about a hundred classes in its 2400
+        # frames (fewer once loaded, since the loader shares equal payloads).
+        assert len(classes.firsts) < len(benchmark_aligned.frames) / 20
+        read = _ComputeMemo(module).read
+        frames = benchmark_aligned.frames
+        read_keys = {tuple(map(id, _on_inputs(frames[i], read))) for i in classes.sources}
+        for mutated in _mutants_of(kind):
+            encoder = FrameEncoder(registry, flt)
+            encodes = []
+            encode = encoder.encode
+            monkeypatch.setattr(encoder, "encode", lambda *a: encodes.append(1) or encode(*a))
+            computes.clear()
+            _whole_replay(prepared, mutated, encoder, classes)
+            assert 0 < len(computes) <= len(read_keys)
+            assert len(encodes) <= len(classes.firsts)
 
 
 class TestPreparedRecording:
