@@ -526,7 +526,7 @@ def _run(argv: Sequence[str] | None) -> int:
         args = parser.parse_args(argv)
         args.fn(args)
         return 0
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         _say(f"error: {exc}")
         return 1
     except Exception as exc:  # pragma: no cover - defensive

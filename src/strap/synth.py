@@ -15,28 +15,27 @@ reproduces the recorded channel exactly. Modules replay at their native
 rate: the predictor only recomputes on its emission ticks and repeats its
 held output in between, which is why replays include a warm-up prefix.
 
-The regression runner relies on that purity: it replays each mutant once
-over the whole recording and derives every segment's verdict from that one
-replay. A segment replay differs from the whole replay only where its cold
-start (the first frame always computes) falls on a frame that is not an
-emission tick; that run of frames is corrected separately.
-
-A recording repeats the same few scenes for minutes, so the whole replay
-does not walk every frame. The frames are grouped into classes by the
-objects the module reads at the frame it takes its output from and the
-payloads the vector reads (_frame_classes); one table serves all of a
-module's mutants, and each mutant computes, compares and encodes once per
-class. The built-in benchmark's 2400 frames, loaded from JSONL, hold 40
+The regression runner relies on that purity. A recording repeats the same
+few scenes for minutes, so it does not replay frame by frame. The
+comparable frames of every segment, the whole recording among them, are
+grouped into classes by the objects the module reads at the frame the
+segment's replay takes its output from (the segment's first frame, its cold
+start, until the next emission tick; the last tick after that) and the
+payloads the vector reads (_frame_classes). One table serves all of a module's
+mutants; each mutant computes, compares and encodes once per class, and
+every verdict compares a segment's recorded vectors with its frames' class
+vectors. The built-in benchmark's 2400 frames, loaded from JSONL, hold 40
 to 46 classes per module.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -302,8 +301,8 @@ class ToyModule:
 
     compute must be pure: its output depends only on the one frame's inputs,
     self.params and self.flipped, never on earlier calls (call_log is the
-    only state it may touch). run_prepared derives segment verdicts from one
-    whole-recording replay on that assumption.
+    only state it may touch). run_prepared replays once per frame class
+    (_frame_classes) on that assumption.
 
     FUNCTIONS maps each call_log key to the parameters and conditions that
     classifier reads. Every subclass derives PARAM_FUNCTIONS (each name to
@@ -314,7 +313,7 @@ class ToyModule:
     reads maps each input kind compute needs to what it reads of that
     kind's payload: one field, or the whole payload (None). replay_segment
     and generate_recording memoize compute by the identities of those
-    objects (_ComputeMemo), and the whole replay's class table keys on them.
+    objects (_ComputeMemo), and the frame class table keys on them.
     reads, publish_kind and emits_at belong to the class: a mutant changes
     params or flips, never these, so one class table serves every mutant.
     """
@@ -947,18 +946,6 @@ def _swap_channel(frame: Frame, message: Message) -> Frame:
     return Frame(frame.t_ns, {**frame.messages, message.channel: message})
 
 
-def _replayed_vectors(
-    ar: AlignedRecording,
-    result: ReplayResult,
-    lo: int,
-    vectors: Sequence[FrameVector],
-    encoder: FrameEncoder,
-) -> list[FrameVector]:
-    """Vectors of a replay's comparable frames, frame lo being its first."""
-    replayed = enumerate(result.comparable, lo + result.warmup_frames)
-    return _swapped_vectors(ar, replayed, vectors, encoder)
-
-
 def _swapped_vectors(
     ar: AlignedRecording,
     replayed: Iterable[tuple[int, Message]],
@@ -1055,16 +1042,21 @@ def prepare_recording(
 
 @dataclass(frozen=True)
 class _FrameClasses:
-    """The frames of a prepared recording grouped by what a replay of one module makes of them.
+    """The comparable frames of a prepared recording's segments, grouped by
+    what a replay of one module makes of them.
 
-    A replay takes frame i's output from its source frame: frame 0, or the
-    last emission tick at or before i. Frame i's class is the objects the
-    module reads at its source frame (ToyModule.reads, by identity) together
-    with the payloads the encoder reads at i, which include the recorded
-    output channel. Image and localization payloads are left out: they
-    differ on every frame and the vector never reads them. compute being
-    pure, every frame of a class gets the same output, is compared with the
-    same recorded payload and encodes to the same values.
+    The whole recording is one more segment (WHOLE_RECORDING_SEGMENT_ID, no
+    warm-up). A replay of a segment computes on its warm-up start lo, its
+    cold start, and then on each emission tick, holding its last output in
+    between. So it takes frame i's output from its source frame: the last
+    emission tick in (lo, i], or lo when there is none. Frame i's class is
+    the objects the module reads at its source frame (ToyModule.reads, by
+    identity) together with the payloads the encoder reads at i, which
+    include the recorded output channel. Image and localization payloads are
+    left out: they differ on every frame and the vector never reads them.
+    compute being pure, every frame of a class, in any segment, gets the
+    same output, is compared with the same recorded payload and encodes to
+    the same values.
 
     The table depends on the module only through reads, publish_kind and
     emits_at, which belong to the module class and never to a mutant's
@@ -1074,7 +1066,8 @@ class _FrameClasses:
     channel: str  # the replay's output channel
     sources: tuple[int, ...]  # per class, its source frame
     firsts: tuple[int, ...]  # per class, its first frame
-    of_frame: tuple[int, ...]  # per frame, its class
+    # Per segment, the whole recording first: the class of each comparable frame.
+    segments: tuple[tuple[Segment, tuple[int, ...]], ...]
 
 
 def _frame_classes(
@@ -1085,44 +1078,61 @@ def _frame_classes(
     encoder gives the channels the vector reads (FrameEncoder.channel_order).
     SynthError when the frames cannot feed the module (_output_channel).
     """
-    frames = prepared.aligned.frames
+    frames, vectors = prepared.aligned.frames, prepared.vectors
     channel = _output_channel(module, frames[0])
     names = [name for name, _ in encoder.channel_order(frames[0])]
     read = _ComputeMemo(module).read
     index: dict[tuple[int, ...], int] = {}
     sources: list[int] = []
     firsts: list[int] = []
-    of_frame = []
-    for i, (frame, computes) in enumerate(zip(frames, _computes(module, frames, prepared.fps))):
-        if computes:
-            source, reads = i, tuple(map(id, _on_inputs(frame, read)))
-        messages = frame.messages
+
+    def reads_at(source: int) -> tuple[int, ...]:
+        return tuple(map(id, _on_inputs(frames[source], read)))
+
+    def class_of(source: int, reads: tuple[int, ...], i: int) -> int:
+        messages = frames[i].messages
         key = (*reads, *[id(messages[name].payload) for name in names])
         c = index.get(key)
         if c is None:
             c = index[key] = len(firsts)
             sources.append(source)
             firsts.append(i)
-        of_frame.append(c)
-    return _FrameClasses(channel, tuple(sources), tuple(firsts), tuple(of_frame))
+        return c
+
+    # Per frame, the last frame at or before it that the whole replay
+    # computes on (frame 0 or an emission tick), and its class there.
+    last_tick: list[int] = []
+    of_frame: list[int] = []
+    for i, computes in enumerate(_computes(module, frames, prepared.fps)):
+        if computes:
+            source, reads = i, reads_at(i)
+        last_tick.append(source)
+        of_frame.append(class_of(source, reads, i))
+    whole = Segment(WHOLE_RECORDING_SEGMENT_ID, 0, len(frames) - 1, vectors[0], 0)
+    segments = []
+    for s in (whole, *prepared.segments):
+        # A replay from lo takes frame i's output from max(lo, last_tick[i]).
+        # last_tick never falls, so the frames holding lo's cold start come first.
+        lo, end = s.warmup_start_idx, s.end_idx + 1
+        cold = range(s.start_idx, bisect_left(last_tick, lo, s.start_idx, end))
+        reads = reads_at(lo) if cold else ()
+        row = (*[class_of(lo, reads, i) for i in cold], *of_frame[cold.stop : end])
+        segments.append((s, row))
+    return _FrameClasses(channel, tuple(sources), tuple(firsts), tuple(segments))
 
 
-def _whole_replay(
+def _class_vectors(
     prepared: PreparedRecording, mutated: ToyModule, encoder: FrameEncoder, classes: _FrameClasses
-) -> tuple[FaultVerdict, list[int]]:
-    """Replay a mutated module once over the whole prepared recording, once per class.
+) -> list[FrameVector]:
+    """The replayed vector of each class of the table, for one mutated module.
 
-    Each class of the table computes on its source frame's inputs, compares
-    with its recorded payload and reuses its recorded vector or encodes its
-    swapped frame, all once; the per-frame replayed vectors are the class
-    vectors. The outputs go through the same _ComputeMemo, hold rule and
-    swap as replay_segment's, so they equal that replay's over all frames.
-
-    Returns the whole-recording verdict and the running mismatch count (frame
-    i mismatches when prefix[i + 1] - prefix[i] is 1). The replay and its
-    vectors die on return, so only one mutant's replay is alive at a time.
+    Each class computes on its source frame's inputs, compares with its
+    recorded payload and reuses its recorded vector or encodes its swapped
+    frame, all once. The outputs go through the same _ComputeMemo, hold rule
+    and swap as replay_segment's, so a segment's class vectors equal that
+    replay's vectors over its comparable frames.
     """
-    ar, vectors = prepared.aligned, prepared.vectors
+    ar = prepared.aligned
     frames, kind = ar.frames, mutated.publish_kind
     memo = _ComputeMemo(mutated.fresh())
     # Every class computes before any encodes, so a payload the module cannot
@@ -1132,47 +1142,7 @@ def _whole_replay(
         (i, Message(classes.channel, frames[i].t_ns, kind, out))
         for i, out in zip(classes.firsts, outputs)
     )
-    by_class = _swapped_vectors(ar, messages, vectors, encoder)
-    replayed = [by_class[c] for c in classes.of_frame]
-    whole = Segment(WHOLE_RECORDING_SEGMENT_ID, 0, len(frames) - 1, vectors[0], 0)
-    verdict = compare_outputs(vectors, replayed, whole)
-    prefix = list(accumulate((a.values != b.values for a, b in zip(vectors, replayed)), initial=0))
-    return verdict, prefix
-
-
-def _segment_mismatches(
-    prepared: PreparedRecording,
-    mutated: ToyModule,
-    encoder: FrameEncoder,
-    s: Segment,
-    prefix: Sequence[int],
-) -> int:
-    """Mismatched comparable frames of segment s, as its own replay would count them.
-
-    The segment replay starts at warmup_start_idx and computes there
-    whatever the tick. From the next emission tick on it computes on the
-    same frames as the whole replay and, compute being pure, agrees with it.
-    Only the frames before that tick hold the cold-start output, where the
-    whole replay holds the previous tick's; those that are comparable swap
-    the whole replay's mismatch for the mismatch of the segment replay cut
-    off before that tick.
-    """
-    count = prefix[s.end_idx + 1] - prefix[s.start_idx]
-    ar, vectors, fps = prepared.aligned, prepared.vectors, prepared.fps
-    lo, frames = s.warmup_start_idx, ar.frames
-    if lo == 0 or mutated.emits_at(_frame_index(frames[lo].t_ns, fps)):
-        return count
-    tick = lo + 1
-    while tick <= s.end_idx and not mutated.emits_at(_frame_index(frames[tick].t_ns, fps)):
-        tick += 1
-    first = max(lo, s.start_idx)
-    if tick <= first:
-        # The cold-start run ends inside the warm-up.
-        return count
-    cold = replay_segment(mutated, frames[lo:tick], first - lo, fps=fps)
-    replayed = _replayed_vectors(ar, cold, lo, vectors, encoder)
-    cold_mismatches = sum(a.values != b.values for a, b in zip(vectors[first:tick], replayed))
-    return count - (prefix[tick] - prefix[first]) + cold_mismatches
+    return _swapped_vectors(ar, messages, prepared.vectors, encoder)
 
 
 def _check_run_inputs(strategies: Sequence[str], mutants: Sequence[Mutant]) -> list[str]:
@@ -1207,13 +1177,15 @@ def run_prepared(
     prepared module is replayed. Mutants targeting other modules cannot
     change this module's outputs (every toy module is a pure function of its
     inputs and its own parameters), so they are recorded as clean verdicts
-    without replay. Each own mutant replays once over the whole recording,
-    once per frame class (_whole_replay), and each segment's verdict is the
-    one a replay of that segment with its warm-up would give
-    (_segment_mismatches). The class table is built for the first own
-    mutant and shared by the rest; a run without own mutants never builds
-    it. Replays run at the frame rate of the aligned grid. Strategy names
-    and mutant ids are checked before any replay.
+    without replay. Each own mutant computes one vector per frame class
+    (_class_vectors), and every verdict, the whole recording's and each
+    segment's, is compare_outputs of the segment's recorded vectors with its
+    comparable frames' class vectors: what a replay of that segment with its
+    warm-up would give. The class table is built for the first own mutant
+    and shared by the rest; a run without own mutants never builds it.
+    Replays run at the frame rate of the aligned grid; the CC call counts
+    still replay each segment's frames. Strategy names and mutant ids are
+    checked before any replay.
     """
     strategies = _check_run_inputs(strategies, mutants)
     ar, fps, module_kind, cfg = prepared.aligned, prepared.fps, prepared.module, prepared.cfg
@@ -1223,8 +1195,9 @@ def run_prepared(
     n_frames = len(ar.frames)
     own = [m for m in mutants if m.module == module_kind]
 
-    # One whole-recording replay per own mutant; every segment verdict derives
-    # from it. Other modules' mutants get clean verdicts.
+    # Each own mutant replays once per frame class; every verdict compares a
+    # segment's recorded vectors with its frames' class vectors. Other
+    # modules' mutants get clean verdicts.
     full: dict[str, bool] = {}
     tables: dict[str, dict[int, FaultVerdict]] = {}
     classes: _FrameClasses | None = None
@@ -1238,12 +1211,13 @@ def run_prepared(
             # mutant applies, so an invalid mutant fails before the frames
             # are checked.
             classes = _frame_classes(prepared, module, encoder)
-        whole, prefix = _whole_replay(prepared, mutated, encoder, classes)
+        by_class = _class_vectors(prepared, mutated, encoder, classes)
+        whole, *verdicts = [
+            compare_outputs(vectors[s.start_idx : s.end_idx + 1], [by_class[c] for c in row], s)
+            for s, row in classes.segments
+        ]
         full[mutant.id] = whole.is_fault
-        tables[mutant.id] = {
-            s.id: FaultVerdict(s.id, _segment_mismatches(prepared, mutated, encoder, s, prefix), s.length)
-            for s in segments
-        }
+        tables[mutant.id] = {v.segment_id: v for v in verdicts}
     clean = {s.id: FaultVerdict(s.id, 0, s.length) for s in segments}
     for m in mutants:
         if m.module != module_kind:

@@ -108,6 +108,18 @@ class TestParsing:
         assert rc == 2
         assert "internal error" in capsys.readouterr().err
 
+    def test_key_error_is_internal(self, tmp_path, monkeypatch, capsys):
+        # Every input is checked before it is indexed, so a bare KeyError is a bug.
+        def boom(*args, **kwargs):
+            raise KeyError("segments")
+
+        monkeypatch.setattr("strap.cli.run_prepared", boom)
+        rc = main(["run-regression", "--script", "builtin:rare-fault", "--mutants", "builtin:rare-fault",
+                   "--module", "planning", "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+        assert errors == ["internal error: KeyError: 'segments'"]
+
 
 class TestCollectorState:
     """main pauses the cyclic collector for the command, then restores the caller's setting."""

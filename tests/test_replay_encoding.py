@@ -28,7 +28,7 @@ from strap.schema import (
 )
 from strap.synth import (
     ReplayResult,
-    _replayed_vectors,
+    _swapped_vectors,
     apply_mutant,
     generate_recording,
     grid_fps,
@@ -215,7 +215,7 @@ def test_replayed_vectors_reuse_only_unchanged_frames(replayed, registry):
         if flt.module not in recorded:
             recorded[flt.module] = encode_recording(ar, registry, flt)
         vectors = recorded[flt.module]
-        got = _replayed_vectors(ar, result, 0, vectors, FrameEncoder(registry, flt))
+        got = _swapped_vectors(ar, enumerate(result.comparable), vectors, FrameEncoder(registry, flt))
         assert len(got) == len(ar.frames)
         for i, (frame, msg, vec) in enumerate(zip(ar.frames, result.messages, got)):
             if unchanged(frame, msg):
@@ -235,7 +235,8 @@ def test_replayed_vectors_offset_by_warmup(registry):
     mutated = apply_mutant(make_module("planning"), mutant)
     for lo, hi, warmup in ((0, 60, 15), (285, 330, 15), (1000, 1044, 0), (2390, 2399, 5)):
         result = replay_segment(mutated, ar.frames[lo : hi + 1], warmup, fps=grid_fps(ar))
-        got = _replayed_vectors(ar, result, lo, vectors, FrameEncoder(registry, flt))
+        replayed = enumerate(result.comparable, lo + warmup)
+        got = _swapped_vectors(ar, replayed, vectors, FrameEncoder(registry, flt))
         frames = ar.frames[lo + warmup : hi + 1]
         assert [v.t_ns for v in got] == [f.t_ns for f in frames]
         assert [v.values for v in got] == [
@@ -327,7 +328,8 @@ def test_randomized_payloads(seed, registry_kind):
         for flt in filters(registry):
             vectors = encode_recording(ar, registry, flt)
             assert [v.values for v in vectors] == [reference_encode(f, registry, flt) for f in ar.frames]
-            got = _replayed_vectors(ar, result, 0, vectors, FrameEncoder(registry, flt))
+            replayed = enumerate(result.comparable, warmup)
+            got = _swapped_vectors(ar, replayed, vectors, FrameEncoder(registry, flt))
             assert [v.values for v in got] == [
                 reference_encode(swap(f, m), registry, flt)
                 for f, m in zip(ar.frames[warmup:], result.comparable)
@@ -353,4 +355,4 @@ def test_unknown_values_raise(registry):
                 encode(swapped)
         result = ReplayResult((msg,), 0, {})
         with pytest.raises(SchemaError, match="unknown value"):
-            _replayed_vectors(base, result, 0, vectors, encoder)
+            _swapped_vectors(base, enumerate(result.comparable), vectors, encoder)

@@ -6,7 +6,6 @@ import copy
 import dataclasses
 import json
 import re
-from itertools import accumulate
 
 import pytest
 
@@ -42,12 +41,11 @@ from strap.synth import (
     SynthError,
     ToyModule,
     _ComputeMemo,
+    _class_vectors,
     _frame_classes,
     _frame_index,
     _on_inputs,
-    _replayed_vectors,
-    _segment_mismatches,
-    _whole_replay,
+    _swapped_vectors,
     apply_mutant,
     generate_recording,
     grid_fps,
@@ -685,8 +683,8 @@ DERIVED_CONFIGS = {
 }
 
 
-def segment_replay_mismatches(prepared, mutated, s, encoder):
-    """Reference: replay segment s alone, with its warm-up, and compare."""
+def segment_replay_vectors(prepared, mutated, s, encoder):
+    """Reference: replay segment s alone, with its warm-up, and encode its comparable frames."""
     ar, vectors = prepared.aligned, prepared.vectors
     result = replay_segment(
         mutated,
@@ -694,8 +692,14 @@ def segment_replay_mismatches(prepared, mutated, s, encoder):
         s.start_idx - s.warmup_start_idx,
         fps=prepared.fps,
     )
-    replayed = _replayed_vectors(ar, result, s.warmup_start_idx, vectors, encoder)
-    return compare_outputs(vectors[s.start_idx : s.end_idx + 1], replayed, s).mismatched_frames
+    replayed = enumerate(result.comparable, s.warmup_start_idx + result.warmup_frames)
+    return _swapped_vectors(ar, replayed, vectors, encoder)
+
+
+def segment_replay_mismatches(prepared, mutated, s, encoder):
+    """Reference: replay segment s alone, with its warm-up, and compare."""
+    replayed = segment_replay_vectors(prepared, mutated, s, encoder)
+    return compare_outputs(prepared.vectors[s.start_idx : s.end_idx + 1], replayed, s).mismatched_frames
 
 
 def kind_mutants(kind):
@@ -706,14 +710,22 @@ def kind_mutants(kind):
     return builtin + randoms
 
 
-def whole_replay_reference(prepared, mutated, encoder):
-    """Reference: replay every frame, re-encode the changed ones, compare the whole recording."""
-    ar, vectors = prepared.aligned, prepared.vectors
-    result = replay_segment(mutated, ar.frames, 0, fps=prepared.fps)
-    replayed = _replayed_vectors(ar, result, 0, vectors, encoder)
-    whole = Segment(WHOLE_RECORDING_SEGMENT_ID, 0, len(ar.frames) - 1, vectors[0], 0)
-    prefix = list(accumulate((a.values != b.values for a, b in zip(vectors, replayed)), initial=0))
-    return compare_outputs(vectors, replayed, whole), prefix
+def whole_segment(prepared):
+    return Segment(WHOLE_RECORDING_SEGMENT_ID, 0, len(prepared.vectors) - 1, prepared.vectors[0], 0)
+
+
+def class_replay(prepared, mutated, encoder, classes):
+    """Per segment id, the whole recording's among them: its comparable frames' class vectors.
+
+    A class vector carries the timestamp of its class's first frame, so
+    comparisons read values only, as compare_outputs does.
+    """
+    by_class = _class_vectors(prepared, mutated, encoder, classes)
+    return {s.id: [by_class[c] for c in row] for s, row in classes.segments}
+
+
+def values(vectors):
+    return [v.values for v in vectors]
 
 
 @pytest.fixture(scope="module", params=["benchmark_recording", "noisy_recording", "rare_recording"])
@@ -732,8 +744,8 @@ def references(builtin_aligned):
 
 
 class TestDerivedVerdicts:
-    """The whole replay equals a replay of every frame; segment verdicts derived
-    from it equal per-segment replays."""
+    """On the built-in recordings, the whole recording's class vectors equal a
+    replay of every frame, and each segment's verdict equals its own replay's."""
 
     @pytest.mark.parametrize("cfg_name", sorted(DERIVED_CONFIGS))
     def test_matches_per_segment_replays(self, builtin_aligned, registry, cfg_name, references):
@@ -745,16 +757,18 @@ class TestDerivedVerdicts:
             encoder = FrameEncoder(registry, flt)
             module = make_module(kind)
             classes = _frame_classes(prepared, module, FrameEncoder(registry, flt))
+            whole = whole_segment(prepared)
             for m in mutants:
                 mutated = apply_mutant(module, m)
-                # The whole replay, per class, against every frame replayed.
-                verdict, prefix = _whole_replay(prepared, mutated, FrameEncoder(registry, flt), classes)
+                # The whole recording's class vectors against every frame replayed.
+                got = class_replay(prepared, mutated, FrameEncoder(registry, flt), classes)
                 key = (kind, m.id)
                 if key not in references:
-                    references[key] = whole_replay_reference(
-                        prepared, mutated, FrameEncoder(registry, flt)
+                    references[key] = segment_replay_vectors(
+                        prepared, mutated, whole, FrameEncoder(registry, flt)
                     )
-                assert (verdict, prefix) == references[key], (kind, m.id)
+                assert values(got[whole.id]) == values(references[key]), (kind, m.id)
+                verdict = compare_outputs(prepared.vectors, references[key], whole)
                 assert report["details"]["mutants"][m.id]["detected_full"] is verdict.is_fault
                 rows = report["details"]["mutants"][m.id]["segments"]
                 assert len(rows) == len(prepared.segments)
@@ -780,11 +794,20 @@ class TestDerivedVerdicts:
         encoder = FrameEncoder(registry, ModuleFilter.for_module("prediction", registry))
         mutant = Mutant("slow", "prediction", "stop_max_speed", "change_constant", 0.0)
         classes = _frame_classes(prepared, module, encoder)
+        rows = {seg.id: row for seg, row in classes.segments}
+        # The segment's frame 10 holds its own cold start, not frame 9's output.
+        assert rows[s.id][0] != rows[WHOLE_RECORDING_SEGMENT_ID][10]
+        recorded = prepared.vectors[s.start_idx : s.end_idx + 1]
+        report, _ = run_prepared(prepared, [mutant], ("CH",), repetitions=1)
+        row = report["details"]["mutants"]["slow"]["segments"][str(s.id)]
         for mutated in (module, apply_mutant(module, mutant)):
-            _, prefix = _whole_replay(prepared, mutated, encoder, classes)
-            got = _segment_mismatches(prepared, mutated, encoder, s, prefix)
-            assert got == segment_replay_mismatches(prepared, mutated, s, encoder)
-            assert got != prefix[s.end_idx + 1] - prefix[s.start_idx]
+            got = class_replay(prepared, mutated, encoder, classes)
+            count = compare_outputs(recorded, got[s.id], s).mismatched_frames
+            assert count == segment_replay_mismatches(prepared, mutated, s, encoder)
+            whole = got[WHOLE_RECORDING_SEGMENT_ID][s.start_idx : s.end_idx + 1]
+            assert count != compare_outputs(recorded, whole, s).mismatched_frames
+        # The run's verdict is the mutant's, the last count.
+        assert row["mismatched_frames"] == count
 
 
 def _mutants_of(kind):
@@ -874,8 +897,9 @@ def varied_aligned():
 
 
 class TestClassReplay:
-    """The per-class whole replay equals a replay of every frame, and the
-    class table shared by a module's mutants reads nothing a mutant changes."""
+    """Every segment's class vectors, the whole recording's among them, equal
+    that segment's own replay, and the class table shared by a module's
+    mutants reads nothing a mutant changes."""
 
     @pytest.mark.parametrize("kind", MODULE_KINDS)
     @pytest.mark.parametrize("case", sorted(HAND_MADE))
@@ -883,9 +907,34 @@ class TestClassReplay:
         prepared = prepare_recording(HAND_MADE[case](varied_aligned, kind), kind, registry=registry)
         flt = ModuleFilter.for_module(kind, registry)
         classes = _frame_classes(prepared, make_module(kind), FrameEncoder(registry, flt))
+        segments = [whole_segment(prepared), *prepared.segments]
+        assert [s for s, _ in classes.segments] == segments
         for mutated in _mutants_of(kind):
-            got = _whole_replay(prepared, mutated, FrameEncoder(registry, flt), classes)
-            assert got == whole_replay_reference(prepared, mutated, FrameEncoder(registry, flt))
+            got = class_replay(prepared, mutated, FrameEncoder(registry, flt), classes)
+            for s in segments:
+                want = segment_replay_vectors(prepared, mutated, s, FrameEncoder(registry, flt))
+                assert values(got[s.id]) == values(want), (mutated.params, mutated.flipped, s.id)
+
+    @pytest.mark.parametrize("kind", MODULE_KINDS)
+    @pytest.mark.parametrize("case", sorted(HAND_MADE))
+    @pytest.mark.parametrize("cfg_name", sorted(DERIVED_CONFIGS))
+    def test_segment_verdicts_match_segment_replays(self, varied_aligned, registry, kind, case, cfg_name):
+        # The scene changes on frames that are not prediction ticks, so
+        # without a warm-up some prediction segments start cold between two
+        # ticks and hold that output on comparable frames.
+        aligned = HAND_MADE[case](varied_aligned, kind)
+        prepared = prepare_recording(aligned, kind, DERIVED_CONFIGS[cfg_name], registry)
+        mutants = kind_mutants(kind)
+        report, _ = run_prepared(prepared, mutants, ("CH",), repetitions=1)
+        encoder = FrameEncoder(registry, ModuleFilter.for_module(kind, registry))
+        module = make_module(kind)
+        for m in mutants:
+            rows = report["details"]["mutants"][m.id]["segments"]
+            assert len(rows) == len(prepared.segments)
+            mutated = apply_mutant(module, m)
+            for s in prepared.segments:
+                expected = segment_replay_mismatches(prepared, mutated, s, encoder)
+                assert rows[str(s.id)]["mismatched_frames"] == expected, (m.id, s.id)
 
     @pytest.mark.parametrize("kind", MODULE_KINDS)
     def test_mutants_keep_reads_publish_kind_and_ticks(self, kind):
@@ -927,7 +976,7 @@ class TestClassReplay:
             encode = encoder.encode
             monkeypatch.setattr(encoder, "encode", lambda *a: encodes.append(1) or encode(*a))
             computes.clear()
-            _whole_replay(prepared, mutated, encoder, classes)
+            _class_vectors(prepared, mutated, encoder, classes)
             assert 0 < len(computes) <= len(read_keys)
             assert len(encodes) <= len(classes.firsts)
 
