@@ -8,13 +8,19 @@ change that is meant to alter the outputs:
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import json
 import tempfile
 from pathlib import Path
 
 import pytest
 
+from strap.benchmarks import BUILTIN_MUTANTS, BUILTIN_SCRIPTS
 from strap.cli import main
+from strap.recording import dump_recording_jsonl
+from strap.schema import MODULE_KINDS
+from strap.synth import ScenarioScript, SceneEvent, generate_recording, mutants_to_json, random_mutants
 
 GOLDEN = Path(__file__).with_name("golden")
 # Seed-0 run-regression --module all reports, golden files <case>_all.json
@@ -126,6 +132,86 @@ def test_planning_artifacts_from_a_loaded_recording(tmp_path):
         assert files[name] == (GOLDEN / name).read_bytes(), f"{name} differs from the golden file"
 
 
+WIDE_PIN = "wide_pin.sha256"
+# The wide pin: built-in script -> its mutant set, and the seeds of each run family.
+WIDE_SCRIPTS = {"benchmark": "benchmark", "noisy-prediction": "benchmark", "rare-fault": "rare-fault"}
+WIDE_REPORT_SEEDS = range(5)
+WIDE_ARTIFACT_SEEDS = range(2)
+WIDE_ARTIFACT_MODULES = ("prediction", "planning")
+LONG_TILES = 10
+
+
+def _tiled(script: ScenarioScript, tiles: int) -> ScenarioScript:
+    """The script played ``tiles`` times back to back (bench/gen_inputs.py's long-suite)."""
+    n = script.duration_frames
+    events = tuple(
+        SceneEvent(e.frame + k * n, e.set, e.unset) for k in range(tiles) for e in script.events
+    )
+    return ScenarioScript(n * tiles, script.fps, script.glitch_rate, events)
+
+
+def _wide_mutants(script: str, seed: int, out: Path) -> Path:
+    """The script's built-in mutants plus four seeded random ones per module, ids prefixed r."""
+    mutants = [*BUILTIN_MUTANTS[WIDE_SCRIPTS[script]]()]
+    for kind in MODULE_KINDS:
+        mutants += [dataclasses.replace(m, id=f"r{m.id}") for m in random_mutants(kind, 4, seed)]
+    path = out / f"mutants_{script}_s{seed}.json"
+    path.write_text(json.dumps(mutants_to_json(mutants)), encoding="utf-8")
+    return path
+
+
+def _digests(root: Path) -> str:
+    return "".join(
+        f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(root).as_posix()}\n"
+        for p in sorted(root.rglob("*"))
+        if p.is_file()
+    )
+
+
+def _wide_pin(out: Path) -> bytes:
+    """sha256 of every file the wide pin covers, one line per file, sorted by path.
+
+    These are the --module all reports of the three built-in scripts at
+    seeds 0-4, the prediction and planning --artifacts-dir files of the same
+    runs at seeds 0-1, and the planning artifacts of the benchmark script
+    tiled LONG_TILES times, without mutants, at seeds 0-1.
+    """
+    pinned = out / "pinned"
+    for script in WIDE_SCRIPTS:
+        for seed in WIDE_REPORT_SEEDS:
+            common = [
+                "run-regression", "--script", f"builtin:{script}",
+                "--mutants", str(_wide_mutants(script, seed, out)), "--seed", str(seed),
+            ]
+            _run([*common, "--module", "all", "--out", str(pinned / f"{script}_s{seed}_all.json")])
+            if seed not in WIDE_ARTIFACT_SEEDS:
+                continue
+            for module in WIDE_ARTIFACT_MODULES:
+                _run([
+                    *common, "--module", module,
+                    "--artifacts-dir", str(pinned / f"{script}_s{seed}_{module}"),
+                    "--out", str(out / "report.json"),
+                ])
+    for seed in WIDE_ARTIFACT_SEEDS:
+        recording = out / f"long_s{seed}.jsonl"
+        script = _tiled(BUILTIN_SCRIPTS["benchmark"](), LONG_TILES)
+        recording.write_text(dump_recording_jsonl(generate_recording(script, seed)), encoding="utf-8")
+        _run([
+            "run-regression", "--in", str(recording), "--module", "planning", "--seed", str(seed),
+            "--artifacts-dir", str(pinned / f"long-suite_s{seed}_planning"),
+            "--out", str(out / "report.json"),
+        ])
+    return _digests(pinned).encode()
+
+
+def test_wide_pin_is_byte_identical(tmp_path):
+    expected = (GOLDEN / WIDE_PIN).read_text(encoding="utf-8").splitlines()
+    got = _wide_pin(tmp_path).decode().splitlines()
+    assert [line.split()[1] for line in got] == [line.split()[1] for line in expected]
+    differing = [b.split()[1] for a, b in zip(expected, got) if a != b]
+    assert not differing, f"files differ from {WIDE_PIN}: {differing}"
+
+
 def _write_golden() -> None:
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
@@ -134,6 +220,7 @@ def _write_golden() -> None:
                 (GOLDEN / name).write_bytes(data)
         for name, data in _planning(Path(tmp)).items():
             (GOLDEN / name).write_bytes(data)
+        (GOLDEN / WIDE_PIN).write_bytes(_wide_pin(Path(tmp)))
 
 
 if __name__ == "__main__":
