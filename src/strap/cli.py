@@ -53,6 +53,7 @@ from .schema import (
     MODULE_KINDS,
     ModuleFilter,
     SchemaRegistry,
+    check_vectors,
     default_registry,
     encode_recording,
     load_registry,
@@ -136,44 +137,44 @@ def _builtin_or_file(source: str, what: str) -> Any:
     return builtins[name]()
 
 
-def _vectors_doc(module: str, vectors: Sequence[FrameVector]) -> dict[str, Any]:
+def _vectors_doc(module: str, times: list[int], vectors: Sequence[FrameVector]) -> dict[str, Any]:
     # Equal rows are one list, which atomic_write_json encodes once.
-    rows: dict[tuple[int, ...], list[int]] = {}
+    rows: dict[FrameVector, list[int]] = {}
     for v in vectors:
-        if v.values not in rows:
-            rows[v.values] = list(v.values)
-    return {
-        "module": module,
-        "t_ns": [v.t_ns for v in vectors],
-        "vectors": [rows[v.values] for v in vectors],
-    }
+        if v not in rows:
+            rows[v] = list(v)
+    return {"module": module, "t_ns": times, "vectors": [rows[v] for v in vectors]}
 
 
 VECTORS_FORMAT = {"module?": str, "t_ns!": [int], "vectors!": [[int]]}
 CALL_COUNTS_FORMAT = [int]
 
 
-def _vectors_from_doc(doc: Any) -> tuple[str, list[FrameVector]]:
+def _vectors_from_doc(doc: Any) -> tuple[str, list[int], list[FrameVector]]:
+    """The document's module view, frame times and vectors (_vectors_doc)."""
     check(doc, VECTORS_FORMAT, "invalid vectors document", UsageError)
     times, rows = doc["t_ns"], doc["vectors"]
     if len(times) != len(rows):
         raise UsageError(f"{len(times)} timestamps for {len(rows)} vectors")
     if not rows:
         raise UsageError("invalid vectors document: no frames")
-    module = doc.get("module")
-    if module is None:
-        module = "all"
+    check_vectors(rows, "invalid vectors document", "vectors[{}]")
+    module = "all" if doc.get("module") is None else doc["module"]
     if module not in MODULE_CHOICES:
         raise UsageError(
             f"invalid vectors document: module must be one of {', '.join(MODULE_CHOICES)}, "
             f"got {module!r}"
         )
-    return module, [FrameVector(tuple(row), t) for t, row in zip(times, rows)]
+    return module, times, [tuple(row) for row in rows]
 
 
-def _module_vectors(rec: Recording, registry: SchemaRegistry, module: str) -> list[FrameVector]:
+def _module_vectors(
+    rec: Recording, registry: SchemaRegistry, module: str
+) -> tuple[list[int], list[FrameVector]]:
+    """The aligned frames' times and their vectors under the module's view."""
+    ar = align_recording(rec)
     flt = ModuleFilter.for_module(module, registry)
-    return encode_recording(align_recording(rec), registry, flt)
+    return [f.t_ns for f in ar.frames], encode_recording(ar, registry, flt)
 
 
 def _cmd_align(args: argparse.Namespace) -> None:
@@ -185,8 +186,8 @@ def _cmd_align(args: argparse.Namespace) -> None:
 def _cmd_vectorize(args: argparse.Namespace) -> None:
     rec = load_recording(_require_file(args.infile))
     registry = _load_registry_arg(args.schema)
-    vectors = _module_vectors(rec, registry, args.module)
-    atomic_write_json(args.out, _vectors_doc(args.module, vectors))
+    times, vectors = _module_vectors(rec, registry, args.module)
+    atomic_write_json(args.out, _vectors_doc(args.module, times, vectors))
     _say(f"encoded {len(vectors)} frames under the {args.module!r} view -> {args.out}")
 
 
@@ -209,16 +210,15 @@ def _cmd_reduce(args: argparse.Namespace) -> None:
     doc = _sniff_vectors_file(path)
     if doc is not None:
         # Vectors are already filtered; the file's own view label wins.
-        module, vectors = _vectors_from_doc(doc)
+        module, times, vectors = _vectors_from_doc(doc)
         if args.module is not None and args.module != module:
             _say(f"note: vectors file was encoded under the {module!r} view; keeping it")
     else:
         module = args.module or "all"
         rec = load_recording(path)
         registry = _load_registry_arg(args.schema)
-        vectors = _module_vectors(rec, registry, module)
+        times, vectors = _module_vectors(rec, registry, module)
     segments, _ = reduce_vectors(vectors, cfg)
-    times = [v.t_ns for v in vectors]
     atomic_write_json(args.out, segments_to_manifest(segments, cfg, times, module))
     kept = sum(s.length for s in segments)
     pct = 100.0 * (1 - kept / len(vectors))
@@ -246,7 +246,7 @@ def _cmd_prioritize(args: argparse.Namespace) -> None:
     segments, _ = segments_from_manifest(read_json(_require_file(args.segments)))
     vectors = None
     if args.vectors:
-        _, vectors = _vectors_from_doc(read_json(_require_file(args.vectors)))
+        _, _, vectors = _vectors_from_doc(read_json(_require_file(args.vectors)))
     call_counts = None
     if args.call_counts:
         call_counts = read_json(_require_file(args.call_counts))
@@ -373,9 +373,8 @@ def _write_regression_artifacts(
     module = prepared.module
     outdir.mkdir(parents=True, exist_ok=True)
     atomic_write_text(outdir / "aligned.jsonl", aligned_jsonl(prepared.aligned))
-    vectors = prepared.vectors
-    atomic_write_json(outdir / "vectors.json", _vectors_doc(module, vectors))
-    times = [v.t_ns for v in vectors]
+    times = [f.t_ns for f in prepared.aligned.frames]
+    atomic_write_json(outdir / "vectors.json", _vectors_doc(module, times, prepared.vectors))
     atomic_write_json(
         outdir / "segments.json",
         segments_to_manifest(prepared.segments, prepared.cfg, times, module),

@@ -55,7 +55,7 @@ class FaultVerdict:
 def compare_outputs(
     original: Sequence[FrameVector], replayed: Sequence[FrameVector], segment: Segment
 ) -> FaultVerdict:
-    """Count frame pairs with unequal vector values over the comparable range."""
+    """Count frame pairs with unequal vectors over the comparable range."""
     if len(original) != len(replayed):
         raise ValueError(
             f"cannot compare {len(original)} original frames with {len(replayed)} replayed frames"
@@ -64,7 +64,7 @@ def compare_outputs(
         raise ValueError(
             f"segment {segment.id} spans {segment.length} comparable frames, got {len(original)}"
         )
-    mismatched = sum(1 for a, b in zip(original, replayed) if a.values != b.values)
+    mismatched = sum(1 for a, b in zip(original, replayed) if a != b)
     return FaultVerdict(segment.id, mismatched, len(original))
 
 

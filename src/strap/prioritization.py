@@ -64,12 +64,12 @@ def rarity_weights(frame_vectors: Sequence[FrameVector], normalize: bool = True)
     if not frame_vectors:
         raise ValueError("rarity weights need at least one frame vector")
     n = len(frame_vectors)
-    q = len(frame_vectors[0].values)
-    if any(len(v.values) != q for v in frame_vectors):
+    q = len(frame_vectors[0])
+    if any(len(v) != q for v in frame_vectors):
         raise ValueError("frame vectors have inconsistent lengths")
     counts = [0] * q
     for v in frame_vectors:
-        for i, x in enumerate(v.values):
+        for i, x in enumerate(v):
             if x != 0:
                 counts[i] += 1
     raw = [Fraction(n, c) if c else Fraction(0) for c in counts]
@@ -119,13 +119,13 @@ def prioritize_rsc(
         if frame_vectors is None:
             raise ValueError("prioritize_rsc needs frame_vectors or precomputed weights")
         weights = rarity_weights(frame_vectors)
-    scores = {s.id: _score_exact(s.vector.values, weights, rarity_mode) for s in segments}
+    scores = {s.id: _score_exact(s.vector, weights, rarity_mode) for s in segments}
     return _ranked_plan("RSC", segments, scores)
 
 
 def prioritize_sc(segments: Sequence[Segment]) -> PrioritizedPlan:
     """Rank segments by their count of non-zero dimensions."""
-    scores = {s.id: Fraction(sum(1 for x in s.vector.values if x != 0)) for s in segments}
+    scores = {s.id: Fraction(sum(1 for x in s.vector if x != 0)) for s in segments}
     return _ranked_plan("SC", segments, scores)
 
 

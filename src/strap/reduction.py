@@ -16,7 +16,7 @@ from typing import Any, Sequence
 
 from .fileio import check
 from .recording import AlignedRecording
-from .schema import FrameVector
+from .schema import FrameVector, check_vectors
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,7 @@ def smooth(vectors: Sequence[FrameVector], w: int) -> list[FrameVector]:
 
     Windows are centered and shifted inward at the edges so every window has
     exactly min(w, N) elements. The most frequent vector in the window wins;
-    if the top count is tied, the original center vector is kept. Frame
-    timestamps are preserved.
+    if the top count is tied, the original center vector is kept.
 
     A window inside one run of equal vectors keeps its center vector
     without a vote, so only windows that span runs are counted.
@@ -83,20 +82,15 @@ def smooth(vectors: Sequence[FrameVector], w: int) -> list[FrameVector]:
     # run_end[i]: the index of the last frame of the run holding frame i.
     run_end = [n - 1] * n
     for i in range(n - 2, -1, -1):
-        run_end[i] = i if vectors[i].values != vectors[i + 1].values else run_end[i + 1]
+        run_end[i] = i if vectors[i] != vectors[i + 1] else run_end[i + 1]
     out = []
     for i in range(n):
         lo = min(max(i - half, 0), n - width)
         if run_end[lo] >= lo + width - 1:
             out.append(vectors[i])
             continue
-        counts = Counter(v.values for v in vectors[lo : lo + width])
-        top = counts.most_common()
-        if len(top) > 1 and top[0][1] == top[1][1]:
-            winner = vectors[i].values
-        else:
-            winner = top[0][0]
-        out.append(FrameVector(winner, vectors[i].t_ns))
+        top = Counter(vectors[lo : lo + width]).most_common()
+        out.append(vectors[i] if len(top) > 1 and top[0][1] == top[1][1] else top[0][0])
     return out
 
 
@@ -107,7 +101,7 @@ def segment(vectors: Sequence[FrameVector]) -> list[Segment]:
     segments = []
     start = 0
     for i in range(1, len(vectors)):
-        if vectors[i].values != vectors[start].values:
+        if vectors[i] != vectors[start]:
             segments.append(
                 Segment(len(segments), start, i - 1, vectors[start], warmup_start_idx=start)
             )
@@ -129,12 +123,12 @@ def clip(segments: Sequence[Segment], n: int) -> list[Segment]:
 
 def dedup(segments: Sequence[Segment]) -> list[Segment]:
     """Drop segments whose vector already occurred, keeping first occurrences."""
-    seen: set[tuple[int, ...]] = set()
+    seen: set[FrameVector] = set()
     kept = []
     for s in segments:
-        if s.vector.values in seen:
+        if s.vector in seen:
             continue
-        seen.add(s.vector.values)
+        seen.add(s.vector)
         kept.append(s)
     return kept
 
@@ -187,7 +181,7 @@ def segments_to_manifest(
                 "warmup_start_idx": s.warmup_start_idx,
                 "start_t_ns": frame_times_ns[s.start_idx],
                 "end_t_ns": frame_times_ns[s.end_idx],
-                "vector": list(s.vector.values),
+                "vector": list(s.vector),
             }
             for s in segments
         ],
@@ -207,13 +201,12 @@ MANIFEST_FORMAT = {
 def segments_from_manifest(doc: Any) -> tuple[list[Segment], ReductionConfig]:
     """Parse a segments.json document back into segments and their config."""
     check(doc, MANIFEST_FORMAT, "invalid segments manifest")
+    rows = doc["segments"]
+    check_vectors([r["vector"] for r in rows], "invalid segments manifest", "segments[{}].vector")
     config = doc["config"]
     cfg = ReductionConfig(**{f.name: config[f.name] for f in fields(ReductionConfig)})
     segments = [
-        Segment(
-            row["id"], row["start_idx"], row["end_idx"],
-            FrameVector(tuple(row["vector"]), row["start_t_ns"]), row["warmup_start_idx"],
-        )
-        for row in doc["segments"]
+        Segment(r["id"], r["start_idx"], r["end_idx"], tuple(r["vector"]), r["warmup_start_idx"])
+        for r in rows
     ]
     return segments, cfg

@@ -125,12 +125,19 @@ class SchemaRegistry:
         return len(self.dimensions)
 
 
-@dataclass(frozen=True)
-class FrameVector:
-    """Encoded frame: one integer per registry dimension plus the frame time."""
+# An encoded frame: one code per registry dimension. A vector carries no time;
+# times live on the aligned frames and in the vectors and segments documents.
+FrameVector = tuple[int, ...]
 
-    values: tuple[int, ...]
-    t_ns: int
+
+def check_vectors(rows: Sequence[Sequence[int]], what: str, row_name: str) -> None:
+    """ValueError naming the first row, row_name.format(i), unlike row 0 in length or
+    holding a negative code (codes are positive; 0 means "none")."""
+    for i, row in enumerate(rows):
+        if len(row) != len(rows[0]) or min(row, default=0) < 0:
+            raise ValueError(
+                f"{what}: {row_name.format(i)} must be {len(rows[0])} non-negative codes, got {row}"
+            )
 
 
 @dataclass(frozen=True)
@@ -231,9 +238,9 @@ class FrameEncoder:
 
     A frame's vector depends only on its dimension-bearing payloads, which
     are never mutated (recording.Message), so encode memoizes the finished
-    values by those payloads' identities. The memo holds the payloads, so
-    an id is never reused while it lives, and it lives as long as the
-    encoder.
+    vector by those payloads' identities and returns that one tuple for
+    every frame holding them. The memo holds the payloads, so an id is
+    never reused while it lives, and it lives as long as the encoder.
     """
 
     _CONTRIBUTIONS = {
@@ -288,7 +295,7 @@ class FrameEncoder:
         # encoder: the CLI pauses the cyclic collector, so a cycle would keep
         # the memo and its payloads alive.
         if hit is not None and (hit[0] is order or hit[0] == order):
-            return FrameVector(hit[2], frame.t_ns)
+            return hit[2]
         values = [0] * self.size
         claimed: set[str] = set()
         try:
@@ -299,14 +306,14 @@ class FrameEncoder:
             raise
         finished = self._finish(values)
         self._memo[key] = (order, payloads, finished)
-        return FrameVector(finished, frame.t_ns)
+        return finished
 
     def filter(self, vector: FrameVector) -> FrameVector:
-        if len(vector.values) != self.size:
+        if len(vector) != self.size:
             raise SchemaError(
-                f"vector length {len(vector.values)} does not match registry size {self.size}"
+                f"vector length {len(vector)} does not match registry size {self.size}"
             )
-        return FrameVector(self._finish(list(vector.values)), vector.t_ns)
+        return self._finish(list(vector))
 
     def _finish(self, values: list[int]) -> tuple[int, ...]:
         # Zero the dimensions outside the filter, then the properties of

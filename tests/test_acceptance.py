@@ -21,7 +21,7 @@ from strap.evaluation import FaultVerdict, apfd, evaluate_plan, reduction_pct
 from strap.prioritization import prioritize_rd, prioritize_rsc, rarity_weights
 from strap.recording import Channel, Message, MessageKind, Recording, align_recording, dump_recording_jsonl
 from strap.reduction import ReductionConfig, Segment, clip, dedup, reduce_vectors, segment, smooth
-from strap.schema import FrameVector, default_registry, encode_recording
+from strap.schema import default_registry, encode_recording
 from strap.synth import Mutant, generate_recording, run_benchmark, run_regression
 
 RESULTS: list[tuple[int, str, bool]] = []
@@ -75,14 +75,14 @@ def test_alignment_laws():
 
 
 def test_single_frame_glitch_removal():
-    base = FrameVector((1, 2), 0)
-    glitch = FrameVector((9, 9), 0)
+    base = (1, 2)
+    glitch = (9, 9)
     ok = True
     for pos in range(100):
-        stream = [FrameVector(base.values, i) for i in range(100)]
-        stream[pos] = FrameVector(glitch.values, pos)
+        stream = [base] * 100
+        stream[pos] = glitch
         out = smooth(stream, 3)
-        ok = ok and all(v.values == base.values for v in out)
+        ok = ok and all(v == base for v in out)
     check(2, "w=3 smoothing removes a 1-frame glitch at every position of a 100-frame stream", ok)
 
 
@@ -92,18 +92,18 @@ def test_segmentation_partition_laws():
         n = rng.randint(1, 40)
         dims = rng.randint(1, 4)
         vectors = [
-            FrameVector(tuple(rng.randint(0, 2) for _ in range(dims)), i) for i in range(n)
+            tuple(rng.randint(0, 2) for _ in range(dims)) for _ in range(n)
         ]
         segs = segment(vectors)
         covered = [i for s in segs for i in range(s.start_idx, s.end_idx + 1)]
         assert covered == list(range(n))
         for s in segs:
-            assert all(vectors[i].values == s.vector.values for i in range(s.start_idx, s.end_idx + 1))
+            assert all(vectors[i] == s.vector for i in range(s.start_idx, s.end_idx + 1))
         for a, b in zip(segs, segs[1:]):
-            assert a.vector.values != b.vector.values
+            assert a.vector != b.vector
         clip_n = rng.randint(1, 10)
         deduped = dedup(clip(segs, clip_n))
-        remaining = [s.vector.values for s in deduped]
+        remaining = [s.vector for s in deduped]
         assert len(remaining) == len(set(remaining))
         assert all(s.length <= clip_n for s in deduped)
     check(3, "segmentation partition laws hold on 500 random vector streams", True)
@@ -206,11 +206,11 @@ def test_weight_normalization_invariance():
     for _ in range(500):
         n, q = rng.randint(2, 30), rng.randint(1, 8)
         fv = [
-            FrameVector(tuple(rng.choice([0, 0, 1, 2, 3]) for _ in range(q)), i)
-            for i in range(n)
+            tuple(rng.choice([0, 0, 1, 2, 3]) for _ in range(q))
+            for _ in range(n)
         ]
         segments = [
-            Segment(i, i, i, FrameVector(tuple(rng.choice([0, 1, 2, 3]) for _ in range(q)), i), i)
+            Segment(i, i, i, tuple(rng.choice([0, 1, 2, 3]) for _ in range(q)), i)
             for i in range(rng.randint(1, 9))
         ]
         raw = prioritize_rsc(segments, weights=rarity_weights(fv, normalize=False))

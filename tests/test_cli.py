@@ -352,6 +352,35 @@ class TestRegressionCommand:
         assert scored["detected_full"] == ["loud"]
         assert eval_out.with_suffix(".csv").exists()
 
+    def test_times_come_from_the_frames(self, benchmark_aligned, tmp_path):
+        """vectors.json and segments.json take their times from the aligned frames,
+        and reduce --in takes them from the vectors document."""
+        times = [f.t_ns for f in benchmark_aligned.frames]
+        art = tmp_path / "art"
+        assert main(["run-regression", "--script", "builtin:benchmark", "--module", "planning",
+                     "--strategies", "CH", "--artifacts-dir", str(art),
+                     "--out", str(tmp_path / "r.json")]) == 0
+        vectors = json.loads((art / "vectors.json").read_text())
+        assert vectors["t_ns"] == times
+
+        def rows_on(manifest_path, times):
+            rows = json.loads(manifest_path.read_text())["segments"]
+            assert [(r["start_t_ns"], r["end_t_ns"]) for r in rows] == [
+                (times[r["start_idx"]], times[r["end_idx"]]) for r in rows
+            ]
+            return rows
+
+        rows = rows_on(art / "segments.json", times)
+        seg = tmp_path / "segments.json"
+        assert main(["reduce", "--in", str(art / "vectors.json"), "--out", str(seg)]) == 0
+        assert rows_on(seg, times) == rows
+        # Off the grid, the document's own times are the ones written.
+        shifted = [t + 7 for t in times]
+        vec = tmp_path / "shifted.json"
+        vec.write_text(json.dumps({**vectors, "t_ns": shifted}))
+        assert main(["reduce", "--in", str(vec), "--out", str(seg)]) == 0
+        assert len(rows_on(seg, shifted)) == len(rows)
+
     def test_artifacts_reuse_the_run(self, work, tmp_path, monkeypatch):
         calls = []
 
@@ -472,6 +501,66 @@ class TestMistypedInputs:
         rc = main(["run-regression", "--in", str(rec), "--module", "planning", "--out", str(tmp_path / "r.json")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: irregular frame grid: frame 2 (t=200 ns)")
+
+
+# Vector rows a format check accepts but no encoder writes: case -> (rows,
+# what is wrong, named after a vectors document's rows).
+MALFORMED_ROWS = {
+    "ragged": ([[1, 2], [1], [1, 2, 3]], "vectors[1] must be 2 non-negative codes, got [1]"),
+    "negative": ([[1, 2], [1, -5], [1, 2]], "vectors[1] must be 2 non-negative codes, got [1, -5]"),
+}
+
+
+def _manifest(rows):
+    """A segments manifest with one one-frame segment per vector row."""
+    return {
+        "config": {"window_w": 5, "clip_n": 45, "warmup_frames": 15},
+        "segments": [
+            {"id": i, "start_idx": i, "end_idx": i, "warmup_start_idx": i,
+             "start_t_ns": i, "end_t_ns": i, "vector": row}
+            for i, row in enumerate(rows)
+        ],
+    }
+
+
+class TestMalformedVectors:
+    """Vector rows of unequal length or with a negative code are an input error."""
+
+    @pytest.mark.parametrize("case", MALFORMED_ROWS)
+    def test_reduce_rejects_vectors_document(self, case, tmp_path, capsys):
+        rows, wrong = MALFORMED_ROWS[case]
+        vec = tmp_path / "vectors.json"
+        vec.write_text(json.dumps({"module": "all", "t_ns": list(range(len(rows))), "vectors": rows}))
+        out = tmp_path / "segments.json"
+        argv = ["reduce", "--in", str(vec), "--out", str(out)]
+        assert _one_error(argv, capsys) == f"error: invalid vectors document: {wrong}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", MALFORMED_ROWS)
+    def test_prioritize_rejects_vectors_document(self, case, tmp_path, capsys):
+        rows, wrong = MALFORMED_ROWS[case]
+        seg = tmp_path / "segments.json"
+        seg.write_text(json.dumps(_manifest([[1, 2]] * len(rows))))
+        vec = tmp_path / "vectors.json"
+        vec.write_text(json.dumps({"t_ns": list(range(len(rows))), "vectors": rows}))
+        argv = ["prioritize", "--segments", str(seg), "--vectors", str(vec), "--strategies", "RSC",
+                "--out", str(tmp_path / "plan.json")]
+        assert _one_error(argv, capsys) == f"error: invalid vectors document: {wrong}"
+
+    @pytest.mark.parametrize("case", MALFORMED_ROWS)
+    @pytest.mark.parametrize("command", ["prioritize", "evaluate"])
+    def test_commands_reject_segments_manifest(self, command, case, valid_inputs, tmp_path, capsys):
+        rows, wrong = MALFORMED_ROWS[case]
+        seg = tmp_path / "segments.json"
+        seg.write_text(json.dumps(_manifest(rows)))
+        out = str(tmp_path / "out.json")
+        argv = {
+            "prioritize": ["prioritize", "--segments", str(seg), "--strategies", "SC", "--out", out],
+            "evaluate": ["evaluate", "--verdicts", str(valid_inputs["verdicts"]), "--segments", str(seg),
+                         "--plans", str(valid_inputs["plan"]), "--out", out],
+        }[command]
+        wrong = wrong.replace("vectors[1]", "segments[1].vector")
+        assert _one_error(argv, capsys) == f"error: invalid segments manifest: {wrong}"
 
 
 # A recording whose first payload of one kind is retyped: case -> (kind,

@@ -20,11 +20,10 @@ from strap.evaluation import (
 )
 from strap.prioritization import PrioritizedPlan
 from strap.reduction import Segment
-from strap.schema import FrameVector
 
 
-def vec(code, t=0):
-    return FrameVector((code,), t)
+def vec(code):
+    return (code,)
 
 
 class TestFaultVerdict:
@@ -56,8 +55,8 @@ class TestFaultVerdict:
 
     def test_compare_outputs_counts_value_mismatches(self):
         seg = Segment(4, 10, 13, vec(1), warmup_start_idx=10)
-        original = [vec(1, t) for t in range(4)]
-        replayed = [vec(1, 0), vec(2, 1), vec(1, 2), vec(3, 3)]
+        original = [vec(1)] * 4
+        replayed = [vec(1), vec(2), vec(1), vec(3)]
         v = compare_outputs(original, replayed, seg)
         assert (v.segment_id, v.mismatched_frames, v.total_frames) == (4, 2, 4)
 

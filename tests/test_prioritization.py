@@ -22,15 +22,14 @@ from strap.prioritization import (
     rarity_weights,
 )
 from strap.reduction import Segment
-from strap.schema import FrameVector
 
 
 def frames(rows):
-    return [FrameVector(tuple(r), i) for i, r in enumerate(rows)]
+    return [tuple(r) for r in rows]
 
 
 def seg(sid, values):
-    return Segment(sid, sid, sid, FrameVector(tuple(values), sid), warmup_start_idx=sid)
+    return Segment(sid, sid, sid, tuple(values), warmup_start_idx=sid)
 
 
 FIXTURE = frames([(1, 0, 5), (1, 2, 0), (1, 0, 0), (1, 2, 5)])
@@ -58,7 +57,7 @@ class TestWeights:
         with pytest.raises(ValueError, match="at least one frame"):
             rarity_weights([])
         with pytest.raises(ValueError, match="inconsistent lengths"):
-            rarity_weights([FrameVector((1,), 0), FrameVector((1, 2), 1)])
+            rarity_weights([(1,), (1, 2)])
 
     def test_scores_hand_traced(self):
         w = rarity_weights(FIXTURE)

@@ -21,18 +21,18 @@ from strap.reduction import (
     segments_to_manifest,
     smooth,
 )
-from strap.schema import FrameVector, encode_recording
+from strap.schema import encode_recording
 
 
 A, B, C = (1,), (2,), (3,)
 
 
 def stream(codes):
-    return [FrameVector(c, i * 10) for i, c in enumerate(codes)]
+    return list(codes)
 
 
 def values(vectors):
-    return [v.values for v in vectors]
+    return list(vectors)
 
 
 class TestSmooth:
@@ -63,10 +63,6 @@ class TestSmooth:
     def test_width_one_is_identity(self):
         s = stream([A, B, B, C])
         assert values(smooth(s, 1)) == values(s)
-
-    def test_timestamps_preserved(self):
-        out = smooth(stream([A, A, B, A, A]), 3)
-        assert [v.t_ns for v in out] == [0, 10, 20, 30, 40]
 
     def test_even_or_zero_width_rejected(self):
         with pytest.raises(ValueError, match="odd"):
@@ -112,16 +108,16 @@ def _voted(vectors, w):
     width, half, out = min(w, n), w // 2, []
     for i in range(n):
         lo = min(max(i - half, 0), n - width)
-        top = Counter(v.values for v in vectors[lo : lo + width]).most_common()
+        top = Counter(vectors[lo : lo + width]).most_common()
         tie = len(top) > 1 and top[0][1] == top[1][1]
-        out.append(FrameVector(vectors[i].values if tie else top[0][0], vectors[i].t_ns))
+        out.append(vectors[i] if tie else top[0][0])
     return out
 
 
 class TestSegment:
     def test_run_length_with_chronological_ids(self):
         segs = segment(stream([A, A, B, A]))
-        assert [(s.id, s.start_idx, s.end_idx, s.vector.values) for s in segs] == [
+        assert [(s.id, s.start_idx, s.end_idx, s.vector) for s in segs] == [
             (0, 0, 1, A),
             (1, 2, 2, B),
             (2, 3, 3, A),
@@ -150,7 +146,7 @@ class TestClipDedup:
         segs = segment(stream([A, B, A]))
         out = dedup(segs)
         assert [s.id for s in out] == [0, 1]
-        assert out[0].vector.values == A
+        assert out[0].vector == A
 
 
 class TestConfig:
@@ -173,9 +169,9 @@ class TestConfig:
 
     def test_segment_index_validation(self):
         with pytest.raises(ValueError, match="bad indices"):
-            Segment(0, start_idx=5, end_idx=4, vector=FrameVector(A, 0), warmup_start_idx=5)
+            Segment(0, start_idx=5, end_idx=4, vector=A, warmup_start_idx=5)
         with pytest.raises(ValueError, match="bad indices"):
-            Segment(0, start_idx=5, end_idx=9, vector=FrameVector(A, 0), warmup_start_idx=6)
+            Segment(0, start_idx=5, end_idx=9, vector=A, warmup_start_idx=6)
 
 
 class TestReduce:
@@ -218,15 +214,14 @@ class TestManifest:
         cfg = ReductionConfig(window_w=3, clip_n=10, warmup_frames=4)
         vectors = stream([A] * 6 + [B] * 3)
         segs, _ = reduce_vectors(vectors, cfg)
-        times = [v.t_ns for v in vectors]
+        times = [i * 10 for i in range(len(vectors))]
         doc = segments_to_manifest(segs, cfg, times, module="all")
         assert doc["config"]["module"] == "all"
         back, cfg2 = segments_from_manifest(doc)
         assert cfg2 == cfg
-        assert [(s.id, s.start_idx, s.end_idx, s.warmup_start_idx, s.vector.values) for s in back] == [
-            (s.id, s.start_idx, s.end_idx, s.warmup_start_idx, s.vector.values) for s in segs
+        assert [(s.id, s.start_idx, s.end_idx, s.warmup_start_idx, s.vector) for s in back] == [
+            (s.id, s.start_idx, s.end_idx, s.warmup_start_idx, s.vector) for s in segs
         ]
-        assert back[1].vector.t_ns == times[segs[1].start_idx]
 
     def test_bad_manifest(self):
         with pytest.raises(ValueError, match="invalid segments manifest"):

@@ -9,6 +9,7 @@ from strap.recording import Frame, Message, MessageKind
 from strap.schema import (
     MODULE_KINDS,
     DimensionSpec,
+    FrameEncoder,
     ModuleFilter,
     SchemaError,
     SchemaRegistry,
@@ -98,7 +99,6 @@ class TestEncode:
             planning={"ego_action": "stop", "stop_cause": "traffic_light"},
         )
         v = encode_frame(f, registry)
-        assert v.t_ns == 7
         expected = {
             "vehicle": 1,
             "vehicle.subtype": 3,
@@ -112,19 +112,31 @@ class TestEncode:
             "ego.action": 46,
             "ego.stop_cause": 50,
         }
-        for name, code in zip(dim_names(registry), v.values):
+        for name, code in zip(dim_names(registry), v):
             assert code == expected.get(name, 0), name
+
+    def test_same_payloads_share_one_vector(self, registry):
+        # A vector is its values: messages of another time holding the same
+        # payload objects encode to the very tuple the encoder memoized.
+        f = frame(t=7, traffic_light={"lights": [{"color": "red"}]}, planning={"ego_action": "stop"})
+        later = Frame(107, {n: Message(n, 107, m.kind, m.payload) for n, m in f.messages.items()})
+        encoder = FrameEncoder(registry)
+        v = encoder.encode(f)
+        assert type(v) is tuple
+        assert encoder.encode(later) is v
+        copied = frame(t=7, traffic_light={"lights": [{"color": "red"}]}, planning={"ego_action": "stop"})
+        assert encoder.encode(copied) == v
 
     def test_empty_frame_is_all_zero(self, registry):
         v = encode_frame(frame(localization={"x": 0.0}), registry)
-        assert set(v.values) == {0}
+        assert set(v) == {0}
 
     def test_orphan_action_is_zeroed(self, registry):
         # A predicted track with no matching detection claims nothing.
         f = frame(prediction={"tracks": [{"actor": "pedestrian", "action": "cross"}]})
         v = encode_frame(f, registry)
-        assert v.values[dim_index(registry, "pedestrian")] == 0
-        assert v.values[dim_index(registry, "pedestrian.action")] == 0
+        assert v[dim_index(registry, "pedestrian")] == 0
+        assert v[dim_index(registry, "pedestrian.action")] == 0
 
     def test_first_object_of_a_kind_wins(self, registry):
         f = frame(
@@ -136,14 +148,14 @@ class TestEncode:
             }
         )
         v = encode_frame(f, registry)
-        assert v.values[dim_index(registry, "vehicle.subtype")] == 2
+        assert v[dim_index(registry, "vehicle.subtype")] == 2
 
     def test_first_light_provides_properties(self, registry):
         f = frame(traffic_light={"lights": [{"color": "green"}, {"color": "red"}]})
         v = encode_frame(f, registry)
-        assert v.values[dim_index(registry, "traffic_light")] == 32
-        assert v.values[dim_index(registry, "traffic_light.color")] == 34
-        assert v.values[dim_index(registry, "traffic_light.shape")] == 0
+        assert v[dim_index(registry, "traffic_light")] == 32
+        assert v[dim_index(registry, "traffic_light.color")] == 34
+        assert v[dim_index(registry, "traffic_light.shape")] == 0
 
     def test_unknown_actor_value_raises(self, registry):
         f = frame(obstacle={"obstacles": [{"actor": "dragon"}]})
@@ -153,7 +165,7 @@ class TestEncode:
     def test_crosswalk_inferred_from_obstacle_flag(self, registry):
         f = frame(obstacle={"obstacles": [{"actor": "pedestrian", "on_crosswalk": True}]})
         v = encode_frame(f, registry)
-        assert v.values[dim_index(registry, "crosswalk")] == 42
+        assert v[dim_index(registry, "crosswalk")] == 42
 
 
 class TestFilter:
@@ -189,25 +201,23 @@ class TestFilter:
         )
         v = encode_frame(f, registry)
         out = apply_filter(v, ModuleFilter.for_module("traffic_light", registry), registry)
-        assert len(out.values) == len(v.values)
-        assert out.values[dim_index(registry, "traffic_light.color")] == 33
-        assert out.values[dim_index(registry, "ego.action")] == 0
+        assert len(out) == len(v)
+        assert out[dim_index(registry, "traffic_light.color")] == 33
+        assert out[dim_index(registry, "ego.action")] == 0
 
     def test_filter_re_zeroes_orphaned_children(self, registry):
         f = frame(
             obstacle={"obstacles": [{"actor": "vehicle", "subtype": "van"}]},
         )
         v = encode_frame(f, registry)
-        assert v.values[dim_index(registry, "vehicle.subtype")] == 5
+        assert v[dim_index(registry, "vehicle.subtype")] == 5
         flt = ModuleFilter("custom", frozenset({"vehicle.subtype"}))
         out = apply_filter(v, flt, registry)
-        assert out.values[dim_index(registry, "vehicle.subtype")] == 0
+        assert out[dim_index(registry, "vehicle.subtype")] == 0
 
     def test_length_mismatch_rejected(self, registry):
-        from strap.schema import FrameVector
-
         with pytest.raises(SchemaError, match="does not match registry size"):
-            apply_filter(FrameVector((1, 2), 0), ModuleFilter("all", frozenset()), registry)
+            apply_filter((1, 2), ModuleFilter("all", frozenset()), registry)
 
 
 def test_module_kinds_order():

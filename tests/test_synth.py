@@ -715,17 +715,13 @@ def whole_segment(prepared):
 
 
 def class_replay(prepared, mutated, encoder, classes):
-    """Per segment id, the whole recording's among them: its comparable frames' class vectors.
-
-    A class vector carries the timestamp of its class's first frame, so
-    comparisons read values only, as compare_outputs does.
-    """
+    """Per segment id, the whole recording's among them: its comparable frames' class vectors."""
     by_class = _class_vectors(prepared, mutated, encoder, classes)
     return {s.id: [by_class[c] for c in row] for s, row in classes.segments}
 
 
 def values(vectors):
-    return [v.values for v in vectors]
+    return list(vectors)
 
 
 @pytest.fixture(scope="module", params=["benchmark_recording", "noisy_recording", "rare_recording"])
