@@ -131,8 +131,11 @@ FrameVector = tuple[int, ...]
 
 
 def check_vectors(rows: Sequence[Sequence[int]], what: str, row_name: str) -> None:
-    """ValueError naming the first row, row_name.format(i), unlike row 0 in length or
-    holding a negative code (codes are positive; 0 means "none")."""
+    """ValueError unless every row has row 0's length and no negative code.
+
+    Codes are positive and 0 means "none". The error names the first bad
+    row as row_name.format(i).
+    """
     for i, row in enumerate(rows):
         if len(row) != len(rows[0]) or min(row, default=0) < 0:
             raise ValueError(

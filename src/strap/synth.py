@@ -16,16 +16,8 @@ rate: the predictor only recomputes on its emission ticks and repeats its
 held output in between, which is why replays include a warm-up prefix.
 
 The regression runner relies on that purity. A recording repeats the same
-few scenes for minutes, so it does not replay frame by frame. The
-comparable frames of every segment, the whole recording among them, are
-grouped into classes by the objects the module reads at the frame the
-segment's replay takes its output from (the segment's first frame, its cold
-start, until the next emission tick; the last tick after that) and the
-payloads the vector reads (_frame_classes). One table serves all of a module's
-mutants; each mutant computes, compares and encodes once per class, and
-every verdict compares a segment's recorded vectors with its frames' class
-vectors. The built-in benchmark's 2400 frames, loaded from JSONL, hold 40
-to 46 classes per module.
+few scenes for minutes, so it replays once per frame class, not once per
+frame; _FrameClasses states the class rule.
 """
 
 from __future__ import annotations
@@ -1056,7 +1048,7 @@ class _FrameClasses:
     left out: they differ on every frame and the vector never reads them.
     compute being pure, every frame of a class, in any segment, gets the
     same output, is compared with the same recorded payload and encodes to
-    the same values.
+    the same vector.
 
     The table depends on the module only through reads, publish_kind and
     emits_at, which belong to the module class and never to a mutant's
@@ -1178,11 +1170,10 @@ def run_prepared(
     change this module's outputs (every toy module is a pure function of its
     inputs and its own parameters), so they are recorded as clean verdicts
     without replay. Each own mutant computes one vector per frame class
-    (_class_vectors), and every verdict, the whole recording's and each
-    segment's, is compare_outputs of the segment's recorded vectors with its
-    comparable frames' class vectors: what a replay of that segment with its
-    warm-up would give. The class table is built for the first own mutant
-    and shared by the rest; a run without own mutants never builds it.
+    (_FrameClasses states the rule), and every verdict, the whole
+    recording's and each segment's, is compare_outputs of the segment's
+    recorded vectors with its comparable frames' class vectors. The class
+    table is built for the first own mutant and shared by the rest.
     Replays run at the frame rate of the aligned grid; the CC call counts
     still replay each segment's frames. Strategy names and mutant ids are
     checked before any replay.
@@ -1195,9 +1186,6 @@ def run_prepared(
     n_frames = len(ar.frames)
     own = [m for m in mutants if m.module == module_kind]
 
-    # Each own mutant replays once per frame class; every verdict compares a
-    # segment's recorded vectors with its frames' class vectors. Other
-    # modules' mutants get clean verdicts.
     full: dict[str, bool] = {}
     tables: dict[str, dict[int, FaultVerdict]] = {}
     classes: _FrameClasses | None = None
