@@ -158,6 +158,10 @@ def _vectors_from_doc(doc: Any) -> tuple[str, list[int], list[FrameVector]]:
         raise UsageError(f"{len(times)} timestamps for {len(rows)} vectors")
     if not rows:
         raise UsageError("invalid vectors document: no frames")
+    for i, t in enumerate(times):
+        if t < 0 or (i and t <= times[i - 1]):
+            wrong = f"t_ns must be non-negative and increasing, but t_ns[{i}] is {t}"
+            raise UsageError(f"invalid vectors document: {wrong}")
     check_vectors(rows, "invalid vectors document", "vectors[{}]")
     module = "all" if doc.get("module") is None else doc["module"]
     if module not in MODULE_CHOICES:

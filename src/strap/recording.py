@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import json
 import warnings
+from array import array
 from dataclasses import dataclass
 from enum import Enum
-from operator import gt
+from functools import cached_property
+from operator import gt, is_not
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
@@ -49,10 +51,10 @@ class Message:
     """One channel message.
 
     Payloads are immutable by convention, and the convention is load-bearing:
-    load_recording gives equal payloads one shared object (an image's scene
-    likewise), replay hands one output object to every frame it holds on, and
-    the encoding and replay memos key on payload identity. Mutating a payload
-    in place changes every message that shares it; build a new dict instead.
+    the loader and the generator give equal payloads (and scenes) one shared
+    object, replay hands one output object to every frame it holds on, and
+    the runs and memos key on payload identity. Mutating a payload in place
+    changes every message that shares it; build a new dict instead.
     """
 
     channel: str
@@ -158,6 +160,13 @@ def check_payloads(frame: Frame) -> None:
         check(msg.payload, PAYLOAD_FORMATS[msg.kind], where, PayloadError)
 
 
+# What a run of frames keys on per payload kind, in ToyModule.reads' terms.
+RUN_READS: Mapping[MessageKind, str | None] = {
+    MessageKind.TRAFFIC_LIGHT: None, MessageKind.OBSTACLE: None, MessageKind.PREDICTION: None,
+    MessageKind.PLANNING: None, MessageKind.IMAGE_REF: "scene",
+}
+
+
 @dataclass(frozen=True)
 class AlignedRecording:
     """Frames on the reference channel's timestamp grid.
@@ -193,6 +202,21 @@ class AlignedRecording:
 
     def __len__(self) -> int:
         return len(self.frames)
+
+    @cached_property
+    def run_bounds(self) -> array[int]:
+        """Each run's first frame, then the frame count (synth._FrameClasses states the rule)."""
+        first = self.frames[0].messages if self.frames else {}
+        keyed = [(name, RUN_READS[m.kind]) for name, m in first.items() if m.kind in RUN_READS]
+        bounds: list[int] = []
+        last = None
+        for i, frame in enumerate(self.frames):
+            ms = frame.messages
+            objects = [ms[n].payload if f is None else ms[n].payload.get(f) for n, f in keyed]
+            if last is None or any(map(is_not, objects, last)):
+                bounds.append(i)
+            last = objects
+        return array("q", [*bounds, len(self.frames)])
 
     def to_recording(self) -> Recording:
         """A plain recording of the frames, each message stamped with its frame's time."""

@@ -202,6 +202,10 @@ def segments_from_manifest(doc: Any) -> tuple[list[Segment], ReductionConfig]:
     """Parse a segments.json document back into segments and their config."""
     check(doc, MANIFEST_FORMAT, "invalid segments manifest")
     rows = doc["segments"]
+    for i, r in enumerate(rows):
+        if not (0 <= r["start_t_ns"] <= r["end_t_ns"]):
+            wrong = f"0 <= start_t_ns <= end_t_ns, got {r['start_t_ns']} and {r['end_t_ns']}"
+            raise ValueError(f"invalid segments manifest: segments[{i}] must have {wrong}")
     check_vectors([r["vector"] for r in rows], "invalid segments manifest", "segments[{}].vector")
     config = doc["config"]
     cfg = ReductionConfig(**{f.name: config[f.name] for f in fields(ReductionConfig)})

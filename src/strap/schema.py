@@ -12,6 +12,7 @@ the whole vector, which makes raw vectors readable on their own.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
@@ -406,14 +407,17 @@ def encode_recording(
 ) -> list[FrameVector]:
     """Vectorize every frame, optionally filtered down to one module's view.
 
-    Every aligned frame covers the same channels with the same kinds, so the
-    encoding order is taken from the first frame.
+    Each run of AlignedRecording.run_bounds encodes once (synth._FrameClasses
+    states the run rule); every aligned frame has frame 0's channel order.
     """
     if not ar.frames:
         return []
     encoder = FrameEncoder(registry, flt)
     order = encoder.channel_order(ar.frames[0])
-    return [encoder.encode(f, order) for f in ar.frames]
+    vectors: list[FrameVector] = []
+    for a, b in pairwise(ar.run_bounds):
+        vectors += [encoder.encode(ar.frames[a], order)] * (b - a)
+    return vectors
 
 
 def registry_to_json(registry: SchemaRegistry) -> dict[str, Any]:

@@ -16,18 +16,17 @@ rate: the predictor only recomputes on its emission ticks and repeats its
 held output in between, which is why replays include a warm-up prefix.
 
 The regression runner relies on that purity. A recording repeats the same
-few scenes for minutes, so it replays once per frame class, not once per
-frame; _FrameClasses states the class rule.
+few scenes for minutes, so it walks runs of identical frames and replays
+once per frame class; _FrameClasses states both rules.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import pairwise
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -63,6 +62,7 @@ from .recording import (
     Message,
     MessageKind,
     Recording,
+    _payload_texts,
     align_recording,
     check_payloads,
 )
@@ -293,8 +293,7 @@ class ToyModule:
 
     compute must be pure: its output depends only on the one frame's inputs,
     self.params and self.flipped, never on earlier calls (call_log is the
-    only state it may touch). run_prepared replays once per frame class
-    (_frame_classes) on that assumption.
+    only state it may touch). The frame classes rest on that (_FrameClasses).
 
     FUNCTIONS maps each call_log key to the parameters and conditions that
     classifier reads. Every subclass derives PARAM_FUNCTIONS (each name to
@@ -305,9 +304,7 @@ class ToyModule:
     reads maps each input kind compute needs to what it reads of that
     kind's payload: one field, or the whole payload (None). replay_segment
     and generate_recording memoize compute by the identities of those
-    objects (_ComputeMemo), and the frame class table keys on them.
-    reads, publish_kind and emits_at belong to the class: a mutant changes
-    params or flips, never these, so one class table serves every mutant.
+    objects (_ComputeMemo), and the runs and frame classes key on them.
     """
 
     kind: str = ""
@@ -784,28 +781,31 @@ class _ComputeMemo:
 def generate_recording(script: ScenarioScript, seed: int) -> Recording:
     """Run the unmutated toy pipeline over the scripted scenes.
 
-    Channels publish at deliberately different rates: image, localization,
-    traffic light, obstacle and planning every frame, prediction every 1.5
-    frames rounded. Glitches replace a module's output for one emission with
-    probability glitch_rate per channel per frame; downstream modules consume
-    the glitched message, exactly as subscribers would. Between its emissions
-    a module's last output stays its subscribers' input; frame 0 is every
-    module's emission tick.
-
-    Each module computes once per distinct input (_ComputeMemo), so frames
-    with equal inputs share one output object; a glitch is a new object.
+    Every channel publishes each frame but prediction, which emits on its
+    ticks (TrajectoryPredictor); frame 0 is every module's tick, and between
+    emissions a module's last output stays its subscribers' input. A glitch
+    replaces one emission of a module with probability glitch_rate, and
+    downstream modules consume it. Each module computes once per distinct
+    input (_ComputeMemo); equal scenes and outputs, glitches among them, are
+    one object, looked up by text as load_recording looks them up.
     """
     rng = random.Random(seed)
     events = sorted(script.events, key=lambda e: e.frame)
     modules = {kind: make_module(kind) for kind in MODULE_KINDS}
     memos = {kind: _ComputeMemo(module) for kind, module in modules.items()}
     held: dict[str, Mapping[str, Any]] = {}
+    computed: dict[str, Mapping[str, Any]] = {}  # before sharing
     messages: dict[str, list[Message]] = {name: [] for name in CHANNEL_OFFSETS_NS}
     state: dict[str, Any] = {}
     next_event = 0
+    text = _payload_texts()
+    by_text: dict[str, Any] = {}
+
+    def shared(o: Any) -> Any:
+        return by_text.setdefault(text(o), o)
 
     # The scene changes only at events, so frames in between share one truth.
-    truth = _scene_truth(state)
+    truth = shared(_scene_truth(state))
     for i in range(script.duration_frames):
         while next_event < len(events) and events[next_event].frame == i:
             ev = events[next_event]
@@ -813,7 +813,7 @@ def generate_recording(script: ScenarioScript, seed: int) -> Recording:
                 state.pop(key, None)
             state.update(ev.set)
             next_event += 1
-            truth = _scene_truth(state)
+            truth = shared(_scene_truth(state))
         t = _frame_t_ns(i, script.fps)
 
         def emit(name: str, payload: Mapping[str, Any]) -> Message:
@@ -831,8 +831,9 @@ def generate_recording(script: ScenarioScript, seed: int) -> Recording:
                 payload = memos[kind].compute(inputs)
                 if script.glitch_rate and rng.random() < script.glitch_rate:
                     payload = _glitch_payload(module.publish_kind, payload)
-                held[kind] = payload
-                emit(kind, payload)
+                if payload is not computed.get(kind):
+                    computed[kind], held[kind] = payload, shared(payload)
+                emit(kind, held[kind])
             inputs[module.publish_kind] = held[kind]
 
     channels = {
@@ -861,17 +862,12 @@ def replay_segment(
 ) -> ReplayResult:
     """Replay one module over aligned frames, one output per frame.
 
-    The first warmup_frames outputs are produced but flagged non-comparable;
-    they let rate-held module state synchronize with the recording before
-    comparison starts. The module recomputes only on its native emission
-    ticks (derived from frame timestamps) and repeats its held output in
-    between; the first frame always computes, which is the cold start the
-    warm-up absorbs. fps is the frame rate of the grid (grid_fps), which maps
-    frame timestamps onto emission ticks.
-
-    compute is pure, so it runs once per distinct set of the objects the
-    module reads (_ComputeMemo): a repeat returns the same output object,
-    and call_counts are exact. The memo lives only for the call.
+    The module computes on the first frame, its cold start, then only on its
+    emission ticks (frame times at the grid's fps, grid_fps), holding its
+    output in between. The first warmup_frames outputs let that held state
+    catch up with the recording and are not comparable. compute runs once
+    per distinct set of the objects the module reads (_ComputeMemo), so
+    call_counts are exact; the memo lives only for the call.
     """
     if not frames:
         raise SynthError("replay needs at least one frame")
@@ -881,8 +877,8 @@ def replay_segment(
     fresh = module.fresh()
     memo = _ComputeMemo(fresh)
     outputs = []
-    for frame, computes in zip(frames, _computes(fresh, frames, fps)):
-        if computes:
+    for i, frame in enumerate(frames):
+        if i == 0 or fresh.emits_at(_frame_index(frame.t_ns, fps)):
             held = _on_inputs(frame, memo.compute)
         outputs.append(Message(out_channel, frame.t_ns, module.publish_kind, held))
     return ReplayResult(tuple(outputs), warmup_frames, memo.call_counts())
@@ -910,17 +906,6 @@ def _output_channel(module: ToyModule, frame: Frame) -> str:
     return out_channels[0] if out_channels else module.kind
 
 
-def _computes(module: ToyModule, frames: Sequence[Frame], fps: int) -> Iterator[bool]:
-    """Whether a replay of module over frames computes on each of them.
-
-    The first frame always computes (the cold start); after it the module
-    computes on its emission ticks and holds its last output in between.
-    """
-    yield True
-    for frame in islice(frames, 1, None):
-        yield module.emits_at(_frame_index(frame.t_ns, fps))
-
-
 def _on_inputs(frame: Frame, read: Callable[[dict[MessageKind, Mapping[str, Any]]], Any]) -> Any:
     """read of the frame's inputs, one payload per kind (the last channel of a kind wins).
 
@@ -932,10 +917,6 @@ def _on_inputs(frame: Frame, read: Callable[[dict[MessageKind, Mapping[str, Any]
     except (TypeError, AttributeError, KeyError):
         check_payloads(frame)
         raise
-
-
-def _swap_channel(frame: Frame, message: Message) -> Frame:
-    return Frame(frame.t_ns, {**frame.messages, message.channel: message})
 
 
 def _swapped_vectors(
@@ -959,7 +940,7 @@ def _swapped_vectors(
         if recorded is not None and recorded.kind is msg.kind and recorded.payload == msg.payload:
             out.append(vectors[i])
             continue
-        swapped = _swap_channel(frame, msg)
+        swapped = Frame(frame.t_ns, {**frame.messages, msg.channel: msg})
         if order is None:
             # Every replayed message sits on the same channel with the same
             # kind, so all swapped frames share one encoding order.
@@ -972,28 +953,25 @@ def grid_fps(ar: AlignedRecording) -> int:
     """Frame rate of the aligned grid, from its first and last timestamps.
 
     Replay maps each frame to the emission tick _frame_index(t_ns, fps), so
-    the grid must put consecutive frames on consecutive ticks; SynthError
-    names the first frame that does not.
+    the grid must put frame i on tick i after frame 0's; SynthError names
+    the first frame that is not.
     """
     frames = ar.frames
     n = len(frames)
     if n < 2:
-        # A one-frame replay computes only its cold start and never reads
-        # the rate.
-        return 1
+        return 1  # a one-frame replay computes only its cold start
     span = frames[-1].t_ns - frames[0].t_ns
     fps = round(NS_PER_SEC * (n - 1) / span)
     if fps < 1:
         raise SynthError(f"frame grid of {n} frames over {span} ns is below 1 fps")
-    prev = _frame_index(frames[0].t_ns, fps)
+    tick0 = _frame_index(frames[0].t_ns, fps)
     for i in range(1, n):
         tick = _frame_index(frames[i].t_ns, fps)
-        if tick != prev + 1:
+        if tick != tick0 + i:
             raise SynthError(
                 f"irregular frame grid: frame {i} (t={frames[i].t_ns} ns) falls on tick "
-                f"{tick} at {fps} fps, after tick {prev}"
+                f"{tick} at {fps} fps, after tick {tick0 + i - 1}"
             )
-        prev = tick
     return fps
 
 
@@ -1038,21 +1016,20 @@ class _FrameClasses:
     what a replay of one module makes of them.
 
     The whole recording is one more segment (WHOLE_RECORDING_SEGMENT_ID, no
-    warm-up). A replay of a segment computes on its warm-up start lo, its
-    cold start, and then on each emission tick, holding its last output in
-    between. So it takes frame i's output from its source frame: the last
-    emission tick in (lo, i], or lo when there is none. Frame i's class is
-    the objects the module reads at its source frame (ToyModule.reads, by
-    identity) together with the payloads the encoder reads at i, which
-    include the recorded output channel. Image and localization payloads are
-    left out: they differ on every frame and the vector never reads them.
-    compute being pure, every frame of a class, in any segment, gets the
-    same output, is compared with the same recorded payload and encodes to
-    the same vector.
+    warm-up). A replay from warm-up start lo computes on lo, its cold start,
+    and on each emission tick after it, holding its last output in between,
+    so frame i's source frame is the last tick in (lo, i], or lo. Frame i's
+    class is the objects the module reads at its source (ToyModule.reads, by
+    identity) and the payloads the vector reads at i, the recorded output
+    among them. compute being pure, under any one mutant every frame of a
+    class, in any segment, gets the same output, comparison and vector; no
+    mutant changes reads, publish_kind or emits_at, so one table serves all.
 
-    The table depends on the module only through reads, publish_kind and
-    emits_at, which belong to the module class and never to a mutant's
-    params or flips, so one table serves every mutant of the module.
+    A run is a longest span of frames holding the same objects of all that
+    the vector and the modules read (recording.RUN_READS: each payload but
+    image and localization ones, and each image's scene). Its frames encode
+    alike, and the whole replay puts them in at most two classes: those
+    before its first tick, sourced before it, and those from that tick on.
     """
 
     channel: str  # the replay's output channel
@@ -1074,6 +1051,8 @@ def _frame_classes(
     channel = _output_channel(module, frames[0])
     names = [name for name, _ in encoder.channel_order(frames[0])]
     read = _ComputeMemo(module).read
+    # grid_fps puts frame i on tick tick0 + i.
+    tick0 = _frame_index(frames[0].t_ns, prepared.fps)
     index: dict[tuple[int, ...], int] = {}
     sources: list[int] = []
     firsts: list[int] = []
@@ -1091,22 +1070,27 @@ def _frame_classes(
             firsts.append(i)
         return c
 
-    # Per frame, the last frame at or before it that the whole replay
-    # computes on (frame 0 or an emission tick), and its class there.
-    last_tick: list[int] = []
+    def ticks(span: range) -> Iterator[int]:
+        # The frames of span the whole replay computes on.
+        return (j for j in span if j == 0 or module.emits_at(tick0 + j))
+
     of_frame: list[int] = []
-    for i, computes in enumerate(_computes(module, frames, prepared.fps)):
-        if computes:
-            source, reads = i, reads_at(i)
-        last_tick.append(source)
-        of_frame.append(class_of(source, reads, i))
+    source, reads = 0, ()
+    for a, b in pairwise(prepared.aligned.run_bounds):
+        tick = next(ticks(range(a, b)), b)
+        if a < tick:
+            of_frame += [class_of(source, reads, a)] * (tick - a)
+        if tick < b:
+            reads = reads_at(tick)
+            of_frame += [class_of(tick, reads, tick)] * (b - tick)
+            # Frames after the run and before the next tick take the run's last tick.
+            source = next(ticks(range(b - 1, tick - 1, -1)))
     whole = Segment(WHOLE_RECORDING_SEGMENT_ID, 0, len(frames) - 1, vectors[0], 0)
-    segments = []
-    for s in (whole, *prepared.segments):
-        # A replay from lo takes frame i's output from max(lo, last_tick[i]).
-        # last_tick never falls, so the frames holding lo's cold start come first.
+    segments = [(whole, tuple(of_frame))]
+    for s in prepared.segments:
+        # Frames before lo's first tick hold lo's cold start (one tick gap at most).
         lo, end = s.warmup_start_idx, s.end_idx + 1
-        cold = range(s.start_idx, bisect_left(last_tick, lo, s.start_idx, end))
+        cold = range(s.start_idx, max(s.start_idx, next(ticks(range(lo, end)), end)))
         reads = reads_at(lo) if cold else ()
         row = (*[class_of(lo, reads, i) for i in cold], *of_frame[cold.stop : end])
         segments.append((s, row))
@@ -1118,11 +1102,9 @@ def _class_vectors(
 ) -> list[FrameVector]:
     """The replayed vector of each class of the table, for one mutated module.
 
-    Each class computes on its source frame's inputs, compares with its
-    recorded payload and reuses its recorded vector or encodes its swapped
-    frame, all once. The outputs go through the same _ComputeMemo, hold rule
-    and swap as replay_segment's, so a segment's class vectors equal that
-    replay's vectors over its comparable frames.
+    Each class computes once on its source frame's inputs, through the
+    _ComputeMemo, hold rule and swap of replay_segment, so a segment's class
+    vectors equal that replay's vectors over its comparable frames.
     """
     ar = prepared.aligned
     frames, kind = ar.frames, mutated.publish_kind
@@ -1166,17 +1148,13 @@ def run_prepared(
     """Replay mutants over a prepared recording and score prioritization plans.
 
     Returns the report and every plan it scored, keyed by strategy. Only the
-    prepared module is replayed. Mutants targeting other modules cannot
-    change this module's outputs (every toy module is a pure function of its
-    inputs and its own parameters), so they are recorded as clean verdicts
-    without replay. Each own mutant computes one vector per frame class
-    (_FrameClasses states the rule), and every verdict, the whole
-    recording's and each segment's, is compare_outputs of the segment's
-    recorded vectors with its comparable frames' class vectors. The class
-    table is built for the first own mutant and shared by the rest.
-    Replays run at the frame rate of the aligned grid; the CC call counts
-    still replay each segment's frames. Strategy names and mutant ids are
-    checked before any replay.
+    prepared module is replayed: a mutant of another module cannot change
+    its outputs (toy modules are pure), so its verdicts are clean. Each own
+    mutant computes one vector per frame class (_FrameClasses), and each
+    verdict, the whole recording's among them, is compare_outputs of a
+    segment's recorded and class vectors. The CC call counts still replay
+    each segment's frames. Strategy names and mutant ids are checked before
+    any replay.
     """
     strategies = _check_run_inputs(strategies, mutants)
     ar, fps, module_kind, cfg = prepared.aligned, prepared.fps, prepared.module, prepared.cfg

@@ -563,6 +563,71 @@ class TestMalformedVectors:
         assert _one_error(argv, capsys) == f"error: invalid segments manifest: {wrong}"
 
 
+# Frame times a format check accepts but no frame grid has: case -> (a
+# vectors document's t_ns, the index the error names).
+BAD_FRAME_TIMES = {
+    "negative": ([-5, 30, 10], 0),
+    "decreasing": ([0, 30, 10], 2),
+    "repeated": ([0, 30, 30], 2),
+}
+# A manifest row's (start_t_ns, end_t_ns) that no run of frames has.
+BAD_SEGMENT_TIMES = {
+    "negative-start": (-1, 5),
+    "negative-end": (50, -3),
+    "end-before-start": (50, 40),
+}
+
+
+class TestFrameTimes:
+    """Negative or out-of-order frame times in a document are an input error naming the index."""
+
+    @pytest.mark.parametrize("case", BAD_FRAME_TIMES)
+    @pytest.mark.parametrize("command", ["reduce", "prioritize"])
+    def test_commands_reject_vectors_document(self, command, case, tmp_path, capsys):
+        times, i = BAD_FRAME_TIMES[case]
+        vec = tmp_path / "vectors.json"
+        vec.write_text(json.dumps({"t_ns": times, "vectors": [[1, 2], [1, 2], [3, 0]]}))
+        seg = tmp_path / "segments.json"
+        seg.write_text(json.dumps(_manifest([[1, 2]] * 3)))
+        out = tmp_path / "out.json"
+        argv = {
+            "reduce": ["reduce", "--in", str(vec), "--out", str(out)],
+            "prioritize": ["prioritize", "--segments", str(seg), "--vectors", str(vec),
+                           "--strategies", "RSC", "--out", str(out)],
+        }[command]
+        assert _one_error(argv, capsys) == (
+            "error: invalid vectors document: t_ns must be non-negative and increasing, "
+            f"but t_ns[{i}] is {times[i]}"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", BAD_SEGMENT_TIMES)
+    @pytest.mark.parametrize("command", ["prioritize", "evaluate"])
+    def test_commands_reject_segments_manifest(self, command, case, valid_inputs, tmp_path, capsys):
+        start, end = BAD_SEGMENT_TIMES[case]
+        doc = _manifest([[1, 2]] * 3)
+        doc["segments"][1].update(start_t_ns=start, end_t_ns=end)
+        seg = tmp_path / "segments.json"
+        seg.write_text(json.dumps(doc))
+        out = tmp_path / "out.json"
+        argv = {
+            "prioritize": ["prioritize", "--segments", str(seg), "--strategies", "SC", "--out", str(out)],
+            "evaluate": ["evaluate", "--verdicts", str(valid_inputs["verdicts"]), "--segments", str(seg),
+                         "--plans", str(valid_inputs["plan"]), "--out", str(out)],
+        }[command]
+        assert _one_error(argv, capsys) == (
+            "error: invalid segments manifest: segments[1] must have "
+            f"0 <= start_t_ns <= end_t_ns, got {start} and {end}"
+        )
+        assert not out.exists()
+
+    def test_equal_start_and_end_times_are_one_frame(self, tmp_path):
+        seg = tmp_path / "segments.json"
+        seg.write_text(json.dumps(_manifest([[1, 2], [3, 0]])))
+        argv = ["prioritize", "--segments", str(seg), "--strategies", "SC", "--out", str(tmp_path / "p.json")]
+        assert main(argv) == 0
+
+
 # A recording whose first payload of one kind is retyped: case -> (kind,
 # payload edit, the field the error must name, the commands that read it).
 PAYLOAD_CASES = {

@@ -27,11 +27,13 @@ from strap.recording import (
 )
 from strap.schema import MODULE_KINDS, FrameEncoder, ModuleFilter, encode_recording
 from strap.synth import (
+    _frame_classes,
     _swapped_vectors,
     apply_mutant,
     generate_recording,
     grid_fps,
     make_module,
+    prepare_recording,
     replay_segment,
 )
 
@@ -211,6 +213,24 @@ def test_loader_matches_plain_parse_on_builtins(name, tmp_path):
     path = tmp_path / f"{name}.jsonl"
     path.write_text(dump_recording_jsonl(generate_recording(BUILTIN_SCRIPTS[name](), 0)))
     assert _messages(load_recording(path)) == _parsed(path)
+
+
+def test_generator_gives_equal_outputs_one_object(registry, tmp_path):
+    rec = generate_recording(BUILTIN_SCRIPTS["benchmark"](), 0)
+    for name in MODULE_KINDS:
+        payloads = [m.payload for m in rec.channels[name].messages]
+        assert len({id(p) for p in payloads}) == len({_dumped(p) for p in payloads}), name
+    path = tmp_path / "benchmark.jsonl"
+    path.write_text(dump_recording_jsonl(rec))
+    in_memory, loaded = align_recording(rec), align_recording(load_recording(path))
+    for kind in MODULE_KINDS:
+        flt = ModuleFilter.for_module(kind, registry)
+        tables = [
+            _frame_classes(prepare_recording(ar, kind, registry=registry), make_module(kind),
+                           FrameEncoder(registry, flt))
+            for ar in (in_memory, loaded)
+        ]
+        assert tables[0] == tables[1], kind
 
 
 def _unshared(frames):

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 import json
 import re
+from bisect import bisect_left
+from itertools import pairwise
 
 import pytest
 
@@ -21,12 +24,14 @@ from strap.benchmarks import (
 from strap.evaluation import WHOLE_RECORDING_SEGMENT_ID, compare_outputs
 from strap.fileio import check
 from strap.recording import (
+    RUN_READS,
     AlignedRecording,
     Frame,
     Message,
     MessageKind,
     align_recording,
     dump_recording_jsonl,
+    load_recording,
 )
 from strap.reduction import ReductionConfig, Segment, reduce_recording
 from strap.schema import MODULE_KINDS, FrameEncoder, ModuleFilter, encode_recording
@@ -41,10 +46,12 @@ from strap.synth import (
     SynthError,
     ToyModule,
     _ComputeMemo,
+    _FrameClasses,
     _class_vectors,
     _frame_classes,
     _frame_index,
     _on_inputs,
+    _output_channel,
     _swapped_vectors,
     apply_mutant,
     generate_recording,
@@ -960,8 +967,7 @@ class TestClassReplay:
         )
         classes = _frame_classes(prepared, module, FrameEncoder(registry, flt))
         assert computes == []
-        # The generated benchmark holds about a hundred classes in its 2400
-        # frames (fewer once loaded, since the loader shares equal payloads).
+        # The benchmark holds 40 to 46 classes per module in its 2400 frames.
         assert len(classes.firsts) < len(benchmark_aligned.frames) / 20
         read = _ComputeMemo(module).read
         frames = benchmark_aligned.frames
@@ -975,6 +981,166 @@ class TestClassReplay:
             _class_vectors(prepared, mutated, encoder, classes)
             assert 0 < len(computes) <= len(read_keys)
             assert len(encodes) <= len(classes.firsts)
+
+
+def per_frame_encode_recording(ar, registry, flt=None):
+    """Reference: encode_recording with one encode per frame."""
+    encoder = FrameEncoder(registry, flt)
+    order = encoder.channel_order(ar.frames[0])
+    return [encoder.encode(f, order) for f in ar.frames]
+
+
+def per_frame_classes(prepared, module, encoder):
+    """Reference: _frame_classes with one key per frame and a per-frame source list."""
+    frames, vectors = prepared.aligned.frames, prepared.vectors
+    channel = _output_channel(module, frames[0])
+    names = [name for name, _ in encoder.channel_order(frames[0])]
+    read = _ComputeMemo(module).read
+    index, sources, firsts = {}, [], []
+
+    def reads_at(source):
+        return tuple(map(id, _on_inputs(frames[source], read)))
+
+    def class_of(source, reads, i):
+        messages = frames[i].messages
+        key = (*reads, *[id(messages[name].payload) for name in names])
+        if key not in index:
+            index[key] = len(firsts)
+            sources.append(source)
+            firsts.append(i)
+        return index[key]
+
+    # Per frame, the last frame at or before it that the whole replay computes on.
+    last_tick, of_frame = [], []
+    for i, frame in enumerate(frames):
+        if i == 0 or module.emits_at(_frame_index(frame.t_ns, prepared.fps)):
+            source, reads = i, reads_at(i)
+        last_tick.append(source)
+        of_frame.append(class_of(source, reads, i))
+    whole = Segment(WHOLE_RECORDING_SEGMENT_ID, 0, len(frames) - 1, vectors[0], 0)
+    segments = []
+    for s in (whole, *prepared.segments):
+        lo, end = s.warmup_start_idx, s.end_idx + 1
+        cold = range(s.start_idx, bisect_left(last_tick, lo, s.start_idx, end))
+        reads = reads_at(lo) if cold else ()
+        row = (*[class_of(lo, reads, i) for i in cold], *of_frame[cold.stop : end])
+        segments.append((s, row))
+    return _FrameClasses(channel, tuple(sources), tuple(firsts), tuple(segments))
+
+
+def assert_run_walks_match(ar, registry, cfgs, kinds=MODULE_KINDS):
+    """encode_recording and _frame_classes equal their per-frame references on ar."""
+    for kind in kinds:
+        flt = ModuleFilter.for_module(kind, registry)
+        assert encode_recording(ar, registry, flt) == per_frame_encode_recording(ar, registry, flt)
+        module = make_module(kind)
+        for cfg in cfgs:
+            prepared = prepare_recording(ar, kind, cfg, registry)
+            got = _frame_classes(prepared, module, FrameEncoder(registry, flt))
+            assert got == per_frame_classes(prepared, module, FrameEncoder(registry, flt)), (kind, cfg)
+
+
+def _loaded(rec, tmp_path):
+    path = tmp_path / "recording.jsonl"
+    path.write_text(dump_recording_jsonl(rec))
+    return load_recording(path)
+
+
+def _tiled(base, tiles):
+    """The script played tiles times back to back, as the long-suite benchmark input is."""
+    n = base.duration_frames
+    events = [dataclasses.replace(e, frame=e.frame + k * n) for k in range(tiles) for e in base.events]
+    return ScenarioScript(n * tiles, base.fps, base.glitch_rate, tuple(events))
+
+
+@pytest.fixture(scope="module")
+def between_ticks_aligned():
+    """Glitchy frames whose scene changes only on frames that are not prediction ticks."""
+    events = [
+        SceneEvent(0, {**RED_LIGHT, **CAR_STOPPED}),
+        SceneEvent(4, {"obstacles": [{"actor": "pedestrian", "action": "cross"}]}),
+        SceneEvent(13, {"lights": [{"color": "green"}], "objects": ["stop_sign"]}),
+        SceneEvent(22, {}, unset=("obstacles",)),
+        SceneEvent(34, {**CAR_STOPPED}),
+    ]
+    return align_recording(generate_recording(script(60, glitch=0.15, events=events), 3))
+
+
+class TestRunWalks:
+    """encode_recording and _frame_classes walk runs of frames (AlignedRecording.run_bounds);
+    each equals a walk of every frame."""
+
+    @pytest.mark.parametrize("case", sorted(HAND_MADE))
+    def test_hand_made(self, varied_aligned, registry, case):
+        for kind in MODULE_KINDS:
+            ar = HAND_MADE[case](varied_aligned, kind)
+            assert_run_walks_match(ar, registry, DERIVED_CONFIGS.values(), (kind,))
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SCRIPTS))
+    def test_builtins_in_memory_and_loaded(self, name, registry, tmp_path):
+        rec = generate_recording(BUILTIN_SCRIPTS[name](), 0)
+        cfgs = [ReductionConfig(), ReductionConfig(warmup_frames=0)]
+        for ar in (align_recording(rec), align_recording(_loaded(rec, tmp_path))):
+            assert_run_walks_match(ar, registry, cfgs)
+
+    def test_runs_that_start_between_prediction_ticks(self, between_ticks_aligned, registry):
+        ar = between_ticks_aligned
+        predictor = make_module("prediction")
+        runs = list(pairwise(ar.run_bounds))
+        ticks = [[i for i in range(a, b) if predictor.emits_at(i)] for a, b in runs]
+        # Some run holds no tick, and some starts off a tick and holds one later.
+        assert any(not t for t in ticks)
+        assert any(t and t[0] > a for (a, _), t in zip(runs, ticks))
+        assert_run_walks_match(ar, registry, DERIVED_CONFIGS.values())
+
+    def test_run_key_covers_what_the_vector_and_the_modules_read(self):
+        # A module or a vector reading outside the key would silently merge classes.
+        for kind in MODULE_KINDS:
+            for payload_kind, field in make_module(kind).reads.items():
+                assert payload_kind in RUN_READS, (kind, payload_kind)
+                assert RUN_READS[payload_kind] in (None, field), (kind, payload_kind)
+        for payload_kind in FrameEncoder._CONTRIBUTIONS:
+            assert payload_kind in RUN_READS and RUN_READS[payload_kind] is None, payload_kind
+
+    def test_a_run_starts_where_a_keyed_object_changes(self):
+        scene, plan = {"lights": []}, {"ego_action": "cruise"}
+
+        def frame(t, scene, plan):
+            return Frame(t, {
+                "image": Message("image", t, MessageKind.IMAGE_REF, {"ref": f"f{t}", "scene": scene}),
+                "loc": Message("loc", t, MessageKind.LOCALIZATION, {"x": float(t)}),
+                "plan": Message("plan", t, MessageKind.PLANNING, plan),
+            })
+
+        # Image refs and localization change on every frame; an equal copy
+        # of the plan (frame 3) and a new scene (frame 5) start runs.
+        frames = [frame(0, scene, plan), frame(1, scene, plan), frame(2, scene, plan),
+                  frame(3, scene, dict(plan)), frame(4, scene, plan), frame(5, {"lights": []}, plan)]
+        ar = AlignedRecording(tuple(frames), ("image", "loc", "plan"))
+        assert list(ar.run_bounds) == [0, 3, 4, 5, 6]
+        assert ar.run_bounds is ar.run_bounds
+        assert list(AlignedRecording((), ()).run_bounds) == [0]
+
+    def test_run_benchmark_finds_the_runs_once(self, small_recording, monkeypatch):
+        calls = []
+        bounds = AlignedRecording.__dict__["run_bounds"]
+        counted = functools.cached_property(lambda ar: calls.append(1) or bounds.func(ar))
+        counted.__set_name__(AlignedRecording, "run_bounds")
+        monkeypatch.setattr(AlignedRecording, "run_bounds", counted)
+        mutants = [m for kind in MODULE_KINDS for m in kind_mutants(kind)[:1]]
+        assert {m.module for m in mutants} == set(MODULE_KINDS)
+        run_benchmark(small_recording, mutants, strategies=("CH",), repetitions=1)
+        assert calls == [1]
+
+    @pytest.mark.parametrize("name,runs", [
+        ("benchmark", 197), ("noisy-prediction", 181), ("long-suite", 1805),
+    ])
+    def test_run_counts_of_the_seed_0_recordings(self, name, runs, tmp_path):
+        script = _tiled(benchmark_script(), 10) if name == "long-suite" else BUILTIN_SCRIPTS[name]()
+        rec = generate_recording(script, 0)
+        assert len(align_recording(_loaded(rec, tmp_path)).run_bounds) == runs + 1
+        # Equal outputs are one object in memory too, so the runs are the same.
+        assert len(align_recording(rec).run_bounds) == runs + 1
 
 
 class TestPreparedRecording:
