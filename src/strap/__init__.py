@@ -91,14 +91,12 @@ from .synth import (
     MUTATION_OPERATORS,
     Mutant,
     PreparedRecording,
-    ReplayResult,
     ScenarioScript,
     SceneEvent,
     SynthError,
     ToyModule,
     apply_mutant,
     generate_recording,
-    grid_fps,
     load_mutants,
     load_script,
     make_module,
@@ -106,13 +104,11 @@ from .synth import (
     mutants_from_json,
     mutants_to_json,
     prepare_recording,
-    replay_segment,
     run_benchmark,
     run_prepared,
     run_regression,
     script_from_json,
     script_to_json,
-    segment_ids_before_dedup,
 )
 
 __version__ = "0.1.0"

@@ -137,7 +137,12 @@ def _indented(
 
 
 def read_json(path: str | Path) -> Any:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        # Nesting deeper than the decoder's recursion limit is bad input, not a bug.
+        raise ValueError(f"{path}: invalid JSON ({exc})") from None
 
 
 # A format declares what a JSON document holds. int is a JSON integer (never

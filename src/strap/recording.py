@@ -21,6 +21,15 @@ from typing import Any, Callable, Iterator, Mapping
 from .fileio import check, is_json_int
 
 TimestampNs = int
+NS_PER_SEC = 1_000_000_000
+
+
+def _frame_t_ns(index: int, fps: int) -> int:
+    return index * NS_PER_SEC // fps
+
+
+def _frame_index(t_ns: int, fps: int) -> int:
+    return round(t_ns * fps / NS_PER_SEC)
 
 
 class MessageKind(str, Enum):
@@ -218,6 +227,35 @@ class AlignedRecording:
             last = objects
         return array("q", [*bounds, len(self.frames)])
 
+    @cached_property
+    def fps(self) -> int:
+        """The grid's clock: ``round(1e9 * (n - 1) / (t_last - t_first))`` frames a second.
+
+        Replay takes frame i's emission tick as _frame_index(t_ns, fps), so
+        the grid must put frame i on tick i after frame 0's: no two frames
+        share a tick and none skips one. AlignmentError names the first frame
+        that does not, or a grid below 1 fps; prepare_recording reads the
+        rate, so a grid is checked before any replay. A one-frame grid is
+        1 fps, since its replay computes only its cold start.
+        """
+        frames = self.frames
+        n = len(frames)
+        if n < 2:
+            return 1
+        span = frames[-1].t_ns - frames[0].t_ns
+        fps = round(NS_PER_SEC * (n - 1) / span)
+        if fps < 1:
+            raise AlignmentError(f"frame grid of {n} frames over {span} ns is below 1 fps")
+        tick0 = _frame_index(frames[0].t_ns, fps)
+        for i in range(1, n):
+            tick = _frame_index(frames[i].t_ns, fps)
+            if tick != tick0 + i:
+                raise AlignmentError(
+                    f"irregular frame grid: frame {i} (t={frames[i].t_ns} ns) falls on tick "
+                    f"{tick} at {fps} fps, after tick {tick0 + i - 1}"
+                )
+        return fps
+
     def to_recording(self) -> Recording:
         """A plain recording of the frames, each message stamped with its frame's time."""
         channels = {}
@@ -230,37 +268,20 @@ class AlignedRecording:
         return Recording(channels)
 
 
-# One decoder and one kind table for every line: ``json.loads`` would wrap
-# each of a long recording's lines in Python-level checks.
+# One decoder for every canonical line: ``json.loads`` would wrap each of a
+# long recording's lines in Python-level checks.
 _scan_once = json.JSONDecoder().scan_once
 _KINDS = {k.value: k for k in MessageKind}
 
 
-def _decode_row(line: str) -> Any:
-    """``json.loads(line)``, scanned in C.
-
-    The scan sees the line without JSON whitespace (not ``str.strip()``,
-    which also drops characters ``json.loads`` rejects) and counts only if it
-    ends where the text ends. Anything else goes to ``json.loads``, so every
-    error (a BOM, extra data) keeps its message.
-    """
-    text = line.strip(" \t\n\r")
-    try:
-        row, end = _scan_once(text, 0)
-    except (StopIteration, json.JSONDecodeError):
-        end = -1
-    if end != len(text):
-        row = json.loads(line)
-    return row
-
-
 def _parse_line(line: str, lineno: int) -> Message:
     try:
-        row = _decode_row(line)
+        row = json.loads(line)
     except json.JSONDecodeError as exc:
         raise RecordingLoadError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-    except ValueError as exc:
-        # An integer literal longer than sys.get_int_max_str_digits().
+    except (ValueError, RecursionError) as exc:
+        # An integer literal longer than sys.get_int_max_str_digits(), or
+        # nesting deeper than the decoder's recursion limit.
         raise RecordingLoadError(f"line {lineno}: invalid JSON ({exc})") from exc
     if not isinstance(row, dict):
         raise RecordingLoadError(f"line {lineno}: expected a JSON object")

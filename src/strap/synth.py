@@ -11,13 +11,10 @@ injected faults are single localized changes.
 
 Because every module output is a pure function of its recorded inputs and
 parameters, replaying an unmutated module over its own glitch-free recording
-reproduces the recorded channel exactly. Modules replay at their native
-rate: the predictor only recomputes on its emission ticks and repeats its
-held output in between, which is why replays include a warm-up prefix.
-
-The regression runner relies on that purity. A recording repeats the same
-few scenes for minutes, so it walks runs of identical frames and replays
-once per frame class; _FrameClasses states both rules.
+reproduces the recorded channel exactly. The regression runner relies on
+that purity to replay once per class of frames. _FrameClasses states the
+hold rule (why replays carry a warm-up prefix), the run rule and the class
+rule.
 """
 
 from __future__ import annotations
@@ -30,9 +27,9 @@ from itertools import pairwise
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-# evaluate_plan, the prioritize_* functions, encode_frame and apply_filter are
-# not called here; they stay importable from this module for callers that look
-# them up here.
+# NS_PER_SEC, evaluate_plan, the prioritize_* functions, encode_frame and
+# apply_filter are not called here; they stay importable from this module for
+# callers that look them up here.
 from .evaluation import (  # noqa: F401
     FaultVerdict,
     WHOLE_RECORDING_SEGMENT_ID,
@@ -55,13 +52,16 @@ from .prioritization import (  # noqa: F401
     prioritize_rsc,
     prioritize_sc,
 )
-from .recording import (
+from .recording import (  # noqa: F401
+    NS_PER_SEC,
     AlignedRecording,
     Channel,
     Frame,
     Message,
     MessageKind,
     Recording,
+    _frame_index,
+    _frame_t_ns,
     _payload_texts,
     align_recording,
     check_payloads,
@@ -78,8 +78,6 @@ from .schema import (  # noqa: F401
     encode_frame,
     encode_recording,
 )
-
-NS_PER_SEC = 1_000_000_000
 
 # Per-channel publish offsets within a frame period; module outputs land
 # shortly after the sensor tick that produced them.
@@ -293,7 +291,7 @@ class ToyModule:
 
     compute must be pure: its output depends only on the one frame's inputs,
     self.params and self.flipped, never on earlier calls (call_log is the
-    only state it may touch). The frame classes rest on that (_FrameClasses).
+    only state it may touch). _ComputeMemo and _FrameClasses rest on that.
 
     FUNCTIONS maps each call_log key to the parameters and conditions that
     classifier reads. Every subclass derives PARAM_FUNCTIONS (each name to
@@ -302,9 +300,8 @@ class ToyModule:
     parameter is read by no classifier or a name by two.
 
     reads maps each input kind compute needs to what it reads of that
-    kind's payload: one field, or the whole payload (None). replay_segment
-    and generate_recording memoize compute by the identities of those
-    objects (_ComputeMemo), and the runs and frame classes key on them.
+    kind's payload: one field, or the whole payload (None); _ComputeMemo
+    keys on those objects.
     """
 
     kind: str = ""
@@ -508,8 +505,8 @@ class ObstacleDetector(ToyModule):
 class TrajectoryPredictor(ToyModule):
     """Predicts per-actor actions from obstacle motion numerics.
 
-    Runs every 1.5 frames (rounded), so it emits on frame indices congruent
-    to 0 or 2 modulo 3 and repeats its held output in between.
+    Runs every 1.5 frames (rounded), so it emits on the ticks congruent to 0
+    or 2 modulo 3.
     """
 
     kind = "prediction"
@@ -642,14 +639,6 @@ def random_mutants(kind: str, count: int, seed: int) -> list[Mutant]:
     return out
 
 
-def _frame_t_ns(index: int, fps: int) -> int:
-    return index * NS_PER_SEC // fps
-
-
-def _frame_index(t_ns: int, fps: int) -> int:
-    return round(t_ns * fps / NS_PER_SEC)
-
-
 def _canonical(what: str, value: Any, table: Mapping[Any, Any]) -> Any:
     """table[value]; SynthError naming the script field unless value is a key of table."""
     if value not in table:
@@ -741,11 +730,13 @@ class _ComputeMemo:
     """A module's compute, run once per distinct set of the objects it reads.
 
     compute is pure, so a call whose ToyModule.reads objects are the ones
-    of an earlier call returns that call's output object. Each miss runs
-    with a fresh call_log, kept with the output; call_counts adds every
-    call's counts, so it equals what unmemoized calls would log. The memo
-    holds the objects it is keyed by, so their ids stay their own while it
-    lives.
+    of an earlier call, by identity, returns that call's output object.
+    Each miss runs with a fresh call_log, kept with the output; call_counts
+    adds every call's counts, so it equals what unmemoized calls would log
+    and CC's call counts stay exact. The memo holds the objects it is keyed
+    by, so their ids stay their own while it lives. The generator, every
+    replay and the class table's replays compute through one, each for the
+    length of its own call.
     """
 
     def __init__(self, module: ToyModule) -> None:
@@ -781,13 +772,13 @@ class _ComputeMemo:
 def generate_recording(script: ScenarioScript, seed: int) -> Recording:
     """Run the unmutated toy pipeline over the scripted scenes.
 
-    Every channel publishes each frame but prediction, which emits on its
-    ticks (TrajectoryPredictor); frame 0 is every module's tick, and between
-    emissions a module's last output stays its subscribers' input. A glitch
-    replaces one emission of a module with probability glitch_rate, and
-    downstream modules consume it. Each module computes once per distinct
-    input (_ComputeMemo); equal scenes and outputs, glitches among them, are
-    one object, looked up by text as load_recording looks them up.
+    Frame i is tick i. The image and localization channels publish on every
+    frame, and each module on its emission ticks, its last output staying
+    its subscribers' input in between. A glitch replaces one emission of a
+    module with probability glitch_rate, and downstream modules consume it.
+    Compute is memoized (_ComputeMemo). Equal scenes and outputs, glitches
+    among them, are one object, looked up by text as load_recording looks
+    them up.
     """
     rng = random.Random(seed)
     events = sorted(script.events, key=lambda e: e.frame)
@@ -862,12 +853,10 @@ def replay_segment(
 ) -> ReplayResult:
     """Replay one module over aligned frames, one output per frame.
 
-    The module computes on the first frame, its cold start, then only on its
-    emission ticks (frame times at the grid's fps, grid_fps), holding its
-    output in between. The first warmup_frames outputs let that held state
-    catch up with the recording and are not comparable. compute runs once
-    per distinct set of the objects the module reads (_ComputeMemo), so
-    call_counts are exact; the memo lives only for the call.
+    Frame ticks are _frame_index(t_ns, fps), as on the grid's clock
+    (AlignedRecording.fps), and outputs follow the hold rule
+    (_FrameClasses); the first warmup_frames outputs are not comparable.
+    compute goes through a _ComputeMemo.
     """
     if not frames:
         raise SynthError("replay needs at least one frame")
@@ -949,32 +938,6 @@ def _swapped_vectors(
     return out
 
 
-def grid_fps(ar: AlignedRecording) -> int:
-    """Frame rate of the aligned grid, from its first and last timestamps.
-
-    Replay maps each frame to the emission tick _frame_index(t_ns, fps), so
-    the grid must put frame i on tick i after frame 0's; SynthError names
-    the first frame that is not.
-    """
-    frames = ar.frames
-    n = len(frames)
-    if n < 2:
-        return 1  # a one-frame replay computes only its cold start
-    span = frames[-1].t_ns - frames[0].t_ns
-    fps = round(NS_PER_SEC * (n - 1) / span)
-    if fps < 1:
-        raise SynthError(f"frame grid of {n} frames over {span} ns is below 1 fps")
-    tick0 = _frame_index(frames[0].t_ns, fps)
-    for i in range(1, n):
-        tick = _frame_index(frames[i].t_ns, fps)
-        if tick != tick0 + i:
-            raise SynthError(
-                f"irregular frame grid: frame {i} (t={frames[i].t_ns} ns) falls on tick "
-                f"{tick} at {fps} fps, after tick {tick0 + i - 1}"
-            )
-    return fps
-
-
 @dataclass(frozen=True)
 class PreparedRecording:
     """One module's view of a recording, aligned, encoded and reduced once.
@@ -984,7 +947,6 @@ class PreparedRecording:
     """
 
     aligned: AlignedRecording
-    fps: int
     module: str
     registry: SchemaRegistry
     cfg: ReductionConfig
@@ -1005,9 +967,8 @@ def prepare_recording(
     registry = registry or default_registry()
     vectors = encode_recording(ar, registry, ModuleFilter.for_module(module_kind, registry))
     segments, before_dedup = reduce_recording(ar, vectors, cfg)
-    return PreparedRecording(
-        ar, grid_fps(ar), module_kind, registry, cfg, vectors, segments, before_dedup
-    )
+    ar.fps  # replays tick on the grid's clock: check it now, before any replay
+    return PreparedRecording(ar, module_kind, registry, cfg, vectors, segments, before_dedup)
 
 
 @dataclass(frozen=True)
@@ -1015,10 +976,12 @@ class _FrameClasses:
     """The comparable frames of a prepared recording's segments, grouped by
     what a replay of one module makes of them.
 
-    The whole recording is one more segment (WHOLE_RECORDING_SEGMENT_ID, no
-    warm-up). A replay from warm-up start lo computes on lo, its cold start,
-    and on each emission tick after it, holding its last output in between,
-    so frame i's source frame is the last tick in (lo, i], or lo. Frame i's
+    The hold rule: a replay from warm-up start lo computes on lo, its cold
+    start, and on each emission tick after it (AlignedRecording.fps), holding
+    its last output in between, so frame i's source frame is the last tick
+    in (lo, i], or lo. The warm-up frames before a segment's start let that
+    held state catch up and are not compared; the whole recording is one
+    more segment (WHOLE_RECORDING_SEGMENT_ID) with none. Frame i's
     class is the objects the module reads at its source (ToyModule.reads, by
     identity) and the payloads the vector reads at i, the recorded output
     among them. compute being pure, under any one mutant every frame of a
@@ -1051,8 +1014,7 @@ def _frame_classes(
     channel = _output_channel(module, frames[0])
     names = [name for name, _ in encoder.channel_order(frames[0])]
     read = _ComputeMemo(module).read
-    # grid_fps puts frame i on tick tick0 + i.
-    tick0 = _frame_index(frames[0].t_ns, prepared.fps)
+    tick0 = _frame_index(frames[0].t_ns, prepared.aligned.fps)  # frame i's tick is tick0 + i
     index: dict[tuple[int, ...], int] = {}
     sources: list[int] = []
     firsts: list[int] = []
@@ -1157,7 +1119,7 @@ def run_prepared(
     any replay.
     """
     strategies = _check_run_inputs(strategies, mutants)
-    ar, fps, module_kind, cfg = prepared.aligned, prepared.fps, prepared.module, prepared.cfg
+    ar, module_kind, cfg = prepared.aligned, prepared.module, prepared.cfg
     vectors, segments, registry = prepared.vectors, prepared.segments, prepared.registry
     flt = ModuleFilter.for_module(module_kind, registry)
     module = make_module(module_kind)
@@ -1196,7 +1158,7 @@ def run_prepared(
     functions = {module.PARAM_FUNCTIONS[m.target] for m in own}
     call_counts = []
     for s in segments:
-        counts = replay_segment(module, ar.frames[s.start_idx : s.end_idx + 1], fps=fps).call_counts
+        counts = replay_segment(module, ar.frames[s.start_idx : s.end_idx + 1], fps=ar.fps).call_counts
         call_counts.append(sum(counts.get(f, 0) for f in functions))
 
     plans = build_plans(

@@ -452,7 +452,9 @@ READ_FLAGS = {
     "run-regression --schema": ("run-regression --in rec --schema {} --module planning --strategies CH --out out.json", "schema"),
 }
 MISTYPED = {"5": "5", "null": "null", "string": '"x"', "empty-list": "[]", "empty-object": "{}",
-            "int-list": "[1, 2]", "list-of-object": "[{}]", "truncated": None}
+            "int-list": "[1, 2]", "list-of-object": "[{}]", "truncated": None,
+            # Deeper than the JSON decoder's recursion limit.
+            "deep": "[" * 200_000 + "]" * 200_000}
 # The only documents above that a format accepts: an empty mutant list.
 ACCEPTED = {("run-regression --mutants", "empty-list")}
 

@@ -157,6 +157,20 @@ class TestLoadDump:
         with pytest.raises(RecordingLoadError, match=r"^line 2: invalid JSON \(Exceeds the limit"):
             load_recording(p)
 
+    def test_deeply_nested_payload_is_invalid_json(self, tmp_path):
+        # The second line takes the canonical-line path first, the first does not.
+        deep = "[" * 200_000 + "]" * 200_000
+        p = tmp_path / "deep.jsonl"
+        p.write_text(
+            '{"channel": "a", "kind": "planning", "payload": {}, "t_ns": 0}\n'
+            '{"channel": "a", "kind": "planning", "payload": {"x": ' + deep + '}, "t_ns": 1}\n'
+        )
+        with pytest.raises(RecordingLoadError, match=r"^line 2: invalid JSON \("):
+            load_recording(p)
+        p.write_text('{"channel": "a", "t_ns": 0, "kind": "planning", "payload": {"x": ' + deep + "}}\n")
+        with pytest.raises(RecordingLoadError, match=r"^line 1: invalid JSON \("):
+            load_recording(p)
+
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "empty.jsonl"
         p.write_text("\n\n")
@@ -195,7 +209,7 @@ class TestLoadDump:
 
 
 def _reference_parse(line, lineno):
-    """The line parser the C scan replaces: ``json.loads`` and ``MessageKind(...)``."""
+    """A plain line parser: ``json.loads`` and ``MessageKind(...)``."""
     try:
         row = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -236,7 +250,7 @@ _VALID = '{"channel": "loc", "t_ns": 5, "kind": "localization", "payload": {"x":
 
 
 class TestParseLineDifferential:
-    """``_parse_line`` against the ``json.loads`` parser it replaces."""
+    """``_parse_line`` against a plain ``json.loads`` and ``MessageKind(...)`` parser."""
 
     @pytest.mark.parametrize(
         "line",

@@ -31,7 +31,6 @@ from strap.synth import (
     _swapped_vectors,
     apply_mutant,
     generate_recording,
-    grid_fps,
     make_module,
     replay_segment,
 )
@@ -143,7 +142,7 @@ def replayed(request):
     runs once per distinct swapped frame.
     """
     ar = align_recording(generate_recording(BUILTIN_SCRIPTS[request.param](), seed=0))
-    fps = grid_fps(ar)
+    fps = ar.fps
     mutants = [m for make in BUILTIN_MUTANTS.values() for m in make()]
     registry = default_registry()
     replays = []
@@ -232,7 +231,7 @@ def test_replayed_vectors_offset_by_warmup(registry):
     mutant = next(m for m in BUILTIN_MUTANTS["benchmark"]() if m.module == "planning")
     mutated = apply_mutant(make_module("planning"), mutant)
     for lo, hi, warmup in ((0, 60, 15), (285, 330, 15), (1000, 1044, 0), (2390, 2399, 5)):
-        result = replay_segment(mutated, ar.frames[lo : hi + 1], warmup, fps=grid_fps(ar))
+        result = replay_segment(mutated, ar.frames[lo : hi + 1], warmup, fps=ar.fps)
         replayed = enumerate(result.comparable, lo + warmup)
         got = _swapped_vectors(ar, replayed, vectors, FrameEncoder(registry, flt))
         frames = ar.frames[lo + warmup : hi + 1]

@@ -31,7 +31,6 @@ from strap.synth import (
     _swapped_vectors,
     apply_mutant,
     generate_recording,
-    grid_fps,
     make_module,
     prepare_recording,
     replay_segment,
@@ -262,7 +261,7 @@ def test_encode_recording_memo_matches_unshared(loaded, registry):
 
 def test_replay_memo_matches_unshared(loaded, registry):
     shared, unshared = loaded
-    fps = grid_fps(shared)
+    fps = shared.fps
     mutants = [m for ms in BUILTIN_MUTANTS.values() for m in ms()]
     lo, hi = len(shared) // 3, len(shared) // 3 + 200
     for kind in MODULE_KINDS:

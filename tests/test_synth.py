@@ -6,6 +6,7 @@ import copy
 import dataclasses
 import functools
 import json
+import random
 import re
 from bisect import bisect_left
 from itertools import pairwise
@@ -26,6 +27,7 @@ from strap.fileio import check
 from strap.recording import (
     RUN_READS,
     AlignedRecording,
+    AlignmentError,
     Frame,
     Message,
     MessageKind,
@@ -50,12 +52,12 @@ from strap.synth import (
     _class_vectors,
     _frame_classes,
     _frame_index,
+    _frame_t_ns,
     _on_inputs,
     _output_channel,
     _swapped_vectors,
     apply_mutant,
     generate_recording,
-    grid_fps,
     make_module,
     mutable_targets,
     mutants_from_json,
@@ -520,7 +522,7 @@ class TestReplay:
 
     def test_warmup_arithmetic(self):
         ar = self.make_aligned(60, [SceneEvent(0, RED_LIGHT)])
-        result = replay_segment(make_module("planning"), ar.frames, warmup_frames=15, fps=grid_fps(ar))
+        result = replay_segment(make_module("planning"), ar.frames, warmup_frames=15, fps=ar.fps)
         assert len(result.messages) == 60
         assert len(result.comparable) == 45
         assert result.comparable[0] is result.messages[15]
@@ -533,7 +535,7 @@ class TestReplay:
                 SceneEvent(1, {"obstacles": [{"actor": "pedestrian", "action": "cross"}]}),
             ],
         )
-        result = replay_segment(make_module("prediction"), ar.frames, fps=grid_fps(ar))
+        result = replay_segment(make_module("prediction"), ar.frames, fps=ar.fps)
         # Frame 1 is not a native prediction tick, so frame 0's tracks hold.
         assert result.messages[0].payload["tracks"] == [{"actor": "vehicle", "action": "stop"}]
         assert result.messages[1].payload == result.messages[0].payload
@@ -542,22 +544,22 @@ class TestReplay:
     def test_clean_replay_matches_recording(self):
         ar = self.make_aligned(45, [SceneEvent(0, {**RED_LIGHT, **CAR_STOPPED})])
         for kind in ("traffic_light", "obstacle", "prediction", "planning"):
-            result = replay_segment(make_module(kind), ar.frames, fps=grid_fps(ar))
+            result = replay_segment(make_module(kind), ar.frames, fps=ar.fps)
             for out, frame in zip(result.messages, ar.frames):
                 assert out.payload == frame.messages[kind].payload, kind
 
     def test_call_counts(self):
         ar = self.make_aligned(10, [SceneEvent(0, RED_LIGHT)])
-        result = replay_segment(make_module("traffic_light"), ar.frames, fps=grid_fps(ar))
+        result = replay_segment(make_module("traffic_light"), ar.frames, fps=ar.fps)
         assert result.call_counts["classify_color"] == 10
         assert result.call_counts["classify_shape"] == 10
-        planner = replay_segment(make_module("planning"), ar.frames, fps=grid_fps(ar))
+        planner = replay_segment(make_module("planning"), ar.frames, fps=ar.fps)
         assert planner.call_counts["plan_step"] == 10
 
     def test_module_state_is_not_shared_between_replays(self):
         ar = self.make_aligned(10, [SceneEvent(0, RED_LIGHT)])
         module = make_module("traffic_light")
-        replay_segment(module, ar.frames, fps=grid_fps(ar))
+        replay_segment(module, ar.frames, fps=ar.fps)
         assert sum(module.call_log.values()) == 0
 
     def test_errors(self):
@@ -566,12 +568,12 @@ class TestReplay:
         with pytest.raises(TypeError, match="fps"):
             replay_segment(module, ar.frames)
         with pytest.raises(SynthError, match="at least one frame"):
-            replay_segment(module, [], fps=grid_fps(ar))
+            replay_segment(module, [], fps=ar.fps)
         with pytest.raises(SynthError, match="warmup_frames 10 outside"):
-            replay_segment(module, ar.frames, warmup_frames=10, fps=grid_fps(ar))
+            replay_segment(module, ar.frames, warmup_frames=10, fps=ar.fps)
         lone = Frame(0, {"image": Message("image", 0, MessageKind.IMAGE_REF, {})})
         with pytest.raises(SynthError, match="needs channel kind"):
-            replay_segment(module, [lone], fps=grid_fps(ar))
+            replay_segment(module, [lone], fps=ar.fps)
         doubled = Frame(
             0,
             {
@@ -583,7 +585,7 @@ class TestReplay:
             },
         )
         with pytest.raises(SynthError, match="2 channels of kind 'planning'"):
-            replay_segment(module, [doubled], fps=grid_fps(ar))
+            replay_segment(module, [doubled], fps=ar.fps)
 
 
 @pytest.fixture(scope="module")
@@ -697,7 +699,7 @@ def segment_replay_vectors(prepared, mutated, s, encoder):
         mutated,
         ar.frames[s.warmup_start_idx : s.end_idx + 1],
         s.start_idx - s.warmup_start_idx,
-        fps=prepared.fps,
+        fps=prepared.aligned.fps,
     )
     replayed = enumerate(result.comparable, s.warmup_start_idx + result.warmup_frames)
     return _swapped_vectors(ar, replayed, vectors, encoder)
@@ -793,7 +795,7 @@ class TestDerivedVerdicts:
         prepared = prepare_recording(ar, "prediction", cfg, registry)
         (s,) = [s for s in prepared.segments if s.start_idx == 10]
         module = make_module("prediction")
-        assert not module.emits_at(_frame_index(ar.frames[10].t_ns, prepared.fps))
+        assert not module.emits_at(_frame_index(ar.frames[10].t_ns, prepared.aligned.fps))
         encoder = FrameEncoder(registry, ModuleFilter.for_module("prediction", registry))
         mutant = Mutant("slow", "prediction", "stop_max_speed", "change_constant", 0.0)
         classes = _frame_classes(prepared, module, encoder)
@@ -1013,7 +1015,7 @@ def per_frame_classes(prepared, module, encoder):
     # Per frame, the last frame at or before it that the whole replay computes on.
     last_tick, of_frame = [], []
     for i, frame in enumerate(frames):
-        if i == 0 or module.emits_at(_frame_index(frame.t_ns, prepared.fps)):
+        if i == 0 or module.emits_at(_frame_index(frame.t_ns, prepared.aligned.fps)):
             source, reads = i, reads_at(i)
         last_tick.append(source)
         of_frame.append(class_of(source, reads, i))
@@ -1054,6 +1056,20 @@ def _tiled(base, tiles):
 
 
 @pytest.fixture(scope="module")
+def seed_0_grids(tmp_path_factory):
+    """A function of a built-in's name, or "long-suite": the seed-0 recording
+    aligned as generated in memory and as loaded from its JSONL, built once."""
+
+    @functools.cache
+    def grids(name):
+        script = _tiled(benchmark_script(), 10) if name == "long-suite" else BUILTIN_SCRIPTS[name]()
+        rec = generate_recording(script, 0)
+        return align_recording(rec), align_recording(_loaded(rec, tmp_path_factory.mktemp(name)))
+
+    return grids
+
+
+@pytest.fixture(scope="module")
 def between_ticks_aligned():
     """Glitchy frames whose scene changes only on frames that are not prediction ticks."""
     events = [
@@ -1077,10 +1093,9 @@ class TestRunWalks:
             assert_run_walks_match(ar, registry, DERIVED_CONFIGS.values(), (kind,))
 
     @pytest.mark.parametrize("name", sorted(BUILTIN_SCRIPTS))
-    def test_builtins_in_memory_and_loaded(self, name, registry, tmp_path):
-        rec = generate_recording(BUILTIN_SCRIPTS[name](), 0)
+    def test_builtins_in_memory_and_loaded(self, name, registry, seed_0_grids):
         cfgs = [ReductionConfig(), ReductionConfig(warmup_frames=0)]
-        for ar in (align_recording(rec), align_recording(_loaded(rec, tmp_path))):
+        for ar in seed_0_grids(name):
             assert_run_walks_match(ar, registry, cfgs)
 
     def test_runs_that_start_between_prediction_ticks(self, between_ticks_aligned, registry):
@@ -1135,12 +1150,11 @@ class TestRunWalks:
     @pytest.mark.parametrize("name,runs", [
         ("benchmark", 197), ("noisy-prediction", 181), ("long-suite", 1805),
     ])
-    def test_run_counts_of_the_seed_0_recordings(self, name, runs, tmp_path):
-        script = _tiled(benchmark_script(), 10) if name == "long-suite" else BUILTIN_SCRIPTS[name]()
-        rec = generate_recording(script, 0)
-        assert len(align_recording(_loaded(rec, tmp_path)).run_bounds) == runs + 1
+    def test_run_counts_of_the_seed_0_recordings(self, name, runs, seed_0_grids):
+        in_memory, loaded = seed_0_grids(name)
+        assert len(loaded.run_bounds) == runs + 1
         # Equal outputs are one object in memory too, so the runs are the same.
-        assert len(align_recording(rec).run_bounds) == runs + 1
+        assert len(in_memory.run_bounds) == runs + 1
 
 
 class TestPreparedRecording:
@@ -1148,7 +1162,7 @@ class TestPreparedRecording:
     def test_one_reduce_pass_counts_segments_before_dedup(self, benchmark_aligned, registry, kind):
         cfg = ReductionConfig()
         prepared = prepare_recording(benchmark_aligned, kind, cfg, registry)
-        assert prepared.fps == 15
+        assert prepared.aligned.fps == 15
         assert prepared.vectors == encode_recording(
             benchmark_aligned, registry, ModuleFilter.for_module(kind, registry)
         )
@@ -1183,29 +1197,105 @@ def ten_fps_recording():
     return generate_recording(ScenarioScript(base.duration_frames, 10, 0.0, base.events), 0)
 
 
+def reference_grid_fps(ar):
+    """The grid's frame rate as strap worked it out per prepared module, before
+    the grid owned its clock: the reference for AlignedRecording.fps."""
+    frames = ar.frames
+    n = len(frames)
+    if n < 2:
+        return 1
+    span = frames[-1].t_ns - frames[0].t_ns
+    fps = round(NS_PER_SEC * (n - 1) / span)
+    if fps < 1:
+        raise SynthError(f"frame grid of {n} frames over {span} ns is below 1 fps")
+    tick0 = _frame_index(frames[0].t_ns, fps)
+    for i in range(1, n):
+        tick = _frame_index(frames[i].t_ns, fps)
+        if tick != tick0 + i:
+            raise SynthError(
+                f"irregular frame grid: frame {i} (t={frames[i].t_ns} ns) falls on tick "
+                f"{tick} at {fps} fps, after tick {tick0 + i - 1}"
+            )
+    return fps
+
+
+def assert_fps_matches_reference(ar):
+    try:
+        want = reference_grid_fps(ar)
+    except SynthError as exc:
+        with pytest.raises(AlignmentError) as got:
+            ar.fps
+        assert str(got.value) == str(exc)
+    else:
+        assert ar.fps == want
+
+
+def image_grid(times):
+    image = MessageKind.IMAGE_REF
+    frames = tuple(Frame(t, {"image": Message("image", t, image, {})}) for t in times)
+    return AlignedRecording(frames, ("image",))
+
+
+SPARSE_GRID = (0, 3 * NS_PER_SEC)
+# 6,000,000 fps averaged over the span puts frames 1 and 2 on tick 1.
+IRREGULAR_GRID = (0, 100, 200, 500)
+
+
+def jittered_grid(fps, jitter_ns, seed):
+    """40 frames at fps, each moved by up to jitter_ns, one dropped on odd seeds."""
+    rng = random.Random(seed)
+    ticks = [i for i in range(41) if seed % 2 == 0 or i != 20]
+    times = sorted({max(0, _frame_t_ns(i, fps) + rng.randint(-jitter_ns, jitter_ns)) for i in ticks})
+    return image_grid(times)
+
+
 class TestFrameRate:
     def test_grid_fps_comes_from_timestamps(self, ten_fps_recording):
-        assert grid_fps(align_recording(ten_fps_recording)) == 10
-        assert grid_fps(align_recording(generate_recording(script(30, fps=15), 0))) == 15
-        image = MessageKind.IMAGE_REF
-        lone = AlignedRecording((Frame(0, {"image": Message("image", 0, image, {})}),), ("image",))
-        assert grid_fps(lone) == 1
-        sparse = AlignedRecording(
-            tuple(Frame(t, {"image": Message("image", t, image, {})}) for t in (0, 3 * NS_PER_SEC)),
-            ("image",),
-        )
-        with pytest.raises(SynthError, match="below 1 fps"):
-            grid_fps(sparse)
+        assert align_recording(ten_fps_recording).fps == 10
+        assert align_recording(generate_recording(script(30, fps=15), 0)).fps == 15
+        assert image_grid((0,)).fps == 1
+        with pytest.raises(AlignmentError, match="below 1 fps"):
+            image_grid(SPARSE_GRID).fps
 
     def test_irregular_grid_rejected(self):
-        # 6,000,000 fps averaged over the span puts frames 1 and 2 on tick 1.
-        image = MessageKind.IMAGE_REF
-        irregular = AlignedRecording(
-            tuple(Frame(t, {"image": Message("image", t, image, {})}) for t in (0, 100, 200, 500)),
-            ("image",),
-        )
-        with pytest.raises(SynthError, match=r"frame 2 \(t=200 ns\) falls on tick 1 at 6000000 fps, after tick 1"):
-            grid_fps(irregular)
+        with pytest.raises(AlignmentError, match=r"frame 2 \(t=200 ns\) falls on tick 1 at 6000000 fps, after tick 1"):
+            image_grid(IRREGULAR_GRID).fps
+
+    @pytest.mark.parametrize("kind", MODULE_KINDS)
+    @pytest.mark.parametrize("case", sorted(HAND_MADE))
+    def test_matches_reference_on_hand_made_grids(self, varied_aligned, kind, case):
+        assert_fps_matches_reference(HAND_MADE[case](varied_aligned, kind))
+
+    @pytest.mark.parametrize("name", [*sorted(BUILTIN_SCRIPTS), "long-suite"])
+    def test_matches_reference_on_seed_0_recordings(self, name, seed_0_grids):
+        for ar in seed_0_grids(name):
+            assert_fps_matches_reference(ar)
+
+    def test_matches_reference_on_odd_grids(self, ten_fps_recording):
+        grids = [
+            align_recording(ten_fps_recording),
+            image_grid(()),
+            image_grid((0,)),
+            image_grid(SPARSE_GRID),
+            image_grid(IRREGULAR_GRID),
+            *[
+                jittered_grid(fps, NS_PER_SEC // (fps * div), seed)
+                for fps in (1, 10, 15, 30) for div in (1, 3, 100) for seed in range(4)
+            ],
+        ]
+        for grid in grids:
+            assert_fps_matches_reference(grid)
+
+    def test_walks_each_grid_once(self, small_recording, monkeypatch):
+        calls = []
+        fps = AlignedRecording.__dict__["fps"]
+        counted = functools.cached_property(lambda ar: calls.append(1) or fps.func(ar))
+        counted.__set_name__(AlignedRecording, "fps")
+        monkeypatch.setattr(AlignedRecording, "fps", counted)
+        mutants = [m for kind in MODULE_KINDS for m in kind_mutants(kind)[:1]]
+        assert {m.module for m in mutants} == set(MODULE_KINDS)
+        run_benchmark(small_recording, mutants, strategies=("CH",), repetitions=1)
+        assert calls == [1]
 
     def test_ten_fps_predictor_call_counts(self, ten_fps_recording, registry):
         ar = align_recording(ten_fps_recording)
@@ -1219,7 +1309,7 @@ class TestFrameRate:
         flt = ModuleFilter.for_module("prediction", registry)
         segments, _ = reduce_recording(ar, encode_recording(ar, registry, flt), ReductionConfig())
         assert report["details"]["call_counts"] == [
-            replay_segment(predictor, ar.frames[s.start_idx : s.end_idx + 1], fps=grid_fps(ar))
+            replay_segment(predictor, ar.frames[s.start_idx : s.end_idx + 1], fps=ar.fps)
             .call_counts.get("predict_action", 0)
             for s in segments
         ]
