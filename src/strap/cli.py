@@ -203,8 +203,10 @@ def _sniff_vectors_file(path: Path) -> Mapping[str, Any] | None:
             return None
     try:
         doc = read_json(path)
-    except json.JSONDecodeError:
-        return None
+    except ValueError as exc:
+        if isinstance(exc.__cause__, json.JSONDecodeError):
+            return None  # not one JSON document: a recording
+        raise
     return doc if isinstance(doc, dict) and "vectors" in doc else None
 
 
@@ -511,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    # A command builds only acyclic JSON values and frozen dataclasses, which
+    # A command builds only acyclic JSON values and dataclasses, which
     # reference counting frees, so cyclic collections would find almost no
     # garbage while rescanning the whole recording over and over.
     gc_was_enabled = gc.isenabled()

@@ -140,8 +140,11 @@ def read_json(path: str | Path) -> Any:
     text = Path(path).read_text(encoding="utf-8")
     try:
         return json.loads(text)
-    except RecursionError as exc:
-        # Nesting deeper than the decoder's recursion limit is bad input, not a bug.
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON ({exc.msg})") from exc
+    except (ValueError, RecursionError) as exc:
+        # An integer literal longer than sys.get_int_max_str_digits(), or
+        # nesting deeper than the decoder's recursion limit: bad input, not a bug.
         raise ValueError(f"{path}: invalid JSON ({exc})") from None
 
 

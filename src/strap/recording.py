@@ -11,10 +11,12 @@ from __future__ import annotations
 import json
 import warnings
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from operator import gt, is_not
+from itertools import compress, repeat
+from operator import eq, gt, is_not, ne
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
@@ -55,10 +57,12 @@ class PayloadError(ValueError):
     """A recorded payload does not hold what its kind's format says."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Message:
     """One channel message.
 
+    Messages and frames are slotted and not frozen, for construction cost: a
+    long recording builds one Message per line. Nothing assigns to them.
     Payloads are immutable by convention, and the convention is load-bearing:
     the loader and the generator give equal payloads (and scenes) one shared
     object, replay hands one output object to every frame it holds on, and
@@ -116,7 +120,7 @@ class Recording:
         return sum(len(ch.messages) for ch in self.channels.values())
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Frame:
     """One aligned time slice: each channel's recorded message for grid time t_ns.
 
@@ -432,25 +436,22 @@ def load_recording(path: str | Path) -> Recording:
 
     channels = {}
     for name, msgs in per_channel.items():
-        ordered = msgs
         times = [m.t_ns for m in msgs]
         if any(map(gt, times, times[1:])):
-            ordered = sorted(msgs, key=lambda m: m.t_ns)
+            msgs.sort(key=lambda m: m.t_ns)
+            times.sort()
             warnings.warn(f"channel {name!r}: out-of-order timestamps were re-sorted", stacklevel=2)
-        deduped: list[Message] = []
-        dropped = 0
-        for m in ordered:
-            if deduped and deduped[-1].t_ns == m.t_ns:
-                dropped += 1
-                continue
-            deduped.append(m)
-        if dropped:
+        if any(map(eq, times, times[1:])):
+            # Keep each time's first message, the first in file order as the
+            # sort is stable: its time differs from the one before (no time is -1).
+            kept = list(compress(msgs, map(ne, times, [-1, *times])))
             warnings.warn(
-                f"channel {name!r}: {dropped} duplicate-timestamp message(s) dropped, "
-                "keeping the first in file order",
+                f"channel {name!r}: {len(msgs) - len(kept)} duplicate-timestamp message(s) "
+                "dropped, keeping the first in file order",
                 stacklevel=2,
             )
-        channels[name] = Channel(name, deduped[0].kind, tuple(deduped))
+            msgs = kept
+        channels[name] = Channel(name, msgs[0].kind, tuple(msgs))
     return Recording(channels)
 
 
@@ -535,11 +536,10 @@ def aligned_jsonl(ar: AlignedRecording) -> Iterator[str]:
     text = _payload_texts()
     for frame in ar.frames:
         tail = _tail(frame.t_ns)
-        parts = []
-        for name in names:
-            m = frame.messages[name]
-            parts.append(_head(heads, m) + text(m.payload) + tail)
-        yield "".join(parts)
+        ms = map(frame.messages.__getitem__, names)
+        # A line's head is its message's channel, not the frame key it sits under.
+        prefixes = [(heads.get(m.channel) or _head(heads, m)) + text(m.payload) for m in ms]
+        yield tail.join(prefixes) + tail
 
 
 def align_recording(rec: Recording) -> AlignedRecording:
@@ -563,44 +563,25 @@ def align_recording(rec: Recording) -> AlignedRecording:
     n = len(ref_times)
 
     # Slot i covers [ref_times[i], next_times[i]); the last slot ends just
-    # after the last grid time.
+    # after the last grid time. A channel fills slot i with its last message
+    # before next_times[i]: the slot's own last message, else the one held.
     next_times = [*ref_times[1:], ref_times[-1] + 1]
-    slotted: dict[str, list[Message | None]] = {}
+    names = tuple(sorted(rec.channels))
+    counted = []
     start = 0
-    for name in sorted(rec.channels):
-        slots: list[Message | None] = [None] * n
-        prior: Message | None = None
-        # Messages come in time order, so the slot (the last grid time at or
-        # before the message) only moves forward.
-        i = 0
-        for m in rec.channels[name].messages:
-            t = m.t_ns
-            if t < ref_times[0]:
-                prior = m
-                continue
-            if t > ref_times[-1]:
-                break
-            while next_times[i] <= t:
-                i += 1
-            slots[i] = m
-        held = prior
-        first = None
-        for i in range(n):
-            if slots[i] is None:
-                slots[i] = held
-            else:
-                held = slots[i]
-            if first is None and slots[i] is not None:
-                first = i
-        if first is None:
+    for name in names:
+        msgs = rec.channels[name].messages
+        # How many of the channel's messages fall before each slot's end;
+        # the counts never decrease, so the slots with none lead.
+        counts = list(map(bisect_left, repeat([m.t_ns for m in msgs]), next_times))
+        first = bisect_right(counts, 0)
+        if first == n:
             raise AlignmentError(f"no alignable frames: channel {name!r} never overlaps the reference")
         start = max(start, first)
-        slotted[name] = slots
+        counted.append((msgs, counts))
 
-    frames = []
-    for i in range(start, n):
-        frames.append(Frame(ref_times[i], {name: slotted[name][i] for name in slotted}))
-    if not frames:
-        raise AlignmentError("no alignable frames")
-    return AlignedRecording(tuple(frames), tuple(sorted(rec.channels)))
+    # Past start, every channel has a message before each slot's end.
+    rows = zip(*[map((None, *msgs).__getitem__, counts[start:]) for msgs, counts in counted])
+    frames = tuple(Frame(t, dict(zip(names, row))) for t, row in zip(ref_times[start:], rows))
+    return AlignedRecording(frames, names)
 

@@ -453,6 +453,7 @@ READ_FLAGS = {
 }
 MISTYPED = {"5": "5", "null": "null", "string": '"x"', "empty-list": "[]", "empty-object": "{}",
             "int-list": "[1, 2]", "list-of-object": "[{}]", "truncated": None,
+            "truncated-object": '{"segments": [1,',
             # Deeper than the JSON decoder's recursion limit.
             "deep": "[" * 200_000 + "]" * 200_000}
 # The only documents above that a format accepts: an empty mutant list.
@@ -484,6 +485,10 @@ class TestMistypedInputs:
         assert rc == 1, err
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1 and errors[0].startswith("error: "), err
+        if doc == "truncated-object":
+            # A JSON document's error names its file; a recording's names the line.
+            read_as_recording = kind == "rec" or flag == "reduce --in"
+            assert ("error: line 1: " if read_as_recording else f"error: {bad}: invalid JSON") in err
 
     def test_repeated_mutant_id(self, work, tmp_path, capsys):
         mutants = tmp_path / "mutants.json"

@@ -10,11 +10,12 @@ import json
 import os
 import random
 import stat
+import sys
 
 import pytest
 
 from strap import fileio
-from strap.fileio import Closed, atomic_write_json, atomic_write_text, check
+from strap.fileio import Closed, atomic_write_json, atomic_write_text, check, read_json
 from strap.recording import MessageKind
 
 
@@ -280,3 +281,25 @@ def test_check_names_the_first_departure(doc, err):
     with pytest.raises(KeyError) as exc:
         check(doc, FORMAT, "invalid doc", KeyError)
     assert exc.value.args == (f"invalid doc: {err}",)
+
+
+@pytest.mark.parametrize(
+    "text,err",
+    [
+        ('{"segments": [1,', "Expecting value"),
+        ("", "Expecting value"),
+        ("{} {}", "Extra data"),
+        ("[" * 200_000 + "]" * 200_000, "maximum recursion depth"),
+        ("[" + "9" * (getattr(sys, "get_int_max_str_digits", lambda: 0)() + 1) + "]", "Exceeds the limit"),
+    ],
+    ids=["truncated", "empty", "extra", "deep", "long-int"],
+)
+def test_read_json_names_the_file(tmp_path, text, err):
+    if text == "[9]":
+        pytest.skip("this interpreter converts integer literals of any length")
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        read_json(path)
+    assert type(exc.value) is ValueError
+    assert str(exc.value).startswith(f"{path}: invalid JSON ({err}")

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import random
 import sys
+import warnings
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 
@@ -63,6 +65,22 @@ class TestModel:
     def test_recording_key_must_match_channel_name(self):
         with pytest.raises(ValueError, match="does not match"):
             Recording({"b": chan("a", [0])})
+
+    def test_messages_and_frames_are_slotted(self):
+        m = msg("a", 0)
+        assert not hasattr(m, "__dict__")
+        assert not hasattr(Frame(0, {"a": m}), "__dict__")
+        with pytest.raises(ValueError) as exc:
+            Message("a", -1, MessageKind.LOCALIZATION, {})
+        assert str(exc.value) == "negative timestamp -1 on channel 'a'"
+
+    def test_equal_messages_compare_and_print_alike(self):
+        a, b = (Message("a", 5, MessageKind.PLANNING, {"x": [1]}) for _ in range(2))
+        assert a == b and a is not b and a != Message("a", 6, MessageKind.PLANNING, {"x": [1]})
+        assert repr(a) == repr(b) == (
+            "Message(channel='a', t_ns=5, kind=<MessageKind.PLANNING: 'planning'>, payload={'x': [1]})"
+        )
+        assert Frame(5, {"a": a}) == Frame(5, {"a": b})
 
 
 class TestLoadDump:
@@ -206,6 +224,44 @@ class TestLoadDump:
             r = load_recording(p)
         assert len(r.channels["a"].messages) == 1
         assert r.channels["a"].messages[0].payload == {"n": 1}
+
+    @staticmethod
+    def _write(p, rows):
+        p.write_text("".join(
+            json.dumps({"channel": "a", "t_ns": t, "kind": "localization", "payload": {"n": n}}) + "\n"
+            for t, n in rows
+        ))
+
+    def test_in_order_duplicates_in_a_longer_channel(self, tmp_path):
+        p = tmp_path / "dup.jsonl"
+        self._write(p, [(0, 0), (5, 1), (5, 2), (9, 3), (12, 4), (12, 5), (12, 6), (20, 7)])
+        with pytest.warns(UserWarning) as caught:
+            r = load_recording(p)
+        assert [str(w.message) for w in caught] == [
+            "channel 'a': 3 duplicate-timestamp message(s) dropped, keeping the first in file order"
+        ]
+        ms = r.channels["a"].messages
+        assert [(m.t_ns, m.payload["n"]) for m in ms] == [(0, 0), (5, 1), (9, 3), (12, 4), (20, 7)]
+
+    def test_out_of_order_duplicates_keep_the_first_in_file_order(self, tmp_path):
+        p = tmp_path / "both.jsonl"
+        self._write(p, [(10, 0), (5, 1), (10, 2), (0, 3), (5, 4), (5, 5), (7, 6)])
+        with pytest.warns(UserWarning) as caught:
+            r = load_recording(p)
+        assert [str(w.message) for w in caught] == [
+            "channel 'a': out-of-order timestamps were re-sorted",
+            "channel 'a': 3 duplicate-timestamp message(s) dropped, keeping the first in file order",
+        ]
+        ms = r.channels["a"].messages
+        assert [(m.t_ns, m.payload["n"]) for m in ms] == [(0, 3), (5, 1), (7, 6), (10, 0)]
+
+    def test_increasing_channel_loads_without_warning(self, tmp_path):
+        p = tmp_path / "ok.jsonl"
+        self._write(p, [(t, t) for t in (0, 1, 5, 6, 100)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = load_recording(p)
+        assert [m.t_ns for m in r.channels["a"].messages] == [0, 1, 5, 6, 100]
 
 
 def _reference_parse(line, lineno):
@@ -423,8 +479,67 @@ class TestAlignedJsonl:
         assert "".join(aligned_jsonl(shuffled)) == expected
         assert [json.loads(l)["channel"] for l in expected.splitlines()[:3]] == ["a", "m", "z"]
 
+    def test_line_channel_is_the_message_channel(self):
+        # A channel may hold messages that carry another channel's name: each
+        # line names its message's channel, not the frame key it sits under.
+        b = Channel("a", MessageKind.PLANNING, tuple(msg("b", t, MessageKind.PLANNING) for t in (0, 10)))
+        ar = align_recording(rec(b, chan("c", [0, 5, 10])))
+        text = "".join(aligned_jsonl(ar))
+        assert text == dump_recording_jsonl(ar.to_recording()) == _reference_jsonl(_aligned_rows(ar))
+        assert [json.loads(l)["channel"] for l in text.splitlines()] == ["b", "c"] * 3
+
+
+def _walked_alignment(r):
+    """Reference: each channel walked message by message with a forward slot
+    pointer, empty slots filled with the held message; (grid, columns) or
+    the AlignmentError text."""
+    ref = min(r.channels.values(), key=lambda c: (-len(c.messages), c.name))
+    grid = sorted({m.t_ns for m in ref.messages})
+    columns, start = {}, 0
+    for name in sorted(r.channels):
+        slots, held, i = [None] * len(grid), None, 0
+        for m in r.channels[name].messages:
+            if m.t_ns < grid[0]:
+                held = m
+                continue
+            if m.t_ns > grid[-1]:
+                break
+            while i + 1 < len(grid) and grid[i + 1] <= m.t_ns:
+                i += 1
+            slots[i] = m
+        for i, m in enumerate(slots):
+            slots[i] = held = m or held
+        first = next((i for i, m in enumerate(slots) if m is not None), None)
+        if first is None:
+            return f"no alignable frames: channel {name!r} never overlaps the reference"
+        start = max(start, first)
+        columns[name] = slots
+    return grid[start:], {name: slots[start:] for name, slots in columns.items()}
+
 
 class TestAlignment:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_the_message_walk(self, seed):
+        rng = random.Random(seed)
+        channels = []
+        for c in range(rng.randint(1, 4)):
+            times = sorted(rng.choices(range(rng.randint(1, 60)), k=rng.randint(1, 12)))
+            channels.append(Channel(f"c{c}", MessageKind.LOCALIZATION,
+                                    tuple(msg(f"c{c}", t, n=i) for i, t in enumerate(times))))
+        r = rec(*channels)
+        expected = _walked_alignment(r)
+        if isinstance(expected, str):
+            with pytest.raises(AlignmentError) as exc:
+                align_recording(r)
+            assert str(exc.value) == expected
+            return
+        ar = align_recording(r)
+        grid, columns = expected
+        assert [f.t_ns for f in ar.frames] == grid
+        assert ar.channel_names == tuple(columns)
+        for name, slots in columns.items():
+            assert [id(f.messages[name]) for f in ar.frames] == list(map(id, slots))
+
     def test_reference_is_largest_channel(self):
         ar = align_recording(rec(chan("cam", [0, 100, 200]), chan("det", [0, 100])))
         assert [f.t_ns for f in ar.frames] == [0, 100, 200]

@@ -32,6 +32,7 @@ from strap.recording import (
     Message,
     MessageKind,
     align_recording,
+    aligned_jsonl,
     dump_recording_jsonl,
     load_recording,
 )
@@ -983,6 +984,17 @@ class TestClassReplay:
             _class_vectors(prepared, mutated, encoder, classes)
             assert 0 < len(computes) <= len(read_keys)
             assert len(encodes) <= len(classes.firsts)
+
+
+class TestAlignedJsonlHandMade:
+    """test_recording.TestAlignedJsonl on the hand-made recordings: the streamed
+    aligned dump equals the dump of the frames as a plain recording."""
+
+    @pytest.mark.parametrize("case", sorted(HAND_MADE))
+    def test_equals_sorted_dump(self, varied_aligned, case):
+        for kind in MODULE_KINDS:
+            ar = HAND_MADE[case](varied_aligned, kind)
+            assert "".join(aligned_jsonl(ar)) == dump_recording_jsonl(ar.to_recording())
 
 
 def per_frame_encode_recording(ar, registry, flt=None):
