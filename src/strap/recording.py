@@ -15,8 +15,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import compress, repeat
-from operator import eq, gt, is_not, ne
+from itertools import compress, islice, repeat
+from operator import eq, gt, is_not, itemgetter, ne
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
@@ -174,6 +174,10 @@ def check_payloads(frame: Frame) -> None:
 
 
 # What a run of frames keys on per payload kind, in ToyModule.reads' terms.
+# It is also what recurs from frame to frame, so the JSONL writers keep a
+# text (_payload_texts) only for a payload of a kind mapped to None and for
+# an image's scene; a localization payload or an image, new on every frame,
+# is encoded where it stands.
 RUN_READS: Mapping[MessageKind, str | None] = {
     MessageKind.TRAFFIC_LIGHT: None, MessageKind.OBSTACLE: None, MessageKind.PREDICTION: None,
     MessageKind.PLANNING: None, MessageKind.IMAGE_REF: "scene",
@@ -482,44 +486,58 @@ def _tail(t_ns: TimestampNs) -> str:
 _IMAGE_KEYS = frozenset({"ref", "scene"})
 
 
-def _payload_texts() -> Callable[[Any], str]:
-    """A function giving a payload's JSON text, encoded once per distinct object.
+def _text_memo() -> Callable[[Any], str]:
+    """A function giving an object's JSON text, encoded once per distinct object.
 
-    The text of a dict whose keys are exactly "ref" and "scene" (an image
-    payload) is put together from its ref's text and its scene's text, so a
-    scene shared by many images is encoded once. Such a text is not kept:
-    every frame has its own image, and putting it together costs little.
-    The memo holds each object it keys on, so an id stays its own while
-    the function lives.
+    The memo holds each object it keys on, so an id stays its own while the
+    function lives. Nothing in the memo refers back to the function, so
+    reference counting frees both, with the collector paused too.
     """
     texts: dict[int, tuple[Any, str]] = {}
 
     def text(o: Any) -> str:
         hit = texts.get(id(o))
-        if hit is not None:
-            return hit[1]
-        if type(o) is dict and o.keys() == _IMAGE_KEYS:
-            return f'{_REF_HEAD}{_encode(o["ref"])}{_SCENE_KEY}{text(o["scene"])}}}'
-        encoded = _encode(o)
-        texts[id(o)] = (o, encoded)
-        return encoded
+        if hit is None:
+            hit = texts[id(o)] = (o, _encode(o))
+        return hit[1]
 
     return text
+
+
+def _payload_texts() -> dict[MessageKind, Callable[[Any], str]]:
+    """Per kind, the function giving a payload's JSON text, by the rule at RUN_READS.
+
+    The text of an image payload whose keys are exactly "ref" and "scene" is
+    put together from its ref's text and its scene's kept text.
+    """
+    kept = _text_memo()
+
+    def image(o: Any) -> str:
+        if type(o) is dict and o.keys() == _IMAGE_KEYS:
+            return f'{_REF_HEAD}{_encode(o["ref"])}{_SCENE_KEY}{kept(o["scene"])}}}'
+        return _encode(o)
+
+    return {k: image if k is MessageKind.IMAGE_REF else kept if k in RUN_READS else _encode
+            for k in MessageKind}
 
 
 def dump_recording_jsonl(rec: Recording) -> str:
     """Serialize a recording as JSONL, globally sorted by (t_ns, channel).
 
-    Each distinct payload object is encoded once (_payload_texts).
+    Payload texts follow the rule at RUN_READS (_payload_texts). Each
+    channel keeps its own line heads by message channel name, since it holds
+    one kind: a name under two kinds gets a head for each.
     """
+    texts = _payload_texts()
     rows = []
     for name in sorted(rec.channels):
-        for m in rec.channels[name].messages:
-            rows.append((m.t_ns, name, m))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    heads: dict[str, str] = {}
-    text = _payload_texts()
-    return "".join(_head(heads, m) + text(m.payload) + _tail(m.t_ns) for _, _, m in rows)
+        ch = rec.channels[name]
+        heads: dict[str, str] = {}
+        text = texts[ch.kind]
+        rows += [(m.t_ns, m, heads, text) for m in ch.messages]
+    # Stable: equal times keep the channel-name order they were added in.
+    rows.sort(key=itemgetter(0))
+    return "".join(_head(heads, m) + text(m.payload) + _tail(t) for t, m, heads, text in rows)
 
 
 def aligned_jsonl(ar: AlignedRecording) -> Iterator[str]:
@@ -528,17 +546,18 @@ def aligned_jsonl(ar: AlignedRecording) -> Iterator[str]:
     Every line is stamped with its frame's time. Frame times strictly
     increase and every frame holds one message per channel, so frame order
     then channel-name order is already the dump's (t_ns, channel) order:
-    nothing is sorted and the text is never whole. Payload texts come from
-    the dump's own rule (_payload_texts), once per distinct object.
+    nothing is sorted and the text is never whole. Payload texts and line
+    heads follow the dump's own rules, per frame key (each holds one kind).
     """
     names = sorted(ar.channel_names)
-    heads: dict[str, str] = {}
-    text = _payload_texts()
+    texts = _payload_texts()
+    first = ar.frames[0].messages if ar.frames else {}
+    columns = [({}, texts[first[name].kind]) for name in names] if first else []
     for frame in ar.frames:
         tail = _tail(frame.t_ns)
-        ms = map(frame.messages.__getitem__, names)
+        ms = zip(map(frame.messages.__getitem__, names), columns)
         # A line's head is its message's channel, not the frame key it sits under.
-        prefixes = [(heads.get(m.channel) or _head(heads, m)) + text(m.payload) for m in ms]
+        prefixes = [(h.get(m.channel) or _head(h, m)) + text(m.payload) for m, (h, text) in ms]
         yield tail.join(prefixes) + tail
 
 
@@ -567,21 +586,21 @@ def align_recording(rec: Recording) -> AlignedRecording:
     # before next_times[i]: the slot's own last message, else the one held.
     next_times = [*ref_times[1:], ref_times[-1] + 1]
     names = tuple(sorted(rec.channels))
-    counted = []
+    columns = []
     start = 0
     for name in names:
         msgs = rec.channels[name].messages
-        # How many of the channel's messages fall before each slot's end;
-        # the counts never decrease, so the slots with none lead.
-        counts = list(map(bisect_left, repeat([m.t_ns for m in msgs]), next_times))
-        first = bisect_right(counts, 0)
+        # The slots that end at or before the channel's first message lead, empty.
+        first = bisect_right(next_times, msgs[0].t_ns)
         if first == n:
             raise AlignmentError(f"no alignable frames: channel {name!r} never overlaps the reference")
         start = max(start, first)
-        counted.append((msgs, counts))
+        columns.append((msgs, [m.t_ns for m in islice(msgs, 1, None)]))
 
-    # Past start, every channel has a message before each slot's end.
-    rows = zip(*[map((None, *msgs).__getitem__, counts[start:]) for msgs, counts in counted])
+    # Past start, every slot ends after each channel's first message, so the
+    # count of the channel's later messages before the slot's end is the
+    # index of its last message there. Counts are taken as frames are built.
+    ends = next_times[start:]
+    rows = zip(*[map(msgs.__getitem__, map(bisect_left, repeat(later), ends)) for msgs, later in columns])
     frames = tuple(Frame(t, dict(zip(names, row))) for t, row in zip(ref_times[start:], rows))
     return AlignedRecording(frames, names)
-

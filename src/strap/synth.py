@@ -62,7 +62,7 @@ from .recording import (  # noqa: F401
     Recording,
     _frame_index,
     _frame_t_ns,
-    _payload_texts,
+    _text_memo,
     align_recording,
     check_payloads,
 )
@@ -789,7 +789,7 @@ def generate_recording(script: ScenarioScript, seed: int) -> Recording:
     messages: dict[str, list[Message]] = {name: [] for name in CHANNEL_OFFSETS_NS}
     state: dict[str, Any] = {}
     next_event = 0
-    text = _payload_texts()
+    text = _text_memo()
     by_text: dict[str, Any] = {}
 
     def shared(o: Any) -> Any:

@@ -5,10 +5,11 @@ from __future__ import annotations
 import gc
 import json
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
-from strap.cli import build_parser, main
+from strap.cli import _Parser, build_parser, main
 from strap.prioritization import RARITY_MODES, PrioritizedPlan, plan_to_json
 from strap.recording import align_recording
 from strap.reduction import reduce_recording, reduce_vectors
@@ -151,6 +152,46 @@ class TestCollectorState:
         with pytest.raises(SystemExit):
             main(["--help"])
         assert gc.isenabled() is caller_gc
+
+
+def _strap_garbage(argv):
+    """The names of the strap functions and objects a command leaves as cyclic
+    garbage, other than argparse's own cycle through each _Parser."""
+    was_enabled, flags, saved = gc.isenabled(), gc.get_debug(), len(gc.garbage)
+    gc.collect()
+    try:
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        assert main(argv) == 0
+        gc.collect()
+        names = set()
+        for o in gc.garbage[saved:]:
+            function = isinstance(o, FunctionType)
+            module = (o.__module__ if function else type(o).__module__) or ""
+            if module.startswith("strap") and not isinstance(o, _Parser):
+                names.add(o.__qualname__ if function else type(o).__qualname__)
+        return sorted(names)
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[saved:]
+        gc.enable() if was_enabled else gc.disable()
+
+
+class TestNoCyclicGarbage:
+    """With the collector paused, reference counting frees all a command builds."""
+
+    def test_run_regression_with_artifacts(self, work, tmp_path):
+        assert _strap_garbage([
+            "run-regression", "--in", str(work["rec"]), "--mutants", str(work["mutants"]),
+            "--module", "planning", "--artifacts-dir", str(tmp_path / "art"), "--out", str(tmp_path / "r.json"),
+        ]) == []
+
+    def test_align(self, work, tmp_path):
+        assert _strap_garbage(["align", "--in", str(work["rec"]), "--out", str(tmp_path / "a.jsonl")]) == []
+
+    def test_synth_generate(self, work, tmp_path):
+        assert _strap_garbage([
+            "synth-generate", "--script", str(work["script"]), "--seed", "3", "--out", str(tmp_path / "g.jsonl"),
+        ]) == []
 
 
 class TestSynthCommands:

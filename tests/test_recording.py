@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 import sys
+import tracemalloc
 import warnings
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
@@ -458,6 +460,18 @@ class TestJsonlDifferential:
         rows = [r.channels["b"].messages[0], r.channels["a"].messages[0], r.channels["b"].messages[1]]
         assert dump_recording_jsonl(r) == _reference_jsonl((m.t_ns, m) for m in rows)
 
+    def test_a_name_under_two_kinds_keeps_each_kind(self):
+        # Two channels whose messages carry one name under two kinds: each
+        # line's head names its own message's kind.
+        a = Channel("a", MessageKind.PLANNING, (Message("x", 0, MessageKind.PLANNING, {}),))
+        c = Channel("c", MessageKind.LOCALIZATION, (Message("x", 0, MessageKind.LOCALIZATION, {}),))
+        r = rec(a, c)
+        expected = _reference_jsonl((0, m) for m in (*a.messages, *c.messages))
+        assert dump_recording_jsonl(r) == expected
+        ar = align_recording(r)
+        assert "".join(aligned_jsonl(ar)) == _reference_jsonl(_aligned_rows(ar)) == expected
+        assert [json.loads(l)["kind"] for l in expected.splitlines()] == ["planning", "localization"]
+
 
 class TestAlignedJsonl:
     """The streamed aligned dump against the sort-everything dump it replaces."""
@@ -623,6 +637,37 @@ class TestAlignment:
         with pytest.raises(ValueError, match="strictly increasing"):
             AlignedRecording((f0, f1), ("a",))
 
+
+class TestLiveMemory:
+    """Align and the writers hold little beyond what they return."""
+
+    def test_writers_build_no_cycles(self, benchmark_recording):
+        ar = align_recording(benchmark_recording)
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in aligned_jsonl(ar):
+                pass
+            dump_recording_jsonl(benchmark_recording)
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_align_transient_memory_is_at_most_half_what_it_keeps(self, benchmark_recording):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            ar = align_recording(benchmark_recording)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            if was_enabled:
+                gc.enable()
+        assert len(ar.frames) == 2400
+        assert peak - kept <= kept / 2
 
 
 class TestPayloadFormats:
