@@ -35,12 +35,13 @@ from .prioritization import (  # noqa: F401
     prioritize_rsc,
     prioritize_sc,
 )
-from .recording import (
+from .recording import (  # noqa: F401 (bench/tracer.py wraps dump_recording_jsonl here)
     Recording,
     align_recording,
     aligned_jsonl,
     dump_recording_jsonl,
     load_recording,
+    recording_jsonl,
 )
 from .reduction import (
     ReductionConfig,
@@ -178,7 +179,7 @@ def _module_vectors(
     """The aligned frames' times and their vectors under the module's view."""
     ar = align_recording(rec)
     flt = ModuleFilter.for_module(module, registry)
-    return [f.t_ns for f in ar.frames], encode_recording(ar, registry, flt)
+    return list(ar.times), encode_recording(ar, registry, flt)
 
 
 def _cmd_align(args: argparse.Namespace) -> None:
@@ -342,7 +343,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
 def _cmd_synth_generate(args: argparse.Namespace) -> None:
     script = _builtin_or_file(args.script, "script")
     rec = generate_recording(script, args.seed)
-    atomic_write_text(args.out, dump_recording_jsonl(rec))
+    atomic_write_text(args.out, recording_jsonl(rec))
     if args.schema_out:
         atomic_write_json(args.schema_out, registry_to_json(default_registry()))
         _say(f"schema -> {args.schema_out}")
@@ -379,7 +380,7 @@ def _write_regression_artifacts(
     module = prepared.module
     outdir.mkdir(parents=True, exist_ok=True)
     atomic_write_text(outdir / "aligned.jsonl", aligned_jsonl(prepared.aligned))
-    times = [f.t_ns for f in prepared.aligned.frames]
+    times = list(prepared.aligned.times)
     atomic_write_json(outdir / "vectors.json", _vectors_doc(module, times, prepared.vectors))
     atomic_write_json(
         outdir / "segments.json",

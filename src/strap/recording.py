@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import compress, islice, repeat
 from operator import eq, gt, is_not, itemgetter, ne
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from .fileio import check, is_json_int
 
@@ -184,24 +184,50 @@ RUN_READS: Mapping[MessageKind, str | None] = {
 }
 
 
-@dataclass(frozen=True)
-class AlignedRecording:
-    """Frames on the reference channel's timestamp grid.
+class _FrameView(Sequence[Frame]):
+    """A grid's frames over a span of its columns: a read builds a Frame, a slice copies nothing."""
 
-    Every frame covers the same channels, and each channel keeps one message
-    kind, as in a Channel: encoders take the encoding order from one frame.
-    Frames select recorded messages without copying them, so one message may
-    fill several consecutive frames.
+    __slots__ = ("_times", "_columns", "_span")
+
+    def __init__(self, times: Sequence[int], columns: Sequence[tuple[str, Sequence[Message]]], span: range):
+        self._times, self._columns, self._span = times, columns, span
+
+    def __len__(self) -> int:
+        return len(self._span)
+
+    def __getitem__(self, i):  # type: ignore[override]
+        if isinstance(i, slice):
+            return _FrameView(self._times, self._columns, self._span[i])
+        return self._frame(self._span[i])
+
+    def __iter__(self) -> Iterator[Frame]:
+        return map(self._frame, self._span)
+
+    def _frame(self, j: int) -> Frame:
+        return Frame(self._times[j], {name: column[j] for name, column in self._columns})
+
+
+class AlignedRecording:
+    """Each channel's recorded messages on the reference channel's timestamp grid, as columns.
+
+    ``times`` holds the strictly increasing frame times and ``columns`` each
+    channel's message at every frame, recorded ones, not copies. A channel
+    keeps one message kind, as in a Channel. ``frames`` is a read-only view
+    that builds a Frame on read, listing channels in ``columns`` order:
+    sorted names for align_recording's grids, frame 0's for hand-built ones.
     """
 
-    frames: tuple[Frame, ...]
+    times: tuple[TimestampNs, ...]
     channel_names: tuple[str, ...]
+    columns: Mapping[str, tuple[Message, ...]]
 
-    def __post_init__(self) -> None:
-        expected = set(self.channel_names)
+    def __init__(self, frames: Sequence[Frame], channel_names: tuple[str, ...]) -> None:
+        """The grid of hand-built frames; ValueError names the first frame that breaks its rules."""
+        expected = set(channel_names)
+        order = tuple(frames[0].messages) if frames else tuple(channel_names)
         kinds: list[tuple[str, MessageKind]] | None = None
         prev = -1
-        for f in self.frames:
+        for f in frames:
             if f.t_ns <= prev:
                 raise ValueError(f"frame timestamps not strictly increasing at t={f.t_ns}")
             prev = f.t_ns
@@ -216,24 +242,30 @@ class AlignedRecording:
                         f"channel {name!r} is {kind.value!r} in the first frame "
                         f"but carries {messages[name].kind.value!r} at t={f.t_ns}"
                     )
+            # Inputs take the last channel of a kind; a frame read from the columns lists frame 0's.
+            if tuple(messages) != order:
+                raise ValueError(f"frame at t={f.t_ns} lists its channels in another order than frame 0")
+        self.times, self.channel_names = tuple(f.t_ns for f in frames), channel_names
+        self.columns = {name: tuple(f.messages[name] for f in frames) for name in order}
 
     def __len__(self) -> int:
-        return len(self.frames)
+        return len(self.times)
+
+    @cached_property
+    def frames(self) -> Sequence[Frame]:
+        return _FrameView(self.times, tuple(self.columns.items()), range(len(self.times)))
 
     @cached_property
     def run_bounds(self) -> array[int]:
         """Each run's first frame, then the frame count (synth._FrameClasses states the rule)."""
-        first = self.frames[0].messages if self.frames else {}
-        keyed = [(name, RUN_READS[m.kind]) for name, m in first.items() if m.kind in RUN_READS]
-        bounds: list[int] = []
-        last = None
-        for i, frame in enumerate(self.frames):
-            ms = frame.messages
-            objects = [ms[n].payload if f is None else ms[n].payload.get(f) for n, f in keyed]
-            if last is None or any(map(is_not, objects, last)):
-                bounds.append(i)
-            last = objects
-        return array("q", [*bounds, len(self.frames)])
+        n = len(self.times)
+        starts = {0} if n else set()
+        for column in self.columns.values():
+            if column and column[0].kind in RUN_READS:
+                field = RUN_READS[column[0].kind]
+                objects = [m.payload if field is None else m.payload.get(field) for m in column]
+                starts.update(compress(range(1, n), map(is_not, islice(objects, 1, None), objects)))
+        return array("q", [*sorted(starts), n])
 
     @cached_property
     def fps(self) -> int:
@@ -246,32 +278,29 @@ class AlignedRecording:
         rate, so a grid is checked before any replay. A one-frame grid is
         1 fps, since its replay computes only its cold start.
         """
-        frames = self.frames
-        n = len(frames)
+        times = self.times
+        n = len(times)
         if n < 2:
             return 1
-        span = frames[-1].t_ns - frames[0].t_ns
+        span = times[-1] - times[0]
         fps = round(NS_PER_SEC * (n - 1) / span)
         if fps < 1:
             raise AlignmentError(f"frame grid of {n} frames over {span} ns is below 1 fps")
-        tick0 = _frame_index(frames[0].t_ns, fps)
+        tick0 = _frame_index(times[0], fps)
         for i in range(1, n):
-            tick = _frame_index(frames[i].t_ns, fps)
+            tick = _frame_index(times[i], fps)
             if tick != tick0 + i:
                 raise AlignmentError(
-                    f"irregular frame grid: frame {i} (t={frames[i].t_ns} ns) falls on tick "
+                    f"irregular frame grid: frame {i} (t={times[i]} ns) falls on tick "
                     f"{tick} at {fps} fps, after tick {tick0 + i - 1}"
                 )
         return fps
 
     def to_recording(self) -> Recording:
         """A plain recording of the frames, each message stamped with its frame's time."""
-        channels = {}
+        channels, times = {}, self.times
         for name in self.channel_names:
-            msgs = []
-            for f in self.frames:
-                m = f.messages[name]
-                msgs.append(Message(m.channel, f.t_ns, m.kind, m.payload))
+            msgs = [Message(m.channel, t, m.kind, m.payload) for m, t in zip(self.columns[name], times)]
             channels[name] = Channel(name, msgs[0].kind, tuple(msgs))
         return Recording(channels)
 
@@ -403,7 +432,7 @@ def load_recording(path: str | Path) -> Recording:
     Equal payload texts on canonical lines (the layout dump_recording_jsonl
     writes) load as one shared payload object, parsed once, and equal image
     scene texts as one shared scene, parsed once; see Message on why
-    payloads are never mutated. The sharing tables live only for the call.
+    payloads are never mutated. The sharing tables live only for the line loop.
     """
     per_channel: dict[str, list[Message]] = {}
     kinds: dict[str, tuple[MessageKind, int]] = {}
@@ -435,11 +464,14 @@ def load_recording(path: str | Path) -> Recording:
                     f"(declared at line {seen[1]}) but carries {msg.kind.value!r}"
                 )
             per_channel.setdefault(msg.channel, []).append(msg)
+    del heads, payloads, scenes
     if not per_channel:
         raise RecordingLoadError("empty recording")
 
     channels = {}
-    for name, msgs in per_channel.items():
+    # Each channel's list goes as its tuple is built.
+    for name in list(per_channel):
+        msgs = per_channel.pop(name)
         times = [m.t_ns for m in msgs]
         if any(map(gt, times, times[1:])):
             msgs.sort(key=lambda m: m.t_ns)
@@ -521,8 +553,8 @@ def _payload_texts() -> dict[MessageKind, Callable[[Any], str]]:
             for k in MessageKind}
 
 
-def dump_recording_jsonl(rec: Recording) -> str:
-    """Serialize a recording as JSONL, globally sorted by (t_ns, channel).
+def recording_jsonl(rec: Recording) -> Iterator[str]:
+    """The lines of a recording's JSONL, globally sorted by (t_ns, channel).
 
     Payload texts follow the rule at RUN_READS (_payload_texts). Each
     channel keeps its own line heads by message channel name, since it holds
@@ -537,7 +569,12 @@ def dump_recording_jsonl(rec: Recording) -> str:
         rows += [(m.t_ns, m, heads, text) for m in ch.messages]
     # Stable: equal times keep the channel-name order they were added in.
     rows.sort(key=itemgetter(0))
-    return "".join(_head(heads, m) + text(m.payload) + _tail(t) for t, m, heads, text in rows)
+    return (_head(heads, m) + text(m.payload) + _tail(t) for t, m, heads, text in rows)
+
+
+def dump_recording_jsonl(rec: Recording) -> str:
+    """Serialize a recording as JSONL: the text of recording_jsonl's lines."""
+    return "".join(recording_jsonl(rec))
 
 
 def aligned_jsonl(ar: AlignedRecording) -> Iterator[str]:
@@ -547,16 +584,15 @@ def aligned_jsonl(ar: AlignedRecording) -> Iterator[str]:
     increase and every frame holds one message per channel, so frame order
     then channel-name order is already the dump's (t_ns, channel) order:
     nothing is sorted and the text is never whole. Payload texts and line
-    heads follow the dump's own rules, per frame key (each holds one kind).
+    heads follow the dump's own rules, per column (each holds one kind).
     """
-    names = sorted(ar.channel_names)
     texts = _payload_texts()
-    first = ar.frames[0].messages if ar.frames else {}
-    columns = [({}, texts[first[name].kind]) for name in names] if first else []
-    for frame in ar.frames:
-        tail = _tail(frame.t_ns)
-        ms = zip(map(frame.messages.__getitem__, names), columns)
-        # A line's head is its message's channel, not the frame key it sits under.
+    columns = [ar.columns[name] for name in sorted(ar.channel_names)]
+    writers = [({}, texts[column[0].kind]) for column in columns] if ar.times else []
+    for t, row in zip(ar.times, zip(*columns)):
+        tail = _tail(t)
+        # A line's head is its message's channel, not the column it sits in.
+        ms = zip(row, writers)
         prefixes = [(h.get(m.channel) or _head(h, m)) + text(m.payload) for m, (h, text) in ms]
         yield tail.join(prefixes) + tail
 
@@ -568,7 +604,7 @@ def align_recording(rec: Recording) -> AlignedRecording:
     lexicographically smallest name). For each reference timestamp t_i, a
     target channel contributes the last of its messages with timestamp in
     [t_i, t_{i+1}). Reference timestamps where a target has no such message
-    receive the target's most recent earlier message. Frames hold the
+    receive the target's most recent earlier message. Columns hold the
     recorded Message objects themselves, not copies. Leading reference
     timestamps for which some channel has no message at or before the next
     reference tick are dropped; messages after the final reference timestamp
@@ -585,22 +621,25 @@ def align_recording(rec: Recording) -> AlignedRecording:
     # after the last grid time. A channel fills slot i with its last message
     # before next_times[i]: the slot's own last message, else the one held.
     next_times = [*ref_times[1:], ref_times[-1] + 1]
-    names = tuple(sorted(rec.channels))
-    columns = []
+    names = sorted(rec.channels)
     start = 0
     for name in names:
-        msgs = rec.channels[name].messages
         # The slots that end at or before the channel's first message lead, empty.
-        first = bisect_right(next_times, msgs[0].t_ns)
+        first = bisect_right(next_times, rec.channels[name].messages[0].t_ns)
         if first == n:
             raise AlignmentError(f"no alignable frames: channel {name!r} never overlaps the reference")
         start = max(start, first)
-        columns.append((msgs, [m.t_ns for m in islice(msgs, 1, None)]))
 
     # Past start, every slot ends after each channel's first message, so the
     # count of the channel's later messages before the slot's end is the
-    # index of its last message there. Counts are taken as frames are built.
-    ends = next_times[start:]
-    rows = zip(*[map(msgs.__getitem__, map(bisect_left, repeat(later), ends)) for msgs, later in columns])
-    frames = tuple(Frame(t, dict(zip(names, row))) for t, row in zip(ref_times[start:], rows))
-    return AlignedRecording(frames, names)
+    # index of its last message there. One channel's times live at a time.
+    del next_times[:start]
+    columns = {}
+    for name in names:
+        msgs = rec.channels[name].messages
+        later = [m.t_ns for m in islice(msgs, 1, None)]
+        columns[name] = tuple(map(msgs.__getitem__, map(bisect_left, repeat(later), next_times)))
+        del later
+    ar = AlignedRecording.__new__(AlignedRecording)  # valid by construction: no frame check
+    ar.times, ar.channel_names, ar.columns = tuple(islice(ref_times, start, None)), tuple(names), columns
+    return ar

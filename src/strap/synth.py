@@ -924,12 +924,11 @@ def _swapped_vectors(
     out = []
     order = None
     for i, msg in replayed:
-        frame = ar.frames[i]
-        recorded = frame.messages.get(msg.channel)
+        recorded = ar.columns[msg.channel][i] if msg.channel in ar.columns else None
         if recorded is not None and recorded.kind is msg.kind and recorded.payload == msg.payload:
             out.append(vectors[i])
             continue
-        swapped = Frame(frame.t_ns, {**frame.messages, msg.channel: msg})
+        swapped = Frame(ar.times[i], {**ar.frames[i].messages, msg.channel: msg})
         if order is None:
             # Every replayed message sits on the same channel with the same
             # kind, so all swapped frames share one encoding order.
@@ -996,7 +995,7 @@ class _FrameClasses:
     """
 
     channel: str  # the replay's output channel
-    sources: tuple[int, ...]  # per class, its source frame
+    sources: tuple[Frame, ...]  # per class, its source frame, read once for all mutants
     firsts: tuple[int, ...]  # per class, its first frame
     # Per segment, the whole recording first: the class of each comparable frame.
     segments: tuple[tuple[Segment, tuple[int, ...]], ...]
@@ -1012,23 +1011,22 @@ def _frame_classes(
     """
     frames, vectors = prepared.aligned.frames, prepared.vectors
     channel = _output_channel(module, frames[0])
-    names = [name for name, _ in encoder.channel_order(frames[0])]
+    columns = [prepared.aligned.columns[name] for name, _ in encoder.channel_order(frames[0])]
     read = _ComputeMemo(module).read
     tick0 = _frame_index(frames[0].t_ns, prepared.aligned.fps)  # frame i's tick is tick0 + i
     index: dict[tuple[int, ...], int] = {}
-    sources: list[int] = []
+    sources: list[Frame] = []
     firsts: list[int] = []
 
     def reads_at(source: int) -> tuple[int, ...]:
         return tuple(map(id, _on_inputs(frames[source], read)))
 
     def class_of(source: int, reads: tuple[int, ...], i: int) -> int:
-        messages = frames[i].messages
-        key = (*reads, *[id(messages[name].payload) for name in names])
+        key = (*reads, *[id(column[i].payload) for column in columns])
         c = index.get(key)
         if c is None:
             c = index[key] = len(firsts)
-            sources.append(source)
+            sources.append(frames[source])
             firsts.append(i)
         return c
 
@@ -1069,13 +1067,13 @@ def _class_vectors(
     vectors equal that replay's vectors over its comparable frames.
     """
     ar = prepared.aligned
-    frames, kind = ar.frames, mutated.publish_kind
+    kind = mutated.publish_kind
     memo = _ComputeMemo(mutated.fresh())
     # Every class computes before any encodes, so a payload the module cannot
     # read fails before an output the schema cannot encode, as in a replay.
-    outputs = [_on_inputs(frames[source], memo.compute) for source in classes.sources]
+    outputs = [_on_inputs(source, memo.compute) for source in classes.sources]
     messages = (
-        (i, Message(classes.channel, frames[i].t_ns, kind, out))
+        (i, Message(classes.channel, ar.times[i], kind, out))
         for i, out in zip(classes.firsts, outputs)
     )
     return _swapped_vectors(ar, messages, prepared.vectors, encoder)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
 import random
@@ -13,6 +14,7 @@ from collections import OrderedDict
 
 import pytest
 
+from strap.benchmarks import benchmark_script
 from strap.recording import (
     AlignedRecording,
     AlignmentError,
@@ -30,6 +32,7 @@ from strap.recording import (
     dump_recording_jsonl,
     load_recording,
 )
+from strap.synth import ScenarioScript, generate_recording
 
 
 def msg(channel, t, kind=MessageKind.LOCALIZATION, **payload):
@@ -637,6 +640,34 @@ class TestAlignment:
         with pytest.raises(ValueError, match="strictly increasing"):
             AlignedRecording((f0, f1), ("a",))
 
+    def test_aligned_grid_lists_channels_by_name(self):
+        ar = align_recording(rec(chan("z", [0, 10]), chan("a", [0, 10]), chan("m", [0, 10])))
+        assert ar.channel_names == tuple(ar.columns) == ("a", "m", "z")
+        assert [list(f.messages) for f in ar.frames] == [["a", "m", "z"]] * 2
+
+    def test_hand_built_grid_lists_frame_0_order(self):
+        frames = [Frame(t, {"b": msg("b", t), "a": msg("a", t)}) for t in (0, 10)]
+        ar = AlignedRecording(frames, ("a", "b"))
+        assert ar.channel_names == ("a", "b")
+        assert [list(f.messages) for f in ar.frames] == [["b", "a"]] * 2
+        assert [list(f.messages) for f in ar.frames[1:]] == [["b", "a"]]
+
+    def test_hand_built_frames_keep_frame_0_order(self):
+        # Inputs take the last channel of a kind, so two planning channels in
+        # another order would feed another payload: the grid refuses them.
+        f0 = Frame(0, {"a": msg("a", 0, MessageKind.PLANNING), "b": msg("b", 0, MessageKind.PLANNING)})
+        f1 = Frame(10, {"b": msg("b", 10, MessageKind.PLANNING), "a": msg("a", 10, MessageKind.PLANNING)})
+        with pytest.raises(ValueError) as exc:
+            AlignedRecording((f0, f1), ("a", "b"))
+        assert str(exc.value) == "frame at t=10 lists its channels in another order than frame 0"
+
+    def test_frames_view_is_read_only(self):
+        ar = align_recording(rec(chan("cam", [0, 100, 200]), chan("det", [0, 100])))
+        with pytest.raises(TypeError):
+            ar.frames[0] = ar.frames[1]
+        with pytest.raises(TypeError):
+            ar.frames[1:][0] = ar.frames[1]
+
 
 class TestLiveMemory:
     """Align and the writers hold little beyond what they return."""
@@ -668,6 +699,26 @@ class TestLiveMemory:
                 gc.enable()
         assert len(ar.frames) == 2400
         assert peak - kept <= kept / 2
+
+    def test_aligned_grid_keeps_no_per_frame_objects(self):
+        # The 10x-tiled benchmark (the long-suite input): the grid holds one
+        # pointer per frame for its time and one per channel, and no Frame or dict.
+        base = benchmark_script()
+        n = base.duration_frames
+        events = tuple(dataclasses.replace(e, frame=e.frame + k * n) for k in range(10) for e in base.events)
+        recording = generate_recording(ScenarioScript(10 * n, base.fps, base.glitch_rate, events), 0)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            ar = align_recording(recording)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            if was_enabled:
+                gc.enable()
+        assert len(ar) == 24000 and len(ar.channel_names) == 6
+        assert kept <= 8 * (len(ar.channel_names) + 1) * len(ar) + 16 * 1024
 
 
 class TestPayloadFormats:

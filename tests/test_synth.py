@@ -8,8 +8,9 @@ import functools
 import json
 import random
 import re
-from bisect import bisect_left
-from itertools import pairwise
+from bisect import bisect_left, bisect_right
+from itertools import pairwise, repeat
+from operator import is_not
 
 import pytest
 
@@ -28,9 +29,14 @@ from strap.recording import (
     RUN_READS,
     AlignedRecording,
     AlignmentError,
+    Channel,
     Frame,
     Message,
     MessageKind,
+    Recording,
+    _head,
+    _payload_texts,
+    _tail,
     align_recording,
     aligned_jsonl,
     dump_recording_jsonl,
@@ -973,8 +979,7 @@ class TestClassReplay:
         # The benchmark holds 40 to 46 classes per module in its 2400 frames.
         assert len(classes.firsts) < len(benchmark_aligned.frames) / 20
         read = _ComputeMemo(module).read
-        frames = benchmark_aligned.frames
-        read_keys = {tuple(map(id, _on_inputs(frames[i], read))) for i in classes.sources}
+        read_keys = {tuple(map(id, _on_inputs(source, read))) for source in classes.sources}
         for mutated in _mutants_of(kind):
             encoder = FrameEncoder(registry, flt)
             encodes = []
@@ -1020,7 +1025,7 @@ def per_frame_classes(prepared, module, encoder):
         key = (*reads, *[id(messages[name].payload) for name in names])
         if key not in index:
             index[key] = len(firsts)
-            sources.append(source)
+            sources.append(frames[source])
             firsts.append(i)
         return index[key]
 
@@ -1068,15 +1073,26 @@ def _tiled(base, tiles):
 
 
 @pytest.fixture(scope="module")
-def seed_0_grids(tmp_path_factory):
+def seed_0_recordings(tmp_path_factory):
     """A function of a built-in's name, or "long-suite": the seed-0 recording
-    aligned as generated in memory and as loaded from its JSONL, built once."""
+    as generated in memory and as loaded from its JSONL, built once."""
+
+    @functools.cache
+    def recordings(name):
+        script = _tiled(benchmark_script(), 10) if name == "long-suite" else BUILTIN_SCRIPTS[name]()
+        rec = generate_recording(script, 0)
+        return rec, _loaded(rec, tmp_path_factory.mktemp(name))
+
+    return recordings
+
+
+@pytest.fixture(scope="module")
+def seed_0_grids(seed_0_recordings):
+    """seed_0_recordings aligned, built once."""
 
     @functools.cache
     def grids(name):
-        script = _tiled(benchmark_script(), 10) if name == "long-suite" else BUILTIN_SCRIPTS[name]()
-        rec = generate_recording(script, 0)
-        return align_recording(rec), align_recording(_loaded(rec, tmp_path_factory.mktemp(name)))
+        return tuple(map(align_recording, seed_0_recordings(name)))
 
     return grids
 
@@ -1373,3 +1389,173 @@ class TestBuiltins:
     def test_rare_fault_mutants(self):
         ms = rare_fault_mutants()
         assert [m.module for m in ms] == ["traffic_light", "traffic_light"]
+
+
+class FrameGrid:
+    """Reference: the grid as one Frame per slot, each checked as it is stored,
+    with the walks of every frame that AlignedRecording made before it held
+    columns."""
+
+    def __init__(self, frames, channel_names):
+        expected = set(channel_names)
+        kinds = None
+        prev = -1
+        for f in frames:
+            if f.t_ns <= prev:
+                raise ValueError(f"frame timestamps not strictly increasing at t={f.t_ns}")
+            prev = f.t_ns
+            messages = f.messages
+            if messages.keys() != expected:
+                raise ValueError(f"frame at t={f.t_ns} does not cover all channels")
+            if kinds is None:
+                kinds = [(name, m.kind) for name, m in messages.items()]
+            for name, kind in kinds:
+                if messages[name].kind is not kind:
+                    raise ValueError(
+                        f"channel {name!r} is {kind.value!r} in the first frame "
+                        f"but carries {messages[name].kind.value!r} at t={f.t_ns}"
+                    )
+        self.frames, self.channel_names = tuple(frames), channel_names
+
+    def run_bounds(self):
+        first = self.frames[0].messages if self.frames else {}
+        keyed = [(name, RUN_READS[m.kind]) for name, m in first.items() if m.kind in RUN_READS]
+        bounds, last = [], None
+        for i, frame in enumerate(self.frames):
+            ms = frame.messages
+            objects = [ms[n].payload if f is None else ms[n].payload.get(f) for n, f in keyed]
+            if last is None or any(map(is_not, objects, last)):
+                bounds.append(i)
+            last = objects
+        return [*bounds, len(self.frames)]
+
+    def to_recording(self):
+        channels = {}
+        for name in self.channel_names:
+            msgs = [Message(f.messages[name].channel, f.t_ns, f.messages[name].kind,
+                            f.messages[name].payload) for f in self.frames]
+            channels[name] = Channel(name, msgs[0].kind, tuple(msgs))
+        return Recording(channels)
+
+    def aligned_jsonl(self):
+        names = sorted(self.channel_names)
+        texts = _payload_texts()
+        first = self.frames[0].messages if self.frames else {}
+        columns = [({}, texts[first[name].kind]) for name in names] if first else []
+        for frame in self.frames:
+            tail = _tail(frame.t_ns)
+            ms = zip(map(frame.messages.__getitem__, names), columns)
+            prefixes = [(h.get(m.channel) or _head(h, m)) + text(m.payload) for m, (h, text) in ms]
+            yield tail.join(prefixes) + tail
+
+
+def frame_align_recording(rec):
+    """Reference: align_recording building one Frame and one dict per slot."""
+    for name, ch in rec.channels.items():
+        if not ch.messages:
+            raise AlignmentError(f"channel {name!r} has no messages")
+    ref = min(rec.channels.values(), key=lambda c: (-len(c.messages), c.name))
+    ref_times = sorted({m.t_ns for m in ref.messages})
+    n = len(ref_times)
+    next_times = [*ref_times[1:], ref_times[-1] + 1]
+    names = tuple(sorted(rec.channels))
+    columns = []
+    start = 0
+    for name in names:
+        msgs = rec.channels[name].messages
+        first = bisect_right(next_times, msgs[0].t_ns)
+        if first == n:
+            raise AlignmentError(f"no alignable frames: channel {name!r} never overlaps the reference")
+        start = max(start, first)
+        columns.append((msgs, [m.t_ns for m in msgs[1:]]))
+    ends = next_times[start:]
+    rows = zip(*[map(msgs.__getitem__, map(bisect_left, repeat(later), ends)) for msgs, later in columns])
+    frames = tuple(Frame(t, dict(zip(names, row))) for t, row in zip(ref_times[start:], rows))
+    return FrameGrid(frames, names)
+
+
+def frame_rows(frames):
+    """Each frame's time and its (channel, message identity) pairs, in key order."""
+    return [(f.t_ns, [(name, id(m)) for name, m in f.messages.items()]) for f in frames]
+
+
+def recording_rows(rec):
+    return [
+        (name, ch.kind, [(m.channel, m.t_ns, m.kind, id(m.payload)) for m in ch.messages])
+        for name, ch in rec.channels.items()
+    ]
+
+
+def assert_grid_matches_frames(ar, ref):
+    """The columnar grid reads as the reference's frames and walks to the same results."""
+    want = frame_rows(ref.frames)
+    n = len(want)
+    assert len(ar) == len(ar.frames) == n
+    assert ar.channel_names == ref.channel_names
+    assert frame_rows(ar.frames) == want
+    assert frame_rows(ar.frames[i] for i in range(-n, n)) == want + want
+    for s in (slice(n // 3, 2 * n // 3), slice(-5, None), slice(None, None, 7), slice(None, None, -3)):
+        view = ar.frames[s]
+        assert len(view) == len(want[s]) and frame_rows(view) == want[s], s
+    assert frame_rows(ar.frames[n // 2 :][1:4]) == want[n // 2 :][1:4]
+    assert list(ar.run_bounds) == ref.run_bounds()
+    try:
+        fps = reference_grid_fps(ref)
+    except SynthError as exc:
+        with pytest.raises(AlignmentError) as got:
+            ar.fps
+        assert str(got.value) == str(exc)
+    else:
+        assert ar.fps == fps
+    assert "".join(aligned_jsonl(ar)) == "".join(ref.aligned_jsonl())
+    assert recording_rows(ar.to_recording()) == recording_rows(ref.to_recording())
+
+
+def assert_aligns_as_frames(rec):
+    try:
+        ref = frame_align_recording(rec)
+    except AlignmentError as exc:
+        with pytest.raises(AlignmentError) as got:
+            align_recording(rec)
+        assert str(got.value) == str(exc)
+        return
+    assert_grid_matches_frames(align_recording(rec), ref)
+
+
+def random_recording(seed):
+    """test_recording.TestAlignment's random recordings: 1-4 channels of up to 12 times."""
+    rng = random.Random(seed)
+    channels = {}
+    for c in range(rng.randint(1, 4)):
+        times = sorted(rng.choices(range(rng.randint(1, 60)), k=rng.randint(1, 12)))
+        messages = [Message(f"c{c}", t, MessageKind.LOCALIZATION, {"n": i}) for i, t in enumerate(times)]
+        channels[f"c{c}"] = Channel(f"c{c}", MessageKind.LOCALIZATION, tuple(messages))
+    return Recording(channels)
+
+
+class TestColumnarGrid:
+    """The columnar grid against one Frame per slot: align_recording and
+    AlignedRecording's checks as they built and stored frames (FrameGrid)."""
+
+    @pytest.mark.parametrize("case", sorted(HAND_MADE))
+    def test_hand_made(self, varied_aligned, case, monkeypatch):
+        built = []
+
+        def both(frames, channel_names):
+            built.append(FrameGrid(frames, channel_names))
+            return columnar(frames, channel_names)
+
+        columnar = AlignedRecording
+        monkeypatch.setitem(globals(), "AlignedRecording", both)
+        for kind in MODULE_KINDS:
+            ar = HAND_MADE[case](varied_aligned, kind)
+            assert_grid_matches_frames(ar, built[-1])
+
+    @pytest.mark.parametrize("name", [*sorted(BUILTIN_SCRIPTS), "long-suite"])
+    def test_builtins_in_memory_and_loaded(self, name, seed_0_recordings):
+        for rec in seed_0_recordings(name):
+            assert_aligns_as_frames(rec)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_recordings(self, seed):
+        assert_aligns_as_frames(random_recording(seed))
