@@ -205,9 +205,9 @@ def _sniff_vectors_file(path: Path) -> Mapping[str, Any] | None:
     try:
         doc = read_json(path)
     except ValueError as exc:
-        if isinstance(exc.__cause__, json.JSONDecodeError):
-            return None  # not one JSON document: a recording
-        raise
+        if isinstance(exc.__cause__, json.JSONDecodeError) and exc.__cause__.msg == "Extra data":
+            return None  # one value, then more text: JSONL, a recording
+        raise  # read_json's error names the file
     return doc if isinstance(doc, dict) and "vectors" in doc else None
 
 

@@ -210,43 +210,19 @@ class _FrameView(Sequence[Frame]):
 class AlignedRecording:
     """Each channel's recorded messages on the reference channel's timestamp grid, as columns.
 
-    ``times`` holds the strictly increasing frame times and ``columns`` each
-    channel's message at every frame, recorded ones, not copies. A channel
-    keeps one message kind, as in a Channel. ``frames`` is a read-only view
-    that builds a Frame on read, listing channels in ``columns`` order:
-    sorted names for align_recording's grids, frame 0's for hand-built ones.
+    Only align_recording builds one. ``times`` holds the frame times, strictly
+    increasing and never empty, and ``columns`` each channel's message at
+    every frame, recorded ones, not copies, with channels in name order. A
+    channel keeps one message kind, as in a Channel. ``frames`` is a
+    read-only view that builds a Frame on read.
     """
 
     times: tuple[TimestampNs, ...]
     channel_names: tuple[str, ...]
     columns: Mapping[str, tuple[Message, ...]]
 
-    def __init__(self, frames: Sequence[Frame], channel_names: tuple[str, ...]) -> None:
-        """The grid of hand-built frames; ValueError names the first frame that breaks its rules."""
-        expected = set(channel_names)
-        order = tuple(frames[0].messages) if frames else tuple(channel_names)
-        kinds: list[tuple[str, MessageKind]] | None = None
-        prev = -1
-        for f in frames:
-            if f.t_ns <= prev:
-                raise ValueError(f"frame timestamps not strictly increasing at t={f.t_ns}")
-            prev = f.t_ns
-            messages = f.messages
-            if messages.keys() != expected:
-                raise ValueError(f"frame at t={f.t_ns} does not cover all channels")
-            if kinds is None:
-                kinds = [(name, m.kind) for name, m in messages.items()]
-            for name, kind in kinds:
-                if messages[name].kind is not kind:
-                    raise ValueError(
-                        f"channel {name!r} is {kind.value!r} in the first frame "
-                        f"but carries {messages[name].kind.value!r} at t={f.t_ns}"
-                    )
-            # Inputs take the last channel of a kind; a frame read from the columns lists frame 0's.
-            if tuple(messages) != order:
-                raise ValueError(f"frame at t={f.t_ns} lists its channels in another order than frame 0")
-        self.times, self.channel_names = tuple(f.t_ns for f in frames), channel_names
-        self.columns = {name: tuple(f.messages[name] for f in frames) for name in order}
+    def __init__(self, times: tuple[TimestampNs, ...], columns: Mapping[str, tuple[Message, ...]]) -> None:
+        self.times, self.columns, self.channel_names = times, columns, tuple(columns)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -259,9 +235,9 @@ class AlignedRecording:
     def run_bounds(self) -> array[int]:
         """Each run's first frame, then the frame count (synth._FrameClasses states the rule)."""
         n = len(self.times)
-        starts = {0} if n else set()
+        starts = {0}
         for column in self.columns.values():
-            if column and column[0].kind in RUN_READS:
+            if column[0].kind in RUN_READS:
                 field = RUN_READS[column[0].kind]
                 objects = [m.payload if field is None else m.payload.get(field) for m in column]
                 starts.update(compress(range(1, n), map(is_not, islice(objects, 1, None), objects)))
@@ -297,7 +273,12 @@ class AlignedRecording:
         return fps
 
     def to_recording(self) -> Recording:
-        """A plain recording of the frames, each message stamped with its frame's time."""
+        """A plain recording of the frames, each message stamped with its frame's time.
+
+        Aligning it gives this grid back: ``align_recording(ar.to_recording())``
+        has the same times and channel names, and each column the same kinds,
+        message channels and payload objects.
+        """
         channels, times = {}, self.times
         for name in self.channel_names:
             msgs = [Message(m.channel, t, m.kind, m.payload) for m, t in zip(self.columns[name], times)]
@@ -581,14 +562,14 @@ def aligned_jsonl(ar: AlignedRecording) -> Iterator[str]:
     """The JSONL of ``dump_recording_jsonl(ar.to_recording())``, one chunk per frame.
 
     Every line is stamped with its frame's time. Frame times strictly
-    increase and every frame holds one message per channel, so frame order
-    then channel-name order is already the dump's (t_ns, channel) order:
-    nothing is sorted and the text is never whole. Payload texts and line
-    heads follow the dump's own rules, per column (each holds one kind).
+    increase and every frame holds one message per channel, in name order,
+    so frame order then column order is already the dump's (t_ns, channel)
+    order: nothing is sorted and the text is never whole. Payload texts and
+    line heads follow the dump's own rules, per column (each holds one kind).
     """
     texts = _payload_texts()
-    columns = [ar.columns[name] for name in sorted(ar.channel_names)]
-    writers = [({}, texts[column[0].kind]) for column in columns] if ar.times else []
+    columns = list(ar.columns.values())
+    writers = [({}, texts[column[0].kind]) for column in columns]
     for t, row in zip(ar.times, zip(*columns)):
         tail = _tail(t)
         # A line's head is its message's channel, not the column it sits in.
@@ -640,6 +621,4 @@ def align_recording(rec: Recording) -> AlignedRecording:
         later = [m.t_ns for m in islice(msgs, 1, None)]
         columns[name] = tuple(map(msgs.__getitem__, map(bisect_left, repeat(later), next_times)))
         del later
-    ar = AlignedRecording.__new__(AlignedRecording)  # valid by construction: no frame check
-    ar.times, ar.channel_names, ar.columns = tuple(islice(ref_times, start, None)), tuple(names), columns
-    return ar
+    return AlignedRecording(tuple(islice(ref_times, start, None)), columns)

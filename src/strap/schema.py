@@ -408,10 +408,8 @@ def encode_recording(
     """Vectorize every frame, optionally filtered down to one module's view.
 
     Each run of AlignedRecording.run_bounds encodes once (synth._FrameClasses
-    states the run rule); every aligned frame has frame 0's channel order.
+    states the run rule); every frame of a grid lists the same channels.
     """
-    if not ar.frames:
-        return []
     encoder = FrameEncoder(registry, flt)
     order = encoder.channel_order(ar.frames[0])
     vectors: list[FrameVector] = []

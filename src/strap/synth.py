@@ -896,10 +896,12 @@ def _output_channel(module: ToyModule, frame: Frame) -> str:
 
 
 def _on_inputs(frame: Frame, read: Callable[[dict[MessageKind, Mapping[str, Any]]], Any]) -> Any:
-    """read of the frame's inputs, one payload per kind (the last channel of a kind wins).
+    """read of the frame's inputs, one payload per kind.
 
-    When read fails on a payload of the wrong shape, PayloadError names its
-    first bad field.
+    Frames list channels by name (align_recording), so of two channels of one
+    kind a replay reads the last by name; the encoder claims objects from the
+    first (FrameEncoder.channel_order). When read fails on a payload of the
+    wrong shape, PayloadError names its first bad field.
     """
     try:
         return read({m.kind: m.payload for m in frame.messages.values()})

@@ -8,9 +8,25 @@ import sys
 import pytest
 
 from strap.benchmarks import benchmark_script, noisy_prediction_script, rare_fault_script
-from strap.recording import align_recording
+from strap.recording import Channel, Message, Recording, align_recording
 from strap.schema import default_registry
 from strap.synth import generate_recording
+
+
+def recording_of(frames):
+    """The frames as a plain recording, each message stamped with its frame's
+    time, as AlignedRecording.to_recording stamps them."""
+    channels = {}
+    for name in frames[0].messages:
+        column = [f.messages[name] for f in frames]
+        messages = tuple(Message(m.channel, f.t_ns, m.kind, m.payload) for m, f in zip(column, frames))
+        channels[name] = Channel(name, messages[0].kind, messages)
+    return Recording(channels)
+
+
+def grid_of(frames):
+    """The aligned grid of hand-built frames: align_recording is the only way to make one."""
+    return align_recording(recording_of(frames))
 
 
 @pytest.fixture(scope="session")

@@ -527,9 +527,17 @@ class TestMistypedInputs:
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1 and errors[0].startswith("error: "), err
         if doc == "truncated-object":
-            # A JSON document's error names its file; a recording's names the line.
-            read_as_recording = kind == "rec" or flag == "reduce --in"
-            assert ("error: line 1: " if read_as_recording else f"error: {bad}: invalid JSON") in err
+            # A JSON document's error names its file, reduce --in's included;
+            # a recording's names the line.
+            assert ("error: line 1: " if kind == "rec" else f"error: {bad}: invalid JSON") in err
+
+    def test_reduce_reads_a_bad_recording_line_as_a_recording(self, work, tmp_path, capsys):
+        # One whole JSON value, then more text: reduce --in reads a recording.
+        lines = work["rec"].read_text().splitlines(keepends=True)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join([*lines[:2], '{"channel": \n', *lines[3:]]))
+        argv = ["reduce", "--in", str(bad), "--out", str(tmp_path / "segments.json")]
+        assert _one_error(argv, capsys).startswith("error: line 3: invalid JSON")
 
     def test_repeated_mutant_id(self, work, tmp_path, capsys):
         mutants = tmp_path / "mutants.json"

@@ -13,10 +13,10 @@ from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 
 import pytest
+from conftest import grid_of
 
 from strap.benchmarks import benchmark_script
 from strap.recording import (
-    AlignedRecording,
     AlignmentError,
     Channel,
     Frame,
@@ -399,9 +399,9 @@ def _hand_built():
             )
         )
     # The previous frame's messages again, under a float frame time: each
-    # line takes the frame's time, encoded as JSON, not its message's.
+    # line takes the frame's time, encoded as JSON.
     frames.append(Frame(50.0, frames[-1].messages))
-    return AlignedRecording(tuple(frames), ("plan", "a", "\u00fcber", "n"))
+    return grid_of(frames)
 
 
 class TestJsonlDifferential:
@@ -491,9 +491,8 @@ class TestAlignedJsonl:
     def test_equals_sorted_dump_for_unsorted_channel_names(self):
         r = rec(chan("z", [0, 10, 20]), chan("a", [0, 5, 15, 20]), chan("m", [3, 10]))
         ar = align_recording(r)
-        shuffled = AlignedRecording(ar.frames, ("z", "m", "a"))
         expected = dump_recording_jsonl(ar.to_recording())
-        assert "".join(aligned_jsonl(shuffled)) == expected
+        assert "".join(aligned_jsonl(ar)) == expected
         assert [json.loads(l)["channel"] for l in expected.splitlines()[:3]] == ["a", "m", "z"]
 
     def test_line_channel_is_the_message_channel(self):
@@ -622,44 +621,10 @@ class TestAlignment:
                 n: m.payload for n, m in f2.messages.items()
             }
 
-    def test_aligned_recording_validates_coverage(self):
-        f0 = Frame(0, {"a": msg("a", 0)})
-        f1 = Frame(10, {"a": msg("a", 10), "b": msg("b", 10)})
-        with pytest.raises(ValueError, match="does not cover"):
-            AlignedRecording((f0, f1), ("a", "b"))
-
-    def test_aligned_recording_keeps_one_kind_per_channel(self):
-        f0 = Frame(0, {"a": msg("a", 0, MessageKind.OBSTACLE), "b": msg("b", 0)})
-        f1 = Frame(10, {"a": msg("a", 10, MessageKind.PLANNING), "b": msg("b", 10)})
-        with pytest.raises(ValueError, match=r"channel 'a' is 'obstacle' in the first frame but carries 'planning' at t=10"):
-            AlignedRecording((f0, f1), ("a", "b"))
-
-    def test_aligned_recording_requires_increasing_times(self):
-        f0 = Frame(10, {"a": msg("a", 10)})
-        f1 = Frame(10, {"a": msg("a", 10)})
-        with pytest.raises(ValueError, match="strictly increasing"):
-            AlignedRecording((f0, f1), ("a",))
-
     def test_aligned_grid_lists_channels_by_name(self):
         ar = align_recording(rec(chan("z", [0, 10]), chan("a", [0, 10]), chan("m", [0, 10])))
         assert ar.channel_names == tuple(ar.columns) == ("a", "m", "z")
         assert [list(f.messages) for f in ar.frames] == [["a", "m", "z"]] * 2
-
-    def test_hand_built_grid_lists_frame_0_order(self):
-        frames = [Frame(t, {"b": msg("b", t), "a": msg("a", t)}) for t in (0, 10)]
-        ar = AlignedRecording(frames, ("a", "b"))
-        assert ar.channel_names == ("a", "b")
-        assert [list(f.messages) for f in ar.frames] == [["b", "a"]] * 2
-        assert [list(f.messages) for f in ar.frames[1:]] == [["b", "a"]]
-
-    def test_hand_built_frames_keep_frame_0_order(self):
-        # Inputs take the last channel of a kind, so two planning channels in
-        # another order would feed another payload: the grid refuses them.
-        f0 = Frame(0, {"a": msg("a", 0, MessageKind.PLANNING), "b": msg("b", 0, MessageKind.PLANNING)})
-        f1 = Frame(10, {"b": msg("b", 10, MessageKind.PLANNING), "a": msg("a", 10, MessageKind.PLANNING)})
-        with pytest.raises(ValueError) as exc:
-            AlignedRecording((f0, f1), ("a", "b"))
-        assert str(exc.value) == "frame at t=10 lists its channels in another order than frame 0"
 
     def test_frames_view_is_read_only(self):
         ar = align_recording(rec(chan("cam", [0, 100, 200]), chan("det", [0, 100])))

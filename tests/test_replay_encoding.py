@@ -11,9 +11,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from conftest import grid_of
 
 from strap.benchmarks import BUILTIN_MUTANTS, BUILTIN_SCRIPTS
-from strap.recording import AlignedRecording, Frame, Message, MessageKind, align_recording
+from strap.recording import Frame, Message, MessageKind, align_recording
 from strap.schema import (
     MODULE_CHANNELS,
     MODULE_KINDS,
@@ -282,7 +283,7 @@ def random_recording(rng, channels, n):
         Frame(t, {name: Message(name, t, kind, random_payload(rng, kind)) for name, kind in channels.items()})
         for t in range(0, n * 10, 10)
     )
-    return AlignedRecording(frames, tuple(sorted(channels)))
+    return grid_of(frames)
 
 
 def sparse_registry():

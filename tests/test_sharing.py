@@ -12,11 +12,11 @@ import copy
 import json
 
 import pytest
+from conftest import grid_of
 
 from strap.benchmarks import BUILTIN_MUTANTS, BUILTIN_SCRIPTS
 from strap.cli import main
 from strap.recording import (
-    AlignedRecording,
     Frame,
     MessageKind,
     RecordingLoadError,
@@ -249,7 +249,7 @@ def loaded(request, tmp_path_factory):
     path = tmp_path_factory.mktemp("loaded") / "recording.jsonl"
     path.write_text(dump_recording_jsonl(generate_recording(BUILTIN_SCRIPTS[request.param](), 0)))
     ar = align_recording(load_recording(path))
-    return ar, AlignedRecording(tuple(_unshared(ar.frames)), ar.channel_names)
+    return ar, grid_of(_unshared(ar.frames))
 
 
 def test_encode_recording_memo_matches_unshared(loaded, registry):

@@ -13,6 +13,7 @@ from itertools import pairwise, repeat
 from operator import is_not
 
 import pytest
+from conftest import grid_of, recording_of
 
 from strap.benchmarks import (
     BUILTIN_MUTANTS,
@@ -830,30 +831,33 @@ def _mutants_of(kind):
 
 def _rebuilt(base, messages, n=None):
     """An aligned recording on base's grid whose frame i holds messages(i, frame)."""
-    frames = tuple(Frame(f.t_ns, messages(i, f)) for i, f in enumerate(base.frames[:n]))
-    return AlignedRecording(frames, tuple(sorted(frames[0].messages)))
+    return grid_of(tuple(Frame(f.t_ns, messages(i, f)) for i, f in enumerate(base.frames[:n])))
 
 
 def _second_read_channel(base, kind, first):
     """Each frame plus a second channel of every kind the module reads but does not publish.
 
     The added channel carries the mirrored frame's payload, so the two
-    channels differ. It goes before the recorded ones in frame order when
-    first is set, after them otherwise: inputs take the last channel of a
-    kind, and the encoder claims objects from the first one by name.
+    channels differ. Its name sorts before every recorded channel's when
+    first is set, after them otherwise, so the replay and the encoder read
+    other channels in each case (the rule at synth._on_inputs).
     """
     module = make_module(kind)
     kinds = module.reads.keys() - {module.publish_kind}
+    prefix = "00_" if first else "zz_"
 
     def messages(i, frame):
         mirror = base.frames[len(base.frames) - 1 - i].messages
         extra = {
-            f"zz_{name}": Message(f"zz_{name}", m.t_ns, m.kind, m.payload)
+            f"{prefix}{name}": Message(f"{prefix}{name}", m.t_ns, m.kind, m.payload)
             for name, m in mirror.items() if m.kind in kinds
         }
-        return {**extra, **frame.messages} if first else {**frame.messages, **extra}
+        return {**frame.messages, **extra}
 
-    return _rebuilt(base, messages)
+    ar = _rebuilt(base, messages)
+    added = ar.channel_names[: len(kinds)] if first else ar.channel_names[-len(kinds) :]
+    assert all(name.startswith(prefix) for name in added), ar.channel_names
+    return ar
 
 
 def _without_output(base, kind):
@@ -1159,10 +1163,9 @@ class TestRunWalks:
         # of the plan (frame 3) and a new scene (frame 5) start runs.
         frames = [frame(0, scene, plan), frame(1, scene, plan), frame(2, scene, plan),
                   frame(3, scene, dict(plan)), frame(4, scene, plan), frame(5, {"lights": []}, plan)]
-        ar = AlignedRecording(tuple(frames), ("image", "loc", "plan"))
+        ar = grid_of(frames)
         assert list(ar.run_bounds) == [0, 3, 4, 5, 6]
         assert ar.run_bounds is ar.run_bounds
-        assert list(AlignedRecording((), ()).run_bounds) == [0]
 
     def test_run_benchmark_finds_the_runs_once(self, small_recording, monkeypatch):
         calls = []
@@ -1260,8 +1263,7 @@ def assert_fps_matches_reference(ar):
 
 def image_grid(times):
     image = MessageKind.IMAGE_REF
-    frames = tuple(Frame(t, {"image": Message("image", t, image, {})}) for t in times)
-    return AlignedRecording(frames, ("image",))
+    return grid_of([Frame(t, {"image": Message("image", t, image, {})}) for t in times])
 
 
 SPARSE_GRID = (0, 3 * NS_PER_SEC)
@@ -1302,7 +1304,6 @@ class TestFrameRate:
     def test_matches_reference_on_odd_grids(self, ten_fps_recording):
         grids = [
             align_recording(ten_fps_recording),
-            image_grid(()),
             image_grid((0,)),
             image_grid(SPARSE_GRID),
             image_grid(IRREGULAR_GRID),
@@ -1534,22 +1535,21 @@ def random_recording(seed):
 
 
 class TestColumnarGrid:
-    """The columnar grid against one Frame per slot: align_recording and
-    AlignedRecording's checks as they built and stored frames (FrameGrid)."""
+    """The columnar grid against align_recording as it built one Frame per
+    slot, each checked as it was stored (frame_align_recording, FrameGrid)."""
 
     @pytest.mark.parametrize("case", sorted(HAND_MADE))
     def test_hand_made(self, varied_aligned, case, monkeypatch):
         built = []
 
-        def both(frames, channel_names):
-            built.append(FrameGrid(frames, channel_names))
-            return columnar(frames, channel_names)
+        def capture(frames):
+            built.append(recording_of(frames))
+            return align_recording(built[-1])
 
-        columnar = AlignedRecording
-        monkeypatch.setitem(globals(), "AlignedRecording", both)
+        monkeypatch.setitem(globals(), "grid_of", capture)
         for kind in MODULE_KINDS:
             ar = HAND_MADE[case](varied_aligned, kind)
-            assert_grid_matches_frames(ar, built[-1])
+            assert_grid_matches_frames(ar, frame_align_recording(built[-1]))
 
     @pytest.mark.parametrize("name", [*sorted(BUILTIN_SCRIPTS), "long-suite"])
     def test_builtins_in_memory_and_loaded(self, name, seed_0_recordings):
@@ -1559,3 +1559,41 @@ class TestColumnarGrid:
     @pytest.mark.parametrize("seed", range(60))
     def test_random_recordings(self, seed):
         assert_aligns_as_frames(random_recording(seed))
+
+
+def assert_round_trips(ar):
+    """align_recording(ar.to_recording()) is ar again, payload objects included."""
+    again = align_recording(ar.to_recording())
+    assert again.times == ar.times
+    assert again.channel_names == ar.channel_names
+    for name in ar.channel_names:
+        want, got = ar.columns[name], again.columns[name]
+        assert [(m.kind, m.channel, id(m.payload)) for m in got] == [
+            (m.kind, m.channel, id(m.payload)) for m in want
+        ], name
+
+
+class TestRoundTrip:
+    """Every grid is the alignment of its own plain recording (AlignedRecording.to_recording)."""
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SCRIPTS))
+    def test_builtins(self, name, seed):
+        assert_round_trips(align_recording(generate_recording(BUILTIN_SCRIPTS[name](), seed)))
+
+    def test_tiled_benchmark(self, seed_0_grids):
+        for ar in seed_0_grids("long-suite"):
+            assert_round_trips(ar)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_recordings(self, seed):
+        try:
+            ar = align_recording(random_recording(seed))
+        except AlignmentError:
+            return
+        assert_round_trips(ar)
+
+    @pytest.mark.parametrize("case", sorted(HAND_MADE))
+    def test_hand_made(self, varied_aligned, case):
+        for kind in MODULE_KINDS:
+            assert_round_trips(HAND_MADE[case](varied_aligned, kind))
