@@ -14,16 +14,17 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from itertools import compress, islice, repeat
-from operator import eq, gt, is_not, itemgetter, ne
+from functools import cached_property, lru_cache
+from itertools import chain, compress, islice, repeat
+from operator import add, eq, gt, is_not, itemgetter, ne
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .fileio import check, is_json_int
 
 TimestampNs = int
 NS_PER_SEC = 1_000_000_000
+T_NS_END = 2**63  # channels and grids hold times in an array('q'), so each is below this
 
 
 def _frame_t_ns(index: int, fps: int) -> int:
@@ -62,7 +63,7 @@ class Message:
     """One channel message.
 
     Messages and frames are slotted and not frozen, for construction cost: a
-    long recording builds one Message per line. Nothing assigns to them.
+    frame read builds one Message per channel. Nothing assigns to them.
     Payloads are immutable by convention, and the convention is load-bearing:
     the loader and the generator give equal payloads (and scenes) one shared
     object, replay hands one output object to every frame it holds on, and
@@ -80,25 +81,66 @@ class Message:
             raise ValueError(f"negative timestamp {self.t_ns} on channel {self.channel!r}")
 
 
-@dataclass(frozen=True)
+class _View(Sequence[Any]):
+    """A read-only sequence over a span of indices: a read builds its item, a slice copies nothing."""
+
+    __slots__ = ("_build", "_span")
+
+    def __init__(self, build: Callable[[int], Any], span: range) -> None:
+        self._build, self._span = build, span
+
+    def __len__(self) -> int:
+        return len(self._span)
+
+    def __getitem__(self, i):  # type: ignore[override]
+        if isinstance(i, slice):
+            return _View(self._build, self._span[i])
+        return self._build(self._span[i])
+
+    def __iter__(self) -> Iterator[Any]:
+        return map(self._build, self._span)
+
+
 class Channel:
-    """A named message stream of a single kind with non-decreasing timestamps."""
+    """A named message stream of a single kind with non-decreasing timestamps, as columns.
 
-    name: str
-    kind: MessageKind
-    messages: tuple[Message, ...]
+    Message k is ``(times[k], payloads[k])``, from an array('q') and a tuple:
+    no object per message but its payload. Channel(name, kind, messages)
+    checks each message's kind, channel, order and time; ``messages`` is a
+    read-only view that builds a Message on read.
+    """
 
-    def __post_init__(self) -> None:
-        prev = -1
-        for m in self.messages:
-            if m.kind is not self.kind:
-                raise ValueError(
-                    f"channel {self.name!r} declared {self.kind.value!r} "
-                    f"but holds a {m.kind.value!r} message"
-                )
-            if m.t_ns < prev:
-                raise ValueError(f"channel {self.name!r} timestamps decrease at t={m.t_ns}")
-            prev = m.t_ns
+    __slots__ = ("name", "kind", "times", "payloads")
+
+    def __init__(self, name: str, kind: MessageKind, messages: Iterable[Message]) -> None:
+        times, payloads = array("q"), []
+        for m in messages:
+            if m.kind is not kind:
+                raise ValueError(f"channel {name!r} declared {kind.value!r} "
+                                 f"but holds a {m.kind.value!r} message")
+            if m.channel != name:
+                raise ValueError(f"channel {name!r} holds a message of channel {m.channel!r}")
+            if type(m.t_ns) is not int or m.t_ns >= T_NS_END:
+                raise ValueError(f"channel {name!r}: timestamp {m.t_ns!r} is not an integer below 2**63")
+            if times and m.t_ns < times[-1]:
+                raise ValueError(f"channel {name!r} timestamps decrease at t={m.t_ns}")
+            times.append(m.t_ns)
+            payloads.append(m.payload)
+        self.name, self.kind, self.times, self.payloads = name, kind, times, tuple(payloads)
+
+    @classmethod
+    def _of(cls, name: str, kind: MessageKind, times: array[int], payloads: Sequence[Any]) -> Channel:
+        """The channel of these columns, unchecked: the loader's, the generator's and to_recording's."""
+        ch = cls.__new__(cls)
+        ch.name, ch.kind, ch.times, ch.payloads = name, kind, times, payloads
+        return ch
+
+    @property
+    def messages(self) -> Sequence[Message]:
+        return _View(self.message, range(len(self.times)))
+
+    def message(self, k: int) -> Message:
+        return Message(self.name, self.times[k], self.kind, self.payloads[k])
 
 
 @dataclass(frozen=True)
@@ -117,7 +159,7 @@ class Recording:
             raise ValueError("recording has no messages")
 
     def message_count(self) -> int:
-        return sum(len(ch.messages) for ch in self.channels.values())
+        return sum(len(ch.times) for ch in self.channels.values())
 
 
 @dataclass(slots=True)
@@ -184,44 +226,33 @@ RUN_READS: Mapping[MessageKind, str | None] = {
 }
 
 
-class _FrameView(Sequence[Frame]):
-    """A grid's frames over a span of its columns: a read builds a Frame, a slice copies nothing."""
+class Column(NamedTuple):
+    """A grid's channel: the recorded channel, and per frame the index of its message there."""
 
-    __slots__ = ("_times", "_columns", "_span")
+    channel: Channel
+    index: array[int]
 
-    def __init__(self, times: Sequence[int], columns: Sequence[tuple[str, Sequence[Message]]], span: range):
-        self._times, self._columns, self._span = times, columns, span
-
-    def __len__(self) -> int:
-        return len(self._span)
-
-    def __getitem__(self, i):  # type: ignore[override]
-        if isinstance(i, slice):
-            return _FrameView(self._times, self._columns, self._span[i])
-        return self._frame(self._span[i])
-
-    def __iter__(self) -> Iterator[Frame]:
-        return map(self._frame, self._span)
-
-    def _frame(self, j: int) -> Frame:
-        return Frame(self._times[j], {name: column[j] for name, column in self._columns})
+    def payload(self, i: int) -> Any:
+        return self.channel.payloads[self.index[i]]
 
 
 class AlignedRecording:
     """Each channel's recorded messages on the reference channel's timestamp grid, as columns.
 
-    Only align_recording builds one. ``times`` holds the frame times, strictly
-    increasing and never empty, and ``columns`` each channel's message at
-    every frame, recorded ones, not copies, with channels in name order. A
-    channel keeps one message kind, as in a Channel. ``frames`` is a
-    read-only view that builds a Frame on read.
+    Only align_recording builds one. ``times`` is an array('q') of the frame
+    times, strictly increasing and never empty, and ``columns`` maps each
+    channel, in name order, to its Column, so a grid holds no object per
+    frame. ``frames`` is a read-only view that builds a Frame, and each of
+    its recorded messages, on read. It keeps the last 256 frames it built,
+    since a module's class table and each of its mutants read the same
+    frames again (synth._FrameClasses); nothing mutates a Frame.
     """
 
-    times: tuple[TimestampNs, ...]
+    times: array[TimestampNs]
     channel_names: tuple[str, ...]
-    columns: Mapping[str, tuple[Message, ...]]
+    columns: Mapping[str, Column]
 
-    def __init__(self, times: tuple[TimestampNs, ...], columns: Mapping[str, tuple[Message, ...]]) -> None:
+    def __init__(self, times: array[TimestampNs], columns: Mapping[str, Column]) -> None:
         self.times, self.columns, self.channel_names = times, columns, tuple(columns)
 
     def __len__(self) -> int:
@@ -229,17 +260,20 @@ class AlignedRecording:
 
     @cached_property
     def frames(self) -> Sequence[Frame]:
-        return _FrameView(self.times, tuple(self.columns.items()), range(len(self.times)))
+        # The view holds the columns, not the grid, so caching it on the grid makes no cycle.
+        t, columns = self.times, tuple(self.columns.items())
+        build = lru_cache(256)(lambda i: Frame(t[i], {n: c.message(k[i]) for n, (c, k) in columns}))
+        return _View(build, range(len(t)))
 
     @cached_property
     def run_bounds(self) -> array[int]:
         """Each run's first frame, then the frame count (synth._FrameClasses states the rule)."""
         n = len(self.times)
         starts = {0}
-        for column in self.columns.values():
-            if column[0].kind in RUN_READS:
-                field = RUN_READS[column[0].kind]
-                objects = [m.payload if field is None else m.payload.get(field) for m in column]
+        for ch, index in self.columns.values():
+            if ch.kind in RUN_READS:
+                field = RUN_READS[ch.kind]
+                objects = [p if field is None else p.get(field) for p in map(ch.payloads.__getitem__, index)]
                 starts.update(compress(range(1, n), map(is_not, islice(objects, 1, None), objects)))
         return array("q", [*sorted(starts), n])
 
@@ -247,12 +281,12 @@ class AlignedRecording:
     def fps(self) -> int:
         """The grid's clock: ``round(1e9 * (n - 1) / (t_last - t_first))`` frames a second.
 
-        Replay takes frame i's emission tick as _frame_index(t_ns, fps), so
-        the grid must put frame i on tick i after frame 0's: no two frames
-        share a tick and none skips one. AlignmentError names the first frame
-        that does not, or a grid below 1 fps; prepare_recording reads the
-        rate, so a grid is checked before any replay. A one-frame grid is
-        1 fps, since its replay computes only its cold start.
+        Replay ticks count from the grid's first frame, as the generator's
+        do, whatever the time origin: frame i is tick i, so the grid must put
+        it at _frame_index(t_ns, fps) = frame 0's + i. AlignmentError names
+        the first frame that is not, or a grid below 1 fps; prepare_recording
+        reads the rate, so a grid is checked before any replay. A one-frame
+        grid is 1 fps, since its replay computes only its cold start.
         """
         times = self.times
         n = len(times)
@@ -276,14 +310,13 @@ class AlignedRecording:
         """A plain recording of the frames, each message stamped with its frame's time.
 
         Aligning it gives this grid back: ``align_recording(ar.to_recording())``
-        has the same times and channel names, and each column the same kinds,
-        message channels and payload objects.
+        has the same times and channel names, and each column the same kinds
+        and payload objects. Its channels share the grid's times array.
         """
-        channels, times = {}, self.times
-        for name in self.channel_names:
-            msgs = [Message(m.channel, t, m.kind, m.payload) for m, t in zip(self.columns[name], times)]
-            channels[name] = Channel(name, msgs[0].kind, tuple(msgs))
-        return Recording(channels)
+        return Recording({
+            name: Channel._of(name, ch.kind, self.times, tuple(map(ch.payloads.__getitem__, index)))
+            for name, (ch, index) in self.columns.items()
+        })
 
 
 # One decoder for every canonical line: ``json.loads`` would wrap each of a
@@ -292,7 +325,7 @@ _scan_once = json.JSONDecoder().scan_once
 _KINDS = {k.value: k for k in MessageKind}
 
 
-def _parse_line(line: str, lineno: int) -> Message:
+def _parse_line(line: str, lineno: int) -> tuple[str, TimestampNs, MessageKind, dict[str, Any]]:
     try:
         row = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -318,24 +351,26 @@ def _parse_line(line: str, lineno: int) -> Message:
         raise RecordingLoadError(f"line {lineno}: t_ns must be an integer")
     if t_ns < 0:
         raise RecordingLoadError(f"line {lineno}: negative timestamp {t_ns}")
+    if t_ns >= T_NS_END:
+        raise RecordingLoadError(f"line {lineno}: timestamp {t_ns} is not below 2**63")
     payload = row["payload"]
     if not isinstance(payload, dict):
         raise RecordingLoadError(f"line {lineno}: payload must be a JSON object")
-    return Message(channel, t_ns, kind, payload)
+    return channel, t_ns, kind, payload
 
 
-# A canonical line is _line_head(channel, kind) + payload text + _tail(t_ns).
+# A canonical line is _line_head(channel, kind) + payload text + ', "t_ns": T}'.
 _PAYLOAD_KEY = ', "payload": '
 _T_NS_KEY = ', "t_ns": '
 
 
 def _shared_line(
     line: str,
-    heads: Mapping[str, tuple[str, MessageKind]],
+    heads: Mapping[str, Channel],
     payloads: dict[str, dict[str, Any]],
     scenes: dict[str, Any],
-) -> Message | None:
-    """The message of a canonical line whose head was seen before, or None.
+) -> tuple[Channel, TimestampNs, dict[str, Any]] | None:
+    """The channel, time and payload of a canonical line whose head was seen before, or None.
 
     A payload is looked up by its text in ``payloads``, or scanned and added
     there, so equal texts share one object; an image payload, whose ref
@@ -344,8 +379,8 @@ def _shared_line(
     identical text parses to an identical value. ``heads`` holds only heads
     that _line_head built from a parsed channel and kind. So the line is the
     object ``{"channel", "kind", "payload", "t_ns"}`` with no other or
-    repeated key, and the message equals _parse_line's. Any other line gives
-    None and is parsed in full, so no error message changes.
+    repeated key, and what it gives equals _parse_line's. Any other line
+    gives None and is parsed in full, so no error message changes.
     """
     # No JSON string holds an unescaped quote, so the first ', "payload": '
     # of a canonical line ends its head.
@@ -354,7 +389,7 @@ def _shared_line(
     known = heads.get(line[:start])
     if known is None or end < start or line[-1:] != "}":
         return None
-    channel, kind = known
+    kind = known.kind
     text = line[start:end]
     try:
         t_ns, stop = _scan_once(line, end + len(_T_NS_KEY))
@@ -370,9 +405,9 @@ def _shared_line(
                 payloads[text] = payload
     except (StopIteration, ValueError, RecursionError):
         return None
-    if stop != len(line) - 1 or type(t_ns) is not int or t_ns < 0:
+    if stop != len(line) - 1 or type(t_ns) is not int or not 0 <= t_ns < T_NS_END:
         return None
-    return Message(channel, t_ns, kind, payload)
+    return known, t_ns, payload
 
 
 _REF_HEAD = '{"ref": '
@@ -413,11 +448,14 @@ def load_recording(path: str | Path) -> Recording:
     Equal payload texts on canonical lines (the layout dump_recording_jsonl
     writes) load as one shared payload object, parsed once, and equal image
     scene texts as one shared scene, parsed once; see Message on why
-    payloads are never mutated. The sharing tables live only for the line loop.
+    payloads are never mutated. The sharing tables live only for the line
+    loop. A line appends its time and payload to its channel's columns (a
+    list of payloads until the loop ends); a known head fixes the channel's
+    kind, so only a line parsed in full is checked against it.
     """
-    per_channel: dict[str, list[Message]] = {}
-    kinds: dict[str, tuple[MessageKind, int]] = {}
-    heads: dict[str, tuple[str, MessageKind]] = {}
+    per_channel: dict[str, Channel] = {}
+    declared: dict[str, int] = {}
+    heads: dict[str, Channel] = {}
     payloads: dict[str, dict[str, Any]] = {}
     scenes: dict[str, Any] = {}
     # Lines end only at \n, \r or \r\n: the file is read line by line, never
@@ -425,75 +463,64 @@ def load_recording(path: str | Path) -> Recording:
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw[:-1] if raw[-1:] == "\n" else raw
-            msg = _shared_line(line, heads, payloads, scenes)
-            if msg is None:
+            row = _shared_line(line, heads, payloads, scenes)
+            if row is None:
                 # Only JSON whitespace makes a blank line; json.loads rejects
                 # the rest of what str.strip() drops, and so does _parse_line.
                 if not raw.strip(" \t\n\r"):
                     continue
-                msg = _parse_line(raw, lineno)
-                head = _line_head(msg.channel, msg.kind)
+                channel, t_ns, kind, payload = _parse_line(raw, lineno)
+                if channel not in per_channel:
+                    per_channel[channel], declared[channel] = Channel._of(channel, kind, array("q"), []), lineno
+                into = per_channel[channel]
+                if into.kind is not kind:
+                    raise RecordingLoadError(
+                        f"line {lineno}: channel {channel!r} is {into.kind.value!r} "
+                        f"(declared at line {declared[channel]}) but carries {kind.value!r}"
+                    )
+                head = _line_head(channel, kind)
                 if line.startswith(head):
-                    heads[head] = (msg.channel, msg.kind)
-                    msg = _shared_line(line, heads, payloads, scenes) or msg
-            seen = kinds.get(msg.channel)
-            if seen is None:
-                kinds[msg.channel] = (msg.kind, lineno)
-            elif seen[0] is not msg.kind:
-                raise RecordingLoadError(
-                    f"line {lineno}: channel {msg.channel!r} is {seen[0].value!r} "
-                    f"(declared at line {seen[1]}) but carries {msg.kind.value!r}"
-                )
-            per_channel.setdefault(msg.channel, []).append(msg)
+                    heads[head] = into
+                    row = _shared_line(line, heads, payloads, scenes)
+                row = row or (into, t_ns, payload)
+            into, t_ns, payload = row
+            into.times.append(t_ns)
+            into.payloads.append(payload)
     del heads, payloads, scenes
     if not per_channel:
         raise RecordingLoadError("empty recording")
 
-    channels = {}
-    # Each channel's list goes as its tuple is built.
-    for name in list(per_channel):
-        msgs = per_channel.pop(name)
-        times = [m.t_ns for m in msgs]
-        if any(map(gt, times, times[1:])):
-            msgs.sort(key=lambda m: m.t_ns)
-            times.sort()
+    for name, ch in per_channel.items():
+        times, payloads = ch.times, ch.payloads
+        if any(map(gt, times, islice(times, 1, None))):
+            order = sorted(range(len(times)), key=times.__getitem__)
+            times = array("q", map(times.__getitem__, order))
+            payloads = list(map(payloads.__getitem__, order))
             warnings.warn(f"channel {name!r}: out-of-order timestamps were re-sorted", stacklevel=2)
-        if any(map(eq, times, times[1:])):
+        if any(map(eq, times, islice(times, 1, None))):
             # Keep each time's first message, the first in file order as the
             # sort is stable: its time differs from the one before (no time is -1).
-            kept = list(compress(msgs, map(ne, times, [-1, *times])))
+            kept = list(map(ne, times, chain((-1,), times)))
             warnings.warn(
-                f"channel {name!r}: {len(msgs) - len(kept)} duplicate-timestamp message(s) "
+                f"channel {name!r}: {kept.count(False)} duplicate-timestamp message(s) "
                 "dropped, keeping the first in file order",
                 stacklevel=2,
             )
-            msgs = kept
-        channels[name] = Channel(name, msgs[0].kind, tuple(msgs))
-    return Recording(channels)
+            times, payloads = array("q", compress(times, kept)), list(compress(payloads, kept))
+        ch.times, ch.payloads = times, tuple(payloads)
+    return Recording(per_channel)
 
 
 # One key-sorted encoder for every line, in place of a new encoder per
 # ``json.dumps(..., sort_keys=True)`` call. A message's line is
 # ``{"channel": C, "kind": K, "payload": P, "t_ns": T}``: a head fixed by the
-# channel (a Channel and an AlignedRecording each hold one kind per channel),
-# the payload's text and a tail fixed by the timestamp.
+# channel (each holds one kind, and its messages carry its name), the
+# payload's text and a tail fixed by the timestamp, an int whose text is its repr.
 _encode = json.JSONEncoder(sort_keys=True).encode
 
 
 def _line_head(channel: str, kind: MessageKind) -> str:
     return f'{{"channel": {_encode(channel)}, "kind": {_encode(kind.value)}{_PAYLOAD_KEY}'
-
-
-def _head(heads: dict[str, str], m: Message) -> str:
-    head = heads.get(m.channel)
-    if head is None:
-        head = heads[m.channel] = _line_head(m.channel, m.kind)
-    return head
-
-
-def _tail(t_ns: TimestampNs) -> str:
-    # An int's JSON text is its repr; other numbers go through the encoder.
-    return f', "t_ns": {t_ns!r}}}\n' if type(t_ns) is int else f', "t_ns": {_encode(t_ns)}}}\n'
 
 
 _IMAGE_KEYS = frozenset({"ref", "scene"})
@@ -537,20 +564,17 @@ def _payload_texts() -> dict[MessageKind, Callable[[Any], str]]:
 def recording_jsonl(rec: Recording) -> Iterator[str]:
     """The lines of a recording's JSONL, globally sorted by (t_ns, channel).
 
-    Payload texts follow the rule at RUN_READS (_payload_texts). Each
-    channel keeps its own line heads by message channel name, since it holds
-    one kind: a name under two kinds gets a head for each.
+    Payload texts follow the rule at RUN_READS (_payload_texts), and each
+    channel has one line head.
     """
     texts = _payload_texts()
-    rows = []
+    rows: list[tuple[int, str, Callable[[Any], str], Any]] = []
     for name in sorted(rec.channels):
         ch = rec.channels[name]
-        heads: dict[str, str] = {}
-        text = texts[ch.kind]
-        rows += [(m.t_ns, m, heads, text) for m in ch.messages]
+        rows += zip(ch.times, repeat(_line_head(name, ch.kind)), repeat(texts[ch.kind]), ch.payloads)
     # Stable: equal times keep the channel-name order they were added in.
     rows.sort(key=itemgetter(0))
-    return (_head(heads, m) + text(m.payload) + _tail(t) for t, m, heads, text in rows)
+    return (f'{head}{text(p)}, "t_ns": {t}}}\n' for t, head, text, p in rows)
 
 
 def dump_recording_jsonl(rec: Recording) -> str:
@@ -565,17 +589,14 @@ def aligned_jsonl(ar: AlignedRecording) -> Iterator[str]:
     increase and every frame holds one message per channel, in name order,
     so frame order then column order is already the dump's (t_ns, channel)
     order: nothing is sorted and the text is never whole. Payload texts and
-    line heads follow the dump's own rules, per column (each holds one kind).
+    line heads follow the dump's own rules, per column.
     """
     texts = _payload_texts()
-    columns = list(ar.columns.values())
-    writers = [({}, texts[column[0].kind]) for column in columns]
-    for t, row in zip(ar.times, zip(*columns)):
-        tail = _tail(t)
-        # A line's head is its message's channel, not the column it sits in.
-        ms = zip(row, writers)
-        prefixes = [(h.get(m.channel) or _head(h, m)) + text(m.payload) for m, (h, text) in ms]
-        yield tail.join(prefixes) + tail
+    writers = [(_line_head(name, ch.kind), texts[ch.kind]) for name, (ch, _) in ar.columns.items()]
+    rows = zip(*[map(ch.payloads.__getitem__, index) for ch, index in ar.columns.values()])
+    for t, row in zip(ar.times, rows):
+        tail = f', "t_ns": {t}}}\n'
+        yield tail.join([head + text(p) for (head, text), p in zip(writers, row)]) + tail
 
 
 def align_recording(rec: Recording) -> AlignedRecording:
@@ -585,40 +606,50 @@ def align_recording(rec: Recording) -> AlignedRecording:
     lexicographically smallest name). For each reference timestamp t_i, a
     target channel contributes the last of its messages with timestamp in
     [t_i, t_{i+1}). Reference timestamps where a target has no such message
-    receive the target's most recent earlier message. Columns hold the
-    recorded Message objects themselves, not copies. Leading reference
-    timestamps for which some channel has no message at or before the next
-    reference tick are dropped; messages after the final reference timestamp
-    are never aligned.
+    receive the target's most recent earlier message. Columns index the
+    recorded messages of each channel. Leading reference timestamps for
+    which some channel has no message at or before the next reference tick
+    are dropped; messages after the final reference timestamp are never
+    aligned.
     """
     for name, ch in rec.channels.items():
-        if not ch.messages:
+        if not ch.times:
             raise AlignmentError(f"channel {name!r} has no messages")
-    ref = min(rec.channels.values(), key=lambda c: (-len(c.messages), c.name))
-    ref_times = sorted({m.t_ns for m in ref.messages})
-    n = len(ref_times)
+    ref = min(rec.channels.values(), key=lambda c: (-len(c.times), c.name))
+    t = ref.times  # time-sorted, so its distinct times are those unlike the next
+    grid = array("q", compress(t, map(ne, t, chain(islice(t, 1, None), (None,)))))
 
-    # Slot i covers [ref_times[i], next_times[i]); the last slot ends just
-    # after the last grid time. A channel fills slot i with its last message
-    # before next_times[i]: the slot's own last message, else the one held.
-    next_times = [*ref_times[1:], ref_times[-1] + 1]
+    # Slot i covers [grid[i], grid[i + 1]); the last slot ends just after the
+    # last grid time. A channel fills slot i with its last message before the
+    # slot's end: the slot's own last message, else the one held.
     names = sorted(rec.channels)
     start = 0
     for name in names:
-        # The slots that end at or before the channel's first message lead, empty.
-        first = bisect_right(next_times, rec.channels[name].messages[0].t_ns)
-        if first == n:
+        first = rec.channels[name].times[0]
+        if first > grid[-1]:
             raise AlignmentError(f"no alignable frames: channel {name!r} never overlaps the reference")
-        start = max(start, first)
+        # The slots before the one holding the channel's first message lead, empty.
+        start = max(start, bisect_right(grid, first, 1) - 1)
+    times = grid[start:]  # sliced to size: a grown array keeps 1/16 more room
+    del grid
+    columns = {name: Column(ch, _slots(ch.times, times)) for name, ch in sorted(rec.channels.items())}
+    return AlignedRecording(times, columns)
 
-    # Past start, every slot ends after each channel's first message, so the
-    # count of the channel's later messages before the slot's end is the
-    # index of its last message there. One channel's times live at a time.
-    del next_times[:start]
-    columns = {}
-    for name in names:
-        msgs = rec.channels[name].messages
-        later = [m.t_ns for m in islice(msgs, 1, None)]
-        columns[name] = tuple(map(msgs.__getitem__, map(bisect_left, repeat(later), next_times)))
-        del later
-    return AlignedRecording(tuple(islice(ref_times, start, None)), columns)
+
+_BLOCK = 256
+
+
+def _slots(times: array[int], grid: array[int]) -> array[int]:
+    """Per slot of the grid, the index of the last of times before its end, which is after times[0].
+
+    Each block of slot ends bisects a list of just the times it spans:
+    bisecting the array would box an int at every probe.
+    """
+    index, lo = array("q"), 0
+    for a in range(1, len(grid), _BLOCK):
+        ends = grid[a : a + _BLOCK]
+        hi = bisect_left(times, ends[-1], lo)
+        index.extend(map(add, map(bisect_left, repeat(times[lo:hi].tolist()), ends), repeat(lo - 1)))
+        lo = hi
+    index.append(bisect_right(times, grid[-1]) - 1)
+    return index[:]

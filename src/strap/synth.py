@@ -20,6 +20,7 @@ rule.
 from __future__ import annotations
 
 import random
+from array import array
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -786,7 +787,8 @@ def generate_recording(script: ScenarioScript, seed: int) -> Recording:
     memos = {kind: _ComputeMemo(module) for kind, module in modules.items()}
     held: dict[str, Mapping[str, Any]] = {}
     computed: dict[str, Mapping[str, Any]] = {}  # before sharing
-    messages: dict[str, list[Message]] = {name: [] for name in CHANNEL_OFFSETS_NS}
+    times: dict[str, array[int]] = {name: array("q") for name in CHANNEL_OFFSETS_NS}
+    payloads: dict[str, list[Mapping[str, Any]]] = {name: [] for name in CHANNEL_OFFSETS_NS}
     state: dict[str, Any] = {}
     next_event = 0
     text = _text_memo()
@@ -807,15 +809,15 @@ def generate_recording(script: ScenarioScript, seed: int) -> Recording:
             truth = shared(_scene_truth(state))
         t = _frame_t_ns(i, script.fps)
 
-        def emit(name: str, payload: Mapping[str, Any]) -> Message:
-            msg = Message(name, t + CHANNEL_OFFSETS_NS[name], CHANNEL_KINDS[name], payload)
-            messages[name].append(msg)
-            return msg
+        def emit(name: str, payload: Mapping[str, Any]) -> Mapping[str, Any]:
+            times[name].append(t + CHANNEL_OFFSETS_NS[name])
+            payloads[name].append(payload)
+            return payload
 
         image = emit("image", {"ref": f"frame_{i:06d}", "scene": truth})
         emit("localization", {"x": round(i * 0.5, 3), "y": 0.0, "heading": 0.0})
 
-        inputs: dict[MessageKind, Mapping[str, Any]] = {MessageKind.IMAGE_REF: image.payload}
+        inputs: dict[MessageKind, Mapping[str, Any]] = {MessageKind.IMAGE_REF: image}
         for kind in MODULE_KINDS:
             module = modules[kind]
             if module.emits_at(i):
@@ -827,12 +829,8 @@ def generate_recording(script: ScenarioScript, seed: int) -> Recording:
                 emit(kind, held[kind])
             inputs[module.publish_kind] = held[kind]
 
-    channels = {
-        name: Channel(name, CHANNEL_KINDS[name], tuple(msgs))
-        for name, msgs in messages.items()
-        if msgs
-    }
-    return Recording(channels)
+    return Recording({name: Channel._of(name, CHANNEL_KINDS[name], times[name], tuple(ps))
+                      for name, ps in payloads.items() if ps})
 
 
 @dataclass(frozen=True)
@@ -849,14 +847,14 @@ class ReplayResult:
 
 
 def replay_segment(
-    module: ToyModule, frames: Sequence[Frame], warmup_frames: int = 0, *, fps: int
+    module: ToyModule, frames: Sequence[Frame], warmup_frames: int = 0, *, fps: int, tick0: int
 ) -> ReplayResult:
     """Replay one module over aligned frames, one output per frame.
 
-    Frame ticks are _frame_index(t_ns, fps), as on the grid's clock
-    (AlignedRecording.fps), and outputs follow the hold rule
-    (_FrameClasses); the first warmup_frames outputs are not comparable.
-    compute goes through a _ComputeMemo.
+    A frame's tick is _frame_index(t_ns, fps) - tick0, tick0 being the
+    grid's first frame's (the rule at AlignedRecording.fps). Outputs follow
+    the hold rule (_FrameClasses); the first warmup_frames outputs are not
+    comparable. compute goes through a _ComputeMemo.
     """
     if not frames:
         raise SynthError("replay needs at least one frame")
@@ -867,7 +865,7 @@ def replay_segment(
     memo = _ComputeMemo(fresh)
     outputs = []
     for i, frame in enumerate(frames):
-        if i == 0 or fresh.emits_at(_frame_index(frame.t_ns, fps)):
+        if i == 0 or fresh.emits_at(_frame_index(frame.t_ns, fps) - tick0):
             held = _on_inputs(frame, memo.compute)
         outputs.append(Message(out_channel, frame.t_ns, module.publish_kind, held))
     return ReplayResult(tuple(outputs), warmup_frames, memo.call_counts())
@@ -926,8 +924,8 @@ def _swapped_vectors(
     out = []
     order = None
     for i, msg in replayed:
-        recorded = ar.columns[msg.channel][i] if msg.channel in ar.columns else None
-        if recorded is not None and recorded.kind is msg.kind and recorded.payload == msg.payload:
+        recorded = ar.columns.get(msg.channel)
+        if recorded and recorded.channel.kind is msg.kind and recorded.payload(i) == msg.payload:
             out.append(vectors[i])
             continue
         swapped = Frame(ar.times[i], {**ar.frames[i].messages, msg.channel: msg})
@@ -978,16 +976,17 @@ class _FrameClasses:
     what a replay of one module makes of them.
 
     The hold rule: a replay from warm-up start lo computes on lo, its cold
-    start, and on each emission tick after it (AlignedRecording.fps), holding
-    its last output in between, so frame i's source frame is the last tick
-    in (lo, i], or lo. The warm-up frames before a segment's start let that
-    held state catch up and are not compared; the whole recording is one
-    more segment (WHOLE_RECORDING_SEGMENT_ID) with none. Frame i's
-    class is the objects the module reads at its source (ToyModule.reads, by
-    identity) and the payloads the vector reads at i, the recorded output
-    among them. compute being pure, under any one mutant every frame of a
-    class, in any segment, gets the same output, comparison and vector; no
-    mutant changes reads, publish_kind or emits_at, so one table serves all.
+    start, and on each emission tick after it (frame i is tick i, the rule
+    at AlignedRecording.fps), holding its last output in between, so frame
+    i's source frame is the last tick in (lo, i], or lo. The warm-up frames
+    before a segment's start let that held state catch up and are not
+    compared; the whole recording is one more segment
+    (WHOLE_RECORDING_SEGMENT_ID) with none. Frame i's class is the objects
+    the module reads at its source (ToyModule.reads, by identity) and the
+    payloads the vector reads at i, the recorded output among them. compute
+    being pure, under any one mutant every frame of a class, in any segment,
+    gets the same output, comparison and vector; no mutant changes reads,
+    publish_kind or emits_at, so one table serves all.
 
     A run is a longest span of frames holding the same objects of all that
     the vector and the modules read (recording.RUN_READS: each payload but
@@ -1015,7 +1014,6 @@ def _frame_classes(
     channel = _output_channel(module, frames[0])
     columns = [prepared.aligned.columns[name] for name, _ in encoder.channel_order(frames[0])]
     read = _ComputeMemo(module).read
-    tick0 = _frame_index(frames[0].t_ns, prepared.aligned.fps)  # frame i's tick is tick0 + i
     index: dict[tuple[int, ...], int] = {}
     sources: list[Frame] = []
     firsts: list[int] = []
@@ -1024,7 +1022,7 @@ def _frame_classes(
         return tuple(map(id, _on_inputs(frames[source], read)))
 
     def class_of(source: int, reads: tuple[int, ...], i: int) -> int:
-        key = (*reads, *[id(column[i].payload) for column in columns])
+        key = (*reads, *[id(ch.payloads[k[i]]) for ch, k in columns])
         c = index.get(key)
         if c is None:
             c = index[key] = len(firsts)
@@ -1034,7 +1032,7 @@ def _frame_classes(
 
     def ticks(span: range) -> Iterator[int]:
         # The frames of span the whole replay computes on.
-        return (j for j in span if j == 0 or module.emits_at(tick0 + j))
+        return (j for j in span if j == 0 or module.emits_at(j))
 
     of_frame: list[int] = []
     source, reads = 0, ()
@@ -1156,9 +1154,10 @@ def run_prepared(
     # Call counts for CC: unmutated replay of each segment body, counting
     # calls of the functions the mutant set touches.
     functions = {module.PARAM_FUNCTIONS[m.target] for m in own}
+    clock = {"fps": ar.fps, "tick0": _frame_index(ar.times[0], ar.fps)}
     call_counts = []
     for s in segments:
-        counts = replay_segment(module, ar.frames[s.start_idx : s.end_idx + 1], fps=ar.fps).call_counts
+        counts = replay_segment(module, ar.frames[s.start_idx : s.end_idx + 1], **clock).call_counts
         call_counts.append(sum(counts.get(f, 0) for f in functions))
 
     plans = build_plans(

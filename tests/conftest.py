@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from strap.benchmarks import benchmark_script, noisy_prediction_script, rare_fault_script
-from strap.recording import Channel, Message, Recording, align_recording
+from strap.recording import Channel, Message, Recording, _frame_index, align_recording
 from strap.schema import default_registry
 from strap.synth import generate_recording
 
@@ -22,6 +22,12 @@ def recording_of(frames):
         messages = tuple(Message(m.channel, f.t_ns, m.kind, m.payload) for m, f in zip(column, frames))
         channels[name] = Channel(name, messages[0].kind, messages)
     return Recording(channels)
+
+
+def clock(ar, fps=None):
+    """replay_segment's clock for a grid: its rate (or fps) and its first frame's tick."""
+    fps = fps or ar.fps
+    return {"fps": fps, "tick0": _frame_index(ar.times[0], fps)}
 
 
 def grid_of(frames):

@@ -8,6 +8,7 @@ from pathlib import Path
 from types import FunctionType
 
 import pytest
+from message_reference import assert_loads_as_messages
 
 from strap.cli import _Parser, build_parser, main
 from strap.prioritization import RARITY_MODES, PrioritizedPlan, plan_to_json
@@ -1041,3 +1042,23 @@ class TestMistypedFields:
         assert main(["synth-generate", "--script", str(script), "--out", str(tmp_path / "r.jsonl")]) == 0
         assert main(["run-regression", "--in", str(work["rec"]), "--mutants", str(mutants),
                      "--module", "planning", "--out", str(tmp_path / "r.json")]) == 0
+
+
+class TestMistypedRecordingsLoadAsMessages:
+    """Each recording the TestMistyped* classes feed the CLI loads as the
+    message-holding loader loads it (message_reference): the same
+    RecordingLoadError text, or the same channels."""
+
+    @pytest.mark.parametrize("doc", MISTYPED)
+    def test_mistyped_documents(self, doc, valid_inputs, tmp_path):
+        text = MISTYPED[doc]
+        if text is None:
+            valid = valid_inputs["rec"].read_text()
+            text = valid[: len(valid) // 2].rstrip()[:-1]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(text)
+        assert_loads_as_messages(bad)
+
+    @pytest.mark.parametrize("case", PAYLOAD_CASES)
+    def test_mistyped_payloads(self, case, work, tmp_path):
+        assert_loads_as_messages(TestMistypedPayloads().retyped(case, work, tmp_path))

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import gc
 import json
+import operator
 import random
 import sys
 import tracemalloc
@@ -14,8 +16,9 @@ from collections import OrderedDict
 
 import pytest
 from conftest import grid_of
+from message_reference import assert_aligns_as_messages, assert_loads_as_messages
 
-from strap.benchmarks import benchmark_script
+from strap.benchmarks import BUILTIN_SCRIPTS, benchmark_script
 from strap.recording import (
     AlignmentError,
     Channel,
@@ -47,6 +50,40 @@ def rec(*channels):
     return Recording({c.name: c for c in channels})
 
 
+# Bad recording lines and the RecordingLoadError each gives.
+LINE_ERRORS = [
+    ("{not json", "line 1: invalid JSON"),
+    # Not JSON whitespace, so not a blank line.
+    ("\x0c", "line 1: invalid JSON"),
+    ('["x"]', "line 1: expected a JSON object"),
+    ('{"channel": "a", "t_ns": 0, "kind": "localization"}', "missing field 'payload'"),
+    (
+        '{"channel": "a", "t_ns": 0, "kind": "sonar", "payload": {}}',
+        "unknown message kind 'sonar'",
+    ),
+    (
+        '{"channel": "a", "t_ns": 1.5, "kind": "localization", "payload": {}}',
+        "t_ns must be an integer",
+    ),
+    (
+        '{"channel": "a", "t_ns": -3, "kind": "localization", "payload": {}}',
+        "negative timestamp -3",
+    ),
+    (
+        '{"channel": "a", "t_ns": 0, "kind": "localization", "payload": 7}',
+        "payload must be a JSON object",
+    ),
+    (
+        '{"channel": 5, "t_ns": 0, "kind": "localization", "payload": {}}',
+        "line 1: channel must be a string",
+    ),
+    (
+        '{"channel": null, "t_ns": 0, "kind": "localization", "payload": {}}',
+        "line 1: channel must be a string",
+    ),
+]
+
+
 class TestModel:
     def test_negative_timestamp_rejected(self):
         with pytest.raises(ValueError, match="negative timestamp"):
@@ -60,6 +97,31 @@ class TestModel:
     def test_channel_rejects_decreasing_times(self):
         with pytest.raises(ValueError, match="decrease"):
             chan("a", [5, 3])
+
+    def test_channel_rejects_a_message_of_another_channel(self):
+        # A line's head names its channel, so a channel's messages carry its name.
+        with pytest.raises(ValueError) as exc:
+            Channel("a", MessageKind.PLANNING, (msg("a", 0, MessageKind.PLANNING), msg("b", 1, MessageKind.PLANNING)))
+        assert str(exc.value) == "channel 'a' holds a message of channel 'b'"
+
+    @pytest.mark.parametrize("t", [2**63, 2**64, 1.5])
+    def test_channel_holds_64_bit_integer_times(self, t):
+        with pytest.raises(ValueError) as exc:
+            Channel("a", MessageKind.PLANNING, (msg("a", 0, MessageKind.PLANNING), msg("a", t, MessageKind.PLANNING)))
+        assert str(exc.value) == f"channel 'a': timestamp {t!r} is not an integer below 2**63"
+        ch = Channel("a", MessageKind.PLANNING, (msg("a", 2**63 - 1, MessageKind.PLANNING),))
+        assert list(ch.times) == [2**63 - 1] and ch.messages[0].t_ns == 2**63 - 1
+
+    def test_channel_holds_columns_and_builds_messages_on_read(self):
+        payloads = [{"n": 0}, {"n": 1}, {"n": 2}]
+        ch = Channel("a", MessageKind.PLANNING, [Message("a", t, MessageKind.PLANNING, p) for t, p in zip((0, 5, 5), payloads)])
+        assert list(ch.times) == [0, 5, 5] and ch.times.typecode == "q"
+        assert type(ch.payloads) is tuple and all(map(operator.is_, ch.payloads, payloads))
+        assert ch.messages[1] == Message("a", 5, MessageKind.PLANNING, payloads[1])
+        assert ch.messages[1] is not ch.messages[1]
+        assert [m.payload["n"] for m in ch.messages[::-1]] == [2, 1, 0] and len(ch.messages[1:]) == 2
+        with pytest.raises(TypeError):
+            ch.messages[0] = ch.messages[1]
 
     def test_recording_needs_messages(self):
         with pytest.raises(ValueError, match="no channels"):
@@ -110,40 +172,7 @@ class TestLoadDump:
             (70, "a"),
         ]
 
-    @pytest.mark.parametrize(
-        "line,err",
-        [
-            ("{not json", "line 1: invalid JSON"),
-            # Not JSON whitespace, so not a blank line.
-            ("\x0c", "line 1: invalid JSON"),
-            ('["x"]', "line 1: expected a JSON object"),
-            ('{"channel": "a", "t_ns": 0, "kind": "localization"}', "missing field 'payload'"),
-            (
-                '{"channel": "a", "t_ns": 0, "kind": "sonar", "payload": {}}',
-                "unknown message kind 'sonar'",
-            ),
-            (
-                '{"channel": "a", "t_ns": 1.5, "kind": "localization", "payload": {}}',
-                "t_ns must be an integer",
-            ),
-            (
-                '{"channel": "a", "t_ns": -3, "kind": "localization", "payload": {}}',
-                "negative timestamp -3",
-            ),
-            (
-                '{"channel": "a", "t_ns": 0, "kind": "localization", "payload": 7}',
-                "payload must be a JSON object",
-            ),
-            (
-                '{"channel": 5, "t_ns": 0, "kind": "localization", "payload": {}}',
-                "line 1: channel must be a string",
-            ),
-            (
-                '{"channel": null, "t_ns": 0, "kind": "localization", "payload": {}}',
-                "line 1: channel must be a string",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("line,err", LINE_ERRORS)
     def test_line_errors_carry_line_numbers(self, tmp_path, line, err):
         p = tmp_path / "bad.jsonl"
         p.write_text(line + "\n")
@@ -193,6 +222,18 @@ class TestLoadDump:
         p.write_text('{"channel": "a", "t_ns": 0, "kind": "planning", "payload": {"x": ' + deep + "}}\n")
         with pytest.raises(RecordingLoadError, match=r"^line 1: invalid JSON \("):
             load_recording(p)
+
+    def test_timestamp_past_64_bits_is_an_input_error(self, tmp_path):
+        p = tmp_path / "big.jsonl"
+        last = '{"channel": "a", "kind": "planning", "payload": {}, "t_ns": 9223372036854775807}\n'
+        p.write_text('{"channel": "a", "kind": "planning", "payload": {}, "t_ns": 0}\n' + last)
+        assert list(load_recording(p).channels["a"].times) == [0, 2**63 - 1]
+        # The second line takes the canonical-line path, the first does not.
+        for lines, lineno in (([last.replace("807", "808")], 1), ([last, last.replace("807", "808")], 2)):
+            p.write_text("".join(lines))
+            with pytest.raises(RecordingLoadError) as exc:
+                load_recording(p)
+            assert str(exc.value) == f"line {lineno}: timestamp 9223372036854775808 is not below 2**63"
 
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "empty.jsonl"
@@ -269,6 +310,57 @@ class TestLoadDump:
         assert [m.t_ns for m in r.channels["a"].messages] == [0, 1, 5, 6, 100]
 
 
+class TestLoadAgainstMessageLoader:
+    """load_recording and align_recording against the message-holding loader
+    and align they replace (message_reference), warnings and errors included."""
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SCRIPTS))
+    def test_builtins(self, name, seed, tmp_path):
+        r = generate_recording(BUILTIN_SCRIPTS[name](), seed)
+        p = tmp_path / "r.jsonl"
+        p.write_text(dump_recording_jsonl(r))
+        assert_loads_as_messages(p)
+        assert_aligns_as_messages(r)
+        assert_aligns_as_messages(load_recording(p))
+
+    @pytest.mark.parametrize("line,err", LINE_ERRORS)
+    def test_line_errors(self, tmp_path, line, err):
+        p = tmp_path / "bad.jsonl"
+        p.write_text('{"channel": "a", "kind": "localization", "payload": {}, "t_ns": 0}\n' + line + "\n")
+        assert_loads_as_messages(p)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_unsorted_duplicated_and_mixed_layouts(self, tmp_path, seed):
+        # Canonical and other layouts of one channel, shared and image
+        # payloads, out-of-order and duplicate times, a kind flip and blank lines.
+        rng = random.Random(seed)
+        kinds = {"a": "planning", "img": "image_ref", "loc": "localization"}
+        scenes = [{"lights": []}, {"lights": [{"hue_deg": 1.0}]}]
+        lines = []
+        for i in range(rng.randint(1, 40)):
+            name = rng.choice(sorted(kinds))
+            payload = ({"ref": f"f{i}", "scene": rng.choice(scenes)} if name == "img"
+                       else {"x": rng.choice([1, 2.5, None])})
+            row = {"channel": name, "kind": kinds[name], "payload": payload, "t_ns": rng.randint(0, 9)}
+            canonical = rng.random() < 0.7
+            lines.append(json.dumps(row, sort_keys=canonical, separators=None if canonical else (",", ":")))
+            if rng.random() < 0.05:
+                lines.append(" \t")
+        if seed == 11:
+            lines.append(json.dumps({"channel": "a", "kind": "obstacle", "payload": {}, "t_ns": 3}, sort_keys=True))
+        p = tmp_path / "mixed.jsonl"
+        p.write_text("\n".join(lines) + "\n")
+        assert_loads_as_messages(p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                r = load_recording(p)
+            except RecordingLoadError:
+                return
+        assert_aligns_as_messages(r)
+
+
 def _reference_parse(line, lineno):
     """A plain line parser: ``json.loads`` and ``MessageKind(...)``."""
     try:
@@ -293,18 +385,20 @@ def _reference_parse(line, lineno):
         raise RecordingLoadError(f"line {lineno}: t_ns must be an integer")
     if t_ns < 0:
         raise RecordingLoadError(f"line {lineno}: negative timestamp {t_ns}")
+    if t_ns >= 2**63:
+        raise RecordingLoadError(f"line {lineno}: timestamp {t_ns} is not below 2**63")
     if not isinstance(row["payload"], dict):
         raise RecordingLoadError(f"line {lineno}: payload must be a JSON object")
-    return Message(row["channel"], t_ns, kind, row["payload"])
+    return row["channel"], t_ns, kind, row["payload"]
 
 
 def _outcome(parse, line):
     try:
-        m = parse(line, 7)
+        channel, t_ns, kind, payload = parse(line, 7)
     except Exception as exc:  # the error's type and text are the outcome
         return type(exc).__name__, str(exc)
     # json.dumps keeps NaN payloads comparable.
-    return m.channel, m.t_ns, m.kind, json.dumps(m.payload, sort_keys=True)
+    return channel, t_ns, kind, json.dumps(payload, sort_keys=True)
 
 
 _VALID = '{"channel": "loc", "t_ns": 5, "kind": "localization", "payload": {"x": 1.5, "s": "\\u00e9\u00e9"}}'
@@ -345,6 +439,8 @@ class TestParseLineDifferential:
             '{"channel": ["a"], "t_ns": 0, "kind": "planning", "payload": {}}',
             '{"channel": "a", "t_ns": true, "kind": "planning", "payload": {}}',
             '{"channel": "a", "t_ns": -1, "kind": "planning", "payload": {}}',
+            '{"channel": "a", "t_ns": 9223372036854775807, "kind": "planning", "payload": {}}',
+            '{"channel": "a", "t_ns": 9223372036854775808, "kind": "planning", "payload": {}}',
             '{"channel": "a", "t_ns": 0, "kind": "planning", "payload": []}',
             '{"channel": "a", "t_ns": 0, "kind": "planning"}',
             '{"channel": "a", "t_ns": 0, "kind": "planning", "payload": {}, "kind": "obstacle"}',
@@ -398,9 +494,6 @@ def _hand_built():
                 },
             )
         )
-    # The previous frame's messages again, under a float frame time: each
-    # line takes the frame's time, encoded as JSON.
-    frames.append(Frame(50.0, frames[-1].messages))
     return grid_of(frames)
 
 
@@ -425,7 +518,6 @@ class TestJsonlDifferential:
         expected = _reference_jsonl(_aligned_rows(ar))
         assert "".join(aligned_jsonl(ar)) == expected
         assert '"channel": "plan", "kind": "planning"' in expected
-        assert '"t_ns": 50.0}' in expected
 
     def test_image_payloads(self):
         """Image payloads, whose texts are put together from a ref and a shared scene."""
@@ -463,17 +555,6 @@ class TestJsonlDifferential:
         rows = [r.channels["b"].messages[0], r.channels["a"].messages[0], r.channels["b"].messages[1]]
         assert dump_recording_jsonl(r) == _reference_jsonl((m.t_ns, m) for m in rows)
 
-    def test_a_name_under_two_kinds_keeps_each_kind(self):
-        # Two channels whose messages carry one name under two kinds: each
-        # line's head names its own message's kind.
-        a = Channel("a", MessageKind.PLANNING, (Message("x", 0, MessageKind.PLANNING, {}),))
-        c = Channel("c", MessageKind.LOCALIZATION, (Message("x", 0, MessageKind.LOCALIZATION, {}),))
-        r = rec(a, c)
-        expected = _reference_jsonl((0, m) for m in (*a.messages, *c.messages))
-        assert dump_recording_jsonl(r) == expected
-        ar = align_recording(r)
-        assert "".join(aligned_jsonl(ar)) == _reference_jsonl(_aligned_rows(ar)) == expected
-        assert [json.loads(l)["kind"] for l in expected.splitlines()] == ["planning", "localization"]
 
 
 class TestAlignedJsonl:
@@ -495,14 +576,11 @@ class TestAlignedJsonl:
         assert "".join(aligned_jsonl(ar)) == expected
         assert [json.loads(l)["channel"] for l in expected.splitlines()[:3]] == ["a", "m", "z"]
 
-    def test_line_channel_is_the_message_channel(self):
-        # A channel may hold messages that carry another channel's name: each
-        # line names its message's channel, not the frame key it sits under.
-        b = Channel("a", MessageKind.PLANNING, tuple(msg("b", t, MessageKind.PLANNING) for t in (0, 10)))
-        ar = align_recording(rec(b, chan("c", [0, 5, 10])))
-        text = "".join(aligned_jsonl(ar))
-        assert text == dump_recording_jsonl(ar.to_recording()) == _reference_jsonl(_aligned_rows(ar))
-        assert [json.loads(l)["channel"] for l in text.splitlines()] == ["b", "c"] * 3
+
+def _row(m):
+    """A Message is built on each read, so its identity says nothing: its
+    payload's identity is what runs and memos key on."""
+    return m.channel, m.t_ns, m.kind, id(m.payload)
 
 
 def _walked_alignment(r):
@@ -554,7 +632,7 @@ class TestAlignment:
         assert [f.t_ns for f in ar.frames] == grid
         assert ar.channel_names == tuple(columns)
         for name, slots in columns.items():
-            assert [id(f.messages[name]) for f in ar.frames] == list(map(id, slots))
+            assert [_row(f.messages[name]) for f in ar.frames] == list(map(_row, slots))
 
     def test_reference_is_largest_channel(self):
         ar = align_recording(rec(chan("cam", [0, 100, 200]), chan("det", [0, 100])))
@@ -571,9 +649,9 @@ class TestAlignment:
         r = rec(chan("cam", [0, 100, 200, 300]), chan("det", [50, 140, 410]))
         ar = align_recording(r)
         assert [f.messages["det"].payload["n"] for f in ar.frames] == [50, 140, 140, 140]
-        # Frames point at the recorded messages, forward-filled slots included.
-        m50, m140, _ = r.channels["det"].messages
-        assert [id(f.messages["det"]) for f in ar.frames] == [id(m50), id(m140), id(m140), id(m140)]
+        # Frames hold the recorded messages, forward-filled slots included.
+        m50, m140, _ = map(_row, r.channels["det"].messages)
+        assert [_row(f.messages["det"]) for f in ar.frames] == [m50, m140, m140, m140]
 
     @pytest.mark.parametrize(
         "fixture", ["benchmark_recording", "noisy_recording", "rare_recording"]
@@ -588,7 +666,7 @@ class TestAlignment:
             times = [m.t_ns for m in ch.messages]
             for i, f in enumerate(ar.frames):
                 j = bisect_left(times, grid[i + 1]) if i + 1 < len(grid) else bisect_right(times, grid[i])
-                assert f.messages[name] is ch.messages[j - 1]
+                assert _row(f.messages[name]) == _row(ch.messages[j - 1])
 
     def test_two_in_bucket_keeps_last(self):
         # Tie on message count, so "cam" wins the reference role by name.
@@ -634,8 +712,22 @@ class TestAlignment:
             ar.frames[1:][0] = ar.frames[1]
 
 
+@pytest.fixture(scope="module")
+def tiled_recording():
+    """A function of n: the seed-0 benchmark scenes tiled n times (10: the long-suite input)."""
+
+    @functools.cache
+    def tiled(tiles):
+        base = benchmark_script()
+        n = base.duration_frames
+        events = tuple(dataclasses.replace(e, frame=e.frame + k * n) for k in range(tiles) for e in base.events)
+        return generate_recording(ScenarioScript(tiles * n, base.fps, base.glitch_rate, events), 0)
+
+    return tiled
+
+
 class TestLiveMemory:
-    """Align and the writers hold little beyond what they return."""
+    """Load, align and the writers hold little beyond what they return."""
 
     def test_writers_build_no_cycles(self, benchmark_recording):
         ar = align_recording(benchmark_recording)
@@ -651,27 +743,27 @@ class TestLiveMemory:
             if was_enabled:
                 gc.enable()
 
-    def test_align_transient_memory_is_at_most_half_what_it_keeps(self, benchmark_recording):
+    @pytest.mark.parametrize("tiles", [1, 10])
+    def test_align_transient_memory_is_at_most_half_what_it_keeps(self, tiles, tiled_recording):
+        recording = tiled_recording(tiles)
         was_enabled = gc.isenabled()
         gc.disable()
         tracemalloc.start()
         try:
-            ar = align_recording(benchmark_recording)
+            ar = align_recording(recording)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
             if was_enabled:
                 gc.enable()
-        assert len(ar.frames) == 2400
+        assert len(ar.frames) == 2400 * tiles
         assert peak - kept <= kept / 2
 
-    def test_aligned_grid_keeps_no_per_frame_objects(self):
+    def test_aligned_grid_keeps_no_per_frame_objects(self, tiled_recording):
         # The 10x-tiled benchmark (the long-suite input): the grid holds one
-        # pointer per frame for its time and one per channel, and no Frame or dict.
-        base = benchmark_script()
-        n = base.duration_frames
-        events = tuple(dataclasses.replace(e, frame=e.frame + k * n) for k in range(10) for e in base.events)
-        recording = generate_recording(ScenarioScript(10 * n, base.fps, base.glitch_rate, events), 0)
+        # 8-byte time per frame and one 8-byte message index per channel, and
+        # no Frame or dict.
+        recording = tiled_recording(10)
         was_enabled = gc.isenabled()
         gc.disable()
         tracemalloc.start()
@@ -684,6 +776,28 @@ class TestLiveMemory:
                 gc.enable()
         assert len(ar) == 24000 and len(ar.channel_names) == 6
         assert kept <= 8 * (len(ar.channel_names) + 1) * len(ar) + 16 * 1024
+
+    def test_a_loaded_recording_keeps_two_words_a_message_beyond_its_payloads(self, benchmark_recording, tmp_path):
+        # A time and a payload reference per message; one Message and one
+        # int per line would take about 100 bytes.
+        p = tmp_path / "r.jsonl"
+        p.write_text(dump_recording_jsonl(benchmark_recording))
+        was_enabled = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            r = load_recording(p)
+            with_payloads = tracemalloc.get_traced_memory()[0]
+            payloads = [list(map(operator.attrgetter("payload"), ch.messages)) for ch in r.channels.values()]
+            messages = r.message_count()
+            del r
+            only_payloads = tracemalloc.get_traced_memory()[0] - sum(map(sys.getsizeof, payloads))
+        finally:
+            tracemalloc.stop()
+            if was_enabled:
+                gc.enable()
+        assert messages == 13600 and len(payloads) == 6
+        assert with_payloads - only_payloads <= 18 * messages
 
 
 class TestPayloadFormats:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from conftest import grid_of
+from conftest import clock, grid_of
 
 from strap.benchmarks import BUILTIN_MUTANTS, BUILTIN_SCRIPTS
 from strap.recording import Frame, Message, MessageKind, align_recording
@@ -143,14 +143,14 @@ def replayed(request):
     runs once per distinct swapped frame.
     """
     ar = align_recording(generate_recording(BUILTIN_SCRIPTS[request.param](), seed=0))
-    fps = ar.fps
+    tick = clock(ar)
     mutants = [m for make in BUILTIN_MUTANTS.values() for m in make()]
     registry = default_registry()
     replays = []
     for kind in MODULE_KINDS:
         module = make_module(kind)
         for mutated in [module, *(apply_mutant(module, m) for m in mutants if m.module == kind)]:
-            result = replay_segment(mutated, ar.frames, fps=fps)
+            result = replay_segment(mutated, ar.frames, **tick)
             replays.append((ModuleFilter.for_module(kind, registry), result))
     distinct = [[] for _ in ar.frames]
     for _, result in replays:
@@ -232,7 +232,7 @@ def test_replayed_vectors_offset_by_warmup(registry):
     mutant = next(m for m in BUILTIN_MUTANTS["benchmark"]() if m.module == "planning")
     mutated = apply_mutant(make_module("planning"), mutant)
     for lo, hi, warmup in ((0, 60, 15), (285, 330, 15), (1000, 1044, 0), (2390, 2399, 5)):
-        result = replay_segment(mutated, ar.frames[lo : hi + 1], warmup, fps=ar.fps)
+        result = replay_segment(mutated, ar.frames[lo : hi + 1], warmup, **clock(ar))
         replayed = enumerate(result.comparable, lo + warmup)
         got = _swapped_vectors(ar, replayed, vectors, FrameEncoder(registry, flt))
         frames = ar.frames[lo + warmup : hi + 1]

@@ -12,7 +12,7 @@ import copy
 import json
 
 import pytest
-from conftest import grid_of
+from conftest import clock, grid_of
 
 from strap.benchmarks import BUILTIN_MUTANTS, BUILTIN_SCRIPTS
 from strap.cli import main
@@ -261,7 +261,7 @@ def test_encode_recording_memo_matches_unshared(loaded, registry):
 
 def test_replay_memo_matches_unshared(loaded, registry):
     shared, unshared = loaded
-    fps = shared.fps
+    tick = clock(shared)
     mutants = [m for ms in BUILTIN_MUTANTS.values() for m in ms()]
     lo, hi = len(shared) // 3, len(shared) // 3 + 200
     for kind in MODULE_KINDS:
@@ -271,8 +271,8 @@ def test_replay_memo_matches_unshared(loaded, registry):
         encoder = FrameEncoder(registry, flt)
         module = make_module(kind)
         for mutated in [module, *(apply_mutant(module, m) for m in mutants if m.module == kind)]:
-            got = replay_segment(mutated, shared.frames, fps=fps)
-            want = replay_segment(mutated, unshared.frames, fps=fps)
+            got = replay_segment(mutated, shared.frames, **tick)
+            want = replay_segment(mutated, unshared.frames, **tick)
             assert _outputs(got) == _outputs(want)
             assert got.call_counts == want.call_counts
             # The memo hits on the shared frames: repeated inputs give one output object.
@@ -281,8 +281,8 @@ def test_replay_memo_matches_unshared(loaded, registry):
             got_vectors = _swapped_vectors(shared, enumerate(got.comparable), vectors, encoder)
             want_encoder = FrameEncoder(registry, flt)
             assert got_vectors == _swapped_vectors(unshared, enumerate(want.comparable), vectors, want_encoder)
-            got = replay_segment(mutated, shared.frames[lo:hi], 7, fps=fps)
-            want = replay_segment(mutated, unshared.frames[lo:hi], 7, fps=fps)
+            got = replay_segment(mutated, shared.frames[lo:hi], 7, **tick)
+            want = replay_segment(mutated, unshared.frames[lo:hi], 7, **tick)
             assert _outputs(got) == _outputs(want)
             assert got.call_counts == want.call_counts
 

@@ -13,7 +13,8 @@ from itertools import pairwise, repeat
 from operator import is_not
 
 import pytest
-from conftest import grid_of, recording_of
+from conftest import clock, grid_of, recording_of
+from message_reference import assert_aligns_as_messages, assert_loads_as_messages
 
 from strap.benchmarks import (
     BUILTIN_MUTANTS,
@@ -25,6 +26,7 @@ from strap.benchmarks import (
     rare_fault_script,
 )
 from strap.evaluation import WHOLE_RECORDING_SEGMENT_ID, compare_outputs
+from strap import recording
 from strap.fileio import check
 from strap.recording import (
     RUN_READS,
@@ -35,9 +37,8 @@ from strap.recording import (
     Message,
     MessageKind,
     Recording,
-    _head,
+    _line_head,
     _payload_texts,
-    _tail,
     align_recording,
     aligned_jsonl,
     dump_recording_jsonl,
@@ -308,7 +309,7 @@ class TestClassifierTables:
         frames = align_recording(benchmark_recording).frames
         for kind in MODULE_KINDS:
             module = make_module(kind)
-            counts = replay_segment(module, frames, fps=15).call_counts
+            counts = replay_segment(module, frames, fps=15, tick0=0).call_counts
             assert set(counts) == set(module.FUNCTIONS), kind
 
     def test_unread_parameter_fails_at_class_definition(self):
@@ -530,7 +531,7 @@ class TestReplay:
 
     def test_warmup_arithmetic(self):
         ar = self.make_aligned(60, [SceneEvent(0, RED_LIGHT)])
-        result = replay_segment(make_module("planning"), ar.frames, warmup_frames=15, fps=ar.fps)
+        result = replay_segment(make_module("planning"), ar.frames, warmup_frames=15, **clock(ar))
         assert len(result.messages) == 60
         assert len(result.comparable) == 45
         assert result.comparable[0] is result.messages[15]
@@ -543,7 +544,7 @@ class TestReplay:
                 SceneEvent(1, {"obstacles": [{"actor": "pedestrian", "action": "cross"}]}),
             ],
         )
-        result = replay_segment(make_module("prediction"), ar.frames, fps=ar.fps)
+        result = replay_segment(make_module("prediction"), ar.frames, **clock(ar))
         # Frame 1 is not a native prediction tick, so frame 0's tracks hold.
         assert result.messages[0].payload["tracks"] == [{"actor": "vehicle", "action": "stop"}]
         assert result.messages[1].payload == result.messages[0].payload
@@ -552,22 +553,22 @@ class TestReplay:
     def test_clean_replay_matches_recording(self):
         ar = self.make_aligned(45, [SceneEvent(0, {**RED_LIGHT, **CAR_STOPPED})])
         for kind in ("traffic_light", "obstacle", "prediction", "planning"):
-            result = replay_segment(make_module(kind), ar.frames, fps=ar.fps)
+            result = replay_segment(make_module(kind), ar.frames, **clock(ar))
             for out, frame in zip(result.messages, ar.frames):
                 assert out.payload == frame.messages[kind].payload, kind
 
     def test_call_counts(self):
         ar = self.make_aligned(10, [SceneEvent(0, RED_LIGHT)])
-        result = replay_segment(make_module("traffic_light"), ar.frames, fps=ar.fps)
+        result = replay_segment(make_module("traffic_light"), ar.frames, **clock(ar))
         assert result.call_counts["classify_color"] == 10
         assert result.call_counts["classify_shape"] == 10
-        planner = replay_segment(make_module("planning"), ar.frames, fps=ar.fps)
+        planner = replay_segment(make_module("planning"), ar.frames, **clock(ar))
         assert planner.call_counts["plan_step"] == 10
 
     def test_module_state_is_not_shared_between_replays(self):
         ar = self.make_aligned(10, [SceneEvent(0, RED_LIGHT)])
         module = make_module("traffic_light")
-        replay_segment(module, ar.frames, fps=ar.fps)
+        replay_segment(module, ar.frames, **clock(ar))
         assert sum(module.call_log.values()) == 0
 
     def test_errors(self):
@@ -576,12 +577,12 @@ class TestReplay:
         with pytest.raises(TypeError, match="fps"):
             replay_segment(module, ar.frames)
         with pytest.raises(SynthError, match="at least one frame"):
-            replay_segment(module, [], fps=ar.fps)
+            replay_segment(module, [], **clock(ar))
         with pytest.raises(SynthError, match="warmup_frames 10 outside"):
-            replay_segment(module, ar.frames, warmup_frames=10, fps=ar.fps)
+            replay_segment(module, ar.frames, warmup_frames=10, **clock(ar))
         lone = Frame(0, {"image": Message("image", 0, MessageKind.IMAGE_REF, {})})
         with pytest.raises(SynthError, match="needs channel kind"):
-            replay_segment(module, [lone], fps=ar.fps)
+            replay_segment(module, [lone], **clock(ar))
         doubled = Frame(
             0,
             {
@@ -593,7 +594,7 @@ class TestReplay:
             },
         )
         with pytest.raises(SynthError, match="2 channels of kind 'planning'"):
-            replay_segment(module, [doubled], fps=ar.fps)
+            replay_segment(module, [doubled], **clock(ar))
 
 
 @pytest.fixture(scope="module")
@@ -707,7 +708,7 @@ def segment_replay_vectors(prepared, mutated, s, encoder):
         mutated,
         ar.frames[s.warmup_start_idx : s.end_idx + 1],
         s.start_idx - s.warmup_start_idx,
-        fps=prepared.aligned.fps,
+        **clock(prepared.aligned),
     )
     replayed = enumerate(result.comparable, s.warmup_start_idx + result.warmup_frames)
     return _swapped_vectors(ar, replayed, vectors, encoder)
@@ -803,7 +804,7 @@ class TestDerivedVerdicts:
         prepared = prepare_recording(ar, "prediction", cfg, registry)
         (s,) = [s for s in prepared.segments if s.start_idx == 10]
         module = make_module("prediction")
-        assert not module.emits_at(_frame_index(ar.frames[10].t_ns, prepared.aligned.fps))
+        assert not module.emits_at(10)
         encoder = FrameEncoder(registry, ModuleFilter.for_module("prediction", registry))
         mutant = Mutant("slow", "prediction", "stop_max_speed", "change_constant", 0.0)
         classes = _frame_classes(prepared, module, encoder)
@@ -1036,7 +1037,7 @@ def per_frame_classes(prepared, module, encoder):
     # Per frame, the last frame at or before it that the whole replay computes on.
     last_tick, of_frame = [], []
     for i, frame in enumerate(frames):
-        if i == 0 or module.emits_at(_frame_index(frame.t_ns, prepared.aligned.fps)):
+        if i == 0 or module.emits_at(i):
             source, reads = i, reads_at(i)
         last_tick.append(source)
         of_frame.append(class_of(source, reads, i))
@@ -1331,14 +1332,14 @@ class TestFrameRate:
         predictor = make_module("prediction")
         # Emitting on two of every three frames, the predictor classifies
         # each tick's obstacles: 2000 calls at the true rate, 2250 at 15 fps.
-        assert replay_segment(predictor, ar.frames, fps=10).call_counts["predict_action"] == 2000
-        assert replay_segment(predictor, ar.frames, fps=15).call_counts["predict_action"] == 2250
+        assert replay_segment(predictor, ar.frames, fps=10, tick0=0).call_counts["predict_action"] == 2000
+        assert replay_segment(predictor, ar.frames, fps=15, tick0=0).call_counts["predict_action"] == 2250
         mutant = Mutant("m", "prediction", "stop_max_speed", "change_constant", 0.5)
         report = run_regression(ten_fps_recording, "prediction", [mutant], repetitions=2)
         flt = ModuleFilter.for_module("prediction", registry)
         segments, _ = reduce_recording(ar, encode_recording(ar, registry, flt), ReductionConfig())
         assert report["details"]["call_counts"] == [
-            replay_segment(predictor, ar.frames[s.start_idx : s.end_idx + 1], fps=ar.fps)
+            replay_segment(predictor, ar.frames[s.start_idx : s.end_idx + 1], **clock(ar))
             .call_counts.get("predict_action", 0)
             for s in segments
         ]
@@ -1442,11 +1443,11 @@ class FrameGrid:
         names = sorted(self.channel_names)
         texts = _payload_texts()
         first = self.frames[0].messages if self.frames else {}
-        columns = [({}, texts[first[name].kind]) for name in names] if first else []
+        columns = [texts[first[name].kind] for name in names] if first else []
         for frame in self.frames:
-            tail = _tail(frame.t_ns)
+            tail = f', "t_ns": {frame.t_ns}}}\n'
             ms = zip(map(frame.messages.__getitem__, names), columns)
-            prefixes = [(h.get(m.channel) or _head(h, m)) + text(m.payload) for m, (h, text) in ms]
+            prefixes = [_line_head(m.channel, m.kind) + text(m.payload) for m, text in ms]
             yield tail.join(prefixes) + tail
 
 
@@ -1475,14 +1476,20 @@ def frame_align_recording(rec):
     return FrameGrid(frames, names)
 
 
+def message_row(m):
+    """A message as runs and memos see it: a Message is built on each read,
+    so its identity says nothing, and its payload's identity is what they key on."""
+    return m.channel, m.t_ns, m.kind, id(m.payload)
+
+
 def frame_rows(frames):
-    """Each frame's time and its (channel, message identity) pairs, in key order."""
-    return [(f.t_ns, [(name, id(m)) for name, m in f.messages.items()]) for f in frames]
+    """Each frame's time and its (channel, message_row) pairs, in key order."""
+    return [(f.t_ns, [(name, message_row(m)) for name, m in f.messages.items()]) for f in frames]
 
 
 def recording_rows(rec):
     return [
-        (name, ch.kind, [(m.channel, m.t_ns, m.kind, id(m.payload)) for m in ch.messages])
+        (name, ch.kind, list(map(message_row, ch.messages)))
         for name, ch in rec.channels.items()
     ]
 
@@ -1513,6 +1520,7 @@ def assert_grid_matches_frames(ar, ref):
 
 
 def assert_aligns_as_frames(rec):
+    assert_aligns_as_messages(rec)
     try:
         ref = frame_align_recording(rec)
     except AlignmentError as exc:
@@ -1550,6 +1558,7 @@ class TestColumnarGrid:
         for kind in MODULE_KINDS:
             ar = HAND_MADE[case](varied_aligned, kind)
             assert_grid_matches_frames(ar, frame_align_recording(built[-1]))
+            assert_aligns_as_messages(built[-1])
 
     @pytest.mark.parametrize("name", [*sorted(BUILTIN_SCRIPTS), "long-suite"])
     def test_builtins_in_memory_and_loaded(self, name, seed_0_recordings):
@@ -1557,8 +1566,26 @@ class TestColumnarGrid:
             assert_aligns_as_frames(rec)
 
     @pytest.mark.parametrize("seed", range(60))
-    def test_random_recordings(self, seed):
+    def test_random_recordings(self, seed, monkeypatch):
         assert_aligns_as_frames(random_recording(seed))
+        # Blocks of one and of two slot ends, as a long recording's blocks meet.
+        for block in (1, 2):
+            monkeypatch.setattr(recording, "_BLOCK", block)
+            assert_aligns_as_messages(random_recording(seed))
+
+    def test_long_suite_loads_as_messages_and_builds_none(self, seed_0_recordings, tmp_path, monkeypatch):
+        # The long-suite input, loaded as the message loader loads it; load
+        # and align build no Message (each frame read builds its own).
+        path = tmp_path / "long.jsonl"
+        path.write_text(dump_recording_jsonl(seed_0_recordings("long-suite")[0]))
+        assert_loads_as_messages(path)
+        built = []
+        check = Message.__post_init__
+        monkeypatch.setattr(Message, "__post_init__", lambda m: built.append(1) or check(m))
+        ar = align_recording(load_recording(path))
+        assert len(ar) == 24000 and built == []
+        ar.frames[0]
+        assert len(built) == 6
 
 
 def assert_round_trips(ar):
@@ -1568,9 +1595,8 @@ def assert_round_trips(ar):
     assert again.channel_names == ar.channel_names
     for name in ar.channel_names:
         want, got = ar.columns[name], again.columns[name]
-        assert [(m.kind, m.channel, id(m.payload)) for m in got] == [
-            (m.kind, m.channel, id(m.payload)) for m in want
-        ], name
+        assert got.channel.kind is want.channel.kind and got.channel.name == want.channel.name == name
+        assert list(map(id, map(got.payload, range(len(ar))))) == list(map(id, map(want.payload, range(len(ar))))), name
 
 
 class TestRoundTrip:
