@@ -45,7 +45,6 @@ from .recording import (
     AlignedRecording,
     AlignmentError,
     Channel,
-    Frame,
     Message,
     MessageKind,
     PayloadError,

@@ -14,7 +14,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain, compress, islice, repeat
 from operator import add, eq, gt, is_not, itemgetter, ne
 from pathlib import Path
@@ -62,8 +62,8 @@ class PayloadError(ValueError):
 class Message:
     """One channel message.
 
-    Messages and frames are slotted and not frozen, for construction cost: a
-    frame read builds one Message per channel. Nothing assigns to them.
+    Messages are slotted and not frozen, for construction cost: replay
+    builds one per frame. Nothing assigns to them.
     Payloads are immutable by convention, and the convention is load-bearing:
     the loader and the generator give equal payloads (and scenes) one shared
     object, replay hands one output object to every frame it holds on, and
@@ -162,18 +162,6 @@ class Recording:
         return sum(len(ch.times) for ch in self.channels.values())
 
 
-@dataclass(slots=True)
-class Frame:
-    """One aligned time slice: each channel's recorded message for grid time t_ns.
-
-    Messages keep their recorded timestamps; t_ns is the frame's only grid
-    time, and replay ticks, vectors and the aligned JSONL read it.
-    """
-
-    t_ns: TimestampNs
-    messages: Mapping[str, Message]
-
-
 # What each kind's payload holds, as the encoder and the toy modules read it,
 # in fileio.check's format language.
 PAYLOAD_FORMATS: Mapping[MessageKind, Mapping[str, Any]] = {
@@ -204,13 +192,14 @@ PAYLOAD_FORMATS: Mapping[MessageKind, Mapping[str, Any]] = {
 }
 
 
-def check_payloads(frame: Frame) -> None:
-    """PayloadError naming the first field of the frame's payloads that breaks its format.
+def check_payloads(row: Mapping[str, Message]) -> None:
+    """PayloadError naming the first field of a row's payloads that breaks its format.
 
-    Encoding and replay call this only after they fail on a frame, so the
-    per-field checks never run on their hot paths.
+    Encoding and replay build the row (AlignedRecording.row) and call this
+    only after they fail on it, so neither the messages nor the per-field
+    checks are made on their hot paths.
     """
-    for msg in frame.messages.values():
+    for msg in row.values():
         where = f"{msg.kind.value} payload on channel {msg.channel!r} at t_ns {msg.t_ns}"
         check(msg.payload, PAYLOAD_FORMATS[msg.kind], where, PayloadError)
 
@@ -242,10 +231,10 @@ class AlignedRecording:
     Only align_recording builds one. ``times`` is an array('q') of the frame
     times, strictly increasing and never empty, and ``columns`` maps each
     channel, in name order, to its Column, so a grid holds no object per
-    frame. ``frames`` is a read-only view that builds a Frame, and each of
-    its recorded messages, on read. It keeps the last 256 frames it built,
-    since a module's class table and each of its mutants read the same
-    frames again (synth._FrameClasses); nothing mutates a Frame.
+    frame. Frame i is row i of the columns: its readers take each channel's
+    payload there (Column.payload) and build its messages (row) only to
+    name a bad payload. Its time, ``times[i]``, is the only grid time;
+    messages keep their recorded ones.
     """
 
     times: array[TimestampNs]
@@ -259,11 +248,13 @@ class AlignedRecording:
         return len(self.times)
 
     @cached_property
-    def frames(self) -> Sequence[Frame]:
-        # The view holds the columns, not the grid, so caching it on the grid makes no cycle.
-        t, columns = self.times, tuple(self.columns.items())
-        build = lru_cache(256)(lambda i: Frame(t[i], {n: c.message(k[i]) for n, (c, k) in columns}))
-        return _View(build, range(len(t)))
+    def kinds(self) -> Mapping[str, MessageKind]:
+        """Each channel's kind, in name order."""
+        return {name: ch.kind for name, (ch, _) in self.columns.items()}
+
+    def row(self, i: int) -> dict[str, Message]:
+        """Frame i's recorded messages by channel name, built on each call."""
+        return {name: ch.message(index[i]) for name, (ch, index) in self.columns.items()}
 
     @cached_property
     def run_bounds(self) -> array[int]:

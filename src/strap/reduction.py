@@ -154,9 +154,9 @@ def reduce_recording(
     ar: AlignedRecording, vectors: Sequence[FrameVector], cfg: ReductionConfig
 ) -> tuple[list[Segment], int]:
     """reduce_vectors, after checking there is one vector per aligned frame."""
-    if len(vectors) != len(ar.frames):
+    if len(vectors) != len(ar):
         raise ValueError(
-            f"{len(vectors)} vectors for {len(ar.frames)} frames; one vector per frame required"
+            f"{len(vectors)} vectors for {len(ar)} frames; one vector per frame required"
         )
     return reduce_vectors(vectors, cfg)
 

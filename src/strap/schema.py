@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
 from .fileio import check, is_json_int, read_json
-from .recording import AlignedRecording, Frame, MessageKind, check_payloads
+from .recording import AlignedRecording, Message, MessageKind, check_payloads
 
 PRESENCE = "presence"
 PROPERTY = "property"
@@ -127,7 +127,7 @@ class SchemaRegistry:
 
 
 # An encoded frame: one code per registry dimension. A vector carries no time;
-# times live on the aligned frames and in the vectors and segments documents.
+# times live on the aligned grid and in the vectors and segments documents.
 FrameVector = tuple[int, ...]
 
 
@@ -266,8 +266,8 @@ class FrameEncoder:
         )
         self._memo: dict[tuple[int, ...], tuple[Sequence, tuple, tuple[int, ...]]] = {}
 
-    def channel_order(self, frame: Frame) -> tuple[tuple[str, Contribution], ...]:
-        """The frame's dimension-bearing channels in encoding order.
+    def channel_order(self, kinds: Mapping[str, MessageKind]) -> tuple[tuple[str, Contribution], ...]:
+        """The dimension-bearing channels of a row with these channel kinds, in encoding order.
 
         Kinds go in MessageKind order and channels of one kind by name; when
         two channels of one kind report the same object, the first wins.
@@ -276,22 +276,25 @@ class FrameEncoder:
             (name, getattr(FrameEncoder, self._CONTRIBUTIONS[kind]))
             for kind in MessageKind
             if kind in self._CONTRIBUTIONS
-            for name in sorted(frame.messages)
-            if frame.messages[name].kind is kind
+            for name in sorted(kinds)
+            if kinds[name] is kind
         )
 
     def encode(
-        self, frame: Frame, order: Sequence[tuple[str, Contribution]] | None = None
+        self,
+        ar: AlignedRecording,
+        i: int,
+        order: Sequence[tuple[str, Contribution]],
+        swap: Message | None = None,
     ) -> FrameVector:
-        """Encode and filter one frame.
+        """Encode and filter row i of the grid, with swap, if given, on its channel.
 
-        ``order`` is channel_order of a frame with the same channels and
-        kinds, so a caller encoding many such frames computes it once.
+        ``order`` is channel_order of the row's kinds, swap's among them, so
+        a caller encoding many such rows computes it once.
         """
-        if order is None:
-            order = self.channel_order(frame)
-        messages = frame.messages
-        payloads = tuple([messages[name].payload for name, _ in order])
+        out = None if swap is None else swap.channel
+        columns = ar.columns
+        payloads = tuple([swap.payload if name == out else columns[name].payload(i) for name, _ in order])
         key = tuple(map(id, payloads))
         hit = self._memo.get(key)
         # Channels of another order may hold the same payloads with other
@@ -306,7 +309,7 @@ class FrameEncoder:
             for (_, contribute), payload in zip(order, payloads):
                 contribute(self, payload, values, claimed)
         except (TypeError, AttributeError, KeyError):
-            check_payloads(frame)
+            check_payloads(ar.row(i) if swap is None else {**ar.row(i), out: swap})
             raise
         finished = self._finish(values)
         self._memo[key] = (order, payloads, finished)
@@ -386,15 +389,16 @@ def _actor_dim(actor: Any) -> str:
     return dim
 
 
-def encode_frame(frame: Frame, registry: SchemaRegistry) -> FrameVector:
-    """Encode one frame. Missing channels mean "nothing detected".
+def encode_frame(ar: AlignedRecording, i: int, registry: SchemaRegistry) -> FrameVector:
+    """Encode frame i of an aligned recording. Missing channels mean "nothing detected".
 
     When a payload reports several objects of the same presence dimension,
     the dimension records presence once and takes its property values from
     the first such object in payload order. Localization and image-reference
     channels carry no schema dimensions.
     """
-    return FrameEncoder(registry).encode(frame)
+    encoder = FrameEncoder(registry)
+    return encoder.encode(ar, i, encoder.channel_order(ar.kinds))
 
 
 def apply_filter(vector: FrameVector, flt: ModuleFilter, registry: SchemaRegistry) -> FrameVector:
@@ -411,10 +415,10 @@ def encode_recording(
     states the run rule); every frame of a grid lists the same channels.
     """
     encoder = FrameEncoder(registry, flt)
-    order = encoder.channel_order(ar.frames[0])
+    order = encoder.channel_order(ar.kinds)
     vectors: list[FrameVector] = []
     for a, b in pairwise(ar.run_bounds):
-        vectors += [encoder.encode(ar.frames[a], order)] * (b - a)
+        vectors += [encoder.encode(ar, a, order)] * (b - a)
     return vectors
 
 

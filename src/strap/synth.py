@@ -28,9 +28,8 @@ from itertools import pairwise
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-# NS_PER_SEC, evaluate_plan, the prioritize_* functions, encode_frame and
-# apply_filter are not called here; they stay importable from this module for
-# callers that look them up here.
+# evaluate_plan, the prioritize_* functions, encode_frame and apply_filter are
+# not called here; bench/tracer.py looks them up on this module.
 from .evaluation import (  # noqa: F401
     FaultVerdict,
     WHOLE_RECORDING_SEGMENT_ID,
@@ -53,15 +52,12 @@ from .prioritization import (  # noqa: F401
     prioritize_rsc,
     prioritize_sc,
 )
-from .recording import (  # noqa: F401
-    NS_PER_SEC,
+from .recording import (
     AlignedRecording,
     Channel,
-    Frame,
     Message,
     MessageKind,
     Recording,
-    _frame_index,
     _frame_t_ns,
     _text_memo,
     align_recording,
@@ -847,45 +843,46 @@ class ReplayResult:
 
 
 def replay_segment(
-    module: ToyModule, frames: Sequence[Frame], warmup_frames: int = 0, *, fps: int, tick0: int
+    module: ToyModule, ar: AlignedRecording, lo: int, hi: int, warmup_frames: int = 0
 ) -> ReplayResult:
-    """Replay one module over aligned frames, one output per frame.
+    """Replay one module over frames lo to hi - 1 of a grid, one output per frame.
 
-    A frame's tick is _frame_index(t_ns, fps) - tick0, tick0 being the
-    grid's first frame's (the rule at AlignedRecording.fps). Outputs follow
-    the hold rule (_FrameClasses); the first warmup_frames outputs are not
+    Frame i is tick i (the rule at AlignedRecording.fps). Outputs follow the
+    hold rule (_FrameClasses); the first warmup_frames outputs are not
     comparable. compute goes through a _ComputeMemo.
     """
-    if not frames:
+    span = range(len(ar))[lo:hi]
+    if not span:
         raise SynthError("replay needs at least one frame")
-    if not (0 <= warmup_frames < len(frames)):
-        raise SynthError(f"warmup_frames {warmup_frames} outside [0, {len(frames)})")
-    out_channel = _output_channel(module, frames[0])
+    if not (0 <= warmup_frames < len(span)):
+        raise SynthError(f"warmup_frames {warmup_frames} outside [0, {len(span)})")
+    ar.fps  # frame i is tick i only on a regular grid
+    out_channel = _output_channel(module, ar)
     fresh = module.fresh()
     memo = _ComputeMemo(fresh)
+    on_inputs = _on_inputs(ar, memo.compute)
     outputs = []
-    for i, frame in enumerate(frames):
-        if i == 0 or fresh.emits_at(_frame_index(frame.t_ns, fps) - tick0):
-            held = _on_inputs(frame, memo.compute)
-        outputs.append(Message(out_channel, frame.t_ns, module.publish_kind, held))
+    for i in span:
+        if i == span.start or fresh.emits_at(i):
+            held = on_inputs(i)
+        outputs.append(Message(out_channel, ar.times[i], module.publish_kind, held))
     return ReplayResult(tuple(outputs), warmup_frames, memo.call_counts())
 
 
-def _output_channel(module: ToyModule, frame: Frame) -> str:
-    """The channel a replay of module over frames like this one publishes on.
+def _output_channel(module: ToyModule, ar: AlignedRecording) -> str:
+    """The channel a replay of module over the grid publishes on.
 
-    SynthError when the frame lacks a kind the module reads or carries more
+    SynthError when the grid lacks a kind the module reads or carries more
     than one channel of the kind it publishes. Without such a channel the
     replay publishes on one named after the module.
     """
-    kinds_present = {m.kind for m in frame.messages.values()}
-    missing = module.reads.keys() - kinds_present
+    missing = module.reads.keys() - set(ar.kinds.values())
     if missing:
         raise SynthError(
             f"module {module.kind!r} needs channel kind(s) "
             f"{sorted(k.value for k in missing)} absent from the frames"
         )
-    out_channels = [name for name, m in frame.messages.items() if m.kind is module.publish_kind]
+    out_channels = [name for name, kind in ar.kinds.items() if kind is module.publish_kind]
     if len(out_channels) > 1:
         raise SynthError(
             f"frames carry {len(out_channels)} channels of kind {module.publish_kind.value!r}"
@@ -893,19 +890,26 @@ def _output_channel(module: ToyModule, frame: Frame) -> str:
     return out_channels[0] if out_channels else module.kind
 
 
-def _on_inputs(frame: Frame, read: Callable[[dict[MessageKind, Mapping[str, Any]]], Any]) -> Any:
-    """read of the frame's inputs, one payload per kind.
+def _on_inputs(
+    ar: AlignedRecording, read: Callable[[dict[MessageKind, Mapping[str, Any]]], Any]
+) -> Callable[[int], Any]:
+    """The function of i giving read of frame i's inputs, one payload per kind.
 
-    Frames list channels by name (align_recording), so of two channels of one
-    kind a replay reads the last by name; the encoder claims objects from the
-    first (FrameEncoder.channel_order). When read fails on a payload of the
-    wrong shape, PayloadError names its first bad field.
+    Of two channels of one kind a replay reads the last by name, the
+    encoder claims objects from the first (FrameEncoder.channel_order).
+    When read fails on a payload of the wrong shape, PayloadError names its
+    first bad field.
     """
-    try:
-        return read({m.kind: m.payload for m in frame.messages.values()})
-    except (TypeError, AttributeError, KeyError):
-        check_payloads(frame)
-        raise
+    columns = {ch.kind: (ch.payloads, index) for ch, index in ar.columns.values()}.items()
+
+    def on_inputs(i: int) -> Any:
+        try:
+            return read({kind: payloads[index[i]] for kind, (payloads, index) in columns})
+        except (TypeError, AttributeError, KeyError):
+            check_payloads(ar.row(i))
+            raise
+
+    return on_inputs
 
 
 def _swapped_vectors(
@@ -928,12 +932,11 @@ def _swapped_vectors(
         if recorded and recorded.channel.kind is msg.kind and recorded.payload(i) == msg.payload:
             out.append(vectors[i])
             continue
-        swapped = Frame(ar.times[i], {**ar.frames[i].messages, msg.channel: msg})
         if order is None:
             # Every replayed message sits on the same channel with the same
             # kind, so all swapped frames share one encoding order.
-            order = encoder.channel_order(swapped)
-        out.append(encoder.encode(swapped, order))
+            order = encoder.channel_order({**ar.kinds, msg.channel: msg.kind})
+        out.append(encoder.encode(ar, i, order, msg))
     return out
 
 
@@ -996,7 +999,7 @@ class _FrameClasses:
     """
 
     channel: str  # the replay's output channel
-    sources: tuple[Frame, ...]  # per class, its source frame, read once for all mutants
+    sources: tuple[int, ...]  # per class, its source frame, read once for all mutants
     firsts: tuple[int, ...]  # per class, its first frame
     # Per segment, the whole recording first: the class of each comparable frame.
     segments: tuple[tuple[Segment, tuple[int, ...]], ...]
@@ -1010,23 +1013,21 @@ def _frame_classes(
     encoder gives the channels the vector reads (FrameEncoder.channel_order).
     SynthError when the frames cannot feed the module (_output_channel).
     """
-    frames, vectors = prepared.aligned.frames, prepared.vectors
-    channel = _output_channel(module, frames[0])
-    columns = [prepared.aligned.columns[name] for name, _ in encoder.channel_order(frames[0])]
+    ar, vectors = prepared.aligned, prepared.vectors
+    channel = _output_channel(module, ar)
+    columns = [ar.columns[name] for name, _ in encoder.channel_order(ar.kinds)]
     read = _ComputeMemo(module).read
+    reads_at = _on_inputs(ar, lambda inputs: tuple(map(id, read(inputs))))
     index: dict[tuple[int, ...], int] = {}
-    sources: list[Frame] = []
+    sources: list[int] = []
     firsts: list[int] = []
-
-    def reads_at(source: int) -> tuple[int, ...]:
-        return tuple(map(id, _on_inputs(frames[source], read)))
 
     def class_of(source: int, reads: tuple[int, ...], i: int) -> int:
         key = (*reads, *[id(ch.payloads[k[i]]) for ch, k in columns])
         c = index.get(key)
         if c is None:
             c = index[key] = len(firsts)
-            sources.append(frames[source])
+            sources.append(source)
             firsts.append(i)
         return c
 
@@ -1036,7 +1037,7 @@ def _frame_classes(
 
     of_frame: list[int] = []
     source, reads = 0, ()
-    for a, b in pairwise(prepared.aligned.run_bounds):
+    for a, b in pairwise(ar.run_bounds):
         tick = next(ticks(range(a, b)), b)
         if a < tick:
             of_frame += [class_of(source, reads, a)] * (tick - a)
@@ -1045,7 +1046,7 @@ def _frame_classes(
             of_frame += [class_of(tick, reads, tick)] * (b - tick)
             # Frames after the run and before the next tick take the run's last tick.
             source = next(ticks(range(b - 1, tick - 1, -1)))
-    whole = Segment(WHOLE_RECORDING_SEGMENT_ID, 0, len(frames) - 1, vectors[0], 0)
+    whole = Segment(WHOLE_RECORDING_SEGMENT_ID, 0, len(ar) - 1, vectors[0], 0)
     segments = [(whole, tuple(of_frame))]
     for s in prepared.segments:
         # Frames before lo's first tick hold lo's cold start (one tick gap at most).
@@ -1071,7 +1072,7 @@ def _class_vectors(
     memo = _ComputeMemo(mutated.fresh())
     # Every class computes before any encodes, so a payload the module cannot
     # read fails before an output the schema cannot encode, as in a replay.
-    outputs = [_on_inputs(source, memo.compute) for source in classes.sources]
+    outputs = list(map(_on_inputs(ar, memo.compute), classes.sources))
     messages = (
         (i, Message(classes.channel, ar.times[i], kind, out))
         for i, out in zip(classes.firsts, outputs)
@@ -1113,15 +1114,15 @@ def run_prepared(
     mutant computes one vector per frame class (_FrameClasses), and each
     verdict, the whole recording's among them, is compare_outputs of a
     segment's recorded and class vectors. The CC call counts still replay
-    each segment's frames. Strategy names and mutant ids are checked before
-    any replay.
+    each segment's frames, when the module has an own mutant. Strategy
+    names and mutant ids are checked before any replay.
     """
     strategies = _check_run_inputs(strategies, mutants)
     ar, module_kind, cfg = prepared.aligned, prepared.module, prepared.cfg
     vectors, segments, registry = prepared.vectors, prepared.segments, prepared.registry
     flt = ModuleFilter.for_module(module_kind, registry)
     module = make_module(module_kind)
-    n_frames = len(ar.frames)
+    n_frames = len(ar)
     own = [m for m in mutants if m.module == module_kind]
 
     full: dict[str, bool] = {}
@@ -1152,13 +1153,14 @@ def run_prepared(
     fault_sets, coverage, detected = detections(full, flags, [s.id for s in segments])
 
     # Call counts for CC: unmutated replay of each segment body, counting
-    # calls of the functions the mutant set touches.
+    # calls of the functions the mutant set touches. Without an own mutant
+    # none counts, so nothing replays, but the frames must feed the module.
+    _output_channel(module, ar)
     functions = {module.PARAM_FUNCTIONS[m.target] for m in own}
-    clock = {"fps": ar.fps, "tick0": _frame_index(ar.times[0], ar.fps)}
-    call_counts = []
-    for s in segments:
-        counts = replay_segment(module, ar.frames[s.start_idx : s.end_idx + 1], **clock).call_counts
-        call_counts.append(sum(counts.get(f, 0) for f in functions))
+    call_counts = [0] * len(segments)
+    for j, s in enumerate(segments if own else ()):
+        counts = replay_segment(module, ar, s.start_idx, s.end_idx + 1).call_counts
+        call_counts[j] = sum(counts.get(f, 0) for f in functions)
 
     plans = build_plans(
         strategies,

@@ -4,13 +4,32 @@ from __future__ import annotations
 
 import dataclasses
 import sys
+from typing import Mapping
 
 import pytest
 
 from strap.benchmarks import benchmark_script, noisy_prediction_script, rare_fault_script
-from strap.recording import Channel, Message, Recording, _frame_index, align_recording
+from strap.recording import Channel, Message, Recording, align_recording
 from strap.schema import default_registry
 from strap.synth import generate_recording
+
+
+@dataclasses.dataclass
+class Frame:
+    """Reference: one aligned time slice, each channel's recorded message for grid time t_ns."""
+
+    t_ns: int
+    messages: Mapping[str, Message]
+
+
+def frames_of(ar):
+    """The grid as one Frame per row, built from its columns: the reference
+    its row readers are checked against."""
+    columns = [(name, ch, ch.times, ch.payloads, index) for name, (ch, index) in ar.columns.items()]
+    return [
+        Frame(t, {name: Message(name, times[k[i]], ch.kind, payloads[k[i]]) for name, ch, times, payloads, k in columns})
+        for i, t in enumerate(ar.times)
+    ]
 
 
 def recording_of(frames):
@@ -22,12 +41,6 @@ def recording_of(frames):
         messages = tuple(Message(m.channel, f.t_ns, m.kind, m.payload) for m, f in zip(column, frames))
         channels[name] = Channel(name, messages[0].kind, messages)
     return Recording(channels)
-
-
-def clock(ar, fps=None):
-    """replay_segment's clock for a grid: its rate (or fps) and its first frame's tick."""
-    fps = fps or ar.fps
-    return {"fps": fps, "tick0": _frame_index(ar.times[0], fps)}
 
 
 def grid_of(frames):

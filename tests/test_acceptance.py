@@ -11,6 +11,8 @@ import random
 import time
 from fractions import Fraction
 
+from conftest import frames_of
+
 from strap.benchmarks import (
     benchmark_mutants,
     benchmark_script,
@@ -59,9 +61,10 @@ def test_alignment_laws():
         rec = _random_multirate_recording(rng)
         ar = align_recording(rec)
         names = set(rec.channels)
-        assert all(set(f.messages) == names for f in ar.frames)
-        assert all(len(f.messages) == len(names) for f in ar.frames)
-        times = [f.t_ns for f in ar.frames]
+        frames = frames_of(ar)
+        assert all(set(f.messages) == names for f in frames)
+        assert all(len(f.messages) == len(names) for f in frames)
+        times = [f.t_ns for f in frames]
         assert all(a < b for a, b in zip(times, times[1:]))
         once = dump_recording_jsonl(ar.to_recording())
         twice = dump_recording_jsonl(align_recording(ar.to_recording()).to_recording())
@@ -120,7 +123,7 @@ def test_reduction_thresholds():
         ar = align_recording(generate_recording(script, seed=0))
         segs, _ = reduce_vectors(encode_recording(ar, registry), ReductionConfig())
         kept = sum(s.length for s in segs)
-        results[label] = (reduction_pct(len(ar.frames), kept), floor)
+        results[label] = (reduction_pct(len(ar), kept), floor)
     elapsed = time.perf_counter() - start
     ok = all(pct >= floor for pct, floor in results.values()) and elapsed < 30.0
     check(

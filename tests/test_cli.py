@@ -397,7 +397,7 @@ class TestRegressionCommand:
     def test_times_come_from_the_frames(self, benchmark_aligned, tmp_path):
         """vectors.json and segments.json take their times from the aligned frames,
         and reduce --in takes them from the vectors document."""
-        times = [f.t_ns for f in benchmark_aligned.frames]
+        times = list(benchmark_aligned.times)
         art = tmp_path / "art"
         assert main(["run-regression", "--script", "builtin:benchmark", "--module", "planning",
                      "--strategies", "CH", "--artifacts-dir", str(art),
@@ -686,23 +686,42 @@ class TestFrameTimes:
 
 
 # A recording whose first payload of one kind is retyped: case -> (kind,
-# payload edit, the field the error must name, the commands that read it).
+# payload edit, the error line, the commands that read it). The line names
+# the message's recorded time: the traffic light and obstacle channels
+# publish 1 and 2 ms after the image of frame 0, whose grid time is 0.
 PAYLOAD_CASES = {
-    "lights-not-a-list": ("traffic_light", lambda p: p.update(lights=5),
-                          "lights must be a list", ("vectorize", "all")),
-    "light-not-an-object": ("traffic_light", lambda p: p.update(lights=[5]),
-                            "lights[0] must be an object", ("vectorize", "all")),
-    "object-not-a-string": ("obstacle", lambda p: p.update(objects=[[1]]),
-                            "objects[0] must be a string", ("vectorize", "all")),
-    "scene-not-an-object": ("image_ref", lambda p: p.update(scene=5),
-                            "scene must be an object", ("traffic_light",)),
-    "light-without-brightness": ("image_ref", lambda p: p["scene"]["lights"][0].pop("brightness"),
-                                 "scene.lights[0].brightness is missing", ("traffic_light",)),
+    "lights-not-a-list": (
+        "traffic_light", lambda p: p.update(lights=5),
+        "error: traffic_light payload on channel 'traffic_light' at t_ns 1000000: lights must be a list, got 5",
+        ("vectorize", "all"),
+    ),
+    "light-not-an-object": (
+        "traffic_light", lambda p: p.update(lights=[5]),
+        "error: traffic_light payload on channel 'traffic_light' at t_ns 1000000: "
+        "lights[0] must be an object, got 5",
+        ("vectorize", "all"),
+    ),
+    "object-not-a-string": (
+        "obstacle", lambda p: p.update(objects=[[1]]),
+        "error: obstacle payload on channel 'obstacle' at t_ns 2000000: objects[0] must be a string, got [1]",
+        ("vectorize", "all"),
+    ),
+    "scene-not-an-object": (
+        "image_ref", lambda p: p.update(scene=5),
+        "error: image_ref payload on channel 'image' at t_ns 2666666666: scene must be an object, got 5",
+        ("traffic_light",),
+    ),
+    "light-without-brightness": (
+        "image_ref", lambda p: p["scene"]["lights"][0].pop("brightness"),
+        "error: image_ref payload on channel 'image' at t_ns 2666666666: scene.lights[0].brightness is missing",
+        ("traffic_light",),
+    ),
 }
 
 
 # Mutants of the modules whose own replays read the retyped inputs; the
-# work fixture's mutants are all planning ones.
+# work fixture's mutants are all planning ones, and a module with no own
+# mutant replays nothing.
 OWN_MUTANTS = [
     Mutant("tl", "traffic_light", "lit_check", "flip_condition"),
     Mutant("pr", "prediction", "stop_max_speed", "change_constant", 0.0),
@@ -749,27 +768,27 @@ class TestMistypedPayloads:
 
     @pytest.mark.parametrize("case", PAYLOAD_CASES)
     def test_exit_one_naming_the_field(self, case, work, tmp_path, capsys):
-        kind, _, names_field, commands = PAYLOAD_CASES[case]
+        _, _, line, commands = PAYLOAD_CASES[case]
         rec = self.retyped(case, work, tmp_path)
+        mutants = tmp_path / "mutants.json"
+        mutants.write_text(json.dumps(json.loads(work["mutants"].read_text()) + mutants_to_json(OWN_MUTANTS)))
         out = tmp_path / "out.json"
         for command in commands:
             if command == "vectorize":
                 argv = ["vectorize", "--in", str(rec), "--out", str(out)]
             else:
-                argv = _regression_argv(rec, work["mutants"], command, out)
-            error = _one_error(argv, capsys)
-            assert error.startswith(f"error: {kind} payload on channel ") and names_field in error
+                argv = _regression_argv(rec, mutants, command, out)
+            assert _one_error(argv, capsys) == line
 
     @pytest.mark.parametrize("case", ["scene-not-an-object", "light-without-brightness"])
     def test_own_mutant_whole_replay_names_the_field(self, case, work, tmp_path, capsys):
         # The module's own mutant replays the whole recording before any
         # call-count replay, so that replay meets the bad scene first.
-        kind, _, names_field, _ = PAYLOAD_CASES[case]
+        line = PAYLOAD_CASES[case][2]
         rec = self.retyped(case, work, tmp_path)
         mutants = tmp_path / "mutants.json"
         mutants.write_text(json.dumps(mutants_to_json(OWN_MUTANTS)))
-        error = _one_error(_regression_argv(rec, mutants, "traffic_light", tmp_path / "o.json"), capsys)
-        assert error.startswith(f"error: {kind} payload on channel ") and names_field in error
+        assert _one_error(_regression_argv(rec, mutants, "traffic_light", tmp_path / "o.json"), capsys) == line
 
     def test_own_mutant_replay_without_a_read_kind(self, work, tmp_path, capsys):
         rec = _write_rows(
@@ -778,6 +797,18 @@ class TestMistypedPayloads:
         mutants = tmp_path / "mutants.json"
         mutants.write_text(json.dumps(mutants_to_json(OWN_MUTANTS)))
         error = _one_error(_regression_argv(rec, mutants, "prediction", tmp_path / "o.json"), capsys)
+        assert error == (
+            "error: module 'prediction' needs channel kind(s) ['obstacle'] absent from the frames"
+        )
+
+    @pytest.mark.parametrize("module", ["prediction", "all"])
+    def test_run_without_own_mutants_and_a_read_kind(self, module, work, tmp_path, capsys):
+        # No prediction mutant, so no prediction segment replays; the frames
+        # must still feed the module.
+        rec = _write_rows(
+            tmp_path / "rec.jsonl", [r for r in _recording_rows(work) if r["kind"] != "obstacle"]
+        )
+        error = _one_error(_regression_argv(rec, work["mutants"], module, tmp_path / "o.json"), capsys)
         assert error == (
             "error: module 'prediction' needs channel kind(s) ['obstacle'] absent from the frames"
         )

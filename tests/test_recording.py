@@ -15,14 +15,13 @@ from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 
 import pytest
-from conftest import grid_of
+from conftest import Frame, frames_of, grid_of
 from message_reference import assert_aligns_as_messages, assert_loads_as_messages
 
 from strap.benchmarks import BUILTIN_SCRIPTS, benchmark_script
 from strap.recording import (
     AlignmentError,
     Channel,
-    Frame,
     Message,
     MessageKind,
     PayloadError,
@@ -133,10 +132,8 @@ class TestModel:
         with pytest.raises(ValueError, match="does not match"):
             Recording({"b": chan("a", [0])})
 
-    def test_messages_and_frames_are_slotted(self):
-        m = msg("a", 0)
-        assert not hasattr(m, "__dict__")
-        assert not hasattr(Frame(0, {"a": m}), "__dict__")
+    def test_messages_are_slotted(self):
+        assert not hasattr(msg("a", 0), "__dict__")
         with pytest.raises(ValueError) as exc:
             Message("a", -1, MessageKind.LOCALIZATION, {})
         assert str(exc.value) == "negative timestamp -1 on channel 'a'"
@@ -147,7 +144,6 @@ class TestModel:
         assert repr(a) == repr(b) == (
             "Message(channel='a', t_ns=5, kind=<MessageKind.PLANNING: 'planning'>, payload={'x': [1]})"
         )
-        assert Frame(5, {"a": a}) == Frame(5, {"a": b})
 
 
 class TestLoadDump:
@@ -472,7 +468,7 @@ def _reference_jsonl(rows):
 
 def _aligned_rows(ar):
     """Each frame's messages in channel-name order, stamped with the frame time."""
-    return [(f.t_ns, f.messages[n]) for f in ar.frames for n in sorted(ar.channel_names)]
+    return [(f.t_ns, f.messages[n]) for f in frames_of(ar) for n in sorted(ar.channel_names)]
 
 
 def _hand_built():
@@ -566,7 +562,7 @@ class TestAlignedJsonl:
     def test_equals_sorted_dump_on_builtins(self, fixture, request):
         ar = align_recording(request.getfixturevalue(fixture))
         chunks = list(aligned_jsonl(ar))
-        assert len(chunks) == len(ar.frames)
+        assert len(chunks) == len(ar)
         assert "".join(chunks) == dump_recording_jsonl(ar.to_recording())
 
     def test_equals_sorted_dump_for_unsorted_channel_names(self):
@@ -629,29 +625,29 @@ class TestAlignment:
             return
         ar = align_recording(r)
         grid, columns = expected
-        assert [f.t_ns for f in ar.frames] == grid
+        assert list(ar.times) == grid
         assert ar.channel_names == tuple(columns)
         for name, slots in columns.items():
-            assert [_row(f.messages[name]) for f in ar.frames] == list(map(_row, slots))
+            assert [_row(f.messages[name]) for f in frames_of(ar)] == list(map(_row, slots))
 
     def test_reference_is_largest_channel(self):
         ar = align_recording(rec(chan("cam", [0, 100, 200]), chan("det", [0, 100])))
-        assert [f.t_ns for f in ar.frames] == [0, 100, 200]
+        assert list(ar.times) == [0, 100, 200]
 
     def test_reference_tie_breaks_on_name(self):
         # "a" and "b" both have 2 messages; grid must come from "a".
         ar = align_recording(rec(chan("b", [5, 105]), chan("a", [0, 100])))
-        assert [f.t_ns for f in ar.frames] == [0, 100]
+        assert list(ar.times) == [0, 100]
 
     def test_bucket_keeps_last_and_gaps_fill_forward(self):
         # Hand-walked: det slots for grid [0,100,200,300] are
         # [m50, m140, fill(m140), fill(m140)]; m410 is past the grid.
         r = rec(chan("cam", [0, 100, 200, 300]), chan("det", [50, 140, 410]))
-        ar = align_recording(r)
-        assert [f.messages["det"].payload["n"] for f in ar.frames] == [50, 140, 140, 140]
+        frames = frames_of(align_recording(r))
+        assert [f.messages["det"].payload["n"] for f in frames] == [50, 140, 140, 140]
         # Frames hold the recorded messages, forward-filled slots included.
         m50, m140, _ = map(_row, r.channels["det"].messages)
-        assert [_row(f.messages["det"]) for f in ar.frames] == [m50, m140, m140, m140]
+        assert [_row(f.messages["det"]) for f in frames] == [m50, m140, m140, m140]
 
     @pytest.mark.parametrize(
         "fixture", ["benchmark_recording", "noisy_recording", "rare_recording"]
@@ -660,29 +656,29 @@ class TestAlignment:
         # Bucket rule restated per frame: the last message before the next
         # grid time (at or before the final grid time for the last frame).
         r = request.getfixturevalue(fixture)
-        ar = align_recording(r)
-        grid = [f.t_ns for f in ar.frames]
+        frames = frames_of(align_recording(r))
+        grid = [f.t_ns for f in frames]
         for name, ch in r.channels.items():
             times = [m.t_ns for m in ch.messages]
-            for i, f in enumerate(ar.frames):
+            for i, f in enumerate(frames):
                 j = bisect_left(times, grid[i + 1]) if i + 1 < len(grid) else bisect_right(times, grid[i])
                 assert _row(f.messages[name]) == _row(ch.messages[j - 1])
 
     def test_two_in_bucket_keeps_last(self):
         # Tie on message count, so "cam" wins the reference role by name.
         ar = align_recording(rec(chan("cam", [0, 100, 200]), chan("det", [10, 60, 110])))
-        assert [f.messages["det"].payload["n"] for f in ar.frames] == [60, 110, 110]
+        assert [f.messages["det"].payload["n"] for f in frames_of(ar)] == [60, 110, 110]
 
     def test_message_before_grid_seeds_fill(self):
         ar = align_recording(rec(chan("cam", [100, 200]), chan("det", [40])))
-        assert [f.messages["det"].payload["n"] for f in ar.frames] == [40, 40]
+        assert [f.messages["det"].payload["n"] for f in frames_of(ar)] == [40, 40]
 
     def test_leading_frames_dropped_until_covered(self):
         # det first appears in the [200, 300) bucket, so frames 0 and 100 go.
         ar = align_recording(
             rec(chan("cam", [0, 100, 200, 300]), chan("det", [210]))
         )
-        assert [f.t_ns for f in ar.frames] == [200, 300]
+        assert list(ar.times) == [200, 300]
 
     def test_never_overlapping_channel_errors(self):
         with pytest.raises(AlignmentError, match="never overlaps"):
@@ -693,8 +689,8 @@ class TestAlignment:
             rec(chan("cam", [0, 100, 200, 300]), chan("det", [50, 140]), chan("loc", [0, 150, 290]))
         )
         again = align_recording(ar.to_recording())
-        assert [f.t_ns for f in again.frames] == [f.t_ns for f in ar.frames]
-        for f1, f2 in zip(ar.frames, again.frames):
+        assert again.times == ar.times
+        for f1, f2 in zip(frames_of(ar), frames_of(again)):
             assert {n: m.payload for n, m in f1.messages.items()} == {
                 n: m.payload for n, m in f2.messages.items()
             }
@@ -702,14 +698,16 @@ class TestAlignment:
     def test_aligned_grid_lists_channels_by_name(self):
         ar = align_recording(rec(chan("z", [0, 10]), chan("a", [0, 10]), chan("m", [0, 10])))
         assert ar.channel_names == tuple(ar.columns) == ("a", "m", "z")
-        assert [list(f.messages) for f in ar.frames] == [["a", "m", "z"]] * 2
+        assert list(ar.kinds) == list(ar.row(1)) == ["a", "m", "z"]
 
-    def test_frames_view_is_read_only(self):
-        ar = align_recording(rec(chan("cam", [0, 100, 200]), chan("det", [0, 100])))
-        with pytest.raises(TypeError):
-            ar.frames[0] = ar.frames[1]
-        with pytest.raises(TypeError):
-            ar.frames[1:][0] = ar.frames[1]
+    def test_a_row_is_its_recorded_messages(self):
+        # det's message at 50 fills frame 0; at 140, frames 1 and 2.
+        r = rec(chan("cam", [0, 100, 200]), chan("det", [50, 140], MessageKind.PLANNING))
+        ar = align_recording(r)
+        assert ar.kinds == {"cam": MessageKind.LOCALIZATION, "det": MessageKind.PLANNING}
+        for i, f in enumerate(frames_of(ar)):
+            assert ar.row(i) == f.messages
+        assert ar.row(2)["det"] == Message("det", 140, MessageKind.PLANNING, {"n": 140})
 
 
 @pytest.fixture(scope="module")
@@ -756,13 +754,13 @@ class TestLiveMemory:
             tracemalloc.stop()
             if was_enabled:
                 gc.enable()
-        assert len(ar.frames) == 2400 * tiles
+        assert len(ar) == 2400 * tiles
         assert peak - kept <= kept / 2
 
     def test_aligned_grid_keeps_no_per_frame_objects(self, tiled_recording):
         # The 10x-tiled benchmark (the long-suite input): the grid holds one
         # 8-byte time per frame and one 8-byte message index per channel, and
-        # no Frame or dict.
+        # no object per frame.
         recording = tiled_recording(10)
         was_enabled = gc.isenabled()
         gc.disable()
@@ -806,8 +804,9 @@ class TestPayloadFormats:
     )
     def test_builtin_recordings_conform(self, name, request):
         # A replay or encoding failure on these frames is a strap bug, never an input error.
-        for frame in align_recording(request.getfixturevalue(name)).frames:
-            check_payloads(frame)
+        ar = align_recording(request.getfixturevalue(name))
+        for i in range(len(ar)):
+            check_payloads(ar.row(i))
 
     @pytest.mark.parametrize(
         "kind,payload,err",
@@ -825,15 +824,13 @@ class TestPayloadFormats:
         ],
     )
     def test_first_departure_is_named(self, kind, payload, err):
-        frame = Frame(7, {"ch": Message("ch", 7, kind, payload)})
         with pytest.raises(PayloadError) as exc:
-            check_payloads(frame)
+            check_payloads({"ch": Message("ch", 7, kind, payload)})
         assert str(exc.value) == f"{kind.value} payload on channel 'ch' at t_ns 7: {err}"
 
     def test_absent_and_null_optional_fields_conform(self):
-        frame = Frame(0, {
+        check_payloads({
             "tl": Message("tl", 0, MessageKind.TRAFFIC_LIGHT, {"lights": None}),
             "pl": Message("pl", 0, MessageKind.PLANNING, {"ego_action": "stop", "stop_cause": None}),
             "pr": Message("pr", 0, MessageKind.PREDICTION, {}),
         })
-        check_payloads(frame)

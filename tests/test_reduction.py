@@ -202,10 +202,10 @@ class TestReduce:
     def test_noisy_stream_reduction_is_exact(self, noisy_recording, registry):
         # 1500 aligned frames; run-length and dedup leave 945 of them.
         ar = align_recording(noisy_recording)
-        assert len(ar.frames) == 1500
+        assert len(ar) == 1500
         segs, _ = reduce_vectors(encode_recording(ar, registry), ReductionConfig())
         kept = sum(s.length for s in segs)
-        assert Fraction(1) - Fraction(kept, len(ar.frames)) == Fraction(37, 100)
+        assert Fraction(1) - Fraction(kept, len(ar)) == Fraction(37, 100)
         assert len(segs) == 181
 
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 import random
 
 import pytest
-from conftest import clock, grid_of
+from conftest import Frame, frames_of, grid_of
 
 from strap.benchmarks import BUILTIN_MUTANTS, BUILTIN_SCRIPTS
-from strap.recording import Frame, Message, MessageKind, align_recording
+from strap.recording import Message, MessageKind, align_recording
 from strap.schema import (
     MODULE_CHANNELS,
     MODULE_KINDS,
@@ -143,16 +143,15 @@ def replayed(request):
     runs once per distinct swapped frame.
     """
     ar = align_recording(generate_recording(BUILTIN_SCRIPTS[request.param](), seed=0))
-    tick = clock(ar)
     mutants = [m for make in BUILTIN_MUTANTS.values() for m in make()]
     registry = default_registry()
     replays = []
     for kind in MODULE_KINDS:
         module = make_module(kind)
         for mutated in [module, *(apply_mutant(module, m) for m in mutants if m.module == kind)]:
-            result = replay_segment(mutated, ar.frames, **tick)
+            result = replay_segment(mutated, ar, 0, len(ar))
             replays.append((ModuleFilter.for_module(kind, registry), result))
-    distinct = [[] for _ in ar.frames]
+    distinct = [[] for _ in range(len(ar))]
     for _, result in replays:
         for seen, msg in zip(distinct, result.messages):
             if msg not in seen:
@@ -163,8 +162,9 @@ def replayed(request):
 def test_replays_mix_changed_and_unchanged_outputs(replayed):
     ar, replays, _ = replayed
     same = changed = 0
+    frames = frames_of(ar)
     for _, result in replays:
-        for frame, msg in zip(ar.frames, result.messages):
+        for frame, msg in zip(frames, result.messages):
             if unchanged(frame, msg):
                 same += 1
             else:
@@ -182,19 +182,18 @@ def test_encoder_matches_reference_on_swapped_frames(replayed, registry):
     encoders = [FrameEncoder(registry, flt) for flt in flts]
     # Replays publish on recorded channels, so every swapped frame has the
     # recording's channels and one encoding order per encoder serves all.
-    orders = [e.channel_order(ar.frames[0]) for e in encoders]
+    orders = [e.channel_order(ar.kinds) for e in encoders]
     turn = 0
-    for frame, msgs in zip(ar.frames, distinct):
+    for i, (frame, msgs) in enumerate(zip(frames_of(ar), distinct)):
         for msg in msgs:
             turn += 1
-            swapped = swap(frame, msg)
-            reference = reference_encode(swapped, registry)
-            raw = encode_frame(swapped, registry)
+            reference = reference_encode(swap(frame, msg), registry)
+            raw = FrameEncoder(registry).encode(ar, i, orders[0], msg)
             assert raw == reference
-            assert encoders[0].encode(swapped, orders[0]) == raw
+            assert encoders[0].encode(ar, i, orders[0], msg) == raw
             k = turn % len(flts)
             expected = reference_filter(reference, registry, flts[k])
-            got = encoders[k].encode(swapped, orders[k])
+            got = encoders[k].encode(ar, i, orders[k], msg)
             assert got == expected
             if flts[k] is not None:
                 assert apply_filter(raw, flts[k], registry) == got
@@ -202,9 +201,11 @@ def test_encoder_matches_reference_on_swapped_frames(replayed, registry):
 
 def test_encode_recording_matches_reference(replayed, registry):
     ar, _, _ = replayed
+    frames = frames_of(ar)
     for flt in filters(registry):
         vectors = encode_recording(ar, registry, flt)
-        assert list(vectors) == [reference_encode(f, registry, flt) for f in ar.frames]
+        assert list(vectors) == [reference_encode(f, registry, flt) for f in frames]
+    assert [encode_frame(ar, i, registry) for i in range(len(ar))] == [reference_encode(f, registry) for f in frames]
 
 
 def test_replayed_vectors_reuse_only_unchanged_frames(replayed, registry):
@@ -215,8 +216,8 @@ def test_replayed_vectors_reuse_only_unchanged_frames(replayed, registry):
             recorded[flt.module] = encode_recording(ar, registry, flt)
         vectors = recorded[flt.module]
         got = _swapped_vectors(ar, enumerate(result.comparable), vectors, FrameEncoder(registry, flt))
-        assert len(got) == len(ar.frames)
-        for i, (frame, msg, vec) in enumerate(zip(ar.frames, result.messages, got)):
+        assert len(got) == len(ar)
+        for i, (frame, msg, vec) in enumerate(zip(frames_of(ar), result.messages, got)):
             if unchanged(frame, msg):
                 assert vec is vectors[i]
             else:
@@ -232,10 +233,10 @@ def test_replayed_vectors_offset_by_warmup(registry):
     mutant = next(m for m in BUILTIN_MUTANTS["benchmark"]() if m.module == "planning")
     mutated = apply_mutant(make_module("planning"), mutant)
     for lo, hi, warmup in ((0, 60, 15), (285, 330, 15), (1000, 1044, 0), (2390, 2399, 5)):
-        result = replay_segment(mutated, ar.frames[lo : hi + 1], warmup, **clock(ar))
+        result = replay_segment(mutated, ar, lo, hi + 1, warmup)
         replayed = enumerate(result.comparable, lo + warmup)
         got = _swapped_vectors(ar, replayed, vectors, FrameEncoder(registry, flt))
-        frames = ar.frames[lo + warmup : hi + 1]
+        frames = frames_of(ar)[lo + warmup : hi + 1]
         assert list(got) == [
             reference_encode(swap(f, m), registry, flt) for f, m in zip(frames, result.comparable)
         ]
@@ -310,12 +311,13 @@ def test_randomized_payloads(seed, registry_kind):
     if seed % 2:
         channels["planning"] = MessageKind.PLANNING
     ar = random_recording(rng, channels, 40)
+    frames = frames_of(ar)
     # Replayed outputs go to the first output channel of their kind; with no
     # recorded planning channel the swap adds one.
     for channel, kind in (("obstacle", MessageKind.OBSTACLE), ("tl_aux", MessageKind.TRAFFIC_LIGHT),
                           ("planning", MessageKind.PLANNING), ("prediction", MessageKind.PREDICTION)):
         messages = []
-        for f in ar.frames:
+        for f in frames:
             if channel in f.messages and rng.random() < 0.5:
                 messages.append(f.messages[channel])
             else:
@@ -324,12 +326,12 @@ def test_randomized_payloads(seed, registry_kind):
         result = ReplayResult(tuple(messages), warmup, {})
         for flt in filters(registry):
             vectors = encode_recording(ar, registry, flt)
-            assert list(vectors) == [reference_encode(f, registry, flt) for f in ar.frames]
+            assert list(vectors) == [reference_encode(f, registry, flt) for f in frames]
             replayed = enumerate(result.comparable, warmup)
             got = _swapped_vectors(ar, replayed, vectors, FrameEncoder(registry, flt))
             assert list(got) == [
                 reference_encode(swap(f, m), registry, flt)
-                for f, m in zip(ar.frames[warmup:], result.comparable)
+                for f, m in zip(frames[warmup:], result.comparable)
             ]
 
 
@@ -346,10 +348,11 @@ def test_unknown_values_raise(registry):
                 {"obstacles": [{"actor": "vehicle", "subtype": "tank"}]}),
     ]
     for msg in bad:
-        swapped = swap(base.frames[0], msg)
-        for encode in (encoder.encode, lambda f: encode_frame(f, registry)):
+        swapped = grid_of([swap(frames_of(base)[0], msg)])
+        order = encoder.channel_order(base.kinds)
+        for encode in (lambda: encoder.encode(base, 0, order, msg), lambda: encode_frame(swapped, 0, registry)):
             with pytest.raises(SchemaError, match="unknown value"):
-                encode(swapped)
+                encode()
         result = ReplayResult((msg,), 0, {})
         with pytest.raises(SchemaError, match="unknown value"):
             _swapped_vectors(base, enumerate(result.comparable), vectors, encoder)

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from conftest import Frame, grid_of
 
 from strap.fileio import atomic_write_json
-from strap.recording import Frame, Message, MessageKind
+from strap.recording import Message, MessageKind
 from strap.schema import (
     MODULE_KINDS,
     DimensionSpec,
@@ -31,11 +32,12 @@ def dim_index(registry, name):
 
 
 def frame(t=0, **by_kind):
+    """A one-frame grid: a channel per kind, named after it."""
     msgs = {}
     for kind_name, payload in by_kind.items():
         kind = MessageKind(kind_name)
         msgs[kind_name] = Message(kind_name, t, kind, payload)
-    return Frame(t, msgs)
+    return grid_of([Frame(t, msgs)])
 
 
 class TestRegistry:
@@ -98,7 +100,7 @@ class TestEncode:
             prediction={"tracks": [{"actor": "vehicle", "action": "stop"}]},
             planning={"ego_action": "stop", "stop_cause": "traffic_light"},
         )
-        v = encode_frame(f, registry)
+        v = encode_frame(f, 0, registry)
         expected = {
             "vehicle": 1,
             "vehicle.subtype": 3,
@@ -119,22 +121,23 @@ class TestEncode:
         # A vector is its values: messages of another time holding the same
         # payload objects encode to the very tuple the encoder memoized.
         f = frame(t=7, traffic_light={"lights": [{"color": "red"}]}, planning={"ego_action": "stop"})
-        later = Frame(107, {n: Message(n, 107, m.kind, m.payload) for n, m in f.messages.items()})
+        later = grid_of([Frame(107, {n: Message(n, 107, m.kind, m.payload) for n, m in f.row(0).items()})])
         encoder = FrameEncoder(registry)
-        v = encoder.encode(f)
+        order = encoder.channel_order(f.kinds)
+        v = encoder.encode(f, 0, order)
         assert type(v) is tuple
-        assert encoder.encode(later) is v
+        assert encoder.encode(later, 0, order) is v
         copied = frame(t=7, traffic_light={"lights": [{"color": "red"}]}, planning={"ego_action": "stop"})
-        assert encoder.encode(copied) == v
+        assert encoder.encode(copied, 0, order) == v
 
     def test_empty_frame_is_all_zero(self, registry):
-        v = encode_frame(frame(localization={"x": 0.0}), registry)
+        v = encode_frame(frame(localization={"x": 0.0}), 0, registry)
         assert set(v) == {0}
 
     def test_orphan_action_is_zeroed(self, registry):
         # A predicted track with no matching detection claims nothing.
         f = frame(prediction={"tracks": [{"actor": "pedestrian", "action": "cross"}]})
-        v = encode_frame(f, registry)
+        v = encode_frame(f, 0, registry)
         assert v[dim_index(registry, "pedestrian")] == 0
         assert v[dim_index(registry, "pedestrian.action")] == 0
 
@@ -147,12 +150,12 @@ class TestEncode:
                 ]
             }
         )
-        v = encode_frame(f, registry)
+        v = encode_frame(f, 0, registry)
         assert v[dim_index(registry, "vehicle.subtype")] == 2
 
     def test_first_light_provides_properties(self, registry):
         f = frame(traffic_light={"lights": [{"color": "green"}, {"color": "red"}]})
-        v = encode_frame(f, registry)
+        v = encode_frame(f, 0, registry)
         assert v[dim_index(registry, "traffic_light")] == 32
         assert v[dim_index(registry, "traffic_light.color")] == 34
         assert v[dim_index(registry, "traffic_light.shape")] == 0
@@ -160,11 +163,11 @@ class TestEncode:
     def test_unknown_actor_value_raises(self, registry):
         f = frame(obstacle={"obstacles": [{"actor": "dragon"}]})
         with pytest.raises(SchemaError, match='unknown value "dragon"'):
-            encode_frame(f, registry)
+            encode_frame(f, 0, registry)
 
     def test_crosswalk_inferred_from_obstacle_flag(self, registry):
         f = frame(obstacle={"obstacles": [{"actor": "pedestrian", "on_crosswalk": True}]})
-        v = encode_frame(f, registry)
+        v = encode_frame(f, 0, registry)
         assert v[dim_index(registry, "crosswalk")] == 42
 
 
@@ -199,7 +202,7 @@ class TestFilter:
             traffic_light={"lights": [{"color": "red"}]},
             planning={"ego_action": "cruise"},
         )
-        v = encode_frame(f, registry)
+        v = encode_frame(f, 0, registry)
         out = apply_filter(v, ModuleFilter.for_module("traffic_light", registry), registry)
         assert len(out) == len(v)
         assert out[dim_index(registry, "traffic_light.color")] == 33
@@ -209,7 +212,7 @@ class TestFilter:
         f = frame(
             obstacle={"obstacles": [{"actor": "vehicle", "subtype": "van"}]},
         )
-        v = encode_frame(f, registry)
+        v = encode_frame(f, 0, registry)
         assert v[dim_index(registry, "vehicle.subtype")] == 5
         flt = ModuleFilter("custom", frozenset({"vehicle.subtype"}))
         out = apply_filter(v, flt, registry)

@@ -12,12 +12,11 @@ import copy
 import json
 
 import pytest
-from conftest import clock, grid_of
+from conftest import Frame, frames_of, grid_of
 
 from strap.benchmarks import BUILTIN_MUTANTS, BUILTIN_SCRIPTS
 from strap.cli import main
 from strap.recording import (
-    Frame,
     MessageKind,
     RecordingLoadError,
     _parse_line,
@@ -249,7 +248,7 @@ def loaded(request, tmp_path_factory):
     path = tmp_path_factory.mktemp("loaded") / "recording.jsonl"
     path.write_text(dump_recording_jsonl(generate_recording(BUILTIN_SCRIPTS[request.param](), 0)))
     ar = align_recording(load_recording(path))
-    return ar, grid_of(_unshared(ar.frames))
+    return ar, grid_of(_unshared(frames_of(ar)))
 
 
 def test_encode_recording_memo_matches_unshared(loaded, registry):
@@ -261,7 +260,6 @@ def test_encode_recording_memo_matches_unshared(loaded, registry):
 
 def test_replay_memo_matches_unshared(loaded, registry):
     shared, unshared = loaded
-    tick = clock(shared)
     mutants = [m for ms in BUILTIN_MUTANTS.values() for m in ms()]
     lo, hi = len(shared) // 3, len(shared) // 3 + 200
     for kind in MODULE_KINDS:
@@ -271,8 +269,8 @@ def test_replay_memo_matches_unshared(loaded, registry):
         encoder = FrameEncoder(registry, flt)
         module = make_module(kind)
         for mutated in [module, *(apply_mutant(module, m) for m in mutants if m.module == kind)]:
-            got = replay_segment(mutated, shared.frames, **tick)
-            want = replay_segment(mutated, unshared.frames, **tick)
+            got = replay_segment(mutated, shared, 0, len(shared))
+            want = replay_segment(mutated, unshared, 0, len(unshared))
             assert _outputs(got) == _outputs(want)
             assert got.call_counts == want.call_counts
             # The memo hits on the shared frames: repeated inputs give one output object.
@@ -281,8 +279,8 @@ def test_replay_memo_matches_unshared(loaded, registry):
             got_vectors = _swapped_vectors(shared, enumerate(got.comparable), vectors, encoder)
             want_encoder = FrameEncoder(registry, flt)
             assert got_vectors == _swapped_vectors(unshared, enumerate(want.comparable), vectors, want_encoder)
-            got = replay_segment(mutated, shared.frames[lo:hi], 7, **tick)
-            want = replay_segment(mutated, unshared.frames[lo:hi], 7, **tick)
+            got = replay_segment(mutated, shared, lo, hi, 7)
+            want = replay_segment(mutated, unshared, lo, hi, 7)
             assert _outputs(got) == _outputs(want)
             assert got.call_counts == want.call_counts
 

@@ -13,7 +13,7 @@ from itertools import pairwise, repeat
 from operator import is_not
 
 import pytest
-from conftest import clock, grid_of, recording_of
+from conftest import Frame, frames_of, grid_of, recording_of
 from message_reference import assert_aligns_as_messages, assert_loads_as_messages
 
 from strap.benchmarks import (
@@ -25,18 +25,21 @@ from strap.benchmarks import (
     rare_fault_mutants,
     rare_fault_script,
 )
+from strap.cli import _write_regression_artifacts
 from strap.evaluation import WHOLE_RECORDING_SEGMENT_ID, compare_outputs
 from strap import recording
 from strap.fileio import check
 from strap.recording import (
+    NS_PER_SEC,
     RUN_READS,
     AlignedRecording,
     AlignmentError,
     Channel,
-    Frame,
     Message,
     MessageKind,
     Recording,
+    _frame_index,
+    _frame_t_ns,
     _line_head,
     _payload_texts,
     align_recording,
@@ -49,7 +52,6 @@ from strap.schema import MODULE_KINDS, FrameEncoder, ModuleFilter, encode_record
 from strap.synth import (
     CHANNEL_OFFSETS_NS,
     MUTATION_OPERATORS,
-    NS_PER_SEC,
     SCRIPT_FORMAT,
     Mutant,
     ScenarioScript,
@@ -60,8 +62,6 @@ from strap.synth import (
     _FrameClasses,
     _class_vectors,
     _frame_classes,
-    _frame_index,
-    _frame_t_ns,
     _on_inputs,
     _output_channel,
     _swapped_vectors,
@@ -306,10 +306,10 @@ class TestClassifierTables:
         assert sum(len(t) for t in PINNED_PARAM_FUNCTIONS.values()) == 50
 
     def test_classifiers_are_the_call_log_keys(self, benchmark_recording):
-        frames = align_recording(benchmark_recording).frames
+        ar = align_recording(benchmark_recording)
         for kind in MODULE_KINDS:
             module = make_module(kind)
-            counts = replay_segment(module, frames, fps=15, tick0=0).call_counts
+            counts = replay_segment(module, ar, 0, len(ar)).call_counts
             assert set(counts) == set(module.FUNCTIONS), kind
 
     def test_unread_parameter_fails_at_class_definition(self):
@@ -531,7 +531,7 @@ class TestReplay:
 
     def test_warmup_arithmetic(self):
         ar = self.make_aligned(60, [SceneEvent(0, RED_LIGHT)])
-        result = replay_segment(make_module("planning"), ar.frames, warmup_frames=15, **clock(ar))
+        result = replay_segment(make_module("planning"), ar, 0, len(ar), warmup_frames=15)
         assert len(result.messages) == 60
         assert len(result.comparable) == 45
         assert result.comparable[0] is result.messages[15]
@@ -544,7 +544,7 @@ class TestReplay:
                 SceneEvent(1, {"obstacles": [{"actor": "pedestrian", "action": "cross"}]}),
             ],
         )
-        result = replay_segment(make_module("prediction"), ar.frames, **clock(ar))
+        result = replay_segment(make_module("prediction"), ar, 0, len(ar))
         # Frame 1 is not a native prediction tick, so frame 0's tracks hold.
         assert result.messages[0].payload["tracks"] == [{"actor": "vehicle", "action": "stop"}]
         assert result.messages[1].payload == result.messages[0].payload
@@ -553,36 +553,37 @@ class TestReplay:
     def test_clean_replay_matches_recording(self):
         ar = self.make_aligned(45, [SceneEvent(0, {**RED_LIGHT, **CAR_STOPPED})])
         for kind in ("traffic_light", "obstacle", "prediction", "planning"):
-            result = replay_segment(make_module(kind), ar.frames, **clock(ar))
-            for out, frame in zip(result.messages, ar.frames):
+            result = replay_segment(make_module(kind), ar, 0, len(ar))
+            for out, frame in zip(result.messages, frames_of(ar)):
                 assert out.payload == frame.messages[kind].payload, kind
 
     def test_call_counts(self):
         ar = self.make_aligned(10, [SceneEvent(0, RED_LIGHT)])
-        result = replay_segment(make_module("traffic_light"), ar.frames, **clock(ar))
+        result = replay_segment(make_module("traffic_light"), ar, 0, len(ar))
         assert result.call_counts["classify_color"] == 10
         assert result.call_counts["classify_shape"] == 10
-        planner = replay_segment(make_module("planning"), ar.frames, **clock(ar))
+        planner = replay_segment(make_module("planning"), ar, 0, len(ar))
         assert planner.call_counts["plan_step"] == 10
 
     def test_module_state_is_not_shared_between_replays(self):
         ar = self.make_aligned(10, [SceneEvent(0, RED_LIGHT)])
         module = make_module("traffic_light")
-        replay_segment(module, ar.frames, **clock(ar))
+        replay_segment(module, ar, 0, len(ar))
         assert sum(module.call_log.values()) == 0
 
     def test_errors(self):
         ar = self.make_aligned(10)
         module = make_module("planning")
-        with pytest.raises(TypeError, match="fps"):
-            replay_segment(module, ar.frames)
-        with pytest.raises(SynthError, match="at least one frame"):
-            replay_segment(module, [], **clock(ar))
+        for lo, hi in ((0, 0), (10, 12), (7, 3)):
+            with pytest.raises(SynthError, match="at least one frame"):
+                replay_segment(module, ar, lo, hi)
         with pytest.raises(SynthError, match="warmup_frames 10 outside"):
-            replay_segment(module, ar.frames, warmup_frames=10, **clock(ar))
+            replay_segment(module, ar, 0, len(ar), warmup_frames=10)
+        with pytest.raises(SynthError, match="warmup_frames 3 outside"):
+            replay_segment(module, ar, 7, 20, warmup_frames=3)
         lone = Frame(0, {"image": Message("image", 0, MessageKind.IMAGE_REF, {})})
         with pytest.raises(SynthError, match="needs channel kind"):
-            replay_segment(module, [lone], **clock(ar))
+            replay_segment(module, grid_of([lone]), 0, 1)
         doubled = Frame(
             0,
             {
@@ -594,7 +595,7 @@ class TestReplay:
             },
         )
         with pytest.raises(SynthError, match="2 channels of kind 'planning'"):
-            replay_segment(module, [doubled], **clock(ar))
+            replay_segment(module, grid_of([doubled]), 0, 1)
 
 
 @pytest.fixture(scope="module")
@@ -693,6 +694,31 @@ class TestRegression:
         assert list(report["apfd"]) == ["CH", "RD"]
 
 
+class TestRowReads:
+    """A run reads payloads from the grid's columns: it builds no recorded
+    Message (Channel.message) unless it names a bad payload."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        calls = []
+        message = Channel.message
+        monkeypatch.setattr(Channel, "message", lambda ch, k: calls.append(k) or message(ch, k))
+        return calls
+
+    @pytest.mark.parametrize("name", ["noisy_recording", "benchmark_recording"])
+    def test_run_benchmark_builds_no_message(self, name, request, reads):
+        report = run_benchmark(request.getfixturevalue(name), benchmark_mutants(), repetitions=2)
+        assert report["fault_coverage"] > 0
+        assert reads == []
+
+    def test_planning_run_and_artifacts_build_no_message(self, benchmark_recording, reads, tmp_path):
+        prepared = prepare_recording(align_recording(benchmark_recording), "planning")
+        report, plans = run_prepared(prepared, benchmark_mutants(), repetitions=2)
+        _write_regression_artifacts(tmp_path, prepared, report, plans)
+        assert (tmp_path / "aligned.jsonl").stat().st_size > 0
+        assert reads == []
+
+
 DERIVED_CONFIGS = {
     "default": ReductionConfig(),
     "no-warmup": ReductionConfig(warmup_frames=0),
@@ -704,12 +730,7 @@ DERIVED_CONFIGS = {
 def segment_replay_vectors(prepared, mutated, s, encoder):
     """Reference: replay segment s alone, with its warm-up, and encode its comparable frames."""
     ar, vectors = prepared.aligned, prepared.vectors
-    result = replay_segment(
-        mutated,
-        ar.frames[s.warmup_start_idx : s.end_idx + 1],
-        s.start_idx - s.warmup_start_idx,
-        **clock(prepared.aligned),
-    )
+    result = replay_segment(mutated, ar, s.warmup_start_idx, s.end_idx + 1, s.start_idx - s.warmup_start_idx)
     replayed = enumerate(result.comparable, s.warmup_start_idx + result.warmup_frames)
     return _swapped_vectors(ar, replayed, vectors, encoder)
 
@@ -832,7 +853,7 @@ def _mutants_of(kind):
 
 def _rebuilt(base, messages, n=None):
     """An aligned recording on base's grid whose frame i holds messages(i, frame)."""
-    return grid_of(tuple(Frame(f.t_ns, messages(i, f)) for i, f in enumerate(base.frames[:n])))
+    return grid_of(tuple(Frame(f.t_ns, messages(i, f)) for i, f in enumerate(frames_of(base)[:n])))
 
 
 def _second_read_channel(base, kind, first):
@@ -846,9 +867,10 @@ def _second_read_channel(base, kind, first):
     module = make_module(kind)
     kinds = module.reads.keys() - {module.publish_kind}
     prefix = "00_" if first else "zz_"
+    frames = frames_of(base)
 
     def messages(i, frame):
-        mirror = base.frames[len(base.frames) - 1 - i].messages
+        mirror = frames[len(frames) - 1 - i].messages
         extra = {
             f"{prefix}{name}": Message(f"{prefix}{name}", m.t_ns, m.kind, m.payload)
             for name, m in mirror.items() if m.kind in kinds
@@ -876,9 +898,10 @@ def _unread_shuffled(base, kind):
     """
     module = make_module(kind)
     mine = {*module.reads, module.publish_kind}
-    n = len(base.frames)
+    frames = frames_of(base)
+    n = len(frames)
     return _rebuilt(base, lambda i, f: {
-        name: m if m.kind in mine else base.frames[(2 * j + 7) * i % n].messages[name]
+        name: m if m.kind in mine else frames[(2 * j + 7) * i % n].messages[name]
         for j, (name, m) in enumerate(f.messages.items())
     })
 
@@ -982,9 +1005,9 @@ class TestClassReplay:
         classes = _frame_classes(prepared, module, FrameEncoder(registry, flt))
         assert computes == []
         # The benchmark holds 40 to 46 classes per module in its 2400 frames.
-        assert len(classes.firsts) < len(benchmark_aligned.frames) / 20
+        assert len(classes.firsts) < len(benchmark_aligned) / 20
         read = _ComputeMemo(module).read
-        read_keys = {tuple(map(id, _on_inputs(source, read))) for source in classes.sources}
+        read_keys = set(map(_on_inputs(benchmark_aligned, lambda inputs: tuple(map(id, read(inputs)))), classes.sources))
         for mutated in _mutants_of(kind):
             encoder = FrameEncoder(registry, flt)
             encodes = []
@@ -1010,27 +1033,29 @@ class TestAlignedJsonlHandMade:
 def per_frame_encode_recording(ar, registry, flt=None):
     """Reference: encode_recording with one encode per frame."""
     encoder = FrameEncoder(registry, flt)
-    order = encoder.channel_order(ar.frames[0])
-    return [encoder.encode(f, order) for f in ar.frames]
+    order = encoder.channel_order(ar.kinds)
+    return [encoder.encode(ar, i, order) for i in range(len(ar))]
 
 
 def per_frame_classes(prepared, module, encoder):
-    """Reference: _frame_classes with one key per frame and a per-frame source list."""
-    frames, vectors = prepared.aligned.frames, prepared.vectors
-    channel = _output_channel(module, frames[0])
-    names = [name for name, _ in encoder.channel_order(frames[0])]
+    """Reference: _frame_classes with one key per frame and a per-frame source
+    list, reading each frame's messages (of two channels of one kind, the
+    last by name)."""
+    frames, vectors = frames_of(prepared.aligned), prepared.vectors
+    channel = _output_channel(module, prepared.aligned)
+    names = [name for name, _ in encoder.channel_order(prepared.aligned.kinds)]
     read = _ComputeMemo(module).read
     index, sources, firsts = {}, [], []
 
     def reads_at(source):
-        return tuple(map(id, _on_inputs(frames[source], read)))
+        return tuple(map(id, read({m.kind: m.payload for m in frames[source].messages.values()})))
 
     def class_of(source, reads, i):
         messages = frames[i].messages
         key = (*reads, *[id(messages[name].payload) for name in names])
         if key not in index:
             index[key] = len(firsts)
-            sources.append(frames[source])
+            sources.append(source)
             firsts.append(i)
         return index[key]
 
@@ -1229,23 +1254,23 @@ def ten_fps_recording():
     return generate_recording(ScenarioScript(base.duration_frames, 10, 0.0, base.events), 0)
 
 
-def reference_grid_fps(ar):
-    """The grid's frame rate as strap worked it out per prepared module, before
+def reference_grid_fps(frames):
+    """The frames' rate as strap worked it out per prepared module, before
     the grid owned its clock: the reference for AlignedRecording.fps."""
-    frames = ar.frames
-    n = len(frames)
+    times = [f.t_ns for f in frames]
+    n = len(times)
     if n < 2:
         return 1
-    span = frames[-1].t_ns - frames[0].t_ns
+    span = times[-1] - times[0]
     fps = round(NS_PER_SEC * (n - 1) / span)
     if fps < 1:
         raise SynthError(f"frame grid of {n} frames over {span} ns is below 1 fps")
-    tick0 = _frame_index(frames[0].t_ns, fps)
+    tick0 = _frame_index(times[0], fps)
     for i in range(1, n):
-        tick = _frame_index(frames[i].t_ns, fps)
+        tick = _frame_index(times[i], fps)
         if tick != tick0 + i:
             raise SynthError(
-                f"irregular frame grid: frame {i} (t={frames[i].t_ns} ns) falls on tick "
+                f"irregular frame grid: frame {i} (t={times[i]} ns) falls on tick "
                 f"{tick} at {fps} fps, after tick {tick0 + i - 1}"
             )
     return fps
@@ -1253,7 +1278,7 @@ def reference_grid_fps(ar):
 
 def assert_fps_matches_reference(ar):
     try:
-        want = reference_grid_fps(ar)
+        want = reference_grid_fps(frames_of(ar))
     except SynthError as exc:
         with pytest.raises(AlignmentError) as got:
             ar.fps
@@ -1291,6 +1316,9 @@ class TestFrameRate:
     def test_irregular_grid_rejected(self):
         with pytest.raises(AlignmentError, match=r"frame 2 \(t=200 ns\) falls on tick 1 at 6000000 fps, after tick 1"):
             image_grid(IRREGULAR_GRID).fps
+        # A replay takes frame i as tick i, so it checks the grid first.
+        with pytest.raises(AlignmentError, match="irregular frame grid"):
+            replay_segment(make_module("traffic_light"), image_grid(IRREGULAR_GRID), 0, 4)
 
     @pytest.mark.parametrize("kind", MODULE_KINDS)
     @pytest.mark.parametrize("case", sorted(HAND_MADE))
@@ -1331,16 +1359,15 @@ class TestFrameRate:
         ar = align_recording(ten_fps_recording)
         predictor = make_module("prediction")
         # Emitting on two of every three frames, the predictor classifies
-        # each tick's obstacles: 2000 calls at the true rate, 2250 at 15 fps.
-        assert replay_segment(predictor, ar.frames, fps=10, tick0=0).call_counts["predict_action"] == 2000
-        assert replay_segment(predictor, ar.frames, fps=15, tick0=0).call_counts["predict_action"] == 2250
+        # each tick's obstacles: 2000 calls on the grid's own 10 fps clock
+        # (ticks taken at 15 fps made 2250).
+        assert replay_segment(predictor, ar, 0, len(ar)).call_counts["predict_action"] == 2000
         mutant = Mutant("m", "prediction", "stop_max_speed", "change_constant", 0.5)
         report = run_regression(ten_fps_recording, "prediction", [mutant], repetitions=2)
         flt = ModuleFilter.for_module("prediction", registry)
         segments, _ = reduce_recording(ar, encode_recording(ar, registry, flt), ReductionConfig())
         assert report["details"]["call_counts"] == [
-            replay_segment(predictor, ar.frames[s.start_idx : s.end_idx + 1], **clock(ar))
-            .call_counts.get("predict_action", 0)
+            replay_segment(predictor, ar, s.start_idx, s.end_idx + 1).call_counts.get("predict_action", 0)
             for s in segments
         ]
 
@@ -1497,18 +1524,14 @@ def recording_rows(rec):
 def assert_grid_matches_frames(ar, ref):
     """The columnar grid reads as the reference's frames and walks to the same results."""
     want = frame_rows(ref.frames)
-    n = len(want)
-    assert len(ar) == len(ar.frames) == n
+    assert len(ar) == len(want)
     assert ar.channel_names == ref.channel_names
-    assert frame_rows(ar.frames) == want
-    assert frame_rows(ar.frames[i] for i in range(-n, n)) == want + want
-    for s in (slice(n // 3, 2 * n // 3), slice(-5, None), slice(None, None, 7), slice(None, None, -3)):
-        view = ar.frames[s]
-        assert len(view) == len(want[s]) and frame_rows(view) == want[s], s
-    assert frame_rows(ar.frames[n // 2 :][1:4]) == want[n // 2 :][1:4]
+    assert ar.kinds == {name: m.kind for name, m in ref.frames[0].messages.items()}
+    assert frame_rows(frames_of(ar)) == want
+    assert frame_rows(Frame(t, ar.row(i)) for i, t in enumerate(ar.times)) == want
     assert list(ar.run_bounds) == ref.run_bounds()
     try:
-        fps = reference_grid_fps(ref)
+        fps = reference_grid_fps(ref.frames)
     except SynthError as exc:
         with pytest.raises(AlignmentError) as got:
             ar.fps
@@ -1575,7 +1598,7 @@ class TestColumnarGrid:
 
     def test_long_suite_loads_as_messages_and_builds_none(self, seed_0_recordings, tmp_path, monkeypatch):
         # The long-suite input, loaded as the message loader loads it; load
-        # and align build no Message (each frame read builds its own).
+        # and align build no Message (a row read builds its own).
         path = tmp_path / "long.jsonl"
         path.write_text(dump_recording_jsonl(seed_0_recordings("long-suite")[0]))
         assert_loads_as_messages(path)
@@ -1584,7 +1607,7 @@ class TestColumnarGrid:
         monkeypatch.setattr(Message, "__post_init__", lambda m: built.append(1) or check(m))
         ar = align_recording(load_recording(path))
         assert len(ar) == 24000 and built == []
-        ar.frames[0]
+        ar.row(0)
         assert len(built) == 6
 
 
