@@ -1154,13 +1154,16 @@ def run_prepared(
 
     # Call counts for CC: unmutated replay of each segment body, counting
     # calls of the functions the mutant set touches. Without an own mutant
-    # none counts, so nothing replays, but the frames must feed the module.
-    _output_channel(module, ar)
-    functions = {module.PARAM_FUNCTIONS[m.target] for m in own}
-    call_counts = [0] * len(segments)
-    for j, s in enumerate(segments if own else ()):
-        counts = replay_segment(module, ar, s.start_idx, s.end_idx + 1).call_counts
-        call_counts[j] = sum(counts.get(f, 0) for f in functions)
+    # none counts and nothing replays; the module computes once on each
+    # run's inputs instead, so frames it cannot read are still an error.
+    if own:
+        functions = {module.PARAM_FUNCTIONS[m.target] for m in own}
+        replays = (replay_segment(module, ar, s.start_idx, s.end_idx + 1) for s in segments)
+        call_counts = [sum(r.call_counts.get(f, 0) for f in functions) for r in replays]
+    else:
+        _output_channel(module, ar)
+        list(map(_on_inputs(ar, _ComputeMemo(module).compute), ar.run_bounds[:-1]))
+        call_counts = [0] * len(segments)
 
     plans = build_plans(
         strategies,

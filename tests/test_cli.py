@@ -709,19 +709,18 @@ PAYLOAD_CASES = {
     "scene-not-an-object": (
         "image_ref", lambda p: p.update(scene=5),
         "error: image_ref payload on channel 'image' at t_ns 2666666666: scene must be an object, got 5",
-        ("traffic_light",),
+        ("traffic_light", "all"),
     ),
     "light-without-brightness": (
         "image_ref", lambda p: p["scene"]["lights"][0].pop("brightness"),
         "error: image_ref payload on channel 'image' at t_ns 2666666666: scene.lights[0].brightness is missing",
-        ("traffic_light",),
+        ("traffic_light", "all"),
     ),
 }
 
 
 # Mutants of the modules whose own replays read the retyped inputs; the
-# work fixture's mutants are all planning ones, and a module with no own
-# mutant replays nothing.
+# work fixture's mutants are all planning ones.
 OWN_MUTANTS = [
     Mutant("tl", "traffic_light", "lit_check", "flip_condition"),
     Mutant("pr", "prediction", "stop_max_speed", "change_constant", 0.0),
@@ -770,14 +769,12 @@ class TestMistypedPayloads:
     def test_exit_one_naming_the_field(self, case, work, tmp_path, capsys):
         _, _, line, commands = PAYLOAD_CASES[case]
         rec = self.retyped(case, work, tmp_path)
-        mutants = tmp_path / "mutants.json"
-        mutants.write_text(json.dumps(json.loads(work["mutants"].read_text()) + mutants_to_json(OWN_MUTANTS)))
         out = tmp_path / "out.json"
         for command in commands:
             if command == "vectorize":
                 argv = ["vectorize", "--in", str(rec), "--out", str(out)]
             else:
-                argv = _regression_argv(rec, mutants, command, out)
+                argv = _regression_argv(rec, work["mutants"], command, out)
             assert _one_error(argv, capsys) == line
 
     @pytest.mark.parametrize("case", ["scene-not-an-object", "light-without-brightness"])
