@@ -139,12 +139,9 @@ def _builtin_or_file(source: str, what: str) -> Any:
 
 
 def _vectors_doc(module: str, times: list[int], vectors: Sequence[FrameVector]) -> dict[str, Any]:
-    # Equal rows are one list, which atomic_write_json encodes once.
-    rows: dict[FrameVector, list[int]] = {}
-    for v in vectors:
-        if v not in rows:
-            rows[v] = list(v)
-    return {"module": module, "t_ns": times, "vectors": [rows[v] for v in vectors]}
+    # Equal rows are one list, which atomic_write_json encodes once per run.
+    rows = {v: list(v) for v in dict.fromkeys(vectors)}
+    return {"module": module, "t_ns": times, "vectors": list(map(rows.__getitem__, vectors))}
 
 
 VECTORS_FORMAT = {"module?": str, "t_ns!": [int], "vectors!": [[int]]}

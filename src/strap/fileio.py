@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import os
 import tempfile
 from collections.abc import Mapping
+from itertools import chain, compress, islice, pairwise, repeat
+from operator import is_not
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
@@ -52,9 +53,10 @@ def atomic_write_json(path: str | Path, doc: Any) -> None:
     The bytes equal ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``;
     the document is never held as one string. A list of scalars that
     appears many times as one object (repeated rows) is encoded once per
-    depth.
+    depth, and a run of one object repeated as consecutive list items is
+    encoded once and its text written again for each repeat.
     """
-    atomic_write_text(path, itertools.chain(_indented(doc, 0, set(), {}), ("\n",)))
+    atomic_write_text(path, chain(_indented(doc, 0, set(), {}), ("\n",)))
 
 
 _SCALARS = frozenset({str, int, float, bool, type(None)})
@@ -118,10 +120,15 @@ def _indented(
             markers.add(id(o))
             sep = opening + inner
             if kind is list:
-                for item in o:
+                runs = [0, *compress(range(1, len(o)), map(is_not, islice(o, 1, None), o)), len(o)]
+                for a, b in pairwise(runs):
                     yield sep
-                    yield from _indented(item, depth + 1, markers, texts)
                     sep = "," + inner
+                    if b - a == 1:
+                        yield from _indented(o[a], depth + 1, markers, texts)
+                    else:
+                        text = "".join(_indented(o[a], depth + 1, markers, texts))
+                        yield from chain((text,), repeat(sep + text, b - a - 1))
             else:
                 for key in sorted(o):
                     yield sep + _encode(key) + ": "

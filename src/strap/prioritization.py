@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Mapping, Sequence
@@ -65,13 +66,15 @@ def rarity_weights(frame_vectors: Sequence[FrameVector], normalize: bool = True)
         raise ValueError("rarity weights need at least one frame vector")
     n = len(frame_vectors)
     q = len(frame_vectors[0])
-    if any(len(v) != q for v in frame_vectors):
+    # Each distinct vector once, by its frame count: the frames of a run share one.
+    frames = Counter(frame_vectors)
+    if any(len(v) != q for v in frames):
         raise ValueError("frame vectors have inconsistent lengths")
     counts = [0] * q
-    for v in frame_vectors:
+    for v, k in frames.items():
         for i, x in enumerate(v):
             if x != 0:
-                counts[i] += 1
+                counts[i] += k
     raw = [Fraction(n, c) if c else Fraction(0) for c in counts]
     if normalize:
         total = sum(raw)

@@ -15,12 +15,12 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, compress, islice, repeat
-from operator import add, eq, gt, is_not, itemgetter, ne
+from itertools import chain, compress, count, islice, repeat
+from operator import add, eq, gt, is_not, itemgetter, mul, ne, truediv
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .fileio import check, is_json_int
+from .fileio import _departure, check, is_json_int
 
 TimestampNs = int
 NS_PER_SEC = 1_000_000_000
@@ -263,10 +263,26 @@ class AlignedRecording:
         starts = {0}
         for ch, index in self.columns.values():
             if ch.kind in RUN_READS:
-                field = RUN_READS[ch.kind]
-                objects = [p if field is None else p.get(field) for p in map(ch.payloads.__getitem__, index)]
+                objects = list(map(ch.payloads.__getitem__, index))
+                if field := RUN_READS[ch.kind]:  # the image's scene
+                    objects = [p.get(field) for p in objects]
                 starts.update(compress(range(1, n), map(is_not, islice(objects, 1, None), objects)))
         return array("q", [*sorted(starts), n])
+
+    @cached_property
+    def scenes_checked(self) -> int:
+        """How many distinct image scenes the grid holds, each checked once (encode_recording
+        reads it) where it first shows: at a run start. PayloadError names the first bad one."""
+        seen: set[int] = set()
+        for name, (ch, index) in self.columns.items():
+            if ch.kind is MessageKind.IMAGE_REF:
+                for k in map(index.__getitem__, self.run_bounds[:-1]):
+                    scene = ch.payloads[k].get("scene")
+                    if id(scene) not in seen:
+                        seen.add(id(scene))
+                        if _departure({"scene": scene}, PAYLOAD_FORMATS[ch.kind], ""):
+                            check_payloads({name: ch.message(k)})
+        return len(seen)
 
     @cached_property
     def fps(self) -> int:
@@ -288,13 +304,12 @@ class AlignedRecording:
         if fps < 1:
             raise AlignmentError(f"frame grid of {n} frames over {span} ns is below 1 fps")
         tick0 = _frame_index(times[0], fps)
-        for i in range(1, n):
-            tick = _frame_index(times[i], fps)
-            if tick != tick0 + i:
-                raise AlignmentError(
-                    f"irregular frame grid: frame {i} (t={times[i]} ns) falls on tick "
-                    f"{tick} at {fps} fps, after tick {tick0 + i - 1}"
-                )
+        ticks = map(round, map(truediv, map(mul, times, repeat(fps)), repeat(NS_PER_SEC)))
+        for i in compress(count(), map(ne, ticks, count(tick0))):
+            raise AlignmentError(
+                f"irregular frame grid: frame {i} (t={times[i]} ns) falls on tick "
+                f"{_frame_index(times[i], fps)} at {fps} fps, after tick {tick0 + i - 1}"
+            )
         return fps
 
     def to_recording(self) -> Recording:
@@ -517,8 +532,19 @@ def _line_head(channel: str, kind: MessageKind) -> str:
 _IMAGE_KEYS = frozenset({"ref", "scene"})
 
 
-def _text_memo() -> Callable[[Any], str]:
-    """A function giving an object's JSON text, encoded once per distinct object.
+def _one_encoder() -> Callable[[Any], str]:
+    """_encode through one C encoder made once, with the arguments JSONEncoder.encode makes
+    one with on each call (the same in Python 3.10 to 3.13); _encode without the accelerator."""
+    make, e = json.encoder.c_make_encoder, json.JSONEncoder(sort_keys=True)
+    if make is None:
+        return _encode
+    c = make({}, e.default, json.encoder.encode_basestring_ascii, e.indent, e.key_separator,
+             e.item_separator, e.sort_keys, e.skipkeys, e.allow_nan)
+    return lambda o: "".join(c(o, 0))
+
+
+def _text_memo(encode: Callable[[Any], str] = _encode) -> Callable[[Any], str]:
+    """A function giving an object's JSON text by ``encode``, once per distinct object.
 
     The memo holds each object it keys on, so an id stays its own while the
     function lives. Nothing in the memo refers back to the function, so
@@ -529,7 +555,7 @@ def _text_memo() -> Callable[[Any], str]:
     def text(o: Any) -> str:
         hit = texts.get(id(o))
         if hit is None:
-            hit = texts[id(o)] = (o, _encode(o))
+            hit = texts[id(o)] = (o, encode(o))
         return hit[1]
 
     return text
@@ -538,17 +564,19 @@ def _text_memo() -> Callable[[Any], str]:
 def _payload_texts() -> dict[MessageKind, Callable[[Any], str]]:
     """Per kind, the function giving a payload's JSON text, by the rule at RUN_READS.
 
-    The text of an image payload whose keys are exactly "ref" and "scene" is
-    put together from its ref's text and its scene's kept text.
+    Every text comes from one _one_encoder but an image's ref: the text of an
+    image payload whose keys are exactly "ref" and "scene" is put together
+    from its ref's text (_encode escapes a string in C) and its scene's kept text.
     """
-    kept = _text_memo()
+    encode = _one_encoder()
+    kept = _text_memo(encode)
 
     def image(o: Any) -> str:
         if type(o) is dict and o.keys() == _IMAGE_KEYS:
             return f'{_REF_HEAD}{_encode(o["ref"])}{_SCENE_KEY}{kept(o["scene"])}}}'
-        return _encode(o)
+        return encode(o)
 
-    return {k: image if k is MessageKind.IMAGE_REF else kept if k in RUN_READS else _encode
+    return {k: image if k is MessageKind.IMAGE_REF else kept if k in RUN_READS else encode
             for k in MessageKind}
 
 
@@ -580,14 +608,16 @@ def aligned_jsonl(ar: AlignedRecording) -> Iterator[str]:
     increase and every frame holds one message per channel, in name order,
     so frame order then column order is already the dump's (t_ns, channel)
     order: nothing is sorted and the text is never whole. Payload texts and
-    line heads follow the dump's own rules, per column.
+    line heads follow the dump's own rules, per column of a block of frames.
     """
     texts = _payload_texts()
-    writers = [(_line_head(name, ch.kind), texts[ch.kind]) for name, (ch, _) in ar.columns.items()]
-    rows = zip(*[map(ch.payloads.__getitem__, index) for ch, index in ar.columns.values()])
-    for t, row in zip(ar.times, rows):
-        tail = f', "t_ns": {t}}}\n'
-        yield tail.join([head + text(p) for (head, text), p in zip(writers, row)]) + tail
+    writers = [(_line_head(name, ch.kind), texts[ch.kind], ch.payloads.__getitem__, index)
+               for name, (ch, index) in ar.columns.items()]
+    for a in range(0, len(ar), _BLOCK):
+        tails = list(map(', "t_ns": {}}}\n'.format, ar.times[a : a + _BLOCK]))
+        lines = zip(*[map(head.__add__, map(text, map(payload, index[a : a + _BLOCK])))
+                      for head, text, payload, index in writers])
+        yield from map(add, map(str.join, tails, lines), tails)
 
 
 def align_recording(rec: Recording) -> AlignedRecording:

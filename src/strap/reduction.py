@@ -10,9 +10,10 @@ surviving ids still order segments by time.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Any, Sequence
+from itertools import compress, islice, pairwise
+from operator import ne
+from typing import Any, Iterator, Sequence
 
 from .fileio import check
 from .recording import AlignedRecording
@@ -62,6 +63,11 @@ class Segment:
         return self.end_idx - self.warmup_start_idx + 1
 
 
+def _run_starts(vectors: Sequence[FrameVector]) -> Iterator[int]:
+    """Each frame but the first whose vector differs from the frame before: where a run starts."""
+    return compress(range(1, len(vectors)), map(ne, islice(vectors, 1, None), vectors))
+
+
 def smooth(vectors: Sequence[FrameVector], w: int) -> list[FrameVector]:
     """Majority-vote each frame against a w-wide window of whole vectors.
 
@@ -69,28 +75,28 @@ def smooth(vectors: Sequence[FrameVector], w: int) -> list[FrameVector]:
     exactly min(w, N) elements. The most frequent vector in the window wins;
     if the top count is tied, the original center vector is kept.
 
-    A window inside one run of equal vectors keeps its center vector
-    without a vote, so only windows that span runs are counted.
+    A window inside one run of equal vectors keeps its center vector, so
+    only the windows that span a run start are counted.
     """
     if w < 1 or w % 2 == 0:
         raise ValueError(f"window width must be odd and positive, got {w}")
     n = len(vectors)
+    out = list(vectors)
     if n == 0 or w == 1:
-        return list(vectors)
-    width = min(w, n)
-    half = w // 2
-    # run_end[i]: the index of the last frame of the run holding frame i.
-    run_end = [n - 1] * n
-    for i in range(n - 2, -1, -1):
-        run_end[i] = i if vectors[i] != vectors[i + 1] else run_end[i + 1]
-    out = []
-    for i in range(n):
-        lo = min(max(i - half, 0), n - width)
-        if run_end[lo] >= lo + width - 1:
-            out.append(vectors[i])
-            continue
-        top = Counter(vectors[lo : lo + width]).most_common()
-        out.append(vectors[i] if len(top) > 1 and top[0][1] == top[1][1] else top[0][0])
+        return out
+    width, half = min(w, n), w // 2
+    last = n - width  # frame i's window starts at min(max(i - half, 0), last)
+    voted: set[int] = set()
+    for b in _run_starts(vectors):  # the frames whose windows start in [lo, hi] span b
+        lo, hi = max(b - width + 1, 0), min(b - 1, last)
+        voted.update(range(lo + half if lo else 0, hi + half + 1 if hi < last else n))
+    for i in voted:
+        lo = min(max(i - half, 0), last)
+        window = vectors[lo : lo + width]
+        distinct = list(dict.fromkeys(window))  # each value once, as its first object here
+        counts = list(map(window.count, distinct))
+        if counts.count(top := max(counts)) == 1:
+            out[i] = distinct[counts.index(top)]
     return out
 
 
@@ -98,18 +104,8 @@ def segment(vectors: Sequence[FrameVector]) -> list[Segment]:
     """Run-length encode the stream into maximal constant-vector segments."""
     if not vectors:
         return []
-    segments = []
-    start = 0
-    for i in range(1, len(vectors)):
-        if vectors[i] != vectors[start]:
-            segments.append(
-                Segment(len(segments), start, i - 1, vectors[start], warmup_start_idx=start)
-            )
-            start = i
-    segments.append(
-        Segment(len(segments), start, len(vectors) - 1, vectors[start], warmup_start_idx=start)
-    )
-    return segments
+    bounds = pairwise([0, *_run_starts(vectors), len(vectors)])
+    return [Segment(k, a, b - 1, vectors[a], warmup_start_idx=a) for k, (a, b) in enumerate(bounds)]
 
 
 def clip(segments: Sequence[Segment], n: int) -> list[Segment]:

@@ -412,13 +412,15 @@ def encode_recording(
     """Vectorize every frame, optionally filtered down to one module's view.
 
     Each run of AlignedRecording.run_bounds encodes once (synth._FrameClasses
-    states the run rule); every frame of a grid lists the same channels.
+    states the run rule); every frame of a grid lists the same channels. Then
+    the scenes, which no vector reads, are checked (AlignedRecording.scenes_checked).
     """
     encoder = FrameEncoder(registry, flt)
     order = encoder.channel_order(ar.kinds)
     vectors: list[FrameVector] = []
     for a, b in pairwise(ar.run_bounds):
         vectors += [encoder.encode(ar, a, order)] * (b - a)
+    ar.scenes_checked
     return vectors
 
 

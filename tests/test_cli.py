@@ -709,12 +709,12 @@ PAYLOAD_CASES = {
     "scene-not-an-object": (
         "image_ref", lambda p: p.update(scene=5),
         "error: image_ref payload on channel 'image' at t_ns 2666666666: scene must be an object, got 5",
-        ("traffic_light", "all"),
+        ("traffic_light", "all", "vectorize", "planning"),
     ),
     "light-without-brightness": (
         "image_ref", lambda p: p["scene"]["lights"][0].pop("brightness"),
         "error: image_ref payload on channel 'image' at t_ns 2666666666: scene.lights[0].brightness is missing",
-        ("traffic_light", "all"),
+        ("traffic_light", "all", "vectorize", "planning"),
     ),
 }
 

@@ -189,6 +189,62 @@ def test_repeated_rows_are_encoded_once_per_depth(tmp_path, monkeypatch):
     assert encoded == [row] * 3
 
 
+def _repeated_items():
+    """Lists holding runs of one object: scalar rows, dicts, lists of runs, and odd items."""
+    row, long_row = [1, 2.5, "x"], list(range(fileio._SLICE + 1))
+    obj = {"b": [row] * 3, "a": None}
+    nested = [[row] * 4, [row] * 4]
+    return {
+        "rows": [row] * 7 + [list(row)] * 2 + [row],
+        "objects": [obj] * 5 + [dict(obj)] + [obj] * 2,
+        "nested": [nested] * 3 + [nested[0]] * 2,
+        "long": [long_row] * 3,
+        "mixed": [[row], 5, 5, 5, "s", "s", (1, 2), (1, 2), [], [], {}, {}, Half(0.5), Half(0.5)],
+        "one": [obj],
+    }
+
+
+def test_repeated_items_equal_dumps_and_are_encoded_once(tmp_path, monkeypatch):
+    doc = _repeated_items()
+    walked, original = [], fileio._indented
+
+    def indented(o, *args):
+        walked.append(id(o))
+        return original(o, *args)
+
+    monkeypatch.setattr(fileio, "_indented", indented)
+    atomic_write_json(tmp_path / "doc.json", doc)
+    assert (tmp_path / "doc.json").read_bytes() == _dumps(doc)
+    # A run is walked once: obj in its two runs, and once more inside "one".
+    obj = doc["one"][0]
+    assert walked.count(id(obj)) == 3
+    assert walked.count(id(doc["nested"][0])) == 1
+
+
+def test_repeated_items_are_written_in_bounded_chunks(tmp_path, monkeypatch):
+    chunks = []
+    monkeypatch.setattr(fileio, "atomic_write_text", lambda path, text: chunks.extend(text))
+    row = {"v": [7] * 21}
+    doc = {"rows": [row] * 50_000}
+    atomic_write_json(tmp_path / "doc.json", doc)
+    assert "".join(chunks).encode() == _dumps(doc)
+    # No chunk is longer than the whole document with a single row.
+    assert max(map(len, chunks)) < len(json.dumps({"rows": [row]}, indent=2))
+
+
+def _cyclic_run():
+    a = [0]
+    a += [a, a]
+    return {"a": a}
+
+
+def _cyclic_nested_run():
+    outer = [0]
+    inner = [[1], outer]
+    outer += [inner] * 3
+    return [outer, outer]
+
+
 def _error(write):
     with pytest.raises(Exception) as info:
         write()
@@ -203,6 +259,8 @@ def _error(write):
         lambda: {"s": {1, 2}},
         lambda: _cyclic_list(),
         lambda: _cyclic_dict(),
+        lambda: _cyclic_run(),
+        lambda: _cyclic_nested_run(),
     ],
 )
 def test_json_errors_equal_dumps(tmp_path, make):

@@ -27,13 +27,17 @@ from strap.recording import (
     PayloadError,
     Recording,
     RecordingLoadError,
+    _encode,
+    _one_encoder,
     _parse_line,
+    _payload_texts,
     align_recording,
     aligned_jsonl,
     check_payloads,
     dump_recording_jsonl,
     load_recording,
 )
+from strap.schema import encode_recording
 from strap.synth import ScenarioScript, generate_recording
 
 
@@ -542,6 +546,29 @@ class TestJsonlDifferential:
         ar = align_recording(r)
         assert "".join(aligned_jsonl(ar)) == _reference_jsonl(_aligned_rows(ar))
 
+    @pytest.mark.parametrize("c_encoder", [True, False], ids=["c-encoder", "no-c-encoder"])
+    def test_payload_texts_on_odd_values(self, c_encoder, monkeypatch):
+        """Each kind's text function, and both writers, against json.dumps on
+        values whose texts are easy to get wrong; without the C encoder too."""
+        if not c_encoder:
+            monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        assert (_one_encoder() is _encode) is (not c_encoder or json.encoder.c_make_encoder is None)
+        odd = [float("nan"), float("inf"), float("-inf"), -0.0, 1e300, 5e-324, 10**300,
+               -(2**63), 2**64, True, None, "caf\u00e9 \u4e2d \U0001f600", 'q"b\\s/\n\t\x00\x1f\u2028',
+               "", [], {}]
+        payloads = [{"v": v, "nested": [v, {"k": v}]} for v in odd]
+        payloads.append({"\u00e9": 1, "b": {"z": 0, "a": 1}, "B": [2.5, "x"], "a": -0.0})
+        payloads += [{"ref": v, "scene": p} for v, p in zip(odd, payloads)]
+        texts = _payload_texts()
+        for kind, text in texts.items():
+            for p in payloads:
+                assert text(p) == json.dumps(p, sort_keys=True), (kind, p)
+        for kind in MessageKind:
+            messages = [Message("c", t, kind, p) for t, p in enumerate(payloads)]
+            r = rec(Channel("c", kind, tuple(messages)))
+            assert dump_recording_jsonl(r) == _reference_jsonl((m.t_ns, m) for m in messages)
+            assert "".join(aligned_jsonl(align_recording(r))) == dump_recording_jsonl(r)
+
     def test_hand_built_unaligned_recording(self):
         shared = {"s": "\u2028\u00e9", "f": 0.30000000000000004}
         r = rec(
@@ -827,6 +854,28 @@ class TestPayloadFormats:
         with pytest.raises(PayloadError) as exc:
             check_payloads({"ch": Message("ch", 7, kind, payload)})
         assert str(exc.value) == f"{kind.value} payload on channel 'ch' at t_ns 7: {err}"
+
+    def test_each_distinct_scene_is_checked_once_after_encoding(self, benchmark_recording, registry):
+        ar = align_recording(benchmark_recording)
+        ch, index = ar.columns["image"]
+        scenes = {id(ch.payloads[k]["scene"]) for k in index}
+        assert 1 < len(scenes) < len(ar) // 10
+        encode_recording(ar, registry)
+        assert ar.__dict__["scenes_checked"] == len(scenes)
+
+    def test_a_bad_scene_mid_recording_names_its_image_message(self, benchmark_recording, registry):
+        img = benchmark_recording.channels["image"]
+        k = len(img.times) // 2
+        payloads = list(img.payloads)
+        payloads[k] = {**payloads[k], "scene": {"statics": [{"name": "cone"}]}}
+        channels = {**benchmark_recording.channels,
+                    "image": Channel._of("image", img.kind, img.times, tuple(payloads))}
+        with pytest.raises(PayloadError) as exc:
+            encode_recording(align_recording(Recording(channels)), registry)
+        assert str(exc.value) == (
+            f"image_ref payload on channel 'image' at t_ns {img.times[k]}: "
+            "scene.statics[0].confidence is missing"
+        )
 
     def test_absent_and_null_optional_fields_conform(self):
         check_payloads({

@@ -7,7 +7,9 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from run_reference import assert_reduce_walks_match, frame_smooth
 
+from strap.benchmarks import BUILTIN_SCRIPTS
 from strap.recording import align_recording
 from strap.reduction import (
     ReductionConfig,
@@ -21,7 +23,8 @@ from strap.reduction import (
     segments_to_manifest,
     smooth,
 )
-from strap.schema import encode_recording
+from strap.schema import ModuleFilter, encode_recording
+from strap.synth import MODULE_KINDS, generate_recording
 
 
 A, B, C = (1,), (2,), (3,)
@@ -75,12 +78,19 @@ class TestSmooth:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_equals_a_vote_in_every_window(self, seed):
-        """The run fast path against the vote it skips inside runs."""
+        """The run walk against the vote it skips inside runs, and against the
+        per-frame walk it replaced (the same objects too). w = 41 is wider
+        than most streams; A-B-A streams vote across two run starts; the
+        fresh copies make every frame's vector equal to others but its own object."""
         rng = random.Random(seed)
-        for w in (1, 3, 5, 7):
+        for w in (1, 3, 5, 7, 41):
             for n in (1, 2, 3, 4, 6, rng.randint(8, 300)):
-                vectors = stream(_runs_and_glitches(rng, n))
-                assert smooth(vectors, w) == _voted(vectors, w)
+                codes = _runs_and_glitches(rng, n)
+                a, b, c = (rng.randint(1, 6) for _ in range(3))
+                for vectors in (codes, [A] * a + [B] * b + [A] * c, [tuple([*v]) for v in codes]):
+                    got = smooth(vectors, w)
+                    assert got == _voted(vectors, w)
+                    assert list(map(id, got)) == list(map(id, frame_smooth(vectors, w)))
 
 
 def _runs_and_glitches(rng, n):
@@ -112,6 +122,29 @@ def _voted(vectors, w):
         tie = len(top) > 1 and top[0][1] == top[1][1]
         out.append(vectors[i] if tie else top[0][0])
     return out
+
+
+class TestRunWalks:
+    """smooth, segment and rarity_weights walk runs; their per-frame references
+    (run_reference) give the same results on every module's view of the
+    built-in recordings and on random streams."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SCRIPTS))
+    def test_builtin_recordings(self, name, seed, registry):
+        ar = align_recording(generate_recording(BUILTIN_SCRIPTS[name](), seed))
+        assert_reduce_walks_match(encode_recording(ar, registry))
+        for kind in MODULE_KINDS:
+            assert_reduce_walks_match(encode_recording(ar, registry, ModuleFilter.for_module(kind, registry)))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_streams(self, seed):
+        rng = random.Random(seed)
+        for n in (0, 1, 2, 3, 5, rng.randint(8, 300)):
+            codes = _runs_and_glitches(rng, n)
+            shared = {v: (v[0], v[0] % 2, 0) for v in codes}
+            assert_reduce_walks_match([shared[v] for v in codes])
+            assert_reduce_walks_match([(v[0], v[0] % 2, 0) for v in codes])
 
 
 class TestSegment:

@@ -15,6 +15,7 @@ from operator import is_not
 import pytest
 from conftest import Frame, frames_of, grid_of, recording_of
 from message_reference import assert_aligns_as_messages, assert_loads_as_messages
+from run_reference import assert_reduce_walks_match
 
 from strap.benchmarks import (
     BUILTIN_MUTANTS,
@@ -1078,10 +1079,13 @@ def per_frame_classes(prepared, module, encoder):
 
 
 def assert_run_walks_match(ar, registry, cfgs, kinds=MODULE_KINDS):
-    """encode_recording and _frame_classes equal their per-frame references on ar."""
+    """encode_recording and _frame_classes equal their per-frame references on ar,
+    and so do smooth, segment and rarity_weights on the vectors."""
     for kind in kinds:
         flt = ModuleFilter.for_module(kind, registry)
-        assert encode_recording(ar, registry, flt) == per_frame_encode_recording(ar, registry, flt)
+        vectors = encode_recording(ar, registry, flt)
+        assert vectors == per_frame_encode_recording(ar, registry, flt)
+        assert_reduce_walks_match(vectors)
         module = make_module(kind)
         for cfg in cfgs:
             prepared = prepare_recording(ar, kind, cfg, registry)
@@ -1141,8 +1145,9 @@ def between_ticks_aligned():
 
 
 class TestRunWalks:
-    """encode_recording and _frame_classes walk runs of frames (AlignedRecording.run_bounds);
-    each equals a walk of every frame."""
+    """encode_recording and _frame_classes walk runs of frames (AlignedRecording.run_bounds),
+    and smooth, segment and rarity_weights runs of vectors; each equals a walk
+    of every frame."""
 
     @pytest.mark.parametrize("case", sorted(HAND_MADE))
     def test_hand_made(self, varied_aligned, registry, case):
@@ -1319,6 +1324,19 @@ class TestFrameRate:
         # A replay takes frame i as tick i, so it checks the grid first.
         with pytest.raises(AlignmentError, match="irregular frame grid"):
             replay_segment(make_module("traffic_light"), image_grid(IRREGULAR_GRID), 0, 4)
+
+    @pytest.mark.parametrize("bad", [1, 20, 39])
+    def test_first_irregular_frame_is_named(self, bad):
+        # 40 frames at 15 fps; frame `bad` and, for the second grid, the
+        # frames after it are 0.6 of a period late, so each falls a tick late.
+        late = 6 * NS_PER_SEC // 150
+        times = [_frame_t_ns(i, 15) for i in range(40)]
+        for shifted in (times[:bad] + [times[bad] + late] + times[bad + 1 :],
+                        times[:bad] + [t + late for t in times[bad:]]):
+            grid = image_grid(shifted)
+            assert_fps_matches_reference(grid)
+            with pytest.raises(AlignmentError, match=rf"^irregular frame grid: frame {bad} \(t="):
+                grid.fps
 
     @pytest.mark.parametrize("kind", MODULE_KINDS)
     @pytest.mark.parametrize("case", sorted(HAND_MADE))

@@ -14,11 +14,15 @@ import random
 import warnings
 
 import pytest
+from run_reference import assert_reduce_walks_match
 
 from strap.benchmarks import BUILTIN_SCRIPTS
 from strap.cli import main
-from strap.recording import NS_PER_SEC, Channel, Message, Recording, dump_recording_jsonl
-from strap.synth import generate_recording
+from strap.recording import (
+    NS_PER_SEC, Channel, Message, Recording, align_recording, dump_recording_jsonl,
+)
+from strap.schema import ModuleFilter, encode_recording
+from strap.synth import MODULE_KINDS, generate_recording
 
 # Each built-in script with the mutant set its golden report runs.
 MUTANTS = {"benchmark": "benchmark", "noisy-prediction": "benchmark", "rare-fault": "rare-fault"}
@@ -79,6 +83,15 @@ class TestTimeOrigin:
     def test_shift_by_whole_frame_periods(self, name, seed, periods, unshifted, tmp_path):
         rec = _rebuilt(_recording(name, seed), shift=periods * _period_ns(name))
         assert _report(dump_recording_jsonl(rec), name, seed, tmp_path / "run") == unshifted(name, seed)
+
+    def test_run_walks_on_shifted_grids(self, name, seed, registry):
+        # smooth, segment and rarity_weights against their per-frame walks.
+        rec = _recording(name, seed)
+        for shift in [*(p * _period_ns(name) for p in range(1, 7)), EPOCH_NS]:
+            ar = align_recording(_rebuilt(rec, shift=shift))
+            for kind in MODULE_KINDS:
+                flt = ModuleFilter.for_module(kind, registry)
+                assert_reduce_walks_match(encode_recording(ar, registry, flt), widths=(5,))
 
     def test_shift_to_a_wall_clock_epoch(self, name, seed, unshifted, tmp_path):
         rec = _rebuilt(_recording(name, seed), shift=EPOCH_NS)
