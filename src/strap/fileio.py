@@ -31,7 +31,8 @@ def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        # 64 KiB writes, not 8 KiB: fewer system calls on a long aligned JSONL.
+        with os.fdopen(fd, "w", encoding="utf-8", buffering=1 << 16) as fh:
             # mkstemp creates the file 0600 whatever the umask.
             os.chmod(tmp, 0o666 & ~_umask())
             if isinstance(text, str):
@@ -69,10 +70,10 @@ _encode = json.JSONEncoder().encode
 @functools.lru_cache(maxsize=32)
 def _layout(depth: int) -> tuple[str, str, Callable[[Any], str]]:
     """How ``indent=2`` lays out items at ``depth``: the break before each
-    item, the break before the closing bracket, and an encoder that writes a
-    list of scalars as ``[a,<break>b]``."""
+    item, the break before the closing bracket, and an encoder that writes
+    scalars as ``[a,<break>b]`` or ``{"k": a,<break>"l": b}``, keys sorted."""
     inner = "\n" + "  " * depth
-    encode = json.JSONEncoder(separators=("," + inner, ": ")).encode
+    encode = json.JSONEncoder(separators=("," + inner, ": "), sort_keys=True).encode
     return inner, "\n" + "  " * (depth - 1), encode
 
 
@@ -81,9 +82,9 @@ def _indented(
 ) -> Iterator[str]:
     """The ``indent=2, sort_keys=True`` text of ``o``, nested ``depth`` levels deep.
 
-    Lists and ``str``-keyed dicts are walked here, and a list of plain
-    scalars is encoded in C a slice at a time. Anything else (tuples, other
-    keys, subclasses, unknown types) goes to ``json``'s own encoder.
+    Lists and ``str``-keyed dicts are walked here. Their plain scalars are
+    encoded in C, a list's a slice at a time and a dict's of at most _SLICE
+    at once; tuples, other keys, subclasses and unknown types go to ``json``.
 
     ``texts`` keeps the text of each scalar list of at most _SLICE items by
     its id and depth (its indentation depends on the depth) and holds the
@@ -115,6 +116,9 @@ def _indented(
             yield outer + closing
             return
         if kind is list or set(map(type, o)) == {str}:
+            if kind is dict and len(o) <= _SLICE and set(map(type, o.values())) <= _SCALARS:
+                yield opening + inner + encode_items(o)[1:-1] + outer + closing
+                return
             if id(o) in markers:
                 raise ValueError("Circular reference detected")
             markers.add(id(o))

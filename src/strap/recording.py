@@ -15,8 +15,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, compress, count, islice, repeat
-from operator import add, eq, gt, is_not, itemgetter, mul, ne, truediv
+from itertools import chain, compress, count, islice, pairwise, repeat
+from operator import add, eq, gt, is_, is_not, itemgetter, mul, ne, truediv
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -370,52 +370,6 @@ _PAYLOAD_KEY = ', "payload": '
 _T_NS_KEY = ', "t_ns": '
 
 
-def _shared_line(
-    line: str,
-    heads: Mapping[str, Channel],
-    payloads: dict[str, dict[str, Any]],
-    scenes: dict[str, Any],
-) -> tuple[Channel, TimestampNs, dict[str, Any]] | None:
-    """The channel, time and payload of a canonical line whose head was seen before, or None.
-
-    A payload is looked up by its text in ``payloads``, or scanned and added
-    there, so equal texts share one object; an image payload, whose ref
-    differs on every frame, shares only its scene (_image_payload). A hit
-    needs no check: every entry's text scans as exactly one JSON object, and
-    identical text parses to an identical value. ``heads`` holds only heads
-    that _line_head built from a parsed channel and kind. So the line is the
-    object ``{"channel", "kind", "payload", "t_ns"}`` with no other or
-    repeated key, and what it gives equals _parse_line's. Any other line
-    gives None and is parsed in full, so no error message changes.
-    """
-    # No JSON string holds an unescaped quote, so the first ', "payload": '
-    # of a canonical line ends its head.
-    start = line.find(_PAYLOAD_KEY) + len(_PAYLOAD_KEY)
-    end = line.rfind(_T_NS_KEY)
-    known = heads.get(line[:start])
-    if known is None or end < start or line[-1:] != "}":
-        return None
-    kind = known.kind
-    text = line[start:end]
-    try:
-        t_ns, stop = _scan_once(line, end + len(_T_NS_KEY))
-        if kind is MessageKind.IMAGE_REF:
-            payload = _image_payload(text, scenes)
-        else:
-            payload = payloads.get(text)
-        if payload is None:
-            payload, size = _scan_once(text, 0)
-            if size != len(text) or type(payload) is not dict:
-                return None
-            if kind is not MessageKind.IMAGE_REF:
-                payloads[text] = payload
-    except (StopIteration, ValueError, RecursionError):
-        return None
-    if stop != len(line) - 1 or type(t_ns) is not int or not 0 <= t_ns < T_NS_END:
-        return None
-    return known, t_ns, payload
-
-
 _REF_HEAD = '{"ref": '
 _SCENE_KEY = ', "scene": '
 
@@ -456,40 +410,75 @@ def load_recording(path: str | Path) -> Recording:
     scene texts as one shared scene, parsed once; see Message on why
     payloads are never mutated. The sharing tables live only for the line
     loop. A line appends its time and payload to its channel's columns (a
-    list of payloads until the loop ends); a known head fixes the channel's
-    kind, so only a line parsed in full is checked against it.
+    list of payloads until the loop ends).
+
+    A canonical line whose head is known (one _line_head built from a parsed
+    channel and kind) is not parsed whole: its payload text is looked up, or
+    scanned and added, and its time scanned alone. No check is needed: every
+    entry's text scans as exactly one JSON object and identical texts parse
+    to identical values, so the line is the object ``{"channel", "kind",
+    "payload", "t_ns"}`` with no other or repeated key, of the head's kind,
+    and gives what _parse_line gives. Any other line is parsed in full and
+    checked against its channel's kind, so no error message changes.
     """
     per_channel: dict[str, Channel] = {}
     declared: dict[str, int] = {}
-    heads: dict[str, Channel] = {}
+    heads: dict[str, tuple[bool, Callable[[int], None], Callable[[Any], None]]] = {}
     payloads: dict[str, dict[str, Any]] = {}
     scenes: dict[str, Any] = {}
+
+    def parsed(raw: str, line: str, lineno: int) -> tuple[Channel, TimestampNs, dict[str, Any]]:
+        """The line parsed in full, its channel declared, and its head known if it is canonical."""
+        channel, t_ns, kind, payload = _parse_line(raw, lineno)
+        if channel not in per_channel:
+            per_channel[channel], declared[channel] = Channel._of(channel, kind, array("q"), []), lineno
+        into = per_channel[channel]
+        if into.kind is not kind:
+            raise RecordingLoadError(
+                f"line {lineno}: channel {channel!r} is {into.kind.value!r} "
+                f"(declared at line {declared[channel]}) but carries {kind.value!r}"
+            )
+        if line.startswith(head := _line_head(channel, kind)):
+            heads[head] = (kind is MessageKind.IMAGE_REF, into.times.append, into.payloads.append)
+        return into, t_ns, payload
+
     # Lines end only at \n, \r or \r\n: the file is read line by line, never
     # whole, and a raw U+2028 inside a JSON string stays in its line.
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw[:-1] if raw[-1:] == "\n" else raw
-            row = _shared_line(line, heads, payloads, scenes)
-            if row is None:
+            # No JSON string holds an unescaped quote, so the first
+            # ', "payload": ' of a canonical line ends its head.
+            start = line.find(_PAYLOAD_KEY) + len(_PAYLOAD_KEY)
+            known, row = heads.get(line[:start]), None
+            if known is None:
                 # Only JSON whitespace makes a blank line; json.loads rejects
                 # the rest of what str.strip() drops, and so does _parse_line.
                 if not raw.strip(" \t\n\r"):
                     continue
-                channel, t_ns, kind, payload = _parse_line(raw, lineno)
-                if channel not in per_channel:
-                    per_channel[channel], declared[channel] = Channel._of(channel, kind, array("q"), []), lineno
-                into = per_channel[channel]
-                if into.kind is not kind:
-                    raise RecordingLoadError(
-                        f"line {lineno}: channel {channel!r} is {into.kind.value!r} "
-                        f"(declared at line {declared[channel]}) but carries {kind.value!r}"
-                    )
-                head = _line_head(channel, kind)
-                if line.startswith(head):
-                    heads[head] = into
-                    row = _shared_line(line, heads, payloads, scenes)
-                row = row or (into, t_ns, payload)
-            into, t_ns, payload = row
+                row = parsed(raw, line, lineno)
+                known = heads.get(line[:start])  # a canonical line's head is line[:start]
+            end = line.rfind(_T_NS_KEY)
+            if known is not None and end >= start and line[-1:] == "}":
+                image, add_time, add_payload = known
+                text = line[start:end]
+                try:
+                    t_ns, stop = _scan_once(line, end + len(_T_NS_KEY))
+                    payload = _image_payload(text, scenes) if image else payloads.get(text)
+                    if payload is None:
+                        payload, size = _scan_once(text, 0)
+                        if size != len(text) or type(payload) is not dict:
+                            payload = None
+                        elif not image:
+                            payloads[text] = payload
+                except (StopIteration, ValueError, RecursionError):
+                    payload = None
+                if (payload is not None and stop == len(line) - 1
+                        and type(t_ns) is int and 0 <= t_ns < T_NS_END):
+                    add_time(t_ns)
+                    add_payload(payload)
+                    continue
+            into, t_ns, payload = row or parsed(raw, line, lineno)
             into.times.append(t_ns)
             into.payloads.append(payload)
     del heads, payloads, scenes
@@ -608,16 +597,43 @@ def aligned_jsonl(ar: AlignedRecording) -> Iterator[str]:
     increase and every frame holds one message per channel, in name order,
     so frame order then column order is already the dump's (t_ns, channel)
     order: nothing is sorted and the text is never whole. Payload texts and
-    line heads follow the dump's own rules, per column of a block of frames.
+    line heads follow the dump's own rules, per column of a block of frames,
+    and what holds over a run (ar.run_bounds) is put together once per run
+    that crosses the block (_run_texts).
     """
-    texts = _payload_texts()
-    writers = [(_line_head(name, ch.kind), texts[ch.kind], ch.payloads.__getitem__, index)
+    texts, bounds, n = _payload_texts(), ar.run_bounds, len(ar)
+    writers = [(_line_head(name, ch.kind), ch.kind, texts[ch.kind], ch.payloads.__getitem__, index)
                for name, (ch, index) in ar.columns.items()]
-    for a in range(0, len(ar), _BLOCK):
-        tails = list(map(', "t_ns": {}}}\n'.format, ar.times[a : a + _BLOCK]))
-        lines = zip(*[map(head.__add__, map(text, map(payload, index[a : a + _BLOCK])))
-                      for head, text, payload, index in writers])
-        yield from map(add, map(str.join, tails, lines), tails)
+    for a in range(0, n, _BLOCK):
+        b = min(a + _BLOCK, n)
+        cuts = [a, *bounds[bisect_right(bounds, a) : bisect_left(bounds, b)], b]
+        tails = list(map(', "t_ns": {}}}\n'.format, ar.times[a:b]))
+        lines = zip(*[_run_texts(*writer, cuts) for writer in writers], repeat(""))  # "": a last tail
+        yield from map(str.join, tails, lines)
+
+
+def _run_texts(head: str, kind: MessageKind, text: Callable[[Any], str],
+               payload: Callable[[int], Any], index: array[int], cuts: list[int]) -> Iterator[str]:
+    """A column's line prefixes over frames cuts[0] to cuts[-1], each span cuts[k]:cuts[k + 1] in one run.
+
+    A payload of a kind a run keys on whole is one object over a run, so its
+    text is made once per span. So is an image's scene: when every image of
+    the block is exactly ``{"ref": str, "scene": S}``, each escaped ref goes
+    before its span's scene text, made once; else each image goes to text.
+    """
+    a, spans = cuts[0], list(pairwise(cuts))
+    if kind not in RUN_READS:
+        return map(head.__add__, map(text, map(payload, index[a : cuts[-1]])))
+    if RUN_READS[kind] is None:
+        return chain.from_iterable(repeat(head + text(payload(index[s])), e - s) for s, e in spans)
+    ps = list(map(payload, index[a : cuts[-1]]))
+    if all(map(is_, map(type, ps), repeat(dict))) and all(map(eq, map(dict.keys, ps), repeat(_IMAGE_KEYS))):
+        refs = list(map(itemgetter("ref"), ps))
+        if all(map(is_, map(type, refs), repeat(str))):
+            refs = list(map(json.encoder.encode_basestring_ascii, refs))  # _encode of each str
+            scenes = (repeat(text(ps[s - a])[len(_REF_HEAD) + len(refs[s - a]) :], e - s) for s, e in spans)
+            return map((head + _REF_HEAD).__add__, map(add, refs, chain.from_iterable(scenes)))
+    return map(head.__add__, map(text, ps))
 
 
 def align_recording(rec: Recording) -> AlignedRecording:

@@ -59,6 +59,8 @@ def _parse_line(line, lineno):
         raise RecordingLoadError(f"line {lineno}: t_ns must be an integer")
     if t_ns < 0:
         raise RecordingLoadError(f"line {lineno}: negative timestamp {t_ns}")
+    if t_ns >= 2**63:
+        raise RecordingLoadError(f"line {lineno}: timestamp {t_ns} is not below 2**63")
     payload = row["payload"]
     if not isinstance(payload, dict):
         raise RecordingLoadError(f"line {lineno}: payload must be a JSON object")
@@ -87,7 +89,7 @@ def _shared_line(line, heads, payloads, scenes):
                 payloads[text] = payload
     except (StopIteration, ValueError, RecursionError):
         return None
-    if stop != len(line) - 1 or type(t_ns) is not int or t_ns < 0:
+    if stop != len(line) - 1 or type(t_ns) is not int or not 0 <= t_ns < 2**63:
         return None
     return Message(channel, t_ns, kind, payload)
 

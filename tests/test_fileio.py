@@ -152,6 +152,69 @@ def test_json_equals_dumps_on_edge_documents(tmp_path, doc):
     assert path.read_bytes() == _dumps(doc)
 
 
+# A dict of plain scalars, its keys non-ASCII and escaped.
+_SCALAR_DICT = {
+    "caf\u00e9": float("nan"), 'q"\\\n\t\x00': float("inf"), "\u2028 \u4e2d": float("-inf"),
+    "z": -0.0, "b": True, "f": False, "a": None, "i": -(2**70), "s": "\u00fcn\u00ef \U0001f600", "": 0.5,
+}
+
+
+class Fields(dict):
+    pass
+
+
+def _nested(o, depth):
+    """o under depth levels, a list and a dict in turn."""
+    for level in range(depth):
+        o = [1, o] if level % 2 else {"k": o, "n": None}
+    return o
+
+
+def _encoded(monkeypatch):
+    """The objects _indented hands to a depth's C encoder, as it hands them."""
+    encoded, original = [], fileio._layout
+
+    def layout(depth):
+        inner, outer, encode = original(depth)
+        return inner, outer, lambda items: encoded.append(items) or encode(items)
+
+    monkeypatch.setattr(fileio, "_layout", layout)
+    return encoded
+
+
+@pytest.mark.parametrize("depth", range(4))
+def test_scalar_dicts_equal_dumps_in_one_encode(tmp_path, monkeypatch, depth):
+    encoded = _encoded(monkeypatch)
+    few = {"x": 1}
+    for doc, dicts in [(_SCALAR_DICT, [_SCALAR_DICT]), ({}, []),
+                       ([_SCALAR_DICT, few, {}, few], [_SCALAR_DICT, few, few])]:
+        encoded.clear()
+        atomic_write_json(tmp_path / "doc.json", _nested(doc, depth))
+        assert (tmp_path / "doc.json").read_bytes() == _dumps(_nested(doc, depth))
+        assert [id(o) for o in encoded if type(o) is dict] == list(map(id, dicts))
+
+
+@pytest.mark.parametrize(
+    "odd",
+    [
+        Fields(_SCALAR_DICT),
+        {1: "a", 2: None, 3: 0.5},
+        {True: 1, False: -0.0},
+        {"a": 1, "b": Half(0.5)},
+        {"a": 1, "b": IntFlag.A},
+        {f"k{i}": i for i in range(fileio._SLICE + 1)},
+    ],
+    ids=["dict-subclass", "int-keys", "bool-keys", "float-subclass", "int-enum", "over-a-slice"],
+)
+def test_other_dicts_take_the_general_path(tmp_path, monkeypatch, odd):
+    encoded = _encoded(monkeypatch)
+    doc = {"odd": odd, "plain": _SCALAR_DICT}
+    atomic_write_json(tmp_path / "doc.json", doc)
+    assert (tmp_path / "doc.json").read_bytes() == _dumps(doc)
+    assert all(o is not odd for o in encoded)
+    assert any(o is _SCALAR_DICT for o in encoded)
+
+
 def _shared_lists(rng, pool, depth=0):
     """A document whose lists of scalars are objects of pool, each at several depths."""
     roll = rng.random() if depth < 4 else 0.0
@@ -175,13 +238,7 @@ def test_json_equals_dumps_with_shared_lists(tmp_path, seed):
 
 
 def test_repeated_rows_are_encoded_once_per_depth(tmp_path, monkeypatch):
-    encoded, original = [], fileio._layout
-
-    def layout(depth):
-        inner, outer, encode = original(depth)
-        return inner, outer, lambda items: encoded.append(items) or encode(items)
-
-    monkeypatch.setattr(fileio, "_layout", layout)
+    encoded = _encoded(monkeypatch)
     row = [1, 2, 3]
     doc = {"vectors": [row] * 100, "nested": [[row]] * 10, "other": [list(row)]}
     atomic_write_json(tmp_path / "doc.json", doc)

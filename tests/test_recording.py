@@ -8,6 +8,7 @@ import gc
 import json
 import operator
 import random
+import re
 import sys
 import tracemalloc
 import warnings
@@ -361,6 +362,99 @@ class TestLoadAgainstMessageLoader:
         assert_aligns_as_messages(r)
 
 
+_SCENE = '{"lights": [{"hue_deg": 1.0}]}'
+
+
+def _known_line(payload, tail, channel="a"):
+    """A line with the head of channel "a" (planning) or "img" (image_ref), as the dump writes it."""
+    kind = "image_ref" if channel == "img" else "planning"
+    return f'{{"channel": "{channel}", "kind": "{kind}", "payload": {payload}, "t_ns": {tail}}}'
+
+
+# Lines read after canonical lines made both heads known, and what loading
+# gives: None when the file loads, else a piece of the RecordingLoadError.
+KNOWN_HEAD_CASES = {
+    "tail-leading-zero": (_known_line('{"ego_action": "go"}', "007"), "invalid JSON"),
+    "tail-minus-zero": (_known_line('{"ego_action": "go"}', "-0"), None),
+    "tail-exponent": (_known_line('{"ego_action": "go"}', "1e3"), "t_ns must be an integer"),
+    "tail-float": (_known_line('{"ego_action": "go"}', "1.0"), "t_ns must be an integer"),
+    "tail-2**63-1": (_known_line('{"ego_action": "go"}', 2**63 - 1), None),
+    "tail-2**63": (_known_line('{"ego_action": "go"}', 2**63), "timestamp 9223372036854775808 is not below"),
+    "tail-20-digits": (_known_line('{"ego_action": "go"}', "1" * 20), "is not below 2**63"),
+    "tail-4301-digits": (_known_line('{"ego_action": "go"}', "1" * 4301), "line 3: "),
+    "spaces-after-brace": (_known_line('{"ego_action": "go"}', 5) + "  ", None),
+    "cr-after-brace": (_known_line('{"ego_action": "go"}', 5) + "\r", None),
+    "space-cr-after-brace": (_known_line('{"ego_action": "go"}', 5) + " \r", None),
+    "key-after-payload": (_known_line('{"ego_action": "go"}, "extra": 1', 5), None),
+    "t_ns-repeated": (_known_line('{"ego_action": "go"}', '5, "t_ns": 6'), None),
+    "kind-repeated": (_known_line('{"ego_action": "go"}', '5, "kind": "obstacle"'), "carries 'obstacle'"),
+    "no-t_ns": ('{"channel": "a", "kind": "planning", "payload": {"ego_action": "go"}}', "missing field 't_ns'"),
+    "data-after-payload": (_known_line('{"ego_action": "go"} {"x": 1}', 5), "invalid JSON"),
+    "payload-not-object": (_known_line('["go"]', 5), "payload must be a JSON object"),
+    "image-ref-5": (_known_line(f'{{"ref": 5, "scene": {_SCENE}}}', 5, "img"), None),
+    "image-key-after-scene": (_known_line(f'{{"ref": "f5", "scene": {_SCENE}, "x": 0}}', 5, "img"), None),
+    "scene-extra-key": (_known_line('{"ref": "f5", "scene": {"lights": [], "x": 0}}', 5, "img"), None),
+    "scene-leading-space": (_known_line(f'{{"ref": "f5", "scene":  {_SCENE}}}', 5, "img"), None),
+    "scene-then-data": (_known_line(f'{{"ref": "f5", "scene": {_SCENE} 1}}', 5, "img"), "invalid JSON"),
+}
+
+
+class TestInlinedLineLoop:
+    """load_recording's line loop against the message loader (message_reference)
+    on lines whose head is known: rows, sharing, warnings and errors."""
+
+    @staticmethod
+    def _lines(case):
+        return [
+            _known_line('{"ego_action": "go"}', 0),
+            _known_line(f'{{"ref": "f0", "scene": {_SCENE}}}', 0, "img"),
+            case,
+            # Known texts after the case: do they share with what it left?
+            _known_line('{"ego_action": "go"}', 9),
+            _known_line('{"ref": "f9", "scene": {"lights": [], "x": 0}}', 9, "img"),
+            _known_line(f'{{"ref": "f10", "scene": {_SCENE}}}', 10, "img"),
+        ]
+
+    @pytest.mark.parametrize("name", sorted(KNOWN_HEAD_CASES))
+    def test_known_head_cases(self, tmp_path, name):
+        case, err = KNOWN_HEAD_CASES[name]
+        p = tmp_path / "case.jsonl"
+        p.write_bytes(("\n".join(self._lines(case)) + "\n").encode())
+        assert_loads_as_messages(p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            if err is None:
+                load_recording(p)
+            else:
+                with pytest.raises(RecordingLoadError, match=re.escape(err)):
+                    load_recording(p)
+
+    @pytest.mark.parametrize("name", ['q"b', "back\\slash", "caf\u00e9 \u2028", ', "payload": ', ', "t_ns": 1}'])
+    def test_escaped_channel_names(self, tmp_path, name):
+        # A quote in a name is escaped, so the name never ends the head early.
+        shared = {"ego_action": "go"}
+        messages = tuple(Message(name, t, MessageKind.PLANNING, shared) for t in range(4))
+        r = rec(Channel(name, MessageKind.PLANNING, messages))
+        p = tmp_path / "esc.jsonl"
+        p.write_text(dump_recording_jsonl(r), encoding="utf-8")
+        assert_loads_as_messages(p)
+        loaded = load_recording(p).channels[name].messages
+        assert all(m.payload is loaded[0].payload for m in loaded)
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r", "\n"])
+    @pytest.mark.parametrize("last", ["", "end"], ids=["no-final-newline", "final-newline"])
+    def test_line_ends(self, tmp_path, end, last):
+        lines = self._lines(_known_line('{"ego_action": "stop"}', 5))
+        p = tmp_path / "ends.jsonl"
+        p.write_bytes((end.join(lines) + (end if last else "")).encode())
+        assert_loads_as_messages(p)
+        lf = tmp_path / "lf.jsonl"
+        lf.write_bytes(("\n".join(lines) + "\n").encode())
+        assert dump_recording_jsonl(load_recording(p)) == dump_recording_jsonl(load_recording(lf))
+        img = load_recording(p).channels["img"].messages
+        assert img[0].payload["scene"] is img[2].payload["scene"]
+
+
 def _reference_parse(line, lineno):
     """A plain line parser: ``json.loads`` and ``MessageKind(...)``."""
     try:
@@ -598,6 +692,79 @@ class TestAlignedJsonl:
         expected = dump_recording_jsonl(ar.to_recording())
         assert "".join(aligned_jsonl(ar)) == expected
         assert [json.loads(l)["channel"] for l in expected.splitlines()[:3]] == ["a", "m", "z"]
+
+    @staticmethod
+    def _grid(columns, n=600):
+        """A grid of n frames: each column a (name, kind, payload of frame i)."""
+        return align_recording(Recording({
+            name: Channel(name, kind, tuple(Message(name, i * 10, kind, payload(i)) for i in range(n)))
+            for name, kind, payload in columns
+        }))
+
+    @staticmethod
+    def _assert_dump(ar, runs):
+        chunks = list(aligned_jsonl(ar))
+        assert len(chunks) == len(ar)
+        assert "".join(chunks) == dump_recording_jsonl(ar.to_recording())
+        assert len(ar.run_bounds) - 1 == runs
+
+    _SCENE = {"lights": [{"hue_deg": 10.0, "brightness": 0.5}], "statics": [{"name": "caf\u00e9"}]}
+    _PLAN = {"ego_action": "cruise", "stop_cause": None}
+
+    def test_one_run(self):
+        ar = self._grid([
+            ("plan", MessageKind.PLANNING, lambda i: self._PLAN),
+            ("img", MessageKind.IMAGE_REF, lambda i: {"ref": f"f{i}\u00e9\"", "scene": self._SCENE}),
+            ("loc", MessageKind.LOCALIZATION, lambda i: {"x": i * 0.1}),
+        ])
+        self._assert_dump(ar, runs=1)
+
+    def test_every_frame_its_own_run(self):
+        # Unshared copies: equal payloads, but each frame's its own object.
+        ar = self._grid([
+            ("plan", MessageKind.PLANNING, lambda i: dict(self._PLAN)),
+            ("img", MessageKind.IMAGE_REF, lambda i: {"ref": f"f{i}", "scene": json.loads(json.dumps(self._SCENE))}),
+        ])
+        self._assert_dump(ar, runs=600)
+
+    def test_two_channels_of_one_kind(self):
+        other, bare = {"ego_action": "stop", "stop_cause": "light"}, {}
+        ar = self._grid([
+            ("plan_a", MessageKind.PLANNING, lambda i: self._PLAN if i % 200 < 150 else other),
+            ("plan_b", MessageKind.PLANNING, lambda i: other if i % 70 < 35 else self._PLAN),
+            ("cam_a", MessageKind.IMAGE_REF, lambda i: {"ref": f"a{i}", "scene": self._SCENE}),
+            ("cam_b", MessageKind.IMAGE_REF, lambda i: {"ref": f"b{i}", "scene": self._SCENE if i < 300 else bare}),
+        ])
+        starts = {i for i in range(1, 600) if i == 300 or (i % 200 < 150) != ((i - 1) % 200 < 150)
+                  or (i % 70 < 35) != ((i - 1) % 70 < 35)}
+        self._assert_dump(ar, runs=1 + len(starts))
+
+    @pytest.mark.parametrize(
+        "odd",
+        [
+            {"ref": "f", "scene": _SCENE, "extra": 0},
+            {"ref": 5, "scene": _SCENE},
+            {"ref": None, "scene": _SCENE},
+            {"scene": _SCENE},
+            OrderedDict([("scene", _SCENE), ("ref", "ordered")]),
+        ],
+        ids=["extra-key", "int-ref", "null-ref", "no-ref", "dict-subclass"],
+    )
+    def test_odd_image_in_the_middle_of_a_run(self, odd):
+        ar = self._grid([
+            ("plan", MessageKind.PLANNING, lambda i: self._PLAN),
+            ("img", MessageKind.IMAGE_REF, lambda i: odd if i in (300, 301, 599) else {"ref": f"f{i}", "scene": self._SCENE}),
+        ])
+        self._assert_dump(ar, runs=1)
+
+    @pytest.mark.parametrize("shift", [0, 66_666_666, 7 * 66_666_666, 1_697_000_000_123_456_789])
+    def test_time_shifted_grids(self, benchmark_recording, shift):
+        shifted = Recording({
+            name: Channel(name, ch.kind, tuple(Message(name, m.t_ns + shift, m.kind, m.payload) for m in ch.messages))
+            for name, ch in benchmark_recording.channels.items()
+        })
+        ar = align_recording(shifted)
+        self._assert_dump(ar, runs=len(align_recording(benchmark_recording).run_bounds) - 1)
 
 
 def _row(m):
