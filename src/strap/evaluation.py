@@ -5,8 +5,9 @@ on vectorized outputs. The segment flags a fault only when strictly more
 than 10 percent of its comparable (non warm-up) frames mismatch, which
 absorbs the systematic noise of rate conversion and one-frame glitches.
 Suite quality is summarized by reduction percentage, fault coverage, APFD,
-and Top-K. APFD is computed with exact rational arithmetic and converted to
-float at the boundary.
+and Top-K. Each ratio is one int true division of its exact numerator by its
+exact denominator: correctly rounded, as float() of a Fraction is (it divides
+its own numerator by its denominator), so it is the exact value's float, bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .prioritization import PrioritizedPlan
 from .reduction import Segment
@@ -76,7 +77,7 @@ def reduction_pct(original_frames: int, reduced_frames: int) -> float:
         raise ValueError(
             f"reduced frame count {reduced_frames} outside [0, {original_frames}]"
         )
-    return float(1 - Fraction(reduced_frames, original_frames))
+    return (original_frames - reduced_frames) / original_frames
 
 
 def fault_coverage(reduced_detected: Iterable[str], full_detected: Iterable[str]) -> float:
@@ -85,7 +86,7 @@ def fault_coverage(reduced_detected: Iterable[str], full_detected: Iterable[str]
     if not full:
         return 1.0
     covered = set(reduced_detected) & full
-    return float(Fraction(len(covered), len(full)))
+    return len(covered) / len(full)
 
 
 def apfd(n: int, fault_first_indices: Sequence[int], m: int) -> float:
@@ -103,8 +104,28 @@ def apfd(n: int, fault_first_indices: Sequence[int], m: int) -> float:
     for tf in fault_first_indices:
         if not (1 <= tf <= n):
             raise ValueError(f"first-detection position {tf} outside [1, {n}]")
-    value = 1 - Fraction(sum(fault_first_indices), m * n) + Fraction(1, 2 * n)
-    return float(value)
+    return (2 * m * n - 2 * sum(fault_first_indices) + m) / (2 * m * n)
+
+
+def _scorer(fault_sets: Mapping[int, frozenset[str] | set[str]]) -> Callable[[PrioritizedPlan], Any]:
+    """evaluate_plan on fault_sets, their ids and fault count m taken once: a walk stops at its m-th fault."""
+    ids, m = set(fault_sets), len(set().union(*fault_sets.values()))
+
+    def score(plan: PrioritizedPlan) -> tuple[float | None, int | None]:
+        if (order := set(plan.order)) != ids:
+            if unknown := order - ids:
+                raise ValueError(f"plan orders unknown segment ids {sorted(unknown)}")
+            raise ValueError("fault sets cover segments missing from the plan")
+        seen, firsts = set(), []  # firsts: the position where each fault is first detected
+        for pos, seg_id in enumerate(plan.order, start=1):
+            before = len(seen)
+            seen.update(fault_sets[seg_id])
+            firsts += [pos] * (len(seen) - before)
+            if len(firsts) == m:
+                break
+        return (apfd(len(plan.order), firsts, m), firsts[0]) if m else (None, None)
+
+    return score
 
 
 def evaluate_plan(
@@ -116,19 +137,7 @@ def evaluate_plan(
     segment cannot appear there and are accounted separately by callers.
     Returns (None, None) when no segment detects any fault.
     """
-    if set(plan.order) != set(fault_sets):
-        unknown = set(plan.order) - set(fault_sets)
-        if unknown:
-            raise ValueError(f"plan orders unknown segment ids {sorted(unknown)}")
-        raise ValueError("fault sets cover segments missing from the plan")
-    first_seen: dict[str, int] = {}
-    for pos, seg_id in enumerate(plan.order, start=1):
-        for fault in fault_sets[seg_id]:
-            first_seen.setdefault(fault, pos)
-    if not first_seen:
-        return None, None
-    positions = sorted(first_seen.values())
-    return apfd(len(plan.order), positions, len(first_seen)), positions[0]
+    return _scorer(fault_sets)(plan)
 
 
 def mean_defined(values: Iterable[float | None]) -> float | None:
@@ -151,10 +160,11 @@ def score_plans(
     fault_sets: Mapping[int, frozenset[str] | set[str]],
 ) -> tuple[dict[str, float | None], dict[str, float | None]]:
     """Mean APFD and Top-K of each strategy's plans; None where no plan detects a fault."""
+    score = _scorer(fault_sets)
     apfd_by: dict[str, float | None] = {}
     topk_by: dict[str, float | None] = {}
     for name, plans in plans_by_strategy.items():
-        scores = [evaluate_plan(p, fault_sets) for p in plans]
+        scores = list(map(score, plans))
         apfd_by[name] = mean_defined(a for a, _ in scores)
         topk_by[name] = mean_defined(k for _, k in scores)
     return apfd_by, topk_by

@@ -67,13 +67,25 @@ _SLICE = 1024
 _encode = json.JSONEncoder().encode
 
 
+def one_encoder(**options: Any) -> Callable[[Any], str]:
+    """``json.JSONEncoder(**options).encode`` through one C encoder made once, as encode makes one per
+    call (Python 3.10 to 3.13); encode itself without the accelerator, with an indent or ensure_ascii off."""
+    e, make = json.JSONEncoder(**options), json.encoder.c_make_encoder
+    if make is None or e.indent is not None or not e.ensure_ascii:
+        return e.encode
+    c = make({} if e.check_circular else None, e.default, json.encoder.encode_basestring_ascii, None,
+             e.key_separator, e.item_separator, e.sort_keys, e.skipkeys, e.allow_nan)
+    return lambda o: "".join(c(o, 0))
+
+
 @functools.lru_cache(maxsize=32)
 def _layout(depth: int) -> tuple[str, str, Callable[[Any], str]]:
     """How ``indent=2`` lays out items at ``depth``: the break before each
     item, the break before the closing bracket, and an encoder that writes
     scalars as ``[a,<break>b]`` or ``{"k": a,<break>"l": b}``, keys sorted."""
     inner = "\n" + "  " * depth
-    encode = json.JSONEncoder(separators=("," + inner, ": "), sort_keys=True).encode
+    # Flat scalar containers hold no cycle, and a checking C encoder keeps one marked after an error.
+    encode = one_encoder(separators=("," + inner, ": "), sort_keys=True, check_circular=False)
     return inner, "\n" + "  " * (depth - 1), encode
 
 

@@ -6,20 +6,26 @@ weight, and a segment scores the sum of the weights of its non-zero
 dimensions. Baselines: plain coverage counts, chronological order, seeded
 random permutations, and call-count ordering.
 
-Weight and score arithmetic uses exact rationals so that orderings are
-reproducible and invariant under weight normalization; scores are converted
-to floats only at the reporting boundary.
+Weights are exact rationals, so orderings are reproducible and invariant
+under weight normalization. Scores are integer numerators over one common
+denominator D (RSC: the lcm of the weights' denominators; SC and CC: 1).
+Plans sort on the numerators and report numerator / D: int true division is
+correctly rounded, as float() of a Fraction is (it divides its own numerator
+by its denominator), so each score is the exact rational's float, bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Mapping, Sequence
+from itertools import compress
+from operator import mul, neg
+from typing import Any, Iterable, Sequence
 
 from .fileio import check
 from .reduction import Segment
@@ -83,25 +89,15 @@ def rarity_weights(frame_vectors: Sequence[FrameVector], normalize: bool = True)
     return RarityWeights(tuple(raw))
 
 
-def _score_exact(values: Sequence[int], w: RarityWeights, mode: str) -> Fraction:
-    if len(values) != len(w.weights):
-        raise ValueError(f"vector length {len(values)} does not match {len(w.weights)} weights")
-    total = Fraction(0)
-    for x, wt in zip(values, w.weights):
-        if x != 0:
-            total += wt * x if mode == "literal" else wt
-    return total
-
-
 def _ranked_plan(
-    strategy: str, segments: Sequence[Segment], exact_scores: Mapping[int, Fraction]
+    strategy: str, segments: Sequence[Segment], numerators: Iterable[int], d: int = 1
 ) -> PrioritizedPlan:
     # Descending score; chronological segment id breaks ties.
-    ranked = sorted(segments, key=lambda s: (-exact_scores[s.id], s.id))
+    ranked = sorted(zip(map(neg, numerators), (s.id for s in segments)))
     return PrioritizedPlan(
         strategy=strategy,
-        order=tuple(s.id for s in ranked),
-        scores=tuple(float(exact_scores[s.id]) for s in ranked),
+        order=tuple(sid for _, sid in ranked),
+        scores=tuple(-n / d for n, _ in ranked),
     )
 
 
@@ -122,20 +118,26 @@ def prioritize_rsc(
         if frame_vectors is None:
             raise ValueError("prioritize_rsc needs frame_vectors or precomputed weights")
         weights = rarity_weights(frame_vectors)
-    scores = {s.id: _score_exact(s.vector, weights, rarity_mode) for s in segments}
-    return _ranked_plan("RSC", segments, scores)
+    d = math.lcm(*(w.denominator for w in weights.weights))
+    units = [w.numerator * (d // w.denominator) for w in weights.weights]
+    numerators = []
+    for s in segments:
+        if len(s.vector) != len(units):
+            raise ValueError(f"vector length {len(s.vector)} does not match {len(units)} weights")
+        terms = map(mul, units, s.vector) if rarity_mode == "literal" else compress(units, s.vector)
+        numerators.append(sum(terms))
+    return _ranked_plan("RSC", segments, numerators, d)
 
 
 def prioritize_sc(segments: Sequence[Segment]) -> PrioritizedPlan:
     """Rank segments by their count of non-zero dimensions."""
-    scores = {s.id: Fraction(sum(1 for x in s.vector if x != 0)) for s in segments}
-    return _ranked_plan("SC", segments, scores)
+    return _ranked_plan("SC", segments, [len(s.vector) - s.vector.count(0) for s in segments])
 
 
 def prioritize_ch(segments: Sequence[Segment]) -> PrioritizedPlan:
     """Chronological order: ascending segment id."""
     order = tuple(sorted(s.id for s in segments))
-    return PrioritizedPlan("CH", order, tuple(0.0 for _ in order))
+    return PrioritizedPlan("CH", order, (0.0,) * len(order))
 
 
 def prioritize_rd(
@@ -144,19 +146,26 @@ def prioritize_rd(
     """Seeded uniform random permutations, one plan per repetition.
 
     Uses CPython's Mersenne Twister via random.Random so a (seed,
-    repetitions) pair replays the same plan sequence bit-exactly.
+    repetitions) pair replays the same plan sequence bit-exactly. The loop is
+    random.Random.shuffle (3.10 to 3.13) with its _randbelow inlined: i swaps with
+    j = getrandbits(k), k the bit length of i + 1, redrawn while j > i; the test
+    test_prioritization.py::TestReference pins it to rng.shuffle.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be positive, got {repetitions}")
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     base = sorted(s.id for s in segments)
+    steps = [(i, (i + 1).bit_length()) for i in range(len(base) - 1, 0, -1)]
+    scores = (0.0,) * len(base)
     plans = []
     for _ in range(repetitions):
         order = list(base)
-        rng.shuffle(order)
-        plans.append(
-            PrioritizedPlan("RD", tuple(order), tuple(0.0 for _ in order), rng_seed=seed)
-        )
+        for i, k in steps:
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            order[i], order[j] = order[j], order[i]
+        plans.append(PrioritizedPlan("RD", tuple(order), scores, rng_seed=seed))
     return plans
 
 
@@ -166,8 +175,7 @@ def prioritize_cc(segments: Sequence[Segment], call_counts: Sequence[int]) -> Pr
         raise ValueError(
             f"{len(call_counts)} call counts for {len(segments)} segments; one count per segment required"
         )
-    scores = {s.id: Fraction(c) for s, c in zip(segments, call_counts)}
-    return _ranked_plan("CC", segments, scores)
+    return _ranked_plan("CC", segments, call_counts)
 
 
 def parse_strategies(names: Iterable[str]) -> list[str]:

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain, compress, count, islice, pairwise, repeat
-from operator import add, eq, gt, is_, is_not, itemgetter, mul, ne, truediv
+from operator import add, eq, ge, gt, is_, is_not, itemgetter, mul, ne, truediv
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .fileio import _departure, check, is_json_int
+from .fileio import _departure, check, is_json_int, one_encoder
 
 TimestampNs = int
 NS_PER_SEC = 1_000_000_000
@@ -487,12 +487,13 @@ def load_recording(path: str | Path) -> Recording:
 
     for name, ch in per_channel.items():
         times, payloads = ch.times, ch.payloads
-        if any(map(gt, times, islice(times, 1, None))):
+        strict = not any(map(ge, times, islice(times, 1, None)))
+        if not strict and any(map(gt, times, islice(times, 1, None))):
             order = sorted(range(len(times)), key=times.__getitem__)
             times = array("q", map(times.__getitem__, order))
             payloads = list(map(payloads.__getitem__, order))
             warnings.warn(f"channel {name!r}: out-of-order timestamps were re-sorted", stacklevel=2)
-        if any(map(eq, times, islice(times, 1, None))):
+        if not strict and any(map(eq, times, islice(times, 1, None))):
             # Keep each time's first message, the first in file order as the
             # sort is stable: its time differs from the one before (no time is -1).
             kept = list(map(ne, times, chain((-1,), times)))
@@ -521,17 +522,6 @@ def _line_head(channel: str, kind: MessageKind) -> str:
 _IMAGE_KEYS = frozenset({"ref", "scene"})
 
 
-def _one_encoder() -> Callable[[Any], str]:
-    """_encode through one C encoder made once, with the arguments JSONEncoder.encode makes
-    one with on each call (the same in Python 3.10 to 3.13); _encode without the accelerator."""
-    make, e = json.encoder.c_make_encoder, json.JSONEncoder(sort_keys=True)
-    if make is None:
-        return _encode
-    c = make({}, e.default, json.encoder.encode_basestring_ascii, e.indent, e.key_separator,
-             e.item_separator, e.sort_keys, e.skipkeys, e.allow_nan)
-    return lambda o: "".join(c(o, 0))
-
-
 def _text_memo(encode: Callable[[Any], str] = _encode) -> Callable[[Any], str]:
     """A function giving an object's JSON text by ``encode``, once per distinct object.
 
@@ -553,11 +543,11 @@ def _text_memo(encode: Callable[[Any], str] = _encode) -> Callable[[Any], str]:
 def _payload_texts() -> dict[MessageKind, Callable[[Any], str]]:
     """Per kind, the function giving a payload's JSON text, by the rule at RUN_READS.
 
-    Every text comes from one _one_encoder but an image's ref: the text of an
+    Every text comes from one fileio.one_encoder but an image's ref: the text of an
     image payload whose keys are exactly "ref" and "scene" is put together
     from its ref's text (_encode escapes a string in C) and its scene's kept text.
     """
-    encode = _one_encoder()
+    encode = one_encoder(sort_keys=True)
     kept = _text_memo(encode)
 
     def image(o: Any) -> str:

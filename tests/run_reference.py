@@ -1,16 +1,23 @@
-"""Per-frame references for the run walks of reduction and prioritization.
+"""Per-frame references for the run walks of reduction and prioritization,
+and rational references for ranking and scoring plans.
 
 smooth, segment and rarity_weights walk a vector stream by its runs of equal
 vectors. The functions here are the per-frame versions they replaced, kept
 as the oracle of the differential tests: same results, same objects.
+
+The plan strategies score in integers over one denominator, RD inlines
+random.Random.shuffle, and a plan's APFD walk stops at its last new fault.
+The rational_* functions are the versions they replaced: Fraction scores,
+rng.shuffle, and a walk over the whole plan with a Fraction APFD.
 """
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from fractions import Fraction
 
-from strap.prioritization import RarityWeights, rarity_weights
+from strap.prioritization import PrioritizedPlan, RarityWeights, rarity_weights
 from strap.reduction import Segment, segment, smooth
 
 
@@ -91,3 +98,102 @@ def assert_reduce_walks_match(vectors, widths=(1, 3, 5, 7, 41)):
     if vectors:
         for normalize in (True, False):
             assert rarity_weights(vectors, normalize) == frame_rarity_weights(vectors, normalize)
+
+
+def _score_exact(values, w, mode):
+    if len(values) != len(w.weights):
+        raise ValueError(f"vector length {len(values)} does not match {len(w.weights)} weights")
+    total = Fraction(0)
+    for x, wt in zip(values, w.weights):
+        if x != 0:
+            total += wt * x if mode == "literal" else wt
+    return total
+
+
+def _ranked_plan(strategy, segments, exact_scores):
+    ranked = sorted(segments, key=lambda s: (-exact_scores[s.id], s.id))
+    return PrioritizedPlan(
+        strategy=strategy,
+        order=tuple(s.id for s in ranked),
+        scores=tuple(float(exact_scores[s.id]) for s in ranked),
+    )
+
+
+def rational_rsc(segments, weights, rarity_mode="indicator"):
+    """prioritize_rsc with precomputed weights (the mode check is unchanged and not copied)."""
+    scores = {s.id: _score_exact(s.vector, weights, rarity_mode) for s in segments}
+    return _ranked_plan("RSC", segments, scores)
+
+
+def rational_sc(segments):
+    scores = {s.id: Fraction(sum(1 for x in s.vector if x != 0)) for s in segments}
+    return _ranked_plan("SC", segments, scores)
+
+
+def rational_cc(segments, call_counts):
+    """prioritize_cc past its length check, which is unchanged."""
+    scores = {s.id: Fraction(c) for s, c in zip(segments, call_counts)}
+    return _ranked_plan("CC", segments, scores)
+
+
+def rational_rd(segments, seed, repetitions=100):
+    """prioritize_rd past its repetitions check, which is unchanged."""
+    rng = random.Random(seed)
+    base = sorted(s.id for s in segments)
+    plans = []
+    for _ in range(repetitions):
+        order = list(base)
+        rng.shuffle(order)
+        plans.append(PrioritizedPlan("RD", tuple(order), tuple(0.0 for _ in order), rng_seed=seed))
+    return plans
+
+
+def rational_apfd(n, fault_first_indices, m):
+    if n < 1:
+        raise ValueError(f"plan length must be positive, got {n}")
+    if m < 1:
+        raise ValueError("APFD is undefined with zero faults")
+    if m != len(fault_first_indices):
+        raise ValueError(f"m={m} but {len(fault_first_indices)} first-detection positions given")
+    for tf in fault_first_indices:
+        if not (1 <= tf <= n):
+            raise ValueError(f"first-detection position {tf} outside [1, {n}]")
+    value = 1 - Fraction(sum(fault_first_indices), m * n) + Fraction(1, 2 * n)
+    return float(value)
+
+
+def rational_evaluate_plan(plan, fault_sets):
+    if set(plan.order) != set(fault_sets):
+        unknown = set(plan.order) - set(fault_sets)
+        if unknown:
+            raise ValueError(f"plan orders unknown segment ids {sorted(unknown)}")
+        raise ValueError("fault sets cover segments missing from the plan")
+    first_seen = {}
+    for pos, seg_id in enumerate(plan.order, start=1):
+        for fault in fault_sets[seg_id]:
+            first_seen.setdefault(fault, pos)
+    if not first_seen:
+        return None, None
+    positions = sorted(first_seen.values())
+    return rational_apfd(len(plan.order), positions, len(first_seen)), positions[0]
+
+
+def outcome(call):
+    """What call() gives, with each float as its hex text so that -0.0 and 0.0
+    differ; or the type and text of what it raises."""
+    try:
+        return _bits(call())
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc), str(exc)
+
+
+def _bits(o):
+    if isinstance(o, float):
+        return o.hex()
+    if isinstance(o, PrioritizedPlan):
+        return o.strategy, o.order, _bits(o.scores), o.rng_seed
+    if isinstance(o, (list, tuple)):
+        return [_bits(x) for x in o]
+    if isinstance(o, dict):
+        return {k: _bits(v) for k, v in o.items()}
+    return o

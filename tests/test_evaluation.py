@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import random
+from fractions import Fraction
+
 import pytest
+from run_reference import outcome, rational_apfd, rational_evaluate_plan
 
 from strap.evaluation import (
     FAULT_MISMATCH_RATIO,
@@ -160,6 +164,73 @@ class TestMetrics:
         assert isinstance(topk_by["CH"], float)
         none_fire = {0: frozenset(), 1: frozenset(), 2: frozenset()}
         assert score_plans(plans, none_fire) == ({"RD": None, "CH": None}, {"RD": None, "CH": None})
+
+
+def _fault_sets(rng, ids, shape):
+    faults = [f"m{i}" for i in range(rng.randint(1, 25))]
+    if shape == "empty":
+        return {i: set() for i in ids}
+    if shape == "everywhere":
+        return {i: frozenset(faults) for i in ids}
+    if shape == "last":
+        # Only the segment a plan runs last detects anything; the others run first.
+        return {i: set(faults) if i == ids[-1] else set() for i in ids}
+    return {i: {f for f in faults if rng.random() < 0.1} for i in ids}
+
+
+class TestReference:
+    """APFD from one integer division and the walk that stops at its last new
+    fault, against the Fraction APFD and the walk over the whole plan."""
+
+    def test_apfd_equals_the_rational_one(self):
+        rng = random.Random(0)
+        cases = [(1, [1], 1), (10**6, [10**6] * 3, 3), (10**6, [1] * 50, 50), (7, [7], 1)]
+        for _ in range(3000):
+            n = rng.choice([rng.randint(1, 200), rng.randint(1, 10**6)])
+            m = rng.randint(1, 40)
+            cases.append((n, [rng.randint(1, n) for _ in range(m)], m))
+        cases += [(0, [], 1), (5, [], 0), (5, [1], 2), (5, [6], 1), (5, [0], 1), (-1, [1], 1)]
+        for n, firsts, m in cases:
+            assert outcome(lambda: apfd(n, firsts, m)) == outcome(lambda: rational_apfd(n, firsts, m))
+
+    @pytest.mark.parametrize("shape", ["empty", "everywhere", "last", "random"])
+    def test_plans_score_as_the_full_walk(self, shape):
+        rng = random.Random(shape)
+        for _ in range(200):
+            ids = rng.sample(range(400), rng.randint(1, 60))
+            fault_sets = _fault_sets(rng, ids, shape)
+            plans = [PrioritizedPlan("RD", tuple(rng.sample(ids, len(ids))), (0.0,) * len(ids))
+                     for _ in range(rng.randint(1, 4))]
+            if shape == "last":
+                plans.append(PrioritizedPlan("CH", tuple(ids), (0.0,) * len(ids)))
+            want = [rational_evaluate_plan(p, fault_sets) for p in plans]
+            assert [outcome(lambda: evaluate_plan(p, fault_sets)) for p in plans] == outcome(lambda: want)
+            apfd_by, topk_by = score_plans({"RD": plans}, fault_sets)
+            assert outcome(lambda: apfd_by["RD"]) == outcome(lambda: mean_defined(a for a, _ in want))
+            assert outcome(lambda: topk_by["RD"]) == outcome(lambda: mean_defined(k for _, k in want))
+
+    def test_id_errors_equal_the_full_walk(self):
+        plan = PrioritizedPlan("CH", (0, 5, 3), (0.0,) * 3)
+        for fault_sets in (
+            {0: {"a"}, 3: set()},  # 5 unknown
+            {0: {"a"}},  # 5 and 3 unknown
+            {0: set(), 5: {"b"}, 3: set(), 9: {"a"}},  # 9 missing from the plan
+            {0: set(), 2: set(), 3: set()},  # 5 unknown, 2 missing
+            {},
+        ):
+            got = outcome(lambda: evaluate_plan(plan, fault_sets))
+            assert got == outcome(lambda: rational_evaluate_plan(plan, fault_sets))
+            assert got[0] is ValueError
+            assert outcome(lambda: score_plans({"CH": [plan]}, fault_sets)) == got
+
+    def test_reduction_and_coverage_equal_the_rational_ones(self):
+        for original in (1, 3, 7, 2400, 24000, 10**6 + 3):
+            for reduced in {0, 1, original // 3, original - 1, original}:
+                assert reduction_pct(original, reduced).hex() == float(1 - Fraction(reduced, original)).hex()
+        for full in range(1, 40):
+            for covered in range(full + 1):
+                got = fault_coverage(range(covered), range(full))
+                assert got.hex() == float(Fraction(covered, full)).hex()
 
 
 class TestDetections:

@@ -194,6 +194,22 @@ def test_scalar_dicts_equal_dumps_in_one_encode(tmp_path, monkeypatch, depth):
         assert [id(o) for o in encoded if type(o) is dict] == list(map(id, dicts))
 
 
+@pytest.fixture
+def no_c_encoder(monkeypatch):
+    """json without its C encoder: each depth's encoder is JSONEncoder.encode, built anew."""
+    layout = fileio._layout
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    layout.cache_clear()
+    assert all(layout(d)[2].__func__ is json.JSONEncoder.encode for d in range(1, 6))
+    yield
+    layout.cache_clear()
+
+
+@pytest.mark.parametrize("depth", range(4))
+def test_scalar_dicts_without_the_c_encoder(tmp_path, monkeypatch, no_c_encoder, depth):
+    test_scalar_dicts_equal_dumps_in_one_encode(tmp_path, monkeypatch, depth)
+
+
 @pytest.mark.parametrize(
     "odd",
     [
@@ -244,6 +260,22 @@ def test_repeated_rows_are_encoded_once_per_depth(tmp_path, monkeypatch):
     atomic_write_json(tmp_path / "doc.json", doc)
     assert (tmp_path / "doc.json").read_bytes() == _dumps(doc)
     assert encoded == [row] * 3
+
+
+def test_repeated_rows_without_the_c_encoder(tmp_path, monkeypatch, no_c_encoder):
+    test_repeated_rows_are_encoded_once_per_depth(tmp_path, monkeypatch)
+
+
+def test_scalar_list_error_leaves_no_mark(tmp_path):
+    """A scalar list that fails to encode fails the same way when written again."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("ints of any length convert to str")
+    row = [1, 10 ** (limit + 1)]
+    doc = {"rows": [row]}
+    first = _error(lambda: atomic_write_json(tmp_path / "doc.json", doc))
+    assert first[0] is ValueError and "Circular" not in first[1]
+    assert _error(lambda: atomic_write_json(tmp_path / "doc.json", doc)) == first
 
 
 def _repeated_items():

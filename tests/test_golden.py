@@ -23,15 +23,20 @@ from strap.schema import MODULE_KINDS
 from strap.synth import ScenarioScript, SceneEvent, generate_recording, mutants_to_json, random_mutants
 
 GOLDEN = Path(__file__).with_name("golden")
-# Seed-0 run-regression --module all reports, golden files <case>_all.json
-# and .csv: case -> (script, mutant set, extra flags). --warmup 0 is the one
+# run-regression --module all reports, golden files <case>_all.json and
+# .csv: case -> (script, mutant set, flags). --warmup 0 is the one
 # configuration in which a segment replay's cold start can fall on a frame
-# that is not an emission tick.
+# that is not an emission tick. The seed-3 case is the one golden of
+# --rarity-mode literal and of a --repetitions other than the default.
 REPORTS = {
-    "benchmark": ("benchmark", "benchmark", ()),
-    "rare-fault": ("rare-fault", "rare-fault", ()),
-    "noisy-prediction": ("noisy-prediction", "benchmark", ()),
-    "benchmark-warmup0": ("benchmark", "benchmark", ("--warmup", "0")),
+    "benchmark": ("benchmark", "benchmark", ("--seed", "0")),
+    "rare-fault": ("rare-fault", "rare-fault", ("--seed", "0")),
+    "noisy-prediction": ("noisy-prediction", "benchmark", ("--seed", "0")),
+    "benchmark-warmup0": ("benchmark", "benchmark", ("--seed", "0", "--warmup", "0")),
+    "noisy-prediction-s3-r37-literal": (
+        "noisy-prediction", "benchmark",
+        ("--seed", "3", "--repetitions", "37", "--rarity-mode", "literal"),
+    ),
 }
 ARTIFACT_DIGESTS = "planning_artifacts.sha256"
 # The seed-0 --module planning run with --artifacts-dir: its report, which
@@ -56,7 +61,7 @@ def _report(case: str, out: Path) -> dict[str, bytes]:
     report = out / f"{case}_all.json"
     _run([
         "run-regression", "--script", f"builtin:{script}", "--mutants", f"builtin:{mutants}",
-        "--module", "all", "--seed", "0", *flags, "--out", str(report),
+        "--module", "all", *flags, "--out", str(report),
     ])
     return {p.name: p.read_bytes() for p in (report, report.with_suffix(".csv"))}
 

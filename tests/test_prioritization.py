@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from run_reference import outcome, rational_cc, rational_rd, rational_rsc, rational_sc
 
 from strap.prioritization import (
     PrioritizedPlan,
@@ -176,6 +177,68 @@ class TestNormalizationInvariance:
             raw = prioritize_rsc(segments, weights=rarity_weights(fv, normalize=False), rarity_mode=mode)
             norm = prioritize_rsc(segments, weights=rarity_weights(fv, normalize=True), rarity_mode=mode)
             assert raw.order == norm.order
+
+
+def _random_case(rng):
+    """Frame vectors and segments with values 0-9, few distinct vectors (so ties), and shuffled ids."""
+    q = rng.randint(0, 9)
+    pool = [tuple(rng.choice([0, 0, 0, 1, 2, 9]) for _ in range(q)) for _ in range(rng.randint(1, 6))]
+    fv = [rng.choice(pool) for _ in range(rng.randint(1, 40))]
+    if rng.random() < 0.15:
+        fv = [(0,) * q] * len(fv)  # every weight 0
+    ids = rng.sample(range(500), rng.randint(0, 30))
+    return fv, [seg(i, rng.choice(pool + fv)) for i in ids]
+
+
+class TestReference:
+    """The integer scores and the inlined shuffle against the rational and rng.shuffle versions."""
+
+    @pytest.mark.parametrize("normalize", [True, False], ids=["normalized", "raw"])
+    @pytest.mark.parametrize("mode", ["indicator", "literal"])
+    def test_rsc_equals_rational_scores(self, mode, normalize):
+        rng = random.Random(f"{mode}-{normalize}")
+        for _ in range(300):
+            fv, segments = _random_case(rng)
+            w = rarity_weights(fv, normalize=normalize)
+            got = outcome(lambda: prioritize_rsc(segments, weights=w, rarity_mode=mode))
+            assert got == outcome(lambda: rational_rsc(segments, w, mode))
+        # Many dimensions with coprime non-zero counts: a large common denominator.
+        fv = [tuple(int(j < c) for c in range(2, 40)) for j in range(41)]
+        segments = [seg(i, tuple(rng.choice([0, 1, 7]) for _ in range(38))) for i in range(50)]
+        w = rarity_weights(fv, normalize=normalize)
+        assert outcome(lambda: prioritize_rsc(segments, weights=w, rarity_mode=mode)) == outcome(
+            lambda: rational_rsc(segments, w, mode)
+        )
+
+    def test_rsc_errors_equal_the_rational_ones(self):
+        w = rarity_weights(FIXTURE)
+        for segments in ([seg(0, (1, 2, 0)), seg(1, (1, 2))], [seg(0, (1,) * 4)], [seg(0, (1, 2, 0))] * 2):
+            for mode in ("indicator", "literal"):
+                got = outcome(lambda: prioritize_rsc(segments, weights=w, rarity_mode=mode))
+                assert got == outcome(lambda: rational_rsc(segments, w, mode))
+                assert got[0] is ValueError
+
+    def test_sc_and_cc_equal_the_rational_scores(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            _, segments = _random_case(rng)
+            counts = [rng.choice([0, 1, 2, 10**30]) for _ in segments]
+            assert outcome(lambda: prioritize_sc(segments)) == outcome(lambda: rational_sc(segments))
+            assert outcome(lambda: prioritize_cc(segments, counts)) == outcome(
+                lambda: rational_cc(segments, counts)
+            )
+        twice = [seg(0, (1,)), seg(0, (2,))]
+        assert outcome(lambda: prioritize_sc(twice)) == outcome(lambda: rational_sc(twice))
+        assert outcome(lambda: prioritize_cc(twice, [1, 2])) == outcome(lambda: rational_cc(twice, [1, 2]))
+
+    @pytest.mark.parametrize("seed", range(51))
+    def test_rd_equals_rng_shuffle(self, seed):
+        rng = random.Random(seed)
+        for n in range(301):
+            segments = [seg(i, (0,)) for i in rng.sample(range(1000), n)]
+            assert prioritize_rd(segments, seed, 2) == rational_rd(segments, seed, 2), n
+        segments = [seg(i, (0,)) for i in range(181)]
+        assert prioritize_rd(segments, seed, 100) == rational_rd(segments, seed, 100)
 
 
 class TestPlanIO:

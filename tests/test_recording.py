@@ -20,6 +20,7 @@ from conftest import Frame, frames_of, grid_of
 from message_reference import assert_aligns_as_messages, assert_loads_as_messages
 
 from strap.benchmarks import BUILTIN_SCRIPTS, benchmark_script
+from strap.fileio import one_encoder
 from strap.recording import (
     AlignmentError,
     Channel,
@@ -28,8 +29,6 @@ from strap.recording import (
     PayloadError,
     Recording,
     RecordingLoadError,
-    _encode,
-    _one_encoder,
     _parse_line,
     _payload_texts,
     align_recording,
@@ -646,7 +645,8 @@ class TestJsonlDifferential:
         values whose texts are easy to get wrong; without the C encoder too."""
         if not c_encoder:
             monkeypatch.setattr(json.encoder, "c_make_encoder", None)
-        assert (_one_encoder() is _encode) is (not c_encoder or json.encoder.c_make_encoder is None)
+        fallback = getattr(one_encoder(sort_keys=True), "__func__", None) is json.JSONEncoder.encode
+        assert fallback is (not c_encoder or json.encoder.c_make_encoder is None)
         odd = [float("nan"), float("inf"), float("-inf"), -0.0, 1e300, 5e-324, 10**300,
                -(2**63), 2**64, True, None, "caf\u00e9 \u4e2d \U0001f600", 'q"b\\s/\n\t\x00\x1f\u2028',
                "", [], {}]
