@@ -17,14 +17,14 @@ by its denominator), so each score is the exact rational's float, bit for bit.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
-from operator import mul, neg
+from itertools import compress, islice, pairwise
+from operator import is_not, mul, neg
 from typing import Any, Iterable, Sequence
 
 from .fileio import check
@@ -72,15 +72,15 @@ def rarity_weights(frame_vectors: Sequence[FrameVector], normalize: bool = True)
         raise ValueError("rarity weights need at least one frame vector")
     n = len(frame_vectors)
     q = len(frame_vectors[0])
-    # Each distinct vector once, by its frame count: the frames of a run share one.
-    frames = Counter(frame_vectors)
-    if any(len(v) != q for v in frames):
-        raise ValueError("frame vectors have inconsistent lengths")
+    # Each run of one vector object counts once, by its length.
+    starts = compress(range(1, n), map(is_not, islice(frame_vectors, 1, None), frame_vectors))
     counts = [0] * q
-    for v, k in frames.items():
-        for i, x in enumerate(v):
-            if x != 0:
-                counts[i] += k
+    for a, b in pairwise([0, *starts, n]):
+        v = frame_vectors[a]
+        if len(v) != q:
+            raise ValueError("frame vectors have inconsistent lengths")
+        for i in compress(range(q), v):
+            counts[i] += b - a
     raw = [Fraction(n, c) if c else Fraction(0) for c in counts]
     if normalize:
         total = sum(raw)
@@ -149,12 +149,19 @@ def prioritize_rd(
     repetitions) pair replays the same plan sequence bit-exactly. The loop is
     random.Random.shuffle (3.10 to 3.13) with its _randbelow inlined: i swaps with
     j = getrandbits(k), k the bit length of i + 1, redrawn while j > i; the test
-    test_prioritization.py::TestReference pins it to rng.shuffle.
+    test_prioritization.py::TestReference pins it to rng.shuffle. The plans
+    are drawn once per distinct (ids, seed, repetitions) in a row (_rd_plans):
+    the module views of one run often hold the same ids.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be positive, got {repetitions}")
+    return list(_rd_plans(tuple(sorted(s.id for s in segments)), seed, repetitions))
+
+
+@functools.lru_cache(maxsize=1)
+def _rd_plans(base: tuple[int, ...], seed: int, repetitions: int) -> tuple[PrioritizedPlan, ...]:
+    # prioritize_rd's plans for the last key only; callers share the frozen plans.
     getrandbits = random.Random(seed).getrandbits
-    base = sorted(s.id for s in segments)
     steps = [(i, (i + 1).bit_length()) for i in range(len(base) - 1, 0, -1)]
     scores = (0.0,) * len(base)
     plans = []
@@ -166,7 +173,7 @@ def prioritize_rd(
                 j = getrandbits(k)
             order[i], order[j] = order[j], order[i]
         plans.append(PrioritizedPlan("RD", tuple(order), scores, rng_seed=seed))
-    return plans
+    return tuple(plans)
 
 
 def prioritize_cc(segments: Sequence[Segment], call_counts: Sequence[int]) -> PrioritizedPlan:

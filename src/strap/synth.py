@@ -23,7 +23,6 @@ import random
 from array import array
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 from itertools import pairwise
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
@@ -731,9 +730,9 @@ class _ComputeMemo:
     Each miss runs with a fresh call_log, kept with the output; call_counts
     adds every call's counts, so it equals what unmemoized calls would log
     and CC's call counts stay exact. The memo holds the objects it is keyed
-    by, so their ids stay their own while it lives. The generator, every
-    replay and the class table's replays compute through one, each for the
-    length of its own call.
+    by, so their ids stay their own while it lives. The generator and every
+    replay compute through one, each for the length of its own call; the
+    class table keys its slots on read (_FrameClasses).
     """
 
     def __init__(self, module: ToyModule) -> None:
@@ -914,29 +913,29 @@ def _on_inputs(
 
 def _swapped_vectors(
     ar: AlignedRecording,
-    replayed: Iterable[tuple[int, Message]],
+    channel: str,
+    kind: MessageKind,
+    replayed: Iterable[tuple[int, Mapping[str, Any]]],
     vectors: Sequence[FrameVector],
     encoder: FrameEncoder,
 ) -> list[FrameVector]:
-    """The vector of aligned frame i with message msg swapped in, per (i, msg) pair.
+    """The vector of aligned frame i with payload swapped in on channel, per (i, payload) pair.
 
-    A frame whose replayed payload equals the recorded payload on that
-    channel (of the same kind) is unchanged, so its recorded vector is
-    reused; only the other frames are encoded, with the replayed message
-    swapped in.
+    A frame whose payload equals the one recorded on that channel (of that
+    kind) is unchanged, so its recorded vector is reused; only the other
+    frames build a Message of kind and encode it swapped in.
     """
+    recorded = ar.columns.get(channel)
     out = []
     order = None
-    for i, msg in replayed:
-        recorded = ar.columns.get(msg.channel)
-        if recorded and recorded.channel.kind is msg.kind and recorded.payload(i) == msg.payload:
+    for i, payload in replayed:
+        if recorded and recorded.channel.kind is kind and recorded.payload(i) == payload:
             out.append(vectors[i])
             continue
         if order is None:
-            # Every replayed message sits on the same channel with the same
-            # kind, so all swapped frames share one encoding order.
-            order = encoder.channel_order({**ar.kinds, msg.channel: msg.kind})
-        out.append(encoder.encode(ar, i, order, msg))
+            # Every swapped frame has the same channels, so one encoding order.
+            order = encoder.channel_order({**ar.kinds, channel: kind})
+        out.append(encoder.encode(ar, i, order, Message(channel, ar.times[i], kind, payload)))
     return out
 
 
@@ -989,7 +988,10 @@ class _FrameClasses:
     payloads the vector reads at i, the recorded output among them. compute
     being pure, under any one mutant every frame of a class, in any segment,
     gets the same output, comparison and vector; no mutant changes reads,
-    publish_kind or emits_at, so one table serves all.
+    publish_kind or emits_at, so one table serves all. The slot rule: a
+    class's compute slot is the objects the module reads at its source, so
+    a mutant computes once per slot, on the inputs of the slot's first
+    class's source frame; slots are numbered in first-class order.
 
     A run is a longest span of frames holding the same objects of all that
     the vector and the modules read (recording.RUN_READS: each payload but
@@ -999,8 +1001,10 @@ class _FrameClasses:
     """
 
     channel: str  # the replay's output channel
-    sources: tuple[int, ...]  # per class, its source frame, read once for all mutants
+    slots: tuple[int, ...]  # per class, its compute slot
     firsts: tuple[int, ...]  # per class, its first frame
+    # Per slot, its source frame and the inputs there, one payload per kind (_on_inputs).
+    inputs: tuple[tuple[int, Mapping[MessageKind, Mapping[str, Any]]], ...]
     # Per segment, the whole recording first: the class of each comparable frame.
     segments: tuple[tuple[Segment, tuple[int, ...]], ...]
 
@@ -1017,17 +1021,23 @@ def _frame_classes(
     channel = _output_channel(module, ar)
     columns = [ar.columns[name] for name, _ in encoder.channel_order(ar.kinds)]
     read = _ComputeMemo(module).read
-    reads_at = _on_inputs(ar, lambda inputs: tuple(map(id, read(inputs))))
+    keyed_inputs = _on_inputs(ar, lambda inputs: (tuple(map(id, read(inputs))), inputs))
     index: dict[tuple[int, ...], int] = {}
-    sources: list[int] = []
+    # Per read key, in slot order: its slot, source frame and inputs.
+    slot_of: dict[tuple[int, ...], tuple[int, int, Mapping[MessageKind, Any]]] = {}
+    slots: list[int] = []
     firsts: list[int] = []
 
-    def class_of(source: int, reads: tuple[int, ...], i: int) -> int:
-        key = (*reads, *[id(ch.payloads[k[i]]) for ch, k in columns])
+    def slot_at(source: int) -> int:
+        key, given = keyed_inputs(source)
+        return slot_of.setdefault(key, (len(slot_of), source, given))[0]
+
+    def class_of(slot: int, i: int) -> int:
+        key = (slot, *[id(ch.payloads[k[i]]) for ch, k in columns])
         c = index.get(key)
         if c is None:
             c = index[key] = len(firsts)
-            sources.append(source)
+            slots.append(slot)
             firsts.append(i)
         return c
 
@@ -1036,26 +1046,24 @@ def _frame_classes(
         return (j for j in span if j == 0 or module.emits_at(j))
 
     of_frame: list[int] = []
-    source, reads = 0, ()
+    slot = 0  # frame 0 is a tick, so the first run sets it before any class reads it
     for a, b in pairwise(ar.run_bounds):
         tick = next(ticks(range(a, b)), b)
-        if a < tick:
-            of_frame += [class_of(source, reads, a)] * (tick - a)
+        if a < tick:  # frames before the run's first tick hold the last tick's output
+            of_frame += [class_of(slot, a)] * (tick - a)
         if tick < b:
-            reads = reads_at(tick)
-            of_frame += [class_of(tick, reads, tick)] * (b - tick)
-            # Frames after the run and before the next tick take the run's last tick.
-            source = next(ticks(range(b - 1, tick - 1, -1)))
+            slot = slot_at(tick)
+            of_frame += [class_of(slot, tick)] * (b - tick)
     whole = Segment(WHOLE_RECORDING_SEGMENT_ID, 0, len(ar) - 1, vectors[0], 0)
     segments = [(whole, tuple(of_frame))]
     for s in prepared.segments:
         # Frames before lo's first tick hold lo's cold start (one tick gap at most).
         lo, end = s.warmup_start_idx, s.end_idx + 1
         cold = range(s.start_idx, max(s.start_idx, next(ticks(range(lo, end)), end)))
-        reads = reads_at(lo) if cold else ()
-        row = (*[class_of(lo, reads, i) for i in cold], *of_frame[cold.stop : end])
+        row = (*[class_of(slot_at(lo), i) for i in cold], *of_frame[cold.stop : end])
         segments.append((s, row))
-    return _FrameClasses(channel, tuple(sources), tuple(firsts), tuple(segments))
+    inputs = tuple((source, given) for _, source, given in slot_of.values())
+    return _FrameClasses(channel, tuple(slots), tuple(firsts), inputs, tuple(segments))
 
 
 def _class_vectors(
@@ -1063,21 +1071,24 @@ def _class_vectors(
 ) -> list[FrameVector]:
     """The replayed vector of each class of the table, for one mutated module.
 
-    Each class computes once on its source frame's inputs, through the
-    _ComputeMemo, hold rule and swap of replay_segment, so a segment's class
-    vectors equal that replay's vectors over its comparable frames.
+    The mutant computes once per slot (the slot rule at _FrameClasses), and
+    each class's first frame takes its slot's output, swapped in as a
+    replay's output is (_swapped_vectors), so a segment's class vectors
+    equal replay_segment's vectors over its comparable frames.
     """
-    ar = prepared.aligned
-    kind = mutated.publish_kind
-    memo = _ComputeMemo(mutated.fresh())
-    # Every class computes before any encodes, so a payload the module cannot
-    # read fails before an output the schema cannot encode, as in a replay.
-    outputs = list(map(_on_inputs(ar, memo.compute), classes.sources))
-    messages = (
-        (i, Message(classes.channel, ar.times[i], kind, out))
-        for i, out in zip(classes.firsts, outputs)
-    )
-    return _swapped_vectors(ar, messages, prepared.vectors, encoder)
+    ar, kind = prepared.aligned, mutated.publish_kind
+    compute = mutated.fresh().compute
+    outputs = []
+    # Every slot computes before any class encodes, so a payload the module cannot
+    # read fails first, on the frame a replay fails on (_on_inputs).
+    for source, inputs in classes.inputs:
+        try:
+            outputs.append(compute(inputs))
+        except (TypeError, AttributeError, KeyError):
+            check_payloads(ar.row(source))
+            raise
+    replayed = zip(classes.firsts, map(outputs.__getitem__, classes.slots))
+    return _swapped_vectors(ar, classes.channel, kind, replayed, prepared.vectors, encoder)
 
 
 def _check_run_inputs(strategies: Sequence[str], mutants: Sequence[Mutant]) -> list[str]:
@@ -1191,7 +1202,7 @@ def run_prepared(
         "reduction_pct": reduction_pct(n_frames, reduced),
         # Warm-up frames can overlap across segments, so this figure may
         # legitimately go negative for pathological configs; report it raw.
-        "reduction_pct_with_warmup": float(1 - Fraction(reduced_wu, n_frames)),
+        "reduction_pct_with_warmup": (n_frames - reduced_wu) / n_frames,
         "fault_coverage": coverage,
         "apfd": apfd_by,
         "top_k": topk_by,

@@ -11,7 +11,7 @@ import pytest
 from strap.benchmarks import benchmark_script, noisy_prediction_script, rare_fault_script
 from strap.recording import Channel, Message, Recording, align_recording
 from strap.schema import default_registry
-from strap.synth import generate_recording
+from strap.synth import _swapped_vectors, generate_recording
 
 
 @dataclasses.dataclass
@@ -46,6 +46,15 @@ def recording_of(frames):
 def grid_of(frames):
     """The aligned grid of hand-built frames: align_recording is the only way to make one."""
     return align_recording(recording_of(frames))
+
+
+def swapped_vectors(ar, replayed, vectors, encoder):
+    """synth._swapped_vectors over (i, message) pairs, as a replay gives them:
+    every message on one channel, with one kind."""
+    replayed = list(replayed)
+    channel, kind = replayed[0][1].channel, replayed[0][1].kind
+    assert all(m.channel == channel and m.kind is kind for _, m in replayed)
+    return _swapped_vectors(ar, channel, kind, [(i, m.payload) for i, m in replayed], vectors, encoder)
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 """Per-frame references for the run walks of reduction and prioritization,
-and rational references for ranking and scoring plans.
+rational references for ranking and scoring plans, and the per-class
+reference for the class table's vectors.
 
 smooth, segment and rarity_weights walk a vector stream by its runs of equal
 vectors. The functions here are the per-frame versions they replaced, kept
@@ -9,6 +10,11 @@ The plan strategies score in integers over one denominator, RD inlines
 random.Random.shuffle, and a plan's APFD walk stops at its last new fault.
 The rational_* functions are the versions they replaced: Fraction scores,
 rng.shuffle, and a walk over the whole plan with a Fraction APFD.
+
+synth._class_vectors computes once per compute slot on the inputs the class
+table keeps, and builds a Message only for a frame it encodes.
+memo_class_vectors is the version it replaced: each class computes through
+a _ComputeMemo on inputs it builds itself, and builds a Message.
 """
 
 from __future__ import annotations
@@ -18,7 +24,9 @@ from collections import Counter
 from fractions import Fraction
 
 from strap.prioritization import PrioritizedPlan, RarityWeights, rarity_weights
+from strap.recording import Message
 from strap.reduction import Segment, segment, smooth
+from strap.synth import _ComputeMemo, _on_inputs
 
 
 def frame_smooth(vectors, w):
@@ -98,6 +106,38 @@ def assert_reduce_walks_match(vectors, widths=(1, 3, 5, 7, 41)):
     if vectors:
         for normalize in (True, False):
             assert rarity_weights(vectors, normalize) == frame_rarity_weights(vectors, normalize)
+
+
+def memo_class_vectors(prepared, mutated, encoder, classes):
+    """synth._class_vectors as it was, on the current class table: each class
+    computes on its source frame's inputs through one _ComputeMemo, and its
+    output goes into a Message that message_swapped_vectors swaps in. A
+    class's source frame is its slot's, which reads the same objects."""
+    ar = prepared.aligned
+    kind = mutated.publish_kind
+    memo = _ComputeMemo(mutated.fresh())
+    sources = [classes.inputs[slot][0] for slot in classes.slots]
+    outputs = list(map(_on_inputs(ar, memo.compute), sources))
+    messages = (
+        (i, Message(classes.channel, ar.times[i], kind, out))
+        for i, out in zip(classes.firsts, outputs)
+    )
+    return message_swapped_vectors(ar, messages, prepared.vectors, encoder)
+
+
+def message_swapped_vectors(ar, replayed, vectors, encoder):
+    """synth._swapped_vectors as it was, over (i, message) pairs."""
+    out = []
+    order = None
+    for i, msg in replayed:
+        recorded = ar.columns.get(msg.channel)
+        if recorded and recorded.channel.kind is msg.kind and recorded.payload(i) == msg.payload:
+            out.append(vectors[i])
+            continue
+        if order is None:
+            order = encoder.channel_order({**ar.kinds, msg.channel: msg.kind})
+        out.append(encoder.encode(ar, i, order, msg))
+    return out
 
 
 def _score_exact(values, w, mode):

@@ -12,7 +12,7 @@ from message_reference import assert_loads_as_messages
 
 from strap.cli import _Parser, build_parser, main
 from strap.prioritization import RARITY_MODES, PrioritizedPlan, plan_to_json
-from strap.recording import align_recording
+from strap.recording import align_recording, dump_recording_jsonl
 from strap.reduction import reduce_recording, reduce_vectors
 from strap.schema import default_registry, encode_recording, registry_to_json
 from strap.synth import (
@@ -786,6 +786,20 @@ class TestMistypedPayloads:
         mutants = tmp_path / "mutants.json"
         mutants.write_text(json.dumps(mutants_to_json(OWN_MUTANTS)))
         assert _one_error(_regression_argv(rec, mutants, "traffic_light", tmp_path / "o.json"), capsys) == line
+
+    @pytest.mark.parametrize("module", ["prediction", "all"])
+    def test_a_field_only_a_compute_reads_mid_recording(self, module, benchmark_recording, tmp_path, capsys):
+        # No vector reads an obstacle's speed; prediction's compute does, first
+        # at this message, 89.8 s into the seed-0 benchmark recording.
+        rows = [json.loads(line) for line in dump_recording_jsonl(benchmark_recording).splitlines()]
+        row = next(r for r in rows if r["kind"] == "obstacle" and r["t_ns"] == 89_802_000_000)
+        del row["payload"]["obstacles"][0]["speed_mps"]
+        rec = _write_rows(tmp_path / "rec.jsonl", rows)
+        mutants = tmp_path / "mutants.json"
+        mutants.write_text(json.dumps(mutants_to_json([m for m in OWN_MUTANTS if m.module == "prediction"])))
+        assert _one_error(_regression_argv(rec, mutants, module, tmp_path / "o.json"), capsys) == (
+            "error: obstacle payload on channel 'obstacle' at t_ns 89802000000: obstacles[0].speed_mps is missing"
+        )
 
     def test_own_mutant_replay_without_a_read_kind(self, work, tmp_path, capsys):
         rec = _write_rows(

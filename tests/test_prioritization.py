@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import pairwise
+from types import SimpleNamespace
 
 import pytest
-from run_reference import outcome, rational_cc, rational_rd, rational_rsc, rational_sc
+from run_reference import frame_rarity_weights, outcome, rational_cc, rational_rd, rational_rsc, rational_sc
 
+from strap import prioritization
+from strap.benchmarks import benchmark_mutants
 from strap.prioritization import (
     PrioritizedPlan,
+    _rd_plans,
     build_plans,
     parse_strategies,
     plan_from_json,
@@ -22,7 +27,9 @@ from strap.prioritization import (
     prioritize_sc,
     rarity_weights,
 )
+from strap.recording import align_recording
 from strap.reduction import Segment
+from strap.synth import MODULE_KINDS, prepare_recording, run_benchmark
 
 
 def frames(rows):
@@ -239,6 +246,58 @@ class TestReference:
             assert prioritize_rd(segments, seed, 2) == rational_rd(segments, seed, 2), n
         segments = [seg(i, (0,)) for i in range(181)]
         assert prioritize_rd(segments, seed, 100) == rational_rd(segments, seed, 100)
+
+    @pytest.mark.parametrize("copies", ["shared", "fresh"])
+    def test_rarity_weights_equal_the_per_frame_count(self, copies):
+        # Runs of one vector object, or of equal vectors that are each a fresh copy.
+        rng = random.Random(copies)
+        for _ in range(400):
+            q = rng.randint(1, 6)
+            pool = [tuple(rng.choice([0, 0, 1, 3]) for _ in range(q)) for _ in range(rng.randint(1, 4))]
+            fv = [v for v in rng.choices(pool, k=rng.randint(1, 12)) for _ in range(rng.randint(1, 5))]
+            if rng.random() < 0.1:
+                fv.insert(rng.randrange(len(fv) + 1), (1,) * rng.choice([q - 1, q + 1]))
+            if copies == "fresh":
+                fv = [tuple([*v]) for v in fv]
+                assert len(set(map(id, fv))) == len(fv)
+            for normalize in (True, False):
+                got = outcome(lambda: rarity_weights(fv, normalize))
+                assert got == outcome(lambda: frame_rarity_weights(fv, normalize))
+        assert outcome(lambda: rarity_weights([])) == outcome(lambda: frame_rarity_weights([]))
+
+
+class TestRdDraws:
+    """prioritize_rd draws its plans once per run of calls with the same
+    sorted ids, seed and repetitions, and returns each caller a list of its own."""
+
+    def test_the_last_key_is_drawn_once(self):
+        _rd_plans.cache_clear()
+        a = prioritize_rd([seg(i, (i,)) for i in (5, 1, 3)], seed=7, repetitions=4)
+        b = prioritize_rd([seg(i, (0,)) for i in (3, 5, 1)], seed=7, repetitions=4)
+        assert a == b == rational_rd([seg(i, (0,)) for i in (1, 3, 5)], 7, 4)
+        # One draw: the same frozen plans, each caller in a list of its own.
+        assert a is not b and list(map(id, a)) == list(map(id, b))
+        a.clear()
+        assert len(prioritize_rd([seg(i, (0,)) for i in (1, 3, 5)], seed=7, repetitions=4)) == 4
+        assert _rd_plans.cache_info().misses == 1
+        # Another seed draws again, and the memo keeps only the last key.
+        prioritize_rd([seg(i, (0,)) for i in (1, 3, 5)], seed=8, repetitions=4)
+        prioritize_rd([seg(i, (0,)) for i in (1, 3, 5)], seed=7, repetitions=4)
+        assert _rd_plans.cache_info().misses == 3
+
+    def test_one_benchmark_run_draws_once_per_change_of_ids(self, noisy_recording, monkeypatch):
+        draws = []
+        rng = random.Random
+        counted = SimpleNamespace(Random=lambda seed: draws.append(seed) or rng(seed))
+        monkeypatch.setattr(prioritization, "random", counted)
+        _rd_plans.cache_clear()
+        run_benchmark(noisy_recording, benchmark_mutants(), strategies=("RD",))
+        ar = align_recording(noisy_recording)
+        ids = [sorted(s.id for s in prepare_recording(ar, kind).segments) for kind in MODULE_KINDS]
+        # The prediction and planning views rank the same 181 segments.
+        assert ids[MODULE_KINDS.index("prediction")] == ids[MODULE_KINDS.index("planning")]
+        assert len(ids[MODULE_KINDS.index("planning")]) == 181
+        assert len(draws) == 1 + sum(a != b for a, b in pairwise(ids)) == len(MODULE_KINDS) - 1
 
 
 class TestPlanIO:

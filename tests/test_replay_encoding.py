@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from conftest import Frame, frames_of, grid_of
+from conftest import Frame, frames_of, grid_of, swapped_vectors
 
 from strap.benchmarks import BUILTIN_MUTANTS, BUILTIN_SCRIPTS
 from strap.recording import Message, MessageKind, align_recording
@@ -29,7 +29,6 @@ from strap.schema import (
 )
 from strap.synth import (
     ReplayResult,
-    _swapped_vectors,
     apply_mutant,
     generate_recording,
     make_module,
@@ -215,7 +214,7 @@ def test_replayed_vectors_reuse_only_unchanged_frames(replayed, registry):
         if flt.module not in recorded:
             recorded[flt.module] = encode_recording(ar, registry, flt)
         vectors = recorded[flt.module]
-        got = _swapped_vectors(ar, enumerate(result.comparable), vectors, FrameEncoder(registry, flt))
+        got = swapped_vectors(ar, enumerate(result.comparable), vectors, FrameEncoder(registry, flt))
         assert len(got) == len(ar)
         for i, (frame, msg, vec) in enumerate(zip(frames_of(ar), result.messages, got)):
             if unchanged(frame, msg):
@@ -235,7 +234,7 @@ def test_replayed_vectors_offset_by_warmup(registry):
     for lo, hi, warmup in ((0, 60, 15), (285, 330, 15), (1000, 1044, 0), (2390, 2399, 5)):
         result = replay_segment(mutated, ar, lo, hi + 1, warmup)
         replayed = enumerate(result.comparable, lo + warmup)
-        got = _swapped_vectors(ar, replayed, vectors, FrameEncoder(registry, flt))
+        got = swapped_vectors(ar, replayed, vectors, FrameEncoder(registry, flt))
         frames = frames_of(ar)[lo + warmup : hi + 1]
         assert list(got) == [
             reference_encode(swap(f, m), registry, flt) for f, m in zip(frames, result.comparable)
@@ -328,7 +327,7 @@ def test_randomized_payloads(seed, registry_kind):
             vectors = encode_recording(ar, registry, flt)
             assert list(vectors) == [reference_encode(f, registry, flt) for f in frames]
             replayed = enumerate(result.comparable, warmup)
-            got = _swapped_vectors(ar, replayed, vectors, FrameEncoder(registry, flt))
+            got = swapped_vectors(ar, replayed, vectors, FrameEncoder(registry, flt))
             assert list(got) == [
                 reference_encode(swap(f, m), registry, flt)
                 for f, m in zip(frames[warmup:], result.comparable)
@@ -355,4 +354,4 @@ def test_unknown_values_raise(registry):
                 encode()
         result = ReplayResult((msg,), 0, {})
         with pytest.raises(SchemaError, match="unknown value"):
-            _swapped_vectors(base, enumerate(result.comparable), vectors, encoder)
+            swapped_vectors(base, enumerate(result.comparable), vectors, encoder)

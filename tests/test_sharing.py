@@ -12,7 +12,7 @@ import copy
 import json
 
 import pytest
-from conftest import Frame, frames_of, grid_of
+from conftest import Frame, frames_of, grid_of, swapped_vectors
 
 from strap.benchmarks import BUILTIN_MUTANTS, BUILTIN_SCRIPTS
 from strap.cli import main
@@ -27,7 +27,6 @@ from strap.recording import (
 from strap.schema import MODULE_KINDS, FrameEncoder, ModuleFilter, encode_recording
 from strap.synth import (
     _frame_classes,
-    _swapped_vectors,
     apply_mutant,
     generate_recording,
     make_module,
@@ -276,9 +275,9 @@ def test_replay_memo_matches_unshared(loaded, registry):
             # The memo hits on the shared frames: repeated inputs give one output object.
             outputs = {id(m.payload) for m in got.messages}
             assert len(outputs) < len({id(m.payload) for m in want.messages})
-            got_vectors = _swapped_vectors(shared, enumerate(got.comparable), vectors, encoder)
+            got_vectors = swapped_vectors(shared, enumerate(got.comparable), vectors, encoder)
             want_encoder = FrameEncoder(registry, flt)
-            assert got_vectors == _swapped_vectors(unshared, enumerate(want.comparable), vectors, want_encoder)
+            assert got_vectors == swapped_vectors(unshared, enumerate(want.comparable), vectors, want_encoder)
             got = replay_segment(mutated, shared, lo, hi, 7)
             want = replay_segment(mutated, unshared, lo, hi, 7)
             assert _outputs(got) == _outputs(want)

@@ -9,13 +9,14 @@ import json
 import random
 import re
 from bisect import bisect_left, bisect_right
+from fractions import Fraction
 from itertools import pairwise, repeat
 from operator import is_not
 
 import pytest
-from conftest import Frame, frames_of, grid_of, recording_of
+from conftest import Frame, frames_of, grid_of, recording_of, swapped_vectors
 from message_reference import assert_aligns_as_messages, assert_loads_as_messages
-from run_reference import assert_reduce_walks_match
+from run_reference import assert_reduce_walks_match, memo_class_vectors
 
 from strap.benchmarks import (
     BUILTIN_MUTANTS,
@@ -63,9 +64,7 @@ from strap.synth import (
     _FrameClasses,
     _class_vectors,
     _frame_classes,
-    _on_inputs,
     _output_channel,
-    _swapped_vectors,
     apply_mutant,
     generate_recording,
     make_module,
@@ -695,6 +694,27 @@ class TestRegression:
         assert list(report["apfd"]) == ["CH", "RD"]
 
 
+class TestWarmupReduction:
+    """reduction_pct_with_warmup is one int division, the float of the rational
+    1 - reduced_wu / n, also where overlapping warm-ups make reduced_wu exceed n."""
+
+    def test_int_division_equals_the_rational(self):
+        rng = random.Random(0)
+        cases = [(1, 0), (1, 1), (1, 7), (3, 1), (2400, 2356), (10**6, 10**6 + 1), (10**6, 3 * 10**6)]
+        for _ in range(20000):
+            n = rng.choice([rng.randint(1, 300), rng.randint(1, 10**6)])
+            cases.append((n, rng.randint(0, 3 * n)))
+        for n, reduced_wu in cases:
+            assert ((n - reduced_wu) / n).hex() == float(1 - Fraction(reduced_wu, n)).hex(), (n, reduced_wu)
+
+    @pytest.mark.parametrize("warmup", [0, 15, 1000])
+    def test_report_figure(self, benchmark_aligned, registry, warmup):
+        prepared = prepare_recording(benchmark_aligned, "planning", ReductionConfig(warmup_frames=warmup), registry)
+        report, _ = run_prepared(prepared, [], ("CH",), repetitions=1)
+        n, reduced_wu = report["totals"]["original_frames"], report["totals"]["reduced_frames_with_warmup"]
+        assert (reduced_wu > n) is (warmup == 1000)
+        assert report["reduction_pct_with_warmup"].hex() == float(1 - Fraction(reduced_wu, n)).hex()
+
 class TestRowReads:
     """A run reads payloads from the grid's columns: it builds no recorded
     Message (Channel.message) unless it names a bad payload."""
@@ -733,7 +753,7 @@ def segment_replay_vectors(prepared, mutated, s, encoder):
     ar, vectors = prepared.aligned, prepared.vectors
     result = replay_segment(mutated, ar, s.warmup_start_idx, s.end_idx + 1, s.start_idx - s.warmup_start_idx)
     replayed = enumerate(result.comparable, s.warmup_start_idx + result.warmup_frames)
-    return _swapped_vectors(ar, replayed, vectors, encoder)
+    return swapped_vectors(ar, replayed, vectors, encoder)
 
 
 def segment_replay_mismatches(prepared, mutated, s, encoder):
@@ -998,26 +1018,35 @@ class TestClassReplay:
         prepared = prepare_recording(benchmark_aligned, kind, registry=registry)
         module = make_module(kind)
         flt = ModuleFilter.for_module(kind, registry)
-        computes = []
+        outputs = []
         compute = type(module).compute
-        monkeypatch.setattr(
-            type(module), "compute", lambda self, inputs: computes.append(1) or compute(self, inputs)
-        )
+
+        def counted(self, inputs):
+            outputs.append(compute(self, inputs))
+            return outputs[-1]
+
+        monkeypatch.setattr(type(module), "compute", counted)
         classes = _frame_classes(prepared, module, FrameEncoder(registry, flt))
-        assert computes == []
+        assert outputs == []
         # The benchmark holds 40 to 46 classes per module in its 2400 frames.
         assert len(classes.firsts) < len(benchmark_aligned) / 20
+        # One slot per distinct read key, each the slot of some class, in first-class order.
         read = _ComputeMemo(module).read
-        read_keys = set(map(_on_inputs(benchmark_aligned, lambda inputs: tuple(map(id, read(inputs)))), classes.sources))
+        keys = [tuple(map(id, read(inputs))) for _, inputs in classes.inputs]
+        assert len(set(keys)) == len(keys) < len(classes.firsts)
+        assert list(dict.fromkeys(classes.slots)) == list(range(len(keys)))
+        recorded = benchmark_aligned.columns[classes.channel]
         for mutated in _mutants_of(kind):
             encoder = FrameEncoder(registry, flt)
             encodes = []
             encode = encoder.encode
             monkeypatch.setattr(encoder, "encode", lambda *a: encodes.append(1) or encode(*a))
-            computes.clear()
+            outputs.clear()
             _class_vectors(prepared, mutated, encoder, classes)
-            assert 0 < len(computes) <= len(read_keys)
-            assert len(encodes) <= len(classes.firsts)
+            assert len(outputs) == len(classes.inputs)
+            # Only a class whose output differs from the recorded payload encodes.
+            changed = [recorded.payload(i) != outputs[slot] for i, slot in zip(classes.firsts, classes.slots)]
+            assert len(encodes) == sum(changed)
 
 
 class TestAlignedJsonlHandMade:
@@ -1039,24 +1068,30 @@ def per_frame_encode_recording(ar, registry, flt=None):
 
 
 def per_frame_classes(prepared, module, encoder):
-    """Reference: _frame_classes with one key per frame and a per-frame source
-    list, reading each frame's messages (of two channels of one kind, the
-    last by name)."""
+    """Reference: _frame_classes with one key per frame and a slot lookup on
+    every tick, reading each frame's messages (of two channels of one kind,
+    the last by name)."""
     frames, vectors = frames_of(prepared.aligned), prepared.vectors
     channel = _output_channel(module, prepared.aligned)
     names = [name for name, _ in encoder.channel_order(prepared.aligned.kinds)]
     read = _ComputeMemo(module).read
-    index, sources, firsts = {}, [], []
+    index, slots, firsts = {}, [], []
+    slot_of, inputs = {}, []
 
-    def reads_at(source):
-        return tuple(map(id, read({m.kind: m.payload for m in frames[source].messages.values()})))
+    def slot_at(source):
+        given = {m.kind: m.payload for m in frames[source].messages.values()}
+        key = tuple(map(id, read(given)))
+        if key not in slot_of:
+            slot_of[key] = len(inputs)
+            inputs.append((source, given))
+        return slot_of[key]
 
-    def class_of(source, reads, i):
+    def class_of(slot, i):
         messages = frames[i].messages
-        key = (*reads, *[id(messages[name].payload) for name in names])
+        key = (slot, *[id(messages[name].payload) for name in names])
         if key not in index:
             index[key] = len(firsts)
-            sources.append(source)
+            slots.append(slot)
             firsts.append(i)
         return index[key]
 
@@ -1064,18 +1099,17 @@ def per_frame_classes(prepared, module, encoder):
     last_tick, of_frame = [], []
     for i, frame in enumerate(frames):
         if i == 0 or module.emits_at(i):
-            source, reads = i, reads_at(i)
+            source, slot = i, slot_at(i)
         last_tick.append(source)
-        of_frame.append(class_of(source, reads, i))
+        of_frame.append(class_of(slot, i))
     whole = Segment(WHOLE_RECORDING_SEGMENT_ID, 0, len(frames) - 1, vectors[0], 0)
     segments = []
     for s in (whole, *prepared.segments):
         lo, end = s.warmup_start_idx, s.end_idx + 1
         cold = range(s.start_idx, bisect_left(last_tick, lo, s.start_idx, end))
-        reads = reads_at(lo) if cold else ()
-        row = (*[class_of(lo, reads, i) for i in cold], *of_frame[cold.stop : end])
+        row = (*[class_of(slot_at(lo), i) for i in cold], *of_frame[cold.stop : end])
         segments.append((s, row))
-    return _FrameClasses(channel, tuple(sources), tuple(firsts), tuple(segments))
+    return _FrameClasses(channel, tuple(slots), tuple(firsts), tuple(inputs), tuple(segments))
 
 
 def assert_run_walks_match(ar, registry, cfgs, kinds=MODULE_KINDS):
@@ -1217,6 +1251,61 @@ class TestRunWalks:
         assert len(loaded.run_bounds) == runs + 1
         # Equal outputs are one object in memory too, so the runs are the same.
         assert len(in_memory.run_bounds) == runs + 1
+
+
+# 1,697,000,000.123456789 s: a wall-clock stamp like those of a recorded drive.
+EPOCH_NS = 1_697_000_000_123_456_789
+
+
+def _shifted(rec, shift):
+    """The recording with every timestamp shifted by shift nanoseconds."""
+    return Recording({
+        name: Channel(name, ch.kind, tuple(Message(name, m.t_ns + shift, m.kind, m.payload) for m in ch.messages))
+        for name, ch in rec.channels.items()
+    })
+
+
+def assert_slot_vectors_match_memo_path(ar, registry, cfgs=(ReductionConfig(),), kinds=MODULE_KINDS):
+    """_class_vectors equals memo_class_vectors on ar, for every kind_mutants mutant of each kind."""
+    for kind in kinds:
+        flt = ModuleFilter.for_module(kind, registry)
+        module = make_module(kind)
+        for cfg in cfgs:
+            prepared = prepare_recording(ar, kind, cfg, registry)
+            classes = _frame_classes(prepared, module, FrameEncoder(registry, flt))
+            for m in kind_mutants(kind):
+                mutated = apply_mutant(module, m)
+                got = _class_vectors(prepared, mutated, FrameEncoder(registry, flt), classes)
+                want = memo_class_vectors(prepared, mutated, FrameEncoder(registry, flt), classes)
+                assert got == want, (kind, cfg, m.id)
+
+
+class TestSlotVectors:
+    """_class_vectors, one compute per slot and a Message only for a frame it
+    encodes, equals the memo path it replaced (run_reference.memo_class_vectors)."""
+
+    @pytest.mark.parametrize("case", sorted(HAND_MADE))
+    def test_hand_made(self, varied_aligned, registry, case):
+        for kind in MODULE_KINDS:
+            ar = HAND_MADE[case](varied_aligned, kind)
+            assert_slot_vectors_match_memo_path(ar, registry, DERIVED_CONFIGS.values(), (kind,))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SCRIPTS))
+    def test_builtins_in_memory_and_loaded(self, name, seed, registry, tmp_path):
+        rec = generate_recording(BUILTIN_SCRIPTS[name](), seed)
+        cfgs = [ReductionConfig(), ReductionConfig(warmup_frames=0)]
+        for r in (rec, _loaded(rec, tmp_path)):
+            assert_slot_vectors_match_memo_path(align_recording(r), registry, cfgs)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SCRIPTS))
+    def test_time_shifted(self, name, seed, registry):
+        rec = generate_recording(BUILTIN_SCRIPTS[name](), seed)
+        period = NS_PER_SEC // BUILTIN_SCRIPTS[name]().fps
+        # The shifts of test_time_origin.py: whole frame periods, and a wall-clock epoch.
+        for shift in (*(p * period for p in range(1, 7)), EPOCH_NS):
+            assert_slot_vectors_match_memo_path(align_recording(_shifted(rec, shift)), registry)
 
 
 class TestPreparedRecording:
