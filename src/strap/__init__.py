@@ -107,7 +107,6 @@ from .synth import (
     run_prepared,
     run_regression,
     script_from_json,
-    script_to_json,
 )
 
 __version__ = "0.1.0"

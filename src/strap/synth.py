@@ -23,7 +23,7 @@ import random
 from array import array
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from itertools import pairwise
+from itertools import chain, compress, pairwise, repeat
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -193,17 +193,6 @@ class ScenarioScript:
             if not (0 <= e.frame < self.duration_frames):
                 raise SynthError(f"event frame {e.frame} outside [0, {self.duration_frames})")
             _scene_truth(e.set)  # raises on a name outside the canonical tables
-
-
-def script_to_json(script: ScenarioScript) -> dict[str, Any]:
-    return {
-        "duration_frames": script.duration_frames,
-        "fps": script.fps,
-        "glitch_rate": script.glitch_rate,
-        "events": [
-            {"frame": e.frame, "set": dict(e.set), "unset": list(e.unset)} for e in script.events
-        ],
-    }
 
 
 def script_from_json(doc: Any) -> ScenarioScript:
@@ -771,61 +760,92 @@ def generate_recording(script: ScenarioScript, seed: int) -> Recording:
     Frame i is tick i. The image and localization channels publish on every
     frame, and each module on its emission ticks, its last output staying
     its subscribers' input in between. A glitch replaces one emission of a
-    module with probability glitch_rate, and downstream modules consume it.
-    Compute is memoized (_ComputeMemo). Equal scenes and outputs, glitches
-    among them, are one object, looked up by text as load_recording looks
-    them up.
+    module with probability glitch_rate (one draw per emission, in frame and
+    then MODULE_KINDS order), and downstream modules consume it. Equal
+    scenes and outputs, glitches among them, are one object, looked up by
+    text as load_recording looks them up.
+
+    The dirty rule: a module computes (through a _ComputeMemo) only at an
+    emission where it glitches or is dirty, that is, where an object it
+    reads (ToyModule.reads) has changed since its last emission or that
+    emission glitched; compute is pure, so at any other it holds its output.
+    Frames are walked one at a time only from a scene event or a glitch
+    until no module is dirty, and the columns repeat what is held between.
     """
-    rng = random.Random(seed)
-    events = sorted(script.events, key=lambda e: e.frame)
-    modules = {kind: make_module(kind) for kind in MODULE_KINDS}
-    memos = {kind: _ComputeMemo(module) for kind, module in modules.items()}
-    held: dict[str, Mapping[str, Any]] = {}
-    computed: dict[str, Mapping[str, Any]] = {}  # before sharing
-    times: dict[str, array[int]] = {name: array("q") for name in CHANNEL_OFFSETS_NS}
-    payloads: dict[str, list[Mapping[str, Any]]] = {name: [] for name in CHANNEL_OFFSETS_NS}
-    state: dict[str, Any] = {}
-    next_event = 0
+    n, width = script.duration_frames, len(MODULE_KINDS)
+    modules = [make_module(kind) for kind in MODULE_KINDS]
+    memos = [_ComputeMemo(module) for module in modules]
+    readers = {kind: {k for k, m in enumerate(modules) if kind in m.reads} for kind in MessageKind}
     text = _text_memo()
     by_text: dict[str, Any] = {}
 
     def shared(o: Any) -> Any:
         return by_text.setdefault(text(o), o)
 
-    # The scene changes only at events, so frames in between share one truth.
-    truth = shared(_scene_truth(state))
-    for i in range(script.duration_frames):
-        while next_event < len(events) and events[next_event].frame == i:
-            ev = events[next_event]
-            for key in ev.unset:
-                state.pop(key, None)
-            state.update(ev.set)
-            next_event += 1
-            truth = shared(_scene_truth(state))
-        t = _frame_t_ns(i, script.fps)
+    def column(runs: dict[int, Any]) -> Iterator[Any]:
+        """Per frame, the object of the last run (first frame -> object) started by then."""
+        lengths = map(int.__sub__, [*list(runs)[1:], n], runs)
+        return chain.from_iterable(map(repeat, runs.values(), lengths))
 
-        def emit(name: str, payload: Mapping[str, Any]) -> Mapping[str, Any]:
-            times[name].append(t + CHANNEL_OFFSETS_NS[name])
-            payloads[name].append(payload)
-            return payload
+    # The scene changes only at events: its truth from each event frame on.
+    state: dict[str, Any] = {}
+    truths = {0: shared(_scene_truth(state))}
+    for ev in sorted(script.events, key=lambda e: e.frame):
+        for key in ev.unset:
+            state.pop(key, None)
+        state.update(ev.set)
+        truths[ev.frame] = shared(_scene_truth(state))
+    images = [{"ref": f"frame_{i:06d}", "scene": truth} for i, truth in enumerate(column(truths))]
+    ticks = [bytes(map(m.emits_at, range(n))) for m in modules]
+    glitches: set[int] = set()  # i * width + k: frame i's emission by modules[k], in draw order
+    if script.glitch_rate:
+        slots = bytearray(n * width)
+        for k, t in enumerate(ticks):
+            slots[k::width] = t
+        draws = map(script.glitch_rate.__gt__, iter(random.Random(seed).random, None))
+        glitches = set(compress(compress(range(n * width), slots), draws))
 
-        image = emit("image", {"ref": f"frame_{i:06d}", "scene": truth})
-        emit("localization", {"x": round(i * 0.5, 3), "y": 0.0, "heading": 0.0})
-
-        inputs: dict[MessageKind, Mapping[str, Any]] = {MessageKind.IMAGE_REF: image}
-        for kind in MODULE_KINDS:
-            module = modules[kind]
-            if module.emits_at(i):
-                payload = memos[kind].compute(inputs)
-                if script.glitch_rate and rng.random() < script.glitch_rate:
+    held: list[dict[int, Any]] = [{} for _ in modules]  # per module: first frame -> output
+    inputs: dict[MessageKind, Any] = {}
+    dirty, scene, i = set(range(width)), None, 0
+    for start in sorted({*truths, *(g // width for g in glitches)}):
+        if start < i:
+            continue  # walked already
+        i = start
+        while i < n:
+            inputs[MessageKind.IMAGE_REF] = images[i]
+            # The detectors read an image's scene alone, which changes only at events.
+            if images[i]["scene"] is not scene:
+                scene = images[i]["scene"]
+                dirty |= readers[MessageKind.IMAGE_REF]
+            for k, module in enumerate(modules):
+                glitch = i * width + k in glitches
+                if not ((glitch or k in dirty) and ticks[k][i]):
+                    continue
+                dirty.discard(k)
+                payload = memos[k].compute(inputs)
+                if glitch:
                     payload = _glitch_payload(module.publish_kind, payload)
-                if payload is not computed.get(kind):
-                    computed[kind], held[kind] = payload, shared(payload)
-                emit(kind, held[kind])
-            inputs[module.publish_kind] = held[kind]
+                    dirty.add(k)
+                if (payload := shared(payload)) is not inputs.get(module.publish_kind):
+                    inputs[module.publish_kind] = held[k][i] = payload
+                    dirty |= readers[module.publish_kind]
+            i += 1
+            if not dirty:
+                break
 
-    return Recording({name: Channel._of(name, CHANNEL_KINDS[name], times[name], tuple(ps))
-                      for name, ps in payloads.items() if ps})
+    t_ns = [_frame_t_ns(i, script.fps) for i in range(n)]
+    every = b"\x01" * n
+    # i * 0.5 has one decimal at most, so it is its own round(..., 3).
+    localization = [{"x": i * 0.5, "y": 0.0, "heading": 0.0} for i in range(n)]
+    columns = {"image": (every, images), "localization": (every, localization)}
+    columns.update(zip(MODULE_KINDS, zip(ticks, map(column, held))))
+    channels = {}
+    for name, (t, ps) in columns.items():
+        offset = CHANNEL_OFFSETS_NS[name]
+        times = array("q", [ti + offset for ti in compress(t_ns, t)])
+        channels[name] = Channel._of(name, CHANNEL_KINDS[name], times, tuple(compress(ps, t)))
+    return Recording(channels)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,27 @@ class Frame:
     messages: Mapping[str, Message]
 
 
+def script_to_json(script):
+    """The document script_from_json reads back as this script."""
+    return {
+        "duration_frames": script.duration_frames,
+        "fps": script.fps,
+        "glitch_rate": script.glitch_rate,
+        "events": [
+            {"frame": e.frame, "set": dict(e.set), "unset": list(e.unset)} for e in script.events
+        ],
+    }
+
+
+def tiled(script, tiles):
+    """The script played ``tiles`` times back to back (bench/gen_inputs.py's long-suite)."""
+    n = script.duration_frames
+    events = tuple(
+        dataclasses.replace(e, frame=e.frame + k * n) for k in range(tiles) for e in script.events
+    )
+    return dataclasses.replace(script, duration_frames=n * tiles, events=events)
+
+
 def frames_of(ar):
     """The grid as one Frame per row, built from its columns: the reference
     its row readers are checked against."""

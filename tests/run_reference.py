@@ -11,6 +11,11 @@ random.Random.shuffle, and a plan's APFD walk stops at its last new fault.
 The rational_* functions are the versions they replaced: Fraction scores,
 rng.shuffle, and a walk over the whole plan with a Fraction APFD.
 
+synth.generate_recording walks frames one at a time only from a scene event
+or a glitch until no module is dirty, and computes only where a module is.
+per_frame_generate_recording is the version it replaced: every frame walked,
+every emission computed.
+
 synth._class_vectors computes once per compute slot on the inputs the class
 table keeps, and builds a Message only for a frame it encodes.
 memo_class_vectors is the version it replaced: each class computes through
@@ -20,13 +25,23 @@ a _ComputeMemo on inputs it builds itself, and builds a Message.
 from __future__ import annotations
 
 import random
+from array import array
 from collections import Counter
 from fractions import Fraction
 
 from strap.prioritization import PrioritizedPlan, RarityWeights, rarity_weights
-from strap.recording import Message
+from strap.recording import Channel, Message, MessageKind, Recording, _frame_t_ns, _text_memo
+from strap.schema import MODULE_KINDS
 from strap.reduction import Segment, segment, smooth
-from strap.synth import _ComputeMemo, _on_inputs
+from strap.synth import (
+    CHANNEL_KINDS,
+    CHANNEL_OFFSETS_NS,
+    _ComputeMemo,
+    _glitch_payload,
+    _on_inputs,
+    _scene_truth,
+    make_module,
+)
 
 
 def frame_smooth(vectors, w):
@@ -237,3 +252,59 @@ def _bits(o):
     if isinstance(o, dict):
         return {k: _bits(v) for k, v in o.items()}
     return o
+
+
+def per_frame_generate_recording(script, seed):
+    """synth.generate_recording as it was: every frame walked, one glitch
+    draw per emission as it comes, and every emission computed through the
+    module's _ComputeMemo."""
+    rng = random.Random(seed)
+    events = sorted(script.events, key=lambda e: e.frame)
+    modules = {kind: make_module(kind) for kind in MODULE_KINDS}
+    memos = {kind: _ComputeMemo(module) for kind, module in modules.items()}
+    held = {}
+    computed = {}  # before sharing
+    times = {name: array("q") for name in CHANNEL_OFFSETS_NS}
+    payloads = {name: [] for name in CHANNEL_OFFSETS_NS}
+    state = {}
+    next_event = 0
+    text = _text_memo()
+    by_text = {}
+
+    def shared(o):
+        return by_text.setdefault(text(o), o)
+
+    # The scene changes only at events, so frames in between share one truth.
+    truth = shared(_scene_truth(state))
+    for i in range(script.duration_frames):
+        while next_event < len(events) and events[next_event].frame == i:
+            ev = events[next_event]
+            for key in ev.unset:
+                state.pop(key, None)
+            state.update(ev.set)
+            next_event += 1
+            truth = shared(_scene_truth(state))
+        t = _frame_t_ns(i, script.fps)
+
+        def emit(name, payload):
+            times[name].append(t + CHANNEL_OFFSETS_NS[name])
+            payloads[name].append(payload)
+            return payload
+
+        image = emit("image", {"ref": f"frame_{i:06d}", "scene": truth})
+        emit("localization", {"x": round(i * 0.5, 3), "y": 0.0, "heading": 0.0})
+
+        inputs = {MessageKind.IMAGE_REF: image}
+        for kind in MODULE_KINDS:
+            module = modules[kind]
+            if module.emits_at(i):
+                payload = memos[kind].compute(inputs)
+                if script.glitch_rate and rng.random() < script.glitch_rate:
+                    payload = _glitch_payload(module.publish_kind, payload)
+                if payload is not computed.get(kind):
+                    computed[kind], held[kind] = payload, shared(payload)
+                emit(kind, held[kind])
+            inputs[module.publish_kind] = held[kind]
+
+    return Recording({name: Channel._of(name, CHANNEL_KINDS[name], times[name], tuple(ps))
+                      for name, ps in payloads.items() if ps})

@@ -8,6 +8,7 @@ from pathlib import Path
 from types import FunctionType
 
 import pytest
+from conftest import script_to_json
 from message_reference import assert_loads_as_messages
 
 from strap.cli import _Parser, build_parser, main
@@ -21,7 +22,6 @@ from strap.synth import (
     SceneEvent,
     mutants_to_json,
     run_prepared,
-    script_to_json,
 )
 
 RED_LIGHT = {"lights": [{"color": "red", "shape": "round", "orientation": "vertical"}]}

@@ -15,12 +15,13 @@ import tempfile
 from pathlib import Path
 
 import pytest
+from conftest import tiled
 
 from strap.benchmarks import BUILTIN_MUTANTS, BUILTIN_SCRIPTS
 from strap.cli import main
 from strap.recording import dump_recording_jsonl
 from strap.schema import MODULE_KINDS
-from strap.synth import ScenarioScript, SceneEvent, generate_recording, mutants_to_json, random_mutants
+from strap.synth import generate_recording, mutants_to_json, random_mutants
 
 GOLDEN = Path(__file__).with_name("golden")
 # run-regression --module all reports, golden files <case>_all.json and
@@ -146,15 +147,6 @@ WIDE_ARTIFACT_MODULES = ("prediction", "planning")
 LONG_TILES = 10
 
 
-def _tiled(script: ScenarioScript, tiles: int) -> ScenarioScript:
-    """The script played ``tiles`` times back to back (bench/gen_inputs.py's long-suite)."""
-    n = script.duration_frames
-    events = tuple(
-        SceneEvent(e.frame + k * n, e.set, e.unset) for k in range(tiles) for e in script.events
-    )
-    return ScenarioScript(n * tiles, script.fps, script.glitch_rate, events)
-
-
 def _wide_mutants(script: str, seed: int, out: Path) -> Path:
     """The script's built-in mutants plus four seeded random ones per module, ids prefixed r."""
     mutants = [*BUILTIN_MUTANTS[WIDE_SCRIPTS[script]]()]
@@ -199,7 +191,7 @@ def _wide_pin(out: Path) -> bytes:
                 ])
     for seed in WIDE_ARTIFACT_SEEDS:
         recording = out / f"long_s{seed}.jsonl"
-        script = _tiled(BUILTIN_SCRIPTS["benchmark"](), LONG_TILES)
+        script = tiled(BUILTIN_SCRIPTS["benchmark"](), LONG_TILES)
         recording.write_text(dump_recording_jsonl(generate_recording(script, seed)), encoding="utf-8")
         _run([
             "run-regression", "--in", str(recording), "--module", "planning", "--seed", str(seed),
@@ -217,6 +209,38 @@ def test_wide_pin_is_byte_identical(tmp_path):
     assert not differing, f"files differ from {WIDE_PIN}: {differing}"
 
 
+RECORDINGS_PIN = "recordings.sha256"
+RECORDING_SEEDS = range(5)
+
+
+def _recordings_pin(out: Path) -> bytes:
+    """sha256 of each generated recording the pin covers, one line per recording.
+
+    These are the `strap synth-generate` output of every built-in script at
+    seeds 0-4, and the dump of the benchmark script tiled LONG_TILES times
+    (long-suite's input) at seeds 0-1. The wide pin sees recordings only
+    through the aligned grid, which hides the prediction channel's times.
+    """
+    texts = {}
+    for script in BUILTIN_SCRIPTS:
+        for seed in RECORDING_SEEDS:
+            path = out / f"{script}_s{seed}.jsonl"
+            _run(["synth-generate", "--script", f"builtin:{script}", "--seed", str(seed), "--out", str(path)])
+            texts[path.name] = path.read_bytes()
+    for seed in WIDE_ARTIFACT_SEEDS:
+        script = tiled(BUILTIN_SCRIPTS["benchmark"](), LONG_TILES)
+        texts[f"long-suite_s{seed}.jsonl"] = dump_recording_jsonl(generate_recording(script, seed)).encode()
+    return "".join(f"{hashlib.sha256(data).hexdigest()}  {name}\n" for name, data in texts.items()).encode()
+
+
+def test_generated_recordings_are_byte_identical(tmp_path):
+    expected = (GOLDEN / RECORDINGS_PIN).read_text(encoding="utf-8").splitlines()
+    got = _recordings_pin(tmp_path).decode().splitlines()
+    assert [line.split()[1] for line in got] == [line.split()[1] for line in expected]
+    differing = [b.split()[1] for a, b in zip(expected, got) if a != b]
+    assert not differing, f"recordings differ from {RECORDINGS_PIN}: {differing}"
+
+
 def _write_golden() -> None:
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
@@ -226,6 +250,7 @@ def _write_golden() -> None:
         for name, data in _planning(Path(tmp)).items():
             (GOLDEN / name).write_bytes(data)
         (GOLDEN / WIDE_PIN).write_bytes(_wide_pin(Path(tmp)))
+        (GOLDEN / RECORDINGS_PIN).write_bytes(_recordings_pin(Path(tmp)))
 
 
 if __name__ == "__main__":

@@ -9,14 +9,15 @@ import json
 import random
 import re
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from fractions import Fraction
 from itertools import pairwise, repeat
 from operator import is_not
 
 import pytest
-from conftest import Frame, frames_of, grid_of, recording_of, swapped_vectors
+from conftest import Frame, frames_of, grid_of, recording_of, script_to_json, swapped_vectors, tiled
 from message_reference import assert_aligns_as_messages, assert_loads_as_messages
-from run_reference import assert_reduce_walks_match, memo_class_vectors
+from run_reference import assert_reduce_walks_match, memo_class_vectors, per_frame_generate_recording
 
 from strap.benchmarks import (
     BUILTIN_MUTANTS,
@@ -78,7 +79,6 @@ from strap.synth import (
     run_prepared,
     run_regression,
     script_from_json,
-    script_to_json,
     segment_ids_before_dedup,
 )
 
@@ -523,6 +523,76 @@ class TestGeneration:
         }
         assert seen <= {"red", "green", "yellow", "black"}
         assert "green" in seen  # glitches swap red with green
+
+
+def _generated(rec):
+    """What a generated recording is: its dump, each channel's times, and one
+    identity partition over all payloads in channel-name order (equal texts
+    of different kinds may be one object)."""
+    ids: dict[int, int] = {}
+    partition = [
+        ids.setdefault(id(p), len(ids)) for name in sorted(rec.channels) for p in rec.channels[name].payloads
+    ]
+    times = {name: list(ch.times) for name, ch in rec.channels.items()}
+    return dump_recording_jsonl(rec), times, partition
+
+
+LIGHT_AND_CAR = {**RED_LIGHT, **CAR_STOPPED}
+# Hand-made scripts: (duration, events).
+HAND_MADE_SCRIPTS = {
+    **{f"{n}-frames": (n, [SceneEvent(0, LIGHT_AND_CAR)]) for n in (1, 2, 3, 4)},
+    "1-frame-bare": (1, []),
+    "event-at-0-and-last": (9, [SceneEvent(0, RED_LIGHT), SceneEvent(8, CAR_STOPPED)]),
+    "two-events-one-frame": (9, [SceneEvent(4, RED_LIGHT), SceneEvent(4, {"objects": ["stop_sign"]})]),
+    "set-what-is-set": (9, [SceneEvent(0, RED_LIGHT), SceneEvent(5, RED_LIGHT)]),
+    "set-then-unset": (12, [SceneEvent(2, LIGHT_AND_CAR), SceneEvent(7, {}, unset=("lights", "obstacles"))]),
+    "unset-then-set-back": (12, [SceneEvent(0, RED_LIGHT), SceneEvent(3, {}, unset=("lights",)),
+                                 SceneEvent(6, RED_LIGHT)]),
+}
+
+
+class TestChangeWiseGenerator:
+    """generate_recording against the per-frame generator it replaced."""
+
+    def assert_same(self, s, seed):
+        assert _generated(generate_recording(s, seed)) == _generated(per_frame_generate_recording(s, seed))
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("name", BUILTIN_SCRIPTS)
+    def test_builtins(self, name, seed):
+        self.assert_same(BUILTIN_SCRIPTS[name](), seed)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_benchmark_tiled_ten_times(self, seed):
+        self.assert_same(tiled(benchmark_script(), 10), seed)
+
+    @pytest.mark.parametrize("rate", (0.0, 0.01, 0.25, 0.99))
+    @pytest.mark.parametrize("name", BUILTIN_SCRIPTS)
+    def test_builtins_at_glitch_rates(self, name, rate):
+        self.assert_same(dataclasses.replace(BUILTIN_SCRIPTS[name](), glitch_rate=rate), 3)
+
+    @pytest.mark.parametrize("rate", (0.0, 0.25, 0.99))
+    @pytest.mark.parametrize("case", HAND_MADE_SCRIPTS)
+    def test_hand_made(self, case, rate):
+        frames, events = HAND_MADE_SCRIPTS[case]
+        for seed in range(4):
+            self.assert_same(script(frames, glitch=rate, events=events), seed)
+
+    def test_computes_only_where_a_module_is_dirty(self, monkeypatch):
+        """The 10x-tiled benchmark has 88,000 emissions; at most 5% compute."""
+        calls = Counter()
+        compute = _ComputeMemo.compute
+
+        def counted(memo, inputs):
+            calls[memo.module.kind] += 1
+            return compute(memo, inputs)
+
+        monkeypatch.setattr(_ComputeMemo, "compute", counted)
+        s = tiled(benchmark_script(), 10)
+        rec = generate_recording(s, 0)
+        emissions = sum(len(rec.channels[kind].times) for kind in MODULE_KINDS)
+        assert emissions == 88_000
+        assert 0 < sum(calls.values()) <= 4_400, calls
 
 
 class TestReplay:
