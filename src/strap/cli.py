@@ -71,7 +71,6 @@ from .synth import (  # noqa: F401
     run_benchmark,
     run_prepared,
     run_regression,
-    script_from_json,
 )
 
 MODULE_CHOICES = (*MODULE_KINDS, "all")
@@ -182,7 +181,7 @@ def _module_vectors(
 def _cmd_align(args: argparse.Namespace) -> None:
     ar = align_recording(load_recording(_require_file(args.infile)))
     atomic_write_text(args.out, aligned_jsonl(ar))
-    _say(f"aligned {len(ar)} frames across {len(ar.channel_names)} channels -> {args.out}")
+    _say(f"aligned {len(ar)} frames across {len(ar.columns)} channels -> {args.out}")
 
 
 def _cmd_vectorize(args: argparse.Namespace) -> None:

@@ -81,33 +81,13 @@ class Message:
             raise ValueError(f"negative timestamp {self.t_ns} on channel {self.channel!r}")
 
 
-class _View(Sequence[Any]):
-    """A read-only sequence over a span of indices: a read builds its item, a slice copies nothing."""
-
-    __slots__ = ("_build", "_span")
-
-    def __init__(self, build: Callable[[int], Any], span: range) -> None:
-        self._build, self._span = build, span
-
-    def __len__(self) -> int:
-        return len(self._span)
-
-    def __getitem__(self, i):  # type: ignore[override]
-        if isinstance(i, slice):
-            return _View(self._build, self._span[i])
-        return self._build(self._span[i])
-
-    def __iter__(self) -> Iterator[Any]:
-        return map(self._build, self._span)
-
-
 class Channel:
     """A named message stream of a single kind with non-decreasing timestamps, as columns.
 
     Message k is ``(times[k], payloads[k])``, from an array('q') and a tuple:
     no object per message but its payload. Channel(name, kind, messages)
-    checks each message's kind, channel, order and time; ``messages`` is a
-    read-only view that builds a Message on read.
+    checks each message's kind, channel, order and time; message(k) builds
+    message k's Message on each call.
     """
 
     __slots__ = ("name", "kind", "times", "payloads")
@@ -130,14 +110,10 @@ class Channel:
 
     @classmethod
     def _of(cls, name: str, kind: MessageKind, times: array[int], payloads: Sequence[Any]) -> Channel:
-        """The channel of these columns, unchecked: the loader's, the generator's and to_recording's."""
+        """The channel of these columns, unchecked: the loader's and the generator's."""
         ch = cls.__new__(cls)
         ch.name, ch.kind, ch.times, ch.payloads = name, kind, times, payloads
         return ch
-
-    @property
-    def messages(self) -> Sequence[Message]:
-        return _View(self.message, range(len(self.times)))
 
     def message(self, k: int) -> Message:
         return Message(self.name, self.times[k], self.kind, self.payloads[k])
@@ -206,9 +182,10 @@ def check_payloads(row: Mapping[str, Message]) -> None:
 
 # What a run of frames keys on per payload kind, in ToyModule.reads' terms.
 # It is also what recurs from frame to frame, so the JSONL writers keep a
-# text (_payload_texts) only for a payload of a kind mapped to None and for
-# an image's scene; a localization payload or an image, new on every frame,
-# is encoded where it stands.
+# text (_payload_texts), and load_recording shares a payload by its text,
+# only for a payload of a kind mapped to None and for an image's scene; a
+# localization payload or an image, new on every frame, is encoded where it
+# stands and parsed on its own.
 RUN_READS: Mapping[MessageKind, str | None] = {
     MessageKind.TRAFFIC_LIGHT: None, MessageKind.OBSTACLE: None, MessageKind.PREDICTION: None,
     MessageKind.PLANNING: None, MessageKind.IMAGE_REF: "scene",
@@ -238,11 +215,10 @@ class AlignedRecording:
     """
 
     times: array[TimestampNs]
-    channel_names: tuple[str, ...]
     columns: Mapping[str, Column]
 
     def __init__(self, times: array[TimestampNs], columns: Mapping[str, Column]) -> None:
-        self.times, self.columns, self.channel_names = times, columns, tuple(columns)
+        self.times, self.columns = times, columns
 
     def __len__(self) -> int:
         return len(self.times)
@@ -311,18 +287,6 @@ class AlignedRecording:
                 f"{_frame_index(times[i], fps)} at {fps} fps, after tick {tick0 + i - 1}"
             )
         return fps
-
-    def to_recording(self) -> Recording:
-        """A plain recording of the frames, each message stamped with its frame's time.
-
-        Aligning it gives this grid back: ``align_recording(ar.to_recording())``
-        has the same times and channel names, and each column the same kinds
-        and payload objects. Its channels share the grid's times array.
-        """
-        return Recording({
-            name: Channel._of(name, ch.kind, self.times, tuple(map(ch.payloads.__getitem__, index)))
-            for name, (ch, index) in self.columns.items()
-        })
 
 
 # One decoder for every canonical line: ``json.loads`` would wrap each of a
@@ -405,12 +369,14 @@ def load_recording(path: str | Path) -> Recording:
     is emitted for out-of-order channels. Exact duplicate timestamps within a
     channel keep the first message in file order and warn.
 
-    Equal payload texts on canonical lines (the layout dump_recording_jsonl
-    writes) load as one shared payload object, parsed once, and equal image
-    scene texts as one shared scene, parsed once; see Message on why
-    payloads are never mutated. The sharing tables live only for the line
-    loop. A line appends its time and payload to its channel's columns (a
-    list of payloads until the loop ends).
+    On canonical lines (the layout dump_recording_jsonl writes), payloads
+    are shared by the rule at RUN_READS: equal payload texts of a kind it
+    maps to None load as one shared payload object, parsed once, and equal
+    image scene texts as one shared scene, parsed once; any other kind is
+    neither looked up nor kept. See Message on why payloads are never
+    mutated. The sharing tables live only for the line loop. A line appends
+    its time and payload to its channel's columns (a list of payloads until
+    the loop ends).
 
     A canonical line whose head is known (one _line_head built from a parsed
     channel and kind) is not parsed whole: its payload text is looked up, or
@@ -423,7 +389,7 @@ def load_recording(path: str | Path) -> Recording:
     """
     per_channel: dict[str, Channel] = {}
     declared: dict[str, int] = {}
-    heads: dict[str, tuple[bool, Callable[[int], None], Callable[[Any], None]]] = {}
+    heads: dict[str, tuple[str | bool | None, Callable[[int], None], Callable[[Any], None]]] = {}
     payloads: dict[str, dict[str, Any]] = {}
     scenes: dict[str, Any] = {}
 
@@ -439,7 +405,9 @@ def load_recording(path: str | Path) -> Recording:
                 f"(declared at line {declared[channel]}) but carries {kind.value!r}"
             )
         if line.startswith(head := _line_head(channel, kind)):
-            heads[head] = (kind is MessageKind.IMAGE_REF, into.times.append, into.payloads.append)
+            # RUN_READS' rule: None shares the payload by its text, "scene"
+            # an image's scene, and a kind it does not map (False) nothing.
+            heads[head] = (RUN_READS.get(kind, False), into.times.append, into.payloads.append)
         return into, t_ns, payload
 
     # Lines end only at \n, \r or \r\n: the file is read line by line, never
@@ -460,16 +428,17 @@ def load_recording(path: str | Path) -> Recording:
                 known = heads.get(line[:start])  # a canonical line's head is line[:start]
             end = line.rfind(_T_NS_KEY)
             if known is not None and end >= start and line[-1:] == "}":
-                image, add_time, add_payload = known
+                share, add_time, add_payload = known
                 text = line[start:end]
                 try:
                     t_ns, stop = _scan_once(line, end + len(_T_NS_KEY))
-                    payload = _image_payload(text, scenes) if image else payloads.get(text)
+                    payload = (payloads.get(text) if share is None
+                               else _image_payload(text, scenes) if share else None)
                     if payload is None:
                         payload, size = _scan_once(text, 0)
                         if size != len(text) or type(payload) is not dict:
                             payload = None
-                        elif not image:
+                        elif share is None:
                             payloads[text] = payload
                 except (StopIteration, ValueError, RecursionError):
                     payload = None
@@ -581,15 +550,16 @@ def dump_recording_jsonl(rec: Recording) -> str:
 
 
 def aligned_jsonl(ar: AlignedRecording) -> Iterator[str]:
-    """The JSONL of ``dump_recording_jsonl(ar.to_recording())``, one chunk per frame.
+    """The JSONL of the grid as a recording, one chunk per frame.
 
-    Every line is stamped with its frame's time. Frame times strictly
-    increase and every frame holds one message per channel, in name order,
-    so frame order then column order is already the dump's (t_ns, channel)
-    order: nothing is sorted and the text is never whole. Payload texts and
-    line heads follow the dump's own rules, per column of a block of frames,
-    and what holds over a run (ar.run_bounds) is put together once per run
-    that crosses the block (_run_texts).
+    Each frame's line for a channel is the line dump_recording_jsonl writes
+    for that channel's message at the frame, stamped with the frame's time.
+    Frame times strictly increase and every frame holds one message per
+    channel, in name order, so frame order then column order is already the
+    dump's (t_ns, channel) order: nothing is sorted and the text is never
+    whole. Payload texts and line heads follow the dump's own rules, per
+    column of a block of frames, and what holds over a run (ar.run_bounds)
+    is put together once per run that crosses the block (_run_texts).
     """
     texts, bounds, n = _payload_texts(), ar.run_bounds, len(ar)
     writers = [(_line_head(name, ch.kind), ch.kind, texts[ch.kind], ch.payloads.__getitem__, index)

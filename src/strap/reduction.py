@@ -161,14 +161,11 @@ def segments_to_manifest(
     segments: Sequence[Segment],
     cfg: ReductionConfig,
     frame_times_ns: Sequence[int],
-    module: str | None = None,
+    module: str,
 ) -> dict[str, Any]:
     """Build the segments.json document."""
-    config: dict[str, Any] = asdict(cfg)
-    if module is not None:
-        config["module"] = module
     return {
-        "config": config,
+        "config": {**asdict(cfg), "module": module},
         "segments": [
             {
                 "id": s.id,

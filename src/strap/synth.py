@@ -856,10 +856,6 @@ class ReplayResult:
     warmup_frames: int
     call_counts: Mapping[str, int]
 
-    @property
-    def comparable(self) -> tuple[Message, ...]:
-        return self.messages[self.warmup_frames :]
-
 
 def replay_segment(
     module: ToyModule, ar: AlignedRecording, lo: int, hi: int, warmup_frames: int = 0

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 import sys
+from pathlib import Path
 from typing import Mapping
 
 import pytest
@@ -12,6 +14,8 @@ from strap.benchmarks import benchmark_script, noisy_prediction_script, rare_fau
 from strap.recording import Channel, Message, Recording, align_recording
 from strap.schema import default_registry
 from strap.synth import _swapped_vectors, generate_recording
+
+GEN_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "gen_inputs.py"
 
 
 @dataclasses.dataclass
@@ -34,13 +38,32 @@ def script_to_json(script):
     }
 
 
-def tiled(script, tiles):
-    """The script played ``tiles`` times back to back (bench/gen_inputs.py's long-suite)."""
-    n = script.duration_frames
-    events = tuple(
-        dataclasses.replace(e, frame=e.frame + k * n) for k in range(tiles) for e in script.events
-    )
-    return dataclasses.replace(script, duration_frames=n * tiles, events=events)
+def _load_gen_inputs():
+    """bench/gen_inputs.py as a module; the import path it extends is put back."""
+    path = sys.path[:]
+    try:
+        spec = importlib.util.spec_from_file_location("bench_gen_inputs", GEN_INPUTS)
+        gen_inputs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen_inputs)
+    finally:
+        sys.path[:] = path
+    return gen_inputs
+
+
+# The script played ``tiles`` times back to back: long-suite's own tiling
+# rule, read from the benchmark's input generator so the pins on it pin the
+# benchmark's actual input.
+tiled = _load_gen_inputs()._tiled
+
+
+def messages(ch):
+    """A channel's messages, each built by Channel.message."""
+    return tuple(map(ch.message, range(len(ch.times))))
+
+
+def comparable(result):
+    """A replay's outputs after its warm-up frames."""
+    return result.messages[result.warmup_frames :]
 
 
 def frames_of(ar):
@@ -55,7 +78,8 @@ def frames_of(ar):
 
 def recording_of(frames):
     """The frames as a plain recording, each message stamped with its frame's
-    time, as AlignedRecording.to_recording stamps them."""
+    time: ``recording_of(frames_of(ar))`` is the grid as a recording, which
+    aligns back to the grid and dumps as aligned_jsonl writes it."""
     channels = {}
     for name in frames[0].messages:
         column = [f.messages[name] for f in frames]

@@ -17,6 +17,7 @@ from itertools import compress, islice, repeat
 from operator import eq, gt, ne
 
 import pytest
+from conftest import messages
 
 from strap.recording import (
     _KINDS,
@@ -67,6 +68,13 @@ def _parse_line(line, lineno):
     return Message(channel, t_ns, kind, payload)
 
 
+# The kinds whose equal payload texts load as one object. An image shares
+# only its scene, and a localization payload, new on every frame, nothing.
+_SHARED_BY_TEXT = frozenset({
+    MessageKind.TRAFFIC_LIGHT, MessageKind.OBSTACLE, MessageKind.PREDICTION, MessageKind.PLANNING,
+})
+
+
 def _shared_line(line, heads, payloads, scenes):
     start = line.find(_PAYLOAD_KEY) + len(_PAYLOAD_KEY)
     end = line.rfind(_T_NS_KEY)
@@ -79,13 +87,15 @@ def _shared_line(line, heads, payloads, scenes):
         t_ns, stop = _scan_once(line, end + len(_T_NS_KEY))
         if kind is MessageKind.IMAGE_REF:
             payload = _image_payload(text, scenes)
-        else:
+        elif kind in _SHARED_BY_TEXT:
             payload = payloads.get(text)
+        else:
+            payload = None
         if payload is None:
             payload, size = _scan_once(text, 0)
             if size != len(text) or type(payload) is not dict:
                 return None
-            if kind is not MessageKind.IMAGE_REF:
+            if kind in _SHARED_BY_TEXT:
                 payloads[text] = payload
     except (StopIteration, ValueError, RecursionError):
         return None
@@ -203,7 +213,7 @@ def _message_load(path):
 
 def _columnar_load(path):
     channels = load_recording(path).channels
-    return {name: ch.messages for name, ch in channels.items()}, {name: ch.kind for name, ch in channels.items()}
+    return {name: messages(ch) for name, ch in channels.items()}, {name: ch.kind for name, ch in channels.items()}
 
 
 def assert_loads_as_messages(path):
@@ -214,7 +224,7 @@ def assert_loads_as_messages(path):
 def assert_aligns_as_messages(rec):
     """align_recording gives the message align's grid and, per frame, the same recorded messages."""
     try:
-        times, columns = reference_align({name: tuple(ch.messages) for name, ch in rec.channels.items()})
+        times, columns = reference_align({name: messages(ch) for name, ch in rec.channels.items()})
     except AlignmentError as exc:
         with pytest.raises(AlignmentError) as got:
             align_recording(rec)
@@ -222,6 +232,6 @@ def assert_aligns_as_messages(rec):
         return
     ar = align_recording(rec)
     assert list(ar.times) == times
-    assert ar.channel_names == tuple(columns)
+    assert tuple(ar.columns) == tuple(columns)
     for name, (ch, index) in ar.columns.items():
         assert [message_row(ch.message(k)) for k in index] == list(map(message_row, columns[name])), name

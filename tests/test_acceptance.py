@@ -11,7 +11,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import frames_of
+from conftest import frames_of, recording_of
 
 from strap.benchmarks import (
     benchmark_mutants,
@@ -66,8 +66,8 @@ def test_alignment_laws():
         assert all(len(f.messages) == len(names) for f in frames)
         times = [f.t_ns for f in frames]
         assert all(a < b for a, b in zip(times, times[1:]))
-        once = dump_recording_jsonl(ar.to_recording())
-        twice = dump_recording_jsonl(align_recording(ar.to_recording()).to_recording())
+        once = dump_recording_jsonl(recording_of(frames_of(ar)))
+        twice = dump_recording_jsonl(recording_of(frames_of(align_recording(recording_of(frames_of(ar))))))
         assert once == twice
     elapsed = time.perf_counter() - start
     check(

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import gc
 import json
@@ -16,7 +15,7 @@ from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 
 import pytest
-from conftest import Frame, frames_of, grid_of
+from conftest import Frame, frames_of, grid_of, messages, recording_of, tiled
 from message_reference import assert_aligns_as_messages, assert_loads_as_messages
 
 from strap.benchmarks import BUILTIN_SCRIPTS, benchmark_script
@@ -38,7 +37,7 @@ from strap.recording import (
     load_recording,
 )
 from strap.schema import encode_recording
-from strap.synth import ScenarioScript, generate_recording
+from strap.synth import generate_recording
 
 
 def msg(channel, t, kind=MessageKind.LOCALIZATION, **payload):
@@ -113,18 +112,15 @@ class TestModel:
             Channel("a", MessageKind.PLANNING, (msg("a", 0, MessageKind.PLANNING), msg("a", t, MessageKind.PLANNING)))
         assert str(exc.value) == f"channel 'a': timestamp {t!r} is not an integer below 2**63"
         ch = Channel("a", MessageKind.PLANNING, (msg("a", 2**63 - 1, MessageKind.PLANNING),))
-        assert list(ch.times) == [2**63 - 1] and ch.messages[0].t_ns == 2**63 - 1
+        assert list(ch.times) == [2**63 - 1] and ch.message(0).t_ns == 2**63 - 1
 
     def test_channel_holds_columns_and_builds_messages_on_read(self):
         payloads = [{"n": 0}, {"n": 1}, {"n": 2}]
         ch = Channel("a", MessageKind.PLANNING, [Message("a", t, MessageKind.PLANNING, p) for t, p in zip((0, 5, 5), payloads)])
         assert list(ch.times) == [0, 5, 5] and ch.times.typecode == "q"
         assert type(ch.payloads) is tuple and all(map(operator.is_, ch.payloads, payloads))
-        assert ch.messages[1] == Message("a", 5, MessageKind.PLANNING, payloads[1])
-        assert ch.messages[1] is not ch.messages[1]
-        assert [m.payload["n"] for m in ch.messages[::-1]] == [2, 1, 0] and len(ch.messages[1:]) == 2
-        with pytest.raises(TypeError):
-            ch.messages[0] = ch.messages[1]
+        assert ch.message(1) == Message("a", 5, MessageKind.PLANNING, payloads[1])
+        assert ch.message(1) is not ch.message(1)
 
     def test_recording_needs_messages(self):
         with pytest.raises(ValueError, match="no channels"):
@@ -189,7 +185,7 @@ class TestLoadDump:
         )
         p = tmp_path / "sep.jsonl"
         p.write_text(line, encoding="utf-8")
-        assert load_recording(p).channels["a"].messages[0].payload == {"note": note}
+        assert load_recording(p).channels["a"].payloads[0] == {"note": note}
         p.write_text(
             line + '\r\n\n{"channel": "a", "t_ns": 1, "kind": "obstacle", "payload": {}}\n',
             encoding="utf-8",
@@ -258,7 +254,7 @@ class TestLoadDump:
         )
         with pytest.warns(UserWarning, match="re-sorted"):
             r = load_recording(p)
-        assert [m.t_ns for m in r.channels["a"].messages] == [5, 10]
+        assert list(r.channels["a"].times) == [5, 10]
 
     def test_duplicate_timestamps_keep_first(self, tmp_path):
         p = tmp_path / "dup.jsonl"
@@ -268,8 +264,8 @@ class TestLoadDump:
         )
         with pytest.warns(UserWarning, match="duplicate-timestamp"):
             r = load_recording(p)
-        assert len(r.channels["a"].messages) == 1
-        assert r.channels["a"].messages[0].payload == {"n": 1}
+        assert len(r.channels["a"].times) == 1
+        assert r.channels["a"].payloads[0] == {"n": 1}
 
     @staticmethod
     def _write(p, rows):
@@ -286,7 +282,7 @@ class TestLoadDump:
         assert [str(w.message) for w in caught] == [
             "channel 'a': 3 duplicate-timestamp message(s) dropped, keeping the first in file order"
         ]
-        ms = r.channels["a"].messages
+        ms = messages(r.channels["a"])
         assert [(m.t_ns, m.payload["n"]) for m in ms] == [(0, 0), (5, 1), (9, 3), (12, 4), (20, 7)]
 
     def test_out_of_order_duplicates_keep_the_first_in_file_order(self, tmp_path):
@@ -298,7 +294,7 @@ class TestLoadDump:
             "channel 'a': out-of-order timestamps were re-sorted",
             "channel 'a': 3 duplicate-timestamp message(s) dropped, keeping the first in file order",
         ]
-        ms = r.channels["a"].messages
+        ms = messages(r.channels["a"])
         assert [(m.t_ns, m.payload["n"]) for m in ms] == [(0, 3), (5, 1), (7, 6), (10, 0)]
 
     def test_increasing_channel_loads_without_warning(self, tmp_path):
@@ -307,7 +303,7 @@ class TestLoadDump:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             r = load_recording(p)
-        assert [m.t_ns for m in r.channels["a"].messages] == [0, 1, 5, 6, 100]
+        assert list(r.channels["a"].times) == [0, 1, 5, 6, 100]
 
 
 class TestLoadAgainstMessageLoader:
@@ -432,13 +428,12 @@ class TestInlinedLineLoop:
     def test_escaped_channel_names(self, tmp_path, name):
         # A quote in a name is escaped, so the name never ends the head early.
         shared = {"ego_action": "go"}
-        messages = tuple(Message(name, t, MessageKind.PLANNING, shared) for t in range(4))
-        r = rec(Channel(name, MessageKind.PLANNING, messages))
+        r = rec(Channel(name, MessageKind.PLANNING, (Message(name, t, MessageKind.PLANNING, shared) for t in range(4))))
         p = tmp_path / "esc.jsonl"
         p.write_text(dump_recording_jsonl(r), encoding="utf-8")
         assert_loads_as_messages(p)
-        loaded = load_recording(p).channels[name].messages
-        assert all(m.payload is loaded[0].payload for m in loaded)
+        loaded = load_recording(p).channels[name].payloads
+        assert all(p is loaded[0] for p in loaded)
 
     @pytest.mark.parametrize("end", ["\r\n", "\r", "\n"])
     @pytest.mark.parametrize("last", ["", "end"], ids=["no-final-newline", "final-newline"])
@@ -450,7 +445,7 @@ class TestInlinedLineLoop:
         lf = tmp_path / "lf.jsonl"
         lf.write_bytes(("\n".join(lines) + "\n").encode())
         assert dump_recording_jsonl(load_recording(p)) == dump_recording_jsonl(load_recording(lf))
-        img = load_recording(p).channels["img"].messages
+        img = messages(load_recording(p).channels["img"])
         assert img[0].payload["scene"] is img[2].payload["scene"]
 
 
@@ -565,7 +560,7 @@ def _reference_jsonl(rows):
 
 def _aligned_rows(ar):
     """Each frame's messages in channel-name order, stamped with the frame time."""
-    return [(f.t_ns, f.messages[n]) for f in frames_of(ar) for n in sorted(ar.channel_names)]
+    return [(f.t_ns, f.messages[n]) for f in frames_of(ar) for n in sorted(ar.columns)]
 
 
 def _hand_built():
@@ -599,7 +594,7 @@ class TestJsonlDifferential:
     def test_builtins(self, fixture, request):
         r = request.getfixturevalue(fixture)
         rows = sorted(
-            ((m.t_ns, m) for ch in r.channels.values() for m in ch.messages),
+            ((m.t_ns, m) for ch in r.channels.values() for m in messages(ch)),
             key=lambda row: (row[0], row[1].channel),
         )
         assert dump_recording_jsonl(r) == _reference_jsonl(rows)
@@ -669,7 +664,7 @@ class TestJsonlDifferential:
             Channel("b", MessageKind.PLANNING, tuple(Message("b", t, MessageKind.PLANNING, shared) for t in (0, 5))),
             Channel("a", MessageKind.OBSTACLE, (Message("a", 5, MessageKind.OBSTACLE, shared),)),
         )
-        rows = [r.channels["b"].messages[0], r.channels["a"].messages[0], r.channels["b"].messages[1]]
+        rows = [r.channels["b"].message(0), r.channels["a"].message(0), r.channels["b"].message(1)]
         assert dump_recording_jsonl(r) == _reference_jsonl((m.t_ns, m) for m in rows)
 
 
@@ -684,12 +679,12 @@ class TestAlignedJsonl:
         ar = align_recording(request.getfixturevalue(fixture))
         chunks = list(aligned_jsonl(ar))
         assert len(chunks) == len(ar)
-        assert "".join(chunks) == dump_recording_jsonl(ar.to_recording())
+        assert "".join(chunks) == dump_recording_jsonl(recording_of(frames_of(ar)))
 
     def test_equals_sorted_dump_for_unsorted_channel_names(self):
         r = rec(chan("z", [0, 10, 20]), chan("a", [0, 5, 15, 20]), chan("m", [3, 10]))
         ar = align_recording(r)
-        expected = dump_recording_jsonl(ar.to_recording())
+        expected = dump_recording_jsonl(recording_of(frames_of(ar)))
         assert "".join(aligned_jsonl(ar)) == expected
         assert [json.loads(l)["channel"] for l in expected.splitlines()[:3]] == ["a", "m", "z"]
 
@@ -705,7 +700,7 @@ class TestAlignedJsonl:
     def _assert_dump(ar, runs):
         chunks = list(aligned_jsonl(ar))
         assert len(chunks) == len(ar)
-        assert "".join(chunks) == dump_recording_jsonl(ar.to_recording())
+        assert "".join(chunks) == dump_recording_jsonl(recording_of(frames_of(ar)))
         assert len(ar.run_bounds) - 1 == runs
 
     _SCENE = {"lights": [{"hue_deg": 10.0, "brightness": 0.5}], "statics": [{"name": "caf\u00e9"}]}
@@ -760,7 +755,7 @@ class TestAlignedJsonl:
     @pytest.mark.parametrize("shift", [0, 66_666_666, 7 * 66_666_666, 1_697_000_000_123_456_789])
     def test_time_shifted_grids(self, benchmark_recording, shift):
         shifted = Recording({
-            name: Channel(name, ch.kind, tuple(Message(name, m.t_ns + shift, m.kind, m.payload) for m in ch.messages))
+            name: Channel(name, ch.kind, tuple(Message(name, m.t_ns + shift, m.kind, m.payload) for m in messages(ch)))
             for name, ch in benchmark_recording.channels.items()
         })
         ar = align_recording(shifted)
@@ -777,12 +772,12 @@ def _walked_alignment(r):
     """Reference: each channel walked message by message with a forward slot
     pointer, empty slots filled with the held message; (grid, columns) or
     the AlignmentError text."""
-    ref = min(r.channels.values(), key=lambda c: (-len(c.messages), c.name))
-    grid = sorted({m.t_ns for m in ref.messages})
+    ref = min(r.channels.values(), key=lambda c: (-len(c.times), c.name))
+    grid = sorted(set(ref.times))
     columns, start = {}, 0
     for name in sorted(r.channels):
         slots, held, i = [None] * len(grid), None, 0
-        for m in r.channels[name].messages:
+        for m in messages(r.channels[name]):
             if m.t_ns < grid[0]:
                 held = m
                 continue
@@ -820,7 +815,7 @@ class TestAlignment:
         ar = align_recording(r)
         grid, columns = expected
         assert list(ar.times) == grid
-        assert ar.channel_names == tuple(columns)
+        assert tuple(ar.columns) == tuple(columns)
         for name, slots in columns.items():
             assert [_row(f.messages[name]) for f in frames_of(ar)] == list(map(_row, slots))
 
@@ -840,7 +835,7 @@ class TestAlignment:
         frames = frames_of(align_recording(r))
         assert [f.messages["det"].payload["n"] for f in frames] == [50, 140, 140, 140]
         # Frames hold the recorded messages, forward-filled slots included.
-        m50, m140, _ = map(_row, r.channels["det"].messages)
+        m50, m140, _ = map(_row, messages(r.channels["det"]))
         assert [_row(f.messages["det"]) for f in frames] == [m50, m140, m140, m140]
 
     @pytest.mark.parametrize(
@@ -853,10 +848,10 @@ class TestAlignment:
         frames = frames_of(align_recording(r))
         grid = [f.t_ns for f in frames]
         for name, ch in r.channels.items():
-            times = [m.t_ns for m in ch.messages]
+            times = list(ch.times)
             for i, f in enumerate(frames):
                 j = bisect_left(times, grid[i + 1]) if i + 1 < len(grid) else bisect_right(times, grid[i])
-                assert _row(f.messages[name]) == _row(ch.messages[j - 1])
+                assert _row(f.messages[name]) == _row(ch.message(j - 1))
 
     def test_two_in_bucket_keeps_last(self):
         # Tie on message count, so "cam" wins the reference role by name.
@@ -882,7 +877,7 @@ class TestAlignment:
         ar = align_recording(
             rec(chan("cam", [0, 100, 200, 300]), chan("det", [50, 140]), chan("loc", [0, 150, 290]))
         )
-        again = align_recording(ar.to_recording())
+        again = align_recording(recording_of(frames_of(ar)))
         assert again.times == ar.times
         for f1, f2 in zip(frames_of(ar), frames_of(again)):
             assert {n: m.payload for n, m in f1.messages.items()} == {
@@ -891,7 +886,7 @@ class TestAlignment:
 
     def test_aligned_grid_lists_channels_by_name(self):
         ar = align_recording(rec(chan("z", [0, 10]), chan("a", [0, 10]), chan("m", [0, 10])))
-        assert ar.channel_names == tuple(ar.columns) == ("a", "m", "z")
+        assert tuple(ar.columns) == ("a", "m", "z")
         assert list(ar.kinds) == list(ar.row(1)) == ["a", "m", "z"]
 
     def test_a_row_is_its_recorded_messages(self):
@@ -909,13 +904,10 @@ def tiled_recording():
     """A function of n: the seed-0 benchmark scenes tiled n times (10: the long-suite input)."""
 
     @functools.cache
-    def tiled(tiles):
-        base = benchmark_script()
-        n = base.duration_frames
-        events = tuple(dataclasses.replace(e, frame=e.frame + k * n) for k in range(tiles) for e in base.events)
-        return generate_recording(ScenarioScript(tiles * n, base.fps, base.glitch_rate, events), 0)
+    def recording(tiles):
+        return generate_recording(tiled(benchmark_script(), tiles), 0)
 
-    return tiled
+    return recording
 
 
 class TestLiveMemory:
@@ -966,8 +958,8 @@ class TestLiveMemory:
             tracemalloc.stop()
             if was_enabled:
                 gc.enable()
-        assert len(ar) == 24000 and len(ar.channel_names) == 6
-        assert kept <= 8 * (len(ar.channel_names) + 1) * len(ar) + 16 * 1024
+        assert len(ar) == 24000 and len(ar.columns) == 6
+        assert kept <= 8 * (len(ar.columns) + 1) * len(ar) + 16 * 1024
 
     def test_a_loaded_recording_keeps_two_words_a_message_beyond_its_payloads(self, benchmark_recording, tmp_path):
         # A time and a payload reference per message; one Message and one
@@ -980,7 +972,7 @@ class TestLiveMemory:
         try:
             r = load_recording(p)
             with_payloads = tracemalloc.get_traced_memory()[0]
-            payloads = [list(map(operator.attrgetter("payload"), ch.messages)) for ch in r.channels.values()]
+            payloads = [list(ch.payloads) for ch in r.channels.values()]
             messages = r.message_count()
             del r
             only_payloads = tracemalloc.get_traced_memory()[0] - sum(map(sys.getsizeof, payloads))

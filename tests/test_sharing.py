@@ -1,7 +1,7 @@
 """Shared payloads and the compute-once memos against their unshared reference.
 
-load_recording gives equal payload texts one object (an image's scene
-likewise), and the encoder and replay memos key on payload identity. Each
+load_recording gives equal payload texts of the kinds a run keys on one
+object (an image's scene likewise), and the encoder and replay memos key on payload identity. Each
 test compares the shared path with what a plain parse or a deep copy,
 where nothing is shared and no memo hits, gives.
 """
@@ -12,7 +12,8 @@ import copy
 import json
 
 import pytest
-from conftest import Frame, frames_of, grid_of, swapped_vectors
+from conftest import Frame, comparable, frames_of, grid_of, messages, swapped_vectors
+from message_reference import assert_loads_as_messages
 
 from strap.benchmarks import BUILTIN_MUTANTS, BUILTIN_SCRIPTS
 from strap.cli import main
@@ -42,7 +43,7 @@ def _dumped(payload):
 
 def _messages(rec):
     return {
-        name: [(m.t_ns, m.kind, _dumped(m.payload)) for m in ch.messages]
+        name: [(m.t_ns, m.kind, _dumped(m.payload)) for m in messages(ch)]
         for name, ch in rec.channels.items()
     }
 
@@ -90,8 +91,9 @@ LINES = [
     (_line("pl", "planning", '{"ego_action": "stop"}, "t_ns": 99', 4), "\n"),
     (_line("pl", "planning", '{"ego_action": "stop"}', 5).replace("{", '{"t_ns": 98, ', 1), "\n"),
     (_line("pl", "planning", '{"ego_action": "stop"}', 6), "\n"),
-    # 1, 1.0 and true (and 0, 0.0 and -0.0) on one channel, each repeated.
-    *((_line("num", "localization", f'{{"x": {v}}}', t), "\n")
+    # 1, 1.0 and true (and 0, 0.0 and -0.0) on one channel of a kind shared
+    # by text, each repeated.
+    *((_line("num", "planning", f'{{"x": {v}}}', t), "\n")
       for t, v in enumerate(["1", "1.0", "true", "1", "1.0", "true", "0", "0.0", "-0.0", "-0.0"])),
     # A timestamp spelt -0.
     (_line("zero", "localization", '{"x": 1}', 0).replace("0}", "-0}"), "\n"),
@@ -145,16 +147,31 @@ def test_loader_payloads_are_type_exact(shapes):
 
 def test_loader_shares_canonical_payloads_and_scenes(shapes):
     channels = load_recording(shapes).channels
-    tl = channels["tl"].messages
+    tl = messages(channels["tl"])
     assert tl[0].payload is tl[1].payload is tl[2].payload is tl[-1].payload
-    num = channels["num"].messages
+    num = messages(channels["num"])
     assert num[0].payload is num[3].payload and num[1].payload is num[4].payload
     assert num[0].payload is not num[1].payload is not num[2].payload
-    images = {str(m.payload.get("ref")): m.payload for m in channels["img"].messages}
+    images = {str(m.payload.get("ref")): m.payload for m in messages(channels["img"])}
     assert images["f0"]["scene"] is images["f1"]["scene"] is images["f12"]["scene"]
     assert images["-1500.0"]["scene"] is images[REF]["scene"] is images["f0"]["scene"]
     assert images["f10"]["scene"] is not images["f0"]["scene"]
     assert images["f0"] is not images["f12"]
+
+
+def test_loader_shares_texts_only_of_the_kinds_a_run_keys_on(tmp_path):
+    """The rule at RUN_READS: equal planning texts load as one payload object,
+    equal localization texts, new on every frame in a drive, as two."""
+    path = tmp_path / "r.jsonl"
+    path.write_text("".join(
+        _line(name, kind, '{"x": 1.5}', t) + "\n"
+        for t in (0, 1) for name, kind in (("loc", "localization"), ("pl", "planning"))
+    ))
+    channels = load_recording(path).channels
+    assert channels["pl"].payloads[0] is channels["pl"].payloads[1]
+    loc = channels["loc"].payloads
+    assert loc[0] == loc[1] and loc[0] is not loc[1]
+    assert_loads_as_messages(path)
 
 
 @pytest.mark.parametrize(
@@ -200,7 +217,7 @@ def test_loader_sorts_an_out_of_order_channel_and_warns(tmp_path):
     assert [str(w.message) for w in caught] == [
         "channel 'pl': out-of-order timestamps were re-sorted"
     ]
-    assert [m.t_ns for m in rec.channels["pl"].messages] == [0, 1, 2, 3]
+    assert list(rec.channels["pl"].times) == [0, 1, 2, 3]
     parsed = _parsed(path)
     assert _messages(rec) == {name: sorted(rows, key=lambda r: r[0]) for name, rows in parsed.items()}
 
@@ -215,7 +232,7 @@ def test_loader_matches_plain_parse_on_builtins(name, tmp_path):
 def test_generator_gives_equal_outputs_one_object(registry, tmp_path):
     rec = generate_recording(BUILTIN_SCRIPTS["benchmark"](), 0)
     for name in MODULE_KINDS:
-        payloads = [m.payload for m in rec.channels[name].messages]
+        payloads = rec.channels[name].payloads
         assert len({id(p) for p in payloads}) == len({_dumped(p) for p in payloads}), name
     path = tmp_path / "benchmark.jsonl"
     path.write_text(dump_recording_jsonl(rec))
@@ -275,9 +292,9 @@ def test_replay_memo_matches_unshared(loaded, registry):
             # The memo hits on the shared frames: repeated inputs give one output object.
             outputs = {id(m.payload) for m in got.messages}
             assert len(outputs) < len({id(m.payload) for m in want.messages})
-            got_vectors = swapped_vectors(shared, enumerate(got.comparable), vectors, encoder)
+            got_vectors = swapped_vectors(shared, enumerate(comparable(got)), vectors, encoder)
             want_encoder = FrameEncoder(registry, flt)
-            assert got_vectors == swapped_vectors(unshared, enumerate(want.comparable), vectors, want_encoder)
+            assert got_vectors == swapped_vectors(unshared, enumerate(comparable(want)), vectors, want_encoder)
             got = replay_segment(mutated, shared, lo, hi, 7)
             want = replay_segment(mutated, unshared, lo, hi, 7)
             assert _outputs(got) == _outputs(want)

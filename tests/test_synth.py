@@ -15,7 +15,9 @@ from itertools import pairwise, repeat
 from operator import is_not
 
 import pytest
-from conftest import Frame, frames_of, grid_of, recording_of, script_to_json, swapped_vectors, tiled
+from conftest import (
+    Frame, comparable, frames_of, grid_of, messages, recording_of, script_to_json, swapped_vectors, tiled,
+)
 from message_reference import assert_aligns_as_messages, assert_loads_as_messages
 from run_reference import assert_reduce_walks_match, memo_class_vectors, per_frame_generate_recording
 
@@ -438,7 +440,7 @@ class TestPlannerRules:
 class TestGeneration:
     def test_channel_rates_and_offsets(self):
         rec = generate_recording(script(300, events=[SceneEvent(0, {**RED_LIGHT, **CAR_STOPPED})]), 0)
-        lengths = {name: len(c.messages) for name, c in rec.channels.items()}
+        lengths = {name: len(c.times) for name, c in rec.channels.items()}
         assert lengths == {
             "image": 300,
             "localization": 300,
@@ -448,7 +450,7 @@ class TestGeneration:
             "planning": 300,
         }
         for name, off in CHANNEL_OFFSETS_NS.items():
-            assert rec.channels[name].messages[0].t_ns == off
+            assert rec.channels[name].times[0] == off
 
     def test_determinism_and_seed_sensitivity(self):
         s = script(100, glitch=0.2, events=[SceneEvent(0, RED_LIGHT)])
@@ -465,16 +467,16 @@ class TestGeneration:
             "objects": ["stop_sign"],
         }
         rec = generate_recording(script(3, events=[SceneEvent(0, scene)]), 0)
-        assert rec.channels["traffic_light"].messages[0].payload == {
+        assert rec.channels["traffic_light"].payloads[0] == {
             "lights": [{"color": "red", "shape": "round", "orientation": "vertical"}]
         }
-        ob = rec.channels["obstacle"].messages[0].payload
+        ob = rec.channels["obstacle"].payloads[0]
         assert ob["objects"] == ["stop_sign"]
         assert ob["obstacles"][0]["actor"] == "vehicle"
         assert ob["obstacles"][0]["subtype"] == "car"
-        tracks = rec.channels["prediction"].messages[0].payload["tracks"]
+        tracks = rec.channels["prediction"].payloads[0]["tracks"]
         assert tracks == [{"actor": "vehicle", "action": "stop"}]
-        assert rec.channels["planning"].messages[0].payload == {
+        assert rec.channels["planning"].payloads[0] == {
             "ego_action": "stop",
             "stop_cause": "traffic_light",
         }
@@ -490,7 +492,7 @@ class TestGeneration:
             ),
             0,
         )
-        colors = [m.payload["lights"] for m in rec.channels["traffic_light"].messages]
+        colors = [p["lights"] for p in rec.channels["traffic_light"].payloads]
         assert colors[2] and not colors[3]
 
     def test_glitch_rate_zero_never_glitches(self):
@@ -508,18 +510,15 @@ class TestGeneration:
         )
         diffs = sum(
             1
-            for a, b in zip(
-                clean.channels["traffic_light"].messages,
-                noisy.channels["traffic_light"].messages,
-            )
-            if a.payload != b.payload
+            for a, b in zip(clean.channels["traffic_light"].payloads, noisy.channels["traffic_light"].payloads)
+            if a != b
         )
         assert 13 <= diffs <= 47
 
     def test_glitched_colors_stay_canonical(self):
         rec = generate_recording(script(300, glitch=0.05, events=[SceneEvent(0, RED_LIGHT)]), 5)
         seen = {
-            m.payload["lights"][0]["color"] for m in rec.channels["traffic_light"].messages
+            p["lights"][0]["color"] for p in rec.channels["traffic_light"].payloads
         }
         assert seen <= {"red", "green", "yellow", "black"}
         assert "green" in seen  # glitches swap red with green
@@ -602,9 +601,7 @@ class TestReplay:
     def test_warmup_arithmetic(self):
         ar = self.make_aligned(60, [SceneEvent(0, RED_LIGHT)])
         result = replay_segment(make_module("planning"), ar, 0, len(ar), warmup_frames=15)
-        assert len(result.messages) == 60
-        assert len(result.comparable) == 45
-        assert result.comparable[0] is result.messages[15]
+        assert len(result.messages) == 60 and result.warmup_frames == 15
 
     def test_prediction_holds_between_native_ticks(self):
         ar = self.make_aligned(
@@ -822,7 +819,7 @@ def segment_replay_vectors(prepared, mutated, s, encoder):
     """Reference: replay segment s alone, with its warm-up, and encode its comparable frames."""
     ar, vectors = prepared.aligned, prepared.vectors
     result = replay_segment(mutated, ar, s.warmup_start_idx, s.end_idx + 1, s.start_idx - s.warmup_start_idx)
-    replayed = enumerate(result.comparable, s.warmup_start_idx + result.warmup_frames)
+    replayed = enumerate(comparable(result), s.warmup_start_idx + result.warmup_frames)
     return swapped_vectors(ar, replayed, vectors, encoder)
 
 
@@ -969,8 +966,8 @@ def _second_read_channel(base, kind, first):
         return {**frame.messages, **extra}
 
     ar = _rebuilt(base, messages)
-    added = ar.channel_names[: len(kinds)] if first else ar.channel_names[-len(kinds) :]
-    assert all(name.startswith(prefix) for name in added), ar.channel_names
+    added = tuple(ar.columns)[: len(kinds)] if first else tuple(ar.columns)[-len(kinds) :]
+    assert all(name.startswith(prefix) for name in added), tuple(ar.columns)
     return ar
 
 
@@ -1127,7 +1124,7 @@ class TestAlignedJsonlHandMade:
     def test_equals_sorted_dump(self, varied_aligned, case):
         for kind in MODULE_KINDS:
             ar = HAND_MADE[case](varied_aligned, kind)
-            assert "".join(aligned_jsonl(ar)) == dump_recording_jsonl(ar.to_recording())
+            assert "".join(aligned_jsonl(ar)) == dump_recording_jsonl(recording_of(frames_of(ar)))
 
 
 def per_frame_encode_recording(ar, registry, flt=None):
@@ -1203,13 +1200,6 @@ def _loaded(rec, tmp_path):
     return load_recording(path)
 
 
-def _tiled(base, tiles):
-    """The script played tiles times back to back, as the long-suite benchmark input is."""
-    n = base.duration_frames
-    events = [dataclasses.replace(e, frame=e.frame + k * n) for k in range(tiles) for e in base.events]
-    return ScenarioScript(n * tiles, base.fps, base.glitch_rate, tuple(events))
-
-
 @pytest.fixture(scope="module")
 def seed_0_recordings(tmp_path_factory):
     """A function of a built-in's name, or "long-suite": the seed-0 recording
@@ -1217,7 +1207,7 @@ def seed_0_recordings(tmp_path_factory):
 
     @functools.cache
     def recordings(name):
-        script = _tiled(benchmark_script(), 10) if name == "long-suite" else BUILTIN_SCRIPTS[name]()
+        script = tiled(benchmark_script(), 10) if name == "long-suite" else BUILTIN_SCRIPTS[name]()
         rec = generate_recording(script, 0)
         return rec, _loaded(rec, tmp_path_factory.mktemp(name))
 
@@ -1330,7 +1320,7 @@ EPOCH_NS = 1_697_000_000_123_456_789
 def _shifted(rec, shift):
     """The recording with every timestamp shifted by shift nanoseconds."""
     return Recording({
-        name: Channel(name, ch.kind, tuple(Message(name, m.t_ns + shift, m.kind, m.payload) for m in ch.messages))
+        name: Channel(name, ch.kind, tuple(Message(name, m.t_ns + shift, m.kind, m.payload) for m in messages(ch)))
         for name, ch in rec.channels.items()
     })
 
@@ -1635,14 +1625,6 @@ class FrameGrid:
             last = objects
         return [*bounds, len(self.frames)]
 
-    def to_recording(self):
-        channels = {}
-        for name in self.channel_names:
-            msgs = [Message(f.messages[name].channel, f.t_ns, f.messages[name].kind,
-                            f.messages[name].payload) for f in self.frames]
-            channels[name] = Channel(name, msgs[0].kind, tuple(msgs))
-        return Recording(channels)
-
     def aligned_jsonl(self):
         names = sorted(self.channel_names)
         texts = _payload_texts()
@@ -1658,17 +1640,17 @@ class FrameGrid:
 def frame_align_recording(rec):
     """Reference: align_recording building one Frame and one dict per slot."""
     for name, ch in rec.channels.items():
-        if not ch.messages:
+        if not ch.times:
             raise AlignmentError(f"channel {name!r} has no messages")
-    ref = min(rec.channels.values(), key=lambda c: (-len(c.messages), c.name))
-    ref_times = sorted({m.t_ns for m in ref.messages})
+    ref = min(rec.channels.values(), key=lambda c: (-len(c.times), c.name))
+    ref_times = sorted(set(ref.times))
     n = len(ref_times)
     next_times = [*ref_times[1:], ref_times[-1] + 1]
     names = tuple(sorted(rec.channels))
     columns = []
     start = 0
     for name in names:
-        msgs = rec.channels[name].messages
+        msgs = messages(rec.channels[name])
         first = bisect_right(next_times, msgs[0].t_ns)
         if first == n:
             raise AlignmentError(f"no alignable frames: channel {name!r} never overlaps the reference")
@@ -1691,18 +1673,11 @@ def frame_rows(frames):
     return [(f.t_ns, [(name, message_row(m)) for name, m in f.messages.items()]) for f in frames]
 
 
-def recording_rows(rec):
-    return [
-        (name, ch.kind, list(map(message_row, ch.messages)))
-        for name, ch in rec.channels.items()
-    ]
-
-
 def assert_grid_matches_frames(ar, ref):
     """The columnar grid reads as the reference's frames and walks to the same results."""
     want = frame_rows(ref.frames)
     assert len(ar) == len(want)
-    assert ar.channel_names == ref.channel_names
+    assert tuple(ar.columns) == ref.channel_names
     assert ar.kinds == {name: m.kind for name, m in ref.frames[0].messages.items()}
     assert frame_rows(frames_of(ar)) == want
     assert frame_rows(Frame(t, ar.row(i)) for i, t in enumerate(ar.times)) == want
@@ -1716,7 +1691,6 @@ def assert_grid_matches_frames(ar, ref):
     else:
         assert ar.fps == fps
     assert "".join(aligned_jsonl(ar)) == "".join(ref.aligned_jsonl())
-    assert recording_rows(ar.to_recording()) == recording_rows(ref.to_recording())
 
 
 def assert_aligns_as_frames(rec):
@@ -1789,18 +1763,18 @@ class TestColumnarGrid:
 
 
 def assert_round_trips(ar):
-    """align_recording(ar.to_recording()) is ar again, payload objects included."""
-    again = align_recording(ar.to_recording())
+    """align_recording(recording_of(frames_of(ar))) is ar again, payload objects included."""
+    again = align_recording(recording_of(frames_of(ar)))
     assert again.times == ar.times
-    assert again.channel_names == ar.channel_names
-    for name in ar.channel_names:
+    assert tuple(again.columns) == tuple(ar.columns)
+    for name in ar.columns:
         want, got = ar.columns[name], again.columns[name]
         assert got.channel.kind is want.channel.kind and got.channel.name == want.channel.name == name
         assert list(map(id, map(got.payload, range(len(ar))))) == list(map(id, map(want.payload, range(len(ar))))), name
 
 
 class TestRoundTrip:
-    """Every grid is the alignment of its own plain recording (AlignedRecording.to_recording)."""
+    """Every grid is the alignment of its own frames as a plain recording."""
 
     @pytest.mark.parametrize("seed", [0, 3])
     @pytest.mark.parametrize("name", sorted(BUILTIN_SCRIPTS))

@@ -14,6 +14,7 @@ import random
 import warnings
 
 import pytest
+from conftest import messages
 from run_reference import assert_reduce_walks_match
 
 from strap.benchmarks import BUILTIN_SCRIPTS
@@ -38,7 +39,7 @@ def _rebuilt(rec, shift=0, prefix=""):
     """The recording with every timestamp shifted and every channel renamed."""
     return Recording({
         prefix + name: Channel(
-            prefix + name, ch.kind, tuple(Message(prefix + name, m.t_ns + shift, m.kind, m.payload) for m in ch.messages)
+            prefix + name, ch.kind, tuple(Message(prefix + name, m.t_ns + shift, m.kind, m.payload) for m in messages(ch))
         )
         for name, ch in rec.channels.items()
     })
