@@ -52,7 +52,6 @@ from .reduction import (
 from .schema import (
     FrameVector,
     MODULE_KINDS,
-    ModuleFilter,
     SchemaRegistry,
     check_vectors,
     default_registry,
@@ -174,8 +173,7 @@ def _module_vectors(
 ) -> tuple[list[int], list[FrameVector]]:
     """The aligned frames' times and their vectors under the module's view."""
     ar = align_recording(rec)
-    flt = ModuleFilter.for_module(module, registry)
-    return list(ar.times), encode_recording(ar, registry, flt)
+    return list(ar.times), encode_recording(ar, registry, module)
 
 
 def _cmd_align(args: argparse.Namespace) -> None:

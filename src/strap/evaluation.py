@@ -173,7 +173,7 @@ def score_plans(
 def detections(
     full: Mapping[str, bool],
     flags: Mapping[str, Mapping[int, bool]],
-    segment_ids: Iterable[int] = (),
+    segment_ids: Iterable[int],
 ) -> tuple[dict[int, set[str]], float, dict[str, list[str]]]:
     """Which mutants the full and the reduced suite detect.
 

@@ -37,13 +37,6 @@ RARITY_MODES = ("indicator", "literal")
 
 
 @dataclass(frozen=True)
-class RarityWeights:
-    """Per-dimension weights derived from non-zero frame counts."""
-
-    weights: tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
 class PrioritizedPlan:
     """An execution order over segment ids with per-position scores."""
 
@@ -61,12 +54,11 @@ class PrioritizedPlan:
             raise ValueError("plan scores must align with plan order")
 
 
-def rarity_weights(frame_vectors: Sequence[FrameVector], normalize: bool = True) -> RarityWeights:
-    """Weight each dimension by N / (frames where it is non-zero).
+def rarity_weights(frame_vectors: Sequence[FrameVector]) -> tuple[Fraction, ...]:
+    """Weight each dimension by N / (frames where it is non-zero), scaled to sum to 1.
 
-    Dimensions that are zero in every frame get weight 0. With normalize=True
-    the weights are scaled to sum to 1; an all-zero recording keeps all
-    weights at 0.
+    Dimensions that are zero in every frame get weight 0, and an all-zero
+    recording keeps all weights at 0.
     """
     if not frame_vectors:
         raise ValueError("rarity weights need at least one frame vector")
@@ -82,11 +74,8 @@ def rarity_weights(frame_vectors: Sequence[FrameVector], normalize: bool = True)
         for i in compress(range(q), v):
             counts[i] += b - a
     raw = [Fraction(n, c) if c else Fraction(0) for c in counts]
-    if normalize:
-        total = sum(raw)
-        if total:
-            raw = [w / total for w in raw]
-    return RarityWeights(tuple(raw))
+    total = sum(raw)
+    return tuple([w / total for w in raw] if total else raw)
 
 
 def _ranked_plan(
@@ -102,24 +91,17 @@ def _ranked_plan(
 
 
 def prioritize_rsc(
-    segments: Sequence[Segment],
-    frame_vectors: Sequence[FrameVector] | None = None,
-    rarity_mode: str = "indicator",
-    weights: RarityWeights | None = None,
+    segments: Sequence[Segment], frame_vectors: Sequence[FrameVector], rarity_mode: str = "indicator"
 ) -> PrioritizedPlan:
     """Rank segments by rarity-weighted semantic coverage.
 
-    Weights are computed from the full recording's frame vectors unless a
-    precomputed RarityWeights is supplied.
+    The weights come from the full recording's frame vectors (rarity_weights).
     """
     if rarity_mode not in RARITY_MODES:
         raise ValueError(f"unknown rarity mode {rarity_mode!r}")
-    if weights is None:
-        if frame_vectors is None:
-            raise ValueError("prioritize_rsc needs frame_vectors or precomputed weights")
-        weights = rarity_weights(frame_vectors)
-    d = math.lcm(*(w.denominator for w in weights.weights))
-    units = [w.numerator * (d // w.denominator) for w in weights.weights]
+    weights = rarity_weights(frame_vectors)
+    d = math.lcm(*(w.denominator for w in weights))
+    units = [w.numerator * (d // w.denominator) for w in weights]
     numerators = []
     for s in segments:
         if len(s.vector) != len(units):

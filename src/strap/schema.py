@@ -26,8 +26,9 @@ ALWAYS_KEEP_DEFAULT = frozenset({"stop_sign", "intersection", "crosswalk"})
 
 MODULE_KINDS = ("traffic_light", "obstacle", "prediction", "planning")
 
-# Channels each pipeline module subscribes or publishes. Filtering a vector
-# for a module keeps exactly the dimensions sourced from these channels.
+# Channels each pipeline module subscribes or publishes. A module's view of
+# a vector keeps the dimensions sourced from these channels and the
+# registry's always-kept ones (FrameEncoder).
 MODULE_CHANNELS: Mapping[str, frozenset[MessageKind]] = {
     "traffic_light": frozenset({MessageKind.IMAGE_REF, MessageKind.TRAFFIC_LIGHT}),
     "obstacle": frozenset({MessageKind.IMAGE_REF, MessageKind.OBSTACLE}),
@@ -144,23 +145,6 @@ def check_vectors(rows: Sequence[Sequence[int]], what: str, row_name: str) -> No
             )
 
 
-@dataclass(frozen=True)
-class ModuleFilter:
-    """Dimension subset relevant to one pipeline module."""
-
-    module: str
-    retained_dimensions: frozenset[str]
-
-    @classmethod
-    def for_module(cls, module: str, registry: SchemaRegistry) -> "ModuleFilter":
-        if module not in MODULE_CHANNELS:
-            raise SchemaError(f"unknown module {module!r}")
-        channels = MODULE_CHANNELS[module]
-        retained = {d.name for d in registry.dimensions if d.source_channel in channels}
-        retained |= registry.always_keep
-        return cls(module, frozenset(retained))
-
-
 def default_registry() -> SchemaRegistry:
     """The built-in scene schema.
 
@@ -223,17 +207,37 @@ def default_registry() -> SchemaRegistry:
     return SchemaRegistry(tuple(dims), ALWAYS_KEEP_DEFAULT)
 
 
-# An unbound contribution method: an encoding order refers to no encoder.
+# An unbound contribution method: an encoder's order refers back to no
+# encoder, so no cycle keeps an encoder's memo alive while the CLI pauses the
+# cyclic collector.
 Contribution = Callable[["FrameEncoder", Mapping[str, Any], list, set], None]
 
 
-class FrameEncoder:
-    """Encodes frames against one registry, optionally filtered to one module.
+def channel_order(kinds: Mapping[str, MessageKind]) -> tuple[tuple[str, Contribution], ...]:
+    """The dimension-bearing channels of a row with these channel kinds, in encoding order.
 
-    The name-to-slot index, the slots the filter drops and the (parent, child)
-    slot pairs are built once, so encoding many frames does not rebuild them
-    per frame. encode_frame, apply_filter and encode_recording all go through
-    this class; it is the only encoding rule.
+    Kinds go in MessageKind order and channels of one kind by name; when
+    two channels of one kind report the same object, the first wins.
+    """
+    return tuple(
+        (name, getattr(FrameEncoder, FrameEncoder._CONTRIBUTIONS[kind]))
+        for kind in MessageKind
+        if kind in FrameEncoder._CONTRIBUTIONS
+        for name in sorted(kinds)
+        if kinds[name] is kind
+    )
+
+
+class FrameEncoder:
+    """Encodes rows of one channel layout against one registry, in one module's view.
+
+    A module's view keeps the dimensions sourced from the channels it reads
+    or writes (MODULE_CHANNELS) plus the registry's always-kept ones; the
+    channel kinds fix the encoding order (channel_order). The name-to-slot
+    index, the slots the view drops and the (parent, child) slot pairs are
+    built once, so encoding many frames does not rebuild them per frame.
+    encode_frame, apply_filter and encode_recording all go through this
+    class; it is the only encoding rule.
 
     Each dimension-bearing MessageKind has its own contribution method. The
     dimension names the kinds write are disjoint, so their first-wins
@@ -254,65 +258,41 @@ class FrameEncoder:
         MessageKind.PLANNING: "_planning",
     }
 
-    def __init__(self, registry: SchemaRegistry, flt: ModuleFilter | None = None) -> None:
+    def __init__(self, registry: SchemaRegistry, module: str, kinds: Mapping[str, MessageKind]) -> None:
+        if module not in MODULE_CHANNELS:
+            raise SchemaError(f"unknown module {module!r}")
+        channels, keep = MODULE_CHANNELS[module], registry.always_keep
         dims = registry.dimensions
         self.size = len(dims)
+        self.order = channel_order(kinds)
         self._dims = {d.name: (i, d) for i, d in enumerate(dims)}
         self._dropped = tuple(
-            i for i, d in enumerate(dims) if flt is not None and d.name not in flt.retained_dimensions
+            i for i, d in enumerate(dims) if d.source_channel not in channels and d.name not in keep
         )
         self._pairs = tuple(
             (self._dims[d.parent][0], i) for i, d in enumerate(dims) if d.parent is not None
         )
-        self._memo: dict[tuple[int, ...], tuple[Sequence, tuple, tuple[int, ...]]] = {}
+        self._memo: dict[tuple[int, ...], tuple[tuple, tuple[int, ...]]] = {}
 
-    def channel_order(self, kinds: Mapping[str, MessageKind]) -> tuple[tuple[str, Contribution], ...]:
-        """The dimension-bearing channels of a row with these channel kinds, in encoding order.
-
-        Kinds go in MessageKind order and channels of one kind by name; when
-        two channels of one kind report the same object, the first wins.
-        """
-        return tuple(
-            (name, getattr(FrameEncoder, self._CONTRIBUTIONS[kind]))
-            for kind in MessageKind
-            if kind in self._CONTRIBUTIONS
-            for name in sorted(kinds)
-            if kinds[name] is kind
-        )
-
-    def encode(
-        self,
-        ar: AlignedRecording,
-        i: int,
-        order: Sequence[tuple[str, Contribution]],
-        swap: Message | None = None,
-    ) -> FrameVector:
-        """Encode and filter row i of the grid, with swap, if given, on its channel.
-
-        ``order`` is channel_order of the row's kinds, swap's among them, so
-        a caller encoding many such rows computes it once.
-        """
+    def encode(self, ar: AlignedRecording, i: int, swap: Message | None = None) -> FrameVector:
+        """Encode row i of the grid in the module's view, with swap, if given, on its channel."""
         out = None if swap is None else swap.channel
         columns = ar.columns
-        payloads = tuple([swap.payload if name == out else columns[name].payload(i) for name, _ in order])
+        payloads = tuple([swap.payload if name == out else columns[name].payload(i) for name, _ in self.order])
         key = tuple(map(id, payloads))
         hit = self._memo.get(key)
-        # Channels of another order may hold the same payloads with other
-        # kinds. The memo holds the order, which must not refer back to the
-        # encoder: the CLI pauses the cyclic collector, so a cycle would keep
-        # the memo and its payloads alive.
-        if hit is not None and (hit[0] is order or hit[0] == order):
-            return hit[2]
+        if hit is not None:
+            return hit[1]
         values = [0] * self.size
         claimed: set[str] = set()
         try:
-            for (_, contribute), payload in zip(order, payloads):
+            for (_, contribute), payload in zip(self.order, payloads):
                 contribute(self, payload, values, claimed)
         except (TypeError, AttributeError, KeyError):
             check_payloads(ar.row(i) if swap is None else {**ar.row(i), out: swap})
             raise
         finished = self._finish(values)
-        self._memo[key] = (order, payloads, finished)
+        self._memo[key] = (payloads, finished)
         return finished
 
     def filter(self, vector: FrameVector) -> FrameVector:
@@ -323,8 +303,8 @@ class FrameEncoder:
         return self._finish(list(vector))
 
     def _finish(self, values: list[int]) -> tuple[int, ...]:
-        # Zero the dimensions outside the filter, then the properties of
-        # absent or filtered-out parents: an absent object has no properties,
+        # Zero the dimensions outside the view, then the properties of
+        # absent or dropped parents: an absent object has no properties,
         # whatever the payload claimed. Parents are presence dimensions and
         # never have parents of their own, so one sweep over the pairs is
         # enough.
@@ -397,29 +377,25 @@ def encode_frame(ar: AlignedRecording, i: int, registry: SchemaRegistry) -> Fram
     the first such object in payload order. Localization and image-reference
     channels carry no schema dimensions.
     """
-    encoder = FrameEncoder(registry)
-    return encoder.encode(ar, i, encoder.channel_order(ar.kinds))
+    return FrameEncoder(registry, "all", ar.kinds).encode(ar, i)
 
 
-def apply_filter(vector: FrameVector, flt: ModuleFilter, registry: SchemaRegistry) -> FrameVector:
-    """Zero out dimensions outside the filter; vector length is unchanged."""
-    return FrameEncoder(registry, flt).filter(vector)
+def apply_filter(vector: FrameVector, module: str, registry: SchemaRegistry) -> FrameVector:
+    """Zero out dimensions outside the module's view; vector length is unchanged."""
+    return FrameEncoder(registry, module, {}).filter(vector)
 
 
-def encode_recording(
-    ar: AlignedRecording, registry: SchemaRegistry, flt: ModuleFilter | None = None
-) -> list[FrameVector]:
-    """Vectorize every frame, optionally filtered down to one module's view.
+def encode_recording(ar: AlignedRecording, registry: SchemaRegistry, module: str = "all") -> list[FrameVector]:
+    """Vectorize every frame in one module's view ("all" keeps every dimension).
 
     Each run of AlignedRecording.run_bounds encodes once (synth._FrameClasses
     states the run rule); every frame of a grid lists the same channels. Then
     the scenes, which no vector reads, are checked (AlignedRecording.scenes_checked).
     """
-    encoder = FrameEncoder(registry, flt)
-    order = encoder.channel_order(ar.kinds)
+    encoder = FrameEncoder(registry, module, ar.kinds)
     vectors: list[FrameVector] = []
     for a, b in pairwise(ar.run_bounds):
-        vectors += [encoder.encode(ar, a, order)] * (b - a)
+        vectors += [encoder.encode(ar, a)] * (b - a)
     ar.scenes_checked
     return vectors
 

@@ -35,6 +35,7 @@ from .evaluation import (  # noqa: F401
     compare_outputs,
     detections,
     evaluate_plan,
+    fault_coverage,
     mean_defined,
     reduction_pct,
     score_plans,
@@ -66,10 +67,10 @@ from .reduction import ReductionConfig, Segment, reduce_recording, segment, smoo
 from .schema import (  # noqa: F401
     FrameEncoder,
     FrameVector,
-    ModuleFilter,
     MODULE_KINDS,
     SchemaRegistry,
     apply_filter,
+    channel_order,
     default_registry,
     encode_frame,
     encode_recording,
@@ -911,7 +912,7 @@ def _on_inputs(
     """The function of i giving read of frame i's inputs, one payload per kind.
 
     Of two channels of one kind a replay reads the last by name, the
-    encoder claims objects from the first (FrameEncoder.channel_order).
+    encoder claims objects from the first (schema.channel_order).
     When read fails on a payload of the wrong shape, PayloadError names its
     first bad field.
     """
@@ -939,19 +940,16 @@ def _swapped_vectors(
 
     A frame whose payload equals the one recorded on that channel (of that
     kind) is unchanged, so its recorded vector is reused; only the other
-    frames build a Message of kind and encode it swapped in.
+    frames build a Message of kind and encode it swapped in, with encoder,
+    whose channel kinds are the grid's with channel's set to kind.
     """
     recorded = ar.columns.get(channel)
     out = []
-    order = None
     for i, payload in replayed:
         if recorded and recorded.channel.kind is kind and recorded.payload(i) == payload:
             out.append(vectors[i])
-            continue
-        if order is None:
-            # Every swapped frame has the same channels, so one encoding order.
-            order = encoder.channel_order({**ar.kinds, channel: kind})
-        out.append(encoder.encode(ar, i, order, Message(channel, ar.times[i], kind, payload)))
+        else:
+            out.append(encoder.encode(ar, i, Message(channel, ar.times[i], kind, payload)))
     return out
 
 
@@ -978,11 +976,11 @@ def prepare_recording(
     cfg: ReductionConfig = ReductionConfig(),
     registry: SchemaRegistry | None = None,
 ) -> PreparedRecording:
-    """Encode an aligned recording under one module's filter and reduce it."""
+    """Encode an aligned recording in one module's view and reduce it."""
     if module_kind not in MODULE_KINDS:
         raise SynthError(f"unknown module kind {module_kind!r}")
     registry = registry or default_registry()
-    vectors = encode_recording(ar, registry, ModuleFilter.for_module(module_kind, registry))
+    vectors = encode_recording(ar, registry, module_kind)
     segments, before_dedup = reduce_recording(ar, vectors, cfg)
     ar.fps  # replays tick on the grid's clock: check it now, before any replay
     return PreparedRecording(ar, module_kind, registry, cfg, vectors, segments, before_dedup)
@@ -1025,17 +1023,15 @@ class _FrameClasses:
     segments: tuple[tuple[Segment, tuple[int, ...]], ...]
 
 
-def _frame_classes(
-    prepared: PreparedRecording, module: ToyModule, encoder: FrameEncoder
-) -> _FrameClasses:
+def _frame_classes(prepared: PreparedRecording, module: ToyModule) -> _FrameClasses:
     """The class table of a prepared recording for module and its mutants.
 
-    encoder gives the channels the vector reads (FrameEncoder.channel_order).
-    SynthError when the frames cannot feed the module (_output_channel).
+    The vector reads the channels of schema.channel_order. SynthError when
+    the frames cannot feed the module (_output_channel).
     """
     ar, vectors = prepared.aligned, prepared.vectors
     channel = _output_channel(module, ar)
-    columns = [ar.columns[name] for name, _ in encoder.channel_order(ar.kinds)]
+    columns = [ar.columns[name] for name, _ in channel_order(ar.kinds)]
     read = _ComputeMemo(module).read
     keyed_inputs = _on_inputs(ar, lambda inputs: (tuple(map(id, read(inputs))), inputs))
     index: dict[tuple[int, ...], int] = {}
@@ -1083,16 +1079,18 @@ def _frame_classes(
 
 
 def _class_vectors(
-    prepared: PreparedRecording, mutated: ToyModule, encoder: FrameEncoder, classes: _FrameClasses
+    prepared: PreparedRecording, mutated: ToyModule, classes: _FrameClasses
 ) -> list[FrameVector]:
     """The replayed vector of each class of the table, for one mutated module.
 
     The mutant computes once per slot (the slot rule at _FrameClasses), and
     each class's first frame takes its slot's output, swapped in as a
     replay's output is (_swapped_vectors), so a segment's class vectors
-    equal replay_segment's vectors over its comparable frames.
+    equal replay_segment's vectors over its comparable frames. The encoder's
+    memo holds this mutant's replayed payloads, which no other mutant's
+    replay shares, so it goes with them.
     """
-    ar, kind = prepared.aligned, mutated.publish_kind
+    ar, kind, channel = prepared.aligned, mutated.publish_kind, classes.channel
     compute = mutated.fresh().compute
     outputs = []
     # Every slot computes before any class encodes, so a payload the module cannot
@@ -1104,7 +1102,8 @@ def _class_vectors(
             check_payloads(ar.row(source))
             raise
     replayed = zip(classes.firsts, map(outputs.__getitem__, classes.slots))
-    return _swapped_vectors(ar, classes.channel, kind, replayed, prepared.vectors, encoder)
+    encoder = FrameEncoder(prepared.registry, prepared.module, {**ar.kinds, channel: kind})
+    return _swapped_vectors(ar, channel, kind, replayed, prepared.vectors, encoder)
 
 
 def _check_run_inputs(strategies: Sequence[str], mutants: Sequence[Mutant]) -> list[str]:
@@ -1142,30 +1141,25 @@ def run_prepared(
     verdict, the whole recording's among them, is compare_outputs of a
     segment's recorded and class vectors. The CC call counts still replay
     each segment's frames, when the module has an own mutant. Strategy
-    names and mutant ids are checked before any replay.
+    names and mutant ids are checked before any replay, and every own
+    mutant applies before any frame is checked.
     """
     strategies = _check_run_inputs(strategies, mutants)
     ar, module_kind, cfg = prepared.aligned, prepared.module, prepared.cfg
-    vectors, segments, registry = prepared.vectors, prepared.segments, prepared.registry
-    flt = ModuleFilter.for_module(module_kind, registry)
+    vectors, segments = prepared.vectors, prepared.segments
     module = make_module(module_kind)
     n_frames = len(ar)
-    own = [m for m in mutants if m.module == module_kind]
+    own = [(m, apply_mutant(module, m)) for m in mutants if m.module == module_kind]
+    # Whatever the mutants, the module computes once on each run's inputs,
+    # so frames it cannot read are an error in every module run.
+    _output_channel(module, ar)
+    list(map(_on_inputs(ar, _ComputeMemo(module).compute), ar.run_bounds[:-1]))
+    classes = _frame_classes(prepared, module)  # one table for all own mutants
 
     full: dict[str, bool] = {}
     tables: dict[str, dict[int, FaultVerdict]] = {}
-    classes: _FrameClasses | None = None
-    for mutant in own:
-        mutated = apply_mutant(module, mutant)
-        # The encoder's memo holds this mutant's replayed payloads, which no
-        # other mutant's replay shares, so it goes with them.
-        encoder = FrameEncoder(registry, flt)
-        if classes is None:
-            # One table for all own mutants. It is built after the first
-            # mutant applies, so an invalid mutant fails before the frames
-            # are checked.
-            classes = _frame_classes(prepared, module, encoder)
-        by_class = _class_vectors(prepared, mutated, encoder, classes)
+    for mutant, mutated in own:
+        by_class = _class_vectors(prepared, mutated, classes)
         whole, *verdicts = [
             compare_outputs(vectors[s.start_idx : s.end_idx + 1], [by_class[c] for c in row], s)
             for s, row in classes.segments
@@ -1181,16 +1175,12 @@ def run_prepared(
 
     # Call counts for CC: unmutated replay of each segment body, counting
     # calls of the functions the mutant set touches. Without an own mutant
-    # none counts and nothing replays; the module computes once on each
-    # run's inputs instead, so frames it cannot read are still an error.
-    if own:
-        functions = {module.PARAM_FUNCTIONS[m.target] for m in own}
-        replays = (replay_segment(module, ar, s.start_idx, s.end_idx + 1) for s in segments)
-        call_counts = [sum(r.call_counts.get(f, 0) for f in functions) for r in replays]
-    else:
-        _output_channel(module, ar)
-        list(map(_on_inputs(ar, _ComputeMemo(module).compute), ar.run_bounds[:-1]))
-        call_counts = [0] * len(segments)
+    # none counts and nothing replays.
+    functions = {module.PARAM_FUNCTIONS[m.target] for m, _ in own}
+    replays = (
+        replay_segment(module, ar, s.start_idx, s.end_idx + 1) if functions else None for s in segments
+    )
+    call_counts = [sum(r.call_counts.get(f, 0) for f in functions) for r in replays]
 
     plans = build_plans(
         strategies,
@@ -1293,7 +1283,7 @@ def run_benchmark(
 ) -> dict[str, Any]:
     """Run one regression per module kind and aggregate the report documents.
 
-    The recording is aligned once. Each module encodes its own filtered view
+    The recording is aligned once. Each module encodes its own view
     of that alignment and replays its own mutants; a view is dropped before
     the next one is built. Coverage aggregates over all mutants; APFD and
     Top-K are averaged over the module runs where they are defined; frame
@@ -1309,16 +1299,12 @@ def run_benchmark(
         )
 
     reports = list(sub.values())
-    entries = {mid: e for r in reports for mid, e in r["details"]["mutants"].items()}
-    # The sub-reports' is_fault flags were computed by this run, so they are
-    # read as they are.
-    _, coverage, detected = detections(
-        {mid: e["detected_full"] for mid, e in entries.items()},
-        {
-            mid: {int(sid): cell["is_fault"] for sid, cell in e["segments"].items()}
-            for mid, e in entries.items()
-        },
-    )
+    # Each mutant is in its own module's report only, so the lists join.
+    detected = {
+        key: sorted(chain.from_iterable(r["details"][key] for r in reports))
+        for key in ("detected_full", "detected_reduced", "undetected")
+    }
+    coverage = fault_coverage(detected["detected_reduced"], detected["detected_full"])
     return {
         "reduction_pct": mean_defined(r["reduction_pct"] for r in reports),
         "reduction_pct_with_warmup": mean_defined(r["reduction_pct_with_warmup"] for r in reports),

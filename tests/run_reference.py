@@ -29,9 +29,9 @@ from array import array
 from collections import Counter
 from fractions import Fraction
 
-from strap.prioritization import PrioritizedPlan, RarityWeights, rarity_weights
+from strap.prioritization import PrioritizedPlan, rarity_weights
 from strap.recording import Channel, Message, MessageKind, Recording, _frame_t_ns, _text_memo
-from strap.schema import MODULE_KINDS
+from strap.schema import MODULE_KINDS, FrameEncoder
 from strap.reduction import Segment, segment, smooth
 from strap.synth import (
     CHANNEL_KINDS,
@@ -87,7 +87,8 @@ def frame_segment(vectors):
 
 
 def frame_rarity_weights(frame_vectors, normalize=True):
-    """rarity_weights, counting every dimension of every frame."""
+    """rarity_weights, counting every dimension of every frame; with
+    normalize=False, the raw weights N / (frames where a dimension is non-zero)."""
     if not frame_vectors:
         raise ValueError("rarity weights need at least one frame vector")
     n = len(frame_vectors)
@@ -104,7 +105,7 @@ def frame_rarity_weights(frame_vectors, normalize=True):
         total = sum(raw)
         if total:
             raw = [w / total for w in raw]
-    return RarityWeights(tuple(raw))
+    return tuple(raw)
 
 
 def assert_reduce_walks_match(vectors, widths=(1, 3, 5, 7, 41)):
@@ -119,17 +120,17 @@ def assert_reduce_walks_match(vectors, widths=(1, 3, 5, 7, 41)):
         assert got == want and list(map(id, got)) == list(map(id, want)), w
         assert segment(got) == frame_segment(want), w
     if vectors:
-        for normalize in (True, False):
-            assert rarity_weights(vectors, normalize) == frame_rarity_weights(vectors, normalize)
+        assert rarity_weights(vectors) == frame_rarity_weights(vectors)
 
 
-def memo_class_vectors(prepared, mutated, encoder, classes):
+def memo_class_vectors(prepared, mutated, classes):
     """synth._class_vectors as it was, on the current class table: each class
     computes on its source frame's inputs through one _ComputeMemo, and its
     output goes into a Message that message_swapped_vectors swaps in. A
     class's source frame is its slot's, which reads the same objects."""
     ar = prepared.aligned
     kind = mutated.publish_kind
+    encoder = FrameEncoder(prepared.registry, prepared.module, {**ar.kinds, classes.channel: kind})
     memo = _ComputeMemo(mutated.fresh())
     sources = [classes.inputs[slot][0] for slot in classes.slots]
     outputs = list(map(_on_inputs(ar, memo.compute), sources))
@@ -143,23 +144,20 @@ def memo_class_vectors(prepared, mutated, encoder, classes):
 def message_swapped_vectors(ar, replayed, vectors, encoder):
     """synth._swapped_vectors as it was, over (i, message) pairs."""
     out = []
-    order = None
     for i, msg in replayed:
         recorded = ar.columns.get(msg.channel)
         if recorded and recorded.channel.kind is msg.kind and recorded.payload(i) == msg.payload:
             out.append(vectors[i])
             continue
-        if order is None:
-            order = encoder.channel_order({**ar.kinds, msg.channel: msg.kind})
-        out.append(encoder.encode(ar, i, order, msg))
+        out.append(encoder.encode(ar, i, msg))
     return out
 
 
-def _score_exact(values, w, mode):
-    if len(values) != len(w.weights):
-        raise ValueError(f"vector length {len(values)} does not match {len(w.weights)} weights")
+def _score_exact(values, weights, mode):
+    if len(values) != len(weights):
+        raise ValueError(f"vector length {len(values)} does not match {len(weights)} weights")
     total = Fraction(0)
-    for x, wt in zip(values, w.weights):
+    for x, wt in zip(values, weights):
         if x != 0:
             total += wt * x if mode == "literal" else wt
     return total
@@ -175,7 +173,7 @@ def _ranked_plan(strategy, segments, exact_scores):
 
 
 def rational_rsc(segments, weights, rarity_mode="indicator"):
-    """prioritize_rsc with precomputed weights (the mode check is unchanged and not copied)."""
+    """prioritize_rsc on given weights, raw or normalized (the mode check is unchanged and not copied)."""
     scores = {s.id: _score_exact(s.vector, weights, rarity_mode) for s in segments}
     return _ranked_plan("RSC", segments, scores)
 

@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 
 from conftest import frames_of, recording_of
+from run_reference import frame_rarity_weights, rational_rsc
 
 from strap.benchmarks import (
     benchmark_mutants,
@@ -20,7 +21,7 @@ from strap.benchmarks import (
     rare_fault_mutants,
 )
 from strap.evaluation import FaultVerdict, apfd, evaluate_plan, reduction_pct
-from strap.prioritization import prioritize_rd, prioritize_rsc, rarity_weights
+from strap.prioritization import prioritize_rd, prioritize_rsc
 from strap.recording import Channel, Message, MessageKind, Recording, align_recording, dump_recording_jsonl
 from strap.reduction import ReductionConfig, Segment, clip, dedup, reduce_vectors, segment, smooth
 from strap.schema import default_registry, encode_recording
@@ -216,9 +217,8 @@ def test_weight_normalization_invariance():
             Segment(i, i, i, tuple(rng.choice([0, 1, 2, 3]) for _ in range(q)), i)
             for i in range(rng.randint(1, 9))
         ]
-        raw = prioritize_rsc(segments, weights=rarity_weights(fv, normalize=False))
-        norm = prioritize_rsc(segments, weights=rarity_weights(fv, normalize=True))
-        assert raw.order == norm.order
+        raw = rational_rsc(segments, frame_rarity_weights(fv, normalize=False))
+        assert prioritize_rsc(segments, fv).order == raw.order
     check(10, "raw and normalized rarity weights rank 500 random instances identically", True)
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import gc
 import json
-from pathlib import Path
 from types import FunctionType
 
 import pytest
@@ -799,6 +798,27 @@ class TestMistypedPayloads:
         mutants.write_text(json.dumps(mutants_to_json([m for m in OWN_MUTANTS if m.module == "prediction"])))
         assert _one_error(_regression_argv(rec, mutants, module, tmp_path / "o.json"), capsys) == (
             "error: obstacle payload on channel 'obstacle' at t_ns 89802000000: obstacles[0].speed_mps is missing"
+        )
+
+    @pytest.mark.parametrize(
+        ("module", "mutants"),
+        [("prediction", None), ("prediction", "builtin:benchmark"), ("all", "builtin:benchmark")],
+    )
+    def test_a_field_no_replay_reads_is_checked_whatever_the_mutants(
+        self, module, mutants, benchmark_recording, tmp_path, capsys
+    ):
+        # Frame 403 is no prediction tick, so neither a mutant's class table
+        # nor a segment's call-count replay computes on this message: only
+        # the check of each run's inputs, made in every module run, meets it.
+        rows = [json.loads(line) for line in dump_recording_jsonl(benchmark_recording).splitlines()]
+        row = next(r for r in rows if r["kind"] == "obstacle" and r["t_ns"] == 26_868_666_666)
+        del row["payload"]["obstacles"][0]["speed_mps"]
+        rec = _write_rows(tmp_path / "rec.jsonl", rows)
+        argv = ["run-regression", "--in", str(rec), "--module", module, "--out", str(tmp_path / "o.json")]
+        if mutants is not None:
+            argv += ["--mutants", mutants]
+        assert _one_error(argv, capsys) == (
+            "error: obstacle payload on channel 'obstacle' at t_ns 26868666666: obstacles[0].speed_mps is missing"
         )
 
     def test_own_mutant_replay_without_a_read_kind(self, work, tmp_path, capsys):

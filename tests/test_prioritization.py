@@ -45,21 +45,23 @@ FIXTURE = frames([(1, 0, 5), (1, 2, 0), (1, 0, 0), (1, 2, 5)])
 
 class TestWeights:
     def test_raw_weights_are_inverse_frequencies(self):
-        w = rarity_weights(FIXTURE, normalize=False)
-        assert w.weights == (Fraction(1), Fraction(2), Fraction(2))
+        # Dimension 0 is non-zero in 4 of 4 frames, dimensions 1 and 2 in 2.
+        w = rarity_weights(FIXTURE)
+        assert tuple(x / w[0] for x in w) == (Fraction(1), Fraction(2), Fraction(2))
+        assert frame_rarity_weights(FIXTURE, normalize=False) == (Fraction(1), Fraction(2), Fraction(2))
 
     def test_normalized_weights_sum_to_one(self):
         w = rarity_weights(FIXTURE)
-        assert w.weights == (Fraction(1, 5), Fraction(2, 5), Fraction(2, 5))
-        assert sum(w.weights) == 1
+        assert w == (Fraction(1, 5), Fraction(2, 5), Fraction(2, 5))
+        assert sum(w) == 1
 
     def test_unused_dimension_gets_zero(self):
-        w = rarity_weights(frames([(1, 0), (1, 0)]), normalize=False)
-        assert w.weights == (Fraction(1), Fraction(0))
+        w = rarity_weights(frames([(1, 0), (1, 0)]))
+        assert w == (Fraction(1), Fraction(0))
 
     def test_all_zero_recording_stays_zero(self):
         w = rarity_weights(frames([(0,), (0,)]))
-        assert w.weights == (Fraction(0),)
+        assert w == (Fraction(0),)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="at least one frame"):
@@ -68,29 +70,23 @@ class TestWeights:
             rarity_weights([(1,), (1, 2)])
 
     def test_scores_hand_traced(self):
-        w = rarity_weights(FIXTURE)
         segments = [seg(0, (1, 2, 0))]
-        assert prioritize_rsc(segments, weights=w).scores == pytest.approx((3 / 5,))
-        assert prioritize_rsc(segments, weights=w, rarity_mode="literal").scores == pytest.approx((1.0,))
+        assert prioritize_rsc(segments, FIXTURE).scores == pytest.approx((3 / 5,))
+        assert prioritize_rsc(segments, FIXTURE, rarity_mode="literal").scores == pytest.approx((1.0,))
         with pytest.raises(ValueError, match="unknown rarity mode"):
-            prioritize_rsc(segments, weights=w, rarity_mode="harmonic")
+            prioritize_rsc(segments, FIXTURE, rarity_mode="harmonic")
         # The mode is checked before scoring, so no segments is no escape.
         with pytest.raises(ValueError, match="unknown rarity mode"):
-            prioritize_rsc([], weights=w, rarity_mode="harmonic")
+            prioritize_rsc([], FIXTURE, rarity_mode="harmonic")
 
 
 class TestStrategies:
     def test_rsc_orders_by_score_then_id(self):
-        w = rarity_weights(FIXTURE)
         segments = [seg(0, (1, 0, 0)), seg(1, (1, 2, 0)), seg(2, (1, 0, 5))]
-        plan = prioritize_rsc(segments, weights=w)
+        plan = prioritize_rsc(segments, FIXTURE)
         # Scores: 1/5, 3/5, 3/5. Tie between ids 1 and 2 keeps id order.
         assert plan.order == (1, 2, 0)
         assert plan.scores == pytest.approx((0.6, 0.6, 0.2))
-
-    def test_rsc_needs_weights_or_vectors(self):
-        with pytest.raises(ValueError, match="needs frame_vectors"):
-            prioritize_rsc([seg(0, (1,))])
 
     def test_sc_counts_nonzero_dims(self):
         plan = prioritize_sc([seg(0, (1, 0, 5)), seg(1, (0, 0, 5)), seg(2, (1, 2, 5))])
@@ -181,9 +177,8 @@ class TestNormalizationInvariance:
             segments = [
                 seg(i, [rng.choice([0, 1, 2, 3]) for _ in range(q)]) for i in range(rng.randint(1, 9))
             ]
-            raw = prioritize_rsc(segments, weights=rarity_weights(fv, normalize=False), rarity_mode=mode)
-            norm = prioritize_rsc(segments, weights=rarity_weights(fv, normalize=True), rarity_mode=mode)
-            assert raw.order == norm.order
+            raw = rational_rsc(segments, frame_rarity_weights(fv, normalize=False), mode)
+            assert prioritize_rsc(segments, fv, mode).order == raw.order
 
 
 def _random_case(rng):
@@ -203,25 +198,26 @@ class TestReference:
     @pytest.mark.parametrize("normalize", [True, False], ids=["normalized", "raw"])
     @pytest.mark.parametrize("mode", ["indicator", "literal"])
     def test_rsc_equals_rational_scores(self, mode, normalize):
+        def check(fv, segments):
+            got = outcome(lambda: prioritize_rsc(segments, fv, mode))
+            want = outcome(lambda: rational_rsc(segments, frame_rarity_weights(fv, normalize), mode))
+            if normalize:
+                assert got == want
+            else:  # raw weights scale every score alike: the same order
+                assert got[1] == want[1]
+
         rng = random.Random(f"{mode}-{normalize}")
         for _ in range(300):
-            fv, segments = _random_case(rng)
-            w = rarity_weights(fv, normalize=normalize)
-            got = outcome(lambda: prioritize_rsc(segments, weights=w, rarity_mode=mode))
-            assert got == outcome(lambda: rational_rsc(segments, w, mode))
+            check(*_random_case(rng))
         # Many dimensions with coprime non-zero counts: a large common denominator.
         fv = [tuple(int(j < c) for c in range(2, 40)) for j in range(41)]
-        segments = [seg(i, tuple(rng.choice([0, 1, 7]) for _ in range(38))) for i in range(50)]
-        w = rarity_weights(fv, normalize=normalize)
-        assert outcome(lambda: prioritize_rsc(segments, weights=w, rarity_mode=mode)) == outcome(
-            lambda: rational_rsc(segments, w, mode)
-        )
+        check(fv, [seg(i, tuple(rng.choice([0, 1, 7]) for _ in range(38))) for i in range(50)])
 
     def test_rsc_errors_equal_the_rational_ones(self):
-        w = rarity_weights(FIXTURE)
+        w = frame_rarity_weights(FIXTURE)
         for segments in ([seg(0, (1, 2, 0)), seg(1, (1, 2))], [seg(0, (1,) * 4)], [seg(0, (1, 2, 0))] * 2):
             for mode in ("indicator", "literal"):
-                got = outcome(lambda: prioritize_rsc(segments, weights=w, rarity_mode=mode))
+                got = outcome(lambda: prioritize_rsc(segments, FIXTURE, mode))
                 assert got == outcome(lambda: rational_rsc(segments, w, mode))
                 assert got[0] is ValueError
 
@@ -260,9 +256,7 @@ class TestReference:
             if copies == "fresh":
                 fv = [tuple([*v]) for v in fv]
                 assert len(set(map(id, fv))) == len(fv)
-            for normalize in (True, False):
-                got = outcome(lambda: rarity_weights(fv, normalize))
-                assert got == outcome(lambda: frame_rarity_weights(fv, normalize))
+            assert outcome(lambda: rarity_weights(fv)) == outcome(lambda: frame_rarity_weights(fv))
         assert outcome(lambda: rarity_weights([])) == outcome(lambda: frame_rarity_weights([]))
 
 

@@ -23,7 +23,7 @@ from strap.reduction import (
     segments_to_manifest,
     smooth,
 )
-from strap.schema import ModuleFilter, encode_recording
+from strap.schema import encode_recording
 from strap.synth import MODULE_KINDS, generate_recording
 
 
@@ -135,7 +135,7 @@ class TestRunWalks:
         ar = align_recording(generate_recording(BUILTIN_SCRIPTS[name](), seed))
         assert_reduce_walks_match(encode_recording(ar, registry))
         for kind in MODULE_KINDS:
-            assert_reduce_walks_match(encode_recording(ar, registry, ModuleFilter.for_module(kind, registry)))
+            assert_reduce_walks_match(encode_recording(ar, registry, kind))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_streams(self, seed):

@@ -19,7 +19,6 @@ from strap.schema import (
     MODULE_CHANNELS,
     MODULE_KINDS,
     FrameEncoder,
-    ModuleFilter,
     SchemaError,
     SchemaRegistry,
     apply_filter,
@@ -52,15 +51,17 @@ def zero_orphans(values, registry):
             values[index[d.name]] = 0
 
 
-def reference_filter(values, registry, flt):
-    if flt is None:
-        return tuple(values)
-    values = [v if d.name in flt.retained_dimensions else 0 for v, d in zip(values, registry.dimensions)]
+def reference_filter(values, registry, module):
+    channels = MODULE_CHANNELS[module]
+    values = [
+        v if d.source_channel in channels or d.name in registry.always_keep else 0
+        for v, d in zip(values, registry.dimensions)
+    ]
     zero_orphans(values, registry)
     return tuple(values)
 
 
-def reference_encode(frame, registry, flt=None):
+def reference_encode(frame, registry, module="all"):
     index = {d.name: i for i, d in enumerate(registry.dimensions)}
     dims = {d.name: d for d in registry.dimensions}
     values = [0] * len(registry.dimensions)
@@ -117,7 +118,7 @@ def reference_encode(frame, registry, flt=None):
                         claimed.add(dim)
                         put(dim, p[field])
     zero_orphans(values, registry)
-    return reference_filter(values, registry, flt)
+    return reference_filter(values, registry, module)
 
 
 def swap(frame, msg):
@@ -129,27 +130,22 @@ def unchanged(frame, msg):
     return frame.messages[msg.channel].payload == msg.payload
 
 
-def filters(registry):
-    return [None, *(ModuleFilter.for_module(m, registry) for m in MODULE_CHANNELS)]
-
-
 @pytest.fixture(scope="module", params=sorted(BUILTIN_SCRIPTS))
 def replayed(request):
     """A built-in script's aligned frames and full replays of every built-in mutant.
 
-    Each replay is paired with its module's filter. Per frame, ``distinct``
+    Each replay is paired with its module. Per frame, ``distinct``
     lists every different message the replays put there, so the reference
     runs once per distinct swapped frame.
     """
     ar = align_recording(generate_recording(BUILTIN_SCRIPTS[request.param](), seed=0))
     mutants = [m for make in BUILTIN_MUTANTS.values() for m in make()]
-    registry = default_registry()
     replays = []
     for kind in MODULE_KINDS:
         module = make_module(kind)
         for mutated in [module, *(apply_mutant(module, m) for m in mutants if m.module == kind)]:
             result = replay_segment(mutated, ar, 0, len(ar))
-            replays.append((ModuleFilter.for_module(kind, registry), result))
+            replays.append((kind, result))
     distinct = [[] for _ in range(len(ar))]
     for _, result in replays:
         for seen, msg in zip(distinct, result.messages):
@@ -172,72 +168,70 @@ def test_replays_mix_changed_and_unchanged_outputs(replayed):
 
 
 def test_encoder_matches_reference_on_swapped_frames(replayed, registry):
-    # Every swapped frame is checked unfiltered and under one filter, the
-    # filters taken in turn, so each filter sees swapped frames all through
-    # the script; test_encode_recording_matches_reference covers every
-    # recorded frame under every filter.
+    # Every swapped frame is checked in the "all" view and in one module's
+    # view, the views taken in turn, so each view sees swapped frames all
+    # through the script; test_encode_recording_matches_reference covers
+    # every recorded frame in every view.
     ar, _, distinct = replayed
-    flts = filters(registry)
-    encoders = [FrameEncoder(registry, flt) for flt in flts]
     # Replays publish on recorded channels, so every swapped frame has the
-    # recording's channels and one encoding order per encoder serves all.
-    orders = [e.channel_order(ar.kinds) for e in encoders]
+    # recording's channels and one encoder per view serves all.
+    encoders = {module: FrameEncoder(registry, module, ar.kinds) for module in MODULE_CHANNELS}
+    views = list(encoders)
     turn = 0
     for i, (frame, msgs) in enumerate(zip(frames_of(ar), distinct)):
         for msg in msgs:
             turn += 1
             reference = reference_encode(swap(frame, msg), registry)
-            raw = FrameEncoder(registry).encode(ar, i, orders[0], msg)
+            raw = FrameEncoder(registry, "all", ar.kinds).encode(ar, i, msg)
             assert raw == reference
-            assert encoders[0].encode(ar, i, orders[0], msg) == raw
-            k = turn % len(flts)
-            expected = reference_filter(reference, registry, flts[k])
-            got = encoders[k].encode(ar, i, orders[k], msg)
-            assert got == expected
-            if flts[k] is not None:
-                assert apply_filter(raw, flts[k], registry) == got
+            assert encoders["all"].encode(ar, i, msg) == raw
+            module = views[turn % len(views)]
+            got = encoders[module].encode(ar, i, msg)
+            assert got == reference_filter(reference, registry, module)
+            assert apply_filter(raw, module, registry) == got
 
 
 def test_encode_recording_matches_reference(replayed, registry):
     ar, _, _ = replayed
     frames = frames_of(ar)
-    for flt in filters(registry):
-        vectors = encode_recording(ar, registry, flt)
-        assert list(vectors) == [reference_encode(f, registry, flt) for f in frames]
+    for module in MODULE_CHANNELS:
+        vectors = encode_recording(ar, registry, module)
+        assert list(vectors) == [reference_encode(f, registry, module) for f in frames]
     assert [encode_frame(ar, i, registry) for i in range(len(ar))] == [reference_encode(f, registry) for f in frames]
 
 
 def test_replayed_vectors_reuse_only_unchanged_frames(replayed, registry):
     ar, replays, _ = replayed
     recorded = {}
-    for flt, result in replays:
-        if flt.module not in recorded:
-            recorded[flt.module] = encode_recording(ar, registry, flt)
-        vectors = recorded[flt.module]
-        got = swapped_vectors(ar, enumerate(comparable(result)), vectors, FrameEncoder(registry, flt))
+    for module, result in replays:
+        if module not in recorded:
+            recorded[module] = encode_recording(ar, registry, module)
+        vectors = recorded[module]
+        encoder = FrameEncoder(registry, module, ar.kinds)
+        got = swapped_vectors(ar, enumerate(comparable(result)), vectors, encoder)
         assert len(got) == len(ar)
         for i, (frame, msg, vec) in enumerate(zip(frames_of(ar), result.messages, got)):
             if unchanged(frame, msg):
                 assert vec is vectors[i]
             else:
-                assert vec == reference_encode(swap(frame, msg), registry, flt)
+                assert vec == reference_encode(swap(frame, msg), registry, module)
 
 
 def test_replayed_vectors_offset_by_warmup(registry):
     # Segment replays start at lo and skip their warm-up frames; the
     # vectors line up with frames lo + warmup onwards.
     ar = align_recording(generate_recording(BUILTIN_SCRIPTS["benchmark"](), seed=0))
-    flt = ModuleFilter.for_module("planning", registry)
-    vectors = encode_recording(ar, registry, flt)
+    vectors = encode_recording(ar, registry, "planning")
     mutant = next(m for m in BUILTIN_MUTANTS["benchmark"]() if m.module == "planning")
     mutated = apply_mutant(make_module("planning"), mutant)
     for lo, hi, warmup in ((0, 60, 15), (285, 330, 15), (1000, 1044, 0), (2390, 2399, 5)):
         result = replay_segment(mutated, ar, lo, hi + 1, warmup)
         replayed = enumerate(comparable(result), lo + warmup)
-        got = swapped_vectors(ar, replayed, vectors, FrameEncoder(registry, flt))
+        got = swapped_vectors(ar, replayed, vectors, FrameEncoder(registry, "planning", ar.kinds))
         frames = frames_of(ar)[lo + warmup : hi + 1]
         assert list(got) == [
-            reference_encode(swap(f, m), registry, flt) for f, m in zip(frames, comparable(result))
+            reference_encode(swap(f, m), registry, "planning")
+            for f, m in zip(frames, comparable(result))
         ]
 
 
@@ -323,13 +317,14 @@ def test_randomized_payloads(seed, registry_kind):
                 messages.append(Message(channel, f.t_ns, kind, random_payload(rng, kind)))
         warmup = rng.randrange(5)
         result = ReplayResult(tuple(messages), warmup, {})
-        for flt in filters(registry):
-            vectors = encode_recording(ar, registry, flt)
-            assert list(vectors) == [reference_encode(f, registry, flt) for f in frames]
+        for module in MODULE_CHANNELS:
+            vectors = encode_recording(ar, registry, module)
+            assert list(vectors) == [reference_encode(f, registry, module) for f in frames]
             replayed = enumerate(comparable(result), warmup)
-            got = swapped_vectors(ar, replayed, vectors, FrameEncoder(registry, flt))
+            encoder = FrameEncoder(registry, module, {**ar.kinds, channel: kind})
+            got = swapped_vectors(ar, replayed, vectors, encoder)
             assert list(got) == [
-                reference_encode(swap(f, m), registry, flt)
+                reference_encode(swap(f, m), registry, module)
                 for f, m in zip(frames[warmup:], comparable(result))
             ]
 
@@ -337,7 +332,7 @@ def test_randomized_payloads(seed, registry_kind):
 def test_unknown_values_raise(registry):
     base = random_recording(random.Random(0), {"obstacle": MessageKind.OBSTACLE,
                                                "prediction": MessageKind.PREDICTION}, 3)
-    encoder = FrameEncoder(registry, ModuleFilter.for_module("prediction", registry))
+    encoder = FrameEncoder(registry, "prediction", base.kinds)
     vectors = encode_recording(base, registry)
     bad = [
         Message("obstacle", 0, MessageKind.OBSTACLE, {"obstacles": [{"actor": "dragon"}]}),
@@ -348,8 +343,7 @@ def test_unknown_values_raise(registry):
     ]
     for msg in bad:
         swapped = grid_of([swap(frames_of(base)[0], msg)])
-        order = encoder.channel_order(base.kinds)
-        for encode in (lambda: encoder.encode(base, 0, order, msg), lambda: encode_frame(swapped, 0, registry)):
+        for encode in (lambda: encoder.encode(base, 0, msg), lambda: encode_frame(swapped, 0, registry)):
             with pytest.raises(SchemaError, match="unknown value"):
                 encode()
         result = ReplayResult((msg,), 0, {})

@@ -1,4 +1,4 @@
-"""Scene schema: registry invariants, frame encoding, module filters."""
+"""Scene schema: registry invariants, frame encoding, module views."""
 
 from __future__ import annotations
 
@@ -11,11 +11,9 @@ from strap.schema import (
     MODULE_KINDS,
     DimensionSpec,
     FrameEncoder,
-    ModuleFilter,
     SchemaError,
     SchemaRegistry,
     apply_filter,
-    default_registry,
     encode_frame,
     load_registry,
     registry_from_json,
@@ -122,13 +120,12 @@ class TestEncode:
         # payload objects encode to the very tuple the encoder memoized.
         f = frame(t=7, traffic_light={"lights": [{"color": "red"}]}, planning={"ego_action": "stop"})
         later = grid_of([Frame(107, {n: Message(n, 107, m.kind, m.payload) for n, m in f.row(0).items()})])
-        encoder = FrameEncoder(registry)
-        order = encoder.channel_order(f.kinds)
-        v = encoder.encode(f, 0, order)
+        encoder = FrameEncoder(registry, "all", f.kinds)
+        v = encoder.encode(f, 0)
         assert type(v) is tuple
-        assert encoder.encode(later, 0, order) is v
+        assert encoder.encode(later, 0) is v
         copied = frame(t=7, traffic_light={"lights": [{"color": "red"}]}, planning={"ego_action": "stop"})
-        assert encoder.encode(copied, 0, order) == v
+        assert encoder.encode(copied, 0) == v
 
     def test_empty_frame_is_all_zero(self, registry):
         v = encode_frame(frame(localization={"x": 0.0}), 0, registry)
@@ -171,10 +168,15 @@ class TestEncode:
         assert v[dim_index(registry, "crosswalk")] == 42
 
 
+def kept(registry, module):
+    """The dimensions a module's view keeps of a vector with every slot set."""
+    out = apply_filter((1,) * len(registry), module, registry)
+    return frozenset(name for name, code in zip(dim_names(registry), out) if code)
+
+
 class TestFilter:
     def test_module_filters_cover_expected_dimensions(self, registry):
-        tl = ModuleFilter.for_module("traffic_light", registry)
-        assert tl.retained_dimensions == frozenset(
+        assert kept(registry, "traffic_light") == frozenset(
             {
                 "traffic_light",
                 "traffic_light.color",
@@ -185,17 +187,17 @@ class TestFilter:
                 "intersection",
             }
         )
-        ob = ModuleFilter.for_module("obstacle", registry)
-        assert "vehicle" in ob.retained_dimensions
-        assert "vehicle.action" not in ob.retained_dimensions
-        assert "ego.action" not in ob.retained_dimensions
-        assert ModuleFilter.for_module("all", registry).retained_dimensions == frozenset(
-            dim_names(registry)
-        )
+        ob = kept(registry, "obstacle")
+        assert "vehicle" in ob
+        assert "vehicle.action" not in ob
+        assert "ego.action" not in ob
+        assert kept(registry, "all") == frozenset(dim_names(registry))
 
     def test_unknown_module_rejected(self, registry):
-        with pytest.raises(SchemaError, match="unknown module"):
-            ModuleFilter.for_module("radar", registry)
+        with pytest.raises(SchemaError, match="unknown module 'radar'"):
+            FrameEncoder(registry, "radar", {})
+        with pytest.raises(SchemaError, match="unknown module 'radar'"):
+            apply_filter((0,) * len(registry), "radar", registry)
 
     def test_filter_zeroes_and_keeps_length(self, registry):
         f = frame(
@@ -203,24 +205,27 @@ class TestFilter:
             planning={"ego_action": "cruise"},
         )
         v = encode_frame(f, 0, registry)
-        out = apply_filter(v, ModuleFilter.for_module("traffic_light", registry), registry)
+        out = apply_filter(v, "traffic_light", registry)
         assert len(out) == len(v)
         assert out[dim_index(registry, "traffic_light.color")] == 33
         assert out[dim_index(registry, "ego.action")] == 0
 
-    def test_filter_re_zeroes_orphaned_children(self, registry):
-        f = frame(
-            obstacle={"obstacles": [{"actor": "vehicle", "subtype": "van"}]},
+    def test_filter_re_zeroes_orphaned_children(self):
+        # A view that keeps a property but drops its parent: the traffic-light
+        # module reads no planning channel.
+        registry = SchemaRegistry(
+            (
+                DimensionSpec("ego", "presence", MessageKind.PLANNING, {"ego": 1}),
+                DimensionSpec("ego.light", "property", MessageKind.TRAFFIC_LIGHT, {"red": 2}, parent="ego"),
+            ),
+            frozenset(),
         )
-        v = encode_frame(f, 0, registry)
-        assert v[dim_index(registry, "vehicle.subtype")] == 5
-        flt = ModuleFilter("custom", frozenset({"vehicle.subtype"}))
-        out = apply_filter(v, flt, registry)
-        assert out[dim_index(registry, "vehicle.subtype")] == 0
+        assert apply_filter((1, 2), "all", registry) == (1, 2)
+        assert apply_filter((1, 2), "traffic_light", registry) == (0, 0)
 
     def test_length_mismatch_rejected(self, registry):
         with pytest.raises(SchemaError, match="does not match registry size"):
-            apply_filter((1, 2), ModuleFilter("all", frozenset()), registry)
+            apply_filter((1, 2), "all", registry)
 
 
 def test_module_kinds_order():

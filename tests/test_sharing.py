@@ -25,7 +25,7 @@ from strap.recording import (
     dump_recording_jsonl,
     load_recording,
 )
-from strap.schema import MODULE_KINDS, FrameEncoder, ModuleFilter, encode_recording
+from strap.schema import MODULE_KINDS, FrameEncoder, encode_recording
 from strap.synth import (
     _frame_classes,
     apply_mutant,
@@ -238,10 +238,8 @@ def test_generator_gives_equal_outputs_one_object(registry, tmp_path):
     path.write_text(dump_recording_jsonl(rec))
     in_memory, loaded = align_recording(rec), align_recording(load_recording(path))
     for kind in MODULE_KINDS:
-        flt = ModuleFilter.for_module(kind, registry)
         tables = [
-            _frame_classes(prepare_recording(ar, kind, registry=registry), make_module(kind),
-                           FrameEncoder(registry, flt))
+            _frame_classes(prepare_recording(ar, kind, registry=registry), make_module(kind))
             for ar in (in_memory, loaded)
         ]
         assert tables[0] == tables[1], kind
@@ -269,9 +267,8 @@ def loaded(request, tmp_path_factory):
 
 def test_encode_recording_memo_matches_unshared(loaded, registry):
     shared, unshared = loaded
-    for module in (None, *MODULE_KINDS, "all"):
-        flt = None if module is None else ModuleFilter.for_module(module, registry)
-        assert encode_recording(shared, registry, flt) == encode_recording(unshared, registry, flt)
+    for module in (*MODULE_KINDS, "all"):
+        assert encode_recording(shared, registry, module) == encode_recording(unshared, registry, module)
 
 
 def test_replay_memo_matches_unshared(loaded, registry):
@@ -279,10 +276,9 @@ def test_replay_memo_matches_unshared(loaded, registry):
     mutants = [m for ms in BUILTIN_MUTANTS.values() for m in ms()]
     lo, hi = len(shared) // 3, len(shared) // 3 + 200
     for kind in MODULE_KINDS:
-        flt = ModuleFilter.for_module(kind, registry)
-        vectors = encode_recording(shared, registry, flt)
+        vectors = encode_recording(shared, registry, kind)
         # One encoder across the module's replays; run_prepared keeps one per mutant.
-        encoder = FrameEncoder(registry, flt)
+        encoder = FrameEncoder(registry, kind, shared.kinds)
         module = make_module(kind)
         for mutated in [module, *(apply_mutant(module, m) for m in mutants if m.module == kind)]:
             got = replay_segment(mutated, shared, 0, len(shared))
@@ -293,7 +289,7 @@ def test_replay_memo_matches_unshared(loaded, registry):
             outputs = {id(m.payload) for m in got.messages}
             assert len(outputs) < len({id(m.payload) for m in want.messages})
             got_vectors = swapped_vectors(shared, enumerate(comparable(got)), vectors, encoder)
-            want_encoder = FrameEncoder(registry, flt)
+            want_encoder = FrameEncoder(registry, kind, unshared.kinds)
             assert got_vectors == swapped_vectors(unshared, enumerate(comparable(want)), vectors, want_encoder)
             got = replay_segment(mutated, shared, lo, hi, 7)
             want = replay_segment(mutated, unshared, lo, hi, 7)

@@ -53,7 +53,7 @@ from strap.recording import (
     load_recording,
 )
 from strap.reduction import ReductionConfig, Segment, reduce_recording
-from strap.schema import MODULE_KINDS, FrameEncoder, ModuleFilter, encode_recording
+from strap.schema import MODULE_KINDS, FrameEncoder, channel_order, encode_recording
 from strap.synth import (
     CHANNEL_OFFSETS_NS,
     MUTATION_OPERATORS,
@@ -815,17 +815,20 @@ DERIVED_CONFIGS = {
 }
 
 
-def segment_replay_vectors(prepared, mutated, s, encoder):
+def segment_replay_vectors(prepared, mutated, s):
     """Reference: replay segment s alone, with its warm-up, and encode its comparable frames."""
     ar, vectors = prepared.aligned, prepared.vectors
     result = replay_segment(mutated, ar, s.warmup_start_idx, s.end_idx + 1, s.start_idx - s.warmup_start_idx)
     replayed = enumerate(comparable(result), s.warmup_start_idx + result.warmup_frames)
+    encoder = FrameEncoder(
+        prepared.registry, prepared.module, {**ar.kinds, result.messages[0].channel: mutated.publish_kind}
+    )
     return swapped_vectors(ar, replayed, vectors, encoder)
 
 
-def segment_replay_mismatches(prepared, mutated, s, encoder):
+def segment_replay_mismatches(prepared, mutated, s):
     """Reference: replay segment s alone, with its warm-up, and compare."""
-    replayed = segment_replay_vectors(prepared, mutated, s, encoder)
+    replayed = segment_replay_vectors(prepared, mutated, s)
     return compare_outputs(prepared.vectors[s.start_idx : s.end_idx + 1], replayed, s).mismatched_frames
 
 
@@ -841,9 +844,9 @@ def whole_segment(prepared):
     return Segment(WHOLE_RECORDING_SEGMENT_ID, 0, len(prepared.vectors) - 1, prepared.vectors[0], 0)
 
 
-def class_replay(prepared, mutated, encoder, classes):
+def class_replay(prepared, mutated, classes):
     """Per segment id, the whole recording's among them: its comparable frames' class vectors."""
-    by_class = _class_vectors(prepared, mutated, encoder, classes)
+    by_class = _class_vectors(prepared, mutated, classes)
     return {s.id: [by_class[c] for c in row] for s, row in classes.segments}
 
 
@@ -876,27 +879,23 @@ class TestDerivedVerdicts:
             prepared = prepare_recording(builtin_aligned, kind, DERIVED_CONFIGS[cfg_name], registry)
             mutants = kind_mutants(kind)
             report, _ = run_prepared(prepared, mutants, ("CH",), repetitions=1)
-            flt = ModuleFilter.for_module(kind, registry)
-            encoder = FrameEncoder(registry, flt)
             module = make_module(kind)
-            classes = _frame_classes(prepared, module, FrameEncoder(registry, flt))
+            classes = _frame_classes(prepared, module)
             whole = whole_segment(prepared)
             for m in mutants:
                 mutated = apply_mutant(module, m)
                 # The whole recording's class vectors against every frame replayed.
-                got = class_replay(prepared, mutated, FrameEncoder(registry, flt), classes)
+                got = class_replay(prepared, mutated, classes)
                 key = (kind, m.id)
                 if key not in references:
-                    references[key] = segment_replay_vectors(
-                        prepared, mutated, whole, FrameEncoder(registry, flt)
-                    )
+                    references[key] = segment_replay_vectors(prepared, mutated, whole)
                 assert values(got[whole.id]) == values(references[key]), (kind, m.id)
                 verdict = compare_outputs(prepared.vectors, references[key], whole)
                 assert report["details"]["mutants"][m.id]["detected_full"] is verdict.is_fault
                 rows = report["details"]["mutants"][m.id]["segments"]
                 assert len(rows) == len(prepared.segments)
                 for s in prepared.segments:
-                    expected = segment_replay_mismatches(prepared, mutated, s, encoder)
+                    expected = segment_replay_mismatches(prepared, mutated, s)
                     assert rows[str(s.id)]["mismatched_frames"] == expected, (kind, m.id, s.id)
 
     def test_cold_start_correction_is_live(self, registry):
@@ -914,9 +913,8 @@ class TestDerivedVerdicts:
         (s,) = [s for s in prepared.segments if s.start_idx == 10]
         module = make_module("prediction")
         assert not module.emits_at(10)
-        encoder = FrameEncoder(registry, ModuleFilter.for_module("prediction", registry))
         mutant = Mutant("slow", "prediction", "stop_max_speed", "change_constant", 0.0)
-        classes = _frame_classes(prepared, module, encoder)
+        classes = _frame_classes(prepared, module)
         rows = {seg.id: row for seg, row in classes.segments}
         # The segment's frame 10 holds its own cold start, not frame 9's output.
         assert rows[s.id][0] != rows[WHOLE_RECORDING_SEGMENT_ID][10]
@@ -924,9 +922,9 @@ class TestDerivedVerdicts:
         report, _ = run_prepared(prepared, [mutant], ("CH",), repetitions=1)
         row = report["details"]["mutants"]["slow"]["segments"][str(s.id)]
         for mutated in (module, apply_mutant(module, mutant)):
-            got = class_replay(prepared, mutated, encoder, classes)
+            got = class_replay(prepared, mutated, classes)
             count = compare_outputs(recorded, got[s.id], s).mismatched_frames
-            assert count == segment_replay_mismatches(prepared, mutated, s, encoder)
+            assert count == segment_replay_mismatches(prepared, mutated, s)
             whole = got[WHOLE_RECORDING_SEGMENT_ID][s.start_idx : s.end_idx + 1]
             assert count != compare_outputs(recorded, whole, s).mismatched_frames
         # The run's verdict is the mutant's, the last count.
@@ -1033,14 +1031,13 @@ class TestClassReplay:
     @pytest.mark.parametrize("case", sorted(HAND_MADE))
     def test_matches_every_frame_replayed(self, varied_aligned, registry, kind, case):
         prepared = prepare_recording(HAND_MADE[case](varied_aligned, kind), kind, registry=registry)
-        flt = ModuleFilter.for_module(kind, registry)
-        classes = _frame_classes(prepared, make_module(kind), FrameEncoder(registry, flt))
+        classes = _frame_classes(prepared, make_module(kind))
         segments = [whole_segment(prepared), *prepared.segments]
         assert [s for s, _ in classes.segments] == segments
         for mutated in _mutants_of(kind):
-            got = class_replay(prepared, mutated, FrameEncoder(registry, flt), classes)
+            got = class_replay(prepared, mutated, classes)
             for s in segments:
-                want = segment_replay_vectors(prepared, mutated, s, FrameEncoder(registry, flt))
+                want = segment_replay_vectors(prepared, mutated, s)
                 assert values(got[s.id]) == values(want), (mutated.params, mutated.flipped, s.id)
 
     @pytest.mark.parametrize("kind", MODULE_KINDS)
@@ -1054,14 +1051,13 @@ class TestClassReplay:
         prepared = prepare_recording(aligned, kind, DERIVED_CONFIGS[cfg_name], registry)
         mutants = kind_mutants(kind)
         report, _ = run_prepared(prepared, mutants, ("CH",), repetitions=1)
-        encoder = FrameEncoder(registry, ModuleFilter.for_module(kind, registry))
         module = make_module(kind)
         for m in mutants:
             rows = report["details"]["mutants"][m.id]["segments"]
             assert len(rows) == len(prepared.segments)
             mutated = apply_mutant(module, m)
             for s in prepared.segments:
-                expected = segment_replay_mismatches(prepared, mutated, s, encoder)
+                expected = segment_replay_mismatches(prepared, mutated, s)
                 assert rows[str(s.id)]["mismatched_frames"] == expected, (m.id, s.id)
 
     @pytest.mark.parametrize("kind", MODULE_KINDS)
@@ -1084,7 +1080,6 @@ class TestClassReplay:
     ):
         prepared = prepare_recording(benchmark_aligned, kind, registry=registry)
         module = make_module(kind)
-        flt = ModuleFilter.for_module(kind, registry)
         outputs = []
         compute = type(module).compute
 
@@ -1093,7 +1088,7 @@ class TestClassReplay:
             return outputs[-1]
 
         monkeypatch.setattr(type(module), "compute", counted)
-        classes = _frame_classes(prepared, module, FrameEncoder(registry, flt))
+        classes = _frame_classes(prepared, module)
         assert outputs == []
         # The benchmark holds 40 to 46 classes per module in its 2400 frames.
         assert len(classes.firsts) < len(benchmark_aligned) / 20
@@ -1103,13 +1098,13 @@ class TestClassReplay:
         assert len(set(keys)) == len(keys) < len(classes.firsts)
         assert list(dict.fromkeys(classes.slots)) == list(range(len(keys)))
         recorded = benchmark_aligned.columns[classes.channel]
+        encodes = []
+        encode = FrameEncoder.encode
+        monkeypatch.setattr(FrameEncoder, "encode", lambda *a: encodes.append(1) or encode(*a))
         for mutated in _mutants_of(kind):
-            encoder = FrameEncoder(registry, flt)
-            encodes = []
-            encode = encoder.encode
-            monkeypatch.setattr(encoder, "encode", lambda *a: encodes.append(1) or encode(*a))
+            encodes.clear()
             outputs.clear()
-            _class_vectors(prepared, mutated, encoder, classes)
+            _class_vectors(prepared, mutated, classes)
             assert len(outputs) == len(classes.inputs)
             # Only a class whose output differs from the recorded payload encodes.
             changed = [recorded.payload(i) != outputs[slot] for i, slot in zip(classes.firsts, classes.slots)]
@@ -1127,20 +1122,19 @@ class TestAlignedJsonlHandMade:
             assert "".join(aligned_jsonl(ar)) == dump_recording_jsonl(recording_of(frames_of(ar)))
 
 
-def per_frame_encode_recording(ar, registry, flt=None):
+def per_frame_encode_recording(ar, registry, module="all"):
     """Reference: encode_recording with one encode per frame."""
-    encoder = FrameEncoder(registry, flt)
-    order = encoder.channel_order(ar.kinds)
-    return [encoder.encode(ar, i, order) for i in range(len(ar))]
+    encoder = FrameEncoder(registry, module, ar.kinds)
+    return [encoder.encode(ar, i) for i in range(len(ar))]
 
 
-def per_frame_classes(prepared, module, encoder):
+def per_frame_classes(prepared, module):
     """Reference: _frame_classes with one key per frame and a slot lookup on
     every tick, reading each frame's messages (of two channels of one kind,
     the last by name)."""
     frames, vectors = frames_of(prepared.aligned), prepared.vectors
     channel = _output_channel(module, prepared.aligned)
-    names = [name for name, _ in encoder.channel_order(prepared.aligned.kinds)]
+    names = [name for name, _ in channel_order(prepared.aligned.kinds)]
     read = _ComputeMemo(module).read
     index, slots, firsts = {}, [], []
     slot_of, inputs = {}, []
@@ -1183,15 +1177,14 @@ def assert_run_walks_match(ar, registry, cfgs, kinds=MODULE_KINDS):
     """encode_recording and _frame_classes equal their per-frame references on ar,
     and so do smooth, segment and rarity_weights on the vectors."""
     for kind in kinds:
-        flt = ModuleFilter.for_module(kind, registry)
-        vectors = encode_recording(ar, registry, flt)
-        assert vectors == per_frame_encode_recording(ar, registry, flt)
+        vectors = encode_recording(ar, registry, kind)
+        assert vectors == per_frame_encode_recording(ar, registry, kind)
         assert_reduce_walks_match(vectors)
         module = make_module(kind)
         for cfg in cfgs:
             prepared = prepare_recording(ar, kind, cfg, registry)
-            got = _frame_classes(prepared, module, FrameEncoder(registry, flt))
-            assert got == per_frame_classes(prepared, module, FrameEncoder(registry, flt)), (kind, cfg)
+            got = _frame_classes(prepared, module)
+            assert got == per_frame_classes(prepared, module), (kind, cfg)
 
 
 def _loaded(rec, tmp_path):
@@ -1328,15 +1321,14 @@ def _shifted(rec, shift):
 def assert_slot_vectors_match_memo_path(ar, registry, cfgs=(ReductionConfig(),), kinds=MODULE_KINDS):
     """_class_vectors equals memo_class_vectors on ar, for every kind_mutants mutant of each kind."""
     for kind in kinds:
-        flt = ModuleFilter.for_module(kind, registry)
         module = make_module(kind)
         for cfg in cfgs:
             prepared = prepare_recording(ar, kind, cfg, registry)
-            classes = _frame_classes(prepared, module, FrameEncoder(registry, flt))
+            classes = _frame_classes(prepared, module)
             for m in kind_mutants(kind):
                 mutated = apply_mutant(module, m)
-                got = _class_vectors(prepared, mutated, FrameEncoder(registry, flt), classes)
-                want = memo_class_vectors(prepared, mutated, FrameEncoder(registry, flt), classes)
+                got = _class_vectors(prepared, mutated, classes)
+                want = memo_class_vectors(prepared, mutated, classes)
                 assert got == want, (kind, cfg, m.id)
 
 
@@ -1374,9 +1366,7 @@ class TestPreparedRecording:
         cfg = ReductionConfig()
         prepared = prepare_recording(benchmark_aligned, kind, cfg, registry)
         assert prepared.aligned.fps == 15
-        assert prepared.vectors == encode_recording(
-            benchmark_aligned, registry, ModuleFilter.for_module(kind, registry)
-        )
+        assert prepared.vectors == encode_recording(benchmark_aligned, registry, kind)
         assert prepared.segments_before_dedup == len(
             segment_ids_before_dedup(prepared.vectors, cfg)
         )
@@ -1531,8 +1521,7 @@ class TestFrameRate:
         assert replay_segment(predictor, ar, 0, len(ar)).call_counts["predict_action"] == 2000
         mutant = Mutant("m", "prediction", "stop_max_speed", "change_constant", 0.5)
         report = run_regression(ten_fps_recording, "prediction", [mutant], repetitions=2)
-        flt = ModuleFilter.for_module("prediction", registry)
-        segments, _ = reduce_recording(ar, encode_recording(ar, registry, flt), ReductionConfig())
+        segments, _ = reduce_recording(ar, encode_recording(ar, registry, "prediction"), ReductionConfig())
         assert report["details"]["call_counts"] == [
             replay_segment(predictor, ar, s.start_idx, s.end_idx + 1).call_counts.get("predict_action", 0)
             for s in segments
