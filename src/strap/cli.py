@@ -2,8 +2,9 @@
 
 Every subcommand reads and writes plain files so each stage can run, cache,
 and be diffed independently in CI. Machine-readable output goes to files
-only; diagnostics go to stderr. Exit codes: 0 success, 1 input error, 2
-internal error.
+only; diagnostics go to stderr. Exit codes: 0 success; 1 input error, that
+is strap.fileio.InputError or OSError, printed as "error: ..."; 2 anything
+else, a bug in strap, printed as "internal error: ...".
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Any, Mapping, Sequence
 
 from .benchmarks import BUILTIN_MUTANTS, BUILTIN_SCRIPTS
 from .evaluation import FaultVerdict, detections, score_plans, scores_to_csv
-from .fileio import atomic_write_json, atomic_write_text, check, read_json
+from .fileio import InputError, atomic_write_json, atomic_write_text, check, read_json
 # The prioritize_* functions and run_regression are not called here; they stay
 # importable from this module for callers that look them up here.
 from .prioritization import (  # noqa: F401
@@ -78,13 +79,9 @@ MODULE_CHOICES = (*MODULE_KINDS, "all")
 _RUN_DEFAULTS = run_prepared.__kwdefaults__
 
 
-class UsageError(ValueError):
-    """Bad flags or malformed input files; maps to exit code 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise UsageError(message)
+        raise InputError(message)
 
 
 def _say(msg: str) -> None:
@@ -96,23 +93,17 @@ def _load_registry_arg(path: str | None) -> SchemaRegistry:
 
 
 def _parse_strategies(raw: str) -> list[str]:
-    try:
-        return parse_strategies(s for s in raw.split(",") if s.strip())
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return parse_strategies(s for s in raw.split(",") if s.strip())
 
 
 def _reduction_config(args: argparse.Namespace) -> ReductionConfig:
-    try:
-        return ReductionConfig(window_w=args.window, clip_n=args.clip, warmup_frames=args.warmup)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return ReductionConfig(window_w=args.window, clip_n=args.clip, warmup_frames=args.warmup)
 
 
 def _require_file(path: str) -> Path:
     p = Path(path)
     if not p.is_file():
-        raise UsageError(f"input file not found: {path}")
+        raise InputError(f"input file not found: {path}")
     return p
 
 
@@ -130,7 +121,7 @@ def _builtin_or_file(source: str, what: str) -> Any:
         return load(_require_file(source))
     name = source[len("builtin:") :]
     if name not in builtins:
-        raise UsageError(
+        raise InputError(
             f"unknown builtin {what} {name!r}; choose from {', '.join(sorted(builtins))}"
         )
     return builtins[name]()
@@ -148,20 +139,20 @@ CALL_COUNTS_FORMAT = [int]
 
 def _vectors_from_doc(doc: Any) -> tuple[str, list[int], list[FrameVector]]:
     """The document's module view, frame times and vectors (_vectors_doc)."""
-    check(doc, VECTORS_FORMAT, "invalid vectors document", UsageError)
+    check(doc, VECTORS_FORMAT, "invalid vectors document")
     times, rows = doc["t_ns"], doc["vectors"]
     if len(times) != len(rows):
-        raise UsageError(f"{len(times)} timestamps for {len(rows)} vectors")
+        raise InputError(f"{len(times)} timestamps for {len(rows)} vectors")
     if not rows:
-        raise UsageError("invalid vectors document: no frames")
+        raise InputError("invalid vectors document: no frames")
     for i, t in enumerate(times):
         if t < 0 or (i and t <= times[i - 1]):
             wrong = f"t_ns must be non-negative and increasing, but t_ns[{i}] is {t}"
-            raise UsageError(f"invalid vectors document: {wrong}")
+            raise InputError(f"invalid vectors document: {wrong}")
     check_vectors(rows, "invalid vectors document", "vectors[{}]")
     module = "all" if doc.get("module") is None else doc["module"]
     if module not in MODULE_CHOICES:
-        raise UsageError(
+        raise InputError(
             f"invalid vectors document: module must be one of {', '.join(MODULE_CHOICES)}, "
             f"got {module!r}"
         )
@@ -192,13 +183,12 @@ def _cmd_vectorize(args: argparse.Namespace) -> None:
 
 def _sniff_vectors_file(path: Path) -> Mapping[str, Any] | None:
     """A vectors document is a single JSON object with a "vectors" key."""
-    with path.open(encoding="utf-8") as fh:
-        head = fh.read(1)
-        if head != "{":
+    with path.open("rb") as fh:
+        if fh.read(1) != b"{":
             return None
     try:
         doc = read_json(path)
-    except ValueError as exc:
+    except InputError as exc:
         if isinstance(exc.__cause__, json.JSONDecodeError) and exc.__cause__.msg == "Extra data":
             return None  # one value, then more text: JSONL, a recording
         raise  # read_json's error names the file
@@ -234,7 +224,7 @@ def _write_plan_files(plans: Mapping[str, Sequence[PrioritizedPlan]], out: str) 
     out_path = Path(out)
     single_file = out_path.suffix == ".json"
     if single_file and len(plans) != 1:
-        raise UsageError(f"--out {out} is a file but {len(plans)} strategies were requested")
+        raise InputError(f"--out {out} is a file but {len(plans)} strategies were requested")
     for name, (plan, *_) in plans.items():
         base = out_path if single_file else out_path / f"plan_{name}.json"
         atomic_write_json(base, plan_to_json(plan))
@@ -251,11 +241,11 @@ def _cmd_prioritize(args: argparse.Namespace) -> None:
     call_counts = None
     if args.call_counts:
         call_counts = read_json(_require_file(args.call_counts))
-        check(call_counts, CALL_COUNTS_FORMAT, "invalid call counts document", UsageError)
+        check(call_counts, CALL_COUNTS_FORMAT, "invalid call counts document")
     if "RSC" in strategies and vectors is None:
-        raise UsageError("RSC needs --vectors for rarity weights")
+        raise InputError("RSC needs --vectors for rarity weights")
     if "CC" in strategies and call_counts is None:
-        raise UsageError("CC needs --call-counts (one integer per segment)")
+        raise InputError("CC needs --call-counts (one integer per segment)")
     # Only the first RD shuffle is written, and it does not depend on the count.
     plans = build_plans(
         strategies,
@@ -292,7 +282,7 @@ def _verdicts_from_doc(doc: Any) -> tuple[dict[str, bool], dict[str, dict[int, b
 
     A segment's flag is recomputed from its mismatch tally, not read from its is_fault.
     """
-    check(doc, VERDICTS_FORMAT, "invalid verdicts document", UsageError)
+    check(doc, VERDICTS_FORMAT, "invalid verdicts document")
     flags: dict[str, dict[int, bool]] = {}
     for mid, cells in doc["segments"].items():
         flags[mid] = {}
@@ -304,14 +294,14 @@ def _verdicts_from_doc(doc: Any) -> tuple[dict[str, bool], dict[str, dict[int, b
             except ValueError:
                 sid = None
             if sid is None or str(sid) != key:
-                raise UsageError(
+                raise InputError(
                     f"invalid verdicts document: segments.{mid} has segment id {key!r}, "
                     "not a decimal integer"
                 )
             try:
                 verdict = FaultVerdict(sid, cell["mismatched_frames"], cell["total_frames"])
-            except ValueError as exc:
-                raise UsageError(f"invalid verdicts document: {exc}") from exc
+            except InputError as exc:
+                raise InputError(f"invalid verdicts document: {exc}") from exc
             flags[mid][sid] = verdict.is_fault
     return {mid: cell["detected"] for mid, cell in doc["full"].items()}, flags
 
@@ -353,7 +343,7 @@ def _cmd_synth_mutate(args: argparse.Namespace) -> None:
     elif args.module:
         mutants = random_mutants(args.module, args.count, args.seed)
     else:
-        raise UsageError("pass --builtin NAME or --module KIND")
+        raise InputError("pass --builtin NAME or --module KIND")
     atomic_write_json(args.out, mutants_to_json(mutants))
     _say(f"{len(mutants)} mutants -> {args.out}")
 
@@ -387,7 +377,7 @@ def _write_regression_artifacts(
 
 def _cmd_run_regression(args: argparse.Namespace) -> None:
     if bool(args.script) == bool(args.infile):
-        raise UsageError("pass exactly one of --script or --in")
+        raise InputError("pass exactly one of --script or --in")
     if args.script:
         rec = generate_recording(_builtin_or_file(args.script, "script"), args.seed)
     else:
@@ -399,7 +389,7 @@ def _cmd_run_regression(args: argparse.Namespace) -> None:
     kwargs = dict(seed=args.seed, repetitions=args.repetitions, rarity_mode=args.rarity_mode)
     if args.module == "all":
         if args.artifacts_dir:
-            raise UsageError("--artifacts-dir needs a specific --module, not 'all'")
+            raise InputError("--artifacts-dir needs a specific --module, not 'all'")
         report = run_benchmark(rec, mutants, strategies, cfg, registry=registry, **kwargs)
     else:
         own = [m for m in mutants if m.module == args.module]
@@ -526,10 +516,10 @@ def _run(argv: Sequence[str] | None) -> int:
         args = parser.parse_args(argv)
         args.fn(args)
         return 0
-    except (ValueError, OSError) as exc:
+    except (InputError, OSError) as exc:
         _say(f"error: {exc}")
         return 1
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         _say(f"internal error: {type(exc).__name__}: {exc}")
         return 2
 

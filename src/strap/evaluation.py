@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
+from .fileio import InputError
 from .prioritization import PrioritizedPlan
 from .reduction import Segment
 from .schema import FrameVector
@@ -39,7 +40,7 @@ class FaultVerdict:
 
     def __post_init__(self) -> None:
         if self.total_frames < 0 or not (0 <= self.mismatched_frames <= max(self.total_frames, 0)):
-            raise ValueError(
+            raise InputError(
                 f"bad mismatch tally {self.mismatched_frames}/{self.total_frames} "
                 f"for segment {self.segment_id}"
             )
@@ -114,8 +115,8 @@ def _scorer(fault_sets: Mapping[int, frozenset[str] | set[str]]) -> Callable[[Pr
     def score(plan: PrioritizedPlan) -> tuple[float | None, int | None]:
         if (order := set(plan.order)) != ids:
             if unknown := order - ids:
-                raise ValueError(f"plan orders unknown segment ids {sorted(unknown)}")
-            raise ValueError("fault sets cover segments missing from the plan")
+                raise InputError(f"plan orders unknown segment ids {sorted(unknown)}")
+            raise InputError("fault sets cover segments missing from the plan")
         seen, firsts = set(), []  # firsts: the position where each fault is first detected
         for pos, seg_id in enumerate(plan.order, start=1):
             before = len(seen)

@@ -13,6 +13,11 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
 
+class InputError(ValueError):
+    """Input strap cannot take: a bad flag, file or document. The CLI exits 1 on it and on
+    OSError, and 2 on any other exception, as a bug in strap."""
+
+
 def _umask() -> int:
     # os.umask can only be read by setting it, so put the old value back.
     mask = os.umask(0)
@@ -160,15 +165,19 @@ def _indented(
 
 
 def read_json(path: str | Path) -> Any:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        # Decoded whole, so the error's offset is the file's.
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 at byte {exc.start} ({exc.reason})") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON ({exc.msg})") from exc
+        raise InputError(f"{path}: invalid JSON ({exc.msg})") from exc
     except (ValueError, RecursionError) as exc:
         # An integer literal longer than sys.get_int_max_str_digits(), or
         # nesting deeper than the decoder's recursion limit: bad input, not a bug.
-        raise ValueError(f"{path}: invalid JSON ({exc})") from None
+        raise InputError(f"{path}: invalid JSON ({exc})") from None
 
 
 # A format declares what a JSON document holds. int is a JSON integer (never
@@ -197,10 +206,10 @@ _SCALAR_FORMATS: dict[type, tuple[str, Callable[[Any], bool]]] = {
 }
 
 
-def check(value: Any, fmt: Any, what: str, error: type[Exception] = ValueError) -> None:
-    """Raise error("<what>: <where value first departs from fmt>") unless value matches fmt."""
+def check(value: Any, fmt: Any, what: str) -> None:
+    """Raise InputError("<what>: <where value first departs from fmt>") unless value matches fmt."""
     if err := _departure(value, fmt, ""):
-        raise error(f"{what}: {err}")
+        raise InputError(f"{what}: {err}")
 
 
 def _departure(value: Any, fmt: Any, path: str) -> str | None:

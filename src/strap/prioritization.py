@@ -27,7 +27,7 @@ from itertools import compress, islice, pairwise
 from operator import is_not, mul, neg
 from typing import Any, Iterable, Sequence
 
-from .fileio import check
+from .fileio import InputError, check
 from .reduction import Segment
 from .schema import FrameVector
 
@@ -47,11 +47,11 @@ class PrioritizedPlan:
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
+            raise InputError(f"unknown strategy {self.strategy!r}")
         if len(self.order) != len(set(self.order)):
-            raise ValueError("plan order repeats a segment id")
+            raise InputError("plan order repeats a segment id")
         if len(self.scores) != len(self.order):
-            raise ValueError("plan scores must align with plan order")
+            raise InputError("plan scores must align with plan order")
 
 
 def rarity_weights(frame_vectors: Sequence[FrameVector]) -> tuple[Fraction, ...]:
@@ -105,7 +105,7 @@ def prioritize_rsc(
     numerators = []
     for s in segments:
         if len(s.vector) != len(units):
-            raise ValueError(f"vector length {len(s.vector)} does not match {len(units)} weights")
+            raise InputError(f"vector length {len(s.vector)} does not match {len(units)} weights")
         terms = map(mul, units, s.vector) if rarity_mode == "literal" else compress(units, s.vector)
         numerators.append(sum(terms))
     return _ranked_plan("RSC", segments, numerators, d)
@@ -136,7 +136,7 @@ def prioritize_rd(
     the module views of one run often hold the same ids.
     """
     if repetitions < 1:
-        raise ValueError(f"repetitions must be positive, got {repetitions}")
+        raise InputError(f"repetitions must be positive, got {repetitions}")
     return list(_rd_plans(tuple(sorted(s.id for s in segments)), seed, repetitions))
 
 
@@ -161,23 +161,23 @@ def _rd_plans(base: tuple[int, ...], seed: int, repetitions: int) -> tuple[Prior
 def prioritize_cc(segments: Sequence[Segment], call_counts: Sequence[int]) -> PrioritizedPlan:
     """Rank segments by call counts of the changed functions, descending."""
     if len(call_counts) != len(segments):
-        raise ValueError(
+        raise InputError(
             f"{len(call_counts)} call counts for {len(segments)} segments; one count per segment required"
         )
     return _ranked_plan("CC", segments, call_counts)
 
 
 def parse_strategies(names: Iterable[str]) -> list[str]:
-    """Upper-cased strategy names in first-seen order; ValueError on none or an unknown one."""
+    """Upper-cased strategy names in first-seen order; InputError on none or an unknown one."""
     out: list[str] = []
     for raw in names:
         name = raw.strip().upper()
         if name not in STRATEGIES:
-            raise ValueError(f"unknown strategy {name!r}; choose from {', '.join(STRATEGIES)}")
+            raise InputError(f"unknown strategy {name!r}; choose from {', '.join(STRATEGIES)}")
         if name not in out:
             out.append(name)
     if not out:
-        raise ValueError("no strategies given")
+        raise InputError("no strategies given")
     return out
 
 

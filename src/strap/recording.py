@@ -20,7 +20,7 @@ from operator import add, eq, ge, gt, is_, is_not, itemgetter, mul, ne, truediv
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .fileio import _departure, check, is_json_int, one_encoder
+from .fileio import InputError, _departure, check, is_json_int, one_encoder
 
 TimestampNs = int
 NS_PER_SEC = 1_000_000_000
@@ -44,18 +44,6 @@ class MessageKind(str, Enum):
     PLANNING = "planning"
     LOCALIZATION = "localization"
     IMAGE_REF = "image_ref"
-
-
-class RecordingLoadError(ValueError):
-    """A recording file could not be parsed into a valid Recording."""
-
-
-class AlignmentError(ValueError):
-    """A recording could not be aligned into frames."""
-
-
-class PayloadError(ValueError):
-    """A recorded payload does not hold what its kind's format says."""
 
 
 @dataclass(slots=True)
@@ -169,7 +157,7 @@ PAYLOAD_FORMATS: Mapping[MessageKind, Mapping[str, Any]] = {
 
 
 def check_payloads(row: Mapping[str, Message]) -> None:
-    """PayloadError naming the first field of a row's payloads that breaks its format.
+    """InputError naming the first field of a row's payloads that breaks its format.
 
     Encoding and replay build the row (AlignedRecording.row) and call this
     only after they fail on it, so neither the messages nor the per-field
@@ -177,7 +165,7 @@ def check_payloads(row: Mapping[str, Message]) -> None:
     """
     for msg in row.values():
         where = f"{msg.kind.value} payload on channel {msg.channel!r} at t_ns {msg.t_ns}"
-        check(msg.payload, PAYLOAD_FORMATS[msg.kind], where, PayloadError)
+        check(msg.payload, PAYLOAD_FORMATS[msg.kind], where)
 
 
 # What a run of frames keys on per payload kind, in ToyModule.reads' terms.
@@ -248,7 +236,7 @@ class AlignedRecording:
     @cached_property
     def scenes_checked(self) -> int:
         """How many distinct image scenes the grid holds, each checked once (encode_recording
-        reads it) where it first shows: at a run start. PayloadError names the first bad one."""
+        reads it) where it first shows: at a run start. InputError names the first bad one."""
         seen: set[int] = set()
         for name, (ch, index) in self.columns.items():
             if ch.kind is MessageKind.IMAGE_REF:
@@ -266,7 +254,7 @@ class AlignedRecording:
 
         Replay ticks count from the grid's first frame, as the generator's
         do, whatever the time origin: frame i is tick i, so the grid must put
-        it at _frame_index(t_ns, fps) = frame 0's + i. AlignmentError names
+        it at _frame_index(t_ns, fps) = frame 0's + i. InputError names
         the first frame that is not, or a grid below 1 fps; prepare_recording
         reads the rate, so a grid is checked before any replay. A one-frame
         grid is 1 fps, since its replay computes only its cold start.
@@ -278,11 +266,11 @@ class AlignedRecording:
         span = times[-1] - times[0]
         fps = round(NS_PER_SEC * (n - 1) / span)
         if fps < 1:
-            raise AlignmentError(f"frame grid of {n} frames over {span} ns is below 1 fps")
+            raise InputError(f"frame grid of {n} frames over {span} ns is below 1 fps")
         tick0 = _frame_index(times[0], fps)
         ticks = map(round, map(truediv, map(mul, times, repeat(fps)), repeat(NS_PER_SEC)))
         for i in compress(count(), map(ne, ticks, count(tick0))):
-            raise AlignmentError(
+            raise InputError(
                 f"irregular frame grid: frame {i} (t={times[i]} ns) falls on tick "
                 f"{_frame_index(times[i], fps)} at {fps} fps, after tick {tick0 + i - 1}"
             )
@@ -299,33 +287,33 @@ def _parse_line(line: str, lineno: int) -> tuple[str, TimestampNs, MessageKind, 
     try:
         row = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise RecordingLoadError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+        raise InputError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
     except (ValueError, RecursionError) as exc:
         # An integer literal longer than sys.get_int_max_str_digits(), or
         # nesting deeper than the decoder's recursion limit.
-        raise RecordingLoadError(f"line {lineno}: invalid JSON ({exc})") from exc
+        raise InputError(f"line {lineno}: invalid JSON ({exc})") from exc
     if not isinstance(row, dict):
-        raise RecordingLoadError(f"line {lineno}: expected a JSON object")
+        raise InputError(f"line {lineno}: expected a JSON object")
     for key in ("channel", "t_ns", "kind", "payload"):
         if key not in row:
-            raise RecordingLoadError(f"line {lineno}: missing field {key!r}")
+            raise InputError(f"line {lineno}: missing field {key!r}")
     channel = row["channel"]
     if not isinstance(channel, str):
-        raise RecordingLoadError(f"line {lineno}: channel must be a string")
+        raise InputError(f"line {lineno}: channel must be a string")
     try:
         kind = _KINDS[row["kind"]]
     except (KeyError, TypeError):
-        raise RecordingLoadError(f"line {lineno}: unknown message kind {row['kind']!r}") from None
+        raise InputError(f"line {lineno}: unknown message kind {row['kind']!r}") from None
     t_ns = row["t_ns"]
     if not is_json_int(t_ns):
-        raise RecordingLoadError(f"line {lineno}: t_ns must be an integer")
+        raise InputError(f"line {lineno}: t_ns must be an integer")
     if t_ns < 0:
-        raise RecordingLoadError(f"line {lineno}: negative timestamp {t_ns}")
+        raise InputError(f"line {lineno}: negative timestamp {t_ns}")
     if t_ns >= T_NS_END:
-        raise RecordingLoadError(f"line {lineno}: timestamp {t_ns} is not below 2**63")
+        raise InputError(f"line {lineno}: timestamp {t_ns} is not below 2**63")
     payload = row["payload"]
     if not isinstance(payload, dict):
-        raise RecordingLoadError(f"line {lineno}: payload must be a JSON object")
+        raise InputError(f"line {lineno}: payload must be a JSON object")
     return channel, t_ns, kind, payload
 
 
@@ -400,7 +388,7 @@ def load_recording(path: str | Path) -> Recording:
             per_channel[channel], declared[channel] = Channel._of(channel, kind, array("q"), []), lineno
         into = per_channel[channel]
         if into.kind is not kind:
-            raise RecordingLoadError(
+            raise InputError(
                 f"line {lineno}: channel {channel!r} is {into.kind.value!r} "
                 f"(declared at line {declared[channel]}) but carries {kind.value!r}"
             )
@@ -411,48 +399,52 @@ def load_recording(path: str | Path) -> Recording:
         return into, t_ns, payload
 
     # Lines end only at \n, \r or \r\n: the file is read line by line, never
-    # whole, and a raw U+2028 inside a JSON string stays in its line.
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw[:-1] if raw[-1:] == "\n" else raw
-            # No JSON string holds an unescaped quote, so the first
-            # ', "payload": ' of a canonical line ends its head.
-            start = line.find(_PAYLOAD_KEY) + len(_PAYLOAD_KEY)
-            known, row = heads.get(line[:start]), None
-            if known is None:
-                # Only JSON whitespace makes a blank line; json.loads rejects
-                # the rest of what str.strip() drops, and so does _parse_line.
-                if not raw.strip(" \t\n\r"):
-                    continue
-                row = parsed(raw, line, lineno)
-                known = heads.get(line[:start])  # a canonical line's head is line[:start]
-            end = line.rfind(_T_NS_KEY)
-            if known is not None and end >= start and line[-1:] == "}":
-                share, add_time, add_payload = known
-                text = line[start:end]
-                try:
-                    t_ns, stop = _scan_once(line, end + len(_T_NS_KEY))
-                    payload = (payloads.get(text) if share is None
-                               else _image_payload(text, scenes) if share else None)
-                    if payload is None:
-                        payload, size = _scan_once(text, 0)
-                        if size != len(text) or type(payload) is not dict:
-                            payload = None
-                        elif share is None:
-                            payloads[text] = payload
-                except (StopIteration, ValueError, RecursionError):
-                    payload = None
-                if (payload is not None and stop == len(line) - 1
-                        and type(t_ns) is int and 0 <= t_ns < T_NS_END):
-                    add_time(t_ns)
-                    add_payload(payload)
-                    continue
-            into, t_ns, payload = row or parsed(raw, line, lineno)
-            into.times.append(t_ns)
-            into.payloads.append(payload)
+    # whole, and a raw U+2028 inside a JSON string stays in its line. It is
+    # decoded a chunk at a time, so a byte that is not UTF-8 has no known line.
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                line = raw[:-1] if raw[-1:] == "\n" else raw
+                # No JSON string holds an unescaped quote, so the first
+                # ', "payload": ' of a canonical line ends its head.
+                start = line.find(_PAYLOAD_KEY) + len(_PAYLOAD_KEY)
+                known, row = heads.get(line[:start]), None
+                if known is None:
+                    # Only JSON whitespace makes a blank line; json.loads rejects
+                    # the rest of what str.strip() drops, and so does _parse_line.
+                    if not raw.strip(" \t\n\r"):
+                        continue
+                    row = parsed(raw, line, lineno)
+                    known = heads.get(line[:start])  # a canonical line's head is line[:start]
+                end = line.rfind(_T_NS_KEY)
+                if known is not None and end >= start and line[-1:] == "}":
+                    share, add_time, add_payload = known
+                    text = line[start:end]
+                    try:
+                        t_ns, stop = _scan_once(line, end + len(_T_NS_KEY))
+                        payload = (payloads.get(text) if share is None
+                                   else _image_payload(text, scenes) if share else None)
+                        if payload is None:
+                            payload, size = _scan_once(text, 0)
+                            if size != len(text) or type(payload) is not dict:
+                                payload = None
+                            elif share is None:
+                                payloads[text] = payload
+                    except (StopIteration, ValueError, RecursionError):
+                        payload = None
+                    if (payload is not None and stop == len(line) - 1
+                            and type(t_ns) is int and 0 <= t_ns < T_NS_END):
+                        add_time(t_ns)
+                        add_payload(payload)
+                        continue
+                into, t_ns, payload = row or parsed(raw, line, lineno)
+                into.times.append(t_ns)
+                into.payloads.append(payload)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 ({exc.reason})") from None
     del heads, payloads, scenes
     if not per_channel:
-        raise RecordingLoadError("empty recording")
+        raise InputError("empty recording")
 
     for name, ch in per_channel.items():
         times, payloads = ch.times, ch.payloads
@@ -611,7 +603,7 @@ def align_recording(rec: Recording) -> AlignedRecording:
     """
     for name, ch in rec.channels.items():
         if not ch.times:
-            raise AlignmentError(f"channel {name!r} has no messages")
+            raise ValueError(f"channel {name!r} has no messages")
     ref = min(rec.channels.values(), key=lambda c: (-len(c.times), c.name))
     t = ref.times  # time-sorted, so its distinct times are those unlike the next
     grid = array("q", compress(t, map(ne, t, chain(islice(t, 1, None), (None,)))))
@@ -624,7 +616,7 @@ def align_recording(rec: Recording) -> AlignedRecording:
     for name in names:
         first = rec.channels[name].times[0]
         if first > grid[-1]:
-            raise AlignmentError(f"no alignable frames: channel {name!r} never overlaps the reference")
+            raise InputError(f"no alignable frames: channel {name!r} never overlaps the reference")
         # The slots before the one holding the channel's first message lead, empty.
         start = max(start, bisect_right(grid, first, 1) - 1)
     times = grid[start:]  # sliced to size: a grown array keeps 1/16 more room

@@ -15,7 +15,7 @@ from itertools import compress, islice, pairwise
 from operator import ne
 from typing import Any, Iterator, Sequence
 
-from .fileio import check
+from .fileio import InputError, check
 from .recording import AlignedRecording
 from .schema import FrameVector, check_vectors
 
@@ -30,11 +30,11 @@ class ReductionConfig:
 
     def __post_init__(self) -> None:
         if self.window_w < 1 or self.window_w % 2 == 0:
-            raise ValueError(f"window_w must be odd and positive, got {self.window_w}")
+            raise InputError(f"window_w must be odd and positive, got {self.window_w}")
         if self.clip_n < 1:
-            raise ValueError(f"clip_n must be at least 1, got {self.clip_n}")
+            raise InputError(f"clip_n must be at least 1, got {self.clip_n}")
         if self.warmup_frames < 0:
-            raise ValueError(f"warmup_frames must be non-negative, got {self.warmup_frames}")
+            raise InputError(f"warmup_frames must be non-negative, got {self.warmup_frames}")
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class Segment:
 
     def __post_init__(self) -> None:
         if not (0 <= self.warmup_start_idx <= self.start_idx <= self.end_idx):
-            raise ValueError(
+            raise InputError(
                 f"segment {self.id}: bad indices "
                 f"({self.warmup_start_idx}, {self.start_idx}, {self.end_idx})"
             )
@@ -198,7 +198,7 @@ def segments_from_manifest(doc: Any) -> tuple[list[Segment], ReductionConfig]:
     for i, r in enumerate(rows):
         if not (0 <= r["start_t_ns"] <= r["end_t_ns"]):
             wrong = f"0 <= start_t_ns <= end_t_ns, got {r['start_t_ns']} and {r['end_t_ns']}"
-            raise ValueError(f"invalid segments manifest: segments[{i}] must have {wrong}")
+            raise InputError(f"invalid segments manifest: segments[{i}] must have {wrong}")
     check_vectors([r["vector"] for r in rows], "invalid segments manifest", "segments[{}].vector")
     config = doc["config"]
     cfg = ReductionConfig(**{f.name: config[f.name] for f in fields(ReductionConfig)})

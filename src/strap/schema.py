@@ -16,7 +16,7 @@ from itertools import pairwise
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
-from .fileio import check, is_json_int, read_json
+from .fileio import InputError, check, is_json_int, read_json
 from .recording import AlignedRecording, Message, MessageKind, check_payloads
 
 PRESENCE = "presence"
@@ -68,10 +68,6 @@ _STATIC_DIMS = {
 }
 
 
-class SchemaError(ValueError):
-    """Invalid registry definition or unencodable payload value."""
-
-
 @dataclass(frozen=True)
 class DimensionSpec:
     """One vector slot: its name, kind, source channel, and code table."""
@@ -84,18 +80,18 @@ class DimensionSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in (PRESENCE, PROPERTY):
-            raise SchemaError(f"dimension {self.name!r}: unknown kind {self.kind!r}")
+            raise InputError(f"dimension {self.name!r}: unknown kind {self.kind!r}")
         values = list(self.codes.values())
         if any(not is_json_int(c) or c <= 0 for c in values):
-            raise SchemaError(f"dimension {self.name!r}: codes must be positive integers")
+            raise InputError(f"dimension {self.name!r}: codes must be positive integers")
         if len(set(values)) != len(values):
-            raise SchemaError(f"dimension {self.name!r}: duplicate codes")
+            raise InputError(f"dimension {self.name!r}: duplicate codes")
 
     def code(self, value: str) -> int:
         try:
             return self.codes[value]
         except KeyError:
-            raise SchemaError(f'dimension "{self.name}": unknown value "{value}"') from None
+            raise InputError(f'dimension "{self.name}": unknown value "{value}"') from None
 
 
 @dataclass(frozen=True)
@@ -108,20 +104,20 @@ class SchemaRegistry:
     def __post_init__(self) -> None:
         names = [d.name for d in self.dimensions]
         if len(set(names)) != len(names):
-            raise SchemaError("duplicate dimension names")
+            raise InputError("duplicate dimension names")
         by_name = {d.name: d for d in self.dimensions}
         for d in self.dimensions:
             if d.parent is not None:
                 parent = by_name.get(d.parent)
                 if parent is None or parent.kind != PRESENCE:
-                    raise SchemaError(
+                    raise InputError(
                         f"dimension {d.name!r}: parent {d.parent!r} is not a presence dimension"
                     )
                 if d.kind != PROPERTY:
-                    raise SchemaError(f"dimension {d.name!r}: only property dimensions take a parent")
+                    raise InputError(f"dimension {d.name!r}: only property dimensions take a parent")
         missing = self.always_keep - set(names)
         if missing:
-            raise SchemaError(f"always_keep names unknown dimensions: {sorted(missing)}")
+            raise InputError(f"always_keep names unknown dimensions: {sorted(missing)}")
 
     def __len__(self) -> int:
         return len(self.dimensions)
@@ -133,14 +129,14 @@ FrameVector = tuple[int, ...]
 
 
 def check_vectors(rows: Sequence[Sequence[int]], what: str, row_name: str) -> None:
-    """ValueError unless every row has row 0's length and no negative code.
+    """InputError unless every row has row 0's length and no negative code.
 
     Codes are positive and 0 means "none". The error names the first bad
     row as row_name.format(i).
     """
     for i, row in enumerate(rows):
         if len(row) != len(rows[0]) or min(row, default=0) < 0:
-            raise ValueError(
+            raise InputError(
                 f"{what}: {row_name.format(i)} must be {len(rows[0])} non-negative codes, got {row}"
             )
 
@@ -260,7 +256,7 @@ class FrameEncoder:
 
     def __init__(self, registry: SchemaRegistry, module: str, kinds: Mapping[str, MessageKind]) -> None:
         if module not in MODULE_CHANNELS:
-            raise SchemaError(f"unknown module {module!r}")
+            raise ValueError(f"unknown module {module!r}")
         channels, keep = MODULE_CHANNELS[module], registry.always_keep
         dims = registry.dimensions
         self.size = len(dims)
@@ -297,7 +293,7 @@ class FrameEncoder:
 
     def filter(self, vector: FrameVector) -> FrameVector:
         if len(vector) != self.size:
-            raise SchemaError(
+            raise ValueError(
                 f"vector length {len(vector)} does not match registry size {self.size}"
             )
         return self._finish(list(vector))
@@ -345,7 +341,7 @@ class FrameEncoder:
         for name in payload.get("objects") or []:
             dim = _STATIC_DIMS.get(name)
             if dim is None:
-                raise SchemaError(f'dimension "objects": unknown value "{name}"')
+                raise InputError(f'dimension "objects": unknown value "{name}"')
             self._put(values, dim, dim)
 
     def _prediction(self, payload: Mapping[str, Any], values: list, claimed: set) -> None:
@@ -365,7 +361,7 @@ class FrameEncoder:
 def _actor_dim(actor: Any) -> str:
     dim = _ACTOR_DIMS.get(actor)
     if dim is None:
-        raise SchemaError(f'dimension "actor": unknown value "{actor}"')
+        raise InputError(f'dimension "actor": unknown value "{actor}"')
     return dim
 
 
@@ -425,7 +421,7 @@ SCHEMA_FORMAT = {
 
 
 def registry_from_json(data: Any) -> SchemaRegistry:
-    check(data, SCHEMA_FORMAT, "invalid schema document", SchemaError)
+    check(data, SCHEMA_FORMAT, "invalid schema document")
     try:
         dims = tuple(
             DimensionSpec(d["name"], d["kind"], MessageKind(d["source_channel"]), d["codes"],
@@ -433,7 +429,7 @@ def registry_from_json(data: Any) -> SchemaRegistry:
             for d in data["dimensions"]
         )
     except ValueError as exc:
-        raise SchemaError(f"invalid schema document: {exc}") from exc
+        raise InputError(f"invalid schema document: {exc}") from exc
     return SchemaRegistry(dims, frozenset(data.get("always_keep") or ()))
 
 

@@ -40,7 +40,7 @@ from .evaluation import (  # noqa: F401
     reduction_pct,
     score_plans,
 )
-from .fileio import Closed, check, read_json
+from .fileio import Closed, InputError, check, read_json
 from .prioritization import (  # noqa: F401
     STRATEGIES,
     PrioritizedPlan,
@@ -137,10 +137,6 @@ _GLITCH_ACTION = {
 }
 
 
-class SynthError(ValueError):
-    """Invalid script, mutant, or replay input."""
-
-
 # The scene state an event may set or unset, and the fields of its light and
 # obstacle objects; unknown keys are errors, not defaults.
 _SCENE_FORMAT = Closed({
@@ -181,18 +177,18 @@ class ScenarioScript:
         # The fields as given (asdict would copy them): the document this
         # script would be, checked by the table its parser uses.
         doc = {**vars(self), "events": [vars(e) for e in self.events]}
-        check(doc, SCRIPT_FORMAT, "invalid scenario script", SynthError)
+        check(doc, SCRIPT_FORMAT, "invalid scenario script")
         if self.duration_frames < 1:
-            raise SynthError(
+            raise InputError(
                 f"duration_frames must be a positive integer, got {self.duration_frames!r}"
             )
         if self.fps < 1:
-            raise SynthError(f"fps must be a positive integer, got {self.fps!r}")
+            raise InputError(f"fps must be a positive integer, got {self.fps!r}")
         if not (0.0 <= self.glitch_rate < 1.0):
-            raise SynthError(f"glitch_rate must be a number in [0, 1), got {self.glitch_rate!r}")
+            raise InputError(f"glitch_rate must be a number in [0, 1), got {self.glitch_rate!r}")
         for e in self.events:
             if not (0 <= e.frame < self.duration_frames):
-                raise SynthError(f"event frame {e.frame} outside [0, {self.duration_frames})")
+                raise InputError(f"event frame {e.frame} outside [0, {self.duration_frames})")
             _scene_truth(e.set)  # raises on a name outside the canonical tables
 
 
@@ -210,7 +206,7 @@ def script_from_json(doc: Any) -> ScenarioScript:
         and "duration_frames" in doc
         and all(isinstance(e, dict) and "frame" in e for e in events)
     ):
-        check(doc, SCRIPT_FORMAT, "invalid scenario script", SynthError)
+        check(doc, SCRIPT_FORMAT, "invalid scenario script")
     scene_events = []
     for e in events:
         unset = e.get("unset", ())
@@ -240,11 +236,11 @@ class Mutant:
     delta: float = 0.0
 
     def __post_init__(self) -> None:
-        check(vars(self), MUTANT_FORMAT, f"mutant {self.id!r}", SynthError)
+        check(vars(self), MUTANT_FORMAT, f"mutant {self.id!r}")
         if self.module not in MODULE_KINDS:
-            raise SynthError(f"mutant {self.id!r}: unknown module {self.module!r}")
+            raise InputError(f"mutant {self.id!r}: unknown module {self.module!r}")
         if self.operator not in MUTATION_OPERATORS:
-            raise SynthError(f"mutant {self.id!r}: unknown operator {self.operator!r}")
+            raise InputError(f"mutant {self.id!r}: unknown operator {self.operator!r}")
 
 
 def mutants_to_json(mutants: Sequence[Mutant]) -> list[dict[str, Any]]:
@@ -255,7 +251,7 @@ def mutants_to_json(mutants: Sequence[Mutant]) -> list[dict[str, Any]]:
 
 
 def mutants_from_json(doc: Any) -> list[Mutant]:
-    check(doc, [MUTANT_FORMAT], "invalid mutants document", SynthError)
+    check(doc, [MUTANT_FORMAT], "invalid mutants document")
     return [
         Mutant(row["id"], row["module"], row["target"], row["operator"], float(row.get("delta", 0.0)))
         for row in doc
@@ -316,7 +312,7 @@ class ToyModule:
         self.flipped = frozenset(flipped)
         unknown = self.flipped - self.CONDITIONS
         if unknown:
-            raise SynthError(f"unknown condition(s) {sorted(unknown)} for module {self.kind!r}")
+            raise ValueError(f"unknown condition(s) {sorted(unknown)} for module {self.kind!r}")
         self.call_log: Counter[str] = Counter()
 
     def fresh(self) -> "ToyModule":
@@ -570,21 +566,21 @@ def make_module(kind: str) -> ToyModule:
     try:
         return _MODULE_CLASSES[kind]()
     except KeyError:
-        raise SynthError(f"unknown module kind {kind!r}") from None
+        raise ValueError(f"unknown module kind {kind!r}") from None
 
 
 def apply_mutant(module: ToyModule, mutant: Mutant) -> ToyModule:
     """Return a new module with exactly one parameter or condition changed."""
     if mutant.module != module.kind:
-        raise SynthError(
+        raise ValueError(
             f"mutant {mutant.id!r} targets module {mutant.module!r}, not {module.kind!r}"
         )
     if mutant.operator == "flip_condition":
         if mutant.target not in module.CONDITIONS:
-            raise SynthError(f"mutant {mutant.id!r}: unknown condition {mutant.target!r}")
+            raise InputError(f"mutant {mutant.id!r}: unknown condition {mutant.target!r}")
         return type(module)(module.params, module.flipped | {mutant.target})
     if mutant.target not in module.params:
-        raise SynthError(f"mutant {mutant.id!r}: unknown parameter {mutant.target!r}")
+        raise InputError(f"mutant {mutant.id!r}: unknown parameter {mutant.target!r}")
     params = dict(module.params)
     old = params[mutant.target]
     if mutant.operator == "change_constant":
@@ -626,9 +622,9 @@ def random_mutants(kind: str, count: int, seed: int) -> list[Mutant]:
 
 
 def _canonical(what: str, value: Any, table: Mapping[Any, Any]) -> Any:
-    """table[value]; SynthError naming the script field unless value is a key of table."""
+    """table[value]; InputError naming the script field unless value is a key of table."""
     if value not in table:
-        raise SynthError(f"script {what} {value!r} is not canonical")
+        raise InputError(f"script {what} {value!r} is not canonical")
     return table[value]
 
 
@@ -647,7 +643,7 @@ def _actor_features(obstacle: Mapping[str, Any]) -> dict[str, Any]:
     if subtype is None:
         subtype = _DEFAULT_SUBTYPE.get(actor)
     if (actor, subtype) not in ACTOR_BODY:
-        raise SynthError(f"script actor {actor!r}/{subtype!r} is not canonical")
+        raise InputError(f"script actor {actor!r}/{subtype!r} is not canonical")
     wheels, height, length, motor = ACTOR_BODY[actor, subtype]
     speed, lateral = _canonical("action", obstacle.get("action", "cruise"), ACTION_MOTION)
     return {
@@ -709,7 +705,7 @@ def _glitch_payload(kind: MessageKind, payload: Mapping[str, Any]) -> dict[str, 
             "ego_action": _GLITCH_ACTION.get(payload.get("ego_action"), "stop"),
             "stop_cause": None,
         }
-    raise SynthError(f"channel kind {kind.value!r} does not glitch")
+    raise ValueError(f"channel kind {kind.value!r} does not glitch")
 
 
 class _ComputeMemo:
@@ -722,7 +718,7 @@ class _ComputeMemo:
     and CC's call counts stay exact. The memo holds the objects it is keyed
     by, so their ids stay their own while it lives. The generator and every
     replay compute through one, each for the length of its own call; the
-    class table keys its slots on read (_FrameClasses).
+    class table keys its slots on key (_FrameClasses).
     """
 
     def __init__(self, module: ToyModule) -> None:
@@ -736,15 +732,19 @@ class _ComputeMemo:
         """The objects of inputs that compute reads: its memo key, by identity."""
         return tuple([inputs[k] if f is None else inputs[k].get(f) for k, f in self.reads])
 
-    def compute(self, inputs: Mapping[MessageKind, Mapping[str, Any]]) -> dict[str, Any]:
+    def key(self, inputs: Mapping[MessageKind, Mapping[str, Any]]) -> tuple[int, ...]:
+        """The memo key of inputs, computing on them if it is new."""
         read = self.read(inputs)
         key = tuple(map(id, read))
-        hit = self.memo.get(key)
-        if hit is None:
+        if key not in self.memo:
             self.module.call_log = Counter()
-            hit = self.memo[key] = (self.module.compute(inputs), self.module.call_log, read)
+            self.memo[key] = (self.module.compute(inputs), self.module.call_log, read)
+        return key
+
+    def compute(self, inputs: Mapping[MessageKind, Mapping[str, Any]]) -> dict[str, Any]:
+        key = self.key(inputs)
         self.ticks[key] += 1
-        return hit[0]
+        return self.memo[key][0]
 
     def call_counts(self) -> dict[str, int]:
         # Keys in first-compute order, so names keep the order of their first call.
@@ -869,9 +869,9 @@ def replay_segment(
     """
     span = range(len(ar))[lo:hi]
     if not span:
-        raise SynthError("replay needs at least one frame")
+        raise ValueError("replay needs at least one frame")
     if not (0 <= warmup_frames < len(span)):
-        raise SynthError(f"warmup_frames {warmup_frames} outside [0, {len(span)})")
+        raise ValueError(f"warmup_frames {warmup_frames} outside [0, {len(span)})")
     ar.fps  # frame i is tick i only on a regular grid
     out_channel = _output_channel(module, ar)
     fresh = module.fresh()
@@ -888,19 +888,19 @@ def replay_segment(
 def _output_channel(module: ToyModule, ar: AlignedRecording) -> str:
     """The channel a replay of module over the grid publishes on.
 
-    SynthError when the grid lacks a kind the module reads or carries more
+    InputError when the grid lacks a kind the module reads or carries more
     than one channel of the kind it publishes. Without such a channel the
     replay publishes on one named after the module.
     """
     missing = module.reads.keys() - set(ar.kinds.values())
     if missing:
-        raise SynthError(
+        raise InputError(
             f"module {module.kind!r} needs channel kind(s) "
             f"{sorted(k.value for k in missing)} absent from the frames"
         )
     out_channels = [name for name, kind in ar.kinds.items() if kind is module.publish_kind]
     if len(out_channels) > 1:
-        raise SynthError(
+        raise InputError(
             f"frames carry {len(out_channels)} channels of kind {module.publish_kind.value!r}"
         )
     return out_channels[0] if out_channels else module.kind
@@ -913,7 +913,7 @@ def _on_inputs(
 
     Of two channels of one kind a replay reads the last by name, the
     encoder claims objects from the first (schema.channel_order).
-    When read fails on a payload of the wrong shape, PayloadError names its
+    When read fails on a payload of the wrong shape, InputError names its
     first bad field.
     """
     columns = {ch.kind: (ch.payloads, index) for ch, index in ar.columns.values()}.items()
@@ -978,7 +978,7 @@ def prepare_recording(
 ) -> PreparedRecording:
     """Encode an aligned recording in one module's view and reduce it."""
     if module_kind not in MODULE_KINDS:
-        raise SynthError(f"unknown module kind {module_kind!r}")
+        raise ValueError(f"unknown module kind {module_kind!r}")
     registry = registry or default_registry()
     vectors = encode_recording(ar, registry, module_kind)
     segments, before_dedup = reduce_recording(ar, vectors, cfg)
@@ -1026,22 +1026,24 @@ class _FrameClasses:
 def _frame_classes(prepared: PreparedRecording, module: ToyModule) -> _FrameClasses:
     """The class table of a prepared recording for module and its mutants.
 
-    The vector reads the channels of schema.channel_order. SynthError when
-    the frames cannot feed the module (_output_channel).
+    The vector reads the channels of schema.channel_order. InputError when
+    the frames cannot feed the module (_output_channel), or when the module,
+    computing once on each run's inputs, cannot read them (_on_inputs):
+    every module run checks its frames, whatever its mutants.
     """
     ar, vectors = prepared.aligned, prepared.vectors
     channel = _output_channel(module, ar)
     columns = [ar.columns[name] for name, _ in channel_order(ar.kinds)]
-    read = _ComputeMemo(module).read
-    keyed_inputs = _on_inputs(ar, lambda inputs: (tuple(map(id, read(inputs))), inputs))
+    memo_key = _ComputeMemo(module).key
+    keyed_inputs = _on_inputs(ar, lambda inputs: (memo_key(inputs), inputs))
     index: dict[tuple[int, ...], int] = {}
     # Per read key, in slot order: its slot, source frame and inputs.
     slot_of: dict[tuple[int, ...], tuple[int, int, Mapping[MessageKind, Any]]] = {}
     slots: list[int] = []
     firsts: list[int] = []
 
-    def slot_at(source: int) -> int:
-        key, given = keyed_inputs(source)
+    def slot_at(source: int, keyed: tuple[Any, Any] | None = None) -> int:
+        key, given = keyed or keyed_inputs(source)
         return slot_of.setdefault(key, (len(slot_of), source, given))[0]
 
     def class_of(slot: int, i: int) -> int:
@@ -1060,11 +1062,12 @@ def _frame_classes(prepared: PreparedRecording, module: ToyModule) -> _FrameClas
     of_frame: list[int] = []
     slot = 0  # frame 0 is a tick, so the first run sets it before any class reads it
     for a, b in pairwise(ar.run_bounds):
+        at_start = keyed_inputs(a)  # the input check: the module computes on each run's first frame
         tick = next(ticks(range(a, b)), b)
         if a < tick:  # frames before the run's first tick hold the last tick's output
             of_frame += [class_of(slot, a)] * (tick - a)
-        if tick < b:
-            slot = slot_at(tick)
+        if tick < b:  # a slot keeps the inputs built at its tick
+            slot = slot_at(tick, at_start if tick == a else None)
             of_frame += [class_of(slot, tick)] * (b - tick)
     whole = Segment(WHOLE_RECORDING_SEGMENT_ID, 0, len(ar) - 1, vectors[0], 0)
     segments = [(whole, tuple(of_frame))]
@@ -1107,7 +1110,7 @@ def _class_vectors(
 
 
 def _check_run_inputs(strategies: Sequence[str], mutants: Sequence[Mutant]) -> list[str]:
-    """Parsed strategy names; SynthError on an unknown name or a repeated mutant id.
+    """Parsed strategy names; InputError on an unknown name or a repeated mutant id.
 
     Results are keyed by mutant id, so a repeated id would silently replace
     the first mutant's verdicts.
@@ -1115,12 +1118,9 @@ def _check_run_inputs(strategies: Sequence[str], mutants: Sequence[Mutant]) -> l
     seen: set[str] = set()
     for m in mutants:
         if m.id in seen:
-            raise SynthError(f"duplicate mutant id {m.id!r}")
+            raise InputError(f"duplicate mutant id {m.id!r}")
         seen.add(m.id)
-    try:
-        return parse_strategies(strategies)
-    except ValueError as exc:
-        raise SynthError(str(exc)) from exc
+    return parse_strategies(strategies)
 
 
 def run_prepared(
@@ -1150,11 +1150,7 @@ def run_prepared(
     module = make_module(module_kind)
     n_frames = len(ar)
     own = [(m, apply_mutant(module, m)) for m in mutants if m.module == module_kind]
-    # Whatever the mutants, the module computes once on each run's inputs,
-    # so frames it cannot read are an error in every module run.
-    _output_channel(module, ar)
-    list(map(_on_inputs(ar, _ComputeMemo(module).compute), ar.run_bounds[:-1]))
-    classes = _frame_classes(prepared, module)  # one table for all own mutants
+    classes = _frame_classes(prepared, module)  # one table for all own mutants, and the input check
 
     full: dict[str, bool] = {}
     tables: dict[str, dict[int, FaultVerdict]] = {}

@@ -29,6 +29,7 @@ from array import array
 from collections import Counter
 from fractions import Fraction
 
+from strap.fileio import InputError
 from strap.prioritization import PrioritizedPlan, rarity_weights
 from strap.recording import Channel, Message, MessageKind, Recording, _frame_t_ns, _text_memo
 from strap.schema import MODULE_KINDS, FrameEncoder
@@ -155,7 +156,7 @@ def message_swapped_vectors(ar, replayed, vectors, encoder):
 
 def _score_exact(values, weights, mode):
     if len(values) != len(weights):
-        raise ValueError(f"vector length {len(values)} does not match {len(weights)} weights")
+        raise InputError(f"vector length {len(values)} does not match {len(weights)} weights")
     total = Fraction(0)
     for x, wt in zip(values, weights):
         if x != 0:
@@ -219,8 +220,8 @@ def rational_evaluate_plan(plan, fault_sets):
     if set(plan.order) != set(fault_sets):
         unknown = set(plan.order) - set(fault_sets)
         if unknown:
-            raise ValueError(f"plan orders unknown segment ids {sorted(unknown)}")
-        raise ValueError("fault sets cover segments missing from the plan")
+            raise InputError(f"plan orders unknown segment ids {sorted(unknown)}")
+        raise InputError("fault sets cover segments missing from the plan")
     first_seen = {}
     for pos, seg_id in enumerate(plan.order, start=1):
         for fault in fault_sets[seg_id]:

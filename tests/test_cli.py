@@ -122,6 +122,53 @@ class TestParsing:
         assert errors == ["internal error: KeyError: 'segments'"]
 
 
+class TestExitCodes:
+    """Exit 1 is an input error, strap.fileio.InputError or OSError, and 2 any other exception."""
+
+    def test_repetitions_must_be_positive(self, tmp_path, capsys):
+        argv = ["run-regression", "--script", "builtin:benchmark", "--module", "planning",
+                "--repetitions", "0", "--out", str(tmp_path / "r.json")]
+        assert _one_error(argv, capsys) == "error: repetitions must be positive, got 0"
+
+    @pytest.mark.parametrize("target", ["run_prepared", "build_plans"])
+    def test_value_error_is_internal(self, target, valid_inputs, tmp_path, monkeypatch, capsys):
+        # A ValueError that no input check raised is a bug, not an input error.
+        def boom(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(f"strap.cli.{target}", boom)
+        out = str(tmp_path / "out.json")
+        if target == "run_prepared":
+            argv = ["run-regression", "--script", "builtin:rare-fault", "--mutants", "builtin:rare-fault",
+                    "--module", "planning", "--out", out]
+        else:
+            argv = ["prioritize", "--segments", str(valid_inputs["segments"]), "--strategies", "CH", "--out", out]
+        rc = main(argv)
+        assert rc == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+        assert errors == ["internal error: ValueError: boom"]
+
+    @pytest.mark.parametrize("rows,line", [
+        (['{"channel": "a", "kind": "planning", "payload": {}, "t_ns": 0}', '{"channel": "a"}'],
+         "line 2: missing field 't_ns'"),
+        ([*(f'{{"channel": "a", "kind": "planning", "payload": {{}}, "t_ns": {t}}}' for t in (0, 1, 2)),
+          '{"channel": "b", "kind": "planning", "payload": {}, "t_ns": 5}'],
+         "no alignable frames: channel 'b' never overlaps the reference"),
+    ], ids=["load", "align"])
+    def test_recording_errors(self, rows, line, tmp_path, capsys):
+        rec = tmp_path / "rec.jsonl"
+        rec.write_text("".join(row + "\n" for row in rows))
+        argv = ["align", "--in", str(rec), "--out", str(tmp_path / "aligned.jsonl")]
+        assert _one_error(argv, capsys) == f"error: {line}"
+
+    def test_document_not_utf8_names_the_byte(self, tmp_path, capsys):
+        # Past the first 8 KiB: the offset is the file's, not a read chunk's.
+        doc = tmp_path / "segments.json"
+        doc.write_bytes(b"{" + b" " * 10_000 + b'"\xff": 1}')
+        argv = ["prioritize", "--segments", str(doc), "--strategies", "CH", "--out", str(tmp_path / "p.json")]
+        assert _one_error(argv, capsys) == f"error: {doc}: not UTF-8 at byte 10002 (invalid start byte)"
+
+
 class TestCollectorState:
     """main pauses the cyclic collector for the command, then restores the caller's setting."""
 
@@ -495,6 +542,8 @@ READ_FLAGS = {
 MISTYPED = {"5": "5", "null": "null", "string": '"x"', "empty-list": "[]", "empty-object": "{}",
             "int-list": "[1, 2]", "list-of-object": "[{}]", "truncated": None,
             "truncated-object": '{"segments": [1,',
+            # Byte 0xff, which no UTF-8 text holds, at offset 14.
+            "not-utf8": '{"segments": "\udcff"}',
             # Deeper than the JSON decoder's recursion limit.
             "deep": "[" * 200_000 + "]" * 200_000}
 # The only documents above that a format accepts: an empty mutant list.
@@ -515,7 +564,7 @@ class TestMistypedInputs:
             # The valid file cut short, its last line left incomplete.
             valid = valid_inputs[kind].read_text()
             text = valid[: len(valid) // 2].rstrip()[:-1]
-        bad.write_text(text)
+        bad.write_bytes(text.encode("utf-8", "surrogateescape"))
         argv = [str(bad) if a == "{}" else str(valid_inputs.get(a, a)) for a in template.split()]
         capsys.readouterr()
         rc = main(argv)
@@ -530,6 +579,10 @@ class TestMistypedInputs:
             # A JSON document's error names its file, reduce --in's included;
             # a recording's names the line.
             assert ("error: line 1: " if kind == "rec" else f"error: {bad}: invalid JSON") in err
+        if doc == "not-utf8":
+            # The loader decodes a chunk at a time, so only a JSON document, decoded whole, names the byte.
+            at = "" if kind == "rec" else " at byte 14"
+            assert errors == [f"error: {bad}: not UTF-8{at} (invalid start byte)"]
 
     def test_reduce_reads_a_bad_recording_line_as_a_recording(self, work, tmp_path, capsys):
         # One whole JSON value, then more text: reduce --in reads a recording.
@@ -1109,7 +1162,7 @@ class TestMistypedFields:
 class TestMistypedRecordingsLoadAsMessages:
     """Each recording the TestMistyped* classes feed the CLI loads as the
     message-holding loader loads it (message_reference): the same
-    RecordingLoadError text, or the same channels."""
+    InputError text, or the same channels."""
 
     @pytest.mark.parametrize("doc", MISTYPED)
     def test_mistyped_documents(self, doc, valid_inputs, tmp_path):
@@ -1118,7 +1171,7 @@ class TestMistypedRecordingsLoadAsMessages:
             valid = valid_inputs["rec"].read_text()
             text = valid[: len(valid) // 2].rstrip()[:-1]
         bad = tmp_path / "bad.jsonl"
-        bad.write_text(text)
+        bad.write_bytes(text.encode("utf-8", "surrogateescape"))
         assert_loads_as_messages(bad)
 
     @pytest.mark.parametrize("case", PAYLOAD_CASES)

@@ -22,6 +22,7 @@ from strap.evaluation import (
     score_plans,
     scores_to_csv,
 )
+from strap.fileio import InputError
 from strap.prioritization import PrioritizedPlan
 from strap.reduction import Segment
 
@@ -52,9 +53,9 @@ class TestFaultVerdict:
         assert WHOLE_RECORDING_SEGMENT_ID == -1
 
     def test_tally_validation(self):
-        with pytest.raises(ValueError, match="bad mismatch tally"):
+        with pytest.raises(InputError, match="bad mismatch tally"):
             FaultVerdict(0, 5, 3)
-        with pytest.raises(ValueError, match="bad mismatch tally"):
+        with pytest.raises(InputError, match="bad mismatch tally"):
             FaultVerdict(0, -1, 3)
 
     def test_compare_outputs_counts_value_mismatches(self):
@@ -136,9 +137,9 @@ class TestMetrics:
 
     def test_evaluate_plan_id_mismatch(self):
         plan = PrioritizedPlan("CH", (0, 5), (0.0, 0.0))
-        with pytest.raises(ValueError, match="unknown segment ids \\[5\\]"):
+        with pytest.raises(InputError, match="unknown segment ids \\[5\\]"):
             evaluate_plan(plan, {0: frozenset()})
-        with pytest.raises(ValueError, match="missing from the plan"):
+        with pytest.raises(InputError, match="missing from the plan"):
             evaluate_plan(plan, {0: set(), 5: set(), 9: set()})
 
     def test_mean_defined_skips_none_and_sums_in_order(self):
@@ -220,7 +221,7 @@ class TestReference:
         ):
             got = outcome(lambda: evaluate_plan(plan, fault_sets))
             assert got == outcome(lambda: rational_evaluate_plan(plan, fault_sets))
-            assert got[0] is ValueError
+            assert got[0] is InputError
             assert outcome(lambda: score_plans({"CH": [plan]}, fault_sets)) == got
 
     def test_reduction_and_coverage_equal_the_rational_ones(self):

@@ -12,6 +12,7 @@ from run_reference import frame_rarity_weights, outcome, rational_cc, rational_r
 
 from strap import prioritization
 from strap.benchmarks import benchmark_mutants
+from strap.fileio import InputError
 from strap.prioritization import (
     PrioritizedPlan,
     _rd_plans,
@@ -116,7 +117,7 @@ class TestStrategies:
             assert p.order == tuple(order)
 
     def test_rd_validates_repetitions(self):
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(InputError, match="positive"):
             prioritize_rd([seg(0, (1,))], seed=0, repetitions=0)
 
     def test_cc_orders_by_count_descending(self):
@@ -126,16 +127,16 @@ class TestStrategies:
         assert plan.scores == (9.0, 5.0, 5.0)
 
     def test_cc_validates_length(self):
-        with pytest.raises(ValueError, match="one count per segment"):
+        with pytest.raises(InputError, match="one count per segment"):
             prioritize_cc([seg(0, (1,))], [1, 2])
 
 
 class TestDispatch:
     def test_parse_strategies_upper_cases_and_drops_repeats(self):
         assert parse_strategies([" rd", "RSC", "Rd", "cc "]) == ["RD", "RSC", "CC"]
-        with pytest.raises(ValueError, match="no strategies given"):
+        with pytest.raises(InputError, match="no strategies given"):
             parse_strategies([])
-        with pytest.raises(ValueError, match="unknown strategy 'BFS'; choose from RSC, SC"):
+        with pytest.raises(InputError, match="unknown strategy 'BFS'; choose from RSC, SC"):
             parse_strategies(["CH", "bfs"])
 
     def test_build_plans_one_list_per_strategy(self):
@@ -219,7 +220,7 @@ class TestReference:
             for mode in ("indicator", "literal"):
                 got = outcome(lambda: prioritize_rsc(segments, FIXTURE, mode))
                 assert got == outcome(lambda: rational_rsc(segments, w, mode))
-                assert got[0] is ValueError
+                assert got[0] is InputError
 
     def test_sc_and_cc_equal_the_rational_scores(self):
         rng = random.Random(5)
@@ -296,11 +297,11 @@ class TestRdDraws:
 
 class TestPlanIO:
     def test_validation(self):
-        with pytest.raises(ValueError, match="unknown strategy"):
+        with pytest.raises(InputError, match="unknown strategy"):
             PrioritizedPlan("XX", (0,), (0.0,))
-        with pytest.raises(ValueError, match="repeats"):
+        with pytest.raises(InputError, match="repeats"):
             PrioritizedPlan("CH", (0, 0), (0.0, 0.0))
-        with pytest.raises(ValueError, match="align"):
+        with pytest.raises(InputError, match="align"):
             PrioritizedPlan("CH", (0, 1), (0.0,))
 
     def test_json_round_trip(self):
@@ -309,7 +310,7 @@ class TestPlanIO:
         assert again == plan
 
     def test_bad_json(self):
-        with pytest.raises(ValueError, match="invalid plan document"):
+        with pytest.raises(InputError, match="invalid plan document"):
             plan_from_json({"strategy": "RSC"})
 
     def test_csv_shape(self):

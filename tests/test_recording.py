@@ -19,15 +19,12 @@ from conftest import Frame, frames_of, grid_of, messages, recording_of, tiled
 from message_reference import assert_aligns_as_messages, assert_loads_as_messages
 
 from strap.benchmarks import BUILTIN_SCRIPTS, benchmark_script
-from strap.fileio import one_encoder
+from strap.fileio import InputError, one_encoder
 from strap.recording import (
-    AlignmentError,
     Channel,
     Message,
     MessageKind,
-    PayloadError,
     Recording,
-    RecordingLoadError,
     _parse_line,
     _payload_texts,
     align_recording,
@@ -52,7 +49,7 @@ def rec(*channels):
     return Recording({c.name: c for c in channels})
 
 
-# Bad recording lines and the RecordingLoadError each gives.
+# Bad recording lines and the InputError each gives.
 LINE_ERRORS = [
     ("{not json", "line 1: invalid JSON"),
     # Not JSON whitespace, so not a blank line.
@@ -172,7 +169,7 @@ class TestLoadDump:
     def test_line_errors_carry_line_numbers(self, tmp_path, line, err):
         p = tmp_path / "bad.jsonl"
         p.write_text(line + "\n")
-        with pytest.raises(RecordingLoadError, match=err):
+        with pytest.raises(InputError, match=err):
             load_recording(p)
 
     def test_raw_line_separators_stay_inside_their_string(self, tmp_path):
@@ -190,7 +187,7 @@ class TestLoadDump:
             line + '\r\n\n{"channel": "a", "t_ns": 1, "kind": "obstacle", "payload": {}}\n',
             encoding="utf-8",
         )
-        with pytest.raises(RecordingLoadError, match=r"line 3.*declared at line 1"):
+        with pytest.raises(InputError, match=r"line 3.*declared at line 1"):
             load_recording(p)
 
     def test_oversized_integer_is_invalid_json(self, tmp_path):
@@ -202,7 +199,7 @@ class TestLoadDump:
             '{"channel": "a", "t_ns": 0, "kind": "planning", "payload": {}}\n'
             '{"channel": "a", "t_ns": ' + "9" * (limit + 1) + ', "kind": "planning", "payload": {}}\n'
         )
-        with pytest.raises(RecordingLoadError, match=r"^line 2: invalid JSON \(Exceeds the limit"):
+        with pytest.raises(InputError, match=r"^line 2: invalid JSON \(Exceeds the limit"):
             load_recording(p)
 
     def test_deeply_nested_payload_is_invalid_json(self, tmp_path):
@@ -213,10 +210,10 @@ class TestLoadDump:
             '{"channel": "a", "kind": "planning", "payload": {}, "t_ns": 0}\n'
             '{"channel": "a", "kind": "planning", "payload": {"x": ' + deep + '}, "t_ns": 1}\n'
         )
-        with pytest.raises(RecordingLoadError, match=r"^line 2: invalid JSON \("):
+        with pytest.raises(InputError, match=r"^line 2: invalid JSON \("):
             load_recording(p)
         p.write_text('{"channel": "a", "t_ns": 0, "kind": "planning", "payload": {"x": ' + deep + "}}\n")
-        with pytest.raises(RecordingLoadError, match=r"^line 1: invalid JSON \("):
+        with pytest.raises(InputError, match=r"^line 1: invalid JSON \("):
             load_recording(p)
 
     def test_timestamp_past_64_bits_is_an_input_error(self, tmp_path):
@@ -227,14 +224,14 @@ class TestLoadDump:
         # The second line takes the canonical-line path, the first does not.
         for lines, lineno in (([last.replace("807", "808")], 1), ([last, last.replace("807", "808")], 2)):
             p.write_text("".join(lines))
-            with pytest.raises(RecordingLoadError) as exc:
+            with pytest.raises(InputError) as exc:
                 load_recording(p)
             assert str(exc.value) == f"line {lineno}: timestamp 9223372036854775808 is not below 2**63"
 
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "empty.jsonl"
         p.write_text("\n\n")
-        with pytest.raises(RecordingLoadError, match="empty recording"):
+        with pytest.raises(InputError, match="empty recording"):
             load_recording(p)
 
     def test_kind_flip_names_both_lines(self, tmp_path):
@@ -243,7 +240,7 @@ class TestLoadDump:
             '{"channel": "a", "t_ns": 0, "kind": "planning", "payload": {}}\n'
             '{"channel": "a", "t_ns": 1, "kind": "obstacle", "payload": {}}\n'
         )
-        with pytest.raises(RecordingLoadError, match=r"line 2.*declared at line 1"):
+        with pytest.raises(InputError, match=r"line 2.*declared at line 1"):
             load_recording(p)
 
     def test_out_of_order_sorted_with_warning(self, tmp_path):
@@ -352,7 +349,7 @@ class TestLoadAgainstMessageLoader:
             warnings.simplefilter("ignore")
             try:
                 r = load_recording(p)
-            except RecordingLoadError:
+            except InputError:
                 return
         assert_aligns_as_messages(r)
 
@@ -367,7 +364,7 @@ def _known_line(payload, tail, channel="a"):
 
 
 # Lines read after canonical lines made both heads known, and what loading
-# gives: None when the file loads, else a piece of the RecordingLoadError.
+# gives: None when the file loads, else a piece of the InputError.
 KNOWN_HEAD_CASES = {
     "tail-leading-zero": (_known_line('{"ego_action": "go"}', "007"), "invalid JSON"),
     "tail-minus-zero": (_known_line('{"ego_action": "go"}', "-0"), None),
@@ -421,7 +418,7 @@ class TestInlinedLineLoop:
             if err is None:
                 load_recording(p)
             else:
-                with pytest.raises(RecordingLoadError, match=re.escape(err)):
+                with pytest.raises(InputError, match=re.escape(err)):
                     load_recording(p)
 
     @pytest.mark.parametrize("name", ['q"b', "back\\slash", "caf\u00e9 \u2028", ', "payload": ', ', "t_ns": 1}'])
@@ -454,29 +451,29 @@ def _reference_parse(line, lineno):
     try:
         row = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise RecordingLoadError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+        raise InputError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
     except ValueError as exc:
-        raise RecordingLoadError(f"line {lineno}: invalid JSON ({exc})") from exc
+        raise InputError(f"line {lineno}: invalid JSON ({exc})") from exc
     if not isinstance(row, dict):
-        raise RecordingLoadError(f"line {lineno}: expected a JSON object")
+        raise InputError(f"line {lineno}: expected a JSON object")
     for key in ("channel", "t_ns", "kind", "payload"):
         if key not in row:
-            raise RecordingLoadError(f"line {lineno}: missing field {key!r}")
+            raise InputError(f"line {lineno}: missing field {key!r}")
     if not isinstance(row["channel"], str):
-        raise RecordingLoadError(f"line {lineno}: channel must be a string")
+        raise InputError(f"line {lineno}: channel must be a string")
     try:
         kind = MessageKind(row["kind"])
     except ValueError:
-        raise RecordingLoadError(f"line {lineno}: unknown message kind {row['kind']!r}") from None
+        raise InputError(f"line {lineno}: unknown message kind {row['kind']!r}") from None
     t_ns = row["t_ns"]
     if not isinstance(t_ns, int) or isinstance(t_ns, bool):
-        raise RecordingLoadError(f"line {lineno}: t_ns must be an integer")
+        raise InputError(f"line {lineno}: t_ns must be an integer")
     if t_ns < 0:
-        raise RecordingLoadError(f"line {lineno}: negative timestamp {t_ns}")
+        raise InputError(f"line {lineno}: negative timestamp {t_ns}")
     if t_ns >= 2**63:
-        raise RecordingLoadError(f"line {lineno}: timestamp {t_ns} is not below 2**63")
+        raise InputError(f"line {lineno}: timestamp {t_ns} is not below 2**63")
     if not isinstance(row["payload"], dict):
-        raise RecordingLoadError(f"line {lineno}: payload must be a JSON object")
+        raise InputError(f"line {lineno}: payload must be a JSON object")
     return row["channel"], t_ns, kind, row["payload"]
 
 
@@ -771,7 +768,7 @@ def _row(m):
 def _walked_alignment(r):
     """Reference: each channel walked message by message with a forward slot
     pointer, empty slots filled with the held message; (grid, columns) or
-    the AlignmentError text."""
+    the InputError text."""
     ref = min(r.channels.values(), key=lambda c: (-len(c.times), c.name))
     grid = sorted(set(ref.times))
     columns, start = {}, 0
@@ -808,7 +805,7 @@ class TestAlignment:
         r = rec(*channels)
         expected = _walked_alignment(r)
         if isinstance(expected, str):
-            with pytest.raises(AlignmentError) as exc:
+            with pytest.raises(InputError) as exc:
                 align_recording(r)
             assert str(exc.value) == expected
             return
@@ -870,7 +867,7 @@ class TestAlignment:
         assert list(ar.times) == [200, 300]
 
     def test_never_overlapping_channel_errors(self):
-        with pytest.raises(AlignmentError, match="never overlaps"):
+        with pytest.raises(InputError, match="never overlaps"):
             align_recording(rec(chan("cam", [0, 100]), chan("det", [500, 600])))
 
     def test_alignment_is_idempotent(self):
@@ -1010,7 +1007,7 @@ class TestPayloadFormats:
         ],
     )
     def test_first_departure_is_named(self, kind, payload, err):
-        with pytest.raises(PayloadError) as exc:
+        with pytest.raises(InputError) as exc:
             check_payloads({"ch": Message("ch", 7, kind, payload)})
         assert str(exc.value) == f"{kind.value} payload on channel 'ch' at t_ns 7: {err}"
 
@@ -1029,7 +1026,7 @@ class TestPayloadFormats:
         payloads[k] = {**payloads[k], "scene": {"statics": [{"name": "cone"}]}}
         channels = {**benchmark_recording.channels,
                     "image": Channel._of("image", img.kind, img.times, tuple(payloads))}
-        with pytest.raises(PayloadError) as exc:
+        with pytest.raises(InputError) as exc:
             encode_recording(align_recording(Recording(channels)), registry)
         assert str(exc.value) == (
             f"image_ref payload on channel 'image' at t_ns {img.times[k]}: "

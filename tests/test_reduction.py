@@ -10,6 +10,7 @@ import pytest
 from run_reference import assert_reduce_walks_match, frame_smooth
 
 from strap.benchmarks import BUILTIN_SCRIPTS
+from strap.fileio import InputError
 from strap.recording import align_recording
 from strap.reduction import (
     ReductionConfig,
@@ -197,13 +198,13 @@ class TestConfig:
         ],
     )
     def test_validation(self, kwargs, err):
-        with pytest.raises(ValueError, match=err):
+        with pytest.raises(InputError, match=err):
             ReductionConfig(**kwargs)
 
     def test_segment_index_validation(self):
-        with pytest.raises(ValueError, match="bad indices"):
+        with pytest.raises(InputError, match="bad indices"):
             Segment(0, start_idx=5, end_idx=4, vector=A, warmup_start_idx=5)
-        with pytest.raises(ValueError, match="bad indices"):
+        with pytest.raises(InputError, match="bad indices"):
             Segment(0, start_idx=5, end_idx=9, vector=A, warmup_start_idx=6)
 
 
@@ -257,5 +258,5 @@ class TestManifest:
         ]
 
     def test_bad_manifest(self):
-        with pytest.raises(ValueError, match="invalid segments manifest"):
+        with pytest.raises(InputError, match="invalid segments manifest"):
             segments_from_manifest({"config": {}})

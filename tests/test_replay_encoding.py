@@ -14,12 +14,12 @@ import pytest
 from conftest import Frame, comparable, frames_of, grid_of, swapped_vectors
 
 from strap.benchmarks import BUILTIN_MUTANTS, BUILTIN_SCRIPTS
+from strap.fileio import InputError
 from strap.recording import Message, MessageKind, align_recording
 from strap.schema import (
     MODULE_CHANNELS,
     MODULE_KINDS,
     FrameEncoder,
-    SchemaError,
     SchemaRegistry,
     apply_filter,
     default_registry,
@@ -72,7 +72,7 @@ def reference_encode(frame, registry, module="all"):
 
     def actor_dim(actor):
         if actor not in ACTORS:
-            raise SchemaError(f'dimension "actor": unknown value "{actor}"')
+            raise InputError(f'dimension "actor": unknown value "{actor}"')
         return ACTORS[actor]
 
     claimed = set()
@@ -104,7 +104,7 @@ def reference_encode(frame, registry, module="all"):
                         put("intersection", "intersection")
                 for name in p.get("objects") or []:
                     if name not in STATICS:
-                        raise SchemaError(f'dimension "objects": unknown value "{name}"')
+                        raise InputError(f'dimension "objects": unknown value "{name}"')
                     put(STATICS[name], STATICS[name])
             elif kind is MessageKind.PREDICTION:
                 for track in p.get("tracks") or []:
@@ -344,8 +344,8 @@ def test_unknown_values_raise(registry):
     for msg in bad:
         swapped = grid_of([swap(frames_of(base)[0], msg)])
         for encode in (lambda: encoder.encode(base, 0, msg), lambda: encode_frame(swapped, 0, registry)):
-            with pytest.raises(SchemaError, match="unknown value"):
+            with pytest.raises(InputError, match="unknown value"):
                 encode()
         result = ReplayResult((msg,), 0, {})
-        with pytest.raises(SchemaError, match="unknown value"):
+        with pytest.raises(InputError, match="unknown value"):
             swapped_vectors(base, enumerate(comparable(result)), vectors, encoder)

@@ -5,13 +5,12 @@ from __future__ import annotations
 import pytest
 from conftest import Frame, grid_of
 
-from strap.fileio import atomic_write_json
+from strap.fileio import InputError, atomic_write_json
 from strap.recording import Message, MessageKind
 from strap.schema import (
     MODULE_KINDS,
     DimensionSpec,
     FrameEncoder,
-    SchemaError,
     SchemaRegistry,
     apply_filter,
     encode_frame,
@@ -60,11 +59,11 @@ class TestRegistry:
 
     def test_unknown_value_message(self, registry):
         dim = registry.dimensions[dim_index(registry, "traffic_light.color")]
-        with pytest.raises(SchemaError, match='dimension "traffic_light.color": unknown value "purple"'):
+        with pytest.raises(InputError, match='dimension "traffic_light.color": unknown value "purple"'):
             dim.code("purple")
 
     def test_duplicate_codes_rejected(self):
-        with pytest.raises(SchemaError, match="duplicate codes"):
+        with pytest.raises(InputError, match="duplicate codes"):
             DimensionSpec("x", "property", MessageKind.PLANNING, {"a": 1, "b": 1})
 
     def test_parent_must_be_presence(self):
@@ -72,7 +71,7 @@ class TestRegistry:
             DimensionSpec("a", "property", MessageKind.PLANNING, {"v": 1}),
             DimensionSpec("b", "property", MessageKind.PLANNING, {"w": 2}, parent="a"),
         )
-        with pytest.raises(SchemaError, match="not a presence"):
+        with pytest.raises(InputError, match="not a presence"):
             SchemaRegistry(dims, frozenset())
 
     def test_json_round_trip(self, registry, tmp_path):
@@ -82,7 +81,7 @@ class TestRegistry:
         assert registry_to_json(again) == registry_to_json(registry)
 
     def test_bad_document(self):
-        with pytest.raises(SchemaError, match="invalid schema document"):
+        with pytest.raises(InputError, match="invalid schema document"):
             registry_from_json({"dimensions": [{"name": "x"}]})
 
 
@@ -159,7 +158,7 @@ class TestEncode:
 
     def test_unknown_actor_value_raises(self, registry):
         f = frame(obstacle={"obstacles": [{"actor": "dragon"}]})
-        with pytest.raises(SchemaError, match='unknown value "dragon"'):
+        with pytest.raises(InputError, match='unknown value "dragon"'):
             encode_frame(f, 0, registry)
 
     def test_crosswalk_inferred_from_obstacle_flag(self, registry):
@@ -194,9 +193,9 @@ class TestFilter:
         assert kept(registry, "all") == frozenset(dim_names(registry))
 
     def test_unknown_module_rejected(self, registry):
-        with pytest.raises(SchemaError, match="unknown module 'radar'"):
+        with pytest.raises(ValueError, match="unknown module 'radar'"):
             FrameEncoder(registry, "radar", {})
-        with pytest.raises(SchemaError, match="unknown module 'radar'"):
+        with pytest.raises(ValueError, match="unknown module 'radar'"):
             apply_filter((0,) * len(registry), "radar", registry)
 
     def test_filter_zeroes_and_keeps_length(self, registry):
@@ -224,7 +223,7 @@ class TestFilter:
         assert apply_filter((1, 2), "traffic_light", registry) == (0, 0)
 
     def test_length_mismatch_rejected(self, registry):
-        with pytest.raises(SchemaError, match="does not match registry size"):
+        with pytest.raises(ValueError, match="does not match registry size"):
             apply_filter((1, 2), "all", registry)
 
 

@@ -17,9 +17,9 @@ from message_reference import assert_loads_as_messages
 
 from strap.benchmarks import BUILTIN_MUTANTS, BUILTIN_SCRIPTS
 from strap.cli import main
+from strap.fileio import InputError
 from strap.recording import (
     MessageKind,
-    RecordingLoadError,
     _parse_line,
     align_recording,
     dump_recording_jsonl,
@@ -192,9 +192,9 @@ def test_loader_errors_on_image_lines_equal_parse_line(payload, tmp_path):
     bad = _line("img", "image_ref", payload, 1)
     path = tmp_path / "bad.jsonl"
     path.write_text(f"{good}\n{bad}\n")
-    with pytest.raises(RecordingLoadError) as loaded:
+    with pytest.raises(InputError) as loaded:
         load_recording(path)
-    with pytest.raises(RecordingLoadError) as parsed:
+    with pytest.raises(InputError) as parsed:
         _parse_line(bad + "\n", 2)
     assert str(loaded.value) == str(parsed.value)
 
