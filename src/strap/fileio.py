@@ -167,11 +167,9 @@ def _indented(
 def read_json(path: str | Path) -> Any:
     try:
         # Decoded whole, so the error's offset is the file's.
-        text = Path(path).read_text(encoding="utf-8")
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 at byte {exc.start} ({exc.reason})") from None
-    try:
-        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON ({exc.msg})") from exc
     except (ValueError, RecursionError) as exc:

@@ -136,7 +136,7 @@ def prioritize_rd(
     the module views of one run often hold the same ids.
     """
     if repetitions < 1:
-        raise InputError(f"repetitions must be positive, got {repetitions}")
+        raise ValueError(f"repetitions must be positive, got {repetitions}")
     return list(_rd_plans(tuple(sorted(s.id for s in segments)), seed, repetitions))
 
 

@@ -1042,8 +1042,8 @@ def _frame_classes(prepared: PreparedRecording, module: ToyModule) -> _FrameClas
     slots: list[int] = []
     firsts: list[int] = []
 
-    def slot_at(source: int, keyed: tuple[Any, Any] | None = None) -> int:
-        key, given = keyed or keyed_inputs(source)
+    def slot_at(source: int) -> int:
+        key, given = keyed_inputs(source)
         return slot_of.setdefault(key, (len(slot_of), source, given))[0]
 
     def class_of(slot: int, i: int) -> int:
@@ -1062,12 +1062,12 @@ def _frame_classes(prepared: PreparedRecording, module: ToyModule) -> _FrameClas
     of_frame: list[int] = []
     slot = 0  # frame 0 is a tick, so the first run sets it before any class reads it
     for a, b in pairwise(ar.run_bounds):
-        at_start = keyed_inputs(a)  # the input check: the module computes on each run's first frame
         tick = next(ticks(range(a, b)), b)
         if a < tick:  # frames before the run's first tick hold the last tick's output
+            keyed_inputs(a)  # the input check: the module computes on each run's first frame
             of_frame += [class_of(slot, a)] * (tick - a)
-        if tick < b:  # a slot keeps the inputs built at its tick
-            slot = slot_at(tick, at_start if tick == a else None)
+        if tick < b:  # a slot keeps the inputs built at its tick, at a the input check
+            slot = slot_at(tick)
             of_frame += [class_of(slot, tick)] * (b - tick)
     whole = Segment(WHOLE_RECORDING_SEGMENT_ID, 0, len(ar) - 1, vectors[0], 0)
     segments = [(whole, tuple(of_frame))]
@@ -1109,12 +1109,14 @@ def _class_vectors(
     return _swapped_vectors(ar, channel, kind, replayed, prepared.vectors, encoder)
 
 
-def _check_run_inputs(strategies: Sequence[str], mutants: Sequence[Mutant]) -> list[str]:
-    """Parsed strategy names; InputError on an unknown name or a repeated mutant id.
+def _check_run_inputs(strategies: Sequence[str], mutants: Sequence[Mutant], repetitions: int) -> list[str]:
+    """Parsed strategy names; InputError on an unknown name, a repeated mutant id or repetitions < 1.
 
     Results are keyed by mutant id, so a repeated id would silently replace
     the first mutant's verdicts.
     """
+    if repetitions < 1:
+        raise InputError(f"repetitions must be positive, got {repetitions}")
     seen: set[str] = set()
     for m in mutants:
         if m.id in seen:
@@ -1141,10 +1143,10 @@ def run_prepared(
     verdict, the whole recording's among them, is compare_outputs of a
     segment's recorded and class vectors. The CC call counts still replay
     each segment's frames, when the module has an own mutant. Strategy
-    names and mutant ids are checked before any replay, and every own
-    mutant applies before any frame is checked.
+    names, mutant ids and repetitions are checked before any replay, and
+    every own mutant applies before any frame is checked.
     """
-    strategies = _check_run_inputs(strategies, mutants)
+    strategies = _check_run_inputs(strategies, mutants, repetitions)
     ar, module_kind, cfg = prepared.aligned, prepared.module, prepared.cfg
     vectors, segments = prepared.vectors, prepared.segments
     module = make_module(module_kind)
@@ -1275,6 +1277,7 @@ def run_benchmark(
     cfg: ReductionConfig = ReductionConfig(),
     *,
     registry: SchemaRegistry | None = None,
+    repetitions: int = 100,
     **kwargs: Any,
 ) -> dict[str, Any]:
     """Run one regression per module kind and aggregate the report documents.
@@ -1285,13 +1288,13 @@ def run_benchmark(
     Top-K are averaged over the module runs where they are defined; frame
     totals are summed.
     """
-    strategies = _check_run_inputs(strategies, mutants)
+    strategies = _check_run_inputs(strategies, mutants, repetitions)
     ar = align_recording(recording)
     sub: dict[str, dict[str, Any]] = {}
     for kind in MODULE_KINDS:
         own = [m for m in mutants if m.module == kind]
         sub[kind], _ = run_prepared(
-            prepare_recording(ar, kind, cfg, registry), own, strategies, **kwargs
+            prepare_recording(ar, kind, cfg, registry), own, strategies, repetitions=repetitions, **kwargs
         )
 
     reports = list(sub.values())

@@ -125,8 +125,11 @@ class TestParsing:
 class TestExitCodes:
     """Exit 1 is an input error, strap.fileio.InputError or OSError, and 2 any other exception."""
 
-    def test_repetitions_must_be_positive(self, tmp_path, capsys):
-        argv = ["run-regression", "--script", "builtin:benchmark", "--module", "planning",
+    @pytest.mark.parametrize("module,strategies", [("planning", "RSC,SC,CH,RD,CC"), ("planning", "CH"),
+                                                   ("all", "CH")], ids=["with-rd", "without-rd", "all-modules"])
+    def test_repetitions_must_be_positive(self, module, strategies, tmp_path, capsys):
+        # Checked with the run's other inputs, whether or not RD is among the strategies.
+        argv = ["run-regression", "--script", "builtin:benchmark", "--module", module, "--strategies", strategies,
                 "--repetitions", "0", "--out", str(tmp_path / "r.json")]
         assert _one_error(argv, capsys) == "error: repetitions must be positive, got 0"
 

@@ -117,7 +117,7 @@ class TestStrategies:
             assert p.order == tuple(order)
 
     def test_rd_validates_repetitions(self):
-        with pytest.raises(InputError, match="positive"):
+        with pytest.raises(ValueError, match="positive"):
             prioritize_rd([seg(0, (1,))], seed=0, repetitions=0)
 
     def test_cc_orders_by_count_descending(self):
