@@ -242,6 +242,9 @@ def _cmd_prioritize(args: argparse.Namespace) -> None:
     if args.call_counts:
         call_counts = read_json(_require_file(args.call_counts))
         check(call_counts, CALL_COUNTS_FORMAT, "invalid call counts document")
+        for i, count in enumerate(call_counts):
+            if not 0 <= count < 2**63:
+                raise InputError(f"invalid call counts document: [{i}] must be in [0, 2**63)")
     if "RSC" in strategies and vectors is None:
         raise InputError("RSC needs --vectors for rarity weights")
     if "CC" in strategies and call_counts is None:

@@ -1,8 +1,8 @@
 """Fault verdicts and suite-quality metrics.
 
-A replayed segment is compared frame-by-frame against the original recording
-on vectorized outputs. The segment flags a fault only when strictly more
-than 10 percent of its comparable (non warm-up) frames mismatch, which
+A replayed segment's mismatches are its comparable (non warm-up) frames whose
+replayed vector differs from the recorded one. The segment flags a fault
+only when strictly more than 10 percent of its comparable frames mismatch, which
 absorbs the systematic noise of rate conversion and one-frame glitches.
 Suite quality is summarized by reduction percentage, fault coverage, APFD,
 and Top-K. Each ratio is one int true division of its exact numerator by its
@@ -21,7 +21,6 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 from .fileio import InputError
 from .prioritization import PrioritizedPlan
 from .reduction import Segment
-from .schema import FrameVector
 
 # A segment is a fault signal when mismatched/total exceeds this ratio
 # strictly. Kept as an exact ratio; the comparison is integer arithmetic.
@@ -54,20 +53,11 @@ class FaultVerdict:
         )
 
 
-def compare_outputs(
-    original: Sequence[FrameVector], replayed: Sequence[FrameVector], segment: Segment
-) -> FaultVerdict:
-    """Count frame pairs with unequal vectors over the comparable range."""
-    if len(original) != len(replayed):
-        raise ValueError(
-            f"cannot compare {len(original)} original frames with {len(replayed)} replayed frames"
-        )
-    if len(original) != segment.length:
-        raise ValueError(
-            f"segment {segment.id} spans {segment.length} comparable frames, got {len(original)}"
-        )
-    mismatched = sum(1 for a, b in zip(original, replayed) if a != b)
-    return FaultVerdict(segment.id, mismatched, len(original))
+def compare_outputs(segment: Segment, pairs: Sequence[tuple[int, bool]]) -> FaultVerdict:
+    """Tally a segment's comparable frames from (frames, mismatch) pairs, one per group alike."""
+    if (total := sum(frames for frames, _ in pairs)) != segment.length:
+        raise ValueError(f"segment {segment.id} spans {segment.length} comparable frames, got {total}")
+    return FaultVerdict(segment.id, sum(frames for frames, mismatch in pairs if mismatch), total)
 
 
 def reduction_pct(original_frames: int, reduced_frames: int) -> float:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+import sys
 import tempfile
 from collections.abc import Mapping
 from itertools import chain, compress, islice, pairwise, repeat
@@ -179,7 +180,8 @@ def read_json(path: str | Path) -> Any:
 
 
 # A format declares what a JSON document holds. int is a JSON integer (never
-# a bool), float any JSON number, and str and bool stand for themselves. A
+# a bool), float any JSON number a float holds (an integer no larger than
+# sys.float_info.max in size), and str and bool stand for themselves. A
 # tuple of strings is one of those strings, and a one-item list [F] a list of
 # Fs. {str: F} is an object mapping any keys to Fs. Any other dict is an
 # object with the keys it lists: a key ending in "!" must be present and not
@@ -198,7 +200,7 @@ def is_json_int(value: Any) -> bool:
 # Each scalar format's name in messages and its test.
 _SCALAR_FORMATS: dict[type, tuple[str, Callable[[Any], bool]]] = {
     int: ("an integer", is_json_int),
-    float: ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    float: ("a number", lambda v: isinstance(v, float) or is_json_int(v) and abs(v) <= sys.float_info.max),
     str: ("a string", lambda v: isinstance(v, str)),
     bool: ("true or false", lambda v: isinstance(v, bool)),
 }

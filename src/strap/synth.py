@@ -53,6 +53,8 @@ from .prioritization import (  # noqa: F401
     prioritize_sc,
 )
 from .recording import (
+    NS_PER_SEC,
+    T_NS_END,
     AlignedRecording,
     Channel,
     Message,
@@ -184,6 +186,13 @@ class ScenarioScript:
             )
         if self.fps < 1:
             raise InputError(f"fps must be a positive integer, got {self.fps!r}")
+        if (period := NS_PER_SEC // self.fps) <= (offset := max(CHANNEL_OFFSETS_NS.values())):
+            raise InputError(
+                f"fps {self.fps}: frame period {period} ns is not above "
+                f"the largest channel offset, {offset} ns"
+            )
+        if _frame_t_ns(self.duration_frames - 1, self.fps) + offset >= T_NS_END:
+            raise InputError(f"duration_frames {self.duration_frames} at fps {self.fps} reaches t_ns 2**63")
         if not (0.0 <= self.glitch_rate < 1.0):
             raise InputError(f"glitch_rate must be a number in [0, 1), got {self.glitch_rate!r}")
         for e in self.events:
@@ -999,13 +1008,14 @@ class _FrameClasses:
     compared; the whole recording is one more segment
     (WHOLE_RECORDING_SEGMENT_ID) with none. Frame i's class is the objects
     the module reads at its source (ToyModule.reads, by identity) and the
-    payloads the vector reads at i, the recorded output among them. compute
-    being pure, under any one mutant every frame of a class, in any segment,
-    gets the same output, comparison and vector; no mutant changes reads,
-    publish_kind or emits_at, so one table serves all. The slot rule: a
-    class's compute slot is the objects the module reads at its source, so
-    a mutant computes once per slot, on the inputs of the slot's first
-    class's source frame; slots are numbered in first-class order.
+    payloads the vector reads at i, the recorded output among them, so all
+    its frames have one recorded vector. compute being pure, under any one
+    mutant every frame of a class, in any segment, gets the same output,
+    comparison and vector; no mutant changes reads, publish_kind or
+    emits_at, so one table serves all. The slot rule: a class's compute
+    slot is the objects the module reads at its source, so a mutant
+    computes once per slot, on the inputs of the slot's first class's
+    source frame; slots are numbered in first-class order.
 
     A run is a longest span of frames holding the same objects of all that
     the vector and the modules read (recording.RUN_READS: each payload but
@@ -1019,8 +1029,8 @@ class _FrameClasses:
     firsts: tuple[int, ...]  # per class, its first frame
     # Per slot, its source frame and the inputs there, one payload per kind (_on_inputs).
     inputs: tuple[tuple[int, Mapping[MessageKind, Mapping[str, Any]]], ...]
-    # Per segment, the whole recording first: the class of each comparable frame.
-    segments: tuple[tuple[Segment, tuple[int, ...]], ...]
+    # Per segment, the whole recording first: (class, frames) pairs, in first-frame order.
+    segments: tuple[tuple[Segment, tuple[tuple[int, int], ...]], ...]
 
 
 def _frame_classes(prepared: PreparedRecording, module: ToyModule) -> _FrameClasses:
@@ -1041,6 +1051,8 @@ def _frame_classes(prepared: PreparedRecording, module: ToyModule) -> _FrameClas
     slot_of: dict[tuple[int, ...], tuple[int, int, Mapping[MessageKind, Any]]] = {}
     slots: list[int] = []
     firsts: list[int] = []
+    of_frame: list[int] = []  # the whole replay's class of each frame
+    tally: Counter[int] = Counter()  # its frames per class, added a run part at a time
 
     def slot_at(source: int) -> int:
         key, given = keyed_inputs(source)
@@ -1059,24 +1071,27 @@ def _frame_classes(prepared: PreparedRecording, module: ToyModule) -> _FrameClas
         # The frames of span the whole replay computes on.
         return (j for j in span if j == 0 or module.emits_at(j))
 
-    of_frame: list[int] = []
+    def hold(c: int, frames: int) -> None:
+        of_frame.extend(repeat(c, frames))
+        tally[c] += frames
+
     slot = 0  # frame 0 is a tick, so the first run sets it before any class reads it
     for a, b in pairwise(ar.run_bounds):
         tick = next(ticks(range(a, b)), b)
         if a < tick:  # frames before the run's first tick hold the last tick's output
             keyed_inputs(a)  # the input check: the module computes on each run's first frame
-            of_frame += [class_of(slot, a)] * (tick - a)
+            hold(class_of(slot, a), tick - a)
         if tick < b:  # a slot keeps the inputs built at its tick, at a the input check
             slot = slot_at(tick)
-            of_frame += [class_of(slot, tick)] * (b - tick)
+            hold(class_of(slot, tick), b - tick)
     whole = Segment(WHOLE_RECORDING_SEGMENT_ID, 0, len(ar) - 1, vectors[0], 0)
-    segments = [(whole, tuple(of_frame))]
+    segments = [(whole, tuple(tally.items()))]
     for s in prepared.segments:
         # Frames before lo's first tick hold lo's cold start (one tick gap at most).
         lo, end = s.warmup_start_idx, s.end_idx + 1
         cold = range(s.start_idx, max(s.start_idx, next(ticks(range(lo, end)), end)))
-        row = (*[class_of(slot_at(lo), i) for i in cold], *of_frame[cold.stop : end])
-        segments.append((s, row))
+        row = [class_of(slot_at(lo), i) for i in cold] + of_frame[cold.stop : end]
+        segments.append((s, tuple(Counter(row).items())))
     inputs = tuple((source, given) for _, source, given in slot_of.values())
     return _FrameClasses(channel, tuple(slots), tuple(firsts), inputs, tuple(segments))
 
@@ -1139,9 +1154,9 @@ def run_prepared(
     Returns the report and every plan it scored, keyed by strategy. Only the
     prepared module is replayed: a mutant of another module cannot change
     its outputs (toy modules are pure), so its verdicts are clean. Each own
-    mutant computes one vector per frame class (_FrameClasses), and each
-    verdict, the whole recording's among them, is compare_outputs of a
-    segment's recorded and class vectors. The CC call counts still replay
+    mutant computes one vector per frame class (_FrameClasses) and compares
+    it with the class's recorded one; each verdict, the whole recording's
+    among them, adds up its segment's frames per class. The CC call counts still replay
     each segment's frames, when the module has an own mutant. Strategy
     names, mutant ids and repetitions are checked before any replay, and
     every own mutant applies before any frame is checked.
@@ -1158,9 +1173,10 @@ def run_prepared(
     tables: dict[str, dict[int, FaultVerdict]] = {}
     for mutant, mutated in own:
         by_class = _class_vectors(prepared, mutated, classes)
+        mismatch = [v != vectors[i] for v, i in zip(by_class, classes.firsts)]
         whole, *verdicts = [
-            compare_outputs(vectors[s.start_idx : s.end_idx + 1], [by_class[c] for c in row], s)
-            for s, row in classes.segments
+            compare_outputs(s, [(frames, mismatch[c]) for c, frames in tally])
+            for s, tally in classes.segments
         ]
         full[mutant.id] = whole.is_fault
         tables[mutant.id] = {v.segment_id: v for v in verdicts}

@@ -20,6 +20,11 @@ synth._class_vectors computes once per compute slot on the inputs the class
 table keeps, and builds a Message only for a frame it encodes.
 memo_class_vectors is the version it replaced: each class computes through
 a _ComputeMemo on inputs it builds itself, and builds a Message.
+
+synth.run_prepared compares each class's vector once and adds up a
+segment's frames per class. frame_compare_outputs is the comparison it
+replaced: a segment's recorded and replayed vectors zipped frame by frame,
+and frame_verdicts applies it to every segment of a class table.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from array import array
 from collections import Counter
 from fractions import Fraction
 
+from strap.evaluation import FaultVerdict
 from strap.fileio import InputError
 from strap.prioritization import PrioritizedPlan, rarity_weights
 from strap.recording import Channel, Message, MessageKind, Recording, _frame_t_ns, _text_memo
@@ -38,6 +44,7 @@ from strap.synth import (
     CHANNEL_KINDS,
     CHANNEL_OFFSETS_NS,
     _ComputeMemo,
+    _class_vectors,
     _glitch_payload,
     _on_inputs,
     _scene_truth,
@@ -152,6 +159,32 @@ def message_swapped_vectors(ar, replayed, vectors, encoder):
             continue
         out.append(encoder.encode(ar, i, msg))
     return out
+
+
+def frame_compare_outputs(original, replayed, segment):
+    """evaluation.compare_outputs as it was: count frame pairs with unequal
+    vectors over the segment's comparable range."""
+    if len(original) != len(replayed):
+        raise ValueError(
+            f"cannot compare {len(original)} original frames with {len(replayed)} replayed frames"
+        )
+    if len(original) != segment.length:
+        raise ValueError(
+            f"segment {segment.id} spans {segment.length} comparable frames, got {len(original)}"
+        )
+    mismatched = sum(1 for a, b in zip(original, replayed) if a != b)
+    return FaultVerdict(segment.id, mismatched, len(original))
+
+
+def frame_verdicts(prepared, mutated, classes, rows):
+    """Each segment's verdict for one mutated module, the whole recording's
+    first, frame by frame: rows holds each segment's class per comparable
+    frame, in the order of classes.segments."""
+    by_class = _class_vectors(prepared, mutated, classes)
+    return [
+        frame_compare_outputs(prepared.vectors[s.start_idx : s.end_idx + 1], [by_class[c] for c in row], s)
+        for (s, _), row in zip(classes.segments, rows, strict=True)
+    ]
 
 
 def _score_exact(values, weights, mode):

@@ -171,6 +171,39 @@ class TestExitCodes:
         argv = ["prioritize", "--segments", str(doc), "--strategies", "CH", "--out", str(tmp_path / "p.json")]
         assert _one_error(argv, capsys) == f"error: {doc}: not UTF-8 at byte 10002 (invalid start byte)"
 
+    # (the file's kind, its edit, the argv with {} for it, the error line); each exits 2 or 0 unchecked.
+    OUT_OF_RANGE = {
+        "mutant-delta-1e400": ("mutants", lambda d: d[0].update(delta=10**400),
+                               "run-regression --script builtin:rare-fault --mutants {} --module planning",
+                               "invalid mutants document: [0].delta must be a number, got 1" + "0" * 76 + "..."),
+        "plan-score-1e400": ("plan", lambda d: d["scores"].__setitem__(0, 10**400),
+                             "evaluate --verdicts verdicts --plans {}",
+                             "invalid plan document: scores[0] must be a number, got 1" + "0" * 76 + "..."),
+        "call-count-1e400": ("call_counts", lambda d: d.__setitem__(1, 10**400),
+                             "prioritize --segments segments --call-counts {} --strategies CC",
+                             "invalid call counts document: [1] must be in [0, 2**63)"),
+        "call-count-negative": ("call_counts", lambda d: d.__setitem__(0, -1),
+                                "prioritize --segments segments --call-counts {} --strategies CC",
+                                "invalid call counts document: [0] must be in [0, 2**63)"),
+        "script-fps-250": ("script", lambda d: d.update(fps=250), "synth-generate --script {}",
+                           "fps 250: frame period 4000000 ns is not above the largest channel offset, 4000000 ns"),
+        "script-fps-1e20": ("script", lambda d: d.update(fps=10**20), "synth-generate --script {}",
+                            "fps 100000000000000000000: frame period 0 ns is not above "
+                            "the largest channel offset, 4000000 ns"),
+        "script-duration-1e20": ("script", lambda d: d.update(duration_frames=10**20), "synth-generate --script {}",
+                                 "duration_frames 100000000000000000000 at fps 15 reaches t_ns 2**63"),
+    }
+
+    @pytest.mark.parametrize("case", OUT_OF_RANGE)
+    def test_out_of_range_numbers(self, case, valid_inputs, tmp_path, capsys):
+        kind, edit, argv, line = self.OUT_OF_RANGE[case]
+        doc = json.loads(valid_inputs[kind].read_text())
+        edit(doc)
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(doc))
+        argv = [str(valid_inputs.get(a, a)) for a in argv.format(path).split()]
+        assert _one_error([*argv, "--out", str(tmp_path / "out.json")], capsys) == f"error: {line}"
+
 
 class TestCollectorState:
     """main pauses the cyclic collector for the command, then restores the caller's setting."""

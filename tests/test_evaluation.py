@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from run_reference import outcome, rational_apfd, rational_evaluate_plan
+from run_reference import frame_compare_outputs, outcome, rational_apfd, rational_evaluate_plan
 
 from strap.evaluation import (
     FAULT_MISMATCH_RATIO,
@@ -58,19 +58,28 @@ class TestFaultVerdict:
         with pytest.raises(InputError, match="bad mismatch tally"):
             FaultVerdict(0, -1, 3)
 
-    def test_compare_outputs_counts_value_mismatches(self):
-        seg = Segment(4, 10, 13, vec(1), warmup_start_idx=10)
-        original = [vec(1)] * 4
-        replayed = [vec(1), vec(2), vec(1), vec(3)]
-        v = compare_outputs(original, replayed, seg)
-        assert (v.segment_id, v.mismatched_frames, v.total_frames) == (4, 2, 4)
+    def test_compare_outputs_adds_up_mismatching_frames(self):
+        seg = Segment(4, 10, 19, vec(1), warmup_start_idx=10)
+        v = compare_outputs(seg, [(3, False), (2, True), (4, False), (1, True)])
+        assert (v.segment_id, v.mismatched_frames, v.total_frames) == (4, 3, 10)
+        assert compare_outputs(seg, [(10, True)]).mismatched_frames == 10
 
-    def test_compare_outputs_validates_lengths(self):
+    def test_compare_outputs_equals_the_frame_by_frame_count(self):
+        # One pair per frame is the per-frame comparison it replaced.
+        rng = random.Random(3)
+        for n in (1, 2, 9, 10, 11, 40):
+            seg = Segment(0, 5, 4 + n, vec(1), warmup_start_idx=0)
+            original = [vec(rng.randrange(3)) for _ in range(n)]
+            replayed = [vec(rng.randrange(3)) for _ in range(n)]
+            got = compare_outputs(seg, [(1, a != b) for a, b in zip(original, replayed)])
+            assert got == frame_compare_outputs(original, replayed, seg), n
+
+    def test_compare_outputs_checks_the_frame_total(self):
         seg = Segment(0, 0, 1, vec(1), warmup_start_idx=0)
-        with pytest.raises(ValueError, match="cannot compare"):
-            compare_outputs([vec(1)], [vec(1), vec(1)], seg)
-        with pytest.raises(ValueError, match="spans 2 comparable frames"):
-            compare_outputs([vec(1)], [vec(1)], seg)
+        with pytest.raises(ValueError, match="^segment 0 spans 2 comparable frames, got 1$"):
+            compare_outputs(seg, [(1, False)])
+        with pytest.raises(ValueError, match="^segment 0 spans 2 comparable frames, got 3$"):
+            compare_outputs(seg, [(1, True), (2, False)])
 
 
 class TestMetrics:

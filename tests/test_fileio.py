@@ -430,6 +430,18 @@ def test_check_names_the_first_departure(doc, err):
     assert exc.value.args == (f"invalid doc: {err}",)
 
 
+def test_float_format_takes_the_integers_a_float_holds():
+    # float() of a larger integer raises OverflowError; NaN and infinities are floats already.
+    top = int(sys.float_info.max)
+    for x in (top, -top, 0, float("nan"), float("inf"), float("-inf"), 1e308):
+        check({"x": x}, {"x": float}, "doc")
+    for x in (top + 1, -top - 1, 2**1024):
+        with pytest.raises(InputError, match="^doc: x must be a number, got "):
+            check({"x": x}, {"x": float}, "doc")
+        with pytest.raises(InputError, match=r"^doc: x\[1\] must be a number, got "):
+            check({"x": [0.5, x]}, {"x": [float]}, "doc")
+
+
 @pytest.mark.parametrize(
     "text,err",
     [

@@ -997,6 +997,7 @@ class TestPayloadFormats:
             (MessageKind.PLANNING, [], "expected an object, got []"),
             (MessageKind.PLANNING, {"ego_action": 5}, "ego_action must be a string, got 5"),
             (MessageKind.LOCALIZATION, {"x": True}, "x must be a number, got True"),
+            (MessageKind.LOCALIZATION, {"x": 10**400}, "x must be a number, got 1" + "0" * 76 + "..."),
             (MessageKind.OBSTACLE, {"obstacles": [{"actor": "vehicle"}]},
              "obstacles[0].speed_mps is missing"),
             (MessageKind.OBSTACLE,

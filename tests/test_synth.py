@@ -19,7 +19,10 @@ from conftest import (
     Frame, comparable, frames_of, grid_of, messages, recording_of, script_to_json, swapped_vectors, tiled,
 )
 from message_reference import assert_aligns_as_messages, assert_loads_as_messages
-from run_reference import assert_reduce_walks_match, memo_class_vectors, per_frame_generate_recording
+from run_reference import (
+    assert_reduce_walks_match, frame_compare_outputs, frame_verdicts, memo_class_vectors,
+    per_frame_generate_recording,
+)
 
 from strap.benchmarks import (
     BUILTIN_MUTANTS,
@@ -32,6 +35,7 @@ from strap.benchmarks import (
 )
 from strap.cli import _write_regression_artifacts
 from strap.evaluation import WHOLE_RECORDING_SEGMENT_ID, compare_outputs
+from strap import synth
 from strap import recording
 from strap.fileio import InputError, check
 from strap.recording import (
@@ -104,6 +108,15 @@ class TestScript:
         [
             ({"duration_frames": 0}, "duration_frames"),
             ({"duration_frames": 10, "fps": 0}, "fps"),
+            (
+                {"duration_frames": 10, "fps": 250},
+                "fps 250: frame period 4000000 ns is not above the largest channel offset, 4000000 ns",
+            ),
+            (
+                {"duration_frames": 10, "fps": 10**20},
+                "fps 100000000000000000000: frame period 0 ns is not above the largest channel offset, 4000000 ns",
+            ),
+            ({"duration_frames": 10**20}, "duration_frames 100000000000000000000 at fps 15 reaches t_ns 2**63"),
             ({"duration_frames": 10, "glitch_rate": 1.0}, "glitch_rate"),
             (
                 {"duration_frames": 10, "events": (SceneEvent(10),)},
@@ -172,6 +185,17 @@ class TestScript:
     def test_validation(self, kwargs, err):
         with pytest.raises(InputError, match=re.escape(err)):
             ScenarioScript(**kwargs)
+
+    def test_timing_bounds(self):
+        # The frame period must be above planning's 4 ms offset: 249 fps is the most (250 is in test_validation).
+        ScenarioScript(10, fps=249)
+        # The longest script at 15 fps: its last frame's planning output is below 2**63.
+        offset = max(CHANNEL_OFFSETS_NS.values())
+        last = (15 * (2**63 - offset) - 1) // NS_PER_SEC
+        assert _frame_t_ns(last, 15) + offset < 2**63 <= _frame_t_ns(last + 1, 15) + offset
+        ScenarioScript(last + 1)
+        with pytest.raises(InputError, match=f"^duration_frames {last + 2} at fps 15 reaches"):
+            ScenarioScript(last + 2)
 
     def test_json_round_trip(self):
         s = script(50, glitch=0.25, events=[SceneEvent(3, RED_LIGHT, ("obstacles",))])
@@ -825,9 +849,9 @@ def segment_replay_vectors(prepared, mutated, s):
 
 
 def segment_replay_mismatches(prepared, mutated, s):
-    """Reference: replay segment s alone, with its warm-up, and compare."""
+    """Reference: replay segment s alone, with its warm-up, and compare frame by frame."""
     replayed = segment_replay_vectors(prepared, mutated, s)
-    return compare_outputs(prepared.vectors[s.start_idx : s.end_idx + 1], replayed, s).mismatched_frames
+    return frame_compare_outputs(prepared.vectors[s.start_idx : s.end_idx + 1], replayed, s).mismatched_frames
 
 
 def kind_mutants(kind):
@@ -842,10 +866,20 @@ def whole_segment(prepared):
     return Segment(WHOLE_RECORDING_SEGMENT_ID, 0, len(prepared.vectors) - 1, prepared.vectors[0], 0)
 
 
-def class_replay(prepared, mutated, classes):
-    """Per segment id, the whole recording's among them: its comparable frames' class vectors."""
+def class_rows(prepared, module):
+    """_frame_classes of prepared for module, checked against per_frame_classes,
+    and the reference's per-frame rows of that table."""
+    classes = _frame_classes(prepared, module)
+    want, rows = per_frame_classes(prepared, module)
+    assert classes == want
+    return classes, rows
+
+
+def class_replay(prepared, mutated, classes, rows):
+    """Per segment id, the whole recording's among them: its comparable frames'
+    class vectors, one per frame of its per-frame row (class_rows)."""
     by_class = _class_vectors(prepared, mutated, classes)
-    return {s.id: [by_class[c] for c in row] for s, row in classes.segments}
+    return {s.id: [by_class[c] for c in row] for (s, _), row in zip(classes.segments, rows, strict=True)}
 
 
 def values(vectors):
@@ -878,17 +912,17 @@ class TestDerivedVerdicts:
             mutants = kind_mutants(kind)
             report, _ = run_prepared(prepared, mutants, ("CH",), repetitions=1)
             module = make_module(kind)
-            classes = _frame_classes(prepared, module)
+            classes, per_frame = class_rows(prepared, module)
             whole = whole_segment(prepared)
             for m in mutants:
                 mutated = apply_mutant(module, m)
                 # The whole recording's class vectors against every frame replayed.
-                got = class_replay(prepared, mutated, classes)
+                got = class_replay(prepared, mutated, classes, per_frame)
                 key = (kind, m.id)
                 if key not in references:
                     references[key] = segment_replay_vectors(prepared, mutated, whole)
                 assert values(got[whole.id]) == values(references[key]), (kind, m.id)
-                verdict = compare_outputs(prepared.vectors, references[key], whole)
+                verdict = frame_compare_outputs(prepared.vectors, references[key], whole)
                 assert report["details"]["mutants"][m.id]["detected_full"] is verdict.is_fault
                 rows = report["details"]["mutants"][m.id]["segments"]
                 assert len(rows) == len(prepared.segments)
@@ -912,19 +946,19 @@ class TestDerivedVerdicts:
         module = make_module("prediction")
         assert not module.emits_at(10)
         mutant = Mutant("slow", "prediction", "stop_max_speed", "change_constant", 0.0)
-        classes = _frame_classes(prepared, module)
-        rows = {seg.id: row for seg, row in classes.segments}
+        classes, rows = class_rows(prepared, module)
+        by_id = {seg.id: row for (seg, _), row in zip(classes.segments, rows)}
         # The segment's frame 10 holds its own cold start, not frame 9's output.
-        assert rows[s.id][0] != rows[WHOLE_RECORDING_SEGMENT_ID][10]
+        assert by_id[s.id][0] != by_id[WHOLE_RECORDING_SEGMENT_ID][10]
         recorded = prepared.vectors[s.start_idx : s.end_idx + 1]
         report, _ = run_prepared(prepared, [mutant], ("CH",), repetitions=1)
         row = report["details"]["mutants"]["slow"]["segments"][str(s.id)]
         for mutated in (module, apply_mutant(module, mutant)):
-            got = class_replay(prepared, mutated, classes)
-            count = compare_outputs(recorded, got[s.id], s).mismatched_frames
+            got = class_replay(prepared, mutated, classes, rows)
+            count = frame_compare_outputs(recorded, got[s.id], s).mismatched_frames
             assert count == segment_replay_mismatches(prepared, mutated, s)
             whole = got[WHOLE_RECORDING_SEGMENT_ID][s.start_idx : s.end_idx + 1]
-            assert count != compare_outputs(recorded, whole, s).mismatched_frames
+            assert count != frame_compare_outputs(recorded, whole, s).mismatched_frames
         # The run's verdict is the mutant's, the last count.
         assert row["mismatched_frames"] == count
 
@@ -1029,11 +1063,11 @@ class TestClassReplay:
     @pytest.mark.parametrize("case", sorted(HAND_MADE))
     def test_matches_every_frame_replayed(self, varied_aligned, registry, kind, case):
         prepared = prepare_recording(HAND_MADE[case](varied_aligned, kind), kind, registry=registry)
-        classes = _frame_classes(prepared, make_module(kind))
+        classes, rows = class_rows(prepared, make_module(kind))
         segments = [whole_segment(prepared), *prepared.segments]
         assert [s for s, _ in classes.segments] == segments
         for mutated in _mutants_of(kind):
-            got = class_replay(prepared, mutated, classes)
+            got = class_replay(prepared, mutated, classes, rows)
             for s in segments:
                 want = segment_replay_vectors(prepared, mutated, s)
                 assert values(got[s.id]) == values(want), (mutated.params, mutated.flipped, s.id)
@@ -1136,7 +1170,9 @@ def per_frame_encode_recording(ar, registry, module="all"):
 def per_frame_classes(prepared, module):
     """Reference: _frame_classes with one key per frame and a slot lookup on
     every tick, reading each frame's messages (of two channels of one kind,
-    the last by name)."""
+    the last by name). Returns the table, whose (class, frames) pairs count
+    each segment's frames one by one, and its per-frame rows: per segment, in
+    the table's order, the class of each comparable frame."""
     frames, vectors = frames_of(prepared.aligned), prepared.vectors
     channel = _output_channel(module, prepared.aligned)
     names = [name for name, _ in channel_order(prepared.aligned.kinds)]
@@ -1169,13 +1205,14 @@ def per_frame_classes(prepared, module):
         last_tick.append(source)
         of_frame.append(class_of(slot, i))
     whole = Segment(WHOLE_RECORDING_SEGMENT_ID, 0, len(frames) - 1, vectors[0], 0)
-    segments = []
+    segments, rows = [], []
     for s in (whole, *prepared.segments):
         lo, end = s.warmup_start_idx, s.end_idx + 1
         cold = range(s.start_idx, bisect_left(last_tick, lo, s.start_idx, end))
         row = (*[class_of(slot_at(lo), i) for i in cold], *of_frame[cold.stop : end])
-        segments.append((s, row))
-    return _FrameClasses(channel, tuple(slots), tuple(firsts), tuple(inputs), tuple(segments))
+        segments.append((s, tuple(Counter(row).items())))
+        rows.append(row)
+    return _FrameClasses(channel, tuple(slots), tuple(firsts), tuple(inputs), tuple(segments)), rows
 
 
 def assert_run_walks_match(ar, registry, cfgs, kinds=MODULE_KINDS):
@@ -1189,7 +1226,7 @@ def assert_run_walks_match(ar, registry, cfgs, kinds=MODULE_KINDS):
         for cfg in cfgs:
             prepared = prepare_recording(ar, kind, cfg, registry)
             got = _frame_classes(prepared, module)
-            assert got == per_frame_classes(prepared, module), (kind, cfg)
+            assert got == per_frame_classes(prepared, module)[0], (kind, cfg)
 
 
 def _loaded(rec, tmp_path):
@@ -1363,6 +1400,84 @@ class TestSlotVectors:
         # The shifts of test_time_origin.py: whole frame periods, and a wall-clock epoch.
         for shift in (*(p * period for p in range(1, 7)), EPOCH_NS):
             assert_slot_vectors_match_memo_path(align_recording(_shifted(rec, shift)), registry)
+
+
+def assert_verdicts_match_per_frame(ar, registry, cfgs=(ReductionConfig(),), kinds=MODULE_KINDS):
+    """Every verdict run_prepared makes on ar, the whole recording's first, equals
+    the per-frame oracle's (run_reference.frame_verdicts), for kind_mutants of each kind."""
+    for kind in kinds:
+        module, mutants = make_module(kind), kind_mutants(kind)
+        for cfg in cfgs:
+            prepared = prepare_recording(ar, kind, cfg, registry)
+            classes, rows = per_frame_classes(prepared, module)
+            want = [v for m in mutants for v in frame_verdicts(prepared, apply_mutant(module, m), classes, rows)]
+            got = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(synth, "compare_outputs", lambda *a: got.append(compare_outputs(*a)) or got[-1])
+                run_prepared(prepared, mutants, ("CH",), repetitions=1)
+            assert got == want, (kind, cfg)
+
+
+def _from_grid_frame_1(rec):
+    """rec without the messages before its grid's frame 1 (a recording cut mid-stream)."""
+    t_ns = align_recording(rec).times[1]
+    return Recording({
+        name: Channel(name, ch.kind, tuple(m for m in messages(ch) if m.t_ns >= t_ns))
+        for name, ch in rec.channels.items()
+    })
+
+
+def _reversed_keys(obj):
+    if isinstance(obj, dict):
+        return {k: _reversed_keys(v) for k, v in reversed(obj.items())}
+    return [_reversed_keys(v) for v in obj] if isinstance(obj, list) else obj
+
+
+class TestVerdictTally:
+    """run_prepared's verdicts add up frames per class; each equals the per-frame
+    comparison it replaced (run_reference.frame_verdicts)."""
+
+    @pytest.mark.parametrize("case", sorted(HAND_MADE))
+    def test_hand_made(self, varied_aligned, registry, case):
+        for kind in MODULE_KINDS:
+            ar = HAND_MADE[case](varied_aligned, kind)
+            assert_verdicts_match_per_frame(ar, registry, DERIVED_CONFIGS.values(), (kind,))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SCRIPTS))
+    def test_builtins_in_memory_and_loaded(self, name, seed, registry, tmp_path):
+        rec = generate_recording(BUILTIN_SCRIPTS[name](), seed)
+        cfgs = [ReductionConfig(), ReductionConfig(warmup_frames=0)]
+        for r in (rec, _loaded(rec, tmp_path)):
+            assert_verdicts_match_per_frame(align_recording(r), registry, cfgs)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SCRIPTS))
+    def test_time_shifted(self, name, seed, registry):
+        rec = generate_recording(BUILTIN_SCRIPTS[name](), seed)
+        period = NS_PER_SEC // BUILTIN_SCRIPTS[name]().fps
+        for shift in (*(p * period for p in range(1, 7)), EPOCH_NS):
+            assert_verdicts_match_per_frame(align_recording(_shifted(rec, shift)), registry)
+
+    def test_from_grid_frame_1(self, benchmark_recording, registry):
+        # Frame 1 is no prediction tick, so the grid now starts on the old
+        # frame 2: the predictor's ticks are no longer the recorded ones.
+        old = align_recording(benchmark_recording)
+        ar = align_recording(_from_grid_frame_1(benchmark_recording))
+        assert ar.times[0] == old.times[2] and len(ar) == len(old) - 2
+        assert_verdicts_match_per_frame(ar, registry, [ReductionConfig(), ReductionConfig(warmup_frames=0)])
+
+    def test_reversed_key_order(self, benchmark_recording, registry, tmp_path):
+        # Written with every object's keys reversed, the benchmark loads with
+        # each frame a run of its own: the most classes of any input here.
+        path = tmp_path / "reversed.jsonl"
+        path.write_text("".join(
+            json.dumps(_reversed_keys(json.loads(line))) + "\n"
+            for line in dump_recording_jsonl(benchmark_recording).splitlines()
+        ))
+        ar = align_recording(load_recording(path))
+        assert len(ar.run_bounds) - 1 == len(ar) == 2400
+        assert_verdicts_match_per_frame(ar, registry, [ReductionConfig(), ReductionConfig(warmup_frames=0)])
 
 
 class TestPreparedRecording:
