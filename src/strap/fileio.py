@@ -215,7 +215,10 @@ def check(value: Any, fmt: Any, what: str) -> None:
 def _departure(value: Any, fmt: Any, path: str) -> str | None:
     if isinstance(fmt, type):
         name, test = _SCALAR_FORMATS[fmt]
-        return None if test(value) else _must(path, name, value)
+        if test(value):
+            return None
+        # An integer too large for a float is a number, out of the float range.
+        return _must(path, "a number in float range" if fmt is float and is_json_int(value) else name, value)
     if isinstance(fmt, dict):
         if not isinstance(value, Mapping):
             return _must(path, "an object", value)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain, compress, count, islice, pairwise, repeat
-from operator import add, eq, ge, gt, is_, is_not, itemgetter, mul, ne, truediv
+from operator import add, eq, ge, gt, is_, is_not, itemgetter, lt, mul, ne, truediv
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -374,12 +374,20 @@ def load_recording(path: str | Path) -> Recording:
     "payload", "t_ns"}`` with no other or repeated key, of the head's kind,
     and gives what _parse_line gives. Any other line is parsed in full and
     checked against its channel's kind, so no error message changes.
+
+    Such a line of a kind shared by its text, found in the text table, also
+    keeps its prefix (the line up to ', "t_ns": '), mapped to its channel's
+    appends and its payload: a later line with that prefix costs one lookup
+    (only at a length some prefix has) and the scan of its time, checked as
+    above. A line failing a check goes the way above, so each result is the same.
     """
     per_channel: dict[str, Channel] = {}
     declared: dict[str, int] = {}
     heads: dict[str, tuple[str | bool | None, Callable[[int], None], Callable[[Any], None]]] = {}
     payloads: dict[str, dict[str, Any]] = {}
     scenes: dict[str, Any] = {}
+    repeats: dict[str, tuple[Callable[[int], None], Callable[[Any], None], dict[str, Any]]] = {}
+    lengths: set[int] = set()  # of the keys of repeats
 
     def parsed(raw: str, line: str, lineno: int) -> tuple[Channel, TimestampNs, dict[str, Any]]:
         """The line parsed in full, its channel declared, and its head known if it is canonical."""
@@ -404,6 +412,19 @@ def load_recording(path: str | Path) -> Recording:
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
+                end = raw.rfind(_T_NS_KEY)
+                # A repeated line up to its time, read with its "\n": only the time
+                # is scanned. Most other lines are told apart by their length.
+                hit = repeats.get(raw[:end]) if end in lengths else None
+                if hit is not None and raw[-2:] == "}\n":
+                    try:
+                        t_ns, stop = _scan_once(raw, end + len(_T_NS_KEY))
+                    except (StopIteration, ValueError, RecursionError):
+                        stop = 0
+                    if stop == len(raw) - 2 and type(t_ns) is int and 0 <= t_ns < T_NS_END:
+                        hit[0](t_ns)
+                        hit[1](hit[2])
+                        continue
                 line = raw[:-1] if raw[-1:] == "\n" else raw
                 # No JSON string holds an unescaped quote, so the first
                 # ', "payload": ' of a canonical line ends its head.
@@ -416,14 +437,13 @@ def load_recording(path: str | Path) -> Recording:
                         continue
                     row = parsed(raw, line, lineno)
                     known = heads.get(line[:start])  # a canonical line's head is line[:start]
-                end = line.rfind(_T_NS_KEY)
                 if known is not None and end >= start and line[-1:] == "}":
                     share, add_time, add_payload = known
                     text = line[start:end]
                     try:
                         t_ns, stop = _scan_once(line, end + len(_T_NS_KEY))
-                        payload = (payloads.get(text) if share is None
-                                   else _image_payload(text, scenes) if share else None)
+                        payload = seen = (payloads.get(text) if share is None
+                                          else _image_payload(text, scenes) if share else None)
                         if payload is None:
                             payload, size = _scan_once(text, 0)
                             if size != len(text) or type(payload) is not dict:
@@ -436,13 +456,16 @@ def load_recording(path: str | Path) -> Recording:
                             and type(t_ns) is int and 0 <= t_ns < T_NS_END):
                         add_time(t_ns)
                         add_payload(payload)
+                        if share is None and seen is not None:
+                            repeats[line[:end]] = (add_time, add_payload, payload)
+                            lengths.add(end)
                         continue
                 into, t_ns, payload = row or parsed(raw, line, lineno)
                 into.times.append(t_ns)
                 into.payloads.append(payload)
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 ({exc.reason})") from None
-    del heads, payloads, scenes
+    del heads, payloads, scenes, repeats, lengths
     if not per_channel:
         raise InputError("empty recording")
 
@@ -483,14 +506,17 @@ def _line_head(channel: str, kind: MessageKind) -> str:
 _IMAGE_KEYS = frozenset({"ref", "scene"})
 
 
-def _text_memo(encode: Callable[[Any], str] = _encode) -> Callable[[Any], str]:
+def _text_memo(encode: Callable[[Any], str] | None = None) -> Callable[[Any], str]:
     """A function giving an object's JSON text by ``encode``, once per distinct object.
 
-    The memo holds each object it keys on, so an id stays its own while the
-    function lives. Nothing in the memo refers back to the function, so
-    reference counting frees both, with the collector paused too.
+    ``encode`` is by default a key-sorted fileio.one_encoder made for this
+    memo, as ``JSONEncoder.encode`` makes a C encoder per call. The memo
+    holds each object it keys on, so an id stays its own while the function
+    lives. Nothing in the memo refers back to the function, so reference
+    counting frees both, with the collector paused too.
     """
     texts: dict[int, tuple[Any, str]] = {}
+    encode = encode or one_encoder(sort_keys=True)
 
     def text(o: Any) -> str:
         hit = texts.get(id(o))
@@ -631,14 +657,22 @@ _BLOCK = 256
 def _slots(times: array[int], grid: array[int]) -> array[int]:
     """Per slot of the grid, the index of the last of times before its end, which is after times[0].
 
-    Each block of slot ends bisects a list of just the times it spans:
-    bisecting the array would box an int at every probe.
+    A channel with one message in each slot but the last, k0 + i in slot i,
+    is indexed by a range, checked by two C-level comparison passes. Any
+    other channel bisects each block of slot ends in a list of just the
+    times it spans: bisecting the array would box an int at every probe.
     """
-    index, lo = array("q"), 0
-    for a in range(1, len(grid), _BLOCK):
-        ends = grid[a : a + _BLOCK]
-        hi = bisect_left(times, ends[-1], lo)
-        index.extend(map(add, map(bisect_left, repeat(times[lo:hi].tolist()), ends), repeat(lo - 1)))
-        lo = hi
+    m = len(grid) - 1
+    k0 = bisect_left(times, grid[1]) - 1 if m else 0
+    if (0 <= k0 and k0 + m <= len(times) and not any(map(ge, islice(times, k0, None), islice(grid, 1, None)))
+            and not any(map(lt, islice(times, k0 + 1, None), islice(grid, 1, None)))):
+        index = array("q", range(k0, k0 + m))
+    else:
+        index, lo = array("q"), 0
+        for a in range(1, len(grid), _BLOCK):
+            ends = grid[a : a + _BLOCK]
+            hi = bisect_left(times, ends[-1], lo)
+            index.extend(map(add, map(bisect_left, repeat(times[lo:hi].tolist()), ends), repeat(lo - 1)))
+            lo = hi
     index.append(bisect_right(times, grid[-1]) - 1)
     return index[:]

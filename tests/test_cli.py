@@ -175,10 +175,10 @@ class TestExitCodes:
     OUT_OF_RANGE = {
         "mutant-delta-1e400": ("mutants", lambda d: d[0].update(delta=10**400),
                                "run-regression --script builtin:rare-fault --mutants {} --module planning",
-                               "invalid mutants document: [0].delta must be a number, got 1" + "0" * 76 + "..."),
+                               "invalid mutants document: [0].delta must be a number in float range, got 1" + "0" * 76 + "..."),
         "plan-score-1e400": ("plan", lambda d: d["scores"].__setitem__(0, 10**400),
                              "evaluate --verdicts verdicts --plans {}",
-                             "invalid plan document: scores[0] must be a number, got 1" + "0" * 76 + "..."),
+                             "invalid plan document: scores[0] must be a number in float range, got 1" + "0" * 76 + "..."),
         "call-count-1e400": ("call_counts", lambda d: d.__setitem__(1, 10**400),
                              "prioritize --segments segments --call-counts {} --strategies CC",
                              "invalid call counts document: [1] must be in [0, 2**63)"),

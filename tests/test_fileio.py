@@ -436,9 +436,9 @@ def test_float_format_takes_the_integers_a_float_holds():
     for x in (top, -top, 0, float("nan"), float("inf"), float("-inf"), 1e308):
         check({"x": x}, {"x": float}, "doc")
     for x in (top + 1, -top - 1, 2**1024):
-        with pytest.raises(InputError, match="^doc: x must be a number, got "):
+        with pytest.raises(InputError, match="^doc: x must be a number in float range, got "):
             check({"x": x}, {"x": float}, "doc")
-        with pytest.raises(InputError, match=r"^doc: x\[1\] must be a number, got "):
+        with pytest.raises(InputError, match=r"^doc: x\[1\] must be a number in float range, got "):
             check({"x": [0.5, x]}, {"x": [float]}, "doc")
 
 

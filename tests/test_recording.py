@@ -12,7 +12,7 @@ import sys
 import tracemalloc
 import warnings
 from bisect import bisect_left, bisect_right
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 
 import pytest
 from conftest import Frame, frames_of, grid_of, messages, recording_of, tiled
@@ -444,6 +444,31 @@ class TestInlinedLineLoop:
         assert dump_recording_jsonl(load_recording(p)) == dump_recording_jsonl(load_recording(lf))
         img = messages(load_recording(p).channels["img"])
         assert img[0].payload["scene"] is img[2].payload["scene"]
+
+    # A canonical line's tail rewritten: p is its text through ', "t_ns": ' and t its time.
+    TAIL_EDITS = ("{p}01}}\n", "{p}1.0}}\n", "{p}-1}}\n", "{p}%d}}\n" % 2**63, "{p}1e3}}\n",
+                  "{p}{t} }}\n", '{p}{t}, "x": 1}}\n', "{p}{t}}}", "{p}{t}}}\r\n", "{p}{t}]\n")
+
+    @pytest.mark.parametrize("name,seed", [("benchmark", 0), ("noisy-prediction", 1)])
+    def test_tail_edits_of_repeated_lines(self, tmp_path, name, seed):
+        # Seeded fuzz: each case edits one to three lines whose text up to the
+        # time two earlier lines had, so the repeated-line lookup meets each.
+        lines = dump_recording_jsonl(generate_recording(BUILTIN_SCRIPTS[name](), seed)).splitlines(True)[:360]
+        cuts = [line.rindex(', "t_ns": ') + len(', "t_ns": ') for line in lines]
+        seen, repeated = Counter(), []
+        for k, (line, cut) in enumerate(zip(lines, cuts)):
+            if seen[line[:cut]] >= 2:
+                repeated.append(k)
+            seen[line[:cut]] += 1
+        assert len(repeated) > 200
+        rng, p = random.Random(seed), tmp_path / "fuzz.jsonl"
+        for _ in range(250):
+            edited = lines[:]
+            for k in rng.sample(repeated, rng.randint(1, 3)):
+                edited[k] = rng.choice(self.TAIL_EDITS).format(p=lines[k][: cuts[k]], t=lines[k][cuts[k] : -2])
+            text = "".join(edited)
+            p.write_bytes((text[:-1] if rng.random() < 0.25 else text).encode())  # the last line's end dropped
+            assert_loads_as_messages(p)
 
 
 def _reference_parse(line, lineno):
@@ -896,6 +921,70 @@ class TestAlignment:
         assert ar.row(2)["det"] == Message("det", 140, MessageKind.PLANNING, {"n": 140})
 
 
+def _ranged(ar):
+    """The channels whose message index goes up by one a slot, the last slot aside:
+    those align_recording indexes by a range."""
+    return {name for name, (_, index) in ar.columns.items()
+            if list(index[:-1]) == list(range(index[0], index[0] + len(index) - 1))}
+
+
+_EVERY_100 = range(10, 800, 100)  # one message in each slot of cam's grid, 0 to 700
+
+# Channels beside cam (messages at 0, 100, ..., 700, no fewer than any other's), and
+# the channels indexed by a range.
+RANGE_CASES = {
+    "one-a-slot": ({"det": _EVERY_100}, {"cam", "det"}),
+    "at-each-slot-start": ({"det": range(0, 800, 100)}, {"cam", "det"}),
+    "past-the-grid": ({"det": range(110, 900, 100)}, {"cam", "det"}),
+    "held-from-before": ({"det": [5, *_EVERY_100[1:]]}, {"cam", "det"}),
+    "ends-early": ({"det": _EVERY_100[:4]}, {"cam"}),
+    "starts-late": ({"det": _EVERY_100[3:]}, {"cam", "det"}),
+    "two-in-one-slot": ({"det": sorted([*_EVERY_100[:-1], 150])}, {"cam"}),
+    "two-at-one-time": ({"det": sorted([*_EVERY_100[:-1], 110])}, {"cam"}),
+    "held-gap": ({"det": [t for t in _EVERY_100 if t != 310]}, {"cam"}),
+    "two-in-three": ({"det": [t for t in _EVERY_100 if t // 100 % 3 != 2]}, {"cam"}),
+    "last-slot-only-later": ({"det": [*_EVERY_100[:-1], 705]}, {"cam", "det"}),
+    "both-kinds": ({"det": _EVERY_100, "gap": [t for t in _EVERY_100 if t != 310]}, {"cam", "det"}),
+}
+
+
+class TestRangeSlots:
+    """align_recording indexes a channel with one message a slot by a range, and
+    bisects any other: both against the message align (message_reference)."""
+
+    @pytest.mark.parametrize("case", RANGE_CASES)
+    def test_hand_built(self, case):
+        others, ranged = RANGE_CASES[case]
+        r = rec(chan("cam", range(0, 800, 100)), *(chan(name, times) for name, times in others.items()))
+        assert_aligns_as_messages(r)
+        ar = align_recording(r)
+        assert ar.times == r.channels["cam"].times[-len(ar):]
+        assert _ranged(ar) == ranged
+
+    def test_one_frame_grid(self):
+        r = rec(chan("cam", [50]), chan("det", [10]))
+        assert_aligns_as_messages(r)
+        assert list(align_recording(r).columns["det"].index) == [0]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SCRIPTS))
+    def test_builtins(self, name, seed, tmp_path):
+        # Prediction publishes on two frames in three; every other channel on each.
+        r = generate_recording(BUILTIN_SCRIPTS[name](), seed)
+        p = tmp_path / "r.jsonl"
+        p.write_text(dump_recording_jsonl(r))
+        for got in (r, load_recording(p)):
+            assert_aligns_as_messages(got)
+            assert _ranged(align_recording(got)) == set(got.channels) - {"prediction"}
+
+    @pytest.mark.parametrize("shift", [66_666_666, 7 * 66_666_666, 1_697_000_000_123_456_789])
+    def test_time_shifted_grids(self, benchmark_recording, shift):
+        shifted = rec(*(Channel(name, ch.kind, (Message(name, t + shift, ch.kind, p) for t, p in zip(ch.times, ch.payloads)))
+                        for name, ch in benchmark_recording.channels.items()))
+        assert_aligns_as_messages(shifted)
+        assert _ranged(align_recording(shifted)) == set(shifted.channels) - {"prediction"}
+
+
 @pytest.fixture(scope="module")
 def tiled_recording():
     """A function of n: the seed-0 benchmark scenes tiled n times (10: the long-suite input)."""
@@ -997,7 +1086,7 @@ class TestPayloadFormats:
             (MessageKind.PLANNING, [], "expected an object, got []"),
             (MessageKind.PLANNING, {"ego_action": 5}, "ego_action must be a string, got 5"),
             (MessageKind.LOCALIZATION, {"x": True}, "x must be a number, got True"),
-            (MessageKind.LOCALIZATION, {"x": 10**400}, "x must be a number, got 1" + "0" * 76 + "..."),
+            (MessageKind.LOCALIZATION, {"x": 10**400}, "x must be a number in float range, got 1" + "0" * 76 + "..."),
             (MessageKind.OBSTACLE, {"obstacles": [{"actor": "vehicle"}]},
              "obstacles[0].speed_mps is missing"),
             (MessageKind.OBSTACLE,
